@@ -7,12 +7,14 @@ package gorace_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
 
 	"gorace/internal/core"
+	"gorace/internal/corpus"
 	"gorace/internal/corpusgen"
 	"gorace/internal/detector"
 	"gorace/internal/explore"
@@ -654,6 +656,47 @@ func BenchmarkSweepCampaign(b *testing.B) {
 			b.Fatal(err)
 		}
 		if stats.Runs != len(units)*16 || len(aggs[1].(*sweep.Corpus).Detections()) == 0 {
+			b.Fatalf("campaign lost work: %+v", stats)
+		}
+	}
+}
+
+// tinyRace is about the smallest racy program: two goroutines write
+// one cell with no synchronization.
+func tinyRace(g *sched.G) {
+	x := sched.NewVar[int](g, "x")
+	g.Go("writer", func(g *sched.G) { x.Store(g, 1) })
+	x.Store(g, 2)
+}
+
+// BenchmarkSweepManyUnits runs a campaign shaped like the nightly: 5,000
+// units of one run each, so every run is its own shard with fresh
+// aggregators. The program is tiny so that aggregator bookkeeping is a
+// large share of the allocations: per-shard aggregator cost must not
+// grow with the unit index, and if it does, allocs/op grows with it and
+// the benchdiff gate fails.
+func BenchmarkSweepManyUnits(b *testing.B) {
+	units := make([]sweep.Unit, 5000)
+	for i := range units {
+		units[i] = sweep.Unit{
+			ID: fmt.Sprintf("svc-%04d", i), Program: tinyRace, Strategy: "random",
+			BaseSeed: int64(i), Runs: 1,
+		}
+	}
+	eng := sweep.New(sweep.WithParallelism(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		aggs, stats, err := eng.Run(units,
+			func() sweep.Aggregator { return sweep.NewProb() },
+			func() sweep.Aggregator { return sweep.NewCorpus() },
+			func() sweep.Aggregator { return corpus.NewCollector("bench") },
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Shards != len(units) || len(aggs[0].(*sweep.Prob).Stats()) != len(units) ||
+			aggs[2].(*corpus.Collector).Defects() == 0 {
 			b.Fatalf("campaign lost work: %+v", stats)
 		}
 	}

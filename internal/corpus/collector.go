@@ -36,7 +36,7 @@ type Collector struct {
 
 	executions int
 	reports    int
-	units      []*unitAgg // indexed by UnitIdx
+	units      sweep.Units[*unitAgg]
 }
 
 // unitAgg is one unit's deduplicated defects.
@@ -120,17 +120,13 @@ func NewCollectorFromRecords(runID string, executions, reports int, recs []Recor
 // RunID returns the run id this collector attributes its defects to.
 func (c *Collector) RunID() string { return c.runID }
 
-func (c *Collector) unit(idx int) *unitAgg {
-	for len(c.units) <= idx {
-		c.units = append(c.units, nil)
+func (c *Collector) unit(idx int) *unitAgg { return c.units.Ensure(idx, newUnitAgg) }
+
+func newUnitAgg() *unitAgg {
+	return &unitAgg{
+		counts: make(map[string]uint64),
+		defs:   make(map[string]*defining),
 	}
-	if c.units[idx] == nil {
-		c.units[idx] = &unitAgg{
-			counts: make(map[string]uint64),
-			defs:   make(map[string]*defining),
-		}
-	}
-	return c.units[idx]
 }
 
 // Observe implements sweep.Aggregator.
@@ -181,10 +177,7 @@ func (c *Collector) Merge(next sweep.Aggregator) {
 	o := next.(*Collector)
 	c.executions += o.executions
 	c.reports += o.reports
-	for idx, oua := range o.units {
-		if oua == nil {
-			continue
-		}
+	o.units.Each(func(idx int, oua *unitAgg) {
 		ua := c.unit(idx)
 		for h, n := range oua.counts {
 			ua.counts[h] += n
@@ -196,7 +189,7 @@ func (c *Collector) Merge(next sweep.Aggregator) {
 			ua.order = append(ua.order, h)
 			ua.defs[h] = oua.defs[h]
 		}
-	}
+	})
 }
 
 // Executions returns the number of program executions observed.
@@ -208,11 +201,7 @@ func (c *Collector) Reports() int { return c.reports }
 // Defects returns the number of deduplicated defects collected.
 func (c *Collector) Defects() int {
 	n := 0
-	for _, ua := range c.units {
-		if ua != nil {
-			n += len(ua.order)
-		}
-	}
+	c.units.Each(func(_ int, ua *unitAgg) { n += len(ua.order) })
 	return n
 }
 
@@ -222,10 +211,7 @@ func (c *Collector) Defects() int {
 // traces.
 func (c *Collector) Records() []Record {
 	var out []Record
-	for _, ua := range c.units {
-		if ua == nil {
-			continue
-		}
+	c.units.Each(func(_ int, ua *unitAgg) {
 		for _, h := range ua.order {
 			d := ua.defs[h]
 			rec := Record{
@@ -242,7 +228,7 @@ func (c *Collector) Records() []Record {
 			}
 			out = append(out, rec)
 		}
-	}
+	})
 	return out
 }
 
@@ -263,21 +249,21 @@ func (c *Collector) AppendTo(store *Store) error {
 		if err := os.MkdirAll(c.traceDir, 0o755); err != nil {
 			return fmt.Errorf("corpus: trace dir: %w", err)
 		}
-		i := 0
-		for _, ua := range c.units {
-			if ua == nil {
+		var traces []*trace.Recorder // parallel to recs
+		c.units.Each(func(_ int, ua *unitAgg) {
+			for _, h := range ua.order {
+				traces = append(traces, ua.defs[h].trace)
+			}
+		})
+		for i, tr := range traces {
+			if tr == nil {
 				continue
 			}
-			for _, h := range ua.order {
-				if d := ua.defs[h]; d.trace != nil {
-					path := TracePathIn(c.traceDir, recs[i].Key)
-					if err := saveTrace(path, d.trace); err != nil {
-						return err
-					}
-					recs[i].TracePath = path
-				}
-				i++
+			path := TracePathIn(c.traceDir, recs[i].Key)
+			if err := saveTrace(path, tr); err != nil {
+				return err
 			}
+			recs[i].TracePath = path
 		}
 	}
 	if err := store.Append(recs...); err != nil {

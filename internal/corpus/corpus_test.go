@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"gorace/internal/core"
 	"gorace/internal/progen"
 	"gorace/internal/report"
 	"gorace/internal/stack"
@@ -592,5 +594,46 @@ func TestTraceFileName(t *testing.T) {
 	got := TraceFileName("svc-001/TestFoo/ab12cd34")
 	if got != "svc-001_TestFoo_ab12cd34.trace" {
 		t.Fatalf("TraceFileName = %q", got)
+	}
+}
+
+// TestCollectorObserveCostIndependentOfUnitIdx: a fresh collector
+// observing one racy run at unit index 1<<20 allocates no more than at
+// index 0. The engine builds one collector per shard, so state that
+// grew with the index would cost every late shard a campaign-sized
+// allocation.
+func TestCollectorObserveCostIndependentOfUnitIdx(t *testing.T) {
+	u := nightlyUnits(0, 6)
+	runner := core.NewRunner(core.WithMaxSteps(1<<16), core.WithRecord(true))
+	var r sweep.Run
+	for i := range u {
+		out, err := runner.RunSeed(u[i].Program, u[i].BaseSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Races) > 0 {
+			r = sweep.Run{Unit: &u[i], Seed: u[i].BaseSeed, Outcome: out}
+			break
+		}
+	}
+	if r.Outcome == nil {
+		t.Fatal("no unit raced")
+	}
+	cost := func(unitIdx int) (mallocs, bytes uint64) {
+		const n = 20
+		r.UnitIdx = unitIdx
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			NewCollector("night-1").Observe(r)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	cost(0) // warm any lazily built package state
+	em, eb := cost(0)
+	lm, lb := cost(1 << 20)
+	if lm > em || lb > eb+64 {
+		t.Errorf("observe at unit 0: %d mallocs, %d B; at unit 1<<20: %d mallocs, %d B", em, eb, lm, lb)
 	}
 }

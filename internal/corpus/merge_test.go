@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gorace/internal/sweep"
 	"gorace/internal/taxonomy"
 )
 
@@ -241,4 +242,70 @@ func TestViewFromExport(t *testing.T) {
 	if err1 != nil || err2 != nil || !reflect.DeepEqual(od, rd) {
 		t.Errorf("replica diff differs: %+v (%v) vs %+v (%v)", rd, err2, od, err1)
 	}
+}
+
+// TestCollectorFromRecordsOutOfOrder: shard records that arrive in
+// descending unit order rebuild the same collector, and collectors
+// merged out of unit order still render in canonical order.
+func TestCollectorFromRecordsOutOfOrder(t *testing.T) {
+	units := nightlyUnits(0, 6)
+	aggs, _, err := sweep.New(sweep.WithParallelism(1)).Run(units,
+		func() sweep.Aggregator { return NewCollector("night-1") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := aggs[0].(*Collector)
+	want := orig.Records()
+	unitIdx := make(map[string]int)
+	for i, u := range units {
+		unitIdx[u.ID] = i
+	}
+	// Reverse the unit order, keeping each unit's records in
+	// first-manifestation order.
+	var byUnit [][]Record
+	for i, rec := range want {
+		if i == 0 || rec.Unit != want[i-1].Unit {
+			byUnit = append(byUnit, nil)
+		}
+		byUnit[len(byUnit)-1] = append(byUnit[len(byUnit)-1], rec)
+	}
+	if len(byUnit) < 2 {
+		t.Fatalf("need defects in two units, got %d", len(byUnit))
+	}
+	var reversed []Record
+	for i := len(byUnit) - 1; i >= 0; i-- {
+		reversed = append(reversed, byUnit[i]...)
+	}
+	rebuilt, err := NewCollectorFromRecords("night-1", orig.Executions(), orig.Reports(), reversed, unitIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rebuilt.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt from reversed records:\n got %v\nwant %v", keysOf(got), keysOf(want))
+	}
+
+	// Fold the later units first, then the earlier ones.
+	half := len(byUnit) / 2
+	early, err := NewCollectorFromRecords("night-1", 0, 0, concatRecords(byUnit[:half]), unitIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := NewCollectorFromRecords("night-1", 0, 0, concatRecords(byUnit[half:]), unitIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := NewCollector("night-1")
+	root.Merge(late)
+	root.Merge(early)
+	if got := root.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged out of unit order:\n got %v\nwant %v", keysOf(got), keysOf(want))
+	}
+}
+
+func concatRecords(groups [][]Record) []Record {
+	var out []Record
+	for _, g := range groups {
+		out = append(out, g...)
+	}
+	return out
 }

@@ -19,6 +19,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"gorace/internal/stack"
 	"gorace/internal/trace"
@@ -130,6 +131,10 @@ func Run(main func(g *G), opts Options) *Result {
 	s := newScheduler(opts)
 	s.spawn(nil, "main", main)
 	s.loop()
+	// Every modeled goroutine has parked for good: nothing draws from
+	// the run RNG any more.
+	rngPool.Put(s.rng)
+	s.rng = nil
 	s.result.Steps = s.steps
 	s.result.Goroutines = len(s.gs)
 	s.result.Events = s.seq
@@ -149,7 +154,7 @@ func newScheduler(opts Options) *Scheduler {
 	s := &Scheduler{
 		listeners: trace.Multi(opts.Listeners),
 		strategy:  st,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
+		rng:       seededRand(opts.Seed),
 		parked:    make(chan struct{}),
 		maxSteps:  maxSteps,
 		nextAddr:  1,
@@ -157,6 +162,19 @@ func newScheduler(opts Options) *Scheduler {
 	}
 	st.Reset(opts.Seed)
 	return s
+}
+
+// rngPool recycles run RNGs: a rand source is about 5 KB, and a
+// campaign starts one scheduler per execution.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand returns a pooled RNG re-seeded with seed, which yields
+// exactly the sequence rand.New(rand.NewSource(seed)) would. Return it
+// with rngPool.Put once nothing draws from it any more.
+func seededRand(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
 }
 
 // spawn creates a modeled goroutine. parent is nil only for main.

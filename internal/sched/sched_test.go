@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"gorace/internal/trace"
@@ -770,5 +771,34 @@ func TestSliceRange(t *testing.T) {
 	})
 	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Fatalf("range = %v", got)
+	}
+}
+
+// TestSeededRandMatchesFreshSource: a recycled run RNG, re-seeded,
+// draws exactly what a fresh source with that seed would, so pooling
+// RNGs cannot change a schedule.
+func TestSeededRandMatchesFreshSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		used := seededRand(seed + 100)
+		buf := make([]byte, 3) // leave Read's partial-word state behind
+		used.Read(buf)
+		for i := 0; i < 700; i++ {
+			used.Int63()
+		}
+		rngPool.Put(used)
+
+		got, want := seededRand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1000; i++ {
+			if g, w := got.Intn(1000), want.Intn(1000); g != w {
+				t.Fatalf("seed %d draw %d: pooled %d, fresh %d", seed, i, g, w)
+			}
+		}
+		gb, wb := make([]byte, 5), make([]byte, 5)
+		got.Read(gb)
+		want.Read(wb)
+		if string(gb) != string(wb) {
+			t.Fatalf("seed %d: pooled Read %x, fresh %x", seed, gb, wb)
+		}
+		rngPool.Put(got)
 	}
 }

@@ -112,11 +112,12 @@ func (p *PCT) Reset(seed int64) {
 	p.prios = make(map[vclock.TID]int)
 	p.nextPrio = 0
 	p.minPrio = 0
-	rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
+	rng := seededRand(seed ^ 0x9e3779b9)
 	p.changePoints = make(map[int]bool, p.Depth)
 	for len(p.changePoints) < p.Depth {
 		p.changePoints[rng.Intn(p.StepEstimate)] = true
 	}
+	rngPool.Put(rng)
 }
 
 // OnSpawn implements Strategy.

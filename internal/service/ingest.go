@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -126,31 +127,36 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		pw.CloseWithError(err)
 	}()
 	unblock := context.AfterFunc(ctx, func() {
-		pr.CloseWithError(ctx.Err())
+		// Close the write half: the decoder's read then fails with the
+		// context's error, which classifies the ingest as cancelled.
+		pw.CloseWithError(ctx.Err())
 		rc.SetReadDeadline(time.Now())
 	})
 
 	res, err := ing.Ingest(ctx, pr)
-	cancelled := ctx.Err() != nil
 	// Stop the unblocker BEFORE cancelling: on a completed ingest the
-	// deferred cancel would otherwise fire it late, and its stray read
-	// deadline can poison this connection's next keep-alive request
-	// mid-body (the server reads it as a dead client and cancels that
-	// request's context). If the ingest failed with the stream only
-	// part-consumed, kick the copier out here instead.
-	if !unblock() && !cancelled {
-		// Raced with cancellation after Ingest returned; treat as done.
-		cancelled = ctx.Err() != nil
-	}
+	// deferred cancel would otherwise fire it late. If the ingest failed
+	// with the stream only part-consumed, kick the copier out here
+	// instead.
+	deadlineSet := !unblock()
 	if err != nil {
 		pr.CloseWithError(err)
 		rc.SetReadDeadline(time.Now())
+		deadlineSet = true
 	}
 	cancel()
 	<-copied
 	pr.Close()
+	if deadlineSet {
+		// An expired read deadline poisons the connection: the server's
+		// background read fails on it and cancels the context of the
+		// next keep-alive request. Close it after this response instead.
+		w.Header().Set("Connection", "close")
+	}
 	if err != nil {
-		if cancelled {
+		// Classify by the error's cause, not by ctx.Err(): a decode
+		// failure stays a client error even if the context ends later.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			writeError(w, http.StatusServiceUnavailable, "ingest cancelled after %d events: %v", res.Events, err)
 			return
 		}

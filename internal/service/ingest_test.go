@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -136,6 +137,47 @@ func TestIngestEndpointGarbage(t *testing.T) {
 	for _, run := range []string{"bad-001", "bad-002"} {
 		if svc.View().HasRun(run) {
 			t.Fatalf("failed ingest %s landed in the corpus", run)
+		}
+	}
+}
+
+// TestIngestFailedKeepAlive drives one transport connection slot
+// through fail, fail, success, several times over. A failed ingest
+// leaves an expired read deadline on its connection, which would cancel
+// the next keep-alive request's context; the failure must answer
+// Connection: close so the transport never reuses that connection.
+func TestIngestFailedKeepAlive(t *testing.T) {
+	store, _ := seedStore(t)
+	_, ts := newTestServer(t, Config{Store: store})
+	data := synthStream(t, stream.SynthSpec{Events: 5000, Planted: 1, Seed: 2})
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+
+	steps := []struct {
+		name   string
+		body   []byte
+		status int
+	}{
+		{"truncated", data[:len(data)/2], http.StatusBadRequest},
+		{"hostile", []byte("GRTB\xff\xff\xff\xff"), http.StatusBadRequest},
+		{"good", data, http.StatusOK},
+	}
+	for round := 0; round < 10; round++ {
+		for _, st := range steps {
+			url := fmt.Sprintf("%s/v1/ingest?run=ka-%s-%d", ts.URL, st.name, round)
+			resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(st.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != st.status {
+				t.Fatalf("round %d %s = %d, want %d: %s", round, st.name, resp.StatusCode, st.status, body)
+			}
+			if failed := st.status != http.StatusOK; failed != resp.Close {
+				t.Fatalf("round %d %s: Connection: close = %t, want %t", round, st.name, resp.Close, failed)
+			}
 		}
 	}
 }

@@ -8,12 +8,13 @@ import (
 	"gorace/internal/trace"
 )
 
-// This file holds the standard streaming aggregators. All of them key
-// their state by unit index, so Merge — always called in shard order,
-// with later shards on the right — reduces to an order-preserving
-// per-unit fold. Campaigns that should outlive the process use
-// corpus.Collector instead, the same shape folded into a persistent
-// store.
+// This file holds the standard streaming aggregators. All of them keep
+// their state sparse per unit, in a Units store, so a shard's memory is
+// bounded by the units it ran, not by the campaign, and Merge — always
+// called in shard order, with later shards on the right — reduces to an
+// order-preserving per-unit fold. Campaigns that should outlive the
+// process use corpus.Collector instead, the same shape folded into a
+// persistent store.
 
 // UnitStat is one unit's detection-probability estimate, the
 // aggregate behind explore.Probe and the §3.2 flakiness argument.
@@ -37,26 +38,16 @@ func (s UnitStat) Probability() float64 {
 
 // Prob estimates per-unit detection probability.
 type Prob struct {
-	stats []*UnitStat // indexed by UnitIdx
+	stats Units[*UnitStat]
 }
 
 // NewProb returns an empty Prob aggregator (use as a Factory:
 // func() Aggregator { return NewProb() }).
 func NewProb() *Prob { return &Prob{} }
 
-func (p *Prob) unit(idx int) *UnitStat {
-	for len(p.stats) <= idx {
-		p.stats = append(p.stats, nil)
-	}
-	if p.stats[idx] == nil {
-		p.stats[idx] = &UnitStat{}
-	}
-	return p.stats[idx]
-}
-
 // Observe implements Aggregator.
 func (p *Prob) Observe(r Run) {
-	s := p.unit(r.UnitIdx)
+	s := p.stats.Ensure(r.UnitIdx, newOf[UnitStat])
 	s.Unit = r.Unit.ID
 	s.Detector = r.Outcome.Detector
 	s.Strategy = r.Outcome.Strategy
@@ -72,28 +63,21 @@ func (p *Prob) Observe(r Run) {
 
 // Merge implements Aggregator.
 func (p *Prob) Merge(next Aggregator) {
-	for idx, o := range next.(*Prob).stats {
-		if o == nil {
-			continue
-		}
-		s := p.unit(idx)
+	next.(*Prob).stats.Each(func(idx int, o *UnitStat) {
+		s := p.stats.Ensure(idx, newOf[UnitStat])
 		s.Unit, s.Detector, s.Strategy = o.Unit, o.Detector, o.Strategy
 		s.Runs += o.Runs
 		s.Detected += o.Detected
 		s.Races += o.Races
 		s.LeakedRuns += o.LeakedRuns
-	}
+	})
 }
 
 // Stats returns the per-unit estimates in unit order (units that
 // executed no runs are skipped).
 func (p *Prob) Stats() []UnitStat {
-	out := make([]UnitStat, 0, len(p.stats))
-	for _, s := range p.stats {
-		if s != nil {
-			out = append(out, *s)
-		}
-	}
+	out := make([]UnitStat, 0, p.stats.Len())
+	p.stats.Each(func(_ int, s *UnitStat) { out = append(out, *s) })
 	return out
 }
 
@@ -114,8 +98,8 @@ func (d Detection) Hash() string { return d.Unit + "/" + d.Race.Hash() }
 // unit with the §3.3.1 hash via report.Deduper — the fleet-scale
 // "file each defect once" pipeline.
 type Corpus struct {
-	units []*unitCorpus // indexed by UnitIdx
-	seen  int           // race reports observed before dedup
+	units Units[*unitCorpus]
+	seen  int // race reports observed before dedup
 }
 
 type unitCorpus struct {
@@ -126,15 +110,7 @@ type unitCorpus struct {
 // NewCorpus returns an empty Corpus aggregator.
 func NewCorpus() *Corpus { return &Corpus{} }
 
-func (c *Corpus) unit(idx int) *unitCorpus {
-	for len(c.units) <= idx {
-		c.units = append(c.units, nil)
-	}
-	if c.units[idx] == nil {
-		c.units[idx] = &unitCorpus{dedup: report.NewDeduper()}
-	}
-	return c.units[idx]
-}
+func newUnitCorpus() *unitCorpus { return &unitCorpus{dedup: report.NewDeduper()} }
 
 func (uc *unitCorpus) add(d Detection) {
 	if uc.dedup.Add(d.Race) {
@@ -149,7 +125,7 @@ func (c *Corpus) Observe(r Run) {
 	if len(races) == 0 {
 		return
 	}
-	uc := c.unit(r.UnitIdx)
+	uc := c.units.Ensure(r.UnitIdx, newUnitCorpus)
 	for _, race := range report.UniqueByHash(races) {
 		uc.add(Detection{Unit: r.Unit.ID, UnitIdx: r.UnitIdx, Seed: r.Seed, Race: race})
 	}
@@ -159,26 +135,19 @@ func (c *Corpus) Observe(r Run) {
 func (c *Corpus) Merge(next Aggregator) {
 	o := next.(*Corpus)
 	c.seen += o.seen
-	for idx, ouc := range o.units {
-		if ouc == nil {
-			continue
-		}
-		uc := c.unit(idx)
+	o.units.Each(func(idx int, ouc *unitCorpus) {
+		uc := c.units.Ensure(idx, newUnitCorpus)
 		for _, d := range ouc.dets {
 			uc.add(d)
 		}
-	}
+	})
 }
 
 // Detections returns the deduplicated corpus in canonical order: by
 // unit, then by first manifestation within the unit.
 func (c *Corpus) Detections() []Detection {
 	var out []Detection
-	for _, uc := range c.units {
-		if uc != nil {
-			out = append(out, uc.dets...)
-		}
-	}
+	c.units.Each(func(_ int, uc *unitCorpus) { out = append(out, uc.dets...) })
 	return out
 }
 
@@ -315,25 +284,15 @@ func (w UnitWork) CheckedFraction() float64 {
 // Prob over rate-expanded units it yields the campaign's
 // P(detect)-vs-overhead table (see cmd/racedetect -sweep-rates).
 type Overhead struct {
-	units []*UnitWork // indexed by UnitIdx
+	units Units[*UnitWork]
 }
 
 // NewOverhead returns an empty Overhead aggregator.
 func NewOverhead() *Overhead { return &Overhead{} }
 
-func (o *Overhead) unit(idx int) *UnitWork {
-	for len(o.units) <= idx {
-		o.units = append(o.units, nil)
-	}
-	if o.units[idx] == nil {
-		o.units[idx] = &UnitWork{}
-	}
-	return o.units[idx]
-}
-
 // Observe implements Aggregator.
 func (o *Overhead) Observe(r Run) {
-	w := o.unit(r.UnitIdx)
+	w := o.units.Ensure(r.UnitIdx, newOf[UnitWork])
 	w.Unit = r.Unit.ID
 	w.Detector = r.Outcome.Detector
 	w.SampleRate = r.Unit.SampleRate
@@ -353,11 +312,8 @@ func (o *Overhead) Observe(r Run) {
 
 // Merge implements Aggregator.
 func (o *Overhead) Merge(next Aggregator) {
-	for idx, ow := range next.(*Overhead).units {
-		if ow == nil {
-			continue
-		}
-		w := o.unit(idx)
+	next.(*Overhead).units.Each(func(idx int, ow *UnitWork) {
+		w := o.units.Ensure(idx, newOf[UnitWork])
 		w.Unit, w.Detector, w.SampleRate = ow.Unit, ow.Detector, ow.SampleRate
 		w.Runs += ow.Runs
 		w.Detected += ow.Detected
@@ -368,17 +324,13 @@ func (o *Overhead) Merge(next Aggregator) {
 		w.Promotions += ow.Promotions
 		w.Demotions += ow.Demotions
 		w.FastReads += ow.FastReads
-	}
+	})
 }
 
 // Work returns the per-unit work counters in unit order (units that
 // executed no runs are skipped).
 func (o *Overhead) Work() []UnitWork {
-	out := make([]UnitWork, 0, len(o.units))
-	for _, w := range o.units {
-		if w != nil {
-			out = append(out, *w)
-		}
-	}
+	out := make([]UnitWork, 0, o.units.Len())
+	o.units.Each(func(_ int, w *UnitWork) { out = append(out, *w) })
 	return out
 }

@@ -92,29 +92,23 @@ func ShapeEdges(events []trace.Event) []uint64 {
 // Cover accumulates the set of shape edges each unit's runs covered.
 // It requires Unit.Record — runs without a trace contribute nothing.
 type Cover struct {
-	units []map[uint64]struct{} // indexed by UnitIdx
+	units Units[edgeSet]
 }
+
+type edgeSet = map[uint64]struct{}
 
 // NewCover returns an empty Cover aggregator (use as a Factory:
 // func() Aggregator { return NewCover() }).
 func NewCover() *Cover { return &Cover{} }
 
-func (c *Cover) unit(idx int) map[uint64]struct{} {
-	for len(c.units) <= idx {
-		c.units = append(c.units, nil)
-	}
-	if c.units[idx] == nil {
-		c.units[idx] = make(map[uint64]struct{})
-	}
-	return c.units[idx]
-}
+func newEdgeSet() edgeSet { return make(edgeSet) }
 
 // Observe implements Aggregator.
 func (c *Cover) Observe(r Run) {
 	if r.Outcome.Trace == nil {
 		return
 	}
-	set := c.unit(r.UnitIdx)
+	set := c.units.Ensure(r.UnitIdx, newEdgeSet)
 	for _, h := range ShapeEdges(r.Outcome.Trace.Events) {
 		set[h] = struct{}{}
 	}
@@ -122,41 +116,38 @@ func (c *Cover) Observe(r Run) {
 
 // Merge implements Aggregator.
 func (c *Cover) Merge(next Aggregator) {
-	for idx, o := range next.(*Cover).units {
-		if o == nil {
-			continue
-		}
-		set := c.unit(idx)
+	next.(*Cover).units.Each(func(idx int, o edgeSet) {
+		set := c.units.Ensure(idx, newEdgeSet)
 		for h := range o {
 			set[h] = struct{}{}
 		}
-	}
+	})
 }
 
 // Edges returns the union of edge hashes covered across all units,
 // sorted.
 func (c *Cover) Edges() []uint64 {
-	set := make(map[uint64]struct{})
-	for _, u := range c.units {
-		for h := range u {
-			set[h] = struct{}{}
+	union := make(edgeSet)
+	c.units.Each(func(_ int, set edgeSet) {
+		for h := range set {
+			union[h] = struct{}{}
 		}
-	}
-	out := make([]uint64, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	})
+	return sortedEdges(union)
 }
 
 // UnitEdges returns one unit's covered edge hashes, sorted, or nil.
 func (c *Cover) UnitEdges(idx int) []uint64 {
-	if idx < 0 || idx >= len(c.units) || c.units[idx] == nil {
+	set, ok := c.units.Get(idx)
+	if !ok {
 		return nil
 	}
-	out := make([]uint64, 0, len(c.units[idx]))
-	for h := range c.units[idx] {
+	return sortedEdges(set)
+}
+
+func sortedEdges(set edgeSet) []uint64 {
+	out := make([]uint64, 0, len(set))
+	for h := range set {
 		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -238,29 +229,23 @@ func (v *UnitVerdict) Signature() string {
 // different detector; comparing their Signatures exposes
 // disagreement.
 type Verdicts struct {
-	units []*UnitVerdict // indexed by UnitIdx
+	units Units[*UnitVerdict]
 }
 
 // NewVerdicts returns an empty Verdicts aggregator (use as a Factory:
 // func() Aggregator { return NewVerdicts() }).
 func NewVerdicts() *Verdicts { return &Verdicts{} }
 
-func (v *Verdicts) unit(idx int) *UnitVerdict {
-	for len(v.units) <= idx {
-		v.units = append(v.units, nil)
+func newUnitVerdict() *UnitVerdict {
+	return &UnitVerdict{
+		RacySeed: make(map[int]bool),
+		Hashes:   make(map[string]struct{}),
 	}
-	if v.units[idx] == nil {
-		v.units[idx] = &UnitVerdict{
-			RacySeed: make(map[int]bool),
-			Hashes:   make(map[string]struct{}),
-		}
-	}
-	return v.units[idx]
 }
 
 // Observe implements Aggregator.
 func (v *Verdicts) Observe(r Run) {
-	u := v.unit(r.UnitIdx)
+	u := v.units.Ensure(r.UnitIdx, newUnitVerdict)
 	u.Unit = r.Unit.ID
 	u.Detector = r.Outcome.Detector
 	u.Runs++
@@ -272,11 +257,8 @@ func (v *Verdicts) Observe(r Run) {
 
 // Merge implements Aggregator.
 func (v *Verdicts) Merge(next Aggregator) {
-	for idx, o := range next.(*Verdicts).units {
-		if o == nil {
-			continue
-		}
-		u := v.unit(idx)
+	next.(*Verdicts).units.Each(func(idx int, o *UnitVerdict) {
+		u := v.units.Ensure(idx, newUnitVerdict)
 		u.Unit, u.Detector = o.Unit, o.Detector
 		u.Runs += o.Runs
 		for si, racy := range o.RacySeed {
@@ -285,25 +267,19 @@ func (v *Verdicts) Merge(next Aggregator) {
 		for h := range o.Hashes {
 			u.Hashes[h] = struct{}{}
 		}
-	}
+	})
 }
 
 // Unit returns the verdict for one unit index, or nil if it never
 // ran.
 func (v *Verdicts) Unit(idx int) *UnitVerdict {
-	if idx < 0 || idx >= len(v.units) {
-		return nil
-	}
-	return v.units[idx]
+	u, _ := v.units.Get(idx)
+	return u
 }
 
 // All returns every populated unit verdict in unit order.
 func (v *Verdicts) All() []*UnitVerdict {
-	out := make([]*UnitVerdict, 0, len(v.units))
-	for _, u := range v.units {
-		if u != nil {
-			out = append(out, u)
-		}
-	}
+	out := make([]*UnitVerdict, 0, v.units.Len())
+	v.units.Each(func(_ int, u *UnitVerdict) { out = append(out, u) })
 	return out
 }

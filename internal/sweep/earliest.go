@@ -14,7 +14,7 @@ package sweep
 // wins; across shards, seed indices never collide, so MergeFrom
 // applies the same comparison.
 type Earliest[T any] struct {
-	units []*earliestEntry[T] // indexed by UnitIdx
+	units Units[earliestEntry[T]]
 }
 
 type earliestEntry[T any] struct {
@@ -27,48 +27,33 @@ type earliestEntry[T any] struct {
 // snapshot) should check Wants first and skip the work when the unit
 // already has an earlier value.
 func (e *Earliest[T]) Wants(unitIdx, seedIdx int) bool {
-	if unitIdx >= len(e.units) || e.units[unitIdx] == nil {
-		return true
-	}
-	return seedIdx < e.units[unitIdx].seedIdx
+	cur, ok := e.units.Get(unitIdx)
+	return !ok || seedIdx < cur.seedIdx
 }
 
 // Take offers v for unitIdx at seedIdx, keeping it iff Wants.
 func (e *Earliest[T]) Take(unitIdx, seedIdx int, v T) {
-	if !e.Wants(unitIdx, seedIdx) {
-		return
+	if e.Wants(unitIdx, seedIdx) {
+		e.units.Set(unitIdx, earliestEntry[T]{seedIdx: seedIdx, value: v})
 	}
-	for len(e.units) <= unitIdx {
-		e.units = append(e.units, nil)
-	}
-	e.units[unitIdx] = &earliestEntry[T]{seedIdx: seedIdx, value: v}
 }
 
 // MergeFrom folds another aggregate's entries into this one under the
 // same earliest-wins rule.
 func (e *Earliest[T]) MergeFrom(o *Earliest[T]) {
-	for idx, entry := range o.units {
-		if entry != nil {
-			e.Take(idx, entry.seedIdx, entry.value)
-		}
-	}
+	o.units.Each(func(idx int, entry earliestEntry[T]) {
+		e.Take(idx, entry.seedIdx, entry.value)
+	})
 }
 
 // Get returns the unit's value, or (zero, false) if no run offered
 // one.
 func (e *Earliest[T]) Get(unitIdx int) (T, bool) {
-	if unitIdx < len(e.units) && e.units[unitIdx] != nil {
-		return e.units[unitIdx].value, true
-	}
-	var zero T
-	return zero, false
+	entry, ok := e.units.Get(unitIdx)
+	return entry.value, ok
 }
 
 // Each calls f for every unit holding a value, in unit order.
 func (e *Earliest[T]) Each(f func(unitIdx int, v T)) {
-	for idx, entry := range e.units {
-		if entry != nil {
-			f(idx, entry.value)
-		}
-	}
+	e.units.Each(func(idx int, entry earliestEntry[T]) { f(idx, entry.value) })
 }

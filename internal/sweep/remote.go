@@ -30,18 +30,15 @@ type IndexedUnitStat struct {
 // IndexedStats renders the aggregator's per-unit stats with their unit
 // indices, the form a shard result ships to a remote merger.
 func (p *Prob) IndexedStats() []IndexedUnitStat {
-	out := make([]IndexedUnitStat, 0, len(p.stats))
-	for idx, s := range p.stats {
-		if s == nil {
-			continue
-		}
+	out := make([]IndexedUnitStat, 0, p.stats.Len())
+	p.stats.Each(func(idx int, s *UnitStat) {
 		out = append(out, IndexedUnitStat{
 			UnitIdx: idx,
 			Unit:    s.Unit, Detector: s.Detector, Strategy: s.Strategy,
 			Runs: s.Runs, Detected: s.Detected, Races: s.Races,
 			LeakedRuns: s.LeakedRuns,
 		})
-	}
+	})
 	return out
 }
 
@@ -52,7 +49,7 @@ func (p *Prob) IndexedStats() []IndexedUnitStat {
 func NewProbFromStats(stats []IndexedUnitStat) *Prob {
 	p := NewProb()
 	for _, is := range stats {
-		s := p.unit(is.UnitIdx)
+		s := p.stats.Ensure(is.UnitIdx, newOf[UnitStat])
 		s.Unit, s.Detector, s.Strategy = is.Unit, is.Detector, is.Strategy
 		s.Runs, s.Detected, s.Races, s.LeakedRuns = is.Runs, is.Detected, is.Races, is.LeakedRuns
 	}
