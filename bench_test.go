@@ -442,9 +442,9 @@ func BenchmarkAblationHybridVsHB(b *testing.B) {
 
 func BenchmarkRunBatchSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, err := core.DetectionProbability(heavyProgram, core.Config{
-			MaxSteps: 1 << 18, Seed: int64(i),
-		}, 64)
+		p, err := core.NewRunner(
+			core.WithMaxSteps(1<<18), core.WithSeed(int64(i)),
+		).DetectionProbability(heavyProgram, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -625,9 +625,10 @@ func BenchmarkStreamIngest(b *testing.B) {
 // --- Extension: the streaming sweep campaign engine ---
 
 // BenchmarkSweepCampaign runs a small corpus-wide campaign (4 racy
-// patterns × 2 strategies × 16 seeds) through the engine with all
-// three standard aggregators attached, serially — the per-run engine
-// overhead, not parallel speedup, is the measurement.
+// patterns × 2 strategies × 16 seeds) through the engine with three
+// aggregators attached, the deduplicating Collector among them,
+// serially — the per-run engine overhead, not parallel speedup, is the
+// measurement.
 func BenchmarkSweepCampaign(b *testing.B) {
 	ids := []string{"capture-loop-index", "partial-locking", "map-concurrent-write", "capture-err"}
 	var units []sweep.Unit
@@ -649,13 +650,13 @@ func BenchmarkSweepCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		aggs, stats, err := eng.Run(units,
 			func() sweep.Aggregator { return sweep.NewProb() },
-			func() sweep.Aggregator { return sweep.NewCorpus() },
+			func() sweep.Aggregator { return corpus.NewCollector("bench") },
 			func() sweep.Aggregator { return sweep.NewFirstRace() },
 		)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Runs != len(units)*16 || len(aggs[1].(*sweep.Corpus).Detections()) == 0 {
+		if stats.Runs != len(units)*16 || aggs[1].(*corpus.Collector).Defects() == 0 {
 			b.Fatalf("campaign lost work: %+v", stats)
 		}
 	}
@@ -689,14 +690,13 @@ func BenchmarkSweepManyUnits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		aggs, stats, err := eng.Run(units,
 			func() sweep.Aggregator { return sweep.NewProb() },
-			func() sweep.Aggregator { return sweep.NewCorpus() },
 			func() sweep.Aggregator { return corpus.NewCollector("bench") },
 		)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if stats.Shards != len(units) || len(aggs[0].(*sweep.Prob).Stats()) != len(units) ||
-			aggs[2].(*corpus.Collector).Defects() == 0 {
+			aggs[1].(*corpus.Collector).Defects() == 0 {
 			b.Fatalf("campaign lost work: %+v", stats)
 		}
 	}

@@ -59,7 +59,7 @@
 // -stream replays a recorded binary trace (or stdin with "-") through
 // the online ingest path of internal/stream — the offline twin of
 // raced's POST /v1/ingest. -mem-ceiling bounds shadow memory in MiB
-// (engaging the evictable fasttrack-paged detector) and -window bounds
+// (through FastTrack's shadow-page budget) and -window bounds
 // per-goroutine trace retention. -stream-bench runs the
 // ceiling-vs-missed-races study over a synthetic production-shaped
 // stream of -stream-events events and prints coverage, eviction churn,
@@ -294,9 +294,9 @@ func main() {
 }
 
 // runCampaign sweeps every corpus pattern under every requested
-// strategy for the given number of seeds, as one sweep campaign.
-// With corpusPath, the campaign additionally streams into a
-// corpus.Collector and persists the deduplicated defects.
+// strategy for the given number of seeds, as one sweep campaign whose
+// corpus.Collector deduplicates the reports. With corpusPath, the same
+// collector is persisted to the store.
 func runCampaign(det, strategies, variant string, seeds, parallel, sample int, supp *report.SuppressionList,
 	corpusPath, runID, traceDir string) {
 	stratNames := sched.StrategyNames()
@@ -356,14 +356,10 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	if parallel > 0 {
 		opts = append(opts, sweep.WithParallelism(parallel))
 	}
-	factories := []sweep.Factory{
-		func() sweep.Aggregator { return sweep.NewProb() },
-		func() sweep.Aggregator { return sweep.NewCorpus() },
-		func() sweep.Aggregator { return sweep.NewTally() },
-	}
 	// Open the store (and trace dir) before burning any compute, so a
 	// typo'd path fails fast instead of after the whole sweep.
 	var store *corpus.Store
+	var collOpts []corpus.CollectorOption
 	if corpusPath != "" {
 		if runID == "" {
 			runID = time.Now().UTC().Format("20060102-150405")
@@ -373,25 +369,26 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 			fatal(err)
 		}
 		defer store.Close()
-		collOpts := []corpus.CollectorOption{corpus.WithRunLabel("campaign")}
+		collOpts = append(collOpts, corpus.WithRunLabel("campaign"))
 		if traceDir != "" {
 			if err := os.MkdirAll(traceDir, 0o755); err != nil {
 				fatal(err)
 			}
 			collOpts = append(collOpts, corpus.WithTraceDir(traceDir))
 		}
-		factories = append(factories, func() sweep.Aggregator {
-			return corpus.NewCollector(runID, collOpts...)
-		})
 	} else if traceDir != "" {
 		fatal(fmt.Errorf("-corpus-traces requires -corpus"))
 	}
-	aggs, stats, err := sweep.New(opts...).Run(units, factories...)
+	aggs, stats, err := sweep.New(opts...).Run(units,
+		func() sweep.Aggregator { return sweep.NewProb() },
+		func() sweep.Aggregator { return corpus.NewCollector(runID, collOpts...) },
+		func() sweep.Aggregator { return sweep.NewTally() },
+	)
 	if err != nil {
 		fatal(err)
 	}
 	prob := aggs[0].(*sweep.Prob)
-	campCorpus := aggs[1].(*sweep.Corpus)
+	coll := aggs[1].(*corpus.Collector)
 	tally := aggs[2].(*sweep.Tally)
 
 	fmt.Printf("== campaign: %d patterns + %d programs × %d strategies × %d seeds, detector %s ==\n",
@@ -408,13 +405,13 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	defects := make(map[string]int) // pattern -> unique defects across strategies
 	filed := make(map[string]bool)  // pattern + race hash
 	var suppressed, unique int
-	for _, d := range campCorpus.Detections() {
-		if supp.Matches(d.Race) {
+	for _, rec := range coll.Records() {
+		if supp.Matches(rec.Race) {
 			suppressed++
 			continue
 		}
-		pattern := strings.SplitN(d.Unit, "/", 2)[0]
-		key := pattern + "/" + d.Race.Hash()
+		pattern := strings.SplitN(rec.Unit, "/", 2)[0]
+		key := pattern + "/" + rec.Race.Hash()
 		if filed[key] {
 			continue
 		}
@@ -446,7 +443,7 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	}
 
 	fmt.Printf("\nruns: %d (%d racy); reports: %d -> %d unique defects",
-		stats.Runs, stats.Racy, campCorpus.Seen(), unique)
+		stats.Runs, stats.Racy, coll.Reports(), unique)
 	if suppressed > 0 {
 		fmt.Printf(" (%d suppressed)", suppressed)
 	}
@@ -466,7 +463,7 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	}
 
 	if store != nil {
-		persistCampaign(aggs[3].(*corpus.Collector), store, runID)
+		persistCampaign(coll, store, runID)
 	}
 }
 

@@ -15,26 +15,6 @@ import (
 	"gorace/internal/trace"
 )
 
-// Config selects the detector, strategy, and run limits.
-//
-// Deprecated: Config only exists for the Detect shim. New code should
-// use NewRunner with functional options.
-type Config struct {
-	// Detector is a registered detector name (see detector.Names);
-	// empty selects the default. "none" runs without detection, the
-	// overhead baseline.
-	Detector string
-	// Strategy is a registered strategy name (see
-	// sched.StrategyNames); empty selects the default.
-	Strategy string
-	// Seed drives the schedule; a fixed seed reproduces the run.
-	Seed int64
-	// MaxSteps bounds the execution (0 = scheduler default).
-	MaxSteps int
-	// Record keeps the full event trace for post-facto analysis.
-	Record bool
-}
-
 // Outcome is the result of one detection run.
 type Outcome struct {
 	Result     *sched.Result
@@ -53,40 +33,3 @@ type Outcome struct {
 
 // HasRace reports whether any race (or counting hit) was detected.
 func (o *Outcome) HasRace() bool { return len(o.Races) > 0 || o.RaceCount > 0 }
-
-// NewStrategy builds a scheduling strategy by name.
-//
-// Deprecated: use sched.NewStrategy; this forwarder predates the
-// strategy registry.
-func NewStrategy(name string) (sched.Strategy, error) {
-	return sched.NewStrategy(name)
-}
-
-// Detect runs prog under cfg and collects race reports.
-//
-// Deprecated: Detect is a thin shim over the Runner. Use
-// NewRunner(...).Run(prog).
-func Detect(prog func(*sched.G), cfg Config) (*Outcome, error) {
-	return NewRunner(
-		WithDetector(cfg.Detector),
-		WithStrategy(cfg.Strategy),
-		WithSeed(cfg.Seed),
-		WithMaxSteps(cfg.MaxSteps),
-		WithRecord(cfg.Record),
-	).Run(prog)
-}
-
-// DetectionProbability runs prog under runs different seeds and
-// returns the fraction of runs in which at least one race manifested.
-//
-// Deprecated: use NewRunner(...).DetectionProbability, which also
-// sweeps the seeds in parallel under WithParallelism.
-func DetectionProbability(prog func(*sched.G), cfg Config, runs int) (float64, error) {
-	return NewRunner(
-		WithDetector(cfg.Detector),
-		WithStrategy(cfg.Strategy),
-		WithSeed(cfg.Seed),
-		WithMaxSteps(cfg.MaxSteps),
-		WithRecord(cfg.Record),
-	).DetectionProbability(prog, runs)
-}

@@ -21,7 +21,7 @@ func fixed() func(*sched.G) {
 }
 
 func TestDetectDefaults(t *testing.T) {
-	out, err := Detect(racy(), Config{Seed: 3})
+	out, err := NewRunner(WithSeed(3)).Run(racy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestDetectAllDetectors(t *testing.T) {
 	for _, det := range []string{"fasttrack", "epoch", "djit", "eraser", "hybrid", "none"} {
 		det := det
 		t.Run(det, func(t *testing.T) {
-			out, err := Detect(racy(), Config{Detector: det, Seed: 0})
+			out, err := NewRunner(WithDetector(det)).Run(racy())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestDetectAllStrategies(t *testing.T) {
 	for _, st := range []string{"random", "roundrobin", "pct", "delay"} {
 		st := st
 		t.Run(st, func(t *testing.T) {
-			if _, err := Detect(fixed(), Config{Strategy: st, Seed: 1}); err != nil {
+			if _, err := NewRunner(WithStrategy(st), WithSeed(1)).Run(fixed()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -63,16 +63,16 @@ func TestDetectAllStrategies(t *testing.T) {
 }
 
 func TestDetectUnknownNames(t *testing.T) {
-	if _, err := Detect(racy(), Config{Detector: "magic"}); err == nil {
+	if _, err := NewRunner(WithDetector("magic")).Run(racy()); err == nil {
 		t.Fatal("unknown detector accepted")
 	}
-	if _, err := Detect(racy(), Config{Strategy: "magic"}); err == nil {
+	if _, err := NewRunner(WithStrategy("magic")).Run(racy()); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestDetectRecordsTrace(t *testing.T) {
-	out, err := Detect(racy(), Config{Record: true, Seed: 0})
+	out, err := NewRunner(WithRecord(true)).Run(racy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDetectRecordsTrace(t *testing.T) {
 func TestDetectRacyEventuallyFlags(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 40 && !found; seed++ {
-		out, err := Detect(racy(), Config{Seed: seed})
+		out, err := NewRunner(WithSeed(seed)).Run(racy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestDetectRacyEventuallyFlags(t *testing.T) {
 func TestDetectHybridSeparatesCandidates(t *testing.T) {
 	// The fixed variant synchronizes via a channel: the HB detector
 	// stays silent, but the lockset detector may surface candidates.
-	out, err := Detect(fixed(), Config{Detector: "hybrid", Seed: 2})
+	out, err := NewRunner(WithDetector("hybrid"), WithSeed(2)).Run(fixed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,14 @@ func TestDetectHybridSeparatesCandidates(t *testing.T) {
 }
 
 func TestDetectionProbability(t *testing.T) {
-	p, err := DetectionProbability(racy(), Config{}, 25)
+	p, err := NewRunner().DetectionProbability(racy(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p <= 0 || p > 1 {
 		t.Fatalf("P = %f", p)
 	}
-	pf, err := DetectionProbability(fixed(), Config{}, 25)
+	pf, err := NewRunner().DetectionProbability(fixed(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +133,14 @@ func TestDetectionProbability(t *testing.T) {
 		t.Fatalf("fixed P = %f, want 0", pf)
 	}
 	// Zero runs defaults to one run, not a division by zero.
-	if _, err := DetectionProbability(fixed(), Config{}, 0); err != nil {
+	if _, err := NewRunner().DetectionProbability(fixed(), 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDeterministicOutcome(t *testing.T) {
-	a, _ := Detect(racy(), Config{Seed: 11})
-	b, _ := Detect(racy(), Config{Seed: 11})
+	a, _ := NewRunner(WithSeed(11)).Run(racy())
+	b, _ := NewRunner(WithSeed(11)).Run(racy())
 	if len(a.Races) != len(b.Races) {
 		t.Fatalf("same seed, different race counts: %d vs %d", len(a.Races), len(b.Races))
 	}

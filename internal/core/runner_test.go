@@ -232,8 +232,8 @@ func TestRunnerDetectionProbability(t *testing.T) {
 	if pf != 0 {
 		t.Fatalf("fixed P = %f, want 0", pf)
 	}
-	// The deprecated serial entry point must agree with the Runner.
-	ps, err := DetectionProbability(racy(), Config{}, 25)
+	// A serial Runner must agree with the parallel one.
+	ps, err := NewRunner().DetectionProbability(racy(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,26 +249,6 @@ func TestSeedsHelper(t *testing.T) {
 	}
 	if len(Seeds(0, -1)) != 0 {
 		t.Fatal("negative count did not clamp")
-	}
-}
-
-func TestDetectShimMatchesRunner(t *testing.T) {
-	// The deprecated facade must produce exactly what the Runner does.
-	a, err := Detect(racy(), Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRunner(WithSeed(11)).Run(racy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Races) != len(b.Races) {
-		t.Fatalf("shim %d races, runner %d", len(a.Races), len(b.Races))
-	}
-	for i := range a.Races {
-		if a.Races[i].Hash() != b.Races[i].Hash() {
-			t.Fatal("shim and runner reports differ")
-		}
 	}
 }
 

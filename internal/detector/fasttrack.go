@@ -67,6 +67,20 @@ type ftCell struct {
 // small dense TIDs, ObjIDs, and Addrs, and vector clocks come from a
 // Pool, so the per-event path performs no steady-state allocations.
 // Reset reuses all of it for the next run.
+//
+// Shadow memory is paged (the Evictor interface): the dense cell slice
+// is tracked in pages of pagedCellsPerPage cells, each carrying a
+// last-touch tick, and under a page budget the least-recently-touched
+// page is reclaimed whenever the budget is exceeded. Evicted cells lose
+// their access history; a re-accessed evicted address restarts in
+// epoch form as if never seen, so races straddling an eviction are
+// missed (false negatives only — clearing history can never fabricate
+// a happens-before violation, so every report remains one the
+// unbudgeted detector would also make). Evictions and Reloads in Stats
+// quantify the tradeoff. The clock ticks once per access, not on
+// wall-time or GC pressure: the same event stream under the same
+// budget always evicts the same pages at the same points. With no
+// budget (the default) nothing is ever evicted.
 type FastTrack struct {
 	pool      *vclock.Pool
 	clocks    []*vclock.VC
@@ -84,6 +98,13 @@ type FastTrack struct {
 	// promoted cells hold list storage, and a demotion hands the
 	// backing array to the next promotion anywhere in the detector.
 	freeReaders [][]access
+	// Paging state (paged.go): the budget survives Reset, the rest
+	// rewinds with it.
+	maxPages           int
+	tick               uint64
+	pages              []shadowPage
+	live               int
+	evictions, reloads int
 	// MaxReportsPerCell caps reports from a single cell so a racy
 	// loop does not flood the output (default 8).
 	MaxReportsPerCell int
@@ -149,6 +170,10 @@ func (ft *FastTrack) Reset() {
 	ft.races = ft.races[:0]
 	ft.stats = statCounter{}
 	ft.adapt = adaptCounter{}
+	ft.tick = 0
+	ft.pages = ft.pages[:0]
+	ft.live = 0
+	ft.evictions, ft.reloads = 0, 0
 }
 
 // acquireReaders pops a recycled readers list, or allocates the first
@@ -198,14 +223,23 @@ func (ft *FastTrack) objClock(o trace.ObjID) *vclock.VC {
 	return ft.objClocks[o]
 }
 
-// cell returns the shadow cell for a. The returned pointer is only
-// valid until the next cell call (growth may move the backing array).
+// cell returns the shadow cell for a, after the access's page
+// bookkeeping: one tick of the paging clock (cell runs exactly once per
+// access), and the touch of the cell's page, faulting it in first if
+// needed. The returned pointer is only valid until the next cell call
+// (growth may move the backing array).
 func (ft *FastTrack) cell(a trace.Addr) *ftCell {
-	a = trace.Addr(ft.addrIx.local(uint64(a)))
-	for int(a) >= len(ft.cells) {
+	i := int(ft.addrIx.local(uint64(a)))
+	ft.tick++
+	pg := i / pagedCellsPerPage
+	if pg >= len(ft.pages) || !ft.pages[pg].resident || (ft.maxPages > 0 && ft.live > ft.maxPages) {
+		ft.faultPage(pg)
+	}
+	ft.pages[pg].touch = ft.tick
+	for i >= len(ft.cells) {
 		ft.cells = append(ft.cells, ftCell{})
 	}
-	c := &ft.cells[a]
+	c := &ft.cells[i]
 	if !c.seen {
 		c.seen = true
 		ft.cellCount++

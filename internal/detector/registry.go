@@ -62,7 +62,9 @@ func Names() []string { return reg.Names() }
 
 func init() {
 	Register("fasttrack", func() Detector { return NewFastTrack() })
-	Register("fasttrack-paged", func() Detector { return NewPagedFastTrack() })
+	// Paging is FastTrack's page budget (Evictor); the old name stays
+	// so flags, job specs and stored records that use it still resolve.
+	Register("fasttrack-paged", func() Detector { return NewFastTrack() })
 	Register("epoch", func() Detector { return NewCounting(NewEpoch()) })
 	Register("djit", func() Detector { return NewCounting(NewDJIT()) })
 	Register("eraser", func() Detector { return NewEraser() })

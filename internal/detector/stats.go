@@ -48,12 +48,13 @@ type Stats struct {
 	// before they reached the detector (zero without sampling).
 	SkippedAccesses int
 
-	// Evictions counts shadow pages reclaimed by a memory-ceilinged
-	// detector (fasttrack-paged): every cell on an evicted page loses
-	// its access history, so races against those prior accesses can no
-	// longer be reported — the documented soundness tradeoff of
-	// bounded-memory streaming (docs/STREAMING.md). Zero for unpaged
-	// detectors and for paged runs that never hit their budget.
+	// Evictions counts shadow pages reclaimed under a page budget
+	// (FastTrack's Evictor, set by a streaming memory ceiling): every
+	// cell on an evicted page loses its access history, so races
+	// against those prior accesses can no longer be reported — the
+	// documented soundness tradeoff of bounded-memory streaming
+	// (docs/STREAMING.md). Zero for detectors without paged shadow
+	// state and for runs that never hit their budget.
 	Evictions int
 	// Reloads counts evicted pages that were re-faulted by a later
 	// access: the cells restart with empty (epoch-form) histories. A
@@ -125,6 +126,8 @@ func (ft *FastTrack) Stats() Stats {
 		SyncClocks: ft.objCount,
 		Goroutines: gor,
 		Reports:    len(ft.races),
+		Evictions:  ft.evictions,
+		Reloads:    ft.reloads,
 	}, ft.stats, ft.adapt)
 }
 

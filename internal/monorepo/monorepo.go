@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
+	"gorace/internal/corpus"
 	"gorace/internal/patterns"
 	"gorace/internal/report"
 	"gorace/internal/sched"
@@ -80,47 +82,47 @@ type Detection struct {
 	Service string
 	Test    string
 	Race    report.Race
-	Hash    string
+	Hash    string // unit-scoped dedup key, the corpus Record.Key
 }
 
-// RunAllTests executes every unit test once under a fresh random
-// schedule (the source of run-to-run flakiness) and returns the
-// detections. The nightly run is one sweep campaign — a unit per
-// test, the Corpus aggregator deduplicating reports within each test
-// — so the whole monorepo's tests execute over the engine's recycled
-// worker pool, in parallel, with deterministic output.
-func (r *Repo) RunAllTests(seed int64) []Detection {
-	type site struct{ service, test string }
+// units builds the nightly campaign: one sweep unit per test, seeded
+// from seed and the test's position. Unit IDs scope the dedup hash by
+// service+test: the same corpus pattern embedded in two services is
+// two distinct defects, as two real code sites would be. record keeps
+// each run's trace for the classifier's hints.
+func (r *Repo) units(seed int64, record bool) []sweep.Unit {
 	var units []sweep.Unit
-	var sites []site // parallel to units
 	for si, svc := range r.Services {
 		for ti, t := range svc.Tests {
 			units = append(units, sweep.Unit{
-				// Unit IDs scope the dedup hash by service+test: the
-				// same corpus pattern embedded in two services is two
-				// distinct defects, as two real code sites would be.
 				ID:       svc.Name + "/" + t.Name,
 				Program:  t.Program(),
 				BaseSeed: seed ^ int64(si*131+ti*17),
 				Runs:     1,
 				MaxSteps: 1 << 16,
+				Record:   record,
 			})
-			sites = append(sites, site{svc.Name, t.Name})
 		}
 	}
-	aggs, _, err := sweep.New().Run(units,
-		func() sweep.Aggregator { return sweep.NewCorpus() })
+	return units
+}
+
+// RunAllTests executes every unit test once under a fresh random
+// schedule (the source of run-to-run flakiness) and returns the
+// detections. The nightly run is one sweep campaign — a unit per
+// test, a corpus.Collector deduplicating reports within each test —
+// so the whole monorepo's tests execute over the engine's recycled
+// worker pool, in parallel, with deterministic output.
+func (r *Repo) RunAllTests(seed int64) []Detection {
+	aggs, _, err := sweep.New().Run(r.units(seed, false),
+		func() sweep.Aggregator { return corpus.NewCollector("") })
 	if err != nil {
 		panic(err) // default registry names; cannot fail
 	}
 	var out []Detection
-	for _, det := range aggs[0].(*sweep.Corpus).Detections() {
-		out = append(out, Detection{
-			Service: sites[det.UnitIdx].service,
-			Test:    sites[det.UnitIdx].test,
-			Hash:    det.Unit + "/" + det.Race.Hash(),
-			Race:    det.Race,
-		})
+	for _, rec := range aggs[0].(*corpus.Collector).Records() {
+		service, test, _ := strings.Cut(rec.Unit, "/")
+		out = append(out, Detection{Service: service, Test: test, Race: rec.Race, Hash: rec.Key})
 	}
 	return out
 }

@@ -34,23 +34,8 @@ type Nightly struct {
 // classified detections to the store under runID. Run ids must sort
 // chronologically (the store orders them by string comparison).
 func (r *Repo) RunNightly(store *corpus.Store, runID string, seed int64) (*Nightly, error) {
-	var units []sweep.Unit
-	for si, svc := range r.Services {
-		for ti, t := range svc.Tests {
-			units = append(units, sweep.Unit{
-				// Unit IDs scope the dedup hash by service+test, as in
-				// RunAllTests; recording feeds the classifier's hints.
-				ID:       svc.Name + "/" + t.Name,
-				Program:  t.Program(),
-				BaseSeed: seed ^ int64(si*131+ti*17),
-				Runs:     1,
-				MaxSteps: 1 << 16,
-				Record:   true,
-			})
-		}
-	}
 	prev := store.LastRun()
-	aggs, _, err := sweep.New().Run(units,
+	aggs, _, err := sweep.New().Run(r.units(seed, true),
 		func() sweep.Aggregator { return corpus.NewCollector(runID, corpus.WithRunLabel("nightly")) })
 	if err != nil {
 		return nil, err

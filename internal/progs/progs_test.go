@@ -23,8 +23,9 @@ func seedsWithRace(t *testing.T, name string, racy bool, seeds int) (hits int, h
 		entry = p.Fixed
 	}
 	seen := map[string]bool{}
+	runner := core.NewRunner(core.WithDetector("fasttrack"))
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		out, err := core.Detect(entry, core.Config{Detector: "fasttrack", Seed: seed})
+		out, err := runner.RunSeed(entry, seed)
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", name, seed, err)
 		}

@@ -4,8 +4,8 @@
 // Each round draws a budget of candidate programs — fresh shapes plus
 // mutations of the best shapes seen so far — and evaluates every
 // candidate with a deterministic sweep campaign that runs it under
-// four detectors (fasttrack, djit, eraser, fasttrack-paged) and two
-// scheduling strategies. Three feedback signals score a candidate:
+// three detectors (fasttrack, djit, eraser) and two scheduling
+// strategies. Three feedback signals score a candidate:
 //
 //   - coverage: schedule-shape edges (sweep.ShapeEdges) the campaign
 //     exercised that no earlier candidate covered;
@@ -39,9 +39,8 @@ import (
 // Detectors is the differential-oracle panel, in verdict-table order.
 // fasttrack is the reference; djit should agree on verdicts (same HB
 // relation); eraser's lockset view both over-reports (channel/WG
-// synchronized data) and under-reports (atomics, read-shared data);
-// fasttrack-paged diverges only when its page budget evicts state.
-var Detectors = []string{"fasttrack", "djit", "eraser", "fasttrack-paged"}
+// synchronized data) and under-reports (atomics, read-shared data).
+var Detectors = []string{"fasttrack", "djit", "eraser"}
 
 // Strategies is the schedule panel each candidate runs under.
 var Strategies = []string{"random", "pct"}

@@ -31,8 +31,8 @@ type ingestResponse struct {
 //
 //	run      run id to record the stream under (required, must be new)
 //	unit     unit id defects are attributed to (default "stream")
-//	detector registry detector name (default fasttrack, upgraded to
-//	         fasttrack-paged under a ceiling)
+//	detector registry detector name (default fasttrack; under a
+//	         ceiling it must have paged shadow state)
 //	seed     opaque stream id recorded as the defects' seed
 //
 // Concurrency is bounded by Config.IngestStreams: past it the server

@@ -113,9 +113,12 @@ func TestIngestEndpointValidation(t *testing.T) {
 	if status, body := postIngest(t, ts.URL, "run=x&seed=abc", data); status != http.StatusBadRequest {
 		t.Fatalf("bad seed = %d: %s", status, body)
 	}
-	// And the ceilinged happy path resolves the paged detector.
+	// And the ceilinged happy path runs the default detector, paged.
 	status, body := postIngest(t, ts.URL, "run=ceil-001", data)
-	if status != http.StatusOK || !bytes.Contains(body, []byte("fasttrack-paged")) {
+	var res struct {
+		Detector string `json:"detector"`
+	}
+	if status != http.StatusOK || json.Unmarshal(body, &res) != nil || res.Detector != "fasttrack" {
 		t.Fatalf("ceilinged ingest = %d: %s", status, body)
 	}
 }

@@ -98,8 +98,8 @@ type Config struct {
 	// disables trace retention).
 	IngestWindow int
 	// IngestCeilingMiB bounds each ingest's detector shadow memory in
-	// MiB (default 0 = unbounded). Under a ceiling the default
-	// detector is the paged, evictable fasttrack-paged; see
+	// MiB (default 0 = unbounded). Under a ceiling the detector's
+	// shadow pages are evicted least-recently-touched first; see
 	// docs/STREAMING.md for the soundness tradeoff.
 	IngestCeilingMiB int
 	// Logger receives request and job logs (default: discard).

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gorace/internal/corpus"
+	"gorace/internal/detector"
 	"gorace/internal/trace"
 )
 
@@ -67,8 +68,8 @@ func TestIngestCeilingEvictsAndStaysSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.DetectorName() != "fasttrack-paged" {
-		t.Fatalf("ceilinged ingestor resolved %q, want the paged detector", in.DetectorName())
+	if in.DetectorName() != "fasttrack" {
+		t.Fatalf("ceilinged ingestor resolved %q, want the default fasttrack", in.DetectorName())
 	}
 	if in.PageBudget() < 1 {
 		t.Fatalf("page budget %d", in.PageBudget())
@@ -229,16 +230,50 @@ func TestIngestChunkedStreams(t *testing.T) {
 	}
 }
 
-// TestIngestRejectsNonEvictableUnderCeiling: a detector without paged
-// shadow state cannot promise a ceiling; configuration must fail
-// loudly rather than silently run unbounded.
+// TestIngestRejectsNonEvictableUnderCeiling: NewIngestor fails closed.
+// A detector without paged shadow state cannot promise a ceiling, so
+// configuration must fail loudly, naming it, rather than silently run
+// unbounded; without a ceiling every registered detector is accepted.
 func TestIngestRejectsNonEvictableUnderCeiling(t *testing.T) {
-	_, err := NewIngestor(Config{Detector: "eraser", MemCeilingMiB: 64})
-	if err == nil || !strings.Contains(err.Error(), "eraser") {
-		t.Fatalf("err = %v, want non-evictable rejection naming the detector", err)
+	for _, tc := range []struct {
+		det     string
+		wantErr bool
+	}{
+		{"", false},
+		{"fasttrack", false},
+		{"fasttrack-paged", false},
+		{"djit", true},
+		{"eraser", true},
+		{"hybrid", true},
+		{"epoch", true},
+		{"none", true},
+		{"no-such", true},
+	} {
+		in, err := NewIngestor(Config{Detector: tc.det, MemCeilingMiB: 64})
+		if tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), tc.det) {
+				t.Errorf("%q under a ceiling: err = %v, want a rejection naming it", tc.det, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q under a ceiling: %v", tc.det, err)
+			continue
+		}
+		if _, ok := in.Detector().(detector.Evictor); !ok || in.PageBudget() < 1 {
+			t.Errorf("%q under a ceiling: %T with page budget %d, want an Evictor with budget >= 1",
+				tc.det, in.Detector(), in.PageBudget())
+		}
 	}
-	if _, err := NewIngestor(Config{Detector: "eraser"}); err != nil {
-		t.Fatalf("eraser without a ceiling must work: %v", err)
+	for _, name := range detector.Names() {
+		in, err := NewIngestor(Config{Detector: name})
+		if err != nil {
+			t.Errorf("%q without a ceiling: %v", name, err)
+			continue
+		}
+		if in.PageBudget() != 0 {
+			t.Errorf("%q without a ceiling: page budget %d, want 0", name, in.PageBudget())
+		}
 	}
 }
 

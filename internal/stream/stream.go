@@ -11,8 +11,8 @@
 //   - the trace is retained as a per-goroutine window of recent events
 //     (trace.WindowRecorder), so a race that manifests mid-stream still
 //     emits a classify-able report without pinning the whole history;
-//   - shadow memory is paged and evictable (detector.Evictor, today
-//     fasttrack-paged): past the configured ceiling the
+//   - shadow memory is paged and evictable (detector.Evictor, which
+//     FastTrack implements): past the configured ceiling the
 //     least-recently-touched shadow pages are reclaimed. Eviction
 //     forgets access history, so races straddling an evicted page are
 //     missed — false negatives only, never false positives; the
@@ -21,7 +21,7 @@
 // An Ingestor wraps one registered detector and consumes the binary
 // trace codec ("GRTB", counted or streamed) from any io.Reader,
 // folding defects into a corpus.Collector as they manifest. With no
-// ceiling the paged detector never evicts and streaming results are
+// ceiling the detector never evicts and streaming results are
 // report-identical to a batch replay of the same events
 // (differential_test.go pins this over the progen and dogfood corpora).
 package stream
@@ -56,9 +56,8 @@ const checkEvery = 1024
 // Config configures an Ingestor.
 type Config struct {
 	// Detector is the registry name to run ("" selects the default).
-	// Under a ceiling the detector must implement detector.Evictor;
-	// "" and "fasttrack" are transparently upgraded to
-	// "fasttrack-paged", any other non-evictable name is an error.
+	// Under a ceiling the detector must implement detector.Evictor
+	// (the fasttrack family does); any other name is an error.
 	Detector string
 	// MemCeilingMiB bounds the detector's resident shadow state, in
 	// MiB. 0 means unbounded: no eviction, batch-identical reports.
@@ -114,9 +113,6 @@ type Ingestor struct {
 // ceiling/4 bytes of resident shadow cells.
 func NewIngestor(cfg Config) (*Ingestor, error) {
 	name := cfg.Detector
-	if cfg.MemCeilingMiB > 0 && (name == "" || name == "fasttrack") {
-		name = "fasttrack-paged"
-	}
 	det, err := detector.New(name)
 	if err != nil {
 		return nil, err
@@ -128,7 +124,7 @@ func NewIngestor(cfg Config) (*Ingestor, error) {
 	if cfg.MemCeilingMiB > 0 {
 		ev, ok := det.(detector.Evictor)
 		if !ok {
-			return nil, fmt.Errorf("stream: detector %q cannot run under a memory ceiling (no paged shadow state); use fasttrack-paged", name)
+			return nil, fmt.Errorf("stream: detector %q cannot run under a memory ceiling (no paged shadow state); use %s", name, detector.DefaultName)
 		}
 		in.pages = (cfg.MemCeilingMiB << 20) / shadowFraction / ev.PageBytes()
 		if in.pages < 1 {
@@ -149,8 +145,8 @@ func NewIngestor(cfg Config) (*Ingestor, error) {
 // ingest.
 func (in *Ingestor) Detector() detector.Detector { return in.det }
 
-// DetectorName returns the resolved registry name the Ingestor runs
-// (after any ceiling-driven upgrade to the paged variant).
+// DetectorName returns the registry name the Ingestor was asked for
+// ("" resolved to detector.DefaultName).
 func (in *Ingestor) DetectorName() string { return in.detName }
 
 // PageBudget returns the resident shadow-page bound derived from the

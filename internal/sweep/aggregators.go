@@ -12,9 +12,9 @@ import (
 // their state sparse per unit, in a Units store, so a shard's memory is
 // bounded by the units it ran, not by the campaign, and Merge — always
 // called in shard order, with later shards on the right — reduces to an
-// order-preserving per-unit fold. Campaigns that should outlive the
-// process use corpus.Collector instead, the same shape folded into a
-// persistent store.
+// order-preserving per-unit fold. Campaign deduplication — filing each
+// race once per unit by its §3.3.1 hash — is corpus.Collector's job,
+// the same shape, optionally folded into a persistent store.
 
 // UnitStat is one unit's detection-probability estimate, the
 // aggregate behind explore.Probe and the §3.2 flakiness argument.
@@ -80,80 +80,6 @@ func (p *Prob) Stats() []UnitStat {
 	p.stats.Each(func(_ int, s *UnitStat) { out = append(out, *s) })
 	return out
 }
-
-// Detection is one deduplicated race in a campaign corpus.
-type Detection struct {
-	Unit    string // Unit.ID
-	UnitIdx int
-	Seed    int64 // seed of the run that first produced the report
-	Race    report.Race
-}
-
-// Hash returns the unit-scoped dedup hash: the same corpus pattern
-// embedded at two sites is two distinct defects, as two real code
-// sites would be.
-func (d Detection) Hash() string { return d.Unit + "/" + d.Race.Hash() }
-
-// Corpus accumulates the campaign-wide race corpus, deduplicated per
-// unit with the §3.3.1 hash via report.Deduper — the fleet-scale
-// "file each defect once" pipeline.
-type Corpus struct {
-	units Units[*unitCorpus]
-	seen  int // race reports observed before dedup
-}
-
-type unitCorpus struct {
-	dedup *report.Deduper
-	dets  []Detection
-}
-
-// NewCorpus returns an empty Corpus aggregator.
-func NewCorpus() *Corpus { return &Corpus{} }
-
-func newUnitCorpus() *unitCorpus { return &unitCorpus{dedup: report.NewDeduper()} }
-
-func (uc *unitCorpus) add(d Detection) {
-	if uc.dedup.Add(d.Race) {
-		uc.dets = append(uc.dets, d)
-	}
-}
-
-// Observe implements Aggregator.
-func (c *Corpus) Observe(r Run) {
-	races := r.Outcome.Races
-	c.seen += len(races)
-	if len(races) == 0 {
-		return
-	}
-	uc := c.units.Ensure(r.UnitIdx, newUnitCorpus)
-	for _, race := range report.UniqueByHash(races) {
-		uc.add(Detection{Unit: r.Unit.ID, UnitIdx: r.UnitIdx, Seed: r.Seed, Race: race})
-	}
-}
-
-// Merge implements Aggregator.
-func (c *Corpus) Merge(next Aggregator) {
-	o := next.(*Corpus)
-	c.seen += o.seen
-	o.units.Each(func(idx int, ouc *unitCorpus) {
-		uc := c.units.Ensure(idx, newUnitCorpus)
-		for _, d := range ouc.dets {
-			uc.add(d)
-		}
-	})
-}
-
-// Detections returns the deduplicated corpus in canonical order: by
-// unit, then by first manifestation within the unit.
-func (c *Corpus) Detections() []Detection {
-	var out []Detection
-	c.units.Each(func(_ int, uc *unitCorpus) { out = append(out, uc.dets...) })
-	return out
-}
-
-// Seen returns the number of race reports observed before
-// deduplication.
-func (c *Corpus) Seen() int { return c.seen }
 
 // FirstRace keeps, per unit, the outcome of the earliest run (in seed
 // order) that detected a race — the primitive behind "run until the

@@ -3,13 +3,15 @@ package sweep_test
 import (
 	"fmt"
 
+	"gorace/internal/corpus"
 	"gorace/internal/patterns"
 	"gorace/internal/sweep"
 )
 
 // ExampleEngine_Run executes a small campaign — one corpus pattern,
 // racy and fixed variants, swept over 20 seeds each — and reads the
-// per-unit detection probabilities off the Prob aggregator. Campaign
+// per-unit detection probabilities off the Prob aggregator, while a
+// corpus.Collector files each race once per unit. Campaign
 // results are deterministic at any parallelism, which is why the
 // printed counts are stable enough to be an Example.
 func ExampleEngine_Run() {
@@ -22,7 +24,7 @@ func ExampleEngine_Run() {
 	engine := sweep.New(sweep.WithParallelism(4))
 	aggs, stats, err := engine.Run(units,
 		func() sweep.Aggregator { return sweep.NewProb() },
-		func() sweep.Aggregator { return sweep.NewCorpus() },
+		func() sweep.Aggregator { return corpus.NewCollector("example") },
 	)
 	if err != nil {
 		panic(err)
@@ -31,9 +33,8 @@ func ExampleEngine_Run() {
 	for _, s := range aggs[0].(*sweep.Prob).Stats() {
 		fmt.Printf("%s: detected in %d/%d runs\n", s.Unit, s.Detected, s.Runs)
 	}
-	corpus := aggs[1].(*sweep.Corpus)
 	fmt.Printf("campaign: %d executions, %d deduplicated defect(s)\n",
-		stats.Runs, len(corpus.Detections()))
+		stats.Runs, aggs[1].(*corpus.Collector).Defects())
 	// Output:
 	// loop/racy: detected in 20/20 runs
 	// loop/fixed: detected in 0/20 runs

@@ -42,10 +42,17 @@ func fingerprint(t testing.TB, aggs []Aggregator, stats Stats) string {
 		fmt.Fprintf(&b, "prob %s %s %s %d %d %d %d\n",
 			s.Unit, s.Detector, s.Strategy, s.Runs, s.Detected, s.Races, s.LeakedRuns)
 	}
-	c := aggs[1].(*Corpus)
-	fmt.Fprintf(&b, "corpus seen=%d\n", c.Seen())
-	for _, d := range c.Detections() {
-		fmt.Fprintf(&b, "det %s seed=%d %s\n", d.Unit, d.Seed, d.Hash())
+	first := aggs[1].(*FirstRace)
+	for i := 0; i < stats.Units; i++ {
+		out, ok := first.Outcome(i)
+		if !ok {
+			continue
+		}
+		fmt.Fprintf(&b, "first unit=%d seed=%d", i, out.Seed)
+		for _, r := range out.Races {
+			fmt.Fprintf(&b, " %s", r.Hash())
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }
@@ -54,7 +61,7 @@ func runCampaign(t testing.TB, opts ...Option) string {
 	t.Helper()
 	aggs, stats, err := New(opts...).Run(campaignUnits(t),
 		func() Aggregator { return NewProb() },
-		func() Aggregator { return NewCorpus() },
+		func() Aggregator { return NewFirstRace() },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -103,35 +110,6 @@ func TestProbEstimates(t *testing.T) {
 	}
 	if stats.Runs != 120 {
 		t.Fatalf("runs = %d, want 120", stats.Runs)
-	}
-}
-
-func TestCorpusDeduplicates(t *testing.T) {
-	// The same racy program in two units must file one defect per
-	// unit (unit-scoped hashes), however many runs manifest it.
-	racy := pat(t, "capture-loop-index")
-	units := []Unit{
-		{ID: "svc-a/test", Program: racy.Racy, Runs: 30, MaxSteps: 1 << 16},
-		{ID: "svc-b/test", Program: racy.Racy, Runs: 30, MaxSteps: 1 << 16},
-	}
-	aggs, _, err := New(WithParallelism(4), WithShardRuns(5)).Run(units,
-		func() Aggregator { return NewCorpus() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := aggs[0].(*Corpus)
-	dets := c.Detections()
-	if len(dets) != 2 {
-		t.Fatalf("%d detections, want 2 (one per unit): %+v", len(dets), dets)
-	}
-	if dets[0].Unit != "svc-a/test" || dets[1].Unit != "svc-b/test" {
-		t.Fatalf("detections out of unit order: %+v", dets)
-	}
-	if dets[0].Hash() == dets[1].Hash() {
-		t.Fatal("unit scoping lost: identical hashes across units")
-	}
-	if c.Seen() <= 2 {
-		t.Fatalf("seen = %d; expected many raw reports before dedup", c.Seen())
 	}
 }
 

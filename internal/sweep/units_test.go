@@ -110,7 +110,6 @@ func TestAggregatorCostIndependentOfUnitIdx(t *testing.T) {
 	late.UnitIdx = 1 << 20
 	for name, f := range map[string]Factory{
 		"Prob":      func() Aggregator { return NewProb() },
-		"Corpus":    func() Aggregator { return NewCorpus() },
 		"Overhead":  func() Aggregator { return NewOverhead() },
 		"FirstRace": func() Aggregator { return NewFirstRace() },
 		"Tally":     func() Aggregator { return NewTally() },
