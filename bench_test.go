@@ -434,39 +434,32 @@ func BenchmarkAblationHybridVsHB(b *testing.B) {
 	}
 }
 
-// --- Runner batch scaling: serial DetectionProbability vs parallel
-// RunBatch over a 64-seed sweep of the heavy program. The paper's
+// --- Batch scaling: a 64-seed sweep of the heavy program as one
+// sweep.Engine unit, serial vs one worker per CPU. The paper's
 // deployment lesson is that detection pays off at fleet scale; this
-// pair quantifies the parallel batch primitive's wall-clock win on
-// one machine.
+// pair quantifies the campaign engine's parallel wall-clock win on one
+// machine.
 
-func BenchmarkRunBatchSerial(b *testing.B) {
+func benchmarkHeavySweep(b *testing.B, parallelism int) {
+	b.ReportAllocs()
+	engine := sweep.New(sweep.WithParallelism(parallelism))
 	for i := 0; i < b.N; i++ {
-		p, err := core.NewRunner(
-			core.WithMaxSteps(1<<18), core.WithSeed(int64(i)),
-		).DetectionProbability(heavyProgram, 64)
+		_, stats, err := engine.Run([]sweep.Unit{{
+			ID: "heavy", Program: heavyProgram,
+			BaseSeed: int64(i), Runs: 64, MaxSteps: 1 << 18,
+		}}, func() sweep.Aggregator { return sweep.NewProb() })
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = p
-	}
-}
-
-func BenchmarkRunBatchParallel(b *testing.B) {
-	runner := core.NewRunner(
-		core.WithMaxSteps(1<<18),
-		core.WithParallelism(runtime.NumCPU()),
-	)
-	for i := 0; i < b.N; i++ {
-		outs, err := runner.RunBatch(heavyProgram, core.Seeds(int64(i), 64))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(outs) != 64 {
+		if stats.Runs != 64 {
 			b.Fatal("incomplete batch")
 		}
 	}
 }
+
+func BenchmarkRunBatchSerial(b *testing.B) { benchmarkHeavySweep(b, 1) }
+
+func BenchmarkRunBatchParallel(b *testing.B) { benchmarkHeavySweep(b, runtime.NumCPU()) }
 
 // --- Extension: static analysis of the §4 patterns ---
 

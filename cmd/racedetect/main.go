@@ -614,8 +614,6 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 	}
 }
 
-// persistCampaign appends the collected corpus to the already-open
-// store and prints the cross-run delta against its previous run.
 // runRacegen runs the coverage-guided generation loop: scored
 // candidate programs, detector-disagreement keepers, delta-debugged
 // minimization, and (with -corpus) a fold of the keepers' races into
@@ -687,6 +685,8 @@ func runRacegen(rounds, budget, parallel int, corpusPath, runID, keepDir string,
 	}
 }
 
+// persistCampaign appends the collected corpus to the already-open
+// store and prints the cross-run delta against its previous run.
 func persistCampaign(coll *corpus.Collector, store *corpus.Store, runID string) {
 	prev := store.LastRun()
 	if err := coll.AppendTo(store); err != nil {

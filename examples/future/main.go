@@ -13,6 +13,7 @@ import (
 	"gorace/internal/core"
 	"gorace/internal/patterns"
 	"gorace/internal/report"
+	"gorace/internal/sweep"
 )
 
 func main() {
@@ -48,14 +49,14 @@ func main() {
 	}
 
 	fmt.Println("-- fixed variant (buffered channel; Wait does not touch f.err) --")
-	outs, err := runner.RunBatch(p.Fixed, core.Seeds(0, 100))
+	aggs, _, err := sweep.New().Run([]sweep.Unit{{
+		ID: p.ID + "/fixed", Program: p.Fixed, Detector: "hybrid", Runs: 100,
+	}}, func() sweep.Aggregator { return sweep.NewProb() })
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, out := range outs {
-		if len(out.Races) > 0 || out.Result.Deadlocked() {
-			log.Fatalf("fixed variant misbehaved at seed %d", out.Seed)
-		}
+	if s := aggs[0].(*sweep.Prob).Stats()[0]; s.Detected > 0 || s.LeakedRuns > 0 {
+		log.Fatalf("fixed variant misbehaved: %d racy and %d leaking runs of %d", s.Detected, s.LeakedRuns, s.Runs)
 	}
 	fmt.Println("clean: no race, no leak, across 100 seeds")
 }

@@ -3,18 +3,19 @@
 //
 // This is the library's minimal end-to-end flow: write the program
 // against the modeled runtime (internal/sched), run it under a seeded
-// scheduling strategy with a detector attached (internal/core), and
-// read Go-race-detector-style reports (internal/report).
+// scheduling strategy with a detector attached (internal/core), read
+// Go-race-detector-style reports (internal/report), and sweep many
+// seeds as one campaign (internal/sweep).
 package main
 
 import (
 	"fmt"
 	"log"
-	"runtime"
 
 	"gorace/internal/core"
 	"gorace/internal/report"
 	"gorace/internal/sched"
+	"gorace/internal/sweep"
 )
 
 // racyCounter is the classic bug: two goroutines increment a shared
@@ -58,10 +59,10 @@ func fixedCounter(g *sched.G) {
 }
 
 func main() {
-	// One Runner drives every run; detectors and strategies come from
-	// the registries (core.WithDetector / core.WithStrategy select by
-	// name). The same Runner sweeps many seeds in parallel.
-	runner := core.NewRunner(core.WithParallelism(runtime.NumCPU()))
+	// One Runner executes a single seeded run; detectors and strategies
+	// come from the registries (core.WithDetector / core.WithStrategy
+	// select by name).
+	runner := core.NewRunner()
 
 	fmt.Println("== detecting the racy counter ==")
 	for seed := int64(0); ; seed++ {
@@ -80,22 +81,25 @@ func main() {
 		break
 	}
 
+	// Many runs are a campaign: the sweep engine shards each unit's seed
+	// range across parallel workers and streams every run into
+	// aggregators — Prob for detection probability, FirstRace for the
+	// earliest racy seed.
 	fmt.Println("\n== verifying the mutex fix across 50 schedules (in parallel) ==")
-	outs, err := runner.RunBatch(fixedCounter, core.Seeds(0, 50))
+	aggs, _, err := sweep.New().Run([]sweep.Unit{
+		{ID: "fixed", Program: fixedCounter, Runs: 50},
+		{ID: "racy", Program: racyCounter, Runs: 50},
+	}, func() sweep.Aggregator { return sweep.NewProb() },
+		func() sweep.Aggregator { return sweep.NewFirstRace() })
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, out := range outs {
-		if len(out.Races) > 0 {
-			log.Fatalf("fix is wrong! race at seed %d:\n%s", out.Seed, out.Races[0])
-		}
+	if out, ok := aggs[1].(*sweep.FirstRace).Outcome(0); ok {
+		log.Fatalf("fix is wrong! race at seed %d:\n%s", out.Seed, out.Races[0])
 	}
 	fmt.Println("clean: no race under any of 50 seeds")
 
-	p, err := runner.DetectionProbability(racyCounter, 50)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nracy-counter detection probability over 50 schedules: %.2f\n", p)
+	racy := aggs[0].(*sweep.Prob).Stats()[1]
+	fmt.Printf("\nracy-counter detection probability over 50 schedules: %.2f\n", racy.Probability())
 	fmt.Println("(the §3.2.1 flakiness that makes PR-time detection a misfit)")
 }

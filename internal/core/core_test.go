@@ -21,7 +21,7 @@ func fixed() func(*sched.G) {
 }
 
 func TestDetectDefaults(t *testing.T) {
-	out, err := NewRunner(WithSeed(3)).Run(racy())
+	out, err := NewRunner().RunSeed(racy(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestDetectAllDetectors(t *testing.T) {
 	for _, det := range []string{"fasttrack", "epoch", "djit", "eraser", "hybrid", "none"} {
 		det := det
 		t.Run(det, func(t *testing.T) {
-			out, err := NewRunner(WithDetector(det)).Run(racy())
+			out, err := NewRunner(WithDetector(det)).RunSeed(racy(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestDetectAllStrategies(t *testing.T) {
 	for _, st := range []string{"random", "roundrobin", "pct", "delay"} {
 		st := st
 		t.Run(st, func(t *testing.T) {
-			if _, err := NewRunner(WithStrategy(st), WithSeed(1)).Run(fixed()); err != nil {
+			if _, err := NewRunner(WithStrategy(st)).RunSeed(fixed(), 1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -63,16 +63,16 @@ func TestDetectAllStrategies(t *testing.T) {
 }
 
 func TestDetectUnknownNames(t *testing.T) {
-	if _, err := NewRunner(WithDetector("magic")).Run(racy()); err == nil {
+	if _, err := NewRunner(WithDetector("magic")).RunSeed(racy(), 0); err == nil {
 		t.Fatal("unknown detector accepted")
 	}
-	if _, err := NewRunner(WithStrategy("magic")).Run(racy()); err == nil {
+	if _, err := NewRunner(WithStrategy("magic")).RunSeed(racy(), 0); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestDetectRecordsTrace(t *testing.T) {
-	out, err := NewRunner(WithRecord(true)).Run(racy())
+	out, err := NewRunner(WithRecord(true)).RunSeed(racy(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDetectRecordsTrace(t *testing.T) {
 func TestDetectRacyEventuallyFlags(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 40 && !found; seed++ {
-		out, err := NewRunner(WithSeed(seed)).Run(racy())
+		out, err := NewRunner().RunSeed(racy(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestDetectRacyEventuallyFlags(t *testing.T) {
 func TestDetectHybridSeparatesCandidates(t *testing.T) {
 	// The fixed variant synchronizes via a channel: the HB detector
 	// stays silent, but the lockset detector may surface candidates.
-	out, err := NewRunner(WithDetector("hybrid"), WithSeed(2)).Run(fixed())
+	out, err := NewRunner(WithDetector("hybrid")).RunSeed(fixed(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,30 +117,9 @@ func TestDetectHybridSeparatesCandidates(t *testing.T) {
 	}
 }
 
-func TestDetectionProbability(t *testing.T) {
-	p, err := NewRunner().DetectionProbability(racy(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p <= 0 || p > 1 {
-		t.Fatalf("P = %f", p)
-	}
-	pf, err := NewRunner().DetectionProbability(fixed(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf != 0 {
-		t.Fatalf("fixed P = %f, want 0", pf)
-	}
-	// Zero runs defaults to one run, not a division by zero.
-	if _, err := NewRunner().DetectionProbability(fixed(), 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeterministicOutcome(t *testing.T) {
-	a, _ := NewRunner(WithSeed(11)).Run(racy())
-	b, _ := NewRunner(WithSeed(11)).Run(racy())
+	a, _ := NewRunner().RunSeed(racy(), 11)
+	b, _ := NewRunner().RunSeed(racy(), 11)
 	if len(a.Races) != len(b.Races) {
 		t.Fatalf("same seed, different race counts: %d vs %d", len(a.Races), len(b.Races))
 	}

@@ -23,9 +23,8 @@ func ExampleNewRunner() {
 	runner := core.NewRunner(
 		core.WithDetector("fasttrack"),
 		core.WithStrategy("random"),
-		core.WithSeed(1), // a fixed seed reproduces the run exactly
 	)
-	out, err := runner.Run(prog)
+	out, err := runner.RunSeed(prog, 1) // a fixed seed reproduces the run exactly
 	if err != nil {
 		panic(err)
 	}
@@ -34,26 +33,4 @@ func ExampleNewRunner() {
 	// Output:
 	// detector: fasttrack-hb
 	// races: 1 on variable "counter"
-}
-
-// ExampleRunner_DetectionProbability estimates how often a race
-// manifests across seeds — the paper's §3.2.1 flakiness measure. The
-// racing example program manifests under every schedule, so the
-// estimate is 1.
-func ExampleRunner_DetectionProbability() {
-	prog := func(g *sched.G) {
-		flag := sched.NewVar[bool](g, "flag")
-		g.Go("setter", func(g *sched.G) {
-			flag.Store(g, true)
-		})
-		flag.Load(g)
-	}
-	runner := core.NewRunner(core.WithDetector("fasttrack"))
-	p, err := runner.DetectionProbability(prog, 20)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("P(detect) = %.2f over 20 seeds\n", p)
-	// Output:
-	// P(detect) = 1.00 over 20 seeds
 }

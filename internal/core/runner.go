@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"gorace/internal/detector"
 	"gorace/internal/report"
@@ -13,20 +11,18 @@ import (
 
 // Runner is the one way to run detection: it binds a registered
 // detector, a scheduling strategy, and run limits, and executes
-// modeled programs — one seed at a time (Run) or as a parallel
-// multi-seed batch (RunBatch), the fleet-scale deployment mode the
-// paper argues for. A Runner is immutable after construction and safe
-// for concurrent use; every run builds fresh detector and strategy
-// instances from the registries.
+// modeled programs one seed at a time (RunSeed). Multi-seed sweeps —
+// the fleet-scale deployment mode the paper argues for — push seeds
+// through a recycled Worker, and internal/sweep's campaign engine
+// schedules those Workers across goroutines. A Runner is immutable
+// after construction and safe for concurrent use.
 type Runner struct {
 	detectorName    string
 	strategyName    string
 	strategyFactory func() sched.Strategy
-	seed            int64
 	maxSteps        int
 	record          bool
 	window          int
-	parallelism     int
 	sampleRate      int
 }
 
@@ -48,15 +44,9 @@ func WithStrategy(name string) Option {
 // WithStrategyFactory supplies strategies programmatically, for the
 // ones that need arguments a name cannot carry (replayed decision
 // prefixes, recording wrappers). The factory is invoked once per run,
-// possibly from concurrent batch workers. It overrides WithStrategy.
+// possibly from concurrent Workers. It overrides WithStrategy.
 func WithStrategyFactory(f func() sched.Strategy) Option {
 	return func(r *Runner) { r.strategyFactory = f }
-}
-
-// WithSeed sets the schedule seed for Run and the base seed for
-// convenience sweeps; a fixed seed reproduces the run exactly.
-func WithSeed(seed int64) Option {
-	return func(r *Runner) { r.seed = seed }
 }
 
 // WithMaxSteps bounds each execution (0 = scheduler default).
@@ -81,13 +71,6 @@ func WithWindow(n int) Option {
 	return func(r *Runner) { r.window = n }
 }
 
-// WithParallelism sets the worker count for RunBatch (default 1,
-// i.e. serial). Runs are independent — detector and strategy state is
-// per-run — so batch results are identical at any parallelism.
-func WithParallelism(n int) Option {
-	return func(r *Runner) { r.parallelism = n }
-}
-
 // WithSampleRate gates the detector behind a deterministic 1-in-n
 // access-sampling filter (detector.WithSampleRate): sync events always
 // reach the detector, accesses 1 in n. The gate's phase is derived
@@ -99,11 +82,21 @@ func WithSampleRate(n int) Option {
 
 // NewRunner builds a Runner from options.
 func NewRunner(opts ...Option) *Runner {
-	r := &Runner{parallelism: 1}
+	r := &Runner{}
 	for _, opt := range opts {
 		opt(r)
 	}
 	return r
+}
+
+// RunSeed executes prog once under the given seed, on a one-shot
+// Worker.
+func (r *Runner) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
+	w, err := r.NewWorker()
+	if err != nil {
+		return nil, err
+	}
+	return w.RunSeed(prog, seed)
 }
 
 // newStrategy builds a fresh strategy instance for one run.
@@ -118,131 +111,109 @@ func (r *Runner) newStrategy() (sched.Strategy, error) {
 	return sched.NewStrategy(r.strategyName)
 }
 
-// validate fails fast on unknown detector/strategy names, so a batch
-// does not launch workers that would all error identically. A
-// user-supplied strategy factory is deliberately NOT invoked here —
-// WithStrategyFactory promises one invocation per run, and a stateful
-// factory must not have a strategy consumed by validation.
-func (r *Runner) validate() error {
-	if _, err := r.newDetector(); err != nil {
-		return err
-	}
-	if r.strategyFactory == nil {
-		if _, err := sched.NewStrategy(r.strategyName); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run executes prog once under the Runner's seed.
-func (r *Runner) Run(prog func(*sched.G)) (*Outcome, error) {
-	return r.RunSeed(prog, r.seed)
-}
-
-// RunSeed executes prog once under the given seed.
-func (r *Runner) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
-	st, err := r.newRunState()
-	if err != nil {
-		return nil, err
-	}
-	return r.runSeed(st, prog, seed)
-}
-
-// runState is the per-worker detection state a batch sweep recycles
-// across seeds: the detector instance (Reset in place between runs
-// when it supports it) and the reusable trace buffer for record mode.
-// Recycling this state is what keeps a 1000-seed RunBatch from
-// allocating a thousand detectors' worth of shadow memory.
-type runState struct {
-	det    detector.Detector
-	reset  detector.Resetter     // nil when det must be rebuilt per run
-	buf    *trace.Recorder       // lazily created, record mode only
-	wbuf   *trace.WindowRecorder // lazily created, window mode only
-	used   bool                  // det has consumed a run since (re)build
-	shared bool                  // state is recycled across runs (batch worker)
-}
-
 // newDetector builds the Runner's detector, sampling gate included.
 func (r *Runner) newDetector() (detector.Detector, error) {
 	return detector.New(r.detectorName, detector.WithSampleRate(r.sampleRate))
 }
 
-// newRunState builds a fresh detector and decides whether it can be
-// recycled. A wrapper (Counting, Sampled) is only recyclable when the
-// detector inside it is.
-func (r *Runner) newRunState() (*runState, error) {
+// Worker owns one recycled detection state bound to a Runner: the
+// detector instance (Reset in place between runs when it supports it)
+// and the reusable trace buffer for record and window mode. A sweep
+// that pushes many seeds through one Worker allocates one detector's
+// worth of shadow memory, not one per seed. Workers are not safe for
+// concurrent use; create one per goroutine. Runner.RunSeed is a
+// one-shot Worker, and the campaign engine in internal/sweep keeps a
+// pool of them.
+type Worker struct {
+	r     *Runner
+	det   detector.Detector
+	reset detector.Resetter     // nil when det must be rebuilt per run
+	buf   *trace.Recorder       // lazily created, record mode only
+	wbuf  *trace.WindowRecorder // lazily created, window mode only
+	used  bool                  // det has consumed a run since (re)build
+}
+
+// NewWorker fails fast on unknown detector and strategy names, builds
+// the Runner's detector, and decides whether it can be recycled. A
+// wrapper (Counting, Sampled) is only recyclable when the detector
+// inside it is. A user-supplied strategy factory is deliberately NOT
+// invoked here — WithStrategyFactory promises one invocation per run,
+// and a stateful factory must not have a strategy consumed by
+// validation.
+func (r *Runner) NewWorker() (*Worker, error) {
 	det, err := r.newDetector()
 	if err != nil {
 		return nil, err
 	}
-	st := &runState{det: det}
+	if r.strategyFactory == nil {
+		if _, err := sched.NewStrategy(r.strategyName); err != nil {
+			return nil, err
+		}
+	}
+	w := &Worker{r: r, det: det}
 	if rs, ok := det.(detector.Resetter); ok {
-		st.reset = rs
+		w.reset = rs
 	}
 	if c, ok := det.(interface{ CanReset() bool }); ok && !c.CanReset() {
-		st.reset = nil
+		w.reset = nil
 	}
-	return st, nil
+	return w, nil
 }
 
-// recycle readies the state for another run, rebuilding the detector
+// recycle readies the Worker for another run, rebuilding the detector
 // if it cannot be reset in place.
-func (st *runState) recycle(r *Runner) error {
-	if !st.used {
+func (w *Worker) recycle() error {
+	if !w.used {
 		return nil
 	}
-	if st.reset != nil {
-		st.reset.Reset()
+	if w.reset != nil {
+		w.reset.Reset()
 		return nil
 	}
-	det, err := r.newDetector()
+	det, err := w.r.newDetector()
 	if err != nil {
 		return err
 	}
-	st.det = det
+	w.det = det
 	return nil
 }
 
-// runSeed executes prog once on st. Results never alias recycled
-// state: races and candidates are copied out of a reused detector, and
-// recorded traces are snapshotted out of the reused buffer.
-func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcome, error) {
+// RunSeed executes prog once under the given seed on the recycled
+// state. The returned Outcome owns its races, candidates, and trace —
+// nothing aliases state a later RunSeed will rewind.
+func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
+	r := w.r
 	strat, err := r.newStrategy()
 	if err != nil {
 		return nil, err
 	}
-	if err := st.recycle(r); err != nil {
+	if err := w.recycle(); err != nil {
 		return nil, err
 	}
-	det := st.det
+	det := w.det
 	if sd, ok := det.(detector.Seeded); ok {
 		// A sampling gate's phase is a function of the run seed, not
 		// of worker identity or scheduling order — this is what keeps
-		// sampled batch results identical at any parallelism.
+		// sampled sweeps identical at any parallelism.
 		sd.SetRunSeed(seed)
 	}
-	// A shared (batch-worker) detector is recycled after this run,
-	// which would rewind its result slices — so the outcome must own
-	// copies. One-shot states discard the detector; aliasing is fine.
-	recyclable := st.shared && st.reset != nil
-	st.used = true
+	w.used = true
 
 	out := &Outcome{Detector: det.Name(), Strategy: strat.Name(), Seed: seed}
 	var listeners []trace.Listener
 	switch {
 	case r.window > 0:
-		if st.wbuf == nil {
-			st.wbuf = trace.NewWindowRecorder(r.window)
+		if w.wbuf == nil {
+			w.wbuf = trace.NewWindowRecorder(r.window)
 		}
-		st.wbuf.Reset()
-		listeners = append(listeners, st.wbuf)
+		w.wbuf.Reset()
+		listeners = append(listeners, w.wbuf)
 	case r.record:
-		if st.buf == nil {
-			st.buf = &trace.Recorder{}
+		if w.buf == nil {
+			w.buf = &trace.Recorder{}
 		}
-		st.buf.Reset()
-		listeners = append(listeners, st.buf)
+		w.buf.Reset()
+		listeners = append(listeners, w.buf)
 	}
 	if !detector.IsNoop(det) {
 		// The none detector observes nothing; not attaching it keeps
@@ -259,22 +230,15 @@ func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcom
 
 	switch {
 	case r.window > 0:
-		// Snapshot merges the per-goroutine rings into a fresh
-		// Recorder, so windowed traces never alias recycled state.
-		out.Trace = st.wbuf.Snapshot()
+		out.Trace = w.wbuf.Snapshot()
 	case r.record:
-		if st.shared {
-			out.Trace = st.buf.Snapshot()
-		} else {
-			// One-shot state: hand the recorder over instead of
-			// copying it; it will not be reused.
-			out.Trace = st.buf
-			st.buf = nil
-		}
+		out.Trace = w.buf.Snapshot()
 	}
 	out.Races = det.Races()
 	out.Candidates = det.Candidates()
-	if recyclable {
+	if w.reset != nil {
+		// A recycled detector rewinds its result slices on Reset, so
+		// the outcome must own copies.
 		out.Races = append([]report.Race(nil), out.Races...)
 		out.Candidates = append([]report.Race(nil), out.Candidates...)
 	}
@@ -285,175 +249,4 @@ func (r *Runner) runSeed(st *runState, prog func(*sched.G), seed int64) (*Outcom
 	report.SortRaces(out.Races)
 	report.SortRaces(out.Candidates)
 	return out, nil
-}
-
-// Worker owns one recycled detection state bound to a Runner: the
-// detector instance (Reset in place between runs when it supports it)
-// and the reusable trace buffer for record mode. A sweep that pushes
-// many seeds through one Worker allocates one detector's worth of
-// shadow memory, not one per seed. Workers are not safe for concurrent
-// use; create one per goroutine. StreamBatch and the campaign engine
-// in internal/sweep are both built on Workers.
-type Worker struct {
-	r  *Runner
-	st *runState
-}
-
-// NewWorker validates the Runner's configuration and builds a recycled
-// run state for one worker goroutine.
-func (r *Runner) NewWorker() (*Worker, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	st, err := r.newRunState()
-	if err != nil {
-		return nil, err
-	}
-	st.shared = true
-	return &Worker{r: r, st: st}, nil
-}
-
-// RunSeed executes prog once under the given seed on the recycled
-// state. The returned Outcome owns its races, candidates, and trace —
-// nothing aliases state a later RunSeed will rewind.
-func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
-	return w.r.runSeed(w.st, prog, seed)
-}
-
-// BatchResult is one seed's result in a batch sweep, delivered in
-// completion order by StreamBatch.
-type BatchResult struct {
-	Index   int   // position of Seed in the input slice
-	Seed    int64 //
-	Outcome *Outcome
-	Err     error
-}
-
-// StreamBatch sweeps prog over seeds with WithParallelism workers and
-// streams per-seed results as they complete (arbitrary order; use
-// Index to reassemble). The channel closes when the sweep is done.
-// Configuration errors surface on the first result.
-//
-// The channel's buffer holds the whole batch, so abandoning it early
-// (e.g. breaking at the first racy seed) leaks no goroutines — but
-// the remaining seeds still run to completion in the background; size
-// the seed slice to the work actually wanted.
-func (r *Runner) StreamBatch(prog func(*sched.G), seeds []int64) <-chan BatchResult {
-	workers := r.parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	ch := make(chan BatchResult, len(seeds))
-	if len(seeds) == 0 {
-		close(ch)
-		return ch
-	}
-	if err := r.validate(); err != nil {
-		ch <- BatchResult{Index: 0, Seed: seeds[0], Err: err} // buffered; cannot block
-		close(ch)
-		return ch
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Each worker owns one recycled detection state: the
-			// detector is Reset in place between seeds (when it
-			// supports it), so the sweep's shadow memory, clocks, and
-			// trace buffer are allocated once per worker, not once
-			// per seed.
-			wk, err := r.NewWorker()
-			if err != nil {
-				// validate() ran before the workers started, so this
-				// is unreachable short of a racing re-registration.
-				wk = nil
-			}
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(seeds) {
-					return
-				}
-				var out *Outcome
-				var runErr error
-				if wk != nil {
-					out, runErr = wk.RunSeed(prog, seeds[i])
-				} else {
-					out, runErr = r.RunSeed(prog, seeds[i])
-				}
-				ch <- BatchResult{Index: i, Seed: seeds[i], Outcome: out, Err: runErr}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-	return ch
-}
-
-// RunBatch sweeps prog over seeds and returns the outcomes in seed
-// order. Outcomes are deterministic per seed, so the result does not
-// depend on the parallelism level.
-func (r *Runner) RunBatch(prog func(*sched.G), seeds []int64) ([]*Outcome, error) {
-	outs := make([]*Outcome, len(seeds))
-	var firstErr error
-	for br := range r.StreamBatch(prog, seeds) {
-		if br.Err != nil {
-			if firstErr == nil {
-				firstErr = br.Err
-			}
-			continue
-		}
-		outs[br.Index] = br.Outcome
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return outs, nil
-}
-
-// DetectionProbability sweeps runs sequential seeds from the Runner's
-// base seed and returns the fraction of runs in which at least one
-// race manifested — the flakiness measure behind the paper's §3.2.1
-// argument that PR-time (CI) dynamic race detection is a misfit. The
-// sweep honors WithParallelism.
-func (r *Runner) DetectionProbability(prog func(*sched.G), runs int) (float64, error) {
-	if runs <= 0 {
-		runs = 1
-	}
-	hits := 0
-	var firstErr error
-	for br := range r.StreamBatch(prog, Seeds(r.seed, runs)) {
-		if br.Err != nil {
-			if firstErr == nil {
-				firstErr = br.Err
-			}
-			continue
-		}
-		if br.Outcome.HasRace() {
-			hits++
-		}
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return float64(hits) / float64(runs), nil
-}
-
-// Seeds returns the n sequential seeds base, base+1, ..., the standard
-// shape of a multi-seed sweep.
-func Seeds(base int64, n int) []int64 {
-	if n < 0 {
-		n = 0
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = base + int64(i)
-	}
-	return out
 }

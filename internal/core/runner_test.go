@@ -1,16 +1,13 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"gorace/internal/sched"
 )
 
 func TestRunnerDefaults(t *testing.T) {
-	out, err := NewRunner(WithSeed(3)).Run(racy())
+	out, err := NewRunner().RunSeed(racy(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,18 +26,18 @@ func TestRunnerDefaults(t *testing.T) {
 }
 
 func TestRunnerUnknownNames(t *testing.T) {
-	if _, err := NewRunner(WithDetector("magic")).Run(racy()); err == nil {
+	if _, err := NewRunner(WithDetector("magic")).RunSeed(racy(), 0); err == nil {
 		t.Fatal("unknown detector accepted")
 	}
-	if _, err := NewRunner(WithStrategy("magic")).Run(racy()); err == nil {
+	if _, err := NewRunner(WithStrategy("magic")).RunSeed(racy(), 0); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	// Batches surface configuration errors instead of hanging.
-	if _, err := NewRunner(WithDetector("magic")).RunBatch(racy(), Seeds(0, 4)); err == nil {
-		t.Fatal("batch with unknown detector succeeded")
+	// Workers fail fast, before any run.
+	if _, err := NewRunner(WithDetector("magic")).NewWorker(); err == nil {
+		t.Fatal("worker with unknown detector built")
 	}
-	if _, err := NewRunner(WithDetector("magic")).DetectionProbability(racy(), 4); err == nil {
-		t.Fatal("probability with unknown detector succeeded")
+	if _, err := NewRunner(WithStrategy("magic")).NewWorker(); err == nil {
+		t.Fatal("worker with unknown strategy built")
 	}
 }
 
@@ -49,7 +46,7 @@ func TestRunnerAllRegisteredCombos(t *testing.T) {
 	// through the same code path, the point of the registry redesign.
 	for _, det := range []string{"fasttrack", "epoch", "djit", "eraser", "hybrid", "none"} {
 		for _, strat := range []string{"random", "roundrobin", "pct", "delay"} {
-			out, err := NewRunner(WithDetector(det), WithStrategy(strat), WithSeed(1)).Run(racy())
+			out, err := NewRunner(WithDetector(det), WithStrategy(strat)).RunSeed(racy(), 1)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", det, strat, err)
 			}
@@ -68,7 +65,7 @@ func TestRunnerStrategyFactory(t *testing.T) {
 	// must complete and identify itself as the replay strategy.
 	out, err := NewRunner(
 		WithStrategyFactory(func() sched.Strategy { return sched.NewReplay(nil) }),
-	).Run(fixed())
+	).RunSeed(fixed(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,47 +74,30 @@ func TestRunnerStrategyFactory(t *testing.T) {
 	}
 	if _, err := NewRunner(
 		WithStrategyFactory(func() sched.Strategy { return nil }),
-	).Run(fixed()); err == nil {
+	).RunSeed(fixed(), 0); err == nil {
 		t.Fatal("nil-returning factory accepted")
 	}
 }
 
 func TestBatchInvokesFactoryOncePerRun(t *testing.T) {
 	// WithStrategyFactory promises exactly one invocation per run;
-	// batch validation must not consume a strategy from a stateful
-	// factory.
-	var mu sync.Mutex
+	// NewWorker's validation must not consume a strategy from a
+	// stateful factory.
 	calls := 0
-	r := NewRunner(WithStrategyFactory(func() sched.Strategy {
-		mu.Lock()
+	wk, err := NewRunner(WithStrategyFactory(func() sched.Strategy {
 		calls++
-		mu.Unlock()
 		return sched.NewRandom()
-	}), WithParallelism(4))
-	if _, err := r.RunBatch(fixed(), Seeds(0, 10)); err != nil {
+	})).NewWorker()
+	if err != nil {
 		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		if _, err := wk.RunSeed(fixed(), seed); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if calls != 10 {
 		t.Fatalf("factory invoked %d times for 10 runs", calls)
-	}
-}
-
-func TestStreamBatchAbandonedEarlyLeaksNothing(t *testing.T) {
-	// Breaking out of the stream must not deadlock the workers: the
-	// channel buffer holds the whole batch.
-	before := runtime.NumGoroutine()
-	for br := range NewRunner(WithParallelism(4)).StreamBatch(racy(), Seeds(0, 12)) {
-		if br.Err != nil {
-			t.Fatal(br.Err)
-		}
-		break // abandon after the first result
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked after abandoning stream: %d > %d", n, before)
 	}
 }
 
@@ -127,7 +107,7 @@ func TestRunnerCountingDetectorOutcome(t *testing.T) {
 	// count; no parallel channel needed.
 	found := false
 	for seed := int64(0); seed < 40 && !found; seed++ {
-		out, err := NewRunner(WithDetector("epoch"), WithSeed(seed)).Run(racy())
+		out, err := NewRunner(WithDetector("epoch")).RunSeed(racy(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,130 +126,31 @@ func TestRunnerCountingDetectorOutcome(t *testing.T) {
 	}
 }
 
-func TestRunBatchOrderAndSeeds(t *testing.T) {
-	seeds := []int64{9, 2, 5, 2}
-	outs, err := NewRunner(WithParallelism(3)).RunBatch(racy(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(seeds) {
-		t.Fatalf("%d outcomes for %d seeds", len(outs), len(seeds))
-	}
-	for i, out := range outs {
-		if out == nil || out.Seed != seeds[i] {
-			t.Fatalf("outcome %d mismatched: %+v", i, out)
-		}
-	}
-}
-
-func TestRunBatchParallelMatchesSerial(t *testing.T) {
-	// Outcomes are per-seed deterministic, so the batch result must be
-	// identical at any parallelism level.
-	seeds := Seeds(0, 24)
-	serial, err := NewRunner(WithParallelism(1)).RunBatch(racy(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewRunner(WithParallelism(8)).RunBatch(racy(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seeds {
-		a, b := serial[i], parallel[i]
-		if len(a.Races) != len(b.Races) {
-			t.Fatalf("seed %d: %d vs %d races", seeds[i], len(a.Races), len(b.Races))
-		}
-		for j := range a.Races {
-			if a.Races[j].Hash() != b.Races[j].Hash() {
-				t.Fatalf("seed %d: report %d differs between parallelism levels", seeds[i], j)
-			}
-		}
-	}
-}
-
-func TestRunBatchEmptySeeds(t *testing.T) {
-	outs, err := NewRunner().RunBatch(racy(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 0 {
-		t.Fatalf("%d outcomes for empty sweep", len(outs))
-	}
-}
-
-func TestStreamBatchDeliversEverySeed(t *testing.T) {
-	seen := make(map[int]bool)
-	for br := range NewRunner(WithParallelism(4)).StreamBatch(racy(), Seeds(10, 16)) {
-		if br.Err != nil {
-			t.Fatal(br.Err)
-		}
-		if br.Outcome.Seed != int64(10+br.Index) {
-			t.Fatalf("index %d carries seed %d", br.Index, br.Outcome.Seed)
-		}
-		if seen[br.Index] {
-			t.Fatalf("index %d delivered twice", br.Index)
-		}
-		seen[br.Index] = true
-	}
-	if len(seen) != 16 {
-		t.Fatalf("%d results for 16 seeds", len(seen))
-	}
-}
-
-func TestRunnerDetectionProbability(t *testing.T) {
-	r := NewRunner(WithParallelism(4))
-	p, err := r.DetectionProbability(racy(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p <= 0 || p > 1 {
-		t.Fatalf("P = %f", p)
-	}
-	pf, err := r.DetectionProbability(fixed(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf != 0 {
-		t.Fatalf("fixed P = %f, want 0", pf)
-	}
-	// A serial Runner must agree with the parallel one.
-	ps, err := NewRunner().DetectionProbability(racy(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps != p {
-		t.Fatalf("serial P %f != parallel P %f", ps, p)
-	}
-}
-
-func TestSeedsHelper(t *testing.T) {
-	s := Seeds(5, 3)
-	if len(s) != 3 || s[0] != 5 || s[2] != 7 {
-		t.Fatalf("Seeds(5,3) = %v", s)
-	}
-	if len(Seeds(0, -1)) != 0 {
-		t.Fatal("negative count did not clamp")
-	}
-}
-
-func TestRunBatchRecycledStateMatchesFresh(t *testing.T) {
-	// A serial batch reuses one detector via Reset across all seeds;
-	// per-seed RunSeed builds a fresh detector each time. Both must
+func TestWorkerRecycledStateMatchesFresh(t *testing.T) {
+	// A Worker reuses one detector via Reset across all seeds; a
+	// one-shot RunSeed builds a fresh detector each time. Both must
 	// produce identical reports — the recycled shadow state must not
 	// leak detection state (or alias report slices) between seeds.
 	for _, det := range []string{"fasttrack", "epoch", "djit", "eraser", "hybrid"} {
 		runner := NewRunner(WithDetector(det), WithRecord(true))
-		seeds := Seeds(0, 16)
-		batch, err := runner.RunBatch(racy(), seeds)
+		wk, err := runner.NewWorker()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, seed := range seeds {
-			fresh, err := runner.RunSeed(racy(), seed)
+		var recycled []*Outcome
+		for seed := int64(0); seed < 16; seed++ {
+			out, err := wk.RunSeed(racy(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := batch[i], fresh
+			recycled = append(recycled, out)
+		}
+		for i, got := range recycled {
+			seed := int64(i)
+			want, err := runner.RunSeed(racy(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(got.Races) != len(want.Races) || got.RaceCount != want.RaceCount {
 				t.Fatalf("%s seed %d: recycled %d races (count %d), fresh %d (count %d)",
 					det, seed, len(got.Races), got.RaceCount, len(want.Races), want.RaceCount)

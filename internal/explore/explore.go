@@ -24,28 +24,11 @@ import (
 // small, so a run that exceeds this is a model bug, not a workload.
 const maxSteps = 1 << 16
 
-// ProbeResult is the detection statistics of one strategy.
-type ProbeResult struct {
-	Strategy   string
-	Runs       int
-	Detected   int
-	AvgRaces   float64 // mean race reports per run
-	LeakedRuns int     // runs that ended with blocked goroutines
-}
-
-// Probability returns the manifestation probability estimate.
-func (p ProbeResult) Probability() float64 {
-	if p.Runs == 0 {
-		return 0
-	}
-	return float64(p.Detected) / float64(p.Runs)
-}
-
 // Probe runs prog `runs` times under the named scheduling strategy
 // (see sched.StrategyNames) and reports how often at least one race
 // manifested. Seeds are sequential from base; the sweep is one
 // internal/sweep campaign with parallelism workers (≤1 = serial).
-func Probe(prog func(*sched.G), strategy string, runs int, base int64, parallelism int) ProbeResult {
+func Probe(prog func(*sched.G), strategy string, runs int, base int64, parallelism int) sweep.UnitStat {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -54,7 +37,7 @@ func Probe(prog func(*sched.G), strategy string, runs int, base int64, paralleli
 		BaseSeed: base, Runs: runs, MaxSteps: maxSteps,
 	}}, parallelism)
 	if len(res) == 0 {
-		return ProbeResult{Runs: runs}
+		return sweep.UnitStat{Runs: runs}
 	}
 	return res[0]
 }
@@ -62,20 +45,20 @@ func Probe(prog func(*sched.G), strategy string, runs int, base int64, paralleli
 // ProbeFactory is Probe for strategies a registry name cannot carry
 // (replayed prefixes, custom parameters). The factory is invoked once
 // per run, always from a single worker goroutine.
-func ProbeFactory(prog func(*sched.G), factory func() sched.Strategy, runs int, base int64) ProbeResult {
+func ProbeFactory(prog func(*sched.G), factory func() sched.Strategy, runs int, base int64) sweep.UnitStat {
 	res := probe([]sweep.Unit{{
 		ID: "factory", Program: prog, StrategyFactory: factory,
 		BaseSeed: base, Runs: runs, MaxSteps: maxSteps,
 	}}, 1)
 	if len(res) == 0 {
-		return ProbeResult{Runs: runs}
+		return sweep.UnitStat{Runs: runs}
 	}
 	return res[0]
 }
 
-// probe runs one campaign and projects its Prob aggregate into
-// per-unit ProbeResults, in unit order.
-func probe(units []sweep.Unit, parallelism int) []ProbeResult {
+// probe runs one campaign and returns its per-unit Prob stats, in unit
+// order.
+func probe(units []sweep.Unit, parallelism int) []sweep.UnitStat {
 	opts := []sweep.Option{}
 	if parallelism > 0 {
 		opts = append(opts, sweep.WithParallelism(parallelism))
@@ -87,22 +70,12 @@ func probe(units []sweep.Unit, parallelism int) []ProbeResult {
 		// errors here; surface them loudly rather than as P=0.
 		panic(err)
 	}
-	var out []ProbeResult
-	for _, s := range aggs[0].(*sweep.Prob).Stats() {
-		out = append(out, ProbeResult{
-			Strategy:   s.Strategy,
-			Runs:       s.Runs,
-			Detected:   s.Detected,
-			AvgRaces:   float64(s.Races) / float64(s.Runs),
-			LeakedRuns: s.LeakedRuns,
-		})
-	}
-	return out
+	return aggs[0].(*sweep.Prob).Stats()
 }
 
 // CompareStrategies probes prog under every registered strategy, as
 // one campaign (a unit per strategy over the shared seed range).
-func CompareStrategies(prog func(*sched.G), runs int, base int64) []ProbeResult {
+func CompareStrategies(prog func(*sched.G), runs int, base int64) []sweep.UnitStat {
 	names := sched.StrategyNames()
 	units := make([]sweep.Unit, 0, len(names))
 	for _, name := range names {
@@ -115,12 +88,16 @@ func CompareStrategies(prog func(*sched.G), runs int, base int64) []ProbeResult 
 }
 
 // FormatProbes renders strategy-comparison results as a table.
-func FormatProbes(rs []ProbeResult) string {
+func FormatProbes(rs []sweep.UnitStat) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %10s %10s %8s\n", "strategy", "runs", "detected", "P(detect)", "races/run")
 	for _, r := range rs {
+		perRun := 0.0
+		if r.Runs > 0 {
+			perRun = float64(r.Races) / float64(r.Runs)
+		}
 		fmt.Fprintf(&b, "%-12s %8d %10d %10.2f %8.2f\n",
-			r.Strategy, r.Runs, r.Detected, r.Probability(), r.AvgRaces)
+			r.Strategy, r.Runs, r.Detected, r.Probability(), perRun)
 	}
 	return b.String()
 }
@@ -184,7 +161,7 @@ func ExhaustiveBounded(prog func(*sched.G), maxRuns, maxPreemptions int) Exhaust
 		out, err := core.NewRunner(
 			core.WithStrategyFactory(func() sched.Strategy { return rec }),
 			core.WithMaxSteps(maxSteps),
-		).Run(prog)
+		).RunSeed(prog, 0)
 		if err != nil {
 			panic(err) // no registry lookups involved; cannot fail
 		}
@@ -274,7 +251,7 @@ func prevPicked(picks []sched.PickRecord, i int) vclock.TID {
 // for the E9 experiment output.
 type FlakinessReport struct {
 	Pattern string
-	Results []ProbeResult
+	Results []sweep.UnitStat
 }
 
 // FormatFlakiness renders several patterns' flakiness side by side.

@@ -39,8 +39,8 @@ func TestProbeCleanOnFixedProgram(t *testing.T) {
 	if r.Detected != 0 {
 		t.Fatalf("fixed program detected %d times", r.Detected)
 	}
-	if r.AvgRaces != 0 {
-		t.Fatalf("avg races = %f", r.AvgRaces)
+	if r.Races != 0 {
+		t.Fatalf("races = %d", r.Races)
 	}
 }
 

@@ -88,11 +88,15 @@ func TestFixedVariantsClean(t *testing.T) {
 	for _, p := range All() {
 		p := p
 		t.Run(p.ID+"/fixed", func(t *testing.T) {
-			outs, err := runner.RunBatch(p.Fixed, core.Seeds(0, seeds))
+			wk, err := runner.NewWorker()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, out := range outs {
+			for seed := int64(0); seed < seeds; seed++ {
+				out, err := wk.RunSeed(p.Fixed, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if out.HasRace() {
 					t.Fatalf("seed %d: fixed variant raced:\n%s", out.Seed, out.Races[0])
 				}

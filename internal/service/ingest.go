@@ -43,29 +43,37 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
+	// reject answers before the body is read. Unless the response
+	// closes the connection, Go's server first tries to discard up to
+	// 256 KB of the unread body, so a client stalled mid-stream would
+	// never see its status.
+	reject := func(status int, format string, args ...any) {
+		w.Header().Set("Connection", "close")
+		writeError(w, status, format, args...)
+	}
 	if s.cfg.Store == nil {
-		writeError(w, http.StatusServiceUnavailable, "worker node: ingest streams on the coordinator")
+		reject(http.StatusServiceUnavailable, "worker node: ingest streams on the coordinator")
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining; no new ingests")
+		reject(http.StatusServiceUnavailable, "server is draining; no new ingests")
 		return
 	}
 	q := r.URL.Query()
 	run := q.Get("run")
 	if run == "" {
-		writeError(w, http.StatusBadRequest, "ingest requires a run id (?run=)")
+		reject(http.StatusBadRequest, "ingest requires a run id (?run=)")
 		return
 	}
 	if s.View().HasRun(run) {
-		writeError(w, http.StatusConflict, "run id %q already recorded", run)
+		reject(http.StatusConflict, "run id %q already recorded", run)
 		return
 	}
 	seed := int64(0)
 	if raw := q.Get("seed"); raw != "" {
 		var err error
 		if seed, err = strconv.ParseInt(raw, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, "bad seed %q: %v", raw, err)
+			reject(http.StatusBadRequest, "bad seed %q: %v", raw, err)
 			return
 		}
 	}
@@ -76,7 +84,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Backpressure: a bounded number of concurrent streams, an
 		// explicit retry signal past it.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "ingest streams saturated (%d); retry later", cap(s.ingestSem))
+		reject(http.StatusTooManyRequests, "ingest streams saturated (%d); retry later", cap(s.ingestSem))
 		return
 	}
 	defer func() { <-s.ingestSem }()
@@ -86,7 +94,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestMu.Lock()
 	if s.draining.Load() {
 		s.ingestMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining; no new ingests")
+		reject(http.StatusServiceUnavailable, "server is draining; no new ingests")
 		return
 	}
 	s.ingestWG.Add(1)
@@ -103,7 +111,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Collector:     coll,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		reject(http.StatusBadRequest, "%v", err)
 		return
 	}
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -190,49 +191,47 @@ func TestIngestFailedKeepAlive(t *testing.T) {
 // instead of queueing.
 func TestIngestBackpressure(t *testing.T) {
 	store, _ := seedStore(t)
-	_, ts := newTestServer(t, Config{Store: store, IngestStreams: 1})
+	svc, ts := newTestServer(t, Config{Store: store, IngestStreams: 1})
 	data := synthStream(t, stream.SynthSpec{Events: 5000, Planted: 1, Seed: 3})
 
 	pr, pw := io.Pipe()
-	started := make(chan struct{})
+	t.Cleanup(func() { pw.Close() })
 	finished := make(chan error, 1)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/ingest?run=slow-001", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	go func() {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/ingest?run=slow-001", pr)
-		if err != nil {
-			finished <- err
-			return
-		}
-		close(started)
 		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
 			resp.Body.Close()
 		}
 		finished <- err
 	}()
-	<-started
 	// Feed the header so the handler is committed, then stall.
 	if _, err := pw.Write(data[:20]); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the slot to be taken: the next ingest must bounce.
+	// Wait for the stalled stream to hold the slot, so the probe
+	// cannot take it first.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Post(ts.URL+"/v1/ingest?run=bounced", "application/octet-stream", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
-			}
-			break
-		}
+	for len(svc.ingestSem) != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("saturated server answered %d, want 429", resp.StatusCode)
+			t.Fatal("stalled ingest never took the slot")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Post(ts.URL+"/v1/ingest?run=bounced-001", "application/octet-stream", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated server answered %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
 	}
 	// Unstall: deliver the rest and let the slow ingest finish.
 	if _, err := pw.Write(data[20:]); err != nil {
@@ -241,6 +240,76 @@ func TestIngestBackpressure(t *testing.T) {
 	pw.Close()
 	if err := <-finished; err != nil {
 		t.Fatalf("stalled ingest: %v", err)
+	}
+}
+
+// TestIngestRejectsStalledBody: a client that stalls mid-stream still
+// receives every rejection at once, with Connection: close. Without
+// the close, the server would first try to drain the unread body and
+// the status would never arrive.
+func TestIngestRejectsStalledBody(t *testing.T) {
+	cases := []struct {
+		name   string
+		query  string
+		setup  func(t *testing.T, svc *Server)
+		status int
+	}{
+		{"missing-run", "", nil, http.StatusBadRequest},
+		{"duplicate-run", "run=run-001", nil, http.StatusConflict},
+		{"bad-seed", "run=stall-001&seed=abc", nil, http.StatusBadRequest},
+		{"unknown-detector", "run=stall-001&detector=no-such", nil, http.StatusBadRequest},
+		{"saturated", "run=stall-001", func(t *testing.T, svc *Server) {
+			svc.ingestSem <- struct{}{}
+			t.Cleanup(func() { <-svc.ingestSem })
+		}, http.StatusTooManyRequests},
+		{"draining", "run=stall-001", func(t *testing.T, svc *Server) {
+			if err := svc.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}, http.StatusServiceUnavailable},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store, _ := seedStore(t)
+			svc, ts := newTestServer(t, Config{Store: store, IngestStreams: 1})
+			if tc.setup != nil {
+				tc.setup(t, svc)
+			}
+			pr, pw := io.Pipe()
+			t.Cleanup(func() { pw.Close() })
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/ingest?"+tc.query, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				resp *http.Response
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				resp, err := http.DefaultClient.Do(req)
+				done <- result{resp, err}
+			}()
+			// Send the stream header, then stall without closing.
+			if _, err := pw.Write(streamedHeader(t)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case res := <-done:
+				if res.err != nil {
+					t.Fatal(res.err)
+				}
+				res.resp.Body.Close()
+				if res.resp.StatusCode != tc.status {
+					t.Fatalf("status = %d, want %d", res.resp.StatusCode, tc.status)
+				}
+				if !res.resp.Close {
+					t.Fatal("rejection kept the connection open")
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("no response within 2s to a stalled body (want %d)", tc.status)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sweep is the campaign engine behind every multi-run driver
 // in the repo: it executes a set of work units (program × detector ×
-// strategy × seed range) over a pool of recycled core.Runner workers
-// and streams each completed run into pluggable aggregators — the
+// strategy × seed range) over a pool of recycled core.Workers and
+// streams each completed run into pluggable aggregators — the
 // in-memory ones in this package (Prob, Corpus, FirstRace, Tally) or
 // persistent ones like corpus.Collector, which folds a campaign
 // straight into the on-disk race-corpus store.
@@ -217,37 +217,13 @@ type shardResult struct {
 	err  error
 }
 
-// workerSource is where runShard gets (and returns) recycled
-// core.Workers. The engine's per-goroutine pool is a plain map (no
-// locking: one goroutine); WorkerCache is the locked form remote shard
-// executors share across concurrent requests.
-type workerSource interface {
-	// acquire checks a worker for key out of the source (a second
-	// acquire before release must not return the same worker).
-	acquire(key string) (*core.Worker, bool)
-	// release returns a worker (possibly freshly created) for reuse.
-	release(key string, wk *core.Worker)
-}
-
-// mapPool is the engine's single-goroutine worker pool.
-type mapPool map[string]*core.Worker
-
-func (p mapPool) acquire(key string) (*core.Worker, bool) {
-	wk, ok := p[key]
-	if ok {
-		delete(p, key)
-	}
-	return wk, ok
-}
-
-func (p mapPool) release(key string, wk *core.Worker) { p[key] = wk }
-
 // WorkerCache is a concurrency-safe pool of recycled core.Workers
-// keyed by unit configuration, for callers that execute shards from
-// concurrent goroutines (a service node running several RunShard
-// requests at once). Detector shadow state is allocated once per
-// (cached worker, config) and reset between seeds, not reallocated
-// per shard.
+// keyed by unit configuration: the one worker pool behind every
+// campaign. The engine builds one per RunContext call, shared by its
+// worker goroutines, and drops it when the campaign ends; a service
+// node keeps one across its concurrent RunShard requests. Detector
+// shadow state is allocated once per (cached worker, config) and reset
+// between seeds, not reallocated per shard.
 type WorkerCache struct {
 	mu   sync.Mutex
 	free map[string][]*core.Worker
@@ -282,13 +258,13 @@ func (c *WorkerCache) release(key string, wk *core.Worker) {
 // engine: a distributed worker node answers a shard dispatch with
 // exactly this call, and because per-seed outcomes are deterministic,
 // the result is identical to what the local engine would have folded
-// for the same shard. cache may be nil (no cross-call recycling).
+// for the same shard. A nil cache gets a fresh one (no cross-call
+// recycling).
 func RunShard(ctx context.Context, units []Unit, sh Shard, cache *WorkerCache, factories ...Factory) ([]Aggregator, Stats, error) {
-	var src workerSource = mapPool{}
-	if cache != nil {
-		src = cache
+	if cache == nil {
+		cache = NewWorkerCache()
 	}
-	res := runShard(ctx, units, sh, 0, src, factories)
+	res := runShard(ctx, units, sh, 0, cache, factories)
 	stats := Stats{Units: 1, Shards: 1, Runs: res.runs, Racy: res.racy}
 	if res.err != nil {
 		return nil, stats, res.err
@@ -330,6 +306,11 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 	if workers > len(shards) {
 		workers = len(shards)
 	}
+	// Workers recycle core.Workers through one cache per campaign: a
+	// campaign over thousands of seeds allocates detector shadow memory
+	// once per (concurrent shard, config), not once per run, and no
+	// detector outlives the campaign.
+	pool := NewWorkerCache()
 	results := make(chan shardResult, len(shards))
 	var next int64
 	var failed atomic.Bool
@@ -338,11 +319,6 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Each worker goroutine keeps one recycled core.Worker
-			// per distinct unit configuration, so a campaign over
-			// thousands of seeds allocates detector shadow memory
-			// once per (worker, config), not once per run.
-			pool := mapPool{}
 			for {
 				// A failed shard (or a cancelled campaign) dooms the
 				// result, so don't burn the remaining shards;
@@ -411,7 +387,7 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 }
 
 // configKey identifies the recycled-state compatibility class of a
-// unit. Units sharing a key reuse one core.Worker per engine worker;
+// unit. Units sharing a key reuse the campaign's cached core.Workers;
 // factory-driven units get a per-unit key so a stateful factory is
 // never shared across units.
 func configKey(u *Unit, unitIdx int) string {
@@ -426,7 +402,7 @@ func configKey(u *Unit, unitIdx int) string {
 // seeds, so a cancelled campaign stops within one program execution
 // per worker. The core.Worker is checked out of pool for the shard's
 // duration and returned on every exit path.
-func runShard(ctx context.Context, units []Unit, sh Shard, idx int, pool workerSource, factories []Factory) shardResult {
+func runShard(ctx context.Context, units []Unit, sh Shard, idx int, pool *WorkerCache, factories []Factory) shardResult {
 	res := shardResult{idx: idx, aggs: make([]Aggregator, len(factories))}
 	for i, f := range factories {
 		res.aggs[i] = f()

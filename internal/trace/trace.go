@@ -207,8 +207,8 @@ func (r *Recorder) HandleEvent(ev Event) { r.Events = append(r.Events, ev) }
 
 // Reset truncates the recording in place, retaining capacity, so one
 // recorder can capture many runs without reallocating its buffer —
-// core.Runner records each batch run into a per-worker recycled
-// Recorder, so a 1000-seed sweep reuses a single recording buffer
+// a core.Worker records each of its runs into one recycled Recorder,
+// so a 1000-seed sweep reuses a single recording buffer per worker
 // instead of growing a thousand. Slices of Events handed out earlier
 // are invalidated.
 func (r *Recorder) Reset() { r.Events = r.Events[:0] }
