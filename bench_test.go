@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -28,6 +29,7 @@ import (
 	"gorace/internal/stream"
 	"gorace/internal/study"
 	"gorace/internal/sweep"
+	"gorace/internal/taxonomy"
 	"gorace/internal/trace"
 )
 
@@ -503,19 +505,17 @@ func BenchmarkStaticAnalyzer(b *testing.B) {
 
 // --- Extension: post-facto trace persistence ---
 //
-// The codec pair measures the record-once/analyze-many hot path: one
-// full save+load round trip of the heavy trace per iteration, with
-// the encoded size reported as bytes/trace. The binary codec's
-// acceptance bar is ≥5× smaller and ≥10× faster than JSON Lines.
-
-func benchCodecRoundTrip(b *testing.B, save func(*trace.Recorder, *bytes.Buffer) error) {
+// BenchmarkTraceCodecBinary measures the record-once/analyze-many hot
+// path: one full save+load round trip of the heavy trace per
+// iteration, with the encoded size reported as bytes/trace.
+func BenchmarkTraceCodecBinary(b *testing.B) {
 	rec := recordHeavyTrace(b)
 	var size int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := save(rec, &buf); err != nil {
+		if err := rec.Save(&buf); err != nil {
 			b.Fatal(err)
 		}
 		size = buf.Len()
@@ -525,18 +525,6 @@ func benchCodecRoundTrip(b *testing.B, save func(*trace.Recorder, *bytes.Buffer)
 		}
 	}
 	b.ReportMetric(float64(size), "bytes/trace")
-}
-
-func BenchmarkTraceCodecJSON(b *testing.B) {
-	benchCodecRoundTrip(b, func(r *trace.Recorder, buf *bytes.Buffer) error {
-		return r.SaveJSON(buf)
-	})
-}
-
-func BenchmarkTraceCodecBinary(b *testing.B) {
-	benchCodecRoundTrip(b, func(r *trace.Recorder, buf *bytes.Buffer) error {
-		return r.Save(buf)
-	})
 }
 
 // --- Extension: online streaming ingest under a memory ceiling ---
@@ -691,6 +679,85 @@ func BenchmarkSweepManyUnits(b *testing.B) {
 		if stats.Shards != len(units) || len(aggs[0].(*sweep.Prob).Stats()) != len(units) ||
 			aggs[1].(*corpus.Collector).Defects() == 0 {
 			b.Fatalf("campaign lost work: %+v", stats)
+		}
+	}
+}
+
+// --- Extension: the corpus store and delta codecs ---
+
+// corpusBenchExport builds a 5,000-record export shaped like a nightly
+// corpus: real reports from the listing patterns, spread over distinct
+// units, each defect seen in two runs.
+func corpusBenchExport(b *testing.B) corpus.Export {
+	b.Helper()
+	races := manifestAllListings(b)
+	runs := []string{"2026-07-01", "2026-07-02"}
+	x := corpus.Export{Runs: []corpus.RunInfo{
+		{ID: runs[0], Label: "nightly", Executions: 2100, Reports: 5000},
+		{ID: runs[1], Label: "nightly", Executions: 2100, Reports: 5000},
+	}}
+	for i := 0; i < 5000; i++ {
+		race := races[i%len(races)]
+		unit := fmt.Sprintf("svc-%04d/TestRace", i)
+		x.Records = append(x.Records, corpus.Record{
+			Key: unit + "/" + race.Hash(), Unit: unit, RunIDs: runs, Count: 2,
+			Category:  taxonomy.CatMissingLock,
+			Labels:    []taxonomy.Category{taxonomy.CatMissingLock, taxonomy.CatGlobalVar},
+			Detector:  race.Detector,
+			TracePath: fmt.Sprintf("traces/svc-%04d.trace", i),
+			Race:      race,
+		})
+	}
+	return x
+}
+
+// BenchmarkCorpusOpen opens a 5,000-record store file: the read, the
+// frame scan and CRC check, the decode and the fold, per op.
+func BenchmarkCorpusOpen(b *testing.B) {
+	x := corpusBenchExport(b)
+	path := filepath.Join(b.TempDir(), "bench.grcs")
+	s, err := corpus.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, info := range x.Runs {
+		if err := s.AppendRun(info); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Append(x.Records...); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := corpus.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != len(x.Records) {
+			b.Fatalf("opened %d records, want %d", s.Len(), len(x.Records))
+		}
+		s.Close()
+	}
+}
+
+// BenchmarkCorpusReadDelta decodes a 5,000-record delta, the unit of
+// replica and worker corpus traffic.
+func BenchmarkCorpusReadDelta(b *testing.B) {
+	x := corpusBenchExport(b)
+	var buf bytes.Buffer
+	if err := corpus.WriteDelta(&buf, x); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := corpus.ReadDelta(bytes.NewReader(data))
+		if err != nil || len(got.Records) != len(x.Records) {
+			b.Fatalf("read %d records: %v", len(got.Records), err)
 		}
 	}
 }

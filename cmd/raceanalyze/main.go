@@ -3,8 +3,8 @@
 // it into a fresh detector, proving that detection verdicts do not
 // depend on being attached to the live execution.
 //
-// The trace format is auto-detected: the versioned binary codec (the
-// default racedetect writes) and legacy JSON Lines traces both load.
+// The trace must be in the versioned binary codec racedetect writes;
+// any other file fails with trace.ErrNotTrace and exit status 2.
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("trace", "", "trace file (binary codec or legacy JSON Lines) to analyze")
+		in       = flag.String("trace", "", "binary trace file to analyze")
 		det      = flag.String("detector", detector.DefaultName, "one of: "+strings.Join(detector.Names(), ", "))
 		jsonOut  = flag.Bool("json", false, "emit reports as JSON Lines")
 		suppFile = flag.String("suppressions", "", "TSan-style suppression file; matching reports are dropped")

@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,11 +13,13 @@ import (
 	"gorace/internal/taxonomy"
 	"gorace/internal/trace"
 	"gorace/internal/vclock"
+	"gorace/internal/wire"
 )
 
-// On-disk corpus store format (version 1), following the binary trace
-// codec conventions: a magic header, varint integers, and interned
-// strings.
+// On-disk corpus store format (version 1), built on internal/wire, the
+// codec the binary trace format shares: a magic header, varint
+// integers, and interned strings (see docs/FORMATS.md for the shared
+// primitives and their bounds).
 //
 // Layout:
 //
@@ -36,29 +39,27 @@ import (
 //
 //	kind byte (1 = race record, 2 = run marker) | kind-specific body
 //
-// Race record body (stringRef = uvarint index into the frame's string
-// table; an index equal to the table size introduces a new entry as
-// uvarint length + bytes; entry 0 is pre-seeded with ""):
+// Race record body (string = a reference into the frame's wire string
+// table; strings = uvarint count, then that many strings):
 //
-//	stringRef key | stringRef unit
-//	uvarint run count | stringRef run id ...
+//	string key | string unit | strings run ids
 //	uvarint occurrence count
-//	stringRef category | uvarint label count | stringRef label ...
-//	stringRef detector | stringRef trace path
-//	uvarint race seq | stringRef race detector
+//	string category | strings labels
+//	string detector | string trace path
+//	uvarint race seq | string race detector
 //	access first | access second
 //
 // Access:
 //
-//	uvarint G | stringRef goroutine name | op byte
-//	uvarint addr | uvarint seq | stringRef label | atomic byte
-//	uvarint lock count | stringRef lock ...
-//	uvarint stack depth | per frame: stringRef func | stringRef file |
-//	                      zigzag line
+//	uvarint G | string goroutine name | op byte
+//	uvarint addr | uvarint seq | string label | atomic byte
+//	strings locks
+//	uvarint stack depth | depth wire frames
+//	                      (string func | string file | zigzag line)
 //
 // Run marker body:
 //
-//	stringRef run id | stringRef label
+//	string run id | string label
 //	uvarint executions | uvarint reports
 //
 // Version bumps are reserved for layout changes; adding new payload
@@ -82,316 +83,189 @@ const (
 // tail corruption rather than allocated.
 const maxFramePayload = 16 << 20
 
-// recEncoder builds one frame payload. Each frame gets a fresh
-// encoder, so its string table is self-contained.
+// recEncoder builds and writes frames. record and run each start a
+// new payload with an empty string table, so every frame is
+// self-contained; the buffers are reused from frame to frame.
 type recEncoder struct {
-	buf     bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
-	strings map[string]uint64
-}
-
-func newRecEncoder() *recEncoder {
-	return &recEncoder{strings: map[string]uint64{"": 0}}
-}
-
-func (e *recEncoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-
-func (e *recEncoder) zigzag(v int64) {
-	n := binary.PutVarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-
-func (e *recEncoder) stringRef(s string) {
-	if idx, ok := e.strings[s]; ok {
-		e.uvarint(idx)
-		return
-	}
-	idx := uint64(len(e.strings))
-	e.strings[s] = idx
-	e.uvarint(idx)
-	e.uvarint(uint64(len(s)))
-	e.buf.WriteString(s)
+	wire.Encoder
+	frame []byte // length, CRC and payload of the frame being written
 }
 
 func (e *recEncoder) access(a report.Access) {
-	e.uvarint(uint64(a.G))
-	e.stringRef(a.GName)
-	e.buf.WriteByte(byte(a.Op))
-	e.uvarint(uint64(a.Addr))
-	e.uvarint(a.Seq)
-	e.stringRef(a.Label)
+	e.Uvarint(uint64(a.G))
+	e.String(a.GName)
+	e.Byte(byte(a.Op))
+	e.Uvarint(uint64(a.Addr))
+	e.Uvarint(a.Seq)
+	e.String(a.Label)
 	atomic := byte(0)
 	if a.Atomic {
 		atomic = 1
 	}
-	e.buf.WriteByte(atomic)
-	e.uvarint(uint64(len(a.Locks)))
-	for _, l := range a.Locks {
-		e.stringRef(l)
-	}
+	e.Byte(atomic)
+	e.Strings(a.Locks)
 	frames := a.Stack.Frames()
-	e.uvarint(uint64(len(frames)))
-	for _, f := range frames {
-		e.stringRef(f.Func)
-		e.stringRef(f.File)
-		e.zigzag(int64(f.Line))
-	}
+	e.Uvarint(uint64(len(frames)))
+	e.Frames(frames)
 }
 
 func (e *recEncoder) record(r Record) {
-	e.buf.WriteByte(kindRecord)
-	e.stringRef(r.Key)
-	e.stringRef(r.Unit)
-	e.uvarint(uint64(len(r.RunIDs)))
-	for _, id := range r.RunIDs {
-		e.stringRef(id)
-	}
-	e.uvarint(r.Count)
-	e.stringRef(string(r.Category))
-	e.uvarint(uint64(len(r.Labels)))
+	e.Reset()
+	e.Byte(kindRecord)
+	e.String(r.Key)
+	e.String(r.Unit)
+	e.Strings(r.RunIDs)
+	e.Uvarint(r.Count)
+	e.String(string(r.Category))
+	e.Uvarint(uint64(len(r.Labels)))
 	for _, l := range r.Labels {
-		e.stringRef(string(l))
+		e.String(string(l))
 	}
-	e.stringRef(r.Detector)
-	e.stringRef(r.TracePath)
-	e.uvarint(r.Race.Seq)
-	e.stringRef(r.Race.Detector)
+	e.String(r.Detector)
+	e.String(r.TracePath)
+	e.Uvarint(r.Race.Seq)
+	e.String(r.Race.Detector)
 	e.access(r.Race.First)
 	e.access(r.Race.Second)
 }
 
 func (e *recEncoder) run(info RunInfo) {
-	e.buf.WriteByte(kindRun)
-	e.stringRef(info.ID)
-	e.stringRef(info.Label)
-	e.uvarint(uint64(info.Executions))
-	e.uvarint(uint64(info.Reports))
+	e.Reset()
+	e.Byte(kindRun)
+	e.String(info.ID)
+	e.String(info.Label)
+	e.Uvarint(uint64(info.Executions))
+	e.Uvarint(uint64(info.Reports))
 }
 
 // writeFrame frames the encoder's payload (length, CRC, payload) into
 // one buffer and writes it with a single Write call.
 func (e *recEncoder) writeFrame(w io.Writer) error {
-	payload := e.buf.Bytes()
-	var frame bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(payload)))
-	frame.Write(scratch[:n])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	frame.Write(crc[:])
-	frame.Write(payload)
-	_, err := w.Write(frame.Bytes())
+	payload := e.Bytes()
+	e.frame = binary.AppendUvarint(e.frame[:0], uint64(len(payload)))
+	e.frame = binary.LittleEndian.AppendUint32(e.frame, crc32.ChecksumIEEE(payload))
+	e.frame = append(e.frame, payload...)
+	_, err := w.Write(e.frame)
 	return err
 }
 
-// recDecoder decodes one frame payload from an in-memory slice.
-type recDecoder struct {
-	buf     []byte
-	off     int
-	strings []string
+// errTornTail marks a frame cut off by the end of the input — the
+// expected shape of a crash mid-append.
+var errTornTail = errors.New("torn tail frame")
+
+// nextFrame splits off the frame at data[off:], returning its payload
+// and the offset just past it. It returns errTornTail when the frame
+// runs past the end of data or the *final* frame's CRC mismatches
+// (recoverable by truncation), and a hard error for corruption with
+// intact data after it.
+func nextFrame(data []byte, off int) ([]byte, int, error) {
+	n, k := binary.Uvarint(data[off:])
+	if k <= 0 {
+		return nil, off, errTornTail // length varint cut off at EOF
+	}
+	if n > maxFramePayload {
+		return nil, off, fmt.Errorf("frame length %d implausible", n)
+	}
+	off += k
+	if len(data)-off < 4+int(n) {
+		return nil, off, errTornTail
+	}
+	crc := binary.LittleEndian.Uint32(data[off:])
+	payload := data[off+4 : off+4+int(n)]
+	off += 4 + int(n)
+	if crc32.ChecksumIEEE(payload) != crc {
+		if off >= len(data) {
+			return nil, off, errTornTail
+		}
+		return nil, off, fmt.Errorf("CRC mismatch mid-file (payload %d bytes)", n)
+	}
+	return payload, off, nil
 }
 
-var errTruncated = fmt.Errorf("unexpected end of record")
-
-func (d *recDecoder) byte() (byte, error) {
-	if d.off >= len(d.buf) {
-		return 0, errTruncated
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
+// folder receives decoded frames: a Store folds them into its state,
+// an Export collects them in order.
+type folder interface {
+	fold(Record)
+	foldRun(RunInfo)
 }
 
-func (d *recDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.off += n
-	return v, nil
+// frameDecoder decodes frame payloads. Its wire decoder, the reader
+// under it and the stack scratch are reused from frame to frame, so a
+// large store opens at the cost of its strings, not of its frames.
+type frameDecoder struct {
+	r      bytes.Reader
+	d      wire.Decoder
+	frames []stack.Frame
 }
 
-func (d *recDecoder) zigzag() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.off += n
-	return v, nil
+// header resets the decoder onto data and reads a magic and version.
+// The header fields that follow, if any, are read with fd.d.
+func (fd *frameDecoder) header(data []byte, magic [4]byte, version uint64) error {
+	fd.r.Reset(data)
+	fd.d.Reset(&fd.r)
+	return fd.d.Header(magic, version)
 }
 
-func (d *recDecoder) stringRef() (string, error) {
-	idx, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if idx < uint64(len(d.strings)) {
-		return d.strings[idx], nil
-	}
-	if idx != uint64(len(d.strings)) {
-		return "", fmt.Errorf("string ref %d out of range (table has %d)", idx, len(d.strings))
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 || uint64(len(d.buf)-d.off) < n {
-		return "", fmt.Errorf("string length %d implausible", n)
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	d.strings = append(d.strings, s)
-	return s, nil
-}
-
-func (d *recDecoder) stringList() ([]string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		return nil, fmt.Errorf("list length %d implausible", n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		if out[i], err = d.stringRef(); err != nil {
-			return nil, err
+// decodePayload decodes one CRC-checked frame payload into f. Unknown
+// payload kinds are skipped for forward compatibility.
+func (fd *frameDecoder) decodePayload(payload []byte, f folder) error {
+	fd.r.Reset(payload)
+	fd.d.Reset(&fd.r)
+	switch fd.d.Byte() {
+	case kindRecord:
+		if rec := fd.record(); fd.d.Err() == nil {
+			f.fold(rec)
+		}
+	case kindRun:
+		if info := fd.run(); fd.d.Err() == nil {
+			f.foldRun(info)
 		}
 	}
-	return out, nil
+	return fd.d.Err()
 }
 
-func (d *recDecoder) access() (report.Access, error) {
+func (fd *frameDecoder) access() report.Access {
+	d := &fd.d
 	var a report.Access
-	g, err := d.uvarint()
-	if err != nil {
-		return a, err
-	}
-	a.G = vclock.TID(g)
-	if a.GName, err = d.stringRef(); err != nil {
-		return a, err
-	}
-	op, err := d.byte()
-	if err != nil {
-		return a, err
-	}
-	a.Op = trace.Op(op)
-	addr, err := d.uvarint()
-	if err != nil {
-		return a, err
-	}
-	a.Addr = trace.Addr(addr)
-	if a.Seq, err = d.uvarint(); err != nil {
-		return a, err
-	}
-	if a.Label, err = d.stringRef(); err != nil {
-		return a, err
-	}
-	atomic, err := d.byte()
-	if err != nil {
-		return a, err
-	}
-	a.Atomic = atomic != 0
-	if a.Locks, err = d.stringList(); err != nil {
-		return a, err
-	}
-	depth, err := d.uvarint()
-	if err != nil {
-		return a, err
-	}
-	if depth > 1<<16 {
-		return a, fmt.Errorf("stack depth %d implausible", depth)
-	}
-	frames := make([]stack.Frame, depth)
-	for i := range frames {
-		if frames[i].Func, err = d.stringRef(); err != nil {
-			return a, err
-		}
-		if frames[i].File, err = d.stringRef(); err != nil {
-			return a, err
-		}
-		line, err := d.zigzag()
-		if err != nil {
-			return a, err
-		}
-		frames[i].Line = int(line)
-	}
-	a.Stack = stack.NewContext(frames...)
-	return a, nil
+	a.G = vclock.TID(d.Uvarint())
+	a.GName = d.String()
+	a.Op = trace.Op(d.Byte())
+	a.Addr = trace.Addr(d.Uvarint())
+	a.Seq = d.Uvarint()
+	a.Label = d.String()
+	a.Atomic = d.Byte() != 0
+	a.Locks = d.Strings()
+	fd.frames = d.Frames(fd.frames, d.Uvarint())
+	a.Stack = stack.NewContext(fd.frames...)
+	return a
 }
 
-func (d *recDecoder) record() (Record, error) {
+func (fd *frameDecoder) record() Record {
+	d := &fd.d
 	var r Record
-	var err error
-	if r.Key, err = d.stringRef(); err != nil {
-		return r, err
-	}
-	if r.Unit, err = d.stringRef(); err != nil {
-		return r, err
-	}
-	if r.RunIDs, err = d.stringList(); err != nil {
-		return r, err
-	}
-	if r.Count, err = d.uvarint(); err != nil {
-		return r, err
-	}
-	cat, err := d.stringRef()
-	if err != nil {
-		return r, err
-	}
-	r.Category = taxonomy.Category(cat)
-	labels, err := d.stringList()
-	if err != nil {
-		return r, err
-	}
-	for _, l := range labels {
+	r.Key = d.String()
+	r.Unit = d.String()
+	r.RunIDs = d.Strings()
+	r.Count = d.Uvarint()
+	r.Category = taxonomy.Category(d.String())
+	for _, l := range d.Strings() {
 		r.Labels = append(r.Labels, taxonomy.Category(l))
 	}
-	if r.Detector, err = d.stringRef(); err != nil {
-		return r, err
-	}
-	if r.TracePath, err = d.stringRef(); err != nil {
-		return r, err
-	}
-	if r.Race.Seq, err = d.uvarint(); err != nil {
-		return r, err
-	}
-	if r.Race.Detector, err = d.stringRef(); err != nil {
-		return r, err
-	}
-	if r.Race.First, err = d.access(); err != nil {
-		return r, err
-	}
-	if r.Race.Second, err = d.access(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.Detector = d.String()
+	r.TracePath = d.String()
+	r.Race.Seq = d.Uvarint()
+	r.Race.Detector = d.String()
+	r.Race.First = fd.access()
+	r.Race.Second = fd.access()
+	return r
 }
 
-func (d *recDecoder) run() (RunInfo, error) {
-	var info RunInfo
-	var err error
-	if info.ID, err = d.stringRef(); err != nil {
-		return info, err
+func (fd *frameDecoder) run() RunInfo {
+	d := &fd.d
+	return RunInfo{
+		ID:         d.String(),
+		Label:      d.String(),
+		Executions: int(d.Uvarint()),
+		Reports:    int(d.Uvarint()),
 	}
-	if info.Label, err = d.stringRef(); err != nil {
-		return info, err
-	}
-	execs, err := d.uvarint()
-	if err != nil {
-		return info, err
-	}
-	info.Executions = int(execs)
-	reports, err := d.uvarint()
-	if err != nil {
-		return info, err
-	}
-	info.Reports = int(reports)
-	return info, nil
 }

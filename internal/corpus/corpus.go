@@ -29,7 +29,6 @@ package corpus
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -172,25 +171,18 @@ func (s *Store) load() error {
 	}
 	if len(data) == 0 {
 		// Fresh store: write the header.
-		e := newRecEncoder()
-		e.buf.Write(storeMagic[:])
-		e.uvarint(storeVersion)
-		if _, err := s.f.Write(e.buf.Bytes()); err != nil {
+		var e recEncoder
+		e.Header(storeMagic, storeVersion)
+		if _, err := s.f.Write(e.Bytes()); err != nil {
 			return fmt.Errorf("corpus: write header: %w", err)
 		}
 		return nil
 	}
-	if len(data) < len(storeMagic) || string(data[:len(storeMagic)]) != string(storeMagic[:]) {
-		return fmt.Errorf("corpus: %s is not a corpus store (bad magic)", s.path)
+	var fd frameDecoder
+	if err := fd.header(data, storeMagic, storeVersion); err != nil {
+		return fmt.Errorf("corpus: %s: store header: %w", s.path, err)
 	}
-	d := &recDecoder{buf: data, off: len(storeMagic)}
-	version, err := d.uvarint()
-	if err != nil {
-		return fmt.Errorf("corpus: %s: header: %w", s.path, err)
-	}
-	if version != storeVersion {
-		return fmt.Errorf("corpus: %s: unsupported store version %d (want %d)", s.path, version, storeVersion)
-	}
+	off := len(data) - fd.r.Len()
 
 	// Scan frames until EOF. good marks the end of the last intact
 	// frame. A *tail* tear — the frame extends past EOF, or the final
@@ -198,9 +190,9 @@ func (s *Store) load() error {
 	// and is truncated away, losing at most that record. A bad frame
 	// with intact frames after it is corruption, not a tear: fail the
 	// open rather than silently discard history.
-	good := d.off
-	for d.off < len(data) {
-		payload, err := nextFrame(d)
+	good := off
+	for off < len(data) {
+		payload, next, err := nextFrame(data, off)
 		if err == errTornTail {
 			break
 		}
@@ -209,10 +201,10 @@ func (s *Store) load() error {
 		}
 		// The CRC already validated, so a payload that fails to decode
 		// is a writer/reader mismatch, not a tear — error even at EOF.
-		if err := s.apply(payload); err != nil {
+		if err := fd.decodePayload(payload, s); err != nil {
 			return fmt.Errorf("corpus: %s: frame at offset %d: %w", s.path, good, err)
 		}
-		good = d.off
+		off, good = next, next
 	}
 	if good < len(data) {
 		if err := s.f.Truncate(int64(good)); err != nil {
@@ -221,64 +213,6 @@ func (s *Store) load() error {
 	}
 	if _, err := s.f.Seek(int64(good), io.SeekStart); err != nil {
 		return fmt.Errorf("corpus: seek: %w", err)
-	}
-	return nil
-}
-
-// errTornTail marks a frame cut off by the end of the file — the
-// expected shape of a crash mid-append.
-var errTornTail = fmt.Errorf("torn tail frame")
-
-// nextFrame reads one frame's payload. It returns errTornTail when
-// the frame runs past EOF or the *final* frame's CRC mismatches
-// (recoverable by truncation), and a hard error for corruption with
-// intact data after it.
-func nextFrame(d *recDecoder) ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, errTornTail // length varint cut off at EOF
-	}
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("frame length %d implausible", n)
-	}
-	if len(d.buf)-d.off < 4+int(n) {
-		return nil, errTornTail
-	}
-	crc := uint32(d.buf[d.off]) | uint32(d.buf[d.off+1])<<8 |
-		uint32(d.buf[d.off+2])<<16 | uint32(d.buf[d.off+3])<<24
-	d.off += 4
-	payload := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	if crc32.ChecksumIEEE(payload) != crc {
-		if d.off >= len(d.buf) {
-			return nil, errTornTail
-		}
-		return nil, fmt.Errorf("CRC mismatch mid-file (payload %d bytes)", n)
-	}
-	return payload, nil
-}
-
-// apply folds one decoded frame into the in-memory state. Unknown
-// payload kinds are skipped for forward compatibility.
-func (s *Store) apply(payload []byte) error {
-	d := &recDecoder{buf: payload, strings: []string{""}}
-	kind, err := d.byte()
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case kindRecord:
-		rec, err := d.record()
-		if err != nil {
-			return err
-		}
-		s.fold(rec)
-	case kindRun:
-		info, err := d.run()
-		if err != nil {
-			return err
-		}
-		s.foldRun(info)
 	}
 	return nil
 }
@@ -381,12 +315,12 @@ func mergeRuns(a, b []string) []string {
 // immediately but not the platter: call Sync at a batch boundary
 // (Collector.AppendTo and Merge do) to make them power-loss durable.
 func (s *Store) Append(recs ...Record) error {
+	var e recEncoder
 	for _, rec := range recs {
 		if rec.Key == "" {
 			return fmt.Errorf("corpus: append: record with empty key")
 		}
 		sort.Strings(rec.RunIDs)
-		e := newRecEncoder()
 		e.record(rec)
 		if err := e.writeFrame(s.f); err != nil {
 			return fmt.Errorf("corpus: append: %w", err)
@@ -403,7 +337,7 @@ func (s *Store) AppendRun(info RunInfo) error {
 	if info.ID == "" {
 		return fmt.Errorf("corpus: append run: empty run id")
 	}
-	e := newRecEncoder()
+	var e recEncoder
 	e.run(info)
 	if err := e.writeFrame(s.f); err != nil {
 		return fmt.Errorf("corpus: append run: %w", err)
@@ -541,28 +475,9 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("corpus: compact: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
-	header := newRecEncoder()
-	header.buf.Write(storeMagic[:])
-	header.uvarint(storeVersion)
-	if _, err := f.Write(header.buf.Bytes()); err != nil {
+	if err := s.writeFolded(f); err != nil {
 		f.Close()
 		return fmt.Errorf("corpus: compact: %w", err)
-	}
-	for _, id := range s.runOrder {
-		e := newRecEncoder()
-		e.run(*s.runs[id])
-		if err := e.writeFrame(f); err != nil {
-			f.Close()
-			return fmt.Errorf("corpus: compact: %w", err)
-		}
-	}
-	for _, rec := range s.Records() {
-		e := newRecEncoder()
-		e.record(rec)
-		if err := e.writeFrame(f); err != nil {
-			f.Close()
-			return fmt.Errorf("corpus: compact: %w", err)
-		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -586,6 +501,29 @@ func (s *Store) Compact() error {
 	}
 	old.Close()
 	s.f = nf
+	return nil
+}
+
+// writeFolded writes the folded state as a complete store log: the
+// header, then one frame per run marker and one per defect.
+func (s *Store) writeFolded(w io.Writer) error {
+	var e recEncoder
+	e.Header(storeMagic, storeVersion)
+	if _, err := w.Write(e.Bytes()); err != nil {
+		return err
+	}
+	for _, id := range s.runOrder {
+		e.run(*s.runs[id])
+		if err := e.writeFrame(w); err != nil {
+			return err
+		}
+	}
+	for _, rec := range s.Records() {
+		e.record(rec)
+		if err := e.writeFrame(w); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -51,23 +51,20 @@ func (v *View) Export() Export {
 
 // WriteDelta frames the export onto w in the binary delta format.
 func WriteDelta(w io.Writer, x Export) error {
-	head := newRecEncoder()
-	head.buf.Write(deltaMagic[:])
-	head.uvarint(deltaVersion)
-	head.uvarint(uint64(len(x.Runs)))
-	head.uvarint(uint64(len(x.Records)))
-	if _, err := w.Write(head.buf.Bytes()); err != nil {
+	var e recEncoder
+	e.Header(deltaMagic, deltaVersion)
+	e.Uvarint(uint64(len(x.Runs)))
+	e.Uvarint(uint64(len(x.Records)))
+	if _, err := w.Write(e.Bytes()); err != nil {
 		return fmt.Errorf("corpus: write delta header: %w", err)
 	}
 	for _, info := range x.Runs {
-		e := newRecEncoder()
 		e.run(info)
 		if err := e.writeFrame(w); err != nil {
 			return fmt.Errorf("corpus: write delta run %q: %w", info.ID, err)
 		}
 	}
 	for _, rec := range x.Records {
-		e := newRecEncoder()
 		e.record(rec)
 		if err := e.writeFrame(w); err != nil {
 			return fmt.Errorf("corpus: write delta record %q: %w", rec.Key, err)
@@ -85,49 +82,22 @@ func ReadDelta(r io.Reader) (Export, error) {
 	if err != nil {
 		return x, fmt.Errorf("corpus: read delta: %w", err)
 	}
-	if len(data) < len(deltaMagic) || string(data[:len(deltaMagic)]) != string(deltaMagic[:]) {
-		return x, fmt.Errorf("corpus: not a corpus delta (bad magic)")
-	}
-	d := &recDecoder{buf: data, off: len(deltaMagic)}
-	version, err := d.uvarint()
-	if err != nil {
+	var fd frameDecoder
+	fd.header(data, deltaMagic, deltaVersion)
+	nRuns, nRecords := fd.d.Uvarint(), fd.d.Uvarint()
+	if err := fd.d.Err(); err != nil {
 		return x, fmt.Errorf("corpus: delta header: %w", err)
 	}
-	if version != deltaVersion {
-		return x, fmt.Errorf("corpus: unsupported delta version %d (want %d)", version, deltaVersion)
-	}
-	nRuns, err := d.uvarint()
-	if err != nil {
-		return x, fmt.Errorf("corpus: delta header: %w", err)
-	}
-	nRecords, err := d.uvarint()
-	if err != nil {
-		return x, fmt.Errorf("corpus: delta header: %w", err)
-	}
-	for d.off < len(data) {
-		payload, err := nextFrame(d)
+	off := len(data) - fd.r.Len()
+	for off < len(data) {
+		payload, next, err := nextFrame(data, off)
 		if err != nil {
-			return x, fmt.Errorf("corpus: delta frame: %w", err)
+			return x, fmt.Errorf("corpus: delta frame at offset %d: %w", off, err)
 		}
-		pd := &recDecoder{buf: payload, strings: []string{""}}
-		kind, err := pd.byte()
-		if err != nil {
-			return x, err
+		if err := fd.decodePayload(payload, &x); err != nil {
+			return x, fmt.Errorf("corpus: delta frame at offset %d: %w", off, err)
 		}
-		switch kind {
-		case kindRecord:
-			rec, err := pd.record()
-			if err != nil {
-				return x, fmt.Errorf("corpus: delta record: %w", err)
-			}
-			x.Records = append(x.Records, rec)
-		case kindRun:
-			info, err := pd.run()
-			if err != nil {
-				return x, fmt.Errorf("corpus: delta run: %w", err)
-			}
-			x.Runs = append(x.Runs, info)
-		}
+		off = next
 	}
 	if uint64(len(x.Runs)) != nRuns || uint64(len(x.Records)) != nRecords {
 		return x, fmt.Errorf("corpus: truncated delta: got %d runs + %d records, header promised %d + %d",
@@ -135,6 +105,9 @@ func ReadDelta(r io.Reader) (Export, error) {
 	}
 	return x, nil
 }
+
+func (x *Export) fold(rec Record)      { x.Records = append(x.Records, rec) }
+func (x *Export) foldRun(info RunInfo) { x.Runs = append(x.Runs, info) }
 
 // ApplyDelta folds an export into the store with run-idempotent
 // semantics: run markers already in the history are skipped, and so

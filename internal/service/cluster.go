@@ -16,7 +16,6 @@ package service
 // results in shard-index order — see dispatch.go.
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -257,10 +256,7 @@ type joinResponse struct {
 
 func decodeNodeURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req joinRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad cluster request: %v", err)
+	if !decodeJSONBody(w, r, &req, "cluster request") {
 		return "", false
 	}
 	u, err := url.Parse(req.URL)

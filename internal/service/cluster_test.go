@@ -445,3 +445,25 @@ func TestStaleHeartbeatRetiresWorker(t *testing.T) {
 		t.Errorf("results after stale-worker retirement differ from single-node:\n got %s\nwant %s", res, baseline)
 	}
 }
+
+// TestJSONBodiesCapped: every route that decodes a JSON body refuses
+// one past maxJSONBody with 413 instead of buffering it, and still
+// answers a malformed small body with 400.
+func TestJSONBodiesCapped(t *testing.T) {
+	_, coord := newCoordinator(t, 4)
+	_, worker := newWorkerNode(t, coord.URL, nil)
+	oversize := `{"runId":"` + strings.Repeat("a", 2<<20) + `"}`
+	for _, url := range []string{
+		coord.URL + "/v1/jobs",
+		coord.URL + "/v1/nightly",
+		coord.URL + "/v1/cluster/join",
+		worker.URL + "/v1/shards",
+	} {
+		if status, body, _ := post(t, url, oversize); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body = %d, want 413: %s", url, status, body)
+		}
+		if status, body, _ := post(t, url, `{"runId":`); status != http.StatusBadRequest {
+			t.Errorf("POST %s with a malformed body = %d, want 400: %s", url, status, body)
+		}
+	}
+}

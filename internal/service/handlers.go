@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -71,6 +72,31 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 		return false
 	}
 	return true
+}
+
+// maxJSONBody caps every JSON request body. Job specs, nightly and
+// shard requests and cluster joins are a few hundred bytes; the cap
+// bounds what one request can make the server buffer.
+const maxJSONBody = 1 << 20
+
+// decodeJSONBody decodes the request's JSON body into v, rejecting
+// unknown fields, and reports whether it did. A body over maxJSONBody
+// answers 413 and any other malformed body 400, each naming what the
+// body was.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, maxJSONBody)
+	default:
+		writeError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	}
+	return false
 }
 
 // cached serves a snapshot-derived GET endpoint through the response
@@ -423,10 +449,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, jobsResponse{Jobs: s.jobs.List()})
 	case http.MethodPost:
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+		if !decodeJSONBody(w, r, &spec, "job spec") {
 			return
 		}
 		job, err := s.jobs.Submit(spec)
@@ -548,10 +571,7 @@ func (s *Server) handleNightly(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req nightlyRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad nightly request: %v", err)
+	if !decodeJSONBody(w, r, &req, "nightly request") {
 		return
 	}
 	n, err := s.PublishNightly(req.RunID, req.Seed)

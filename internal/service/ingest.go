@@ -35,6 +35,10 @@ type ingestResponse struct {
 //	         ceiling it must have paged shadow state)
 //	seed     opaque stream id recorded as the defects' seed
 //
+// A body that is not a binary trace (trace.ErrNotTrace, which includes
+// an empty body) or whose header is bad fails at the header: 400 with
+// Connection: close, before more than the header is read.
+//
 // Concurrency is bounded by Config.IngestStreams: past it the server
 // answers 429 + Retry-After — backpressure, not buffering. Drain
 // lets in-flight ingests finish until its context expires, then

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -363,4 +366,102 @@ func streamedHeader(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// fillReader yields prefix, then n copies of fill: a large request body
+// that costs no memory to produce.
+type fillReader struct {
+	prefix []byte
+	fill   byte
+	n      int64
+}
+
+func (r *fillReader) Read(p []byte) (int, error) {
+	if len(r.prefix) > 0 {
+		k := copy(p, r.prefix)
+		r.prefix = r.prefix[k:]
+		return k, nil
+	}
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	k := int(min(int64(len(p)), r.n))
+	for i := range p[:k] {
+		p[i] = r.fill
+	}
+	r.n -= int64(k)
+	return k, nil
+}
+
+// rawPost sends body as one Content-Length POST over a fresh TCP
+// connection and reads the response without waiting for the body to be
+// sent, as a client would whose upload the server cuts short. It
+// returns the response and the bytes allocated process-wide meanwhile.
+// body is taken by value: the sender may outlive the call.
+func rawPost(t *testing.T, addr, path string, body fillReader) (*http.Response, uint64) {
+	t.Helper()
+	size := int64(len(body.prefix)) + body.n
+	chunk := make([]byte, 32<<10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n", path, addr, size)
+	go func() {
+		// Stops at the first write error: the server closed the
+		// connection after answering.
+		io.CopyBuffer(conn, &body, chunk)
+	}()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	return resp, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestIngestFailsClosedOnNonTraces: a body that is not a binary trace
+// is refused at its header — 400, Connection: close, within 2 s, and
+// under 1 MiB allocated however long the body is. The 64 MiB JSON
+// string token is the body a JSON reader would buffer whole.
+func TestIngestFailsClosedOnNonTraces(t *testing.T) {
+	store, _ := seedStore(t)
+	_, ts := newTestServer(t, Config{Store: store})
+	addr := ts.Listener.Addr().String()
+	cases := []struct {
+		name string
+		body fillReader
+	}{
+		{"empty", fillReader{}},
+		{"brace", fillReader{prefix: []byte("{")}},
+		{"json-64MiB-token", fillReader{prefix: []byte(`"`), fill: 'a', n: 64 << 20}},
+		{"grt-garbage", fillReader{prefix: []byte("GRT"), fill: 0xff, n: 8 << 20}},
+		{"grtb-version-99", fillReader{prefix: []byte("GRTB\x63"), fill: 0xff, n: 8 << 20}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			resp, alloc := rawPost(t, addr, fmt.Sprintf("/v1/ingest?run=closed-%d", i), tc.body)
+			t.Logf("status %d after %v, %d KiB allocated", resp.StatusCode, time.Since(start), alloc>>10)
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("answered after %v, want within 2s", elapsed)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("status %d, want 400", resp.StatusCode)
+			}
+			if !resp.Close {
+				t.Error("rejection kept the connection open")
+			}
+			if alloc >= 1<<20 {
+				t.Errorf("allocated %d KiB, want under 1 MiB", alloc>>10)
+			}
+		})
+	}
 }

@@ -92,10 +92,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req shardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard request: %v", err)
+	if !decodeJSONBody(w, r, &req, "shard request") {
 		return
 	}
 	if req.RunID == "" {

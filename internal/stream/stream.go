@@ -160,7 +160,7 @@ type raceCounter interface {
 }
 
 // Ingest decodes events from r (binary codec, counted or streamed;
-// JSON traces also decode) and feeds them through the detector until
+// anything else fails with trace.ErrNotTrace) and feeds them through the detector until
 // EOF, error, or context cancellation. Races are folded into the
 // configured Collector as they manifest, each with the event window
 // retained at that moment. The detector's state persists across calls,

@@ -2,22 +2,21 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"gorace/internal/stack"
 	"gorace/internal/vclock"
+	"gorace/internal/wire"
 )
 
-// Binary trace codec (format version 1).
+// Binary trace codec (format version 1), the only durable trace form.
 //
 // The paper's deployment mode is record-once/analyze-many: a trace is
 // captured on one machine and replayed into detectors long after the
-// execution is gone, across thousands of runs a night. At that scale
-// the JSON Lines form (SaveJSON) is the bottleneck — every event
-// repeats its goroutine name, its label, and its whole call stack as
-// text. The binary codec exploits the stream's actual redundancy:
+// execution is gone, across thousands of runs a night. The codec
+// exploits the stream's actual redundancy:
 //
 //   - all integers are varints (addresses, objects, and sequence
 //     numbers are small or slowly drifting);
@@ -27,10 +26,13 @@ import (
 //     goroutine's* previous access — goroutines revisit nearby cells,
 //     so per-goroutine deltas are far smaller than absolute values;
 //   - GName, Label, and stack frame strings are interned in one
-//     string table, written once on first use;
+//     string table that spans the whole stream;
 //   - a call stack identical to the same goroutine's previous stack
 //     (the overwhelmingly common case: many events per frame) is a
 //     single 0 byte.
+//
+// The primitives (varints, the string table, frames, the header check
+// and their bounds) are internal/wire's; see docs/FORMATS.md.
 //
 // Layout:
 //
@@ -43,22 +45,16 @@ import (
 //
 // Each event:
 //
-//	op byte | uvarint G | uvarint ΔSeq
+//	op byte | uvarint G | zigzag ΔSeq
 //	| access ops:     zigzag ΔAddr (vs G's last Addr)
 //	| acquire/release: zigzag ΔObj (vs G's last Obj) | kind byte
 //	| fork:           uvarint Child
-//	| stringRef GName | stringRef Label
+//	| string GName | string Label
 //	| stack: 0 (same as G's previous stack)
-//	|        or uvarint depth+1, then per frame:
-//	|          stringRef Func | stringRef File | zigzag Line
-//
-// A stringRef is uvarint index into the table; index == len(table)
-// introduces a new entry (uvarint byte length + bytes) that is
-// appended. Entry 0 is pre-seeded with "".
+//	|        or uvarint depth+1, then depth wire frames
+//	|        (string Func | string File | zigzag Line)
 
-// codecMagic identifies a binary trace. The first byte ('G') can never
-// open a JSON Lines trace (which starts with '{'), so Load can
-// dispatch on a 4-byte peek.
+// codecMagic identifies a binary trace.
 var codecMagic = [4]byte{'G', 'R', 'T', 'B'}
 
 // codecVersion is written after the magic; readers reject versions
@@ -70,15 +66,6 @@ const codecVersion = 1
 // front.
 const codecStreamed = ^uint64(0)
 
-// maxStringLen bounds one interned string. Real traces intern function
-// names, file names, and site labels; anything longer is corruption,
-// and rejecting it bounds what a hostile stream can make the decoder
-// allocate for a single entry.
-const maxStringLen = 1 << 20
-
-// maxStackDepth bounds one encoded call stack, for the same reason.
-const maxStackDepth = 1 << 16
-
 // gCodecState is the per-goroutine prediction context shared (in
 // shape) by the encoder and decoder.
 type gCodecState struct {
@@ -87,126 +74,74 @@ type gCodecState struct {
 	lastStack []stack.Frame
 }
 
+// encoder encodes each event into a wire.Encoder whose string table
+// spans the whole stream, then hands the event's bytes to the buffered
+// writer in one Write.
 type encoder struct {
+	wire.Encoder
 	w       *bufio.Writer
 	err     error
-	scratch [binary.MaxVarintLen64]byte
-	strings map[string]uint64
 	gs      map[vclock.TID]*gCodecState
 	lastSeq uint64
 }
 
-func newEncoderState(w io.Writer) *encoder {
-	return &encoder{
-		w:       bufio.NewWriter(w),
-		strings: map[string]uint64{"": 0},
-		gs:      make(map[vclock.TID]*gCodecState),
-	}
+// newEncoderState writes the header, carrying count (or the
+// codecStreamed sentinel), into a buffered writer on w.
+func newEncoderState(w io.Writer, count uint64) *encoder {
+	e := &encoder{w: bufio.NewWriter(w), gs: make(map[vclock.TID]*gCodecState)}
+	e.Header(codecMagic, codecVersion)
+	e.Uvarint(count)
+	e.emit()
+	return e
 }
 
-// write funnels every byte through one sticky-error check, so a
-// failing sink (a closed pipe, a full disk) surfaces on the next
-// Encode instead of only at Flush.
-func (e *encoder) write(p []byte) {
+// emit writes the bytes encoded since the last emit. Every write goes
+// through one sticky-error check, so a failing sink (a closed pipe, a
+// full disk) surfaces on the next Encode instead of only at Flush.
+func (e *encoder) emit() {
 	if e.err == nil {
-		_, e.err = e.w.Write(p)
+		_, e.err = e.w.Write(e.Bytes())
 	}
+	e.ResetBytes()
 }
 
-func (e *encoder) writeByte(b byte) {
-	if e.err == nil {
-		e.err = e.w.WriteByte(b)
-	}
-}
-
-func (e *encoder) writeString(s string) {
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
-	}
-}
-
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	e.write(e.scratch[:n])
-}
-
-func (e *encoder) zigzag(v int64) {
-	n := binary.PutVarint(e.scratch[:], v)
-	e.write(e.scratch[:n])
-}
-
-// stringRef writes an interned reference, defining the string on first
-// use.
-func (e *encoder) stringRef(s string) {
-	if idx, ok := e.strings[s]; ok {
-		e.uvarint(idx)
-		return
-	}
-	idx := uint64(len(e.strings))
-	e.strings[s] = idx
-	e.uvarint(idx)
-	e.uvarint(uint64(len(s)))
-	e.writeString(s)
-}
-
-func (e *encoder) gstate(g vclock.TID) *gCodecState {
-	st, ok := e.gs[g]
+func gstate(gs map[vclock.TID]*gCodecState, g vclock.TID) *gCodecState {
+	st, ok := gs[g]
 	if !ok {
 		st = &gCodecState{}
-		e.gs[g] = st
+		gs[g] = st
 	}
 	return st
 }
 
-func sameFrames(a, b []stack.Frame) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *encoder) header(count uint64) {
-	e.write(codecMagic[:])
-	e.uvarint(codecVersion)
-	e.uvarint(count)
-}
-
 func (e *encoder) event(ev Event) {
-	gs := e.gstate(ev.G)
-	e.writeByte(byte(ev.Op))
-	e.uvarint(uint64(ev.G))
-	e.zigzag(int64(ev.Seq) - int64(e.lastSeq))
+	gs := gstate(e.gs, ev.G)
+	e.Byte(byte(ev.Op))
+	e.Uvarint(uint64(ev.G))
+	e.Varint(int64(ev.Seq) - int64(e.lastSeq))
 	e.lastSeq = ev.Seq
 	switch {
 	case ev.Op.IsAccess():
-		e.zigzag(int64(ev.Addr) - int64(gs.lastAddr))
+		e.Varint(int64(ev.Addr) - int64(gs.lastAddr))
 		gs.lastAddr = uint64(ev.Addr)
 	case ev.Op == OpAcquire || ev.Op == OpRelease:
-		e.zigzag(int64(ev.Obj) - int64(gs.lastObj))
+		e.Varint(int64(ev.Obj) - int64(gs.lastObj))
 		gs.lastObj = uint64(ev.Obj)
-		e.writeByte(byte(ev.Kind))
+		e.Byte(byte(ev.Kind))
 	case ev.Op == OpFork:
-		e.uvarint(uint64(ev.Child))
+		e.Uvarint(uint64(ev.Child))
 	}
-	e.stringRef(ev.GName)
-	e.stringRef(ev.Label)
+	e.String(ev.GName)
+	e.String(ev.Label)
 	frames := ev.Stack.Frames()
-	if sameFrames(frames, gs.lastStack) {
-		e.uvarint(0)
-		return
+	if slices.Equal(frames, gs.lastStack) {
+		e.Uvarint(0)
+	} else {
+		e.Uvarint(uint64(len(frames)) + 1)
+		e.Frames(frames)
+		gs.lastStack = frames
 	}
-	e.uvarint(uint64(len(frames)) + 1)
-	for _, f := range frames {
-		e.stringRef(f.Func)
-		e.stringRef(f.File)
-		e.zigzag(int64(f.Line))
-	}
-	gs.lastStack = frames
+	e.emit()
 }
 
 func (e *encoder) flush() error {
@@ -216,14 +151,11 @@ func (e *encoder) flush() error {
 	return e.w.Flush()
 }
 
-// Save writes the recorded trace in the binary format. This is the
-// default durable form; SaveJSON remains for the legacy JSON Lines
-// format. The event count is known up front, so Save writes a counted
-// header; Encoder is the streaming path for counts not known until
-// EOF.
+// Save writes the recorded trace in the binary format. The event
+// count is known up front, so Save writes a counted header; Encoder is
+// the streaming path for counts not known until EOF.
 func (r *Recorder) Save(w io.Writer) error {
-	e := newEncoderState(w)
-	e.header(uint64(len(r.Events)))
+	e := newEncoderState(w, uint64(len(r.Events)))
 	for _, ev := range r.Events {
 		e.event(ev)
 	}
@@ -246,8 +178,7 @@ type Encoder struct {
 // buffered immediately; call Flush (or encode enough events to fill
 // the buffer) to push bytes to w.
 func NewEncoder(w io.Writer) *Encoder {
-	e := newEncoderState(w)
-	e.header(codecStreamed)
+	e := newEncoderState(w, codecStreamed)
 	return &Encoder{e: e}
 }
 
@@ -266,187 +197,42 @@ func (enc *Encoder) Flush() error {
 	return enc.e.flush()
 }
 
-var errTruncated = fmt.Errorf("unexpected end of trace")
-
-// binDecoder decodes the binary codec incrementally from a byte
-// stream. It holds the string table, the per-goroutine prediction
-// state, and a stack depot, so memory scales with the trace's distinct
-// strings and stacks — not with its length.
-type binDecoder struct {
-	br      *bufio.Reader
-	strings []string
-	gs      map[vclock.TID]*gCodecState
-	// stacks caches the Context built for each goroutine's current
-	// frame list, so the "same stack" marker reuses one allocation.
-	stacks map[vclock.TID]stack.Context
-	// depot interns decoded contexts across goroutines and stack
-	// switches: a stream that revisits the same call sites millions of
-	// times materializes each Context once.
-	depot   *stack.Depot
-	frames  []stack.Frame // scratch, reused across events
-	lastSeq uint64
-}
-
-func newBinDecoder(br *bufio.Reader) *binDecoder {
-	return &binDecoder{
-		br:      br,
-		strings: []string{""},
-		gs:      make(map[vclock.TID]*gCodecState),
-		stacks:  make(map[vclock.TID]stack.Context),
-		depot:   stack.NewDepot(),
-	}
-}
-
-// mid maps an EOF that interrupts an event mid-field to errTruncated;
-// a clean EOF is only legal before an event's first byte.
-func mid(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return errTruncated
-	}
-	return err
-}
-
-func (d *binDecoder) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return 0, mid(err)
-	}
-	return v, nil
-}
-
-func (d *binDecoder) zigzag() (int64, error) {
-	v, err := binary.ReadVarint(d.br)
-	if err != nil {
-		return 0, mid(err)
-	}
-	return v, nil
-}
-
-func (d *binDecoder) stringRef() (string, error) {
-	idx, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if idx < uint64(len(d.strings)) {
-		return d.strings[idx], nil
-	}
-	if idx != uint64(len(d.strings)) {
-		return "", fmt.Errorf("string ref %d out of range (table has %d)", idx, len(d.strings))
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("string length %d implausible", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.br, buf); err != nil {
-		return "", mid(err)
-	}
-	s := string(buf)
-	d.strings = append(d.strings, s)
-	return s, nil
-}
-
-func (d *binDecoder) gstate(g vclock.TID) *gCodecState {
-	st, ok := d.gs[g]
-	if !ok {
-		st = &gCodecState{}
-		d.gs[g] = st
-	}
-	return st
-}
-
 // event decodes the next event. atEOF reports whether a clean EOF (no
 // event bytes at all) is legal here; when it is, the bare io.EOF is
 // returned untouched for the caller to translate into end-of-stream.
-func (d *binDecoder) event(atEOF bool) (Event, error) {
+func (d *Decoder) event(atEOF bool) (Event, error) {
 	var ev Event
 	opb, err := d.br.ReadByte()
-	if err != nil {
-		if err == io.EOF && atEOF {
-			return ev, io.EOF
-		}
-		return ev, mid(err)
+	if err == io.EOF && !atEOF {
+		err = wire.ErrTruncated
 	}
+	if err != nil {
+		return ev, err
+	}
+	w := &d.w
 	ev.Op = Op(opb)
-	g, err := d.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	ev.G = vclock.TID(g)
-	gs := d.gstate(ev.G)
-	dseq, err := d.zigzag()
-	if err != nil {
-		return ev, err
-	}
-	ev.Seq = uint64(int64(d.lastSeq) + dseq)
+	ev.G = vclock.TID(w.Uvarint())
+	gs := gstate(d.gs, ev.G)
+	ev.Seq = uint64(int64(d.lastSeq) + w.Varint())
 	d.lastSeq = ev.Seq
 	switch {
 	case ev.Op.IsAccess():
-		da, err := d.zigzag()
-		if err != nil {
-			return ev, err
-		}
-		gs.lastAddr = uint64(int64(gs.lastAddr) + da)
+		gs.lastAddr = uint64(int64(gs.lastAddr) + w.Varint())
 		ev.Addr = Addr(gs.lastAddr)
 	case ev.Op == OpAcquire || ev.Op == OpRelease:
-		do, err := d.zigzag()
-		if err != nil {
-			return ev, err
-		}
-		gs.lastObj = uint64(int64(gs.lastObj) + do)
+		gs.lastObj = uint64(int64(gs.lastObj) + w.Varint())
 		ev.Obj = ObjID(gs.lastObj)
-		kb, err := d.br.ReadByte()
-		if err != nil {
-			return ev, mid(err)
-		}
-		ev.Kind = ObjKind(kb)
+		ev.Kind = ObjKind(w.Byte())
 	case ev.Op == OpFork:
-		c, err := d.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		ev.Child = vclock.TID(c)
+		ev.Child = vclock.TID(w.Uvarint())
 	}
-	if ev.GName, err = d.stringRef(); err != nil {
-		return ev, err
-	}
-	if ev.Label, err = d.stringRef(); err != nil {
-		return ev, err
-	}
-	depth, err := d.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if depth == 0 {
+	ev.GName = w.String()
+	ev.Label = w.String()
+	if depth := w.Uvarint(); depth == 0 {
 		ev.Stack = d.stacks[ev.G]
-		return ev, nil
+	} else if d.frames = w.Frames(d.frames, depth-1); w.Err() == nil {
+		ev.Stack = d.depot.Intern(d.frames)
+		d.stacks[ev.G] = ev.Stack
 	}
-	depth--
-	if depth > maxStackDepth {
-		return ev, fmt.Errorf("stack depth %d implausible", depth)
-	}
-	if uint64(cap(d.frames)) < depth {
-		d.frames = make([]stack.Frame, depth)
-	}
-	frames := d.frames[:depth]
-	for i := range frames {
-		if frames[i].Func, err = d.stringRef(); err != nil {
-			return ev, err
-		}
-		if frames[i].File, err = d.stringRef(); err != nil {
-			return ev, err
-		}
-		line, err := d.zigzag()
-		if err != nil {
-			return ev, err
-		}
-		frames[i].Line = int(line)
-	}
-	ctx := d.depot.Intern(frames)
-	d.stacks[ev.G] = ctx
-	ev.Stack = ctx
-	return ev, nil
+	return ev, w.Err()
 }

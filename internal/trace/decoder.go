@@ -2,76 +2,79 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"gorace/internal/stack"
 	"gorace/internal/vclock"
+	"gorace/internal/wire"
 )
 
-// Decoder incrementally decodes a trace from a reader, auto-detecting
-// the format the way Load does: a binary-codec magic header selects
-// the binary decoder, anything else falls back to the legacy JSON
-// Lines reader. Next returns events one at a time and io.EOF at a
-// clean end of stream, so arbitrarily long traces — including live
-// streams that have no end yet — replay without a full-file buffer.
-// Decoder state (string table, per-goroutine prediction context,
-// interned stacks) scales with the trace's distinct strings and call
-// sites, not with its length.
+// ErrNotTrace reports input that is not a binary trace: it does not
+// open with the GRTB magic. Empty input and the version-1 JSON Lines
+// form, which is no longer read, are both ErrNotTrace.
+var ErrNotTrace = fmt.Errorf("trace: not a binary trace: %w", wire.ErrBadMagic)
+
+// Decoder incrementally decodes a binary trace from a reader. Next
+// returns events one at a time and io.EOF at a clean end of stream, so
+// arbitrarily long traces — including live streams that have no end
+// yet — replay without a full-file buffer. Decoder state (string
+// table, per-goroutine prediction context, interned stacks) scales
+// with the trace's distinct strings and call sites, not with its
+// length.
 type Decoder struct {
-	bin *binDecoder
-	jd  *json.Decoder
-	// counted is set for binary traces whose header carries an exact
-	// event count (Recorder.Save); streamed traces read until EOF.
-	counted   bool
-	count     uint64
-	remaining uint64
-	events    uint64
-	err       error
+	br *bufio.Reader
+	w  wire.Decoder
+	gs map[vclock.TID]*gCodecState
+	// stacks caches the Context built for each goroutine's current
+	// frame list, so the "same stack" marker reuses one allocation.
+	stacks map[vclock.TID]stack.Context
+	// depot interns decoded contexts across goroutines and stack
+	// switches: a stream that revisits the same call sites millions of
+	// times materializes each Context once.
+	depot   *stack.Depot
+	frames  []stack.Frame // scratch, reused across events
+	lastSeq uint64
+	// counted is set for traces whose header carries an exact event
+	// count (Recorder.Save); streamed traces read until EOF.
+	counted bool
+	count   uint64
+	events  uint64
+	err     error
 }
 
 // NewDecoder reads the trace header from r and returns a decoder
-// positioned at the first event. The reader is buffered internally;
-// the caller must not read from r afterwards.
+// positioned at the first event. Input without the GRTB magic fails
+// with ErrNotTrace before more than the magic is read. The reader is
+// buffered internally; the caller must not read from r afterwards.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(codecMagic))
-	if err != nil || !bytes.Equal(head, codecMagic[:]) {
-		// Legacy JSON Lines (or empty input, which decodes to an empty
-		// trace exactly as it always has).
-		return &Decoder{jd: json.NewDecoder(br)}, nil
+	d := &Decoder{
+		br:     bufio.NewReader(r),
+		gs:     make(map[vclock.TID]*gCodecState),
+		stacks: make(map[vclock.TID]stack.Context),
+		depot:  stack.NewDepot(),
 	}
-	if _, err := br.Discard(len(codecMagic)); err != nil {
-		return nil, fmt.Errorf("trace: binary header: %w", err)
+	d.w.Reset(d.br)
+	d.w.Header(codecMagic, codecVersion)
+	count := d.w.Uvarint()
+	if err := d.w.Err(); errors.Is(err, wire.ErrBadMagic) {
+		return nil, ErrNotTrace
+	} else if err != nil {
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
-	d := newBinDecoder(br)
-	version, err := d.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("trace: binary header: %w", err)
-	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("trace: unsupported binary trace version %d (want %d)", version, codecVersion)
-	}
-	count, err := d.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("trace: binary header: %w", err)
-	}
-	dec := &Decoder{bin: d}
 	if count != codecStreamed {
-		dec.counted = true
-		dec.count = count
-		dec.remaining = count
+		d.counted = true
+		d.count = count
 	}
-	return dec, nil
+	return d, nil
 }
 
-// Count returns the event count from a counted binary header and true,
-// or 0 and false for streamed binary and JSON traces whose length is
-// unknown until EOF. The count is a size *hint* from the producer, not
-// a promise — a hostile header can claim anything, so consumers must
-// cap what they preallocate from it.
+// Count returns the event count from a counted header and true, or 0
+// and false for a streamed trace whose length is unknown until EOF.
+// The count is a size *hint* from the producer, not a promise — a
+// hostile header can claim anything, so consumers must cap what they
+// preallocate from it.
 func (d *Decoder) Count() (uint64, bool) {
 	return d.count, d.counted
 }
@@ -81,55 +84,24 @@ func (d *Decoder) Decoded() uint64 { return d.events }
 
 // Next decodes and returns the next event. At a clean end of stream it
 // returns io.EOF; any other error means the trace is truncated or
-// corrupt. Errors are sticky.
+// corrupt. Errors, io.EOF included, are sticky.
 func (d *Decoder) Next() (Event, error) {
 	if d.err != nil {
 		return Event{}, d.err
 	}
-	ev, err := d.next()
+	if d.counted && d.events == d.count {
+		d.err = io.EOF
+		return Event{}, d.err
+	}
+	ev, err := d.event(!d.counted)
 	if err != nil {
-		d.err = err
-		return Event{}, err
+		if d.err = err; err != io.EOF {
+			d.err = fmt.Errorf("trace: decode event %d: %w", d.events, err)
+		}
+		return Event{}, d.err
 	}
 	d.events++
 	return ev, nil
-}
-
-func (d *Decoder) next() (Event, error) {
-	if d.bin != nil {
-		if d.counted {
-			if d.remaining == 0 {
-				return Event{}, io.EOF
-			}
-			ev, err := d.bin.event(false)
-			if err != nil {
-				return ev, fmt.Errorf("trace: decode binary event %d: %w", d.events, err)
-			}
-			d.remaining--
-			return ev, nil
-		}
-		ev, err := d.bin.event(true)
-		if err == io.EOF {
-			return ev, io.EOF
-		}
-		if err != nil {
-			return ev, fmt.Errorf("trace: decode binary event %d: %w", d.events, err)
-		}
-		return ev, nil
-	}
-	var we wireEvent
-	if err := d.jd.Decode(&we); err != nil {
-		if err == io.EOF {
-			return Event{}, io.EOF
-		}
-		return Event{}, fmt.Errorf("trace: decode: %w", err)
-	}
-	return Event{
-		Seq: we.Seq, G: vclock.TID(we.G), GName: we.GName, Op: Op(we.Op),
-		Addr: Addr(we.Addr), Obj: ObjID(we.Obj), Kind: ObjKind(we.Kind),
-		Child: vclock.TID(we.Child), Stack: stack.NewContext(we.Stack...),
-		Label: we.Label,
-	}, nil
 }
 
 // maxCountPrealloc caps how many events Load preallocates from a

@@ -67,27 +67,3 @@ func TestCodecReplayMatchesLiveDetection(t *testing.T) {
 		}
 	}
 }
-
-// TestBinarySmallerThanJSON pins the codec's size win on real recorded
-// traces: the acceptance bar is ≥5×, measured over random programs
-// (not a hand-picked best case).
-func TestBinarySmallerThanJSON(t *testing.T) {
-	var jsonBytes, binBytes int
-	for seed := int64(0); seed < 10; seed++ {
-		_, rec := recordProgen(t, seed)
-		var jb, bb bytes.Buffer
-		if err := rec.SaveJSON(&jb); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Save(&bb); err != nil {
-			t.Fatal(err)
-		}
-		jsonBytes += jb.Len()
-		binBytes += bb.Len()
-	}
-	ratio := float64(jsonBytes) / float64(binBytes)
-	t.Logf("json %d B, binary %d B: %.1fx smaller", jsonBytes, binBytes, ratio)
-	if ratio < 5 {
-		t.Fatalf("binary codec only %.1fx smaller than JSON Lines, want >= 5x", ratio)
-	}
-}

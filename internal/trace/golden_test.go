@@ -10,50 +10,32 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace files")
 
-// The golden files pin both on-disk trace formats: golden.jsonl is the
-// legacy JSON Lines form (a trace saved before the binary codec
-// existed), golden.bin is binary codec version 1. Load must keep
-// reading both byte-for-byte forever — a codec change that breaks
-// either is a compatibility break, not a refactor.
+// golden.bin pins the on-disk trace format, binary codec version 1.
+// Save must keep writing it and Load must keep reading it byte for
+// byte: a codec change that breaks either is a compatibility break,
+// not a refactor.
 func TestGoldenTracesLoad(t *testing.T) {
 	want := sampleTrace()
-	for _, tc := range []struct {
-		file string
-		save func(*Recorder) []byte
-	}{
-		{"golden.jsonl", func(r *Recorder) []byte {
-			var buf bytes.Buffer
-			if err := r.SaveJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}},
-		{"golden.bin", func(r *Recorder) []byte {
-			var buf bytes.Buffer
-			if err := r.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}},
-	} {
-		path := filepath.Join("testdata", tc.file)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.save(want), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run `go test -run Golden -update ./internal/trace` after a deliberate format change)", tc.file, err)
-		}
-		got, err := Load(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		requireSameEvents(t, got.Events, want.Events)
+	var buf bytes.Buffer
+	if err := want.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
+	path := filepath.Join("testdata", "golden.bin")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run Golden ./internal/trace -update` after a deliberate format change)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("Save drifted from golden.bin (%d vs %d bytes)", buf.Len(), len(data))
+	}
+	got, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameEvents(t, got.Events, want.Events)
 }

@@ -1,54 +1,12 @@
 package trace
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"gorace/internal/stack"
-)
+import "io"
 
 // The paper's deployment analyzes executions post-facto: the detector
 // runs over captured executions, and reports reference the source
-// snapshot they came from. Recorder has two durable forms: the binary
-// codec (codec.go, the default written by Save) and the legacy JSON
-// Lines format below, one event per line. Load auto-detects which one
-// it is reading, so traces saved before the binary codec existed keep
-// loading.
-
-// wireEvent is the serialized form of Event in the JSON Lines format.
-type wireEvent struct {
-	Seq   uint64        `json:"seq"`
-	G     int32         `json:"g"`
-	GName string        `json:"gname,omitempty"`
-	Op    uint8         `json:"op"`
-	Addr  uint64        `json:"addr,omitempty"`
-	Obj   uint64        `json:"obj,omitempty"`
-	Kind  uint8         `json:"kind,omitempty"`
-	Child int32         `json:"child,omitempty"`
-	Stack []stack.Frame `json:"stack,omitempty"`
-	Label string        `json:"label,omitempty"`
-}
-
-// SaveJSON writes the recorded trace as JSON Lines, the legacy
-// interchange format. New traces should use Save (binary): it is both
-// far smaller and far faster, and Load reads either.
-func (r *Recorder) SaveJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range r.Events {
-		we := wireEvent{
-			Seq: ev.Seq, G: int32(ev.G), GName: ev.GName, Op: uint8(ev.Op),
-			Addr: uint64(ev.Addr), Obj: uint64(ev.Obj), Kind: uint8(ev.Kind),
-			Child: int32(ev.Child), Stack: ev.Stack.Frames(), Label: ev.Label,
-		}
-		if err := enc.Encode(we); err != nil {
-			return fmt.Errorf("trace: encode event %d: %w", ev.Seq, err)
-		}
-	}
-	return bw.Flush()
-}
+// snapshot they came from. A Recorder's durable form is the binary
+// codec (codec.go), written by Save and Encoder and read back by Load
+// and Decoder.
 
 // Load reads a trace into a fresh Recorder by delegating to the
 // incremental Decoder, so even a multi-gigabyte trace file is decoded

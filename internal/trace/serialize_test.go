@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,19 +61,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	requireSameEvents(t, got.Events, orig.Events)
 }
 
-func TestSaveJSONLoadRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := orig.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameEvents(t, got.Events, orig.Events)
-}
-
 func TestLoadedTraceReplaysIdentically(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
@@ -111,10 +98,18 @@ func TestSaveEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestLoadGarbageFails(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage accepted")
+// TestLoadRejectsNonTraces: anything without the GRTB magic — empty
+// input, a version-1 JSON Lines trace, a magic one byte short or one
+// byte off — is ErrNotTrace.
+func TestLoadRejectsNonTraces(t *testing.T) {
+	for _, in := range []string{"", "{", `{"seq":1,"g":0,"op":2,"addr":3}` + "\n", "GRT", "GRTx\x01\x00", "not json\n"} {
+		if _, err := Load(strings.NewReader(in)); !errors.Is(err, ErrNotTrace) {
+			t.Errorf("Load(%q) = %v, want ErrNotTrace", in, err)
+		}
 	}
+}
+
+func TestLoadGarbageFails(t *testing.T) {
 	// Valid magic, truncated body.
 	if _, err := Load(strings.NewReader("GRTB")); err == nil {
 		t.Fatal("truncated binary header accepted")
@@ -134,22 +129,6 @@ func TestLoadRejectsUnknownBinaryVersion(t *testing.T) {
 	}
 }
 
-func TestSaveJSONIsJSONLines(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTrace().SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("%d lines, want 5", len(lines))
-	}
-	for _, l := range lines {
-		if !strings.HasPrefix(l, "{") || !strings.HasSuffix(l, "}") {
-			t.Fatalf("line is not a JSON object: %q", l)
-		}
-	}
-}
-
 func TestSaveIsBinary(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleTrace().Save(&buf); err != nil {
@@ -160,8 +139,7 @@ func TestSaveIsBinary(t *testing.T) {
 	}
 }
 
-// Property: arbitrary events survive the save/load round trip in both
-// formats. Fields an op does not carry (e.g. Addr on a fork) are
+// Property: arbitrary events survive the save/load round trip. Fields an op does not carry (e.g. Addr on a fork) are
 // normalized away by the codec, so the generated event only populates
 // the fields its op defines — exactly what the runtime emits.
 func TestRoundTripProperty(t *testing.T) {
@@ -182,22 +160,18 @@ func TestRoundTripProperty(t *testing.T) {
 		case ev.Op == OpFork:
 			ev.Child = vclock.TID(g) + 1
 		}
-		check := func(save func(*Recorder, io.Writer) error) bool {
-			var buf bytes.Buffer
-			if err := save(&Recorder{Events: []Event{ev}}, &buf); err != nil {
-				return false
-			}
-			got, err := Load(&buf)
-			if err != nil || len(got.Events) != 1 {
-				return false
-			}
-			e := got.Events[0]
-			return e.Seq == ev.Seq && e.G == ev.G && e.Op == ev.Op &&
-				e.Addr == ev.Addr && e.Obj == ev.Obj && e.Kind == ev.Kind &&
-				e.Child == ev.Child && e.Label == ev.Label && e.Stack.Key() == ev.Stack.Key()
+		var buf bytes.Buffer
+		if err := (&Recorder{Events: []Event{ev}}).Save(&buf); err != nil {
+			return false
 		}
-		return check((*Recorder).Save) &&
-			check((*Recorder).SaveJSON)
+		got, err := Load(&buf)
+		if err != nil || len(got.Events) != 1 {
+			return false
+		}
+		e := got.Events[0]
+		return e.Seq == ev.Seq && e.G == ev.G && e.Op == ev.Op &&
+			e.Addr == ev.Addr && e.Obj == ev.Obj && e.Kind == ev.Kind &&
+			e.Child == ev.Child && e.Label == ev.Label && e.Stack.Key() == ev.Stack.Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

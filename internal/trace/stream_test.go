@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 )
@@ -141,8 +142,10 @@ func TestWindowRecorder(t *testing.T) {
 // FuzzStreamDecode feeds the streaming decoder truncated, corrupt, and
 // hostile inputs: whatever the bytes, decoding must error cleanly —
 // never panic and never allocate proportionally to an
-// attacker-claimed length. Seeded from the golden binary trace so the
-// fuzzer starts from a structurally valid stream.
+// attacker-claimed length — and input without the GRTB magic must be
+// ErrNotTrace. Seeded from the golden binary trace so the fuzzer
+// starts from a structurally valid stream; the JSON Lines seed is one
+// of the bad-magic cases.
 func FuzzStreamDecode(f *testing.F) {
 	want := sampleTrace()
 	var counted bytes.Buffer
@@ -163,6 +166,9 @@ func FuzzStreamDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := NewDecoder(bytes.NewReader(data))
+		if bad := !bytes.HasPrefix(data, codecMagic[:]); bad != errors.Is(err, ErrNotTrace) {
+			t.Fatalf("input % x: NewDecoder error %v", data[:min(len(data), 8)], err)
+		}
 		if err != nil {
 			return
 		}
