@@ -265,8 +265,9 @@ func main() {
 		}
 		fmt.Printf("== %s/%s under %s, %s, seed %d ==\n", unitID, *variant, out.Detector, out.Strategy, seed)
 		if out.RaceCount > 0 {
-			// Counting detectors synthesize stackless one-per-address
-			// reports; the pair count and racy-address total say more.
+			// The counting detectors (epoch, djit) synthesize stackless
+			// one-per-address reports; the pair count and racy-address
+			// total say more.
 			fmt.Printf("race hits: %d across %d racy addresses (counting detector)\n",
 				out.RaceCount, len(races))
 		} else {

@@ -117,29 +117,26 @@ func (r *Runner) newDetector() (detector.Detector, error) {
 }
 
 // Worker owns one recycled detection state bound to a Runner: the
-// detector instance (Reset in place between runs when it supports it)
-// and the reusable trace buffer for record and window mode. A sweep
-// that pushes many seeds through one Worker allocates one detector's
-// worth of shadow memory, not one per seed. Workers are not safe for
+// detector instance (Reset in place between runs) and the reusable
+// trace buffer for record and window mode. A sweep that pushes many
+// seeds through one Worker allocates one detector's worth of shadow
+// memory, not one per seed. Workers are not safe for
 // concurrent use; create one per goroutine. Runner.RunSeed is a
 // one-shot Worker, and the campaign engine in internal/sweep keeps a
 // pool of them.
 type Worker struct {
-	r     *Runner
-	det   detector.Detector
-	reset detector.Resetter     // nil when det must be rebuilt per run
-	buf   *trace.Recorder       // lazily created, record mode only
-	wbuf  *trace.WindowRecorder // lazily created, window mode only
-	used  bool                  // det has consumed a run since (re)build
+	r    *Runner
+	det  detector.Detector
+	buf  *trace.Recorder       // lazily created, record mode only
+	wbuf *trace.WindowRecorder // lazily created, window mode only
+	used bool                  // det has consumed a run and needs a Reset
 }
 
-// NewWorker fails fast on unknown detector and strategy names, builds
-// the Runner's detector, and decides whether it can be recycled. A
-// wrapper (Counting, Sampled) is only recyclable when the detector
-// inside it is. A user-supplied strategy factory is deliberately NOT
-// invoked here — WithStrategyFactory promises one invocation per run,
-// and a stateful factory must not have a strategy consumed by
-// validation.
+// NewWorker fails fast on unknown detector and strategy names and
+// builds the Runner's detector. A user-supplied strategy factory is
+// deliberately NOT invoked here — WithStrategyFactory promises one
+// invocation per run, and a stateful factory must not have a strategy
+// consumed by validation.
 func (r *Runner) NewWorker() (*Worker, error) {
 	det, err := r.newDetector()
 	if err != nil {
@@ -150,32 +147,7 @@ func (r *Runner) NewWorker() (*Worker, error) {
 			return nil, err
 		}
 	}
-	w := &Worker{r: r, det: det}
-	if rs, ok := det.(detector.Resetter); ok {
-		w.reset = rs
-	}
-	if c, ok := det.(interface{ CanReset() bool }); ok && !c.CanReset() {
-		w.reset = nil
-	}
-	return w, nil
-}
-
-// recycle readies the Worker for another run, rebuilding the detector
-// if it cannot be reset in place.
-func (w *Worker) recycle() error {
-	if !w.used {
-		return nil
-	}
-	if w.reset != nil {
-		w.reset.Reset()
-		return nil
-	}
-	det, err := w.r.newDetector()
-	if err != nil {
-		return err
-	}
-	w.det = det
-	return nil
+	return &Worker{r: r, det: det}, nil
 }
 
 // RunSeed executes prog once under the given seed on the recycled
@@ -187,10 +159,10 @@ func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.recycle(); err != nil {
-		return nil, err
-	}
 	det := w.det
+	if w.used {
+		det.Reset()
+	}
 	if sd, ok := det.(detector.Seeded); ok {
 		// A sampling gate's phase is a function of the run seed, not
 		// of worker identity or scheduling order — this is what keeps
@@ -234,14 +206,10 @@ func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 	case r.record:
 		out.Trace = w.buf.Snapshot()
 	}
-	out.Races = det.Races()
-	out.Candidates = det.Candidates()
-	if w.reset != nil {
-		// A recycled detector rewinds its result slices on Reset, so
-		// the outcome must own copies.
-		out.Races = append([]report.Race(nil), out.Races...)
-		out.Candidates = append([]report.Race(nil), out.Candidates...)
-	}
+	// The next run's Reset rewinds the detector's result slices, so
+	// the outcome owns copies.
+	out.Races = append([]report.Race(nil), det.Races()...)
+	out.Candidates = append([]report.Race(nil), det.Candidates()...)
 	out.Stats = det.Stats()
 	if c, ok := det.(detector.Counter); ok {
 		out.RaceCount = c.Count()

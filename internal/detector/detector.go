@@ -1,16 +1,28 @@
 // Package detector implements dynamic data race detection over the
 // event stream of the modeled runtime.
 //
-// Three detectors are provided, mirroring the algorithm family §3.1
-// describes inside ThreadSanitizer:
+// The detector family mirrors the algorithm family §3.1 describes
+// inside ThreadSanitizer:
 //
 //   - FastTrack: the precise happens-before detector (vector clocks
-//     with epoch optimizations), the reference detector of this repo.
+//     with epoch optimizations), the reference detector of this repo,
+//     with full two-stack reports and paged, evictable shadow memory.
+//   - Epoch: FastTrack's verdicts over bare epochs, counting races per
+//     address instead of building reports (the report-cost ablation).
+//   - DJIT: the DJIT+ full-history vector-clock baseline, also
+//     counting (the epochs-vs-vector-clocks ablation).
 //   - Eraser: the classic lockset detector — interleaving-insensitive
 //     but imprecise ("may include races that may never manifest").
-//   - Hybrid: runs both, reporting FastTrack races as confirmed and
-//     Eraser-only findings as lockset candidates, approximating how
-//     TSan "integrates lock-set and happens-before algorithms".
+//   - Hybrid: runs FastTrack and Eraser side by side, reporting
+//     FastTrack races as confirmed and Eraser-only findings as lockset
+//     candidates, approximating how TSan "integrates lock-set and
+//     happens-before algorithms".
+//   - Noop: the "none" overhead baseline.
+//
+// FastTrack, Epoch and DJIT share one happens-before core, hb: the
+// goroutine and synchronization-object clocks and the fork, acquire
+// and release edges between them. Each keeps only its own shadow cell
+// and access check. Sampled gates any detector's accesses.
 //
 // All detectors are trace.Listeners and can run online (attached to a
 // scheduler) or offline over a recorded trace (post-facto, the
@@ -27,8 +39,9 @@ import (
 // expose the same surface, so consumers (the core.Runner, the CLI
 // tools, post-facto replay) never special-case an algorithm: precise
 // detectors fill Races, lockset-based ones may additionally surface
-// Candidates, and counting-only detectors are wrapped by Counting so
-// their verdicts still appear as (minimal) reports.
+// Candidates, and counting detectors (Epoch, DJIT) synthesize one
+// minimal report per racy address so their verdicts still appear as
+// reports.
 type Detector interface {
 	trace.Listener
 	// Races returns the reports accumulated so far.
@@ -43,15 +56,12 @@ type Detector interface {
 	Stats() Stats
 	// Name identifies the detector in reports and experiments.
 	Name() string
-}
-
-// Resetter is implemented by detectors that can be rewound to their
-// initial state in place, retaining allocated buffers, so one instance
-// can analyze many runs without churning the garbage collector. After
-// Reset, slices previously returned by Races/Candidates are
-// invalidated; callers that keep results across runs must copy them
-// first (core.Runner does).
-type Resetter interface {
+	// Reset rewinds the detector to its initial state in place,
+	// retaining allocated buffers, so one instance can analyze many
+	// runs without churning the garbage collector. After Reset, slices
+	// previously returned by Races/Candidates are invalidated; callers
+	// that keep results across runs must copy them first (core.Worker
+	// does).
 	Reset()
 }
 

@@ -8,23 +8,15 @@ import (
 
 // Epoch is a lean FastTrack variant that keeps only epochs and
 // adaptive read sets in shadow cells — no stacks, labels, or lock
-// annotations — and counts races instead of building reports. It
-// exists for the epochs-vs-vector-clocks ablation (DESIGN.md): the
-// detection *verdicts* must match FastTrack exactly, at a fraction of
-// the per-access cost.
+// annotations — and counts races instead of building reports: Races
+// synthesizes one minimal report per racy address, and Count keeps
+// the pair total. It exists for the epochs-vs-vector-clocks ablation
+// (DESIGN.md): the detection *verdicts* must match FastTrack exactly,
+// at a fraction of the per-access cost.
 type Epoch struct {
-	pool      *vclock.Pool
-	clocks    []*vclock.VC
-	objClocks []*vclock.VC
-	objCount  int
-	cells     []epochCell
-	cellCount int
-	addrIx    sparseIndex
-	objIx     sparseIndex
-	count     int
-	racyAddrs map[trace.Addr]bool
-	stats     statCounter
-	adapt     adaptCounter
+	hb
+	verdicts
+	cells []epochCell
 }
 
 // epochCell is one cell's shadow word, stored by value in a dense
@@ -42,45 +34,23 @@ type epochCell struct {
 
 // NewEpoch returns a fresh epoch-based detector.
 func NewEpoch() *Epoch {
-	return &Epoch{
-		pool:      vclock.NewPool(),
-		racyAddrs: make(map[trace.Addr]bool),
-	}
+	return &Epoch{hb: newHB(), verdicts: newVerdicts()}
 }
 
-// Name implements CountingSource.
+// Name implements Detector.
 func (e *Epoch) Name() string { return "fasttrack-epoch" }
 
-// Races returns nil: the epoch detector keeps no report metadata. Use
-// RaceCount and RacyAddrs directly, or wrap with NewCounting for the
-// unified Detector surface.
-func (e *Epoch) Races() []report.Race { return nil }
+// Races implements Detector: one stackless report per racy address.
+func (e *Epoch) Races() []report.Race { return e.races(e.Name()) }
 
-// RaceCount returns the number of conflicting access pairs observed.
-func (e *Epoch) RaceCount() int { return e.count }
+// Stats implements Detector.
+func (e *Epoch) Stats() Stats { return e.statsOf(e.count) }
 
-// RacyAddrs returns the set of cells on which at least one race fired.
-func (e *Epoch) RacyAddrs() map[trace.Addr]bool { return e.racyAddrs }
-
-// Reset implements Resetter: all shadow state is cleared in place and
+// Reset implements Detector: all shadow state is cleared in place and
 // clocks return to the pool, readying the detector for another run
 // without reallocation.
 func (e *Epoch) Reset() {
-	for i, c := range e.clocks {
-		if c != nil {
-			e.pool.Release(c)
-			e.clocks[i] = nil
-		}
-	}
-	e.clocks = e.clocks[:0]
-	for i, c := range e.objClocks {
-		if c != nil {
-			e.pool.Release(c)
-			e.objClocks[i] = nil
-		}
-	}
-	e.objClocks = e.objClocks[:0]
-	e.objCount = 0
+	e.hb.reset()
 	for i := range e.cells {
 		c := &e.cells[i]
 		c.seen = false
@@ -90,37 +60,7 @@ func (e *Epoch) Reset() {
 		c.reads.ReleaseTo(e.pool)
 		c.atomicReads.ReleaseTo(e.pool)
 	}
-	e.cellCount = 0
-	e.addrIx.reset()
-	e.objIx.reset()
-	e.count = 0
-	clear(e.racyAddrs)
-	e.stats = statCounter{}
-	e.adapt = adaptCounter{}
-}
-
-func (e *Epoch) clockOf(g vclock.TID) *vclock.VC {
-	for int(g) >= len(e.clocks) {
-		e.clocks = append(e.clocks, nil)
-	}
-	if e.clocks[g] == nil {
-		c := e.pool.Acquire()
-		c.Set(g, 1)
-		e.clocks[g] = c
-	}
-	return e.clocks[g]
-}
-
-func (e *Epoch) objClock(o trace.ObjID) *vclock.VC {
-	o = trace.ObjID(e.objIx.local(uint64(o)))
-	for int(o) >= len(e.objClocks) {
-		e.objClocks = append(e.objClocks, nil)
-	}
-	if e.objClocks[o] == nil {
-		e.objClocks[o] = e.pool.Acquire()
-		e.objCount++
-	}
-	return e.objClocks[o]
+	e.verdicts.reset()
 }
 
 // cell returns the shadow cell for a, initializing it on first touch.
@@ -147,25 +87,13 @@ func (e *Epoch) HandleEvent(ev trace.Event) {
 	e.stats.note(ev)
 	switch ev.Op {
 	case trace.OpFork:
-		parent := e.clockOf(ev.G)
-		child := e.pool.Acquire()
-		parent.CopyInto(child)
-		child.Tick(ev.Child)
-		for int(ev.Child) >= len(e.clocks) {
-			e.clocks = append(e.clocks, nil)
-		}
-		e.clocks[ev.Child] = child
-		parent.Tick(ev.G)
+		e.fork(ev)
 
 	case trace.OpAcquire:
-		e.objClock(ev.Obj).JoinInto(e.clockOf(ev.G))
+		e.acquire(ev)
 
 	case trace.OpRelease:
-		if ev.Kind == trace.KindRWRead {
-			return // lockset bookkeeping only; no HB edge
-		}
-		e.clockOf(ev.G).JoinInto(e.objClock(ev.Obj))
-		e.clockOf(ev.G).Tick(ev.G)
+		e.release(ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
 		c := e.cell(ev.Addr)
@@ -228,9 +156,4 @@ func (e *Epoch) noteRead(rs *vclock.ReadSet, g vclock.TID, cur *vclock.VC) {
 	} else if wasEpoch {
 		e.adapt.fastReads++
 	}
-}
-
-func (e *Epoch) hit(a trace.Addr) {
-	e.count++
-	e.racyAddrs[a] = true
 }

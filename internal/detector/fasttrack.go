@@ -57,16 +57,11 @@ type ftCell struct {
 	reports int
 }
 
-// FastTrack is the happens-before race detector. It maintains one
-// vector clock per goroutine, one per synchronization object, and
-// per-cell access histories; a race is two accesses to the same cell,
-// at least one a write, not both atomic, with neither ordered before
-// the other.
-//
-// All shadow state is held in dense slices keyed by the scheduler's
-// small dense TIDs, ObjIDs, and Addrs, and vector clocks come from a
-// Pool, so the per-event path performs no steady-state allocations.
-// Reset reuses all of it for the next run.
+// FastTrack is the happens-before race detector: the shared hb clocks
+// plus per-cell access histories; a race is two accesses to the same
+// cell, at least one a write, not both atomic, with neither ordered
+// before the other. Cells live in a dense slice, so the per-event path
+// performs no steady-state allocations, and Reset reuses all of it.
 //
 // Shadow memory is paged (the Evictor interface): the dense cell slice
 // is tracked in pages of pagedCellsPerPage cells, each carrying a
@@ -82,18 +77,10 @@ type ftCell struct {
 // budget always evicts the same pages at the same points. With no
 // budget (the default) nothing is ever evicted.
 type FastTrack struct {
-	pool      *vclock.Pool
-	clocks    []*vclock.VC
-	objClocks []*vclock.VC
-	objCount  int
-	cells     []ftCell
-	cellCount int
-	addrIx    sparseIndex
-	objIx     sparseIndex
-	locks     *lockTracker
-	races     []report.Race
-	stats     statCounter
-	adapt     adaptCounter
+	hb
+	cells []ftCell
+	locks *lockTracker
+	races []report.Race
 	// freeReaders recycles demoted readers lists: only currently
 	// promoted cells hold list storage, and a demotion hands the
 	// backing array to the next promotion anywhere in the detector.
@@ -113,7 +100,7 @@ type FastTrack struct {
 // NewFastTrack returns a fresh happens-before detector.
 func NewFastTrack() *FastTrack {
 	return &FastTrack{
-		pool:              vclock.NewPool(),
+		hb:                newHB(),
 		locks:             newLockTracker(),
 		MaxReportsPerCell: 8,
 	}
@@ -132,26 +119,19 @@ func (ft *FastTrack) Candidates() []report.Race { return nil }
 // RaceCount returns the number of reports.
 func (ft *FastTrack) RaceCount() int { return len(ft.races) }
 
-// Reset implements Resetter: it clears all detection state in place,
+// Stats implements Detector.
+func (ft *FastTrack) Stats() Stats {
+	s := ft.statsOf(len(ft.races))
+	s.Evictions, s.Reloads = ft.evictions, ft.reloads
+	return s
+}
+
+// Reset implements Detector: it clears all detection state in place,
 // releasing clocks to the pool and retaining every buffer, so the
 // detector can consume another run without reallocating its shadow
 // state. Slices previously returned by Races are invalidated.
 func (ft *FastTrack) Reset() {
-	for i, c := range ft.clocks {
-		if c != nil {
-			ft.pool.Release(c)
-			ft.clocks[i] = nil
-		}
-	}
-	ft.clocks = ft.clocks[:0]
-	for i, c := range ft.objClocks {
-		if c != nil {
-			ft.pool.Release(c)
-			ft.objClocks[i] = nil
-		}
-	}
-	ft.objClocks = ft.objClocks[:0]
-	ft.objCount = 0
+	ft.hb.reset()
 	for i := range ft.cells {
 		c := &ft.cells[i]
 		c.seen, c.hasWrite, c.hasRead, c.reports = false, false, false, 0
@@ -163,13 +143,8 @@ func (ft *FastTrack) Reset() {
 			c.readers = nil
 		}
 	}
-	ft.cellCount = 0
-	ft.addrIx.reset()
-	ft.objIx.reset()
 	ft.locks.reset()
 	ft.races = ft.races[:0]
-	ft.stats = statCounter{}
-	ft.adapt = adaptCounter{}
 	ft.tick = 0
 	ft.pages = ft.pages[:0]
 	ft.live = 0
@@ -195,32 +170,6 @@ func (ft *FastTrack) releaseReaders(s []access) {
 		s[i] = access{}
 	}
 	ft.freeReaders = append(ft.freeReaders, s[:0])
-}
-
-// clockOf returns g's clock, initializing it with its own component
-// at 1 (each goroutine begins in its own epoch).
-func (ft *FastTrack) clockOf(g vclock.TID) *vclock.VC {
-	for int(g) >= len(ft.clocks) {
-		ft.clocks = append(ft.clocks, nil)
-	}
-	if ft.clocks[g] == nil {
-		c := ft.pool.Acquire()
-		c.Set(g, 1)
-		ft.clocks[g] = c
-	}
-	return ft.clocks[g]
-}
-
-func (ft *FastTrack) objClock(o trace.ObjID) *vclock.VC {
-	o = trace.ObjID(ft.objIx.local(uint64(o)))
-	for int(o) >= len(ft.objClocks) {
-		ft.objClocks = append(ft.objClocks, nil)
-	}
-	if ft.objClocks[o] == nil {
-		ft.objClocks[o] = ft.pool.Acquire()
-		ft.objCount++
-	}
-	return ft.objClocks[o]
 }
 
 // cell returns the shadow cell for a, after the access's page
@@ -252,29 +201,15 @@ func (ft *FastTrack) HandleEvent(ev trace.Event) {
 	ft.stats.note(ev)
 	switch ev.Op {
 	case trace.OpFork:
-		parent := ft.clockOf(ev.G)
-		child := ft.pool.Acquire()
-		parent.CopyInto(child)
-		child.Tick(ev.Child)
-		for int(ev.Child) >= len(ft.clocks) {
-			ft.clocks = append(ft.clocks, nil)
-		}
-		ft.clocks[ev.Child] = child
-		parent.Tick(ev.G)
+		ft.fork(ev)
 
 	case trace.OpAcquire:
 		ft.locks.handle(ev)
-		ft.objClock(ev.Obj).JoinInto(ft.clockOf(ev.G))
+		ft.acquire(ev)
 
 	case trace.OpRelease:
-		if ft.locks.handle(ev) && ev.Kind == trace.KindRWRead {
-			// Read-mode release: lockset bookkeeping only. The HB
-			// reader→writer edge travels through the RWMutex's
-			// internal read-release object instead.
-			return
-		}
-		ft.clockOf(ev.G).JoinInto(ft.objClock(ev.Obj))
-		ft.clockOf(ev.G).Tick(ev.G)
+		ft.locks.handle(ev)
+		ft.release(ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
 		ft.read(ev)

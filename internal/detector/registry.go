@@ -2,7 +2,6 @@ package detector
 
 import (
 	"fmt"
-	"sort"
 
 	"gorace/internal/registry"
 	"gorace/internal/report"
@@ -65,93 +64,11 @@ func init() {
 	// Paging is FastTrack's page budget (Evictor); the old name stays
 	// so flags, job specs and stored records that use it still resolve.
 	Register("fasttrack-paged", func() Detector { return NewFastTrack() })
-	Register("epoch", func() Detector { return NewCounting(NewEpoch()) })
-	Register("djit", func() Detector { return NewCounting(NewDJIT()) })
+	Register("epoch", func() Detector { return NewEpoch() })
+	Register("djit", func() Detector { return NewDJIT() })
 	Register("eraser", func() Detector { return NewEraser() })
 	Register("hybrid", func() Detector { return NewHybrid() })
 	Register("none", func() Detector { return Noop{} })
-}
-
-// CountingSource is the surface of the counting-only detectors (Epoch,
-// DJIT): they track race hits and racy addresses without report
-// metadata.
-type CountingSource interface {
-	trace.Listener
-	Name() string
-	RaceCount() int
-	RacyAddrs() map[trace.Addr]bool
-	Stats() Stats
-}
-
-// Counting adapts a counting-only detector to the unified Detector
-// interface by synthesizing one minimal report per racy address, so
-// consumers need no parallel race-count channel. The total number of
-// conflicting pairs stays available via Count (and Stats().Reports).
-type Counting struct {
-	Inner CountingSource
-}
-
-// NewCounting wraps a counting-only detector.
-func NewCounting(inner CountingSource) *Counting { return &Counting{Inner: inner} }
-
-// HandleEvent implements trace.Listener.
-func (c *Counting) HandleEvent(ev trace.Event) { c.Inner.HandleEvent(ev) }
-
-// Name implements Detector.
-func (c *Counting) Name() string { return c.Inner.Name() }
-
-// Count returns the number of conflicting access pairs observed.
-func (c *Counting) Count() int { return c.Inner.RaceCount() }
-
-// Races implements Detector: one synthesized report per racy address,
-// in address order. The reports carry no stacks — counting detectors
-// keep no metadata — but they make "did anything race, and where"
-// uniform across the detector family.
-func (c *Counting) Races() []report.Race {
-	racy := c.Inner.RacyAddrs()
-	if len(racy) == 0 {
-		return nil
-	}
-	addrs := make([]int, 0, len(racy))
-	for a := range racy {
-		addrs = append(addrs, int(a))
-	}
-	sort.Ints(addrs)
-	out := make([]report.Race, 0, len(addrs))
-	for _, a := range addrs {
-		out = append(out, report.Race{
-			First:    report.Access{Addr: trace.Addr(a), Op: trace.OpWrite},
-			Second:   report.Access{Addr: trace.Addr(a), Op: trace.OpWrite},
-			Detector: c.Inner.Name(),
-		})
-	}
-	return out
-}
-
-// Candidates implements Detector.
-func (c *Counting) Candidates() []report.Race { return nil }
-
-// Stats implements Detector.
-func (c *Counting) Stats() Stats { return c.Inner.Stats() }
-
-// Reset implements Resetter by delegating to the wrapped counting
-// detector. It panics on a non-resettable inner detector — silently
-// keeping accumulated shadow state would corrupt every later run —
-// so callers that may hold one must check CanReset first.
-func (c *Counting) Reset() {
-	r, ok := c.Inner.(Resetter)
-	if !ok {
-		panic("detector: Reset on Counting wrapper of non-resettable " + c.Inner.Name())
-	}
-	r.Reset()
-}
-
-// CanReset reports whether the wrapped detector supports in-place
-// reuse; core.Runner consults this before recycling a Counting
-// instance across runs.
-func (c *Counting) CanReset() bool {
-	_, ok := c.Inner.(Resetter)
-	return ok
 }
 
 // Noop is the "none" detector: it observes nothing and reports
@@ -174,12 +91,12 @@ func (Noop) Candidates() []report.Race { return nil }
 // Stats implements Detector.
 func (Noop) Stats() Stats { return Stats{} }
 
-// Reset implements Resetter; the none detector holds no state.
+// Reset implements Detector; the none detector holds no state.
 func (Noop) Reset() {}
 
 // Counter is implemented by detectors that track the total number of
-// conflicting access pairs beyond the deduplicated report list
-// (Counting and any wrapper around one). Consumers prefer Count over
+// conflicting access pairs beyond the deduplicated report list (Epoch,
+// DJIT and any wrapper around one). Consumers prefer Count over
 // len(Races()) when available.
 type Counter interface {
 	Count() int

@@ -106,43 +106,35 @@ func TestNewReturnsFreshInstances(t *testing.T) {
 	}
 }
 
-// TestCountingSynthesizesPerAddrReports checks the Counting adapter:
-// racy addresses become minimal reports, the pair count stays
-// available, and the unified surface agrees with the inner detector.
+// TestCountingSynthesizesPerAddrReports checks the counting detectors'
+// reports: racy addresses become minimal reports, and the pair count
+// stays available through Count and Stats().Reports.
 func TestCountingSynthesizesPerAddrReports(t *testing.T) {
-	c := NewCounting(NewEpoch())
-	runWith(t, 3, sched.NewRandom(), racyCounter, c)
-	inner := c.Inner.(*Epoch)
-	if inner.RaceCount() == 0 {
-		// racyCounter manifests under most seeds; search a few.
-		for seed := int64(4); seed < 40 && inner.RaceCount() == 0; seed++ {
-			c = NewCounting(NewEpoch())
-			runWith(t, seed, sched.NewRandom(), racyCounter, c)
-			inner = c.Inner.(*Epoch)
-		}
-		if inner.RaceCount() == 0 {
-			t.Fatal("race never manifested")
-		}
+	e := NewEpoch()
+	// racyCounter manifests under most seeds; search a few.
+	for seed := int64(3); seed < 40 && e.Count() == 0; seed++ {
+		e = NewEpoch()
+		runWith(t, seed, sched.NewRandom(), racyCounter, e)
 	}
-	races := c.Races()
-	if len(races) != len(inner.RacyAddrs()) {
-		t.Fatalf("%d synthesized reports, %d racy addrs", len(races), len(inner.RacyAddrs()))
+	if e.Count() == 0 {
+		t.Fatal("race never manifested")
+	}
+	races := e.Races()
+	if len(races) != len(e.RacyAddrs()) {
+		t.Fatalf("%d synthesized reports, %d racy addrs", len(races), len(e.RacyAddrs()))
 	}
 	for _, r := range races {
-		if r.Detector != c.Name() {
-			t.Fatalf("synthesized report names %q, want %q", r.Detector, c.Name())
+		if r.Detector != e.Name() {
+			t.Fatalf("synthesized report names %q, want %q", r.Detector, e.Name())
 		}
-		if !inner.RacyAddrs()[r.First.Addr] {
+		if !e.RacyAddrs()[r.First.Addr] {
 			t.Fatalf("report for addr %d not in RacyAddrs", r.First.Addr)
 		}
 	}
-	if c.Count() != inner.RaceCount() {
-		t.Fatal("Count disagrees with inner RaceCount")
+	if e.Stats().Reports != e.Count() {
+		t.Fatal("Stats().Reports disagrees with Count")
 	}
-	if c.Stats().Reports != inner.RaceCount() {
-		t.Fatal("Stats().Reports disagrees with inner RaceCount")
-	}
-	if c.Candidates() != nil {
+	if e.Candidates() != nil {
 		t.Fatal("counting detector has candidates")
 	}
 }
@@ -232,12 +224,12 @@ func TestStatsPassthroughCarriesAdaptiveCounters(t *testing.T) {
 		}
 	}
 	check("fasttrack", NewFastTrack(), true)
-	check("counting(epoch)", NewCounting(NewEpoch()), true)
+	check("epoch", NewEpoch(), true)
 	// DJIT keeps full histories for the cell's whole life, so it
 	// promotes but never demotes within a run.
-	check("counting(djit)", NewCounting(NewDJIT()), false)
+	check("djit", NewDJIT(), false)
 	check("sampled(fasttrack)", NewSampled(NewFastTrack(), 1), true)
-	check("sampled(counting(epoch))", NewSampled(NewCounting(NewEpoch()), 1), true)
+	check("sampled(epoch)", NewSampled(NewEpoch(), 1), true)
 
 	// Under a real gate the full-stream counters must stay honest:
 	// checked + skipped == accesses, and the event-shape counters

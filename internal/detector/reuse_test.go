@@ -48,31 +48,27 @@ func TestPooledFastTrackMatchesFresh(t *testing.T) {
 }
 
 // TestPooledDetectorsMatchFreshOnRandomEventStreams drives every
-// resettable detector with synthetic random event streams (not just
+// registered detector with synthetic random event streams (not just
 // scheduler-generated ones): random forks, lock sections, and plain /
 // atomic accesses over a small address space, which exercises read-set
 // inflation and shadow-cell reuse much harder than the corpus does.
 func TestPooledDetectorsMatchFreshOnRandomEventStreams(t *testing.T) {
-	build := map[string]func() Detector{
-		"fasttrack": func() Detector { return NewFastTrack() },
-		"epoch":     func() Detector { return NewCounting(NewEpoch()) },
-		"djit":      func() Detector { return NewCounting(NewDJIT()) },
-		"eraser":    func() Detector { return NewEraser() },
-		"hybrid":    func() Detector { return NewHybrid() },
-	}
-	for name, mk := range build {
-		pooled := mk()
-		rs, ok := pooled.(Resetter)
-		if !ok {
-			t.Fatalf("%s: not resettable", name)
+	for _, name := range Names() {
+		mk := func() Detector {
+			d, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
+		pooled := mk()
 		for seed := int64(0); seed < 40; seed++ {
 			events := randomEventStream(seed)
 			fresh := mk()
 			for _, ev := range events {
 				fresh.HandleEvent(ev)
 			}
-			rs.Reset()
+			pooled.Reset()
 			for _, ev := range events {
 				pooled.HandleEvent(ev)
 			}

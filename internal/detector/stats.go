@@ -113,58 +113,6 @@ func fill(s Stats, c statCounter, a adaptCounter) Stats {
 	return s
 }
 
-// Stats reports the FastTrack detector's work counters.
-func (ft *FastTrack) Stats() Stats {
-	gor := 0
-	for _, c := range ft.clocks {
-		if c != nil {
-			gor++
-		}
-	}
-	return fill(Stats{
-		Cells:      ft.cellCount,
-		SyncClocks: ft.objCount,
-		Goroutines: gor,
-		Reports:    len(ft.races),
-		Evictions:  ft.evictions,
-		Reloads:    ft.reloads,
-	}, ft.stats, ft.adapt)
-}
-
-// Stats reports the Epoch detector's work counters.
-func (e *Epoch) Stats() Stats {
-	gor := 0
-	for _, c := range e.clocks {
-		if c != nil {
-			gor++
-		}
-	}
-	return fill(Stats{
-		Cells:      e.cellCount,
-		SyncClocks: e.objCount,
-		Goroutines: gor,
-		Reports:    e.count,
-	}, e.stats, e.adapt)
-}
-
-// Stats reports the DJIT detector's work counters. DJIT never clears
-// a cell's history, so its Demotions stay zero within a run — the
-// contrast with FastTrack's demotion stream is the ablation's point.
-func (d *DJIT) Stats() Stats {
-	gor := 0
-	for _, c := range d.clocks {
-		if c != nil {
-			gor++
-		}
-	}
-	return fill(Stats{
-		Cells:      d.cellCount,
-		SyncClocks: d.objCount,
-		Goroutines: gor,
-		Reports:    d.count,
-	}, d.stats, d.adapt)
-}
-
 // Stats reports the Hybrid detector's combined work counters. Both
 // sides consume the same event stream, so the event-shape counters
 // come from the HB side; shadow state and reports are summed. The

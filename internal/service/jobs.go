@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -272,6 +273,19 @@ func validateSpec(spec *JobSpec, maxSeeds int) error {
 		if spec.Rounds < 0 || spec.Budget < 0 {
 			return fmt.Errorf("racegen rounds/budget must be non-negative")
 		}
+		// A racegen job runs to completion even under a forced drain,
+		// so its work — rounds × candidates, at racegen's defaults of 3
+		// and 8 — is held to the same compute cap as a seed range.
+		rounds, budget := spec.Rounds, spec.Budget
+		if rounds == 0 {
+			rounds = 3
+		}
+		if budget == 0 {
+			budget = 8
+		}
+		if rounds > maxSeeds/budget {
+			return fmt.Errorf("racegen rounds %d × budget %d exceeds the server cap of %d", rounds, budget, maxSeeds)
+		}
 		if spec.Seeds <= 0 {
 			spec.Seeds = 4 // racegen's per-unit schedule panel default
 		}
@@ -301,15 +315,23 @@ func validateSpec(spec *JobSpec, maxSeeds int) error {
 	if len(spec.Strategies) == 0 {
 		spec.Strategies = sched.StrategyNames()
 	}
-	for _, name := range spec.Strategies {
+	for i, name := range spec.Strategies {
 		if _, err := sched.NewStrategy(name); err != nil {
 			return err
+		}
+		if slices.Contains(spec.Strategies[:i], name) {
+			return fmt.Errorf("duplicate strategy %q", name)
 		}
 	}
 	if len(spec.Patterns) == 0 {
 		spec.Patterns = patterns.IDs()
 	}
-	for _, id := range spec.Patterns {
+	for i, id := range spec.Patterns {
+		// Each entry is a campaign unit per strategy, so a repeated
+		// entry would multiply the work past the seed cap.
+		if slices.Contains(spec.Patterns[:i], id) {
+			return fmt.Errorf("duplicate pattern %q", id)
+		}
 		if _, ok := patterns.ByID(id); ok {
 			continue
 		}

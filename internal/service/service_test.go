@@ -359,6 +359,44 @@ func TestJobRacegen(t *testing.T) {
 	}
 }
 
+// TestJobRacegenWorkCapped: a racegen job's rounds × budget is held to
+// the MaxSeeds compute cap at submit. A racegen job runs to completion
+// even under a forced drain, so an accepted oversized spec would hold a
+// job worker, and Drain, indefinitely; the server is therefore built
+// without newTestServer's drain, which a failing run could not finish.
+func TestJobRacegenWorkCapped(t *testing.T) {
+	store, _ := seedStore(t)
+	svc, err := New(Config{Store: store, JobWorkers: 1, JobParallelism: 1, MaxSeeds: 512,
+		Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		if !t.Failed() {
+			svc.Drain(context.Background())
+		}
+	})
+	for _, bad := range []string{
+		`{"mode":"racegen","rounds":1000000000}`,
+		`{"mode":"racegen","budget":1000}`,
+		`{"mode":"racegen","rounds":64,"budget":9}`,
+		// 2^62 × 4 wraps to 0 in a naive int64 product.
+		`{"mode":"racegen","rounds":4611686018427387904,"budget":4}`,
+	} {
+		if s, b, _ := post(t, ts.URL+"/v1/jobs", bad); s != http.StatusBadRequest {
+			t.Fatalf("spec %s = %d %s, want 400", bad, s, b)
+		}
+	}
+	// Exactly at the cap is accepted; so are the defaults (3 × 8).
+	for _, spec := range []JobSpec{{Mode: "racegen", Rounds: 64, Budget: 8}, {Mode: "racegen"}} {
+		if err := validateSpec(&spec, 512); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+	}
+}
+
 // TestJobInstrumentedProgram sweeps an instrumented program (a
 // prog:<name> spec entry) next to a synthetic pattern, and checks
 // both bad-program rejections.

@@ -81,6 +81,15 @@ func newWorkerRuntime(cfg WorkerConfig) *workerRuntime {
 	}
 }
 
+// shardInRange reports whether sh names a non-empty seed slice
+// [Lo, Lo+N) inside one of units. It never computes Lo+N, which a
+// hostile request can overflow past the unit's end.
+func shardInRange(units []sweep.Unit, sh sweep.Shard) bool {
+	return sh.UnitIdx >= 0 && sh.UnitIdx < len(units) &&
+		sh.Lo >= 0 && sh.N >= 1 && sh.Lo <= units[sh.UnitIdx].Runs &&
+		sh.N <= units[sh.UnitIdx].Runs-sh.Lo
+}
+
 // handleShards executes one dispatched shard synchronously and answers
 // with its transportable aggregates. The request is self-contained
 // (spec + shard coordinates), revalidated at the door, and executed
@@ -105,8 +114,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	units := campaignUnits(req.Spec)
 	sh := sweep.Shard{UnitIdx: req.Shard.UnitIdx, Lo: req.Shard.Lo, N: req.Shard.N}
-	if sh.UnitIdx < 0 || sh.UnitIdx >= len(units) ||
-		sh.Lo < 0 || sh.N < 1 || sh.Lo+sh.N > units[sh.UnitIdx].Runs {
+	if !shardInRange(units, sh) {
 		writeError(w, http.StatusBadRequest,
 			"shard unit %d seeds [%d,%d) is out of range for the campaign spec",
 			sh.UnitIdx, sh.Lo, sh.Lo+sh.N)

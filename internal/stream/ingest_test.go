@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -227,6 +228,78 @@ func TestIngestChunkedStreams(t *testing.T) {
 	if res1.NewDefects+res2.NewDefects != coll.Defects() {
 		t.Fatalf("chunked folds defined %d+%d defects, collector has %d",
 			res1.NewDefects, res2.NewDefects, coll.Defects())
+	}
+}
+
+// TestIngestCountingDetectors runs the counting detectors (one report
+// per racy address, Count for the pair total) through the streaming
+// path with a Collector. The stream has one address with two racing
+// pairs — two unordered readers, then a writer — so a detector whose
+// pair count leaked into the per-report manifestation probe would fold
+// past the end of its report list.
+func TestIngestCountingDetectors(t *testing.T) {
+	events := []trace.Event{
+		{Op: trace.OpFork, G: 0, Child: 1},
+		{Op: trace.OpFork, G: 0, Child: 2},
+		{Op: trace.OpFork, G: 0, Child: 3},
+		{Op: trace.OpRead, G: 1, Addr: 5},
+		{Op: trace.OpRead, G: 2, Addr: 5},
+		{Op: trace.OpWrite, G: 3, Addr: 5},
+	}
+	var buf bytes.Buffer
+	enc := trace.NewEncoder(&buf)
+	for i, ev := range events {
+		ev.Seq = uint64(i + 1)
+		events[i] = ev
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	type counting interface {
+		detector.Detector
+		Count() int
+		RacyAddrs() map[trace.Addr]bool
+	}
+	for _, name := range []string{"epoch", "djit"} {
+		coll := corpus.NewCollector("counting")
+		in, err := NewIngestor(Config{Detector: name, Collector: coll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := in.Ingest(context.Background(), bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		det := in.Detector().(counting)
+		if det.Count() != 2 || len(det.RacyAddrs()) != 1 {
+			t.Fatalf("%s: %d pairs on %d addresses, want 2 on 1", name, det.Count(), len(det.RacyAddrs()))
+		}
+		if len(res.Races) != len(det.RacyAddrs()) {
+			t.Fatalf("%s: %d races, %d racy addresses", name, len(res.Races), len(det.RacyAddrs()))
+		}
+		if res.Stats.Reports != det.Count() {
+			t.Fatalf("%s: Stats.Reports %d, Count %d", name, res.Stats.Reports, det.Count())
+		}
+		if res.NewDefects != coll.Defects() || coll.Defects() == 0 {
+			t.Fatalf("%s: %d new defects, collector has %d", name, res.NewDefects, coll.Defects())
+		}
+
+		fresh, err := detector.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			fresh.HandleEvent(ev)
+		}
+		if !reflect.DeepEqual(res.Races, fresh.Races()) {
+			t.Fatalf("%s: streamed races %v, replay %v", name, res.Races, fresh.Races())
+		}
+		if res.Stats != fresh.Stats() {
+			t.Fatalf("%s: streamed stats %s, replay %s", name, res.Stats, fresh.Stats())
+		}
 	}
 }
 
