@@ -33,9 +33,16 @@ type legacyFastTrack struct {
 type legacyCell struct {
 	seen     bool
 	hasWrite bool
-	write    access
-	reads    []access
+	write    legacyAccess
+	reads    []legacyAccess
 	reports  int
+}
+
+// legacyAccess is the pre-compaction prior access: the full report
+// context carried inline in the cell, next to the clock component.
+type legacyAccess struct {
+	report.Access
+	time uint32
 }
 
 func newLegacyFastTrack() *legacyFastTrack {
@@ -79,11 +86,14 @@ func (ft *legacyFastTrack) cell(a trace.Addr) *legacyCell {
 	return c
 }
 
-func (ft *legacyFastTrack) newAccess(ev trace.Event) access {
-	return access{
-		g: ev.G, gname: ev.GName, time: ft.clockOf(ev.G).Get(ev.G),
-		op: ev.Op, stk: ev.Stack, label: ev.Label,
-		atomic: ev.Op.IsAtomic(), locks: ft.locks.heldLabels(ev.G), seq: ev.Seq,
+func (ft *legacyFastTrack) newAccess(ev trace.Event) legacyAccess {
+	return legacyAccess{
+		Access: report.Access{
+			G: ev.G, GName: ev.GName, Op: ev.Op, Addr: ev.Addr, Seq: ev.Seq,
+			Stack: ev.Stack, Label: ev.Label, Atomic: ev.Op.IsAtomic(),
+			Locks: ft.locks.heldLabels(ev.G),
+		},
+		time: ft.clockOf(ev.G).Get(ev.G),
 	}
 }
 
@@ -114,14 +124,14 @@ func (ft *legacyFastTrack) HandleEvent(ev trace.Event) {
 	case trace.OpRead, trace.OpAtomicLoad:
 		c := ft.cell(ev.Addr)
 		cur := ft.clockOf(ev.G)
-		if c.hasWrite && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
-			if !(c.write.atomic && ev.Op.IsAtomic()) {
+		if c.hasWrite && c.write.G != ev.G && c.write.time > cur.Get(c.write.G) {
+			if !(c.write.Atomic && ev.Op.IsAtomic()) {
 				ft.report(ev, c, c.write)
 			}
 		}
 		a := ft.newAccess(ev)
 		for i := range c.reads {
-			if c.reads[i].g == ev.G {
+			if c.reads[i].G == ev.G {
 				c.reads[i] = a
 				return
 			}
@@ -131,17 +141,17 @@ func (ft *legacyFastTrack) HandleEvent(ev trace.Event) {
 	case trace.OpWrite, trace.OpAtomicStore, trace.OpAtomicRMW:
 		c := ft.cell(ev.Addr)
 		cur := ft.clockOf(ev.G)
-		if c.hasWrite && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
-			if !(c.write.atomic && ev.Op.IsAtomic()) {
+		if c.hasWrite && c.write.G != ev.G && c.write.time > cur.Get(c.write.G) {
+			if !(c.write.Atomic && ev.Op.IsAtomic()) {
 				ft.report(ev, c, c.write)
 			}
 		}
 		for i := range c.reads {
 			r := &c.reads[i]
-			if r.g == ev.G {
+			if r.G == ev.G {
 				continue
 			}
-			if r.time > cur.Get(r.g) && !(r.atomic && ev.Op.IsAtomic()) {
+			if r.time > cur.Get(r.G) && !(r.Atomic && ev.Op.IsAtomic()) {
 				ft.report(ev, c, *r)
 			}
 		}
@@ -151,15 +161,16 @@ func (ft *legacyFastTrack) HandleEvent(ev trace.Event) {
 	}
 }
 
-func (ft *legacyFastTrack) report(ev trace.Event, c *legacyCell, prior access) {
+func (ft *legacyFastTrack) report(ev trace.Event, c *legacyCell, prior legacyAccess) {
 	if c.reports >= ft.maxReports {
 		return
 	}
 	c.reports++
-	second := ft.newAccess(ev)
+	first := prior.Access
+	first.Addr = ev.Addr
 	ft.races = append(ft.races, report.Race{
-		First:    prior.toReport(ev.Addr),
-		Second:   second.toReport(ev.Addr),
+		First:    first,
+		Second:   ft.newAccess(ev).Access,
 		Detector: "fasttrack-hb",
 		Seq:      ev.Seq,
 	})

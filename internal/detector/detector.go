@@ -30,6 +30,8 @@
 package detector
 
 import (
+	"encoding/binary"
+
 	"gorace/internal/report"
 	"gorace/internal/trace"
 	"gorace/internal/vclock"
@@ -76,14 +78,20 @@ type lockTracker struct {
 	// write-held.
 	write [][]lockEntry
 	read  [][]lockEntry
-	// cache[g] holds the derived views of g's current lock set
-	// (labels for reports, id sets for lockset refinement). Accesses
-	// are far more frequent than acquire/release, so deriving these
-	// once per lock-set change instead of once per access is what
-	// makes the annotated access path allocation-free. Each rebuild
-	// allocates fresh slices; consumers may keep the old ones, which
-	// stay immutable forever.
+	// cache[g] holds the derived views of g's current lock set (its
+	// interned label-set id for reports, id sets for lockset
+	// refinement). Accesses are far more frequent than acquire/release,
+	// so deriving these once per lock-set change instead of once per
+	// access is what makes the annotated access path allocation-free.
 	cache []lockView
+	// sets interns held-label lists by content: sets[id] is one
+	// immutable list, id 0 the empty set (nil). setIx maps a list's
+	// encoding (built in keyBuf) to its id. The table survives reset —
+	// ids never leave the detector and the lists are immutable — so a
+	// recycled detector re-derives its lock sets without allocating.
+	sets   [][]string
+	setIx  map[string]uint32
+	keyBuf []byte
 }
 
 // lockView caches the derived forms of one goroutine's lock set. Each
@@ -91,8 +99,8 @@ type lockTracker struct {
 // only wants labels (FastTrack) never pays for the id sets Eraser
 // needs, and vice versa.
 type lockView struct {
-	labelsOK bool
-	labels   []string
+	setOK    bool
+	set      uint32
 	writeOK  bool
 	writeIDs []trace.ObjID
 	allOK    bool
@@ -105,10 +113,11 @@ type lockEntry struct {
 }
 
 func newLockTracker() *lockTracker {
-	return &lockTracker{}
+	return &lockTracker{sets: [][]string{nil}, setIx: make(map[string]uint32)}
 }
 
-// reset empties every held set in place, keeping per-goroutine buffers.
+// reset empties every held set in place, keeping per-goroutine buffers
+// and the label-set table.
 func (lt *lockTracker) reset() {
 	for i := range lt.write {
 		lt.write[i] = lt.write[i][:0]
@@ -212,22 +221,62 @@ func (lt *lockTracker) allHeld(g vclock.TID) []trace.ObjID {
 	return v.allIDs
 }
 
-// heldLabels returns human-readable names of all locks held by g,
-// under the same sharing contract as writeHeld.
+// heldLabels returns human-readable names of all locks held by g
+// (read-held ones suffixed "(r)"), under the same sharing contract as
+// writeHeld.
 func (lt *lockTracker) heldLabels(g vclock.TID) []string {
-	v := lt.view(g)
-	if !v.labelsOK {
-		v.labelsOK = true
-		v.labels = nil
-		for _, e := range heldOf(lt.write, g) {
-			v.labels = append(v.labels, e.label)
-		}
-		for _, e := range heldOf(lt.read, g) {
-			v.labels = append(v.labels, e.label+"(r)")
-		}
-	}
-	return v.labels
+	return lt.sets[lt.setID(g)]
 }
+
+// setID returns the interned id of g's held-label list, derived at
+// most once per lock-set change.
+func (lt *lockTracker) setID(g vclock.TID) uint32 {
+	v := lt.view(g)
+	if !v.setOK {
+		v.setOK = true
+		v.set = lt.intern(heldOf(lt.write, g), heldOf(lt.read, g))
+	}
+	return v.set
+}
+
+// intern returns the id of the label list of write-held w then
+// read-held r, adding the list on first sight. A repeated lock set
+// costs one map probe and no allocation.
+func (lt *lockTracker) intern(w, r []lockEntry) uint32 {
+	if len(w)+len(r) == 0 {
+		return 0
+	}
+	// Length-prefixed labels keep the encoding unambiguous whatever
+	// bytes a label holds.
+	key := lt.keyBuf[:0]
+	for _, e := range w {
+		key = binary.AppendUvarint(key, uint64(len(e.label)))
+		key = append(key, e.label...)
+	}
+	for _, e := range r {
+		key = binary.AppendUvarint(key, uint64(len(e.label)+len(readSuffix)))
+		key = append(key, e.label...)
+		key = append(key, readSuffix...)
+	}
+	lt.keyBuf = key
+	if id, ok := lt.setIx[string(key)]; ok {
+		return id
+	}
+	labels := make([]string, 0, len(w)+len(r))
+	for _, e := range w {
+		labels = append(labels, e.label)
+	}
+	for _, e := range r {
+		labels = append(labels, e.label+readSuffix)
+	}
+	id := uint32(len(lt.sets))
+	lt.sets = append(lt.sets, labels)
+	lt.setIx[string(key)] = id
+	return id
+}
+
+// readSuffix marks a read-held lock in report labels.
+const readSuffix = "(r)"
 
 // intersect keeps the members of a that are also in b. When every
 // member of a survives — by far the common case for consistently

@@ -44,7 +44,7 @@ type eraserCell struct {
 	// means "not yet initialized", distinct from the empty set.
 	candidate   []trace.ObjID
 	initialized bool
-	last        access
+	last        report.Access
 	hasLast     bool
 	reported    bool
 }
@@ -158,7 +158,7 @@ func (e *Eraser) HandleEvent(ev trace.Event) {
 		c.reported = true
 		var first report.Access
 		if c.hasLast {
-			first = c.last.toReport(ev.Addr)
+			first = c.last
 		}
 		e.races = append(e.races, report.Race{
 			First: first,
@@ -172,9 +172,9 @@ func (e *Eraser) HandleEvent(ev trace.Event) {
 		})
 	}
 
-	c.last = access{
-		g: ev.G, gname: ev.GName, op: ev.Op, stk: ev.Stack,
-		label: ev.Label, locks: e.locks.heldLabels(ev.G), seq: ev.Seq,
+	c.last = report.Access{
+		G: ev.G, GName: ev.GName, Op: ev.Op, Addr: ev.Addr, Seq: ev.Seq,
+		Stack: ev.Stack, Label: ev.Label, Locks: e.locks.heldLabels(ev.G),
 	}
 	c.hasLast = true
 }

@@ -1,96 +1,154 @@
 package detector
 
 import (
+	"unsafe"
+
 	"gorace/internal/report"
 	"gorace/internal/stack"
 	"gorace/internal/trace"
 	"gorace/internal/vclock"
 )
 
-// access is a recorded prior access to a shadow cell, with everything
-// a race report needs.
-type access struct {
-	g      vclock.TID
-	gname  string
-	time   uint32
-	op     trace.Op
-	stk    stack.Context
-	label  string
-	atomic bool
-	locks  []string
+// ftAccess is a recorded prior access to a shadow cell: who, when
+// (the goroutine's own clock component) and the event's sequence
+// number, plus an index into the detector's interned report context.
+// It holds no pointers, so shadow memory is invisible to the garbage
+// collector's scan and write barriers.
+type ftAccess struct {
 	seq    uint64
+	g      vclock.TID
+	time   uint32
+	meta   uint32 // index into FastTrack.metas; 0 means no access
+	atomic bool
 }
 
-func (a access) toReport(addr trace.Addr) report.Access {
-	return report.Access{
-		G: a.g, GName: a.gname, Op: a.op, Addr: addr, Seq: a.seq,
-		Stack: a.stk, Label: a.label, Atomic: a.atomic, Locks: a.locks,
+// ftMeta is the report context of an access, interned per detector:
+// everything report.Access carries beyond the goroutine, address and
+// sequence number. Distinct entries grow with access sites ×
+// goroutine names × lock sets, not with events.
+type ftMeta struct {
+	key metaKey
+	stk stack.Context
+}
+
+// metaKey indexes ftMeta entries. The stack enters as stackHash, so a
+// context re-captured with the same frames (the scheduler captures a
+// fresh one whenever the line moves) finds its entry again; a lookup
+// confirms the frames themselves with sameFrames.
+type metaKey struct {
+	gname, label string
+	stack        uint64
+	locks        uint32 // lockTracker label-set id
+	op           trace.Op
+}
+
+// stackHash hashes a context by frame: its function and file names'
+// string addresses and its line. Contexts built from the same name
+// strings — a trace decoder's string table, or a program's literals —
+// hash alike without reading a byte of any name. Equal names at other
+// addresses hash differently, which costs only a duplicate entry.
+func stackHash(c stack.Context) uint64 {
+	fr := c.Frames()
+	h := uint64(len(fr))
+	for i := range fr {
+		h = (h ^ uint64(uintptr(unsafe.Pointer(unsafe.StringData(fr[i].Func))))) * 0x100000001b3
+		h = (h ^ uint64(uintptr(unsafe.Pointer(unsafe.StringData(fr[i].File))))) * 0x100000001b3
+		h = (h ^ uint64(fr[i].Line)) * 0x100000001b3
 	}
+	return h
 }
 
-// ftCell is the shadow state of one memory cell. Cells live by value
-// in a dense slice indexed by Addr, so looking one up is a bounds
-// check, not a map probe, and a fresh cell costs no allocation.
+// metaCacheBits sizes the direct-mapped cache in front of the meta
+// index: metaCacheSize slots of one meta id each.
+const (
+	metaCacheBits = 9
+	metaCacheSize = 1 << metaCacheBits
+)
+
+// ftCell is the shadow state of one memory cell: 56 bytes, no
+// pointers. Cells live by value in per-page slabs (paged.go), so
+// looking one up is two bounds checks, not a map probe, and a fresh
+// cell costs no allocation once its page's slab has grown.
 //
 // The read history is adaptive, FastTrack style: while a single
 // goroutine reads the cell — by far the common case — the history is
 // the inline `read` slot and costs nothing beyond the cell itself.
-// The first read by a second goroutine *promotes* the cell to the
-// `readers` list (drawn from the detector's freelist); the next write
-// *demotes* it back, releasing the list for reuse by other cells.
-// Unlike textbook FastTrack, an *ordered* read by a second goroutine
-// still promotes: this detector reports one race per retained reader
-// with that reader's metadata, so collapsing ordered readers into one
-// slot would change which reports a later concurrent write produces.
+// The first read by a second goroutine *promotes* the cell to a
+// readers list (a side-table slot drawn from the detector's
+// freelist); the next write *demotes* it back, releasing the list for
+// reuse by other cells. Unlike textbook FastTrack, an *ordered* read
+// by a second goroutine still promotes: this detector reports one race
+// per retained reader with that reader's metadata, so collapsing
+// ordered readers into one slot would change which reports a later
+// concurrent write produces.
 type ftCell struct {
-	seen     bool
-	hasWrite bool
-	hasRead  bool
-	write    access
+	write ftAccess
 	// read is the epoch-form read slot: the most recent read while at
 	// most one goroutine has read since the last write.
-	read access
-	// readers is the promoted (vector-clock-form) read history: the
-	// most recent read per goroutine since the last write, in first-
-	// read order. nil while the cell is in epoch form.
-	readers []access
-	reports int
+	read ftAccess
+	// readers is 1 + the index of the promoted (vector-clock-form)
+	// read history in FastTrack.readers: the most recent read per
+	// goroutine since the last write, in first-read order. 0 while the
+	// cell is in epoch form.
+	readers uint32
+	reports uint32
+}
+
+// used reports whether the cell holds any access history. Every access
+// leaves some, so this is "seen since the last eviction or Reset".
+func (c *ftCell) used() bool {
+	return c.write.meta != 0 || c.read.meta != 0 || c.readers != 0
 }
 
 // FastTrack is the happens-before race detector: the shared hb clocks
 // plus per-cell access histories; a race is two accesses to the same
 // cell, at least one a write, not both atomic, with neither ordered
-// before the other. Cells live in a dense slice, so the per-event path
-// performs no steady-state allocations, and Reset reuses all of it.
+// before the other. The per-event path performs no steady-state
+// allocations, and Reset reuses every buffer.
 //
-// Shadow memory is paged (the Evictor interface): the dense cell slice
-// is tracked in pages of pagedCellsPerPage cells, each carrying a
-// last-touch tick, and under a page budget the least-recently-touched
-// page is reclaimed whenever the budget is exceeded. Evicted cells lose
-// their access history; a re-accessed evicted address restarts in
-// epoch form as if never seen, so races straddling an eviction are
-// missed (false negatives only — clearing history can never fabricate
-// a happens-before violation, so every report remains one the
-// unbudgeted detector would also make). Evictions and Reloads in Stats
-// quantify the tradeoff. The clock ticks once per access, not on
-// wall-time or GC pressure: the same event stream under the same
-// budget always evicts the same pages at the same points. With no
-// budget (the default) nothing is ever evicted.
+// Shadow state is split as in a production race runtime: pointer-free
+// cells hold only who/when/which-context words, while the report
+// context (goroutine name, stack, label, held locks, op) lives once in
+// the metas table and is looked up only when a report is built.
+//
+// Shadow memory is paged (the Evictor interface): cells are grouped in
+// pages of pagedCellsPerPage dense indices, each page owning a slab
+// while resident and carrying a last-touch tick, and under a page
+// budget the least-recently-touched page is reclaimed, its slab going
+// back to a freelist. Evicted cells lose their access history; a
+// re-accessed evicted address restarts in epoch form as if never seen,
+// so races straddling an eviction are missed (false negatives only —
+// clearing history can never fabricate a happens-before violation, so
+// every report remains one the unbudgeted detector would also make).
+// Evictions and Reloads in Stats quantify the tradeoff. The clock
+// ticks once per access, not on wall-time or GC pressure: the same
+// event stream under the same budget always evicts the same pages at
+// the same points. With no budget (the default) nothing is ever
+// evicted.
 type FastTrack struct {
 	hb
-	cells []ftCell
 	locks *lockTracker
 	races []report.Race
-	// freeReaders recycles demoted readers lists: only currently
-	// promoted cells hold list storage, and a demotion hands the
-	// backing array to the next promotion anywhere in the detector.
-	freeReaders [][]access
+	// metas is the interned report context (index 0 reserved for "no
+	// access"); metaIx finds an entry by key, and metaCache, indexed
+	// by a hash of the key, skips the map probe on the hot path. Cache
+	// slots are validated against metas, so Reset need not clear them.
+	metas     []ftMeta
+	metaIx    map[metaKey]uint32
+	metaCache [metaCacheSize]uint32
+	// readers is the promoted read-history side table; freeReaders
+	// lists its unused slots. Only currently promoted cells hold a
+	// slot, and a demotion hands it to the next promotion anywhere in
+	// the detector.
+	readers     [][]ftAccess
+	freeReaders []uint32
 	// Paging state (paged.go): the budget survives Reset, the rest
 	// rewinds with it.
 	maxPages           int
 	tick               uint64
 	pages              []shadowPage
-	live               int
+	resident           []int32    // indices of resident pages, unordered
+	freeSlabs          [][]ftCell // slabs of evicted pages, for reuse
 	evictions, reloads int
 	// MaxReportsPerCell caps reports from a single cell so a racy
 	// loop does not flood the output (default 8).
@@ -102,6 +160,8 @@ func NewFastTrack() *FastTrack {
 	return &FastTrack{
 		hb:                newHB(),
 		locks:             newLockTracker(),
+		metas:             make([]ftMeta, 1),
+		metaIx:            make(map[metaKey]uint32),
 		MaxReportsPerCell: 8,
 	}
 }
@@ -127,73 +187,135 @@ func (ft *FastTrack) Stats() Stats {
 }
 
 // Reset implements Detector: it clears all detection state in place,
-// releasing clocks to the pool and retaining every buffer, so the
-// detector can consume another run without reallocating its shadow
-// state. Slices previously returned by Races are invalidated.
+// releasing clocks to the pool, slabs and reader lists to their
+// freelists, and retaining every buffer, so the detector can consume
+// another run without reallocating its shadow state. Slices previously
+// returned by Races are invalidated.
 func (ft *FastTrack) Reset() {
 	ft.hb.reset()
-	for i := range ft.cells {
-		c := &ft.cells[i]
-		c.seen, c.hasWrite, c.hasRead, c.reports = false, false, false, 0
-		c.write, c.read = access{}, access{}
-		if c.readers != nil {
-			// Teardown, not a demotion: the counters describe the
-			// event stream, so Reset does not touch them.
-			ft.releaseReaders(c.readers)
-			c.readers = nil
-		}
+	for _, pg := range ft.resident {
+		ft.freeSlabs = append(ft.freeSlabs, ft.pages[pg].cells[:0])
 	}
+	ft.resident = ft.resident[:0]
+	ft.pages = ft.pages[:0]
+	// Teardown, not demotions: the counters describe the event stream,
+	// so Reset does not touch them.
+	ft.freeReaders = ft.freeReaders[:0]
+	for i := range ft.readers {
+		ft.freeReaders = append(ft.freeReaders, uint32(i))
+	}
+	clear(ft.metas[1:])
+	ft.metas = ft.metas[:1]
+	clear(ft.metaIx)
 	ft.locks.reset()
 	ft.races = ft.races[:0]
 	ft.tick = 0
-	ft.pages = ft.pages[:0]
-	ft.live = 0
 	ft.evictions, ft.reloads = 0, 0
 }
 
-// acquireReaders pops a recycled readers list, or allocates the first
-// time a promotion outruns the freelist.
-func (ft *FastTrack) acquireReaders() []access {
+// promote moves c to a readers list holding a then b, drawing the
+// list from the freelist or allocating the first time a promotion
+// outruns it.
+func (ft *FastTrack) promote(c *ftCell, a, b ftAccess) {
+	var i uint32
 	if n := len(ft.freeReaders); n > 0 {
-		s := ft.freeReaders[n-1]
-		ft.freeReaders[n-1] = nil
+		i = ft.freeReaders[n-1]
 		ft.freeReaders = ft.freeReaders[:n-1]
-		return s
+	} else {
+		i = uint32(len(ft.readers))
+		ft.readers = append(ft.readers, make([]ftAccess, 0, 4))
 	}
-	return make([]access, 0, 4)
+	ft.readers[i] = append(ft.readers[i][:0], a, b)
+	c.readers = i + 1
 }
 
-// releaseReaders clears a demoted list (dropping its stack and lock
-// references) and parks it for the next promotion.
-func (ft *FastTrack) releaseReaders(s []access) {
-	for i := range s {
-		s[i] = access{}
-	}
-	ft.freeReaders = append(ft.freeReaders, s[:0])
+// demote parks c's readers list for the next promotion.
+func (ft *FastTrack) demote(c *ftCell) {
+	ft.freeReaders = append(ft.freeReaders, c.readers-1)
+	c.readers = 0
 }
 
 // cell returns the shadow cell for a, after the access's page
 // bookkeeping: one tick of the paging clock (cell runs exactly once per
 // access), and the touch of the cell's page, faulting it in first if
 // needed. The returned pointer is only valid until the next cell call
-// (growth may move the backing array).
+// (slab growth may move it).
 func (ft *FastTrack) cell(a trace.Addr) *ftCell {
-	i := int(ft.addrIx.local(uint64(a)))
+	i := ft.addrIx.local(uint64(a))
 	ft.tick++
-	pg := i / pagedCellsPerPage
-	if pg >= len(ft.pages) || !ft.pages[pg].resident || (ft.maxPages > 0 && ft.live > ft.maxPages) {
+	pg, slot := int(i/pagedCellsPerPage), int(i%pagedCellsPerPage)
+	if pg >= len(ft.pages) || !ft.pages[pg].resident || (ft.maxPages > 0 && len(ft.resident) > ft.maxPages) {
 		ft.faultPage(pg)
 	}
-	ft.pages[pg].touch = ft.tick
-	for i >= len(ft.cells) {
-		ft.cells = append(ft.cells, ftCell{})
+	p := &ft.pages[pg]
+	p.touch = ft.tick
+	for slot >= len(p.cells) {
+		p.cells = append(p.cells, ftCell{})
 	}
-	c := &ft.cells[i]
-	if !c.seen {
-		c.seen = true
+	c := &p.cells[slot]
+	if !c.used() {
 		ft.cellCount++
 	}
 	return c
+}
+
+// metaOf returns the interned report context of ev, adding it on first
+// sight. A cache hit costs the stack hash and one key compare; only a
+// miss probes the map, and no path hashes a string's bytes.
+func (ft *FastTrack) metaOf(ev trace.Event) uint32 {
+	k := metaKey{
+		gname: ev.GName, label: ev.Label, stack: stackHash(ev.Stack),
+		locks: ft.locks.setID(ev.G), op: ev.Op,
+	}
+	h := (k.stack ^ uint64(uintptr(unsafe.Pointer(unsafe.StringData(k.label))))<<1 ^
+		uint64(len(k.gname))<<7 ^ uint64(k.locks)<<11 ^ uint64(k.op)) * 0x9e3779b97f4a7c15
+	slot := &ft.metaCache[h>>(64-metaCacheBits)]
+	if id := *slot; id != 0 && int(id) < len(ft.metas) && ft.matches(id, k, ev.Stack) {
+		return id
+	}
+	id, ok := ft.metaIx[k]
+	if !ok || !ft.matches(id, k, ev.Stack) {
+		// New context, or a stack-hash collision: the entry the key
+		// already names stays valid for the cells that use it.
+		id = uint32(len(ft.metas))
+		ft.metas = append(ft.metas, ftMeta{key: k, stk: ev.Stack})
+		ft.metaIx[k] = id
+	}
+	*slot = id
+	return id
+}
+
+// matches reports whether metas[id] is the context (k, stk).
+func (ft *FastTrack) matches(id uint32, k metaKey, stk stack.Context) bool {
+	m := &ft.metas[id]
+	return m.key == k && sameFrames(m.stk, stk)
+}
+
+// sameFrames reports whether a and b hold the same frames. Contexts
+// that share storage (one capture, or one depot entry) compare in O(1).
+func sameFrames(a, b stack.Context) bool {
+	fa, fb := a.Frames(), b.Frames()
+	if len(fa) != len(fb) {
+		return false
+	}
+	if len(fa) == 0 || &fa[0] == &fb[0] {
+		return true
+	}
+	for i := range fa {
+		if fa[i] != fb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// toReport rebuilds the report.Access of a recorded access at addr.
+func (ft *FastTrack) toReport(a ftAccess, addr trace.Addr) report.Access {
+	m := &ft.metas[a.meta]
+	return report.Access{
+		G: a.g, GName: m.key.gname, Op: m.key.op, Addr: addr, Seq: a.seq,
+		Stack: m.stk, Label: m.key.label, Atomic: a.atomic, Locks: ft.locks.sets[m.key.locks],
+	}
 }
 
 // HandleEvent implements trace.Listener.
@@ -219,92 +341,90 @@ func (ft *FastTrack) HandleEvent(ev trace.Event) {
 	}
 }
 
-func (ft *FastTrack) newAccess(ev trace.Event) access {
-	return access{
-		g: ev.G, gname: ev.GName, time: ft.clockOf(ev.G).Get(ev.G),
-		op: ev.Op, stk: ev.Stack, label: ev.Label,
-		atomic: ev.Op.IsAtomic(), locks: ft.locks.heldLabels(ev.G), seq: ev.Seq,
+func (ft *FastTrack) newAccess(ev trace.Event, cur *vclock.VC) ftAccess {
+	return ftAccess{
+		seq: ev.Seq, g: ev.G, time: cur.Get(ev.G),
+		meta: ft.metaOf(ev), atomic: ev.Op.IsAtomic(),
 	}
 }
 
 func (ft *FastTrack) read(ev trace.Event) {
 	c := ft.cell(ev.Addr)
 	cur := ft.clockOf(ev.G)
-	if c.hasWrite && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
+	if c.write.meta != 0 && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
 		if !(c.write.atomic && ev.Op.IsAtomic()) {
 			ft.report(ev, c, c.write)
 		}
 	}
-	a := ft.newAccess(ev)
-	if c.readers != nil {
+	a := ft.newAccess(ev, cur)
+	if c.readers != 0 {
 		// Promoted: maintain the per-goroutine slot in first-read
 		// order, exactly the pre-adaptive list behavior.
-		for i := range c.readers {
-			if c.readers[i].g == ev.G {
-				c.readers[i] = a
+		rs := ft.readers[c.readers-1]
+		for i := range rs {
+			if rs[i].g == ev.G {
+				rs[i] = a
 				return
 			}
 		}
-		c.readers = append(c.readers, a)
+		ft.readers[c.readers-1] = append(rs, a)
 		return
 	}
-	if !c.hasRead || c.read.g == ev.G {
+	if c.read.meta == 0 || c.read.g == ev.G {
 		// Epoch-form fast path: first reader, or the owning goroutine
 		// reading again.
-		c.read, c.hasRead = a, true
+		c.read = a
 		ft.adapt.fastReads++
 		return
 	}
 	// Second distinct reader: promote. The prior slot goes first so
 	// the list order matches the pre-adaptive insertion order.
-	c.readers = append(ft.acquireReaders(), c.read, a)
-	c.read, c.hasRead = access{}, false
+	ft.promote(c, c.read, a)
+	c.read = ftAccess{}
 	ft.adapt.promotions++
 }
 
 func (ft *FastTrack) write(ev trace.Event) {
 	c := ft.cell(ev.Addr)
 	cur := ft.clockOf(ev.G)
-	if c.hasWrite && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
+	if c.write.meta != 0 && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
 		if !(c.write.atomic && ev.Op.IsAtomic()) {
 			ft.report(ev, c, c.write)
 		}
 	}
-	if c.readers != nil {
-		for i := range c.readers {
-			r := &c.readers[i]
+	if c.readers != 0 {
+		for _, r := range ft.readers[c.readers-1] {
 			if r.g == ev.G {
 				continue
 			}
 			if r.time > cur.Get(r.g) && !(r.atomic && ev.Op.IsAtomic()) {
-				ft.report(ev, c, *r)
+				ft.report(ev, c, r)
 			}
 		}
 		// Demote: the write subsumes the ordered read history and the
-		// concurrent readers were just reported, so the list storage
-		// goes back to the freelist for the next promotion.
-		ft.releaseReaders(c.readers)
-		c.readers = nil
+		// concurrent readers were just reported, so the list goes back
+		// to the freelist for the next promotion.
+		ft.demote(c)
 		ft.adapt.demotions++
-	} else if c.hasRead {
-		if r := c.read; r.g != ev.G && r.time > cur.Get(r.g) && !(r.atomic && ev.Op.IsAtomic()) {
-			ft.report(ev, c, r)
-		}
+	} else if r := c.read; r.meta != 0 && r.g != ev.G && r.time > cur.Get(r.g) && !(r.atomic && ev.Op.IsAtomic()) {
+		ft.report(ev, c, r)
 	}
-	c.read, c.hasRead = access{}, false
-	c.write = ft.newAccess(ev)
-	c.hasWrite = true
+	c.read = ftAccess{}
+	c.write = ft.newAccess(ev, cur)
 }
 
-func (ft *FastTrack) report(ev trace.Event, c *ftCell, prior access) {
-	if c.reports >= ft.MaxReportsPerCell {
+func (ft *FastTrack) report(ev trace.Event, c *ftCell, prior ftAccess) {
+	if int(c.reports) >= ft.MaxReportsPerCell {
 		return
 	}
 	c.reports++
-	second := ft.newAccess(ev)
 	ft.races = append(ft.races, report.Race{
-		First:    prior.toReport(ev.Addr),
-		Second:   second.toReport(ev.Addr),
+		First: ft.toReport(prior, ev.Addr),
+		Second: report.Access{
+			G: ev.G, GName: ev.GName, Op: ev.Op, Addr: ev.Addr, Seq: ev.Seq,
+			Stack: ev.Stack, Label: ev.Label, Atomic: ev.Op.IsAtomic(),
+			Locks: ft.locks.heldLabels(ev.G),
+		},
 		Detector: ft.Name(),
 		Seq:      ev.Seq,
 	})

@@ -4,10 +4,10 @@ import "unsafe"
 
 // pagedCellsPerPage is the shadow-page granularity: cells are grouped
 // into pages of this many consecutive dense indices, and eviction
-// reclaims whole pages. 256 cells × ~¼ KiB of ftCell state ≈ 64 KiB
-// per page — big enough that LRU bookkeeping is negligible per access,
-// small enough that one eviction does not blow away a large fraction
-// of the working set.
+// reclaims whole pages. 256 cells × 56 B of ftCell state = 14 KiB per
+// full page — big enough that LRU bookkeeping is negligible per
+// access, small enough that one eviction does not blow away a large
+// fraction of the working set.
 const pagedCellsPerPage = 256
 
 // Evictor is implemented by detectors whose shadow memory is paged and
@@ -26,9 +26,11 @@ type Evictor interface {
 	LivePages() int
 }
 
-// shadowPage is the paging state of one page of FastTrack's dense cell
-// slice.
+// shadowPage is the paging state of one page of FastTrack's shadow
+// memory. A resident page owns a slab of cells, grown only to the
+// highest slot the page has touched; an evicted page owns none.
 type shadowPage struct {
+	cells    []ftCell
 	touch    uint64 // access tick of the last touch
 	resident bool
 	wasEver  bool // evicted at least once
@@ -42,22 +44,22 @@ func (ft *FastTrack) SetPageBudget(pages int) {
 	ft.maxPages = pages
 }
 
-// PageBytes implements Evictor: the dense cell state of one page. The
-// real footprint also includes promoted reader lists and report
-// storage, which is why callers budget pages at a fraction of their
-// byte ceiling rather than all of it.
+// PageBytes implements Evictor: the cell slab of one full page. The
+// real footprint also includes promoted reader lists, the interned
+// report context and report storage, which is why callers budget
+// pages at a fraction of their byte ceiling rather than all of it.
 func (ft *FastTrack) PageBytes() int {
 	return pagedCellsPerPage * int(unsafe.Sizeof(ftCell{}))
 }
 
 // LivePages implements Evictor.
-func (ft *FastTrack) LivePages() int { return ft.live }
+func (ft *FastTrack) LivePages() int { return len(ft.resident) }
 
 // faultPage is the slow path of the per-access page bookkeeping that
 // cell runs: page pg is not resident (or the budget is exceeded), so
-// fault it in and evict past the budget. The caller stamps the page's
-// touch tick afterwards; eviction never picks pg, so the order does
-// not matter.
+// fault it in with a slab from the freelist and evict past the budget.
+// The caller stamps the page's touch tick afterwards; eviction never
+// picks pg, so the order does not matter.
 func (ft *FastTrack) faultPage(pg int) {
 	for pg >= len(ft.pages) {
 		ft.pages = append(ft.pages, shadowPage{})
@@ -65,51 +67,56 @@ func (ft *FastTrack) faultPage(pg int) {
 	p := &ft.pages[pg]
 	if !p.resident {
 		p.resident = true
-		ft.live++
+		ft.resident = append(ft.resident, int32(pg))
+		if n := len(ft.freeSlabs); n > 0 {
+			p.cells = ft.freeSlabs[n-1]
+			ft.freeSlabs[n-1] = nil
+			ft.freeSlabs = ft.freeSlabs[:n-1]
+		}
 		if p.wasEver {
 			ft.reloads++
 		}
 	}
-	if ft.maxPages > 0 && ft.live > ft.maxPages {
+	if ft.maxPages > 0 && len(ft.resident) > ft.maxPages {
 		ft.evictColdest(pg)
 	}
 }
 
 // evictColdest reclaims the least-recently-touched resident page other
-// than keep (the page the current access needs). Ties break toward the
-// lowest page index, keeping eviction order a pure function of the
-// event stream.
+// than keep (the page the current access needs), scanning only the
+// resident pages. Ties break toward the lowest page index, keeping
+// eviction order a pure function of the event stream.
 func (ft *FastTrack) evictColdest(keep int) {
-	victim, best := -1, uint64(0)
-	for pg, p := range ft.pages {
-		if !p.resident || pg == keep {
+	at, victim := -1, -1
+	var best uint64
+	for i, pg := range ft.resident {
+		p := &ft.pages[pg]
+		if int(pg) == keep {
 			continue
 		}
-		if victim == -1 || p.touch < best {
-			victim, best = pg, p.touch
+		if victim == -1 || p.touch < best || (p.touch == best && int(pg) < victim) {
+			at, victim, best = i, int(pg), p.touch
 		}
 	}
 	if victim == -1 {
 		return // budget of 1 with only the current page resident
 	}
-	lo := victim * pagedCellsPerPage
-	hi := lo + pagedCellsPerPage
-	if hi > len(ft.cells) {
-		hi = len(ft.cells)
-	}
-	for i := lo; i < hi; i++ {
-		c := &ft.cells[i]
-		if !c.seen {
+	p := &ft.pages[victim]
+	for i := range p.cells {
+		c := &p.cells[i]
+		if !c.used() {
 			continue
 		}
-		if c.readers != nil {
-			ft.releaseReaders(c.readers)
+		if c.readers != 0 {
+			ft.demote(c)
 		}
-		*c = ftCell{}
 		ft.cellCount--
 	}
-	ft.pages[victim].resident = false
-	ft.pages[victim].wasEver = true
-	ft.live--
+	// The slab is parked as-is: cell growth appends zero cells, so a
+	// reused slab never exposes the evicted history.
+	ft.freeSlabs = append(ft.freeSlabs, p.cells[:0])
+	ft.resident[at] = ft.resident[len(ft.resident)-1]
+	ft.resident = ft.resident[:len(ft.resident)-1]
+	p.cells, p.resident, p.wasEver = nil, false, true
 	ft.evictions++
 }

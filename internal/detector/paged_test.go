@@ -3,9 +3,11 @@ package detector
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"gorace/internal/progen"
 	"gorace/internal/sched"
+	"gorace/internal/stack"
 	"gorace/internal/trace"
 	"gorace/internal/vclock"
 )
@@ -145,5 +147,95 @@ func TestPagedAliasMatchesFastTrack(t *testing.T) {
 		if got, want := raceHashes(alias.Races()), raceHashes(plain.Races()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: fasttrack-paged reported %v, fasttrack %v", seed, got, want)
 		}
+	}
+}
+
+// TestShadowCellLayout pins the compact cell: at most 64 bytes (so a
+// byte ceiling buys the page count PageBytes promises) and no pointer
+// anywhere in it, so the garbage collector neither scans nor
+// write-barriers shadow memory.
+func TestShadowCellLayout(t *testing.T) {
+	if size := unsafe.Sizeof(ftCell{}); size > 64 {
+		t.Fatalf("ftCell is %d bytes, want <= 64", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: shadow cells must hold no pointers", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("ftCell", reflect.TypeOf(ftCell{}))
+	if got, want := NewFastTrack().PageBytes(), pagedCellsPerPage*int(unsafe.Sizeof(ftCell{})); got != want {
+		t.Fatalf("PageBytes() = %d, want one full slab, %d", got, want)
+	}
+}
+
+// TestReportContextGrowsWithSites: the interned report context grows
+// with distinct access sites, not with events — a context re-captured
+// with the same frames on every access (as the scheduler does when the
+// line moves) reuses its entry — while reports still carry each
+// access's own stack.
+func TestReportContextGrowsWithSites(t *testing.T) {
+	ft := NewFastTrack()
+	ft.HandleEvent(trace.Event{Op: trace.OpFork, G: 0, Child: 1})
+	ft.HandleEvent(trace.Event{Op: trace.OpFork, G: 0, Child: 2})
+	site := func(line int) stack.Context {
+		return stack.NewContext(stack.Frame{Func: "main", File: "m.go", Line: 1}, stack.Frame{Func: "work", File: "w.go", Line: line})
+	}
+	seq := uint64(2)
+	for i := 0; i < 1000; i++ {
+		for g := vclock.TID(1); g <= 2; g++ {
+			seq++
+			ft.HandleEvent(trace.Event{Seq: seq, G: g, GName: "worker", Op: trace.OpWrite,
+				Addr: trace.Addr(1 + i%300), Label: "x", Stack: site(10 + i%3)})
+		}
+	}
+	// One entry per (line, op) site plus the reserved zero entry.
+	if got := len(ft.metas); got != 1+3 {
+		t.Fatalf("%d report-context entries after 2000 accesses at 3 sites, want 4", got)
+	}
+	if len(ft.Races()) == 0 {
+		t.Fatal("no races from unordered writers")
+	}
+	for _, r := range ft.Races() {
+		if want := site(10 + int(r.First.Seq-3)/2%3); !reflect.DeepEqual(r.First.Stack, want) {
+			t.Fatalf("first access #%d has stack %v, want %v", r.First.Seq, r.First.Stack, want)
+		}
+	}
+}
+
+func TestSameFrames(t *testing.T) {
+	a := stack.NewContext(stack.Frame{Func: "main", File: "m.go", Line: 1}, stack.Frame{Func: "work", File: "w.go", Line: 9})
+	cases := []struct {
+		name string
+		o    stack.Context
+		want bool
+	}{
+		{"same capture", a, true},
+		{"re-captured", stack.NewContext(a.Frames()...), true},
+		{"other line", stack.NewContext(stack.Frame{Func: "main", File: "m.go", Line: 1}, stack.Frame{Func: "work", File: "w.go", Line: 10}), false},
+		{"other file", stack.NewContext(stack.Frame{Func: "main", File: "m.go", Line: 1}, stack.Frame{Func: "work", File: "x.go", Line: 9}), false},
+		{"prefix", stack.NewContext(stack.Frame{Func: "main", File: "m.go", Line: 1}), false},
+		{"empty", stack.Context{}, false},
+	}
+	for _, c := range cases {
+		if got := sameFrames(a, c.o); got != c.want {
+			t.Errorf("%s: sameFrames = %v, want %v", c.name, got, c.want)
+		}
+		if got := sameFrames(c.o, a); got != c.want {
+			t.Errorf("%s (reversed): sameFrames = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if !sameFrames(stack.Context{}, stack.NewContext()) {
+		t.Error("empty contexts differ")
 	}
 }

@@ -1,11 +1,14 @@
 package detector
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gorace/internal/progen"
 	"gorace/internal/sched"
+	"gorace/internal/stack"
 	"gorace/internal/trace"
 	"gorace/internal/vclock"
 )
@@ -35,8 +38,8 @@ func TestPooledFastTrackMatchesFresh(t *testing.T) {
 			t.Fatalf("seed %d: fresh %d races, pooled %d", seed, len(fr), len(pr))
 		}
 		for i := range fr {
-			if fr[i].Hash() != pr[i].Hash() {
-				t.Fatalf("seed %d: report %d differs:\nfresh:  %s\npooled: %s",
+			if !reflect.DeepEqual(fr[i], pr[i]) {
+				t.Fatalf("seed %d: report %d differs:\nfresh:  %+v\npooled: %+v",
 					seed, i, fr[i], pr[i])
 			}
 		}
@@ -76,9 +79,13 @@ func TestPooledDetectorsMatchFreshOnRandomEventStreams(t *testing.T) {
 			if len(fr) != len(pr) {
 				t.Fatalf("%s seed %d: fresh %d races, pooled %d", name, seed, len(fr), len(pr))
 			}
+			// Whole reports, not hashes: the hash ignores locks, labels,
+			// goroutine names and sequence numbers, which a recycled
+			// detector rebuilds from its interned report context.
 			for i := range fr {
-				if fr[i].Hash() != pr[i].Hash() {
-					t.Fatalf("%s seed %d: report %d differs", name, seed, i)
+				if !reflect.DeepEqual(fr[i], pr[i]) {
+					t.Fatalf("%s seed %d: report %d differs:\nfresh:  %+v\npooled: %+v",
+						name, seed, i, fr[i], pr[i])
 				}
 			}
 			if fs, ps := fresh.Stats(), pooled.Stats(); fs != ps {
@@ -91,7 +98,9 @@ func TestPooledDetectorsMatchFreshOnRandomEventStreams(t *testing.T) {
 // randomEventStream builds a structurally valid random trace: TIDs
 // exist before they act (forked from g0), lock acquire/release pairs
 // nest properly per goroutine, and accesses mix plain and atomic ops
-// over a handful of cells.
+// over a handful of cells. Events carry goroutine names, labels, lock
+// labels and stacks drawn from small per-stream sets, so a report that
+// loses any of them differs from a fresh detector's.
 func randomEventStream(seed int64) []trace.Event {
 	rng := rand.New(rand.NewSource(seed))
 	const (
@@ -109,11 +118,17 @@ func randomEventStream(seed int64) []trace.Event {
 	}
 	gs := 1 // g0 exists
 	held := make([][]trace.ObjID, maxG)
+	stacks := []stack.Context{
+		{},
+		stack.NewContext(stack.Frame{Func: "main", File: "m.go", Line: 3}),
+		stack.NewContext(stack.Frame{Func: "main", File: "m.go", Line: 3}, stack.Frame{Func: "work", File: "w.go", Line: 9}),
+	}
+	gname := func(g vclock.TID) string { return fmt.Sprintf("g%d", g) }
 	for i := 0; i < nEvents; i++ {
 		g := vclock.TID(rng.Intn(gs))
 		switch r := rng.Intn(10); {
 		case r == 0 && gs < maxG:
-			emit(trace.Event{Op: trace.OpFork, G: g, Child: vclock.TID(gs)})
+			emit(trace.Event{Op: trace.OpFork, G: g, GName: gname(g), Child: vclock.TID(gs)})
 			gs++
 		case r == 1 && len(held[g]) < 2:
 			obj := trace.ObjID(1 + rng.Intn(mutexes))
@@ -127,17 +142,19 @@ func randomEventStream(seed int64) []trace.Event {
 				continue
 			}
 			held[g] = append(held[g], obj)
-			emit(trace.Event{Op: trace.OpAcquire, G: g, Obj: obj, Kind: trace.KindMutex})
+			emit(trace.Event{Op: trace.OpAcquire, G: g, GName: gname(g), Obj: obj, Kind: trace.KindMutex, Label: fmt.Sprintf("mu%d", obj)})
 		case r == 2 && len(held[g]) > 0:
 			obj := held[g][len(held[g])-1]
 			held[g] = held[g][:len(held[g])-1]
-			emit(trace.Event{Op: trace.OpRelease, G: g, Obj: obj, Kind: trace.KindMutex})
+			emit(trace.Event{Op: trace.OpRelease, G: g, GName: gname(g), Obj: obj, Kind: trace.KindMutex, Label: fmt.Sprintf("mu%d", obj)})
 		default:
 			ops := []trace.Op{trace.OpRead, trace.OpWrite, trace.OpRead, trace.OpWrite,
 				trace.OpAtomicLoad, trace.OpAtomicStore, trace.OpAtomicRMW}
+			addr := 1 + rng.Intn(addrs)
 			emit(trace.Event{
-				Op: ops[rng.Intn(len(ops))], G: g,
-				Addr: trace.Addr(1 + rng.Intn(addrs)),
+				Op: ops[rng.Intn(len(ops))], G: g, GName: gname(g),
+				Addr: trace.Addr(addr), Label: fmt.Sprintf("v%d", addr%3),
+				Stack: stacks[rng.Intn(len(stacks))],
 			})
 		}
 	}

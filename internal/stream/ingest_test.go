@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -416,5 +418,91 @@ func TestRunCeilingSweep(t *testing.T) {
 	md := MarkdownTable(rows)
 	if !strings.Contains(md, "unbounded") || !strings.Contains(md, "1 MiB") {
 		t.Fatalf("markdown table incomplete:\n%s", md)
+	}
+}
+
+// TestFoldBufferReuseLeavesCollectorIntact: the Ingestor merges the
+// window into one reused buffer for every fold, so the Collector must
+// copy whatever it keeps. The folds of a multi-defect stream must
+// store exactly the records and retained traces of folds handed a
+// fresh window copy each time, and scribbling over the buffer after
+// the last fold must change neither.
+func TestFoldBufferReuseLeavesCollectorIntact(t *testing.T) {
+	spec := SynthSpec{Events: 50000, Planted: 5, Seed: 3}.norm()
+	data := synthBytes(t, spec)
+
+	// stored appends coll to a fresh store under dir and returns its
+	// records and retained trace files, keyed by record key.
+	stored := func(coll *corpus.Collector, dir string) ([]corpus.Record, map[string]string) {
+		t.Helper()
+		store, err := corpus.Open(filepath.Join(dir, "corpus.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		if err := coll.AppendTo(store); err != nil {
+			t.Fatal(err)
+		}
+		recs := coll.Records()
+		files := make(map[string]string)
+		for _, rec := range recs {
+			b, err := os.ReadFile(corpus.TracePathIn(dir, rec.Key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[rec.Key] = string(b)
+		}
+		return recs, files
+	}
+
+	// Reference: the eager fold, a fresh window slice per fold.
+	refDir := t.TempDir()
+	ref := corpus.NewCollector("fold", corpus.WithTraceDir(refDir))
+	det := detector.NewFastTrack()
+	win := trace.NewWindowRecorder(DefaultWindow)
+	dec, err := trace.NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := 0
+	for {
+		ev, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.HandleEvent(ev)
+		det.HandleEvent(ev)
+		if n := det.RaceCount(); n > folded {
+			ref.FoldRaces(0, "stream", detector.DefaultName, 0, det.Races()[folded:n], win.Events())
+			folded = n
+		}
+	}
+	ref.NoteExecution()
+	wantRecs, wantFiles := stored(ref, refDir)
+	if len(wantRecs) < 2 {
+		t.Fatalf("stream defined %d defects, want several folds", len(wantRecs))
+	}
+
+	dir := t.TempDir()
+	coll := corpus.NewCollector("fold", corpus.WithTraceDir(dir))
+	in, err := NewIngestor(Config{Collector: coll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Ingest(context.Background(), bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range in.foldBuf {
+		in.foldBuf[i] = trace.Event{Seq: uint64(i), G: 1, Op: trace.OpAcquire, Kind: trace.KindWG, Label: "scribbled"}
+	}
+	gotRecs, gotFiles := stored(coll, dir)
+	if !reflect.DeepEqual(gotRecs, wantRecs) {
+		t.Fatalf("records differ from the eager fold:\ngot  %+v\nwant %+v", gotRecs, wantRecs)
+	}
+	if !reflect.DeepEqual(gotFiles, wantFiles) {
+		t.Fatal("retained traces differ from the eager fold")
 	}
 }

@@ -106,6 +106,9 @@ type Ingestor struct {
 	win     *trace.WindowRecorder
 	pages   int
 	folded  int // reports already folded into the collector
+	// foldBuf is the reused buffer each fold merges the window into;
+	// the Collector copies what it keeps.
+	foldBuf []trace.Event
 }
 
 // NewIngestor builds an Ingestor from cfg, resolving the detector
@@ -225,7 +228,8 @@ func (in *Ingestor) foldNew(res *Result, n int) {
 	races := in.det.Races()[in.folded:n]
 	var window []trace.Event
 	if in.win != nil {
-		window = in.win.Events()
+		in.foldBuf = in.win.AppendEvents(in.foldBuf[:0])
+		window = in.foldBuf
 	}
 	unit := in.cfg.Unit
 	if unit == "" {

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"reflect"
 	"testing"
+
+	"gorace/internal/vclock"
 )
 
 // TestEncoderDecoderRoundTrip pins the streamed (count-unknown) form:
@@ -136,6 +140,39 @@ func TestWindowRecorder(t *testing.T) {
 	w.Reset()
 	if got := w.Retained(); got != 0 {
 		t.Fatalf("Retained() after Reset = %d, want 0", got)
+	}
+}
+
+// TestWindowAppendEventsMerges checks the k-way merge against a sort
+// of everything retained, over many goroutines whose rings have
+// wrapped at different points, and that AppendEvents keeps what dst
+// already held and reuses its storage.
+func TestWindowAppendEventsMerges(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	w := NewWindowRecorder(5)
+	var all []Event
+	for seq := uint64(1); seq <= 400; seq++ {
+		ev := Event{Seq: seq, G: vclock.TID(rng.Intn(12)), Op: OpRead}
+		w.HandleEvent(ev)
+		all = append(all, ev)
+	}
+	var want []Event
+	kept := make(map[vclock.TID]int)
+	for i := len(all) - 1; i >= 0; i-- {
+		if kept[all[i].G] < w.PerG() {
+			kept[all[i].G]++
+			want = append([]Event{all[i]}, want...)
+		}
+	}
+	if got := w.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Events() = %v\nwant %v", got, want)
+	}
+	prefix := Event{Seq: 1 << 40}
+	buf := make([]Event, 1, 1+len(want))
+	buf[0] = prefix
+	got := w.AppendEvents(buf)
+	if &got[0] != &buf[0] || got[0].Seq != prefix.Seq || !reflect.DeepEqual(got[1:], want) {
+		t.Fatalf("AppendEvents did not extend dst in place: %v", got)
 	}
 }
 

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sort"
-
-	"gorace/internal/vclock"
-)
+import "gorace/internal/vclock"
 
 // WindowRecorder is a Listener that retains only the most recent
 // events of each goroutine in a fixed-size ring — the trace-retention
@@ -15,6 +11,8 @@ import (
 type WindowRecorder struct {
 	perG int
 	gs   map[vclock.TID]*eventRing
+	// runs is AppendEvents' reused merge heap.
+	runs [][]Event
 }
 
 // eventRing is one goroutine's window: an append-until-full buffer
@@ -72,12 +70,66 @@ func (w *WindowRecorder) Retained() int {
 // fresh slice in Seq order — the classify-able trace excerpt a defect
 // report keeps when it manifests mid-stream.
 func (w *WindowRecorder) Events() []Event {
-	out := make([]Event, 0, w.Retained())
+	return w.AppendEvents(make([]Event, 0, w.Retained()))
+}
+
+// AppendEvents appends the retained events of all goroutines to dst in
+// Seq order and returns the extended slice, so a caller that merges
+// the window often can reuse one buffer. Each ring is already in Seq
+// order once rotated at its overwrite position, so this is a k-way
+// merge of at most two runs per goroutine, not a sort.
+func (w *WindowRecorder) AppendEvents(dst []Event) []Event {
+	h := w.runs[:0]
 	for _, rg := range w.gs {
-		out = append(out, rg.buf...)
+		if rg.next < len(rg.buf) {
+			h = append(h, rg.buf[rg.next:])
+		}
+		if rg.next > 0 {
+			h = append(h, rg.buf[:rg.next])
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 1 {
+		dst = append(dst, h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	if len(h) == 1 {
+		dst = append(dst, h[0]...)
+	}
+	w.runs = h[:0] // the runs alias rings the recorder keeps anyway
+	return dst
+}
+
+// siftDown restores the min-heap order (by head Seq, then G) of runs
+// below i. Runs are never empty while in the heap.
+func siftDown(runs [][]Event, i int) {
+	for {
+		min, l, r := i, 2*i+1, 2*i+2
+		if l < len(runs) && headBefore(runs[l], runs[min]) {
+			min = l
+		}
+		if r < len(runs) && headBefore(runs[r], runs[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		runs[i], runs[min] = runs[min], runs[i]
+		i = min
+	}
+}
+
+func headBefore(a, b []Event) bool {
+	if a[0].Seq != b[0].Seq {
+		return a[0].Seq < b[0].Seq
+	}
+	return a[0].G < b[0].G
 }
 
 // Snapshot returns the merged window as a Recorder the caller owns.
