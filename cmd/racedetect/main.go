@@ -325,10 +325,10 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 				Runs:       seeds,
 				MaxSteps:   1 << 16,
 				SampleRate: sample,
-				// Recording buys hint-quality root-cause tallies at
+				// Recording buys hint-quality root-cause labels at
 				// the cost of one trace snapshot per run; corpus
-				// programs are small, and Tally classifies in Observe,
-				// so nothing is retained past the run.
+				// programs are small, and the collector classifies in
+				// Observe, so nothing is retained past the run.
 				Record: true,
 			})
 		}
@@ -383,14 +383,12 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	aggs, stats, err := sweep.New(opts...).Run(units,
 		func() sweep.Aggregator { return sweep.NewProb() },
 		func() sweep.Aggregator { return corpus.NewCollector(runID, collOpts...) },
-		func() sweep.Aggregator { return sweep.NewTally() },
 	)
 	if err != nil {
 		fatal(err)
 	}
 	prob := aggs[0].(*sweep.Prob)
 	coll := aggs[1].(*corpus.Collector)
-	tally := aggs[2].(*sweep.Tally)
 
 	fmt.Printf("== campaign: %d patterns + %d programs × %d strategies × %d seeds, detector %s ==\n",
 		len(pats), len(progs), len(stratNames), seeds, det)
@@ -405,11 +403,20 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	// found under every strategy is still one defect.
 	defects := make(map[string]int) // pattern -> unique defects across strategies
 	filed := make(map[string]bool)  // pattern + race hash
+	// Root-cause tallies count each unit's first defect — its first
+	// manifesting run's first race — by the label the collector gave it.
+	counts := make(map[taxonomy.Category]int)
 	var suppressed, unique int
+	prevUnit := ""
 	for _, rec := range coll.Records() {
+		firstOfUnit := rec.Unit != prevUnit
+		prevUnit = rec.Unit
 		if supp.Matches(rec.Race) {
 			suppressed++
 			continue
+		}
+		if firstOfUnit {
+			counts[rec.Category]++
 		}
 		pattern := strings.SplitN(rec.Unit, "/", 2)[0]
 		key := pattern + "/" + rec.Race.Hash()
@@ -450,7 +457,6 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	}
 	fmt.Println()
 
-	counts := tally.Counts(func(r report.Race) bool { return !supp.Matches(r) })
 	if len(counts) > 0 {
 		fmt.Println("\nroot-cause tallies (first manifesting run per unit):")
 		keys := make([]string, 0, len(counts))

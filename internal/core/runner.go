@@ -22,7 +22,6 @@ type Runner struct {
 	strategyFactory func() sched.Strategy
 	maxSteps        int
 	record          bool
-	window          int
 	sampleRate      int
 }
 
@@ -58,17 +57,6 @@ func WithMaxSteps(n int) Option {
 // analysis (Outcome.Trace).
 func WithRecord(record bool) Option {
 	return func(r *Runner) { r.record = record }
-}
-
-// WithWindow keeps a windowed trace on each run's Outcome instead of
-// a full recording: only the most recent n events per goroutine are
-// retained (trace.WindowRecorder), merged in Seq order at run end.
-// This is the sweep shape of streaming detection's bounded retention —
-// a manifested race still carries classify-able recent context, but
-// trace memory no longer scales with run length. n > 0 overrides
-// WithRecord's full trace; 0 disables windowing.
-func WithWindow(n int) Option {
-	return func(r *Runner) { r.window = n }
 }
 
 // WithSampleRate gates the detector behind a deterministic 1-in-n
@@ -118,7 +106,7 @@ func (r *Runner) newDetector() (detector.Detector, error) {
 
 // Worker owns one recycled detection state bound to a Runner: the
 // detector instance (Reset in place between runs) and the reusable
-// trace buffer for record and window mode. A sweep that pushes many
+// trace buffer for record mode. A sweep that pushes many
 // seeds through one Worker allocates one detector's worth of shadow
 // memory, not one per seed. Workers are not safe for
 // concurrent use; create one per goroutine. Runner.RunSeed is a
@@ -127,9 +115,8 @@ func (r *Runner) newDetector() (detector.Detector, error) {
 type Worker struct {
 	r    *Runner
 	det  detector.Detector
-	buf  *trace.Recorder       // lazily created, record mode only
-	wbuf *trace.WindowRecorder // lazily created, window mode only
-	used bool                  // det has consumed a run and needs a Reset
+	buf  *trace.Recorder // lazily created, record mode only
+	used bool            // det has consumed a run and needs a Reset
 }
 
 // NewWorker fails fast on unknown detector and strategy names and
@@ -173,14 +160,7 @@ func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 
 	out := &Outcome{Detector: det.Name(), Strategy: strat.Name(), Seed: seed}
 	var listeners []trace.Listener
-	switch {
-	case r.window > 0:
-		if w.wbuf == nil {
-			w.wbuf = trace.NewWindowRecorder(r.window)
-		}
-		w.wbuf.Reset()
-		listeners = append(listeners, w.wbuf)
-	case r.record:
+	if r.record {
 		if w.buf == nil {
 			w.buf = &trace.Recorder{}
 		}
@@ -200,10 +180,7 @@ func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 		Listeners: listeners,
 	})
 
-	switch {
-	case r.window > 0:
-		out.Trace = w.wbuf.Snapshot()
-	case r.record:
+	if r.record {
 		out.Trace = w.buf.Snapshot()
 	}
 	// The next run's Reset rewinds the detector's result slices, so

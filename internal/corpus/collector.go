@@ -129,46 +129,68 @@ func newUnitAgg() *unitAgg {
 	}
 }
 
-// Observe implements sweep.Aggregator.
+// Observe implements sweep.Aggregator: one execution, folded with
+// the same dedup-and-classify step as FoldRaces. A defect defined
+// here retains the run's own trace (outcomes own their traces).
 func (c *Collector) Observe(r sweep.Run) {
 	c.executions++
-	races := r.Outcome.Races
+	var events []trace.Event
+	if r.Outcome.Trace != nil {
+		events = r.Outcome.Trace.Events
+	}
+	c.fold(r.UnitIdx, r.Unit.ID, r.Unit.Detector, r.Seed, r.Outcome.Races, events, r.Outcome.Trace)
+}
+
+// fold is the one defect fold behind Observe and FoldRaces: count
+// every report against its hash, then define each hash seen for the
+// first time from its first report, classified against events (the
+// trace hints are computed once, and only if some hash is fresh).
+// With a trace dir configured a fresh defect retains keep, or — when
+// keep is nil — a copy of events, so the stored defect stays
+// replayable. It returns the number of fresh defects.
+func (c *Collector) fold(unitIdx int, unitID, detName string, seed int64, races []report.Race, events []trace.Event, keep *trace.Recorder) int {
 	c.reports += len(races)
 	if len(races) == 0 {
-		return
+		return 0
 	}
-	ua := c.unit(r.UnitIdx)
+	// Record the *registry* detector name, not the report's display
+	// name, so `racedb replay` can resolve it.
+	if detName == "" {
+		detName = detector.DefaultName
+	}
+	ua := c.unit(unitIdx)
 	for _, race := range races {
 		ua.counts[race.Hash()]++
 	}
+	fresh := 0
+	var hints classify.Hints
 	for _, race := range report.UniqueByHash(races) {
 		h := race.Hash()
 		if _, ok := ua.defs[h]; ok {
 			continue
 		}
-		var events []trace.Event
-		if r.Outcome.Trace != nil {
-			events = r.Outcome.Trace.Events
-		}
-		// Record the *registry* detector name, not the report's
-		// display name, so `racedb replay` can resolve it.
-		detName := r.Unit.Detector
-		if detName == "" {
-			detName = detector.DefaultName
+		if fresh == 0 {
+			hints = classify.HintsFromTrace(events)
 		}
 		d := &defining{
-			unit:     r.Unit.ID,
-			seed:     r.Seed,
+			unit:     unitID,
+			seed:     seed,
 			race:     race,
 			detector: detName,
-			labels:   classify.Classify(race, classify.HintsFromTrace(events)),
+			labels:   classify.Classify(race, hints),
 		}
 		if c.traceDir != "" {
-			d.trace = r.Outcome.Trace // outcomes own their traces
+			d.trace = keep
+			if keep == nil && len(events) > 0 {
+				d.trace = &trace.Recorder{Events: make([]trace.Event, len(events))}
+				copy(d.trace.Events, events)
+			}
 		}
 		ua.order = append(ua.order, h)
 		ua.defs[h] = d
+		fresh++
 	}
+	return fresh
 }
 
 // Merge implements sweep.Aggregator: next covers strictly later runs,

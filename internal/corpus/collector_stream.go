@@ -1,8 +1,6 @@
 package corpus
 
 import (
-	"gorace/internal/classify"
-	"gorace/internal/detector"
 	"gorace/internal/report"
 	"gorace/internal/trace"
 )
@@ -32,38 +30,5 @@ func (c *Collector) NoteExecution() { c.executions++ }
 // Like the rest of Collector, FoldRaces is not concurrency-safe; the
 // service serializes folds under its writer lock.
 func (c *Collector) FoldRaces(unitIdx int, unitID, detName string, seed int64, races []report.Race, window []trace.Event) int {
-	c.reports += len(races)
-	if len(races) == 0 {
-		return 0
-	}
-	if detName == "" {
-		detName = detector.DefaultName
-	}
-	ua := c.unit(unitIdx)
-	for _, race := range races {
-		ua.counts[race.Hash()]++
-	}
-	fresh := 0
-	for _, race := range report.UniqueByHash(races) {
-		h := race.Hash()
-		if _, ok := ua.defs[h]; ok {
-			continue
-		}
-		d := &defining{
-			unit:     unitID,
-			seed:     seed,
-			race:     race,
-			detector: detName,
-			labels:   classify.Classify(race, classify.HintsFromTrace(window)),
-		}
-		if c.traceDir != "" && len(window) > 0 {
-			snap := &trace.Recorder{Events: make([]trace.Event, len(window))}
-			copy(snap.Events, window)
-			d.trace = snap
-		}
-		ua.order = append(ua.order, h)
-		ua.defs[h] = d
-		fresh++
-	}
-	return fresh
+	return c.fold(unitIdx, unitID, detName, seed, races, window, nil)
 }

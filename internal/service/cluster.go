@@ -1,8 +1,8 @@
 package service
 
 // Coordinator mode: the distributed half of raced. A coordinator is a
-// normal Server (store, snapshots, jobs API) whose campaigns execute
-// on registered worker nodes instead of the local sweep engine. The
+// normal Server (store, snapshots, jobs API) whose campaign shards
+// execute on registered worker nodes instead of in process. The
 // protocol is deliberately small:
 //
 //	POST /v1/cluster/join       {url}  worker registers itself
@@ -12,8 +12,9 @@ package service
 //	POST /v1/shards                    (on workers) execute one shard
 //
 // Campaign determinism survives distribution because shards are pure
-// functions of (spec, shard coordinates) and the coordinator folds
-// results in shard-index order — see dispatch.go.
+// functions of (spec, shard coordinates) and the same sweep.Engine
+// that runs standalone campaigns folds them in shard-index order —
+// see dispatch.go.
 
 import (
 	"fmt"

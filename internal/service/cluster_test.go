@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -160,8 +159,8 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 // TestWorkerCrashRedispatches kills one of two workers after its first
 // shard and checks the campaign still completes with results
 // byte-identical to single-node: the dead worker's shards re-dispatch
-// to the survivor, and the duplicate guard keeps any half-delivered
-// work from folding twice.
+// to the survivor, and each shard, owned by one engine goroutine from
+// dispatch to result, folds exactly once.
 func TestWorkerCrashRedispatches(t *testing.T) {
 	spec := distSpec(t)
 	_, standalone := newTestServer(t, Config{Store: emptyStore(t), JobWorkers: 1})
@@ -209,34 +208,83 @@ func TestWorkerCrashRedispatches(t *testing.T) {
 	}
 }
 
-// TestDuplicateShardResultsDropped pins the dedup guard at the queue
-// level: the second delivery of a shard id is dropped, and a requeue
-// of a delivered shard is a no-op.
-func TestDuplicateShardResultsDropped(t *testing.T) {
-	q := newDispatchQueue(2)
-	ctx := context.Background()
-	if idx, ok := q.take(ctx); !ok || idx != 0 {
-		t.Fatalf("first take = %d,%v", idx, ok)
+// TestShardFoldedOnceAfterMidPostDeath: the first node executes the
+// campaign's only shard and dies before its answer arrives; the shard
+// is retried on the second node and folded exactly once — the results
+// match a single-node run, whose run counts a double fold would
+// inflate.
+func TestShardFoldedOnceAfterMidPostDeath(t *testing.T) {
+	spec := `{"patterns":["capture-loop-index"],"strategies":["random"],"seeds":4}`
+	_, standalone := newTestServer(t, Config{Store: emptyStore(t), JobWorkers: 1})
+	baseline := runJobToDone(t, standalone.URL, spec)
+
+	_, coord := newCoordinator(t, 4)
+	var dying, healthy atomic.Int32
+	_, first := newWorkerNode(t, coord.URL, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/shards" {
+				next.ServeHTTP(w, r)
+				return
+			}
+			dying.Add(1)
+			// Execute the shard in full, then drop the connection
+			// before a byte of the answer is written.
+			next.ServeHTTP(httptest.NewRecorder(), r)
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+		})
+	})
+	_, second := newWorkerNode(t, coord.URL, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shards" {
+				healthy.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	// Join order is token order: the dying node gets the shard first.
+	joinWorker(t, coord.URL, first.URL)
+	joinWorker(t, coord.URL, second.URL)
+
+	res := runJobToDone(t, coord.URL, spec)
+	if !bytes.Equal(res, baseline) {
+		t.Errorf("results differ from single-node:\n got %s\nwant %s", res, baseline)
 	}
-	if idx, ok := q.take(ctx); !ok || idx != 1 {
-		t.Fatalf("second take = %d,%v", idx, ok)
+	if !strings.Contains(string(res), `"runs":4`) {
+		t.Errorf("summary lacks runs 4:\n%s", res)
 	}
-	resp := &shardResponse{ShardIdx: 1}
-	if !q.deliver(1, resp) {
-		t.Fatal("first delivery dropped")
+	if d, h := dying.Load(), healthy.Load(); d != 1 || h != 1 {
+		t.Errorf("dying node served %d posts, healthy node %d; want 1 and 1", d, h)
 	}
-	if q.deliver(1, resp) {
-		t.Fatal("duplicate delivery accepted")
+}
+
+// TestShardResponseRejectsForgedWork: a real worker answer is accepted
+// and rebuilds the shard's aggregates; each forged variant — work
+// outside the shard, counts that disagree, records of another unit —
+// is rejected.
+func TestShardResponseRejectsForgedWork(t *testing.T) {
+	units, sh, real := shardAnswer(t)
+	unitID := units[sh.UnitIdx].ID
+	aggs, stats, err := readShardResponse(bytes.NewReader(real), "r", unitID, sh, 0)
+	if err != nil {
+		t.Fatalf("real answer rejected: %v", err)
 	}
-	q.requeue(1) // late failure report for a delivered shard: no-op
-	if !q.deliver(0, &shardResponse{ShardIdx: 0}) {
-		t.Fatal("shard 0 delivery dropped")
+	if stats.Runs != sh.N || aggs[1].(*corpus.Collector).Defects() == 0 {
+		t.Fatalf("rebuilt %d runs and %d defects, want %d runs and some defects",
+			stats.Runs, aggs[1].(*corpus.Collector).Defects(), sh.N)
 	}
-	if len(q.results) != 2 {
-		t.Fatalf("results buffered = %d, want 2 (duplicate folded in)", len(q.results))
+	for name, bad := range forgedAnswers(t, real) {
+		if _, _, err := readShardResponse(bytes.NewReader(bad), "r", unitID, sh, 0); err == nil {
+			t.Errorf("%s: forged answer accepted", name)
+		}
 	}
-	if _, ok := q.take(ctx); ok {
-		t.Fatal("take succeeded on a finished campaign")
+	over := io.MultiReader(bytes.NewReader(real), strings.NewReader(strings.Repeat(" ", maxShardResponse)))
+	if _, _, err := readShardResponse(over, "r", unitID, sh, 0); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("over-cap answer: err = %v, want a size refusal", err)
 	}
 }
 
@@ -357,6 +405,26 @@ func TestReplicaReads(t *testing.T) {
 	_, replica, _ := get(t, wts.URL+"/v1/stats")
 	if !bytes.Equal(origin, replica) {
 		t.Errorf("post-publish stats differ:\n got %s\nwant %s", replica, origin)
+	}
+}
+
+// TestOverCapReplicaRefused: a replica snapshot larger than the pull's
+// body cap fails the pull and leaves the worker serving the view — and
+// generation — it had; the same body under the real cap publishes.
+func TestOverCapReplicaRefused(t *testing.T) {
+	store, _ := seedStore(t)
+	_, coord := newTestServer(t, Config{Store: store, Cluster: &ClusterConfig{DeadAfter: time.Hour}})
+	workerSvc, _ := newWorkerNode(t, coord.URL, nil)
+
+	before := workerSvc.View()
+	if moved, err := workerSvc.pullReplica(256); err == nil || moved || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("over-cap pull = %v, %v; want a size refusal", moved, err)
+	}
+	if v := workerSvc.View(); v != before || v.Generation() != 0 {
+		t.Fatalf("refused pull replaced the view (generation %d)", v.Generation())
+	}
+	if moved, err := workerSvc.PullReplica(); err != nil || !moved {
+		t.Fatalf("pull under maxReplicaBody = %v, %v (want moved)", moved, err)
 	}
 }
 

@@ -3,40 +3,49 @@ package service
 // The shard dispatcher: how a coordinator executes one campaign across
 // its workers while keeping the results byte-identical to a local run.
 //
-// The local sweep engine already splits campaigns into shards and
-// folds them into root aggregators in shard-index order. The
-// dispatcher preserves exactly that contract over HTTP: shards are
-// dispatched to any live worker in any order (bounded in-flight per
-// worker), results arrive as transportable aggregates (IndexedUnitStat
-// slices plus a binary corpus delta), and the merge loop buffers
-// out-of-order arrivals so the fold happens in shard-index order. A
-// shard is a pure function of (spec, coordinates): when a worker dies
-// mid-shard, the shard is re-dispatched to a live worker and the
-// duplicate-result guard (by shard id) keeps a late answer from the
-// dead worker from folding twice.
+// A coordinator campaign is an ordinary sweep.Engine campaign whose
+// Exec ships each shard to a worker instead of running it in process.
+// The engine still plans the shards, runs the in-flight slots, folds
+// results into the root aggregators in shard-index order, reports
+// progress, and returns the first error in shard order — exactly as
+// for a standalone job. The Exec only picks a node, POSTs the shard,
+// checks the answer against the shard it asked for, and rebuilds the
+// shard's [Prob, Collector] aggregates from the transported form
+// (IndexedUnitStat slices plus a binary corpus delta).
+//
+// Nodes are handed out through a token channel holding each campaign
+// node MaxInflight times. A dispatch that fails, or whose answer is
+// rejected, retires its node: the node's in-flight posts are
+// cancelled, its tokens are dropped as they surface, and the shard is
+// retried on another node. A heartbeat watchdog that lives as long as
+// the campaign retires nodes whose beats go stale. Once no node is
+// left, every remaining shard fails with "every worker died
+// mid-campaign". One engine goroutine owns each shard from dispatch
+// to result and runs its retries one after another, so a shard is
+// folded exactly once however many nodes die under it.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gorace/internal/corpus"
 	"gorace/internal/sweep"
 )
 
-// shardCoord is the wire form of sweep.Shard.
-type shardCoord struct {
-	UnitIdx int `json:"unitIdx"`
-	Lo      int `json:"lo"`
-	N       int `json:"n"`
-}
+// maxShardResponse caps a worker's answer to one shard dispatch. An
+// answer is one unit's stats plus a corpus delta of the shard's
+// deduplicated records — kilobytes for the pattern corpus — so the
+// cap only bounds what a broken or hostile worker can make the
+// coordinator buffer.
+const maxShardResponse = 16 << 20
 
 // shardRequest is the POST /v1/shards body: everything a worker needs
 // to execute one shard, self-contained so any worker can serve it.
@@ -47,11 +56,11 @@ type shardRequest struct {
 	// Spec is the validated, normalized campaign spec; the worker
 	// expands it to the same unit list the coordinator planned over.
 	Spec JobSpec `json:"spec"`
-	// ShardIdx is the shard's index in the campaign plan (echoed back;
-	// the coordinate results fold by).
+	// ShardIdx is the shard's index in the campaign plan (echoed back
+	// and checked).
 	ShardIdx int `json:"shardIdx"`
 	// Shard locates the seed slice within the campaign's units.
-	Shard shardCoord `json:"shard"`
+	Shard sweep.Shard `json:"shard"`
 }
 
 // shardResponse is the worker's answer: the shard's aggregates in
@@ -73,313 +82,252 @@ type shardResponse struct {
 	Corpus []byte `json:"corpus"`
 }
 
-// remoteShard pairs a delivered response with its shard index.
-type remoteShard struct {
-	idx  int
-	resp *shardResponse
+// campaign is one distributed campaign's dispatch state: the node set
+// taken at its start and the tokens that bound in-flight dispatches.
+type campaign struct {
+	c     *cluster
+	runID string
+	spec  JobSpec
+	units []sweep.Unit
+	index map[sweep.Shard]int // plan position, sent as ShardIdx
+	nodes map[string]*campaignNode
+
+	tokens  chan *campaignNode // each node MaxInflight times
+	allDead chan struct{}      // closed once no node is left
+
+	mu       sync.Mutex
+	live     int
+	deathErr error // why allDead closed; written before the close
 }
 
-// dispatchQueue coordinates shard hand-out and result delivery for one
-// campaign. Pending shards are taken by worker goroutines, failed ones
-// are requeued (re-dispatch after a worker death), and deliveries are
-// deduplicated by shard id so a shard folds exactly once no matter how
-// many workers ultimately answered it.
-type dispatchQueue struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pending   []int
-	delivered []bool
-	done      int
-	total     int
-	failErr   error
-	failCh    chan struct{}
-	results   chan remoteShard
+// campaignNode is one worker as this campaign sees it.
+type campaignNode struct {
+	url    string
+	ctx    context.Context // cancelled when the node is retired
+	cancel context.CancelFunc
 }
 
-func newDispatchQueue(total int) *dispatchQueue {
-	q := &dispatchQueue{
-		pending:   make([]int, total),
-		delivered: make([]bool, total),
-		total:     total,
-		failCh:    make(chan struct{}),
-		results:   make(chan remoteShard, total),
+// campaignEngine returns the engine one coordinator campaign runs on —
+// one in-flight slot per token, the configured shard size, and the
+// dispatching Exec — plus a stop func that ends the campaign's
+// watchdog; call it once the campaign returns. The node set is the
+// live workers at this call: workers joining later serve the next
+// campaign.
+func (c *cluster) campaignEngine(runID string, spec JobSpec, units []sweep.Unit) (*sweep.Engine, func()) {
+	urls := c.reg.liveURLs()
+	cp := &campaign{
+		c: c, runID: runID, spec: spec, units: units,
+		index:   make(map[sweep.Shard]int),
+		nodes:   make(map[string]*campaignNode, len(urls)),
+		tokens:  make(chan *campaignNode, len(urls)*c.cfg.MaxInflight),
+		allDead: make(chan struct{}),
+		live:    len(urls),
 	}
-	for i := range q.pending {
-		q.pending[i] = i
+	for i, sh := range sweep.Plan(units, c.cfg.ShardRuns) {
+		cp.index[sh] = i
 	}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	for _, u := range urls {
+		ctx, cancel := context.WithCancel(context.Background())
+		n := &campaignNode{url: u, ctx: ctx, cancel: cancel}
+		cp.nodes[u] = n
+		for k := 0; k < c.cfg.MaxInflight; k++ {
+			cp.tokens <- n
+		}
+	}
+	if len(urls) == 0 {
+		cp.deathErr = ErrNoWorkers
+		close(cp.allDead)
+	}
+
+	watchCtx, stopWatch := context.WithCancel(context.Background())
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		cp.watch(watchCtx)
+	}()
+	stop := func() {
+		stopWatch()
+		<-watched
+		for _, n := range cp.nodes {
+			n.cancel()
+		}
+	}
+	engine := sweep.New(
+		sweep.WithParallelism(len(urls)*c.cfg.MaxInflight),
+		sweep.WithShardRuns(c.cfg.ShardRuns),
+		sweep.WithExec(cp.exec),
+	)
+	return engine, stop
 }
 
-// take blocks until a shard is available and claims it; ok=false means
-// the campaign is over for this taker (all shards delivered, the
-// campaign failed, or ctx — the taker's node context — ended).
-func (q *dispatchQueue) take(ctx context.Context) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.pending) == 0 && q.done < q.total && q.failErr == nil && ctx.Err() == nil {
-		q.cond.Wait()
+// exec is the campaign's sweep.Exec: dispatch the shard to a live
+// node, retiring nodes and retrying until one answers acceptably or
+// none is left.
+func (cp *campaign) exec(ctx context.Context, sh sweep.Shard) ([]sweep.Aggregator, sweep.Stats, error) {
+	for {
+		var n *campaignNode
+		select {
+		case n = <-cp.tokens:
+		case <-cp.allDead:
+			return nil, sweep.Stats{}, cp.deathErr
+		case <-ctx.Done():
+			return nil, sweep.Stats{}, ctx.Err()
+		}
+		if n.ctx.Err() != nil {
+			continue // a retired node's token: drop it
+		}
+		aggs, stats, err := cp.postShard(ctx, n, sh)
+		if err == nil {
+			cp.tokens <- n // never blocks: the token came from this channel
+			cp.c.reg.addDone(n.url)
+			return aggs, stats, nil
+		}
+		if ctx.Err() != nil {
+			return nil, sweep.Stats{}, ctx.Err()
+		}
+		cp.retire(n, err)
 	}
-	if q.failErr != nil || q.done == q.total || ctx.Err() != nil {
-		return 0, false
-	}
-	idx := q.pending[0]
-	q.pending = q.pending[1:]
-	return idx, true
 }
 
-// requeue returns a failed shard to the pending set (unless some other
-// dispatch already delivered it).
-func (q *dispatchQueue) requeue(idx int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.delivered[idx] {
+// retire takes n out of the campaign (once): its in-flight posts are
+// cancelled, the registry marks it dead, and if it was the last node
+// every waiting dispatch fails.
+func (cp *campaign) retire(n *campaignNode, cause error) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if n.ctx.Err() != nil {
 		return
 	}
-	q.pending = append(q.pending, idx)
-	q.cond.Broadcast()
+	n.cancel()
+	if cp.c.reg.markDead(n.url) {
+		cp.c.log.Printf("cluster: worker %s dead, re-dispatching its shards: %v", n.url, cause)
+	}
+	if cp.live--; cp.live == 0 {
+		cp.deathErr = fmt.Errorf("service: every worker died mid-campaign (last %s: %v)", n.url, cause)
+		close(cp.allDead)
+	}
 }
 
-// deliver records a shard result; a duplicate (same shard id already
-// delivered, e.g. a slow worker answering after its shard was
-// re-dispatched) is dropped and reported false.
-func (q *dispatchQueue) deliver(idx int, resp *shardResponse) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.delivered[idx] {
-		return false
-	}
-	q.delivered[idx] = true
-	q.done++
-	q.results <- remoteShard{idx: idx, resp: resp} // buffered to total: never blocks
-	q.cond.Broadcast()
-	return true
-}
-
-// fail ends the campaign with err (first failure wins) and wakes every
-// blocked taker.
-func (q *dispatchQueue) fail(err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.failErr == nil {
-		q.failErr = err
-		close(q.failCh)
-	}
-	q.cond.Broadcast()
-}
-
-// wake re-checks every blocked taker's exit conditions (called after a
-// node context is cancelled, which cond.Wait cannot observe).
-func (q *dispatchQueue) wake() {
-	q.mu.Lock()
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// runJob executes one campaign across the live workers and returns
-// root aggregators and stats shaped exactly like the local engine's:
-// aggs[0] a *sweep.Prob, aggs[1] a *corpus.Collector, both folded in
-// shard-index order — so buildResult renders a byte-identical JobResult
-// for a distributed and a single-node run of the same spec.
-func (c *cluster) runJob(ctx context.Context, runID string, spec JobSpec, units []sweep.Unit, onProgress func(sweep.Progress)) ([]sweep.Aggregator, sweep.Stats, error) {
-	shards := sweep.Plan(units, c.cfg.ShardRuns)
-	stats := sweep.Stats{Units: len(units), Shards: len(shards)}
-	probRoot := sweep.NewProb()
-	collRoot := corpus.NewCollector(runID)
-	roots := []sweep.Aggregator{probRoot, collRoot}
-	if len(shards) == 0 {
-		return roots, stats, nil
-	}
-	nodes := c.reg.liveURLs()
-	if len(nodes) == 0 {
-		return nil, stats, ErrNoWorkers
-	}
-	unitIdx := make(map[string]int, len(units))
-	for i := range units {
-		unitIdx[units[i].ID] = i
-	}
-
-	q := newDispatchQueue(len(shards))
-	jobCtx, cancelAll := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	// One defer, one order: cancel every context, then broadcast so
-	// takers blocked in cond.Wait re-check (cond.Wait cannot observe a
-	// context), then join the goroutines. Splitting these into separate
-	// defers would run them LIFO — wg.Wait before the cancel that lets
-	// the watchdog exit — and deadlock every return path.
-	defer func() {
-		cancelAll()
-		q.wake()
-		wg.Wait()
-	}()
-
-	// Per-node contexts let the watchdog abort a dead node's in-flight
-	// dispatches without touching the rest of the campaign. The maps
-	// are fully built before any goroutine starts and read-only after.
-	ctxs := make(map[string]context.Context, len(nodes))
-	cancels := make(map[string]context.CancelFunc, len(nodes))
-	for _, u := range nodes {
-		nodeCtx, nodeCancel := context.WithCancel(jobCtx)
-		ctxs[u], cancels[u] = nodeCtx, nodeCancel
-	}
-
-	live := int32(len(nodes))
-	// retire handles a node death exactly once (markDead serializes
-	// racing callers): abort its in-flight dispatches, wake its blocked
-	// takers, and fail the campaign if nobody is left to execute it.
-	retire := func(nodeURL string, cause error) {
-		if !c.reg.markDead(nodeURL) {
-			return
-		}
-		c.log.Printf("cluster: worker %s dead, re-dispatching its shards: %v", nodeURL, cause)
-		cancels[nodeURL]()
-		q.wake()
-		if atomic.AddInt32(&live, -1) == 0 {
-			q.fail(fmt.Errorf("service: every worker died mid-campaign (last %s: %v)", nodeURL, cause))
-		}
-	}
-
-	for _, nodeURL := range nodes {
-		nodeURL := nodeURL
-		nodeCtx := ctxs[nodeURL]
-		for k := 0; k < c.cfg.MaxInflight; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					idx, ok := q.take(nodeCtx)
-					if !ok {
-						return
-					}
-					resp, err := c.postShard(nodeCtx, nodeURL, runID, spec, shards[idx], idx)
-					if err != nil {
-						q.requeue(idx)
-						if jobCtx.Err() == nil {
-							retire(nodeURL, err)
-						}
-						return
-					}
-					if q.deliver(idx, resp) {
-						c.reg.addDone(nodeURL)
-					}
-				}
-			}()
-		}
-	}
-
-	// Heartbeat watchdog: a worker that stops beating while holding
-	// shards is retired, which requeues its shards onto live workers.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(c.cfg.HeartbeatEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-jobCtx.Done():
-				return
-			case <-t.C:
-				for _, u := range c.reg.staleLive(time.Now()) {
-					if _, inJob := cancels[u]; inJob {
-						retire(u, fmt.Errorf("heartbeat stale"))
-					}
-				}
-			}
-		}
-	}()
-
-	// Deterministic merge loop: buffer out-of-order deliveries and fold
-	// in shard-index order, exactly like the local engine.
-	buffered := make(map[int]*shardResponse)
-	folded := 0
-	for folded < len(shards) {
+// watch is the heartbeat watchdog: every HeartbeatEvery it retires
+// campaign nodes whose last beat has gone stale, until ctx ends.
+func (cp *campaign) watch(ctx context.Context) {
+	t := time.NewTicker(cp.c.cfg.HeartbeatEvery)
+	defer t.Stop()
+	for {
 		select {
 		case <-ctx.Done():
-			q.fail(ctx.Err())
-			return nil, stats, ctx.Err()
-		case <-q.failCh:
-			return nil, stats, q.failErr
-		case rs := <-q.results:
-			buffered[rs.idx] = rs.resp
-			for {
-				resp, ok := buffered[folded]
-				if !ok {
-					break
-				}
-				delete(buffered, folded)
-				if err := foldShard(probRoot, collRoot, runID, resp, unitIdx, &stats); err != nil {
-					err = fmt.Errorf("service: shard %d result: %w", folded, err)
-					q.fail(err)
-					return nil, stats, err
-				}
-				folded++
-				if onProgress != nil {
-					onProgress(sweep.Progress{
-						DoneShards:  folded,
-						TotalShards: len(shards),
-						Runs:        stats.Runs,
-						Racy:        stats.Racy,
-					})
+			return
+		case <-t.C:
+			for _, u := range cp.c.reg.staleLive(time.Now()) {
+				if n, ok := cp.nodes[u]; ok {
+					cp.retire(n, errors.New("heartbeat stale"))
 				}
 			}
 		}
 	}
-	return roots, stats, nil
 }
 
-// foldShard reconstructs a transported shard result as local
-// aggregators and folds it into the campaign roots — the remote
-// mirror of the engine's per-shard Merge.
-func foldShard(prob *sweep.Prob, coll *corpus.Collector, runID string, resp *shardResponse, unitIdx map[string]int, stats *sweep.Stats) error {
-	x, err := corpus.ReadDelta(bytes.NewReader(resp.Corpus))
+// postShard dispatches one shard to node n and rebuilds the shard's
+// aggregates from its checked answer. Retiring n cancels the post.
+func (cp *campaign) postShard(ctx context.Context, n *campaignNode, sh sweep.Shard) ([]sweep.Aggregator, sweep.Stats, error) {
+	idx := cp.index[sh]
+	body, err := json.Marshal(shardRequest{RunID: cp.runID, Spec: cp.spec, ShardIdx: idx, Shard: sh})
 	if err != nil {
-		return err
+		return nil, sweep.Stats{}, err
 	}
-	shardColl, err := corpus.NewCollectorFromRecords(runID, resp.Executions, resp.Reports, x.Records, unitIdx)
-	if err != nil {
-		return err
-	}
-	prob.Merge(sweep.NewProbFromStats(resp.Stats))
-	coll.Merge(shardColl)
-	stats.Runs += resp.Runs
-	stats.Racy += resp.Racy
-	return nil
-}
-
-// postShard dispatches one shard to a worker and decodes the result.
-func (c *cluster) postShard(ctx context.Context, nodeURL, runID string, spec JobSpec, sh sweep.Shard, idx int) (*shardResponse, error) {
-	body, err := json.Marshal(shardRequest{
-		RunID:    runID,
-		Spec:     spec,
-		ShardIdx: idx,
-		Shard:    shardCoord{UnitIdx: sh.UnitIdx, Lo: sh.Lo, N: sh.N},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, cp.c.cfg.ShardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, nodeURL+"/v1/shards", bytes.NewReader(body))
+	defer context.AfterFunc(n.ctx, cancel)()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+"/v1/shards", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, sweep.Stats{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	resp, err := cp.c.client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, sweep.Stats{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("worker %s shard %d: status %d: %s",
-			nodeURL, idx, resp.StatusCode, strings.TrimSpace(string(msg)))
+		return nil, sweep.Stats{}, fmt.Errorf("worker %s shard %d: status %d: %s",
+			n.url, idx, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	var sr shardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("worker %s shard %d: decode: %w", nodeURL, idx, err)
+	aggs, stats, err := readShardResponse(resp.Body, cp.runID, cp.units[sh.UnitIdx].ID, sh, idx)
+	if err != nil {
+		return nil, sweep.Stats{}, fmt.Errorf("worker %s shard %d: %w", n.url, idx, err)
 	}
-	if sr.ShardIdx != idx {
-		return nil, fmt.Errorf("worker %s answered shard %d for shard %d", nodeURL, sr.ShardIdx, idx)
+	return aggs, stats, nil
+}
+
+// readShardResponse decodes a worker's answer to shard idx (sh, whose
+// unit is unitID), accepts it only if it covers exactly that shard, and
+// rebuilds the shard's [Prob, Collector] aggregates — the remote mirror
+// of sweep.RunShard's result. Everything here is untrusted input: the
+// body is capped at maxShardResponse, and stats, counts, and records
+// that could not have come from executing sh are rejected.
+func readShardResponse(r io.Reader, runID, unitID string, sh sweep.Shard, idx int) ([]sweep.Aggregator, sweep.Stats, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxShardResponse+1))
+	if err != nil {
+		return nil, sweep.Stats{}, err
 	}
-	return &sr, nil
+	if len(body) > maxShardResponse {
+		return nil, sweep.Stats{}, fmt.Errorf("answer exceeds %d bytes", maxShardResponse)
+	}
+	var resp shardResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, sweep.Stats{}, fmt.Errorf("decode: %w", err)
+	}
+	if err := resp.check(unitID, sh, idx); err != nil {
+		return nil, sweep.Stats{}, err
+	}
+	x, err := corpus.ReadDelta(bytes.NewReader(resp.Corpus))
+	if err != nil {
+		return nil, sweep.Stats{}, err
+	}
+	var counted uint64
+	for _, rec := range x.Records {
+		if rec.Count == 0 || rec.Count > uint64(resp.Reports)-counted {
+			return nil, sweep.Stats{}, fmt.Errorf("record %q counts %d reports past the shard's %d", rec.Key, rec.Count, resp.Reports)
+		}
+		counted += rec.Count
+	}
+	if counted != uint64(resp.Reports) {
+		return nil, sweep.Stats{}, fmt.Errorf("records hold %d reports, the shard reported %d", counted, resp.Reports)
+	}
+	// A record of any other unit fails here: the map knows only sh's.
+	coll, err := corpus.NewCollectorFromRecords(runID, resp.Executions, resp.Reports, x.Records,
+		map[string]int{unitID: sh.UnitIdx})
+	if err != nil {
+		return nil, sweep.Stats{}, err
+	}
+	stats := sweep.Stats{Units: 1, Shards: 1, Runs: resp.Runs, Racy: resp.Racy}
+	return []sweep.Aggregator{sweep.NewProbFromStats(resp.Stats), coll}, stats, nil
+}
+
+// check accepts an answer only if it could have come from executing
+// shard idx: the echoed index, 0 ≤ Racy ≤ Runs ≤ sh.N, collector
+// counts that agree with them, and stats for sh's unit alone.
+func (r *shardResponse) check(unitID string, sh sweep.Shard, idx int) error {
+	if r.ShardIdx != idx {
+		return fmt.Errorf("answered shard %d", r.ShardIdx)
+	}
+	if r.Racy < 0 || r.Racy > r.Runs || r.Runs > sh.N {
+		return fmt.Errorf("runs %d racy %d do not fit a %d-seed shard", r.Runs, r.Racy, sh.N)
+	}
+	if len(r.Stats) != 1 {
+		return fmt.Errorf("%d stats entries for a one-unit shard", len(r.Stats))
+	}
+	s := r.Stats[0]
+	switch {
+	case s.UnitIdx != sh.UnitIdx || s.Unit != unitID:
+		return fmt.Errorf("stats for unit %d %q, shard is unit %d %q", s.UnitIdx, s.Unit, sh.UnitIdx, unitID)
+	case s.Runs != r.Runs || s.Detected != r.Racy || r.Executions != r.Runs:
+		return fmt.Errorf("stats runs %d detected %d executions %d disagree with runs %d racy %d",
+			s.Runs, s.Detected, r.Executions, r.Runs, r.Racy)
+	case s.Races < 0 || s.Races != r.Reports || s.LeakedRuns < 0 || s.LeakedRuns > s.Runs:
+		return fmt.Errorf("stats races %d leaked %d disagree with %d reports over %d runs",
+			s.Races, s.LeakedRuns, r.Reports, s.Runs)
+	}
+	return nil
 }

@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/bits"
 	"reflect"
 	"testing"
 
+	"gorace/internal/corpus"
 	"gorace/internal/instrument"
 	"gorace/internal/patterns"
 	"gorace/internal/sched"
@@ -54,7 +56,7 @@ func FuzzJobSpec(f *testing.F) {
 			return
 		}
 		units := campaignUnits(req.Spec)
-		sh := sweep.Shard{UnitIdx: req.Shard.UnitIdx, Lo: req.Shard.Lo, N: req.Shard.N}
+		sh := req.Shard
 		if !shardInRange(units, sh) {
 			return
 		}
@@ -113,4 +115,120 @@ func checkSpec(t *testing.T, spec *JobSpec, maxSeeds, maxUnits int) {
 	default:
 		t.Fatalf("accepted mode %q", spec.Mode)
 	}
+}
+
+// shardAnswer executes shard 0 of a small campaign the way a worker
+// node does and returns the units, the shard, and the worker's JSON
+// answer body.
+func shardAnswer(t testing.TB) ([]sweep.Unit, sweep.Shard, []byte) {
+	t.Helper()
+	spec := JobSpec{Patterns: []string{"capture-loop-index"}, Strategies: []string{"random"}, Seeds: 4}
+	if err := validateSpec(&spec, 512); err != nil {
+		t.Fatal(err)
+	}
+	units := campaignUnits(spec)
+	sh := sweep.Plan(units, 4)[0]
+	aggs, stats, err := sweep.RunShard(context.Background(), units, sh, nil,
+		func() sweep.Aggregator { return sweep.NewProb() },
+		func() sweep.Aggregator { return corpus.NewCollector("fuzz") },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := newShardResponse(0, aggs, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return units, sh, body
+}
+
+// FuzzShardResponse feeds arbitrary bytes to readShardResponse, the
+// coordinator's decode → check → rebuild of a worker's shard answer.
+// It must never panic, and every answer it accepts must cover only the
+// dispatched shard: 0 ≤ Racy ≤ Runs ≤ N, stats for the shard's unit
+// alone, and records of that unit only.
+func FuzzShardResponse(f *testing.F) {
+	units, sh, real := shardAnswer(f)
+	f.Add(real)
+	for _, bad := range forgedAnswers(f, real) {
+		f.Add(bad)
+	}
+	unitID := units[sh.UnitIdx].ID
+	f.Fuzz(func(t *testing.T, data []byte) {
+		aggs, stats, err := readShardResponse(bytes.NewReader(data), "fuzz", unitID, sh, 0)
+		if err != nil {
+			return
+		}
+		if stats.Racy < 0 || stats.Racy > stats.Runs || stats.Runs > sh.N {
+			t.Fatalf("accepted runs %d racy %d for a %d-seed shard", stats.Runs, stats.Racy, sh.N)
+		}
+		for _, is := range aggs[0].(*sweep.Prob).IndexedStats() {
+			if is.UnitIdx != sh.UnitIdx || is.Unit != unitID || is.Runs != stats.Runs {
+				t.Fatalf("accepted stats %+v for shard %+v (%d runs)", is, sh, stats.Runs)
+			}
+		}
+		for _, rec := range aggs[1].(*corpus.Collector).Records() {
+			if rec.Unit != unitID {
+				t.Fatalf("accepted a record of unit %q for shard unit %q", rec.Unit, unitID)
+			}
+		}
+	})
+}
+
+// forgedAnswers returns variants of a real shard answer that each
+// claim work the shard could not have done.
+func forgedAnswers(t testing.TB, real []byte) map[string][]byte {
+	t.Helper()
+	var resp shardResponse
+	if err := json.Unmarshal(real, &resp); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for name, forge := range map[string]func(r *shardResponse){
+		"runs past N":       func(r *shardResponse) { r.Runs, r.Stats[0].Runs, r.Executions = 1000, 1000, 1000 },
+		"racy past runs":    func(r *shardResponse) { r.Racy, r.Stats[0].Detected = r.Runs+1, r.Runs+1 },
+		"negative racy":     func(r *shardResponse) { r.Racy, r.Stats[0].Detected = -1, -1 },
+		"foreign unit idx":  func(r *shardResponse) { r.Stats[0].UnitIdx++ },
+		"foreign unit name": func(r *shardResponse) { r.Stats[0].Unit = "other/random" },
+		"second unit":       func(r *shardResponse) { r.Stats = append(r.Stats, r.Stats[0]) },
+		"runs mismatch":     func(r *shardResponse) { r.Stats[0].Runs-- },
+		"reports mismatch":  func(r *shardResponse) { r.Reports++ },
+		"wrong shard":       func(r *shardResponse) { r.ShardIdx = 7 },
+		"no corpus":         func(r *shardResponse) { r.Corpus = nil },
+		"foreign record": func(r *shardResponse) {
+			r.Corpus = reframe(t, r.Corpus, func(rec *corpus.Record) { rec.Unit = "other/random" })
+		},
+		"inflated count": func(r *shardResponse) {
+			r.Corpus = reframe(t, r.Corpus, func(rec *corpus.Record) { rec.Count++ })
+		},
+	} {
+		bad := resp
+		bad.Stats = append([]sweep.IndexedUnitStat(nil), resp.Stats...)
+		forge(&bad)
+		body, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = body
+	}
+	return out
+}
+
+// reframe rewrites the first record of a corpus delta.
+func reframe(t testing.TB, delta []byte, edit func(*corpus.Record)) []byte {
+	t.Helper()
+	x, err := corpus.ReadDelta(bytes.NewReader(delta))
+	if err != nil || len(x.Records) == 0 {
+		t.Fatalf("shard delta: %d records, %v", len(x.Records), err)
+	}
+	edit(&x.Records[0])
+	var buf bytes.Buffer
+	if err := corpus.WriteDelta(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -201,12 +201,6 @@ var (
 	ErrDraining = fmt.Errorf("service: server is draining")
 )
 
-// remoteRunner executes a campaign on a worker fleet instead of the
-// local sweep engine, returning the same root aggregators and stats
-// the engine would. The coordinator's cluster.runJob is the one
-// implementation (see dispatch.go).
-type remoteRunner func(ctx context.Context, runID string, spec JobSpec, units []sweep.Unit, onProgress func(sweep.Progress)) ([]sweep.Aggregator, sweep.Stats, error)
-
 // jobManager owns the bounded queue and the worker pool that executes
 // campaigns over the sweep engine. Finished jobs are retained up to a
 // bound and then evicted oldest-first, so a long-running daemon's job
@@ -218,11 +212,9 @@ type jobManager struct {
 	retain      int // finished jobs kept before oldest-first eviction
 	log         *log.Logger
 
-	// remote, when set, replaces the local engine: campaigns dispatch
-	// to the cluster's workers. liveWorkers backs the submit-time
-	// fail-fast (coordinator mode only).
-	remote      remoteRunner
-	liveWorkers func() int
+	// cluster, when set (coordinator mode), executes campaign shards
+	// on its workers; the same engine still plans and folds them.
+	cluster *cluster
 	// publish appends a finished campaign's collector to the live
 	// store; hasRun answers run-id dup checks at submit. Both are set
 	// by New whenever a store is present.
@@ -375,10 +367,10 @@ func (m *jobManager) Submit(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("runId %q already recorded", spec.RunID)
 		}
 	}
-	if spec.Mode == "racegen" && m.remote != nil {
+	if spec.Mode == "racegen" && m.cluster != nil {
 		return nil, fmt.Errorf("racegen jobs run on the local engine; this coordinator only dispatches campaigns")
 	}
-	if m.remote != nil && m.liveWorkers() == 0 {
+	if m.cluster != nil && m.cluster.reg.liveCount() == 0 {
 		return nil, ErrNoWorkers
 	}
 	m.mu.Lock()
@@ -449,11 +441,12 @@ func (m *jobManager) worker() {
 	}
 }
 
-// run executes one job's campaign on the calling worker goroutine —
-// on the local sweep engine, or on the worker fleet when the manager
-// has a remote runner. Either way the roots, the fold order, and the
-// rendered result are identical (the distributed-determinism
-// contract, pinned by TestDistributedMatchesSingleNode).
+// run executes one job's campaign on the calling worker goroutine.
+// A coordinator's engine executes the shards on the worker fleet, a
+// standalone node's in process; either way the same engine plans and
+// folds them, so the roots and the rendered result are identical (the
+// distributed-determinism contract, pinned by
+// TestDistributedMatchesSingleNode).
 func (m *jobManager) run(job *Job) {
 	job.mu.Lock()
 	job.state = StateRunning
@@ -479,24 +472,19 @@ func (m *jobManager) run(job *Job) {
 		job.mu.Unlock()
 	}
 
-	var (
-		aggs  []sweep.Aggregator
-		stats sweep.Stats
-		err   error
-	)
-	if m.remote != nil {
-		aggs, stats, err = m.remote(m.ctx, runID, job.Spec, units, onProgress)
-	} else {
-		engine := sweep.New(sweep.WithParallelism(m.parallelism))
-		aggs, stats, err = engine.RunContext(m.ctx, units, onProgress,
-			func() sweep.Aggregator { return sweep.NewProb() },
-			// The Collector classifies each defect's first manifestation
-			// while its trace is still on the worker — the same labels a
-			// corpus append would persist, so job results and nightly
-			// records never disagree about the same race.
-			func() sweep.Aggregator { return corpus.NewCollector(runID) },
-		)
+	engine, stop := sweep.New(sweep.WithParallelism(m.parallelism)), func() {}
+	if m.cluster != nil {
+		engine, stop = m.cluster.campaignEngine(runID, job.Spec, units)
 	}
+	aggs, stats, err := engine.RunContext(m.ctx, units, onProgress,
+		func() sweep.Aggregator { return sweep.NewProb() },
+		// The Collector classifies each defect's first manifestation
+		// while its trace is still on the worker — the same labels a
+		// corpus append would persist, so job results and nightly
+		// records never disagree about the same race.
+		func() sweep.Aggregator { return corpus.NewCollector(runID) },
+	)
+	stop()
 	if err == nil && job.Spec.RunID != "" {
 		err = m.publish(aggs[1].(*corpus.Collector))
 	}

@@ -60,8 +60,8 @@ type Config struct {
 	// snapshots.
 	Store *corpus.Store
 	// Cluster, when set, runs this server as a distributed
-	// coordinator: campaigns dispatch to joined workers instead of the
-	// local sweep engine, and /v1/cluster* + /v1/replica are served.
+	// coordinator: campaign shards execute on joined workers instead
+	// of in process, and /v1/cluster* + /v1/replica are served.
 	// Mutually exclusive with Worker.
 	Cluster *ClusterConfig
 	// Worker, when set, runs this server as a store-less worker node:
@@ -190,8 +190,7 @@ func New(cfg Config) (*Server, error) {
 	s.jobs.hasRun = func(id string) bool { return s.View().HasRun(id) }
 	if cfg.Cluster != nil {
 		s.cluster = newCluster(cfg.Cluster.withDefaults(), s.log)
-		s.jobs.remote = s.cluster.runJob
-		s.jobs.liveWorkers = s.cluster.reg.liveCount
+		s.jobs.cluster = s.cluster
 	}
 	s.handler = withRecovery(s.log, withLogging(s.log, s.routes()))
 	return s, nil

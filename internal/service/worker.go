@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -113,7 +114,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	units := campaignUnits(req.Spec)
-	sh := sweep.Shard{UnitIdx: req.Shard.UnitIdx, Lo: req.Shard.Lo, N: req.Shard.N}
+	sh := req.Shard
 	if !shardInRange(units, sh) {
 		writeError(w, http.StatusBadRequest,
 			"shard unit %d seeds [%d,%d) is out of range for the campaign spec",
@@ -135,21 +136,31 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "shard execution: %v", err)
 		return
 	}
-	coll := aggs[1].(*corpus.Collector)
-	var buf bytes.Buffer
-	if err := corpus.WriteDelta(&buf, corpus.Export{Records: coll.Records()}); err != nil {
+	resp, err := newShardResponse(req.ShardIdx, aggs, stats)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode shard corpus: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, shardResponse{
-		ShardIdx:   req.ShardIdx,
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// newShardResponse renders an executed shard's [Prob, Collector]
+// aggregates in transportable form, the inverse of readShardResponse.
+func newShardResponse(idx int, aggs []sweep.Aggregator, stats sweep.Stats) (*shardResponse, error) {
+	coll := aggs[1].(*corpus.Collector)
+	var buf bytes.Buffer
+	if err := corpus.WriteDelta(&buf, corpus.Export{Records: coll.Records()}); err != nil {
+		return nil, err
+	}
+	return &shardResponse{
+		ShardIdx:   idx,
 		Runs:       stats.Runs,
 		Racy:       stats.Racy,
 		Stats:      aggs[0].(*sweep.Prob).IndexedStats(),
 		Executions: coll.Executions(),
 		Reports:    coll.Reports(),
 		Corpus:     buf.Bytes(),
-	})
+	}, nil
 }
 
 // JoinCoordinator registers this worker with its coordinator under the
@@ -203,12 +214,23 @@ func (s *Server) heartbeat() error {
 	}
 }
 
+// maxReplicaBody caps one replica snapshot pulled off the coordinator.
+// A snapshot is the folded corpus, about 1 KiB per defect, so 64 MiB
+// holds some 60,000 defects; a larger (or endless) body fails the pull
+// and leaves the current view serving.
+const maxReplicaBody = 64 << 20
+
 // PullReplica fetches the coordinator's snapshot if it has moved past
 // this replica's generation and publishes it as the local read view,
 // stamped with the origin's generation and path. Reports whether a new
 // generation was published. The steady-state call (generations equal)
-// is a single 304 exchange.
+// is a single 304 exchange. A body over maxReplicaBody fails the pull.
 func (s *Server) PullReplica() (bool, error) {
+	return s.pullReplica(maxReplicaBody)
+}
+
+// pullReplica is PullReplica with the body cap as a parameter.
+func (s *Server) pullReplica(maxBody int64) (bool, error) {
 	wr := s.worker
 	if wr == nil {
 		return false, fmt.Errorf("service: not a worker node")
@@ -234,7 +256,11 @@ func (s *Server) PullReplica() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("service: replica pull: bad X-Corpus-Generation: %v", err)
 	}
-	x, err := corpus.ReadDelta(resp.Body)
+	x, err := corpus.ReadDelta(http.MaxBytesReader(nil, resp.Body, maxBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return false, fmt.Errorf("service: replica pull: snapshot exceeds %d bytes", maxBody)
+	}
 	if err != nil {
 		return false, fmt.Errorf("service: replica pull: %w", err)
 	}

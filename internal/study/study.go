@@ -146,8 +146,8 @@ func RunTable23(scale float64, seed int64) *Result {
 // keeps only the ordered label list — the outcome and its trace are
 // classified on a worker and dropped, so a full-scale population
 // never holds more than a shard's worth of traces in memory. The
-// per-unit earliest-wins bookkeeping (shared with sweep.FirstRace and
-// sweep.Tally) lives in sweep.Earliest; classification is
+// per-unit earliest-wins bookkeeping (shared with sweep.FirstRace)
+// lives in sweep.Earliest; classification is
 // deterministic given an outcome, so the aggregate is reproducible at
 // any parallelism.
 type classifyAgg struct {

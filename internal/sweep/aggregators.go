@@ -1,12 +1,6 @@
 package sweep
 
-import (
-	"gorace/internal/classify"
-	"gorace/internal/core"
-	"gorace/internal/report"
-	"gorace/internal/taxonomy"
-	"gorace/internal/trace"
-)
+import "gorace/internal/core"
 
 // This file holds the standard streaming aggregators. All of them keep
 // their state sparse per unit, in a Units store, so a shard's memory is
@@ -86,7 +80,8 @@ func (p *Prob) Stats() []UnitStat {
 // race manifests" seed searches. Pair with Unit.HaltOnRace to stop a
 // unit as soon as its hit is found. Retained outcomes keep their
 // traces (when the unit records); campaigns that only need a derived
-// value should compute it in Observe instead, like Tally does.
+// value should compute it in Observe instead, as corpus.Collector
+// does for its labels.
 type FirstRace struct {
 	first Earliest[*core.Outcome]
 }
@@ -110,64 +105,6 @@ func (f *FirstRace) Merge(next Aggregator) {
 // (nil, false) if the unit's race never manifested.
 func (f *FirstRace) Outcome(unitIdx int) (*core.Outcome, bool) {
 	return f.first.Get(unitIdx)
-}
-
-// Tally classifies each unit's first manifesting race with
-// internal/classify and tallies primary categories — the streaming
-// form of the study's root-cause breakdown. Classification happens in
-// Observe, while the run's trace (the classifier's hint source, when
-// the unit records) is still on the worker; only the label and the
-// defining report survive, so a campaign never retains outcomes.
-type Tally struct {
-	first Earliest[tallied]
-}
-
-type tallied struct {
-	cat  taxonomy.Category
-	race report.Race // the classified (defining) report
-}
-
-// NewTally returns an empty Tally aggregator.
-func NewTally() *Tally { return &Tally{} }
-
-// Observe implements Aggregator.
-func (t *Tally) Observe(r Run) {
-	out := r.Outcome
-	if len(out.Races) == 0 {
-		// Includes counting-only detectors, which synthesize no
-		// access pair to classify.
-		return
-	}
-	if !t.first.Wants(r.UnitIdx, r.SeedIdx) {
-		return
-	}
-	var events []trace.Event
-	if out.Trace != nil {
-		events = out.Trace.Events
-	}
-	hints := classify.HintsFromTrace(events)
-	t.first.Take(r.UnitIdx, r.SeedIdx, tallied{
-		cat:  classify.Primary(out.Races[0], hints),
-		race: out.Races[0],
-	})
-}
-
-// Merge implements Aggregator.
-func (t *Tally) Merge(next Aggregator) {
-	t.first.MergeFrom(&next.(*Tally).first)
-}
-
-// Counts returns the per-category tallies over units whose defining
-// report passes keep (nil keeps everything — pass a suppression
-// filter to keep tallies consistent with a suppressed corpus).
-func (t *Tally) Counts(keep func(report.Race) bool) map[taxonomy.Category]int {
-	counts := make(map[taxonomy.Category]int)
-	t.first.Each(func(_ int, u tallied) {
-		if keep == nil || keep(u.race) {
-			counts[u.cat]++
-		}
-	})
-	return counts
 }
 
 // UnitWork is one unit's accumulated detector work, the overhead side

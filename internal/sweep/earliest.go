@@ -2,7 +2,7 @@ package sweep
 
 // Earliest is the shared skeleton of first-manifestation aggregators:
 // it keeps, per unit, one value derived from the earliest run (in
-// seed order) that offered one. FirstRace, Tally, and driver-side
+// seed order) that offered one. FirstRace and driver-side
 // aggregators (e.g. the study's streaming classifier) all delegate
 // their per-unit bookkeeping here, so the earliest-wins rule — and
 // its interaction with the engine's shard-ordered merge — lives in

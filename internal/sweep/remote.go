@@ -1,13 +1,13 @@
 package sweep
 
 // Remote-result folding: the wire-portable form of shard-level Prob
-// state. A distributed worker executes a shard with RunShard, ships
-// IndexedStats over the network, and the coordinator reconstructs a
-// mergeable Prob with NewProbFromStats and folds it into the campaign
-// root with Merge — in shard-index order, exactly like the local
-// engine — so a distributed campaign's probability tables are
-// identical to a single-node run of the same spec. internal/service's
-// coordinator is the consumer.
+// state. A distributed worker executes a shard with RunShard and ships
+// IndexedStats over the network; the coordinator's Exec reconstructs a
+// mergeable Prob with NewProbFromStats and hands it back to the engine,
+// which folds it in shard-index order like any local shard — so a
+// distributed campaign's probability tables are identical to a
+// single-node run of the same spec. internal/service's coordinator is
+// the consumer.
 
 // IndexedUnitStat pairs one unit's stats with its unit index, the
 // coordinate Merge folds by. It is the transport form of a shard's

@@ -2,9 +2,9 @@
 // in the repo: it executes a set of work units (program × detector ×
 // strategy × seed range) over a pool of recycled core.Workers and
 // streams each completed run into pluggable aggregators — the
-// in-memory ones in this package (Prob, Corpus, FirstRace, Tally) or
-// persistent ones like corpus.Collector, which folds a campaign
-// straight into the on-disk race-corpus store.
+// in-memory ones in this package (Prob, FirstRace, Overhead, Verdicts,
+// Cover) or persistent ones like corpus.Collector, which folds a
+// campaign straight into the on-disk race-corpus store.
 //
 // The paper's deployment story (§3.3) is fleet-scale, offline, and
 // aggregate: record executions by the thousands, replay them into
@@ -29,6 +29,12 @@
 // parallelism. Memory stays bounded by the out-of-order shard window,
 // not by the campaign size: that is the "streaming" in streaming
 // campaign engine.
+//
+// Where a shard executes is the engine's one seam (WithExec): by
+// default RunShard on the campaign's worker pool, and in raced's
+// coordinator a POST to a worker node. Either way the engine alone
+// plans, schedules, and folds, so a distributed campaign is the same
+// fold as a local one.
 package sweep
 
 import (
@@ -64,12 +70,6 @@ type Unit struct {
 	MaxSteps int
 	// Record keeps each run's event trace on its Outcome.
 	Record bool
-	// Window keeps only the most recent Window events per goroutine
-	// on each run's Outcome instead of a full recording
-	// (core.WithWindow) — bounded trace retention for long runs; a
-	// manifested race still carries classify-able recent context.
-	// Window > 0 overrides Record; 0 keeps full-trace semantics.
-	Window int
 	// SampleRate gates the detector behind a deterministic 1-in-N
 	// access-sampling filter (core.WithSampleRate). 0 or 1 means
 	// check every access.
@@ -128,10 +128,20 @@ type Progress struct {
 	Racy        int // folded executions that detected at least one race
 }
 
+// Exec executes one shard and returns one aggregator per campaign
+// factory, fed the shard's runs in seed order, plus the shard's Runs
+// and Racy counts (other Stats fields are ignored). It is called from
+// the engine's worker goroutines, concurrently for different shards
+// and at most once per shard; it must return results equal to RunShard
+// on the same shard, which is what keeps a campaign's fold identical
+// wherever its shards ran.
+type Exec func(ctx context.Context, sh Shard) ([]Aggregator, Stats, error)
+
 // Engine executes campaigns. The zero value is not useful; use New.
 type Engine struct {
 	parallelism int
 	shardRuns   int
+	exec        Exec
 }
 
 // Option configures an Engine.
@@ -148,6 +158,15 @@ func WithParallelism(n int) Option {
 // across more workers; larger shards amortize more state recycling.
 func WithShardRuns(n int) Option {
 	return func(e *Engine) { e.shardRuns = n }
+}
+
+// WithExec replaces where shards execute (default: RunShard on a
+// worker pool private to each campaign). raced's coordinator passes an
+// Exec that ships each shard to a worker node; planning, scheduling,
+// the shard-order fold, progress, and error selection stay the
+// engine's.
+func WithExec(x Exec) Option {
+	return func(e *Engine) { e.exec = x }
 }
 
 // New builds an Engine.
@@ -173,9 +192,10 @@ func New(opts ...Option) *Engine {
 // after a node failure safe.
 type Shard struct {
 	// UnitIdx indexes into the campaign's unit slice.
-	UnitIdx int
+	UnitIdx int `json:"unitIdx"`
 	// Lo and N delimit seed indices [Lo, Lo+N) within the unit.
-	Lo, N int
+	Lo int `json:"lo"`
+	N  int `json:"n"`
 }
 
 // Plan splits a campaign's units into shards of at most shardRuns
@@ -208,22 +228,13 @@ func Plan(units []Unit, shardRuns int) []Shard {
 	return shards
 }
 
-// shardResult is what one executed shard hands to the merger.
-type shardResult struct {
-	idx  int
-	aggs []Aggregator
-	runs int
-	racy int
-	err  error
-}
-
 // WorkerCache is a concurrency-safe pool of recycled core.Workers
 // keyed by unit configuration: the one worker pool behind every
-// campaign. The engine builds one per RunContext call, shared by its
-// worker goroutines, and drops it when the campaign ends; a service
-// node keeps one across its concurrent RunShard requests. Detector
-// shadow state is allocated once per (cached worker, config) and reset
-// between seeds, not reallocated per shard.
+// campaign. The engine's default Exec builds one per RunContext call,
+// shared by its worker goroutines, and drops it when the campaign
+// ends; a service node keeps one across its concurrent RunShard
+// requests. Detector shadow state is allocated once per (cached
+// worker, config) and reset between seeds, not reallocated per shard.
 type WorkerCache struct {
 	mu   sync.Mutex
 	free map[string][]*core.Worker
@@ -254,22 +265,70 @@ func (c *WorkerCache) release(key string, wk *core.Worker) {
 
 // RunShard executes one shard on the calling goroutine and returns
 // one aggregator per factory, fed the shard's runs in seed order,
-// plus the shard's run/racy counts. It is the remote half of the
-// engine: a distributed worker node answers a shard dispatch with
-// exactly this call, and because per-seed outcomes are deterministic,
-// the result is identical to what the local engine would have folded
-// for the same shard. A nil cache gets a fresh one (no cross-call
-// recycling).
+// plus the shard's run/racy counts. It is the engine's default Exec
+// and the remote half of a distributed campaign: a worker node
+// answers a shard dispatch with exactly this call, and because
+// per-seed outcomes are deterministic, the result is identical to
+// what the local engine would have folded for the same shard. The
+// context is checked between seeds, so a cancelled campaign stops
+// within one program execution. A nil cache gets a fresh one (no
+// cross-call recycling).
 func RunShard(ctx context.Context, units []Unit, sh Shard, cache *WorkerCache, factories ...Factory) ([]Aggregator, Stats, error) {
 	if cache == nil {
 		cache = NewWorkerCache()
 	}
-	res := runShard(ctx, units, sh, 0, cache, factories)
-	stats := Stats{Units: 1, Shards: 1, Runs: res.runs, Racy: res.racy}
-	if res.err != nil {
-		return nil, stats, res.err
+	stats := Stats{Units: 1, Shards: 1}
+	u := &units[sh.UnitIdx]
+	key := configKey(u, sh.UnitIdx)
+	wk, ok := cache.acquire(key)
+	if !ok {
+		opts := []core.Option{
+			core.WithDetector(u.Detector),
+			core.WithMaxSteps(u.MaxSteps),
+			core.WithRecord(u.Record),
+			core.WithSampleRate(u.SampleRate),
+		}
+		if u.StrategyFactory != nil {
+			opts = append(opts, core.WithStrategyFactory(u.StrategyFactory))
+		} else if u.Strategy != "" {
+			opts = append(opts, core.WithStrategy(u.Strategy))
+		}
+		var err error
+		wk, err = core.NewRunner(opts...).NewWorker()
+		if err != nil {
+			return nil, stats, fmt.Errorf("sweep: unit %q: %w", u.ID, err)
+		}
 	}
-	return res.aggs, stats, nil
+	// The core.Worker is checked out for the shard's duration and
+	// returned on every exit path.
+	defer cache.release(key, wk)
+	aggs := make([]Aggregator, len(factories))
+	for i, f := range factories {
+		aggs[i] = f()
+	}
+	for si := sh.Lo; si < sh.Lo+sh.N; si++ {
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
+		}
+		seed := u.BaseSeed + int64(si)
+		out, err := wk.RunSeed(u.Program, seed)
+		if err != nil {
+			return nil, stats, fmt.Errorf("sweep: unit %q seed %d: %w", u.ID, seed, err)
+		}
+		stats.Runs++
+		racy := out.HasRace()
+		if racy {
+			stats.Racy++
+		}
+		r := Run{Unit: u, UnitIdx: sh.UnitIdx, SeedIdx: si, Seed: seed, Outcome: out}
+		for _, a := range aggs {
+			a.Observe(r)
+		}
+		if racy && u.HaltOnRace {
+			break
+		}
+	}
+	return aggs, stats, nil
 }
 
 // Run executes the campaign and returns one merged root aggregator
@@ -280,6 +339,14 @@ func (e *Engine) Run(units []Unit, factories ...Factory) ([]Aggregator, Stats, e
 	return e.RunContext(context.Background(), units, nil, factories...)
 }
 
+// shardResult is what one executed shard hands to the merger.
+type shardResult struct {
+	idx   int
+	aggs  []Aggregator
+	stats Stats
+	err   error
+}
+
 // RunContext is Run with cancellation and progress reporting, the
 // form long-running services drive campaigns through. Cancelling ctx
 // stops the campaign promptly — workers check the context between
@@ -288,7 +355,7 @@ func (e *Engine) Run(units []Unit, factories ...Factory) ([]Aggregator, Stats, e
 // the merge loop after each shard folds into the campaign root; it
 // runs on the calling goroutine's merge path, so it must not block
 // for long, and it observes the same deterministic shard-ordered
-// sequence at any parallelism.
+// sequence at any parallelism and with any Exec.
 func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(Progress), factories ...Factory) ([]Aggregator, Stats, error) {
 	stats := Stats{Units: len(units)}
 	roots := make([]Aggregator, len(factories))
@@ -302,15 +369,21 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 		return roots, stats, nil
 	}
 
+	exec := e.exec
+	if exec == nil {
+		// Workers recycle core.Workers through one cache per campaign:
+		// a campaign over thousands of seeds allocates detector shadow
+		// memory once per (concurrent shard, config), not once per
+		// run, and no detector outlives the campaign.
+		pool := NewWorkerCache()
+		exec = func(ctx context.Context, sh Shard) ([]Aggregator, Stats, error) {
+			return RunShard(ctx, units, sh, pool, factories...)
+		}
+	}
 	workers := e.parallelism
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	// Workers recycle core.Workers through one cache per campaign: a
-	// campaign over thousands of seeds allocates detector shadow memory
-	// once per (concurrent shard, config), not once per run, and no
-	// detector outlives the campaign.
-	pool := NewWorkerCache()
 	results := make(chan shardResult, len(shards))
 	var next int64
 	var failed atomic.Bool
@@ -330,11 +403,11 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 				if si >= len(shards) {
 					return
 				}
-				res := runShard(ctx, units, shards[si], si, pool, factories)
-				if res.err != nil {
+				aggs, st, err := exec(ctx, shards[si])
+				if err != nil {
 					failed.Store(true)
 				}
-				results <- res
+				results <- shardResult{idx: si, aggs: aggs, stats: st, err: err}
 			}
 		}()
 	}
@@ -349,7 +422,6 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 	pending := make(map[int]shardResult)
 	nextMerge := 0
 	var firstErr error
-	firstErrShard := len(shards)
 	for res := range results {
 		pending[res.idx] = res
 		for {
@@ -360,13 +432,13 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 			delete(pending, nextMerge)
 			nextMerge++
 			if r.err != nil {
-				if r.idx < firstErrShard {
-					firstErr, firstErrShard = r.err, r.idx
+				if firstErr == nil {
+					firstErr = r.err
 				}
 				continue
 			}
-			stats.Runs += r.runs
-			stats.Racy += r.racy
+			stats.Runs += r.stats.Runs
+			stats.Racy += r.stats.Racy
 			for i := range roots {
 				roots[i].Merge(r.aggs[i])
 			}
@@ -394,66 +466,5 @@ func configKey(u *Unit, unitIdx int) string {
 	if u.StrategyFactory != nil {
 		return fmt.Sprintf("factory/%d", unitIdx)
 	}
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%t\x00%d\x00%d", u.Detector, u.Strategy, u.MaxSteps, u.Record, u.SampleRate, u.Window)
-}
-
-// runShard executes one shard on the calling goroutine, feeding fresh
-// aggregator instances in seed order. The context is checked between
-// seeds, so a cancelled campaign stops within one program execution
-// per worker. The core.Worker is checked out of pool for the shard's
-// duration and returned on every exit path.
-func runShard(ctx context.Context, units []Unit, sh Shard, idx int, pool *WorkerCache, factories []Factory) shardResult {
-	res := shardResult{idx: idx, aggs: make([]Aggregator, len(factories))}
-	for i, f := range factories {
-		res.aggs[i] = f()
-	}
-	u := &units[sh.UnitIdx]
-	key := configKey(u, sh.UnitIdx)
-	wk, ok := pool.acquire(key)
-	if !ok {
-		opts := []core.Option{
-			core.WithDetector(u.Detector),
-			core.WithMaxSteps(u.MaxSteps),
-			core.WithRecord(u.Record),
-			core.WithWindow(u.Window),
-			core.WithSampleRate(u.SampleRate),
-		}
-		if u.StrategyFactory != nil {
-			opts = append(opts, core.WithStrategyFactory(u.StrategyFactory))
-		} else if u.Strategy != "" {
-			opts = append(opts, core.WithStrategy(u.Strategy))
-		}
-		var err error
-		wk, err = core.NewRunner(opts...).NewWorker()
-		if err != nil {
-			res.err = fmt.Errorf("sweep: unit %q: %w", u.ID, err)
-			return res
-		}
-	}
-	defer pool.release(key, wk)
-	for si := sh.Lo; si < sh.Lo+sh.N; si++ {
-		if err := ctx.Err(); err != nil {
-			res.err = err
-			return res
-		}
-		seed := u.BaseSeed + int64(si)
-		out, err := wk.RunSeed(u.Program, seed)
-		if err != nil {
-			res.err = fmt.Errorf("sweep: unit %q seed %d: %w", u.ID, seed, err)
-			return res
-		}
-		res.runs++
-		racy := out.HasRace()
-		if racy {
-			res.racy++
-		}
-		r := Run{Unit: u, UnitIdx: sh.UnitIdx, SeedIdx: si, Seed: seed, Outcome: out}
-		for _, a := range res.aggs {
-			a.Observe(r)
-		}
-		if racy && u.HaltOnRace {
-			break
-		}
-	}
-	return res
+	return fmt.Sprintf("%s\x00%s\x00%d\x00%t\x00%d", u.Detector, u.Strategy, u.MaxSteps, u.Record, u.SampleRate)
 }

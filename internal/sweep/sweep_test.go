@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"gorace/internal/patterns"
 	"gorace/internal/sched"
-	"gorace/internal/vclock"
 )
 
 func pat(t testing.TB, id string) patterns.Pattern {
@@ -144,42 +144,6 @@ func TestFirstRaceAndHaltOnRace(t *testing.T) {
 	}
 }
 
-// TestWindowUnitBoundsRetainedTrace pins the Window unit mode: a
-// windowed unit's outcome trace holds at most Window events per
-// goroutine, yet a manifested race still arrives with enough recent
-// context to be retained at all — bounded retention, not no retention.
-func TestWindowUnitBoundsRetainedTrace(t *testing.T) {
-	racy := pat(t, "capture-loop-index")
-	units := []Unit{{
-		ID: "windowed", Program: racy.Racy, Runs: 60, MaxSteps: 1 << 16,
-		Window: 4, HaltOnRace: true,
-	}}
-	aggs, _, err := New(WithParallelism(2)).Run(units,
-		func() Aggregator { return NewFirstRace() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, ok := aggs[0].(*FirstRace).Outcome(0)
-	if !ok {
-		t.Fatal("race never manifested across 60 seeds")
-	}
-	if !out.HasRace() || out.Trace == nil {
-		t.Fatalf("windowed racy outcome incomplete: races=%d trace=%v", len(out.Races), out.Trace != nil)
-	}
-	perG := make(map[vclock.TID]int)
-	for _, ev := range out.Trace.Events {
-		perG[ev.G]++
-	}
-	for g, n := range perG {
-		if n > 4 {
-			t.Fatalf("goroutine %d retained %d events, window is 4", g, n)
-		}
-	}
-	if len(out.Trace.Events) == 0 {
-		t.Fatal("window retained nothing")
-	}
-}
-
 func TestStrategyFactoryUnits(t *testing.T) {
 	// A factory is invoked exactly once per run, however the unit is
 	// sharded across workers: building a worker must not consume one.
@@ -233,25 +197,6 @@ func TestEmptyCampaign(t *testing.T) {
 	}
 	if stats.Runs != 0 || len(aggs[0].(*Prob).Stats()) != 0 {
 		t.Fatal("phantom results from empty campaign")
-	}
-}
-
-func TestTallyClassifies(t *testing.T) {
-	units := []Unit{
-		{ID: "a", Program: pat(t, "capture-loop-index").Racy, Runs: 40, Record: true, HaltOnRace: true, MaxSteps: 1 << 16},
-		{ID: "b", Program: pat(t, "partial-locking").Racy, Runs: 40, Record: true, HaltOnRace: true, MaxSteps: 1 << 16},
-	}
-	aggs, _, err := New(WithParallelism(2)).Run(units, func() Aggregator { return NewTally() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := aggs[0].(*Tally).Counts(nil)
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != 2 {
-		t.Fatalf("classified %d units, want 2 (%v)", total, counts)
 	}
 }
 
@@ -381,5 +326,125 @@ func TestSampledCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if !sawSkip {
 		t.Fatalf("rate-16 unit skipped no accesses; fingerprint:\n%s", want)
+	}
+}
+
+// progressLog returns a progress callback that renders each Progress
+// into b.
+func progressLog(b *strings.Builder) func(Progress) {
+	return func(p Progress) {
+		fmt.Fprintf(b, "%d/%d runs=%d racy=%d\n", p.DoneShards, p.TotalShards, p.Runs, p.Racy)
+	}
+}
+
+// foldLog is an order-sensitive aggregator: it logs every observed
+// (unit, seed) in the order runs reach the root.
+type foldLog struct{ seeds []string }
+
+func (l *foldLog) Observe(r Run) {
+	l.seeds = append(l.seeds, fmt.Sprintf("%d:%d", r.UnitIdx, r.SeedIdx))
+}
+func (l *foldLog) Merge(next Aggregator) { l.seeds = append(l.seeds, next.(*foldLog).seeds...) }
+
+// TestExecReverseCompletionFoldsInShardOrder: an Exec that runs every
+// shard with RunShard but completes them last-to-first yields the same
+// roots and the same Progress sequence as the default engine — the
+// engine, not the Exec, owns the shard-order fold.
+func TestExecReverseCompletionFoldsInShardOrder(t *testing.T) {
+	units := campaignUnits(t)
+	units[0].Runs = 25 // uneven shards make the progress sequence order-sensitive
+	factories := []Factory{
+		func() Aggregator { return NewProb() },
+		func() Aggregator { return NewFirstRace() },
+		func() Aggregator { return &foldLog{} },
+	}
+	const shardRuns = 10
+	var want strings.Builder
+	aggs, stats, err := New(WithParallelism(2), WithShardRuns(shardRuns)).RunContext(
+		context.Background(), units, progressLog(&want), factories...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFP := fingerprint(t, aggs, stats)
+	wantLog := aggs[2].(*foldLog).seeds
+
+	shards := Plan(units, shardRuns)
+	index := make(map[Shard]int, len(shards))
+	done := make([]chan struct{}, len(shards)+1)
+	for i, sh := range shards {
+		index[sh] = i
+		done[i] = make(chan struct{})
+	}
+	done[len(shards)] = make(chan struct{})
+	close(done[len(shards)])
+	var mu sync.Mutex
+	var completed []int
+	reverse := func(ctx context.Context, sh Shard) ([]Aggregator, Stats, error) {
+		i := index[sh]
+		aggs, st, err := RunShard(ctx, units, sh, nil, factories...)
+		<-done[i+1] // shard i completes only after shard i+1
+		mu.Lock()
+		completed = append(completed, i)
+		mu.Unlock()
+		close(done[i])
+		return aggs, st, err
+	}
+	var got strings.Builder
+	aggs, stats, err = New(WithParallelism(len(shards)), WithShardRuns(shardRuns), WithExec(reverse)).RunContext(
+		context.Background(), units, progressLog(&got), factories...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range completed {
+		if i != len(shards)-1-k {
+			t.Fatalf("completion order %v is not last-to-first", completed)
+		}
+	}
+	if fp := fingerprint(t, aggs, stats); fp != wantFP {
+		t.Errorf("roots differ:\n--- default\n%s--- reverse exec\n%s", wantFP, fp)
+	}
+	if got := aggs[2].(*foldLog).seeds; !slices.Equal(got, wantLog) {
+		t.Errorf("runs reached the root out of order:\n--- default\n%v\n--- reverse exec\n%v", wantLog, got)
+	}
+	if got.String() != want.String() {
+		t.Errorf("progress differs:\n--- default\n%s--- reverse exec\n%s", want.String(), got.String())
+	}
+}
+
+// TestExecFailureReturnsThatShardsError: when the Exec fails shard k,
+// the campaign returns shard k's error — not a cancellation of the
+// earlier shards still in flight, which the engine lets finish.
+func TestExecFailureReturnsThatShardsError(t *testing.T) {
+	units := campaignUnits(t)
+	shards := Plan(units, 10)
+	index := make(map[Shard]int, len(shards))
+	for i, sh := range shards {
+		index[sh] = i
+	}
+	const k = 5
+	errK := errors.New("shard 5 failed")
+	// Parallelism of at least k+1 puts shards 0..k in flight together.
+	for _, p := range []int{k + 1, len(shards)} {
+		failedK := make(chan struct{})
+		exec := func(ctx context.Context, sh Shard) ([]Aggregator, Stats, error) {
+			switch i := index[sh]; {
+			case i == k:
+				close(failedK)
+				return nil, Stats{}, errK
+			case i < k:
+				// Still running when shard k fails; a cancelling
+				// engine would turn these into ctx errors.
+				<-failedK
+				if err := ctx.Err(); err != nil {
+					return nil, Stats{}, err
+				}
+			}
+			return RunShard(ctx, units, sh, nil, func() Aggregator { return NewProb() })
+		}
+		aggs, _, err := New(WithParallelism(p), WithShardRuns(10), WithExec(exec)).Run(units,
+			func() Aggregator { return NewProb() })
+		if !errors.Is(err, errK) || aggs != nil {
+			t.Fatalf("parallelism %d: err = %v (aggs returned: %v), want shard %d's error", p, err, aggs != nil, k)
+		}
 	}
 }

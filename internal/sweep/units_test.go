@@ -112,7 +112,6 @@ func TestAggregatorCostIndependentOfUnitIdx(t *testing.T) {
 		"Prob":      func() Aggregator { return NewProb() },
 		"Overhead":  func() Aggregator { return NewOverhead() },
 		"FirstRace": func() Aggregator { return NewFirstRace() },
-		"Tally":     func() Aggregator { return NewTally() },
 		"Verdicts":  func() Aggregator { return NewVerdicts() },
 		"Cover":     func() Aggregator { return NewCover() },
 	} {

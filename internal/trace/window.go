@@ -132,11 +132,6 @@ func headBefore(a, b []Event) bool {
 	return a[0].G < b[0].G
 }
 
-// Snapshot returns the merged window as a Recorder the caller owns.
-func (w *WindowRecorder) Snapshot() *Recorder {
-	return &Recorder{Events: w.Events()}
-}
-
 // Reset empties every window in place, keeping ring capacity, so one
 // recorder serves many runs.
 func (w *WindowRecorder) Reset() {
