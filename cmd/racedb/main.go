@@ -17,12 +17,15 @@
 // counts. top ranks defects by cross-run occurrence count. diff
 // classifies defects as new/resolved/recurring between two recorded
 // runs. export emits the folded records as JSON (one array) or JSON
-// Lines. replay loads a defect's saved binary trace and re-detects it
-// post-facto — the record-once/analyze-many loop closed from disk.
+// Lines. replay streams a defect's saved binary trace through a fresh
+// detector (internal/stream) and re-detects it post-facto — the
+// record-once/analyze-many loop closed from disk, in memory bounded by
+// shadow state rather than trace length.
 // compact atomically rewrites the append-only log in folded form.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,11 +33,10 @@ import (
 	"sort"
 
 	"gorace/internal/corpus"
-	"gorace/internal/detector"
 	"gorace/internal/report"
+	"gorace/internal/stream"
 	"gorace/internal/study"
 	"gorace/internal/taxonomy"
-	"gorace/internal/trace"
 )
 
 func fatal(err error) {
@@ -252,28 +254,26 @@ func replay(store *corpus.Store, args []string) {
 	if rec.TracePath == "" {
 		fatal(fmt.Errorf("defect %s carries no saved trace (campaign ran without a trace dir)", key))
 	}
-	f, err := os.Open(rec.TracePath)
-	if err != nil {
-		fatal(err)
-	}
-	loaded, err := trace.Load(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
 	name := *det
 	if name == "" {
 		name = rec.Detector
 	}
-	if name == "" {
-		name = detector.DefaultName
-	}
-	races, err := corpus.Replay(loaded, name)
+	ing, err := stream.NewIngestor(stream.Config{Detector: name})
 	if err != nil {
 		fatal(err)
 	}
+	f, err := os.Open(rec.TracePath)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := ing.Ingest(context.Background(), f)
+	f.Close()
+	if err != nil {
+		fatal(err)
+	}
+	races := report.UniqueByHash(res.Races)
 	fmt.Printf("replayed %d events from %s under %s: %d unique race(s)\n\n",
-		len(loaded.Events), rec.TracePath, name, len(races))
+		res.Events, rec.TracePath, ing.DetectorName(), len(races))
 	reproduced := false
 	for _, r := range races {
 		fmt.Println(r)
@@ -285,7 +285,7 @@ func replay(store *corpus.Store, args []string) {
 	if reproduced {
 		fmt.Printf("defect %s reproduced from its stored trace\n", key)
 	} else {
-		fmt.Printf("WARNING: stored hash %s did not re-manifest under %s\n", rec.Race.Hash(), name)
+		fmt.Printf("WARNING: stored hash %s did not re-manifest under %s\n", rec.Race.Hash(), ing.DetectorName())
 	}
 }
 

@@ -14,8 +14,8 @@
 //	           [-corpus store.db] [-run-id id] [-corpus-traces dir]
 //	racedetect -sweep-rates 1,4,16,64 [-seeds 20] [-detector fasttrack]
 //	           [-strategy random] [-parallel 8] [-markdown]
-//	racedetect -stream trace.bin [-mem-ceiling 64] [-window 1024]
-//	           [-detector fasttrack] [-json] [-suppressions file]
+//	racedetect -stream trace.bin [-mem-ceiling 64] [-detector fasttrack]
+//	           [-json] [-suppressions file]
 //	racedetect -stream-bench 0,16,64,256 [-stream-events 10000000] [-markdown]
 //
 // Alongside the synthetic pattern corpus, racedetect runs instrumented
@@ -41,8 +41,7 @@
 // trace for `racedb replay`. Inspect the store with cmd/racedb.
 //
 // -save-trace writes the manifesting run's event trace in the
-// versioned binary codec; raceanalyze auto-detects it (and still
-// reads legacy JSON Lines traces).
+// versioned binary codec, which -stream re-detects post-facto.
 //
 // -sample gates the detector behind a deterministic 1-in-N
 // access-sampling filter (sync events always pass), trading detection
@@ -58,13 +57,15 @@
 //
 // -stream replays a recorded binary trace (or stdin with "-") through
 // the online ingest path of internal/stream — the offline twin of
-// raced's POST /v1/ingest. -mem-ceiling bounds shadow memory in MiB
-// (through FastTrack's shadow-page budget) and -window bounds
-// per-goroutine trace retention. -stream-bench runs the
-// ceiling-vs-missed-races study over a synthetic production-shaped
-// stream of -stream-events events and prints coverage, eviction churn,
-// and peak heap per ceiling; docs/STREAMING.md explains the soundness
-// tradeoff the table quantifies.
+// raced's POST /v1/ingest and the repo's one post-facto analysis
+// path. It prints the races and, under hybrid, the lockset
+// candidates, and retains no events. -mem-ceiling bounds shadow
+// memory in MiB (through FastTrack's shadow-page budget).
+// -stream-bench runs the ceiling-vs-missed-races study over a
+// synthetic production-shaped stream of -stream-events events and
+// prints coverage, eviction churn, and peak heap per ceiling;
+// docs/STREAMING.md explains the soundness tradeoff the table
+// quantifies.
 package main
 
 import (
@@ -80,7 +81,7 @@ import (
 	"gorace/internal/detector"
 	"gorace/internal/instrument"
 	"gorace/internal/patterns"
-	_ "gorace/internal/progs" // registers instrumented programs
+	"gorace/internal/progs"
 	"gorace/internal/racegen"
 	"gorace/internal/report"
 	"gorace/internal/sched"
@@ -135,7 +136,6 @@ func main() {
 		markdown   = flag.Bool("markdown", false, "with -sweep-rates, -stream-bench, or -racegen, print the summary table as GitHub-flavored markdown")
 		streamIn   = flag.String("stream", "", "replay a recorded binary trace stream through the online detector (\"-\" = stdin)")
 		memCeiling = flag.Int("mem-ceiling", 0, "with -stream, shadow-memory ceiling in MiB (0 = unbounded; engages the paged detector)")
-		window     = flag.Int("window", 0, "with -stream, per-goroutine retained-event window (0 = default, <0 = none)")
 		streamBn   = flag.String("stream-bench", "", "comma-separated MiB ceilings (0 = unbounded): sweep one synthetic stream per ceiling and print the coverage-vs-memory table")
 		streamEv   = flag.Int("stream-events", 10_000_000, "with -stream-bench, synthetic stream length in events")
 		racegenOn  = flag.Bool("racegen", false, "run the coverage-guided generation loop and print the round table (see docs/GENERATION.md)")
@@ -181,7 +181,7 @@ func main() {
 	}
 
 	if *streamIn != "" {
-		runStream(*streamIn, *det, *memCeiling, *window, supp, *jsonOut)
+		runStream(*streamIn, *det, *memCeiling, supp, *jsonOut)
 		return
 	}
 
@@ -196,35 +196,13 @@ func main() {
 		return
 	}
 
-	var (
-		unitID string
-		prog   func(*sched.G)
-	)
-	switch {
-	case *program != "":
-		ip, ok := instrument.ProgramByName(*program)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown program %q; use -list-programs\n", *program)
-			os.Exit(2)
-		}
-		unitID, prog = "prog:"+ip.Name, ip.Racy
-		if *variant == "fixed" {
-			if ip.Fixed == nil {
-				fmt.Fprintf(os.Stderr, "program %q has no fixed variant\n", *program)
-				os.Exit(2)
-			}
-			prog = ip.Fixed
-		}
-	default:
-		p, ok := patterns.ByID(*pattern)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown pattern %q; use -list\n", *pattern)
-			os.Exit(2)
-		}
-		unitID, prog = p.ID, p.Racy
-		if *variant == "fixed" {
-			prog = p.Fixed
-		}
+	unitID, catalog := *pattern, "-list"
+	if *program != "" {
+		unitID, catalog = "prog:"+*program, "-list-programs"
+	}
+	prog, err := progs.Resolve(unitID, *variant)
+	if err != nil {
+		fatal(fmt.Errorf("%w; use %s", err, catalog))
 	}
 
 	runner := core.NewRunner(
@@ -311,11 +289,15 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 			stratNames = append(stratNames, s)
 		}
 	}
-	pats := patterns.All()
-	progs := instrument.Programs()
+	ids := progs.IDs(variant)
+	nPats := len(patterns.IDs())
 
 	var units []sweep.Unit
-	addUnits := func(id string, prog func(*sched.G)) {
+	for _, id := range ids {
+		prog, err := progs.Resolve(id, variant)
+		if err != nil {
+			fatal(err)
+		}
 		for _, s := range stratNames {
 			units = append(units, sweep.Unit{
 				ID:         id + "/" + s,
@@ -332,25 +314,6 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 				Record: true,
 			})
 		}
-	}
-	for _, p := range pats {
-		prog := p.Racy
-		if variant == "fixed" {
-			prog = p.Fixed
-		}
-		addUnits(p.ID, prog)
-	}
-	// Instrumented programs sweep alongside the synthetic corpus; ones
-	// without a fixed variant sit out a fixed-variant campaign.
-	for _, p := range progs {
-		prog := p.Racy
-		if variant == "fixed" {
-			if p.Fixed == nil {
-				continue
-			}
-			prog = p.Fixed
-		}
-		addUnits("prog:"+p.Name, prog)
 	}
 
 	opts := []sweep.Option{}
@@ -391,7 +354,7 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	coll := aggs[1].(*corpus.Collector)
 
 	fmt.Printf("== campaign: %d patterns + %d programs × %d strategies × %d seeds, detector %s ==\n",
-		len(pats), len(progs), len(stratNames), seeds, det)
+		nPats, len(ids)-nPats, len(stratNames), seeds, det)
 
 	// Per-pattern manifestation probability, one column per strategy.
 	byUnit := make(map[string]sweep.UnitStat)
@@ -432,17 +395,7 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 		fmt.Printf("%12s", s)
 	}
 	fmt.Printf("%10s\n", "defects")
-	rowIDs := make([]string, 0, len(pats)+len(progs))
-	for _, p := range pats {
-		rowIDs = append(rowIDs, p.ID)
-	}
-	for _, p := range progs {
-		if variant == "fixed" && p.Fixed == nil {
-			continue
-		}
-		rowIDs = append(rowIDs, "prog:"+p.Name)
-	}
-	for _, id := range rowIDs {
+	for _, id := range ids {
 		fmt.Printf("%-28s", id)
 		for _, s := range stratNames {
 			fmt.Printf("%12.2f", byUnit[id+"/"+s].Probability())
@@ -491,28 +444,14 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 		rates = append(rates, n)
 	}
 
-	type unitSrc struct {
-		id   string
-		prog func(*sched.G)
-	}
-	var srcs []unitSrc
-	for _, p := range patterns.All() {
-		prog := p.Racy
-		if variant == "fixed" {
-			prog = p.Fixed
+	ids := progs.IDs(variant)
+	nPats := len(patterns.IDs())
+	bodies := make([]func(*sched.G), len(ids))
+	for i, id := range ids {
+		var err error
+		if bodies[i], err = progs.Resolve(id, variant); err != nil {
+			fatal(err)
 		}
-		srcs = append(srcs, unitSrc{p.ID, prog})
-	}
-	nPats := len(srcs)
-	for _, p := range instrument.Programs() {
-		prog := p.Racy
-		if variant == "fixed" {
-			if p.Fixed == nil {
-				continue
-			}
-			prog = p.Fixed
-		}
-		srcs = append(srcs, unitSrc{"prog:" + p.Name, prog})
 	}
 
 	opts := []sweep.Option{}
@@ -529,11 +468,11 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 	}
 	var rows []rateRow
 	for _, rate := range rates {
-		units := make([]sweep.Unit, 0, len(srcs))
-		for _, s := range srcs {
+		units := make([]sweep.Unit, 0, len(ids))
+		for i, id := range ids {
 			units = append(units, sweep.Unit{
-				ID:         s.id,
-				Program:    s.prog,
+				ID:         id,
+				Program:    bodies[i],
 				Detector:   det,
 				Strategy:   strategy,
 				Runs:       seeds,
@@ -556,10 +495,10 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 
 	if markdown {
 		fmt.Printf("%d patterns + %d programs × %d seeds, detector `%s`, strategy `%s`.\n\n",
-			nPats, len(srcs)-nPats, seeds, det, strategy)
+			nPats, len(ids)-nPats, seeds, det, strategy)
 	} else {
 		fmt.Printf("== sample-rate sweep: %d patterns + %d programs × %d seeds, detector %s, strategy %s ==\n\n",
-			nPats, len(srcs)-nPats, seeds, det, strategy)
+			nPats, len(ids)-nPats, seeds, det, strategy)
 	}
 
 	// Summary: one row per rate, detection probability averaged over
@@ -609,10 +548,10 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 		fmt.Printf("%8d", row.rate)
 	}
 	fmt.Println()
-	for _, s := range srcs {
-		fmt.Printf("%-28s", s.id)
+	for _, id := range ids {
+		fmt.Printf("%-28s", id)
 		for _, row := range rows {
-			fmt.Printf("%8.2f", row.byUnit[s.id].Probability())
+			fmt.Printf("%8.2f", row.byUnit[id].Probability())
 		}
 		fmt.Println()
 	}

@@ -12,10 +12,12 @@ import (
 
 // runStream replays a recorded binary trace stream (racedetect
 // -save-trace, raced ingest payloads, or "-" for stdin) through an
-// online Ingestor — the offline twin of POST /v1/ingest. A ceiling
-// engages the paged detector; the printed stats then show what
-// bounded memory cost in evictions and reloads.
-func runStream(path, det string, ceilingMiB, window int, supp *report.SuppressionList, jsonOut bool) {
+// online Ingestor — the offline twin of POST /v1/ingest and the
+// post-facto analysis of §3.3. Memory is the detector's shadow state,
+// not the trace: no event is retained. A ceiling engages the paged
+// detector; the printed stats then show what bounded memory cost in
+// evictions and reloads.
+func runStream(path, det string, ceilingMiB int, supp *report.SuppressionList, jsonOut bool) {
 	in := os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -28,7 +30,6 @@ func runStream(path, det string, ceilingMiB, window int, supp *report.Suppressio
 	ing, err := stream.NewIngestor(stream.Config{
 		Detector:      det,
 		MemCeilingMiB: ceilingMiB,
-		Window:        window,
 	})
 	if err != nil {
 		fatal(err)
@@ -49,6 +50,11 @@ func runStream(path, det string, ceilingMiB, window int, supp *report.Suppressio
 	for _, r := range unique {
 		fmt.Println(r)
 		fmt.Printf("dedup hash: %s\n\n", r.Hash())
+	}
+	candidates, suppressedCand := supp.Apply(ing.Detector().Candidates())
+	suppressed += suppressedCand
+	for _, c := range report.UniqueByHash(candidates) {
+		fmt.Printf("LOCKSET CANDIDATE (may not manifest):\n%s\n", c)
 	}
 	fmt.Printf("events: %d; reports: %d (%d unique)", res.Events, len(races), len(unique))
 	if suppressed > 0 {

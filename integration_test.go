@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gorace/internal/stack"
+	"gorace/internal/trace"
 )
 
 // TestBinariesBuildAndRun compiles every command and example and
@@ -69,14 +72,17 @@ func TestBinariesBuildAndRun(t *testing.T) {
 	}
 	runOK(staticraceBin, "loop-capture", racy)
 
-	raceanalyze := build("cmd/raceanalyze")
+	// Post-facto analysis: a saved trace re-detected by -stream.
 	traceFile := filepath.Join(bin, "m.trace")
 	out, err := exec.Command(racedetect, "-pattern", "map-concurrent-write",
 		"-save-trace", traceFile, "-seeds", "40").CombinedOutput()
 	if err != nil {
 		t.Fatalf("save-trace: %v\n%s", err, out)
 	}
-	runOK(raceanalyze, "unique race", "-trace", traceFile)
+	runOK(racedetect, "dedup hash:", "-stream", traceFile)
+	handoff := filepath.Join(bin, "handoff.trace")
+	writeHandoffTrace(t, handoff)
+	runOK(racedetect, "LOCKSET CANDIDATE", "-stream", handoff, "-detector", "hybrid")
 
 	// Examples.
 	runOK(build("examples/quickstart"), "clean: no race under any of 50 seeds")
@@ -84,4 +90,40 @@ func TestBinariesBuildAndRun(t *testing.T) {
 	runOK(build("examples/deployment"), "dedup hash stability")
 	runOK(build("examples/flakiness"), "P(race detected in one run)")
 	runOK(build("examples/nightly"), "running 20 nights")
+}
+
+// writeHandoffTrace writes a hand-made trace in the shape of
+// TestHybridCandidates: main forks a child, writes x and sends on a
+// channel; the child receives, then writes x. The channel orders the
+// writes, so happens-before reports nothing, but no lock guards x, so
+// the lockset half of the hybrid detector flags a candidate.
+func writeHandoffTrace(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	at := func(fn string, line int) stack.Context {
+		return stack.NewContext(stack.Frame{Func: fn, File: "handoff.go", Line: line})
+	}
+	const x, ch = trace.Addr(1), trace.ObjID(1)
+	enc := trace.NewEncoder(f)
+	for i, ev := range []trace.Event{
+		{G: 0, GName: "main", Op: trace.OpFork, Child: 1, Stack: at("main", 3)},
+		{G: 0, GName: "main", Op: trace.OpWrite, Addr: x, Stack: at("main", 4), Label: "x = 1"},
+		{G: 0, GName: "main", Op: trace.OpRelease, Obj: ch, Kind: trace.KindChan, Stack: at("main", 5)},
+		{G: 1, GName: "child", Op: trace.OpAcquire, Obj: ch, Kind: trace.KindChan, Stack: at("main.func1", 8)},
+		{G: 1, GName: "child", Op: trace.OpWrite, Addr: x, Stack: at("main.func1", 9), Label: "x = 2"},
+		{G: 1, GName: "child", Op: trace.OpGoEnd},
+		{G: 0, GName: "main", Op: trace.OpGoEnd},
+	} {
+		ev.Seq = uint64(i)
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
 }

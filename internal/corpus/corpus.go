@@ -58,7 +58,8 @@ type Record struct {
 	// defining report, resolvable with detector.New for replay.
 	Detector string
 	// TracePath optionally points at a saved binary trace of the
-	// defining run, replayable with trace.Load (racedb replay).
+	// defining run, re-detected by stream.Ingestor (racedb replay,
+	// GET /v1/replay).
 	TracePath string
 	// Race is the defining report: the first manifestation observed in
 	// the defect's earliest run.

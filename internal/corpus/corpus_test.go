@@ -529,56 +529,6 @@ func TestAppendDiffTwoNights(t *testing.T) {
 	}
 }
 
-// TestCollectorTraceReplay pins the replay path end to end: a defect's
-// saved trace must load and replay into a detector that re-reports the
-// defect's dedup hash.
-func TestCollectorTraceReplay(t *testing.T) {
-	dir := t.TempDir()
-	store, err := Open(filepath.Join(dir, "c.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	units := nightlyUnits(0, 6)
-	aggs, _, err := sweep.New().Run(units,
-		func() sweep.Aggregator {
-			return NewCollector("night-1", WithTraceDir(filepath.Join(dir, "traces")))
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll := aggs[0].(*Collector)
-	if err := coll.AppendTo(store); err != nil {
-		t.Fatal(err)
-	}
-	recs := store.Records()
-	if len(recs) == 0 {
-		t.Skip("no defects found")
-	}
-	replayed := 0
-	for _, rec := range recs {
-		if rec.TracePath == "" {
-			t.Fatalf("record %s has no trace path", rec.Key)
-		}
-		f, err := os.Open(rec.TracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := trace.Load(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("load %s: %v", rec.TracePath, err)
-		}
-		if got := ReplayHashes(loaded, rec.Detector); !got[rec.Race.Hash()] {
-			t.Fatalf("replaying %s did not re-report hash %s", rec.Key, rec.Race.Hash())
-		}
-		replayed++
-	}
-	if replayed == 0 {
-		t.Fatal("nothing replayed")
-	}
-}
-
 func TestDiffUnknownRun(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "c.db"))
 	if err != nil {

@@ -1,12 +1,14 @@
 package progs_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"gorace/internal/core"
 	"gorace/internal/instrument"
-	_ "gorace/internal/progs"
+	"gorace/internal/patterns"
+	"gorace/internal/progs"
 )
 
 // seedsWithRace runs one registered program variant under FastTrack
@@ -103,6 +105,44 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		if p.Racy == nil || p.Fixed == nil {
 			t.Errorf("dogfood %s missing a variant", d.Name)
+		}
+	}
+}
+
+// TestCatalogResolvesEveryTarget: IDs lists the pattern corpus, then
+// every registered program as prog:<name>, and each listed id resolves
+// to a body under both variants; unknown ids and variants fail with
+// the texts the CLIs and raced's 400 answers print.
+func TestCatalogResolvesEveryTarget(t *testing.T) {
+	ids := progs.IDs("racy")
+	pats := patterns.IDs()
+	if !slices.Equal(ids[:len(pats)], pats) {
+		t.Fatalf("IDs does not open with the pattern corpus: %v", ids)
+	}
+	var want []string
+	for _, p := range instrument.Programs() {
+		want = append(want, "prog:"+p.Name)
+	}
+	if !slices.Equal(ids[len(pats):], want) {
+		t.Fatalf("IDs programs = %v, want %v", ids[len(pats):], want)
+	}
+	if fixed := progs.IDs("fixed"); !slices.Equal(fixed, ids) {
+		t.Fatalf("every registered program has a fixed body, yet IDs(fixed) = %v", fixed)
+	}
+	for _, id := range ids {
+		for _, variant := range []string{"racy", "fixed"} {
+			if body, err := progs.Resolve(id, variant); err != nil || body == nil {
+				t.Errorf("Resolve(%q, %q) = nil body, %v", id, variant, err)
+			}
+		}
+	}
+	for _, c := range []struct{ id, variant, err string }{
+		{"no-such-pattern", "racy", `unknown pattern "no-such-pattern"`},
+		{"prog:no-such-program", "racy", `unknown program "no-such-program"`},
+		{"capture-err", "flaky", `variant "flaky" (want racy or fixed)`},
+	} {
+		if _, err := progs.Resolve(c.id, c.variant); err == nil || err.Error() != c.err {
+			t.Errorf("Resolve(%q, %q) error = %v, want %q", c.id, c.variant, err, c.err)
 		}
 	}
 }

@@ -255,14 +255,23 @@ type joinResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
+// validateJoin checks a join or heartbeat body: the worker URL must
+// be an absolute http or https URL, since the coordinator dials it.
+func validateJoin(req joinRequest) error {
+	u, err := url.Parse(req.URL)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("worker url %q is not an absolute http or https URL", req.URL)
+	}
+	return nil
+}
+
 func decodeNodeURL(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req joinRequest
 	if !decodeJSONBody(w, r, &req, "cluster request") {
 		return "", false
 	}
-	u, err := url.Parse(req.URL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		writeError(w, http.StatusBadRequest, "worker url %q is not an absolute URL", req.URL)
+	if err := validateJoin(req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return "", false
 	}
 	return req.URL, true

@@ -535,3 +535,33 @@ func TestJSONBodiesCapped(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinRequiresHTTPURL: the coordinator dials a joined worker back,
+// so join and heartbeat bodies must carry an absolute http or https
+// URL; anything else answers 400 and registers nothing.
+func TestJoinRequiresHTTPURL(t *testing.T) {
+	for raw, ok := range map[string]bool{
+		"http://127.0.0.1:8081":     true,
+		"https://worker-1:443/base": true,
+		"ftp://worker-1":            false,
+		"unix:///tmp/raced.sock":    false,
+		"http:///no-host":           false,
+		"/v1/shards":                false,
+		"127.0.0.1:8081":            false,
+		"http://[::1":               false,
+		"":                          false,
+	} {
+		if err := validateJoin(joinRequest{URL: raw}); (err == nil) != ok {
+			t.Errorf("validateJoin(%q) = %v, want accepted=%v", raw, err, ok)
+		}
+	}
+	_, coord := newCoordinator(t, 4)
+	for _, route := range []string{"/v1/cluster/join", "/v1/cluster/heartbeat"} {
+		if status, body, _ := post(t, coord.URL+route, `{"url":"ftp://worker-1"}`); status != http.StatusBadRequest {
+			t.Errorf("POST %s with an ftp url = %d, want 400: %s", route, status, body)
+		}
+	}
+	if status, body, _ := get(t, coord.URL+"/v1/cluster"); status != http.StatusOK || strings.Contains(string(body), "ftp") {
+		t.Errorf("cluster after refused joins = %d %s", status, body)
+	}
+}

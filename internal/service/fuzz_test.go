@@ -5,12 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"math/bits"
+	"net/http"
+	"net/url"
 	"reflect"
 	"testing"
 
 	"gorace/internal/corpus"
-	"gorace/internal/instrument"
-	"gorace/internal/patterns"
+	"gorace/internal/progs"
 	"gorace/internal/sched"
 	"gorace/internal/sweep"
 )
@@ -38,7 +39,7 @@ func FuzzJobSpec(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	const maxSeeds = 512
-	maxUnits := (len(patterns.IDs()) + len(instrument.Programs())) * len(sched.StrategyNames())
+	maxUnits := len(progs.IDs("racy")) * len(sched.StrategyNames())
 	// One pattern repeated past the distinct-unit bound.
 	repeated := JobSpec{Patterns: make([]string, maxUnits+1)}
 	for i := range repeated.Patterns {
@@ -115,6 +116,44 @@ func checkSpec(t *testing.T, spec *JobSpec, maxSeeds, maxUnits int) {
 	default:
 		t.Fatalf("accepted mode %q", spec.Mode)
 	}
+}
+
+// FuzzNightlyAndJoin feeds arbitrary bytes through the strict decode
+// and the validation of the POST /v1/nightly and cluster
+// join/heartbeat bodies. It must never panic; an accepted nightly
+// names a run, and an accepted worker URL is an absolute http or https
+// URL the coordinator can build its shard dispatch request from.
+func FuzzNightlyAndJoin(f *testing.F) {
+	for _, seed := range []string{
+		`{"runId":"run-003","seed":7}`,
+		`{"runId":"","seed":7}`,
+		`{"runId":"run-009"}`,
+		`{"url":"http://127.0.0.1:8081"}`,
+		`{"url":"https://worker-1.example:443/base"}`,
+		`{"url":"ftp://worker"}`,
+		`{"url":"http:///no-host"}`,
+		`{"url":"/relative"}`,
+		`{"url":"http://[::1"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var nr nightlyRequest
+		if decodeStrict(data, &nr) && validateNightly(nr) == nil && nr.RunID == "" {
+			t.Fatalf("accepted a nightly with no run id: %q", data)
+		}
+		var jr joinRequest
+		if !decodeStrict(data, &jr) || validateJoin(jr) != nil {
+			return
+		}
+		u, err := url.Parse(jr.URL)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			t.Fatalf("accepted worker url %q (%v)", jr.URL, err)
+		}
+		if _, err := http.NewRequest(http.MethodPost, jr.URL+"/v1/shards", nil); err != nil {
+			t.Fatalf("accepted worker url %q cannot be dialed: %v", jr.URL, err)
+		}
+	})
 }
 
 // shardAnswer executes shard 0 of a small campaign the way a worker

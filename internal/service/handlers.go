@@ -12,7 +12,7 @@ import (
 
 	"gorace/internal/corpus"
 	"gorace/internal/report"
-	"gorace/internal/trace"
+	"gorace/internal/stream"
 )
 
 // The HTTP surface. Routing is deliberately plain ServeMux + manual
@@ -367,7 +367,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 // replayResponse is the /v1/replay/{id} payload: the stored trace
-// re-detected post-facto.
+// streamed through a fresh detector and re-detected post-facto, in
+// memory bounded by the detector's shadow state, not the trace.
 type replayResponse struct {
 	Generation uint64        `json:"generation"`
 	Key        string        `json:"key"`
@@ -399,22 +400,25 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		if name == "" {
 			name = rec.Detector
 		}
+		ing, err := stream.NewIngestor(stream.Config{Detector: name})
+		if err != nil {
+			return nil, http.StatusBadRequest, err
+		}
 		f, err := os.Open(rec.TracePath)
 		if err != nil {
 			return nil, http.StatusInternalServerError, fmt.Errorf("open trace: %v", err)
 		}
-		loaded, err := trace.Load(f)
+		// The request's context bounds the replay: a client that goes
+		// away stops it, and errors are never cached.
+		res, err := ing.Ingest(r.Context(), f)
 		f.Close()
 		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("load trace: %v", err)
+			return nil, http.StatusInternalServerError, fmt.Errorf("replay trace after %d events: %v", res.Events, err)
 		}
-		races, err := corpus.Replay(loaded, name)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
+		races := report.UniqueByHash(res.Races)
 		resp := replayResponse{
 			Generation: v.Generation(), Key: key, Detector: name,
-			Events: len(loaded.Events), Races: races,
+			Events: int(res.Events), Races: races,
 		}
 		if resp.Races == nil {
 			resp.Races = []report.Race{}
@@ -552,6 +556,15 @@ type nightlyRequest struct {
 	Seed int64 `json:"seed"`
 }
 
+// validateNightly checks a nightly request before any work runs: the
+// run id must be non-empty. The seed is any int64.
+func validateNightly(req nightlyRequest) error {
+	if req.RunID == "" {
+		return fmt.Errorf("service: nightly run id must not be empty")
+	}
+	return nil
+}
+
 // nightlyResponse is the POST /v1/nightly payload.
 type nightlyResponse struct {
 	Generation uint64   `json:"generation"`
@@ -574,13 +587,21 @@ func (s *Server) handleNightly(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONBody(w, r, &req, "nightly request") {
 		return
 	}
+	if err := validateNightly(req); err != nil {
+		writeError(w, http.StatusBadRequest, "%s", err.Error())
+		return
+	}
 	n, err := s.PublishNightly(req.RunID, req.Seed)
 	if err != nil {
-		status := http.StatusBadRequest
+		// Past validation, an error is the server's: a store that
+		// failed to take the run answers 500.
+		status := http.StatusInternalServerError
 		switch {
-		case err == ErrDraining:
+		case errors.Is(err, errNoRepo):
+			status = http.StatusBadRequest
+		case errors.Is(err, ErrDraining):
 			status = http.StatusServiceUnavailable
-		case strings.Contains(err.Error(), "already recorded"):
+		case errors.Is(err, errRunRecorded):
 			status = http.StatusConflict
 		}
 		writeError(w, status, "%s", err.Error())

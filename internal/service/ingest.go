@@ -176,7 +176,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.publishCollector(coll); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		status := http.StatusInternalServerError // the store failed to take the run
+		if errors.Is(err, errRunRecorded) {
+			status = http.StatusConflict
+		}
+		writeError(w, status, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{

@@ -11,9 +11,8 @@ import (
 
 	"gorace/internal/corpus"
 	"gorace/internal/detector"
-	"gorace/internal/instrument"
 	"gorace/internal/patterns"
-	_ "gorace/internal/progs" // registers instrumented programs
+	"gorace/internal/progs"
 	"gorace/internal/racegen"
 	"gorace/internal/report"
 	"gorace/internal/sched"
@@ -34,9 +33,12 @@ type JobSpec struct {
 	// (defaults 3 and 8; ignored for campaign jobs).
 	Rounds int `json:"rounds,omitempty"`
 	Budget int `json:"budget,omitempty"`
-	// Patterns lists corpus pattern ids (default: the whole corpus).
-	// Instrumented programs join the sweep as "prog:<name>" entries
-	// (see `racedetect -list-programs`).
+	// Patterns lists sweep target ids, resolved by progs.Resolve:
+	// corpus pattern ids, plus instrumented programs as "prog:<name>"
+	// entries (see `racedetect -list-programs`). The default is the
+	// pattern corpus alone (patterns.IDs), whereas `racedetect
+	// -campaign` sweeps programs too (progs.IDs); name programs
+	// explicitly to sweep them here.
 	Patterns []string `json:"patterns,omitempty"`
 	// Variant selects "racy" (default) or "fixed" pattern bodies.
 	Variant string `json:"variant,omitempty"`
@@ -324,20 +326,9 @@ func validateSpec(spec *JobSpec, maxSeeds int) error {
 		if slices.Contains(spec.Patterns[:i], id) {
 			return fmt.Errorf("duplicate pattern %q", id)
 		}
-		if _, ok := patterns.ByID(id); ok {
-			continue
+		if _, err := progs.Resolve(id, spec.Variant); err != nil {
+			return err
 		}
-		if name, isProg := strings.CutPrefix(id, "prog:"); isProg {
-			p, ok := instrument.ProgramByName(name)
-			if !ok {
-				return fmt.Errorf("unknown program %q", name)
-			}
-			if spec.Variant == "fixed" && p.Fixed == nil {
-				return fmt.Errorf("program %q has no fixed variant", name)
-			}
-			continue
-		}
-		return fmt.Errorf("unknown pattern %q", id)
 	}
 	if spec.Seeds <= 0 {
 		spec.Seeds = 20
@@ -488,7 +479,16 @@ func (m *jobManager) run(job *Job) {
 	if err == nil && job.Spec.RunID != "" {
 		err = m.publish(aggs[1].(*corpus.Collector))
 	}
+	if err != nil {
+		m.finish(job, nil, err)
+		return
+	}
+	m.finish(job, buildResult(stats, aggs), nil)
+}
 
+// finish records a job's outcome — failed with err, or done with res,
+// whose totals become the final progress — and retires it.
+func (m *jobManager) finish(job *Job, res *JobResult, err error) {
 	job.mu.Lock()
 	job.finished = time.Now()
 	if err != nil {
@@ -498,12 +498,12 @@ func (m *jobManager) run(job *Job) {
 	} else {
 		job.state = StateDone
 		job.progress = JobProgress{
-			DoneShards: stats.Shards, TotalShards: stats.Shards,
-			Runs: stats.Runs, Racy: stats.Racy,
+			DoneShards: res.Shards, TotalShards: res.Shards,
+			Runs: res.Runs, Racy: res.Racy,
 		}
-		job.result = buildResult(stats, aggs)
+		job.result = res
 		m.log.Printf("job %s done in %s: %d runs, %d defects",
-			job.ID, job.finished.Sub(job.started), stats.Runs, len(job.result.Defects))
+			job.ID, job.finished.Sub(job.started), res.Runs, len(res.Defects))
 	}
 	job.mu.Unlock()
 	m.retire(job.ID)
@@ -532,25 +532,11 @@ func (m *jobManager) runRacegenJob(job *Job, runID string) {
 	if err == nil && job.Spec.RunID != "" {
 		err = m.publish(res.Collector)
 	}
-
-	job.mu.Lock()
-	job.finished = time.Now()
 	if err != nil {
-		job.state = StateFailed
-		job.err = err.Error()
-		m.log.Printf("job %s failed after %s: %v", job.ID, job.finished.Sub(job.started), err)
-	} else {
-		job.state = StateDone
-		job.result = buildRacegenResult(res)
-		job.progress = JobProgress{
-			DoneShards: len(res.Rounds), TotalShards: len(res.Rounds),
-			Runs: res.Collector.Executions(), Racy: len(res.Keepers),
-		}
-		m.log.Printf("job %s done in %s: %d keepers, %d categories filled",
-			job.ID, job.finished.Sub(job.started), len(res.Keepers), len(res.Fill))
+		m.finish(job, nil, err)
+		return
 	}
-	job.mu.Unlock()
-	m.retire(job.ID)
+	m.finish(job, buildRacegenResult(res), nil)
 }
 
 // buildRacegenResult renders a racegen campaign into the wire result:
@@ -579,16 +565,7 @@ func buildRacegenResult(res *racegen.Result) *JobResult {
 			}(),
 		})
 	}
-	for _, rec := range res.Collector.Records() {
-		d := JobDefect{
-			Key: rec.Key, Unit: rec.Unit, Count: rec.Count,
-			Category: string(rec.Category), Race: rec.Race,
-		}
-		for _, l := range rec.Labels {
-			d.Labels = append(d.Labels, string(l))
-		}
-		jr.Defects = append(jr.Defects, d)
-	}
+	jr.Defects = jobDefects(res.Collector)
 	for cat, n := range res.Fill {
 		jr.Categories[string(cat)] = n
 	}
@@ -621,20 +598,7 @@ func (m *jobManager) retire(id string) {
 func campaignUnits(spec JobSpec) []sweep.Unit {
 	var units []sweep.Unit
 	for _, id := range spec.Patterns {
-		var prog func(*sched.G)
-		if name, isProg := strings.CutPrefix(id, "prog:"); isProg {
-			ip, _ := instrument.ProgramByName(name) // validated at submit
-			prog = ip.Racy
-			if spec.Variant == "fixed" {
-				prog = ip.Fixed
-			}
-		} else {
-			p, _ := patterns.ByID(id) // validated at submit
-			prog = p.Racy
-			if spec.Variant == "fixed" {
-				prog = p.Fixed
-			}
-		}
+		prog, _ := progs.Resolve(id, spec.Variant) // validated at submit
 		for _, strat := range spec.Strategies {
 			units = append(units, sweep.Unit{
 				ID:         id + "/" + strat,
@@ -670,7 +634,20 @@ func buildResult(stats sweep.Stats, aggs []sweep.Aggregator) *JobResult {
 			Probability: s.Probability(),
 		})
 	}
-	for _, rec := range aggs[1].(*corpus.Collector).Records() {
+	res.Defects = jobDefects(aggs[1].(*corpus.Collector))
+	for _, d := range res.Defects {
+		if d.Category != "" {
+			res.Categories[d.Category]++
+		}
+	}
+	return res
+}
+
+// jobDefects renders a collector's records, in canonical order, as
+// the wire defects of a job result.
+func jobDefects(coll *corpus.Collector) []JobDefect {
+	var out []JobDefect
+	for _, rec := range coll.Records() {
 		d := JobDefect{
 			Key: rec.Key, Unit: rec.Unit, Count: rec.Count,
 			Category: string(rec.Category), Race: rec.Race,
@@ -678,12 +655,9 @@ func buildResult(stats sweep.Stats, aggs []sweep.Aggregator) *JobResult {
 		for _, l := range rec.Labels {
 			d.Labels = append(d.Labels, string(l))
 		}
-		res.Defects = append(res.Defects, d)
-		if rec.Category != "" {
-			res.Categories[string(rec.Category)]++
-		}
+		out = append(out, d)
 	}
-	return res
+	return out
 }
 
 // drain stops intake, lets queued and running jobs finish, and — if

@@ -37,6 +37,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -217,66 +218,74 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // responses for a fixed generation byte-identical under any load.
 func (s *Server) View() *corpus.View { return s.snap.Load() }
 
+// errRunRecorded is the publish refusal for a run id the store
+// already holds; handlers map it to 409.
+var errRunRecorded = errors.New("already recorded")
+
+// errNoRepo refuses a nightly on a server started without a monorepo.
+var errNoRepo = errors.New("service: no monorepo configured for nightly runs")
+
 // PublishNightly runs one monorepo nightly campaign, appends it to
 // the live store under runID, and publishes the resulting snapshot.
 // It is the single-writer path: concurrent calls serialize, and
 // readers keep serving the previous snapshot until the new one is
-// published. Returns an error if no Repo is configured or the run id
-// was already recorded.
+// published. Returns an error if no Repo is configured, the request
+// is invalid, the server is draining (ErrDraining), or the run id was
+// already recorded.
 func (s *Server) PublishNightly(runID string, seed int64) (*monorepo.Nightly, error) {
 	if s.cfg.Repo == nil {
-		return nil, fmt.Errorf("service: no monorepo configured for nightly runs")
+		return nil, errNoRepo
 	}
-	if runID == "" {
-		return nil, fmt.Errorf("service: nightly run id must not be empty")
-	}
-	if s.draining.Load() {
-		return nil, ErrDraining
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining.Load() {
-		// Re-check under the mutex: Drain may have begun while this
-		// call waited for an earlier publish. After Drain's quiesce,
-		// no new append may touch the store.
-		return nil, ErrDraining
-	}
-	if s.View().HasRun(runID) {
-		return nil, fmt.Errorf("service: run id %q already recorded", runID)
-	}
-	n, err := s.cfg.Repo.RunNightly(s.cfg.Store, runID, seed)
-	if err != nil {
+	if err := validateNightly(nightlyRequest{RunID: runID, Seed: seed}); err != nil {
 		return nil, err
 	}
-	snap := s.cfg.Store.Snapshot()
-	s.snap.Store(snap)
-	s.cache.prune(snap.Generation())
-	s.log.Printf("nightly %s published: generation %d, %d defects on record",
-		runID, snap.Generation(), snap.Len())
-	return n, nil
+	if s.draining.Load() {
+		return nil, ErrDraining
+	}
+	var n *monorepo.Nightly
+	err := s.publish("nightly", runID, func() (err error) {
+		if s.draining.Load() {
+			// Re-check under the mutex: Drain may have begun while
+			// this call waited for an earlier publish. After Drain's
+			// quiesce, no new append may touch the store.
+			return ErrDraining
+		}
+		n, err = s.cfg.Repo.RunNightly(s.cfg.Store, runID, seed)
+		return err
+	})
+	return n, err
 }
 
-// publishCollector appends a finished campaign's defect corpus to the
-// live store under the collector's run id and publishes the resulting
-// snapshot — the JobSpec.RunID path, sharing the nightly publish's
-// single-writer discipline. It carries no draining check on purpose:
-// jobs drain to completion before Drain syncs the store, and a
-// gracefully drained job should still land its publish.
+// publishCollector appends a finished campaign's or ingest's defect
+// corpus to the live store under the collector's run id and publishes
+// the resulting snapshot. It refuses nothing while draining: jobs and
+// ingests drain to completion before Drain syncs the store, and a
+// gracefully drained one should still land its publish.
 func (s *Server) publishCollector(coll *corpus.Collector) error {
+	return s.publish("campaign", coll.RunID(), func() error {
+		return coll.AppendTo(s.cfg.Store)
+	})
+}
+
+// publish is the single-writer append: under s.mu it refuses a
+// recorded run id with errRunRecorded, runs appendRun against the
+// store, then publishes the fresh snapshot and prunes the response
+// cache. Any other error is appendRun's own.
+func (s *Server) publish(what, runID string, appendRun func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.View().HasRun(coll.RunID()) {
-		// Submit checks too, but two jobs may race to the same id.
-		return fmt.Errorf("service: run id %q already recorded", coll.RunID())
+	if s.View().HasRun(runID) {
+		// Callers check at the door too, but two may race to one id.
+		return fmt.Errorf("service: run id %q %w", runID, errRunRecorded)
 	}
-	if err := coll.AppendTo(s.cfg.Store); err != nil {
+	if err := appendRun(); err != nil {
 		return err
 	}
 	snap := s.cfg.Store.Snapshot()
 	s.snap.Store(snap)
 	s.cache.prune(snap.Generation())
-	s.log.Printf("campaign %s published: generation %d, %d defects on record",
-		coll.RunID(), snap.Generation(), snap.Len())
+	s.log.Printf("%s %s published: generation %d, %d defects on record",
+		what, runID, snap.Generation(), snap.Len())
 	return nil
 }
 

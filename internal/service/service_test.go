@@ -17,6 +17,7 @@ import (
 	"gorace/internal/corpus"
 	"gorace/internal/monorepo"
 	"gorace/internal/patterns"
+	"gorace/internal/stream"
 	"gorace/internal/sweep"
 )
 
@@ -652,5 +653,46 @@ func TestDrainQuiescesNightly(t *testing.T) {
 	}
 	if store.Generation() != genAfterDrain {
 		t.Fatal("store mutated after Drain returned")
+	}
+}
+
+// TestStoreFailureAnswers500: a publish the store cannot take is the
+// server's failure, not the client's and not a run-id conflict. With
+// the store closed under the server, a valid ingest and a valid
+// nightly both answer 500.
+func TestStoreFailureAnswers500(t *testing.T) {
+	store, _ := seedStore(t)
+	repo := monorepo.Generate(2, 2, 0.8, 42)
+	_, ts := newTestServer(t, Config{Store: store, Repo: repo})
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := synthStream(t, stream.SynthSpec{Events: 1000, Planted: 1, Seed: 1})
+	if status, body := postIngest(t, ts.URL, "run=ingest-broken", data); status != http.StatusInternalServerError {
+		t.Errorf("ingest into a closed store = %d, want 500: %s", status, body)
+	}
+	if status, body, _ := post(t, ts.URL+"/v1/nightly", `{"runId":"run-broken","seed":1}`); status != http.StatusInternalServerError {
+		t.Errorf("nightly into a closed store = %d, want 500: %s", status, body)
+	}
+}
+
+// TestReplayHonorsRequestContext: GET /v1/replay streams the trace
+// under the request's context, so a client that has gone away stops
+// the replay, and the failure is not cached: the next live request
+// replays and reproduces the defect.
+func TestReplayHonorsRequestContext(t *testing.T) {
+	store, traced := seedStore(t)
+	svc, _ := newTestServer(t, Config{Store: store})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gone := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(gone, httptest.NewRequest(http.MethodGet, "/v1/replay/"+traced, nil).WithContext(ctx))
+	if gone.Code != http.StatusInternalServerError || !strings.Contains(gone.Body.String(), "context canceled") {
+		t.Fatalf("replay for a departed client = %d %s, want 500 context canceled", gone.Code, gone.Body)
+	}
+	live := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(live, httptest.NewRequest(http.MethodGet, "/v1/replay/"+traced, nil))
+	if live.Code != http.StatusOK || live.Header().Get("X-Cache") != "miss" || !strings.Contains(live.Body.String(), `"reproduced": true`) {
+		t.Fatalf("replay after a cancelled one = %d (X-Cache %q) %s", live.Code, live.Header().Get("X-Cache"), live.Body)
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gorace/internal/corpus"
 	"gorace/internal/detector"
@@ -504,5 +506,41 @@ func TestFoldBufferReuseLeavesCollectorIntact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotFiles, wantFiles) {
 		t.Fatal("retained traces differ from the eager fold")
+	}
+}
+
+// TestReplayIsStreamed pins the cost of a post-facto replay: with no
+// Collector nothing is folded, so the Ingestor must keep no event
+// window, and ingesting a trace must allocate far less than holding
+// its events would. A whole-trace load costs events ×
+// sizeof(trace.Event); the bound is a quarter of that.
+func TestReplayIsStreamed(t *testing.T) {
+	spec := SynthSpec{Events: 200000, Addrs: 1 << 10, Seed: 1}.norm()
+	data := synthBytes(t, spec)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	in, err := NewIngestor(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := in.Ingest(context.Background(), bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if res.Events != uint64(spec.Events) {
+		t.Fatalf("ingested %d events, stream has %d", res.Events, spec.Events)
+	}
+	whole := uint64(spec.Events) * uint64(unsafe.Sizeof(trace.Event{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= whole/4 {
+		t.Fatalf("replay allocated %d bytes, want under %d (a quarter of the %d a whole-trace load holds)", got, whole/4, whole)
+	}
+	retained := 0
+	if in.win != nil {
+		retained = in.win.Retained()
+	}
+	if retained != 0 {
+		t.Fatalf("replay without a Collector retained %d events", retained)
 	}
 }

@@ -11,6 +11,8 @@
 //   - the trace is retained as a per-goroutine window of recent events
 //     (trace.WindowRecorder), so a race that manifests mid-stream still
 //     emits a classify-able report without pinning the whole history;
+//     the window exists only when a Collector receives folds, so a
+//     plain post-facto replay retains no events at all;
 //   - shadow memory is paged and evictable (detector.Evictor, which
 //     FastTrack implements): past the configured ceiling the
 //     least-recently-touched shadow pages are reclaimed. Eviction
@@ -20,7 +22,9 @@
 //
 // An Ingestor wraps one registered detector and consumes the binary
 // trace codec ("GRTB", counted or streamed) from any io.Reader,
-// folding defects into a corpus.Collector as they manifest. With no
+// folding defects into a corpus.Collector as they manifest. It is the
+// one path that re-detects a saved trace: racedetect -stream, racedb
+// replay, and raced's replay and ingest endpoints all run it. With no
 // ceiling the detector never evicts and streaming results are
 // report-identical to a batch replay of the same events
 // (differential_test.go pins this over the progen and dogfood corpora).
@@ -63,8 +67,10 @@ type Config struct {
 	// MiB. 0 means unbounded: no eviction, batch-identical reports.
 	MemCeilingMiB int
 	// Window is the per-goroutine recent-event retention (default
-	// DefaultWindow). Negative disables trace retention entirely;
-	// defects then classify without trace hints.
+	// DefaultWindow) that folded defects classify against. Negative
+	// disables trace retention entirely; defects then classify without
+	// trace hints. Without a Collector nothing is folded, so no window
+	// is kept whatever Window says.
 	Window int
 	// Unit and UnitIdx attribute folded defects within the Collector
 	// (Unit defaults to "stream").
@@ -135,11 +141,15 @@ func NewIngestor(cfg Config) (*Ingestor, error) {
 		}
 		ev.SetPageBudget(in.pages)
 	}
-	switch {
-	case cfg.Window > 0:
-		in.win = trace.NewWindowRecorder(cfg.Window)
-	case cfg.Window == 0:
-		in.win = trace.NewWindowRecorder(DefaultWindow)
+	// The window is read only by foldNew, so without a Collector no
+	// events are retained: a post-facto replay costs shadow state only.
+	if cfg.Collector != nil {
+		switch {
+		case cfg.Window > 0:
+			in.win = trace.NewWindowRecorder(cfg.Window)
+		case cfg.Window == 0:
+			in.win = trace.NewWindowRecorder(DefaultWindow)
+		}
 	}
 	return in, nil
 }
