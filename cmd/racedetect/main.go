@@ -20,7 +20,7 @@
 //
 // Alongside the synthetic pattern corpus, racedetect runs instrumented
 // programs: real packages rewritten onto the sched/trace event model
-// by cmd/raceinstrument and registered in internal/progs. -list-programs
+// by cmd/raceinstrument and listed in internal/progs. -list-programs
 // tables them, -program runs one, and campaign mode sweeps them as
 // prog:<name> units next to the patterns.
 //
@@ -69,6 +69,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,6 @@ import (
 	"gorace/internal/core"
 	"gorace/internal/corpus"
 	"gorace/internal/detector"
-	"gorace/internal/instrument"
 	"gorace/internal/patterns"
 	"gorace/internal/progs"
 	"gorace/internal/racegen"
@@ -158,7 +158,7 @@ func main() {
 
 	if *listProgs {
 		fmt.Printf("%-18s %-44s %s\n", "program", "source", "description")
-		for _, p := range instrument.Programs() {
+		for _, p := range progs.Programs() {
 			fixed := ""
 			if p.Fixed != nil {
 				fixed = " [+fixed]"
@@ -594,7 +594,7 @@ func runRacegen(rounds, budget, parallel int, corpusPath, runID, keepDir string,
 			}
 		}
 	}
-	res, err := racegen.Run(cfg)
+	res, err := racegen.Run(context.Background(), cfg)
 	if err != nil {
 		fatal(err)
 	}

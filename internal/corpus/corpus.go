@@ -446,13 +446,20 @@ func (s *Store) LastRun() string {
 // defects are new in runB, resolved since runA, and recurring in
 // both. Both ids must name appended runs.
 func (s *Store) Diff(runA, runB string) (Delta, error) {
+	known := func(id string) bool { _, ok := s.runs[id]; return ok }
+	return diff(runA, runB, len(s.runs), known, s.Records())
+}
+
+// diff is Store.Diff and View.Diff: it checks both run ids against
+// known (nRuns recorded runs) and sorts recs into the delta.
+func diff(runA, runB string, nRuns int, known func(string) bool, recs []Record) (Delta, error) {
 	delta := Delta{RunA: runA, RunB: runB}
 	for _, id := range []string{runA, runB} {
-		if _, ok := s.runs[id]; !ok {
-			return delta, fmt.Errorf("corpus: unknown run id %q (have %d runs)", id, len(s.runs))
+		if !known(id) {
+			return delta, fmt.Errorf("corpus: unknown run id %q (have %d runs)", id, nRuns)
 		}
 	}
-	for _, rec := range s.Records() {
+	for _, rec := range recs {
 		inA, inB := rec.SeenIn(runA), rec.SeenIn(runB)
 		switch {
 		case inA && inB:

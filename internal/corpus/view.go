@@ -1,9 +1,6 @@
 package corpus
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // View is an immutable snapshot of a store's folded state, the unit
 // of concurrent read access. A Store is single-writer by design; a
@@ -95,24 +92,7 @@ func (v *View) LastRun() string {
 // Diff computes the cross-run delta between two recorded runs, with
 // the same semantics as Store.Diff, against the frozen snapshot.
 func (v *View) Diff(runA, runB string) (Delta, error) {
-	delta := Delta{RunA: runA, RunB: runB}
-	for _, id := range []string{runA, runB} {
-		if !v.run[id] {
-			return delta, fmt.Errorf("corpus: unknown run id %q (have %d runs)", id, len(v.runs))
-		}
-	}
-	for _, rec := range v.recs {
-		inA, inB := rec.SeenIn(runA), rec.SeenIn(runB)
-		switch {
-		case inA && inB:
-			delta.Recurring = append(delta.Recurring, rec)
-		case inB:
-			delta.New = append(delta.New, rec)
-		case inA:
-			delta.Resolved = append(delta.Resolved, rec)
-		}
-	}
-	return delta, nil
+	return diff(runA, runB, len(v.runs), func(id string) bool { return v.run[id] }, v.recs)
 }
 
 // Top returns the n records with the highest cross-run occurrence

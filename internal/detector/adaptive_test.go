@@ -3,9 +3,8 @@ package detector
 import (
 	"testing"
 
-	"gorace/internal/instrument"
 	"gorace/internal/progen"
-	_ "gorace/internal/progs" // registers the instrumented dogfood programs
+	"gorace/internal/progs"
 	"gorace/internal/report"
 	"gorace/internal/sched"
 	"gorace/internal/trace"
@@ -234,15 +233,11 @@ func TestAdaptiveFastTrackMatchesLegacyOnProgen(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFastTrackMatchesLegacyOnPrograms runs every registered
+// TestAdaptiveFastTrackMatchesLegacyOnPrograms runs every
 // instrumented dogfood program (racy and fixed variants) through both
 // representations over several seeds each.
 func TestAdaptiveFastTrackMatchesLegacyOnPrograms(t *testing.T) {
-	progs := instrument.Programs()
-	if len(progs) == 0 {
-		t.Fatal("no instrumented programs registered")
-	}
-	for _, p := range progs {
+	for _, p := range progs.Programs() {
 		for seed := int64(0); seed < 5; seed++ {
 			compareToLegacy(t, "prog:"+p.Name, p.Racy, seed)
 			if p.Fixed != nil {

@@ -125,31 +125,6 @@ func TestPagedFastTrackResetRewindsPaging(t *testing.T) {
 	}
 }
 
-// TestPagedAliasMatchesFastTrack: the "fasttrack-paged" registry name
-// is an alias for FastTrack, so the two names report identically and
-// both can run under a page budget.
-func TestPagedAliasMatchesFastTrack(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		alias, err := New("fasttrack-paged")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := New("fasttrack")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range []Detector{alias, plain} {
-			if _, ok := d.(Evictor); !ok {
-				t.Fatalf("%T is not an Evictor", d)
-			}
-		}
-		runProgen(seed, alias, plain)
-		if got, want := raceHashes(alias.Races()), raceHashes(plain.Races()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: fasttrack-paged reported %v, fasttrack %v", seed, got, want)
-		}
-	}
-}
-
 // TestShadowCellLayout pins the compact cell: at most 64 bytes (so a
 // byte ceiling buys the page count PageBytes promises) and no pointer
 // anywhere in it, so the garbage collector neither scans nor

@@ -2,8 +2,9 @@ package detector
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
-	"gorace/internal/registry"
 	"gorace/internal/report"
 	"gorace/internal/trace"
 )
@@ -11,11 +12,15 @@ import (
 // DefaultName is the detector used when no name is given.
 const DefaultName = "fasttrack"
 
-var reg = registry.New[Detector]("detector")
-
-// Register adds a detector factory under name. It panics on an empty
-// name, a nil factory, or a duplicate registration.
-func Register(name string, factory func() Detector) { reg.Register(name, factory) }
+// constructors maps each detector name to its constructor.
+var constructors = map[string]func() Detector{
+	"fasttrack": func() Detector { return NewFastTrack() },
+	"epoch":     func() Detector { return NewEpoch() },
+	"djit":      func() Detector { return NewDJIT() },
+	"eraser":    func() Detector { return NewEraser() },
+	"hybrid":    func() Detector { return NewHybrid() },
+	"none":      func() Detector { return Noop{} },
+}
 
 // Option configures construction in New beyond the detector name.
 type Option func(*config)
@@ -32,9 +37,9 @@ func WithSampleRate(n int) Option {
 	return func(c *config) { c.sampleRate = n }
 }
 
-// New builds a fresh detector by registered name ("" selects
-// DefaultName). Unknown names error, listing the valid ones, as does
-// an invalid option (negative sample rate).
+// New builds a fresh detector by name ("" selects DefaultName).
+// Unknown names error, listing the valid ones, as does an invalid
+// option (negative sample rate).
 func New(name string, opts ...Option) (Detector, error) {
 	if name == "" {
 		name = DefaultName
@@ -46,29 +51,25 @@ func New(name string, opts ...Option) (Detector, error) {
 	if cfg.sampleRate < 0 {
 		return nil, fmt.Errorf("detector: sample rate %d is negative (want ≥ 1, 1 = no sampling)", cfg.sampleRate)
 	}
-	d, err := reg.Build(name)
-	if err != nil {
-		return nil, err
+	build, ok := constructors[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown detector %q (valid: %s)", name, strings.Join(Names(), ", "))
 	}
+	d := build()
 	if cfg.sampleRate > 1 && !IsNoop(d) {
 		d = NewSampled(d, cfg.sampleRate)
 	}
 	return d, nil
 }
 
-// Names returns the registered detector names, sorted.
-func Names() []string { return reg.Names() }
-
-func init() {
-	Register("fasttrack", func() Detector { return NewFastTrack() })
-	// Paging is FastTrack's page budget (Evictor); the old name stays
-	// so flags, job specs and stored records that use it still resolve.
-	Register("fasttrack-paged", func() Detector { return NewFastTrack() })
-	Register("epoch", func() Detector { return NewEpoch() })
-	Register("djit", func() Detector { return NewDJIT() })
-	Register("eraser", func() Detector { return NewEraser() })
-	Register("hybrid", func() Detector { return NewHybrid() })
-	Register("none", func() Detector { return Noop{} })
+// Names returns the detector names, sorted.
+func Names() []string {
+	names := make([]string, 0, len(constructors))
+	for name := range constructors {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // Noop is the "none" detector: it observes nothing and reports

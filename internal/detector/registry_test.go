@@ -1,7 +1,7 @@
 package detector
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,57 +45,12 @@ func TestNewUnknownNameListsValid(t *testing.T) {
 }
 
 func TestNamesSortedAndStable(t *testing.T) {
-	a, b := Names(), Names()
-	if !sort.StringsAreSorted(a) {
-		t.Fatalf("Names not sorted: %v", a)
-	}
-	if len(a) != len(b) {
-		t.Fatal("Names changed between calls")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Names not stable between calls")
+	want := []string{"djit", "epoch", "eraser", "fasttrack", "hybrid", "none"}
+	for call := 0; call < 2; call++ {
+		if got := Names(); !slices.Equal(got, want) {
+			t.Fatalf("Names() call %d = %v, want %v", call, got, want)
 		}
 	}
-	for _, want := range []string{"fasttrack", "epoch", "djit", "eraser", "hybrid", "none"} {
-		found := false
-		for _, got := range a {
-			if got == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("built-in detector %q not registered (have %v)", want, a)
-		}
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register("fasttrack", func() Detector { return NewFastTrack() })
-}
-
-func TestRegisterEmptyNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty-name Register did not panic")
-		}
-	}()
-	Register("", func() Detector { return NewFastTrack() })
-}
-
-func TestRegisterNilFactoryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil-factory Register did not panic")
-		}
-	}()
-	Register("nil-factory", nil)
 }
 
 func TestNewReturnsFreshInstances(t *testing.T) {

@@ -96,6 +96,9 @@ func (an *analysis) collectDecls() error {
 				if d.Type.TypeParams != nil {
 					return errAt(an.fset, d.Pos(), "generic function %s unsupported", d.Name.Name)
 				}
+				if d.Body == nil {
+					return errAt(an.fset, d.Pos(), "function %s has no body", d.Name.Name)
+				}
 				if d.Recv != nil {
 					an.methods = append(an.methods, d)
 				} else {

@@ -83,16 +83,6 @@ func DogfoodPrograms() []DogfoodProgram {
 	}
 }
 
-// DogfoodByName looks a dogfood spec up by registry name.
-func DogfoodByName(name string) (DogfoodProgram, bool) {
-	for _, p := range DogfoodPrograms() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return DogfoodProgram{}, false
-}
-
 // GenerateDogfood instruments one dogfood target relative to the repo
 // root and returns the racy and fixed generated sources. Coalescing is
 // on, matching the committed internal/progs files.

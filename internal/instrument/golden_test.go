@@ -122,6 +122,11 @@ func TestRejectsUnsupported(t *testing.T) {
 			want: "unsupported import",
 		},
 		{
+			name: "bodyless-func",
+			src:  "package p\nfunc A00000()\nfunc Run() {}\n",
+			want: "p.go:2:1: function A00000 has no body",
+		},
+		{
 			name: "missing-entry",
 			src:  "package p\nfunc Other() {}\n",
 			want: "entry function",

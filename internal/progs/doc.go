@@ -6,8 +6,7 @@
 // -dogfood`; a regeneration-guard test fails if they drift from the
 // rewriter's current output.
 //
-// Importing this package (for side effects is enough) registers every
-// program in the instrument registry, which cmd/racedetect and the
-// raced service use to run instrumented programs alongside the
-// synthetic pattern corpus.
+// Programs lists them in one static table, sorted by name; IDs and
+// Resolve put them next to the synthetic pattern corpus for
+// cmd/racedetect and the raced service.
 package progs

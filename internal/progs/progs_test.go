@@ -11,15 +11,11 @@ import (
 	"gorace/internal/progs"
 )
 
-// seedsWithRace runs one registered program variant under FastTrack
-// over a band of seeds and returns how many seeds manifested a race
-// plus the sorted set of distinct race hashes seen.
-func seedsWithRace(t *testing.T, name string, racy bool, seeds int) (hits int, hashes []string) {
+// seedsWithRace runs one program variant under FastTrack over a band
+// of seeds and returns how many seeds manifested a race plus the
+// sorted set of distinct race hashes seen.
+func seedsWithRace(t *testing.T, p progs.Program, racy bool, seeds int) (hits int, hashes []string) {
 	t.Helper()
-	p, ok := instrument.ProgramByName(name)
-	if !ok {
-		t.Fatalf("program %q not registered", name)
-	}
 	entry := p.Racy
 	if !racy {
 		entry = p.Fixed
@@ -29,7 +25,7 @@ func seedsWithRace(t *testing.T, name string, racy bool, seeds int) (hits int, h
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		out, err := runner.RunSeed(entry, seed)
 		if err != nil {
-			t.Fatalf("%s seed %d: %v", name, seed, err)
+			t.Fatalf("%s seed %d: %v", p.Name, seed, err)
 		}
 		if out.HasRace() {
 			hits++
@@ -50,17 +46,17 @@ func seedsWithRace(t *testing.T, name string, racy bool, seeds int) (hits int, h
 // seed band, and its fixed counterpart never does.
 func TestRacyProgramsManifest(t *testing.T) {
 	const seeds = 30
-	for _, p := range instrument.Programs() {
+	for _, p := range progs.Programs() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			hits, _ := seedsWithRace(t, p.Name, true, seeds)
+			hits, _ := seedsWithRace(t, p, true, seeds)
 			if hits == 0 {
 				t.Errorf("racy %s: no race in %d seeds", p.Name, seeds)
 			}
 			if p.Fixed == nil {
 				return
 			}
-			if fhits, _ := seedsWithRace(t, p.Name, false, seeds); fhits != 0 {
+			if fhits, _ := seedsWithRace(t, p, false, seeds); fhits != 0 {
 				t.Errorf("fixed %s: race manifested in %d/%d seeds", p.Name, fhits, seeds)
 			}
 		})
@@ -74,14 +70,14 @@ func TestRacyProgramsManifest(t *testing.T) {
 // found each race first. Two full sweeps must agree exactly.
 func TestRaceHashesStableAcrossRuns(t *testing.T) {
 	const seeds = 20
-	for _, p := range instrument.Programs() {
+	for _, p := range progs.Programs() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			_, first := seedsWithRace(t, p.Name, true, seeds)
+			_, first := seedsWithRace(t, p, true, seeds)
 			if len(first) == 0 {
 				t.Fatalf("racy %s: no hashes in %d seeds", p.Name, seeds)
 			}
-			_, second := seedsWithRace(t, p.Name, true, seeds)
+			_, second := seedsWithRace(t, p, true, seeds)
 			if len(first) != len(second) {
 				t.Fatalf("hash sets differ in size: %d vs %d", len(first), len(second))
 			}
@@ -94,23 +90,23 @@ func TestRaceHashesStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRegistryComplete checks every dogfood spec made it into the
-// registry with both variants wired.
+// TestRegistryComplete checks the program table lists every dogfood
+// spec, in the same name order, with both variants wired.
 func TestRegistryComplete(t *testing.T) {
-	for _, d := range instrument.DogfoodPrograms() {
-		p, ok := instrument.ProgramByName(d.Name)
-		if !ok {
-			t.Errorf("dogfood %s not registered", d.Name)
-			continue
-		}
-		if p.Racy == nil || p.Fixed == nil {
-			t.Errorf("dogfood %s missing a variant", d.Name)
+	dogfood, table := instrument.DogfoodPrograms(), progs.Programs()
+	if len(table) != len(dogfood) {
+		t.Fatalf("%d programs, %d dogfood specs", len(table), len(dogfood))
+	}
+	for i, d := range dogfood {
+		if p := table[i]; p.Name != d.Name || p.Racy == nil || p.Fixed == nil {
+			t.Errorf("program %d = %q (racy %t, fixed %t), want dogfood %s with both variants",
+				i, p.Name, p.Racy != nil, p.Fixed != nil, d.Name)
 		}
 	}
 }
 
 // TestCatalogResolvesEveryTarget: IDs lists the pattern corpus, then
-// every registered program as prog:<name>, and each listed id resolves
+// every program as prog:<name>, and each listed id resolves
 // to a body under both variants; unknown ids and variants fail with
 // the texts the CLIs and raced's 400 answers print.
 func TestCatalogResolvesEveryTarget(t *testing.T) {
@@ -120,14 +116,14 @@ func TestCatalogResolvesEveryTarget(t *testing.T) {
 		t.Fatalf("IDs does not open with the pattern corpus: %v", ids)
 	}
 	var want []string
-	for _, p := range instrument.Programs() {
+	for _, p := range progs.Programs() {
 		want = append(want, "prog:"+p.Name)
 	}
 	if !slices.Equal(ids[len(pats):], want) {
 		t.Fatalf("IDs programs = %v, want %v", ids[len(pats):], want)
 	}
 	if fixed := progs.IDs("fixed"); !slices.Equal(fixed, ids) {
-		t.Fatalf("every registered program has a fixed body, yet IDs(fixed) = %v", fixed)
+		t.Fatalf("every program has a fixed body, yet IDs(fixed) = %v", fixed)
 	}
 	for _, id := range ids {
 		for _, variant := range []string{"racy", "fixed"} {

@@ -1,6 +1,7 @@
 package racegen
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestGenSuite(t *testing.T) {
 	if os.Getenv("RACEGEN_GEN") == "" {
 		t.Skip("set RACEGEN_GEN=1 to regenerate the keeper suite")
 	}
-	res, err := Run(Config{Rounds: 4, Budget: 12, Parallelism: 4, Log: t.Logf})
+	res, err := Run(context.Background(), Config{Rounds: 4, Budget: 12, Parallelism: 4, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@
 package racegen
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -277,8 +278,10 @@ func (c Config) score(ev *evaluation, covered map[uint64]struct{}, fill map[taxo
 	return s
 }
 
-// Run executes the generation loop.
-func Run(cfg Config) (*Result, error) {
+// Run executes the generation loop. It checks ctx before each round
+// and returns ctx's error once it is done, so a cancelled loop stops
+// within one round.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	logf := cfg.Log
 	if logf == nil {
@@ -290,6 +293,9 @@ func Run(cfg Config) (*Result, error) {
 	var pool []scored // best shapes seen, mutation bases
 
 	for round := 1; round <= cfg.Rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		stat := RoundStat{Round: round}
 		var roundBest []scored
 		for idx := 0; idx < cfg.Budget; idx++ {

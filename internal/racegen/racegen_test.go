@@ -1,6 +1,7 @@
 package racegen
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,7 +89,7 @@ func TestSuiteFillsCategories(t *testing.T) {
 // parallelism 1 and 8.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) *Result {
-		res, err := Run(Config{Rounds: 2, Budget: 4, Seeds: 3, BaseSeed: 77, Parallelism: par})
+		res, err := Run(context.Background(), Config{Rounds: 2, Budget: 4, Seeds: 3, BaseSeed: 77, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 // TestFoldProducesCorpusRecords: keepers must land in the collector
 // with racegen-prefixed unit IDs, ready to AppendTo a store.
 func TestFoldProducesCorpusRecords(t *testing.T) {
-	res, err := Run(Config{Rounds: 1, Budget: 4, Seeds: 3, BaseSeed: 5})
+	res, err := Run(context.Background(), Config{Rounds: 1, Budget: 4, Seeds: 3, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +149,15 @@ func TestMarkdownRendersTables(t *testing.T) {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
+	}
+}
+
+// TestRunStopsOnCancelledContext: a loop whose context is already
+// done runs no round and returns the context's error.
+func TestRunStopsOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := Run(ctx, Config{Rounds: 2, Budget: 4, Seeds: 3}); res != nil || err != context.Canceled {
+		t.Fatalf("Run(cancelled) = %v, %v; want nil, %v", res, err, context.Canceled)
 	}
 }

@@ -1,36 +1,44 @@
 package sched
 
 import (
-	"gorace/internal/registry"
+	"fmt"
+	"slices"
+	"strings"
 )
 
 // DefaultStrategyName is the strategy used when no name is given.
 const DefaultStrategyName = "random"
 
-var stratReg = registry.New[Strategy]("strategy")
+// strategies maps each strategy name to its constructor. Replay and
+// Recording are deliberately absent: they require a decision sequence
+// or an inner strategy, so they are constructed programmatically
+// (core.WithStrategyFactory).
+var strategies = map[string]func() Strategy{
+	"random":     func() Strategy { return NewRandom() },
+	"roundrobin": func() Strategy { return NewRoundRobin() },
+	"pct":        func() Strategy { return NewPCT(3, 2000) },
+	"delay":      func() Strategy { return NewDelay(0.05, 8) },
+}
 
-// RegisterStrategy adds a strategy factory under name. It panics on an
-// empty name, a nil factory, or a duplicate registration.
-func RegisterStrategy(name string, factory func() Strategy) { stratReg.Register(name, factory) }
-
-// NewStrategy builds a fresh strategy by registered name ("" selects
+// NewStrategy builds a fresh strategy by name ("" selects
 // DefaultStrategyName). Unknown names error, listing the valid ones.
 func NewStrategy(name string) (Strategy, error) {
 	if name == "" {
 		name = DefaultStrategyName
 	}
-	return stratReg.Build(name)
+	build, ok := strategies[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown strategy %q (valid: %s)", name, strings.Join(StrategyNames(), ", "))
+	}
+	return build(), nil
 }
 
-// StrategyNames returns the registered strategy names, sorted.
-func StrategyNames() []string { return stratReg.Names() }
-
-func init() {
-	// Replay and Recording are deliberately absent: they require a
-	// decision sequence or an inner strategy, so they are constructed
-	// programmatically (core.WithStrategyFactory).
-	RegisterStrategy("random", func() Strategy { return NewRandom() })
-	RegisterStrategy("roundrobin", func() Strategy { return NewRoundRobin() })
-	RegisterStrategy("pct", func() Strategy { return NewPCT(3, 2000) })
-	RegisterStrategy("delay", func() Strategy { return NewDelay(0.05, 8) })
+// StrategyNames returns the strategy names, sorted.
+func StrategyNames() []string {
+	names := make([]string, 0, len(strategies))
+	for name := range strategies {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

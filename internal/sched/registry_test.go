@@ -66,30 +66,3 @@ func TestStrategyNamesSortedAndStable(t *testing.T) {
 		}
 	}
 }
-
-func TestRegisterStrategyDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate RegisterStrategy did not panic")
-		}
-	}()
-	RegisterStrategy("random", func() Strategy { return NewRandom() })
-}
-
-func TestRegisterStrategyEmptyNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty-name RegisterStrategy did not panic")
-		}
-	}()
-	RegisterStrategy("", func() Strategy { return NewRandom() })
-}
-
-func TestRegisterStrategyNilFactoryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil-factory RegisterStrategy did not panic")
-		}
-	}()
-	RegisterStrategy("nil-factory", nil)
-}

@@ -267,9 +267,9 @@ func validateSpec(spec *JobSpec, maxSeeds int) error {
 		if spec.Rounds < 0 || spec.Budget < 0 {
 			return fmt.Errorf("racegen rounds/budget must be non-negative")
 		}
-		// A racegen job runs to completion even under a forced drain,
-		// so its work — rounds × candidates, at racegen's defaults of 3
-		// and 8 — is held to the same compute cap as a seed range.
+		// A racegen job's work — rounds × candidates, at racegen's
+		// defaults of 3 and 8 — is held to the same compute cap as a
+		// seed range.
 		rounds, budget := spec.Rounds, spec.Budget
 		if rounds == 0 {
 			rounds = 3
@@ -514,8 +514,7 @@ func (m *jobManager) finish(job *Job, res *JobResult, err error) {
 // programs, then folds the keepers' races into a collector published
 // under the spec's run id (when set). The loop is seeded and
 // sweep-deterministic, so a resubmitted spec reproduces its result.
-// Unlike campaigns, a racegen job runs to completion even under a
-// forced drain — its budget bounds the work.
+// A forced drain cancels the job between rounds; it finishes as failed.
 func (m *jobManager) runRacegenJob(job *Job, runID string) {
 	cfg := racegen.Config{
 		Rounds:      job.Spec.Rounds,
@@ -528,7 +527,7 @@ func (m *jobManager) runRacegenJob(job *Job, runID string) {
 			m.log.Printf("job %s racegen: "+format, append([]any{job.ID}, args...)...)
 		},
 	}
-	res, err := racegen.Run(cfg)
+	res, err := racegen.Run(m.ctx, cfg)
 	if err == nil && job.Spec.RunID != "" {
 		err = m.publish(res.Collector)
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -361,10 +362,10 @@ func TestJobRacegen(t *testing.T) {
 }
 
 // TestJobRacegenWorkCapped: a racegen job's rounds × budget is held to
-// the MaxSeeds compute cap at submit. A racegen job runs to completion
-// even under a forced drain, so an accepted oversized spec would hold a
-// job worker, and Drain, indefinitely; the server is therefore built
-// without newTestServer's drain, which a failing run could not finish.
+// the MaxSeeds compute cap at submit. An accepted oversized spec would
+// hold a job worker, and a Drain without a deadline, indefinitely; the
+// server is therefore built without newTestServer's drain, which a
+// failing run could not finish.
 func TestJobRacegenWorkCapped(t *testing.T) {
 	store, _ := seedStore(t)
 	svc, err := New(Config{Store: store, JobWorkers: 1, JobParallelism: 1, MaxSeeds: 512,
@@ -395,6 +396,53 @@ func TestJobRacegenWorkCapped(t *testing.T) {
 		if err := validateSpec(&spec, 512); err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
+	}
+}
+
+// roundSignal closes ch at the first job log line reporting a finished
+// racegen round.
+type roundSignal struct {
+	once sync.Once
+	ch   chan struct{}
+}
+
+func (s *roundSignal) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(" racegen: round ")) {
+		s.once.Do(func() { close(s.ch) })
+	}
+	return len(p), nil
+}
+
+// TestForcedDrainStopsRacegen: a drain whose deadline passes cancels a
+// running racegen job between rounds, so Drain returns promptly and
+// the job finishes as failed instead of running all 512 rounds.
+func TestForcedDrainStopsRacegen(t *testing.T) {
+	sig := &roundSignal{ch: make(chan struct{})}
+	m := newJobManager(1, 1, 1, 512, 64, log.New(sig, "", 0))
+	job, err := m.Submit(JobSpec{Mode: "racegen", Rounds: 512, Budget: 1, Seeds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sig.ch:
+	case <-time.After(30 * time.Second):
+		t.Fatal("racegen job finished no round in 30s")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- m.drain(ctx) }()
+	select {
+	case err := <-drained:
+		if err != context.DeadlineExceeded {
+			t.Fatalf("drain = %v, want %v", err, context.DeadlineExceeded)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("drain still blocked 30s past its deadline: the racegen job ignored cancellation")
+	}
+	if st := job.Status(); st.State != StateFailed || st.Error != context.Canceled.Error() {
+		t.Fatalf("job after forced drain: state %s, error %q; want failed with %q",
+			st.State, st.Error, context.Canceled)
 	}
 }
 

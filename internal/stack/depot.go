@@ -1,8 +1,8 @@
 package stack
 
 import (
-	"strconv"
-	"strings"
+	"encoding/binary"
+	"unsafe"
 )
 
 // Depot interns calling contexts: structurally identical frame lists
@@ -13,13 +13,22 @@ import (
 // times, and the depot stores each exactly once (the shape of
 // racedetector's stackdepot, §3.3).
 //
+// Frames are keyed by their name strings' addresses and lengths and
+// their lines, never by the names' bytes: a trace decoder hands out
+// one string per string-table entry, so equal frames from one stream
+// key alike, and a key costs a few bytes per frame however long a
+// hostile stream's names are. Equal names at other addresses key
+// differently, which costs only a duplicate entry. A key's addresses
+// stay valid because the Context stored under it keeps its strings
+// alive.
+//
 // A Depot is not safe for concurrent use; each decoder or ingest
 // stream owns its own.
 type Depot struct {
 	m map[string]Context
 	// keyBuf is the reused scratch buffer for key construction, so a
 	// depot hit allocates nothing beyond the map probe.
-	keyBuf strings.Builder
+	keyBuf []byte
 }
 
 // NewDepot returns an empty depot.
@@ -34,28 +43,21 @@ func (d *Depot) Intern(frames []Frame) Context {
 	if len(frames) == 0 {
 		return Context{}
 	}
-	d.keyBuf.Reset()
+	key := d.keyBuf[:0]
 	for _, f := range frames {
-		d.keyBuf.WriteString(f.Func)
-		d.keyBuf.WriteByte(0)
-		d.keyBuf.WriteString(f.File)
-		d.keyBuf.WriteByte(0)
-		d.keyBuf.WriteString(strconv.Itoa(f.Line))
-		d.keyBuf.WriteByte(0)
+		key = binary.AppendUvarint(key, uint64(uintptr(unsafe.Pointer(unsafe.StringData(f.Func)))))
+		key = binary.AppendUvarint(key, uint64(len(f.Func)))
+		key = binary.AppendUvarint(key, uint64(uintptr(unsafe.Pointer(unsafe.StringData(f.File)))))
+		key = binary.AppendUvarint(key, uint64(len(f.File)))
+		key = binary.AppendVarint(key, int64(f.Line))
 	}
-	key := d.keyBuf.String()
-	if c, ok := d.m[key]; ok {
+	d.keyBuf = key
+	if c, ok := d.m[string(key)]; ok {
 		return c
 	}
 	c := NewContext(frames...)
-	d.m[key] = c
+	d.m[string(key)] = c
 	return c
-}
-
-// InternContext interns an existing Context's frames, returning the
-// canonical shared value.
-func (d *Depot) InternContext(c Context) Context {
-	return d.Intern(c.Frames())
 }
 
 // Size returns the number of distinct contexts interned so far.

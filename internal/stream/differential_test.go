@@ -6,9 +6,8 @@ import (
 	"testing"
 
 	"gorace/internal/detector"
-	"gorace/internal/instrument"
 	"gorace/internal/progen"
-	_ "gorace/internal/progs" // registers the instrumented dogfood programs
+	"gorace/internal/progs"
 	"gorace/internal/report"
 	"gorace/internal/sched"
 	"gorace/internal/trace"
@@ -84,13 +83,9 @@ func TestStreamingMatchesBatchOnProgen(t *testing.T) {
 }
 
 // TestStreamingMatchesBatchOnPrograms pins the identity over every
-// registered instrumented dogfood program, racy and fixed variants.
+// instrumented dogfood program, racy and fixed variants.
 func TestStreamingMatchesBatchOnPrograms(t *testing.T) {
-	progs := instrument.Programs()
-	if len(progs) == 0 {
-		t.Fatal("no instrumented programs registered")
-	}
-	for _, p := range progs {
+	for _, p := range progs.Programs() {
 		for seed := int64(0); seed < 3; seed++ {
 			streamDiff(t, "prog:"+p.Name, p.Racy, seed)
 			if p.Fixed != nil {

@@ -318,7 +318,7 @@ func TestIngestRejectsNonEvictableUnderCeiling(t *testing.T) {
 	}{
 		{"", false},
 		{"fasttrack", false},
-		{"fasttrack-paged", false},
+		{"fasttrack-paged", true}, // the old alias is an unknown name
 		{"djit", true},
 		{"eraser", true},
 		{"hybrid", true},

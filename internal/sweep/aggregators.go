@@ -134,15 +134,6 @@ func (w UnitWork) Probability() float64 {
 	return float64(w.Detected) / float64(w.Runs)
 }
 
-// CheckedFraction returns the fraction of accesses inspected — the
-// direct overhead proxy a sampling rate buys down.
-func (w UnitWork) CheckedFraction() float64 {
-	if w.Accesses == 0 {
-		return 0
-	}
-	return float64(w.Checked) / float64(w.Accesses)
-}
-
 // Overhead accumulates per-unit detector work counters. Paired with
 // Prob over rate-expanded units it yields the campaign's
 // P(detect)-vs-overhead table (see cmd/racedetect -sweep-rates).

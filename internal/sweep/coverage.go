@@ -136,15 +136,6 @@ func (c *Cover) Edges() []uint64 {
 	return sortedEdges(union)
 }
 
-// UnitEdges returns one unit's covered edge hashes, sorted, or nil.
-func (c *Cover) UnitEdges(idx int) []uint64 {
-	set, ok := c.units.Get(idx)
-	if !ok {
-		return nil
-	}
-	return sortedEdges(set)
-}
-
 func sortedEdges(set edgeSet) []uint64 {
 	out := make([]uint64, 0, len(set))
 	for h := range set {

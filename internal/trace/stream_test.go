@@ -6,8 +6,11 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"gorace/internal/stack"
 	"gorace/internal/vclock"
 )
 
@@ -173,6 +176,49 @@ func TestWindowAppendEventsMerges(t *testing.T) {
 	got := w.AppendEvents(buf)
 	if &got[0] != &buf[0] || got[0].Seq != prefix.Seq || !reflect.DeepEqual(got[1:], want) {
 		t.Fatalf("AppendEvents did not extend dst in place: %v", got)
+	}
+}
+
+// TestDecodeLongNamesCostInputBytes: a stream can define one long
+// name once and then reference it from every frame of every stack for
+// a byte or two each. Decoding must cost memory in proportion to the
+// input, not to the names' length times the references to them.
+func TestDecodeLongNamesCostInputBytes(t *testing.T) {
+	long := strings.Repeat("f", 64<<10)
+	var in bytes.Buffer
+	enc := NewEncoder(&in)
+	for i := 0; i < 8; i++ {
+		frames := make([]stack.Frame, 16)
+		for j := range frames {
+			frames[j] = stack.Frame{Func: long, File: long, Line: i}
+		}
+		enc.Encode(Event{Seq: uint64(i + 1), Op: OpRead, Addr: 1, Stack: stack.NewContext(frames...)})
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dec, err := NewDecoder(bytes.NewReader(in.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; ; n++ {
+		if _, err := dec.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n != 8 {
+		t.Fatalf("decoded %d events, want 8", n)
+	}
+	// Each stack names 2 MiB of function and file text.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want at most 1 MiB", in.Len(), alloc)
 	}
 }
 

@@ -39,12 +39,6 @@ const NoObj ObjID = 0
 // through a sparse side index instead of indexing directly.
 const StableBit uint64 = 1 << 63
 
-// IsStable reports whether the address came from stable identity mode.
-func (a Addr) IsStable() bool { return uint64(a)&StableBit != 0 }
-
-// IsStable reports whether the object id came from stable identity mode.
-func (o ObjID) IsStable() bool { return uint64(o)&StableBit != 0 }
-
 // ObjKind classifies synchronization objects so that detectors can
 // treat them differently (e.g. the lockset algorithm only tracks
 // mutexes and reader locks, not channel or WaitGroup edges).

@@ -2,7 +2,7 @@
 # doccheck.sh — fail when a package or exported identifier under
 # internal/ or cmd/ lacks a doc comment, when docs/CLI.md has gone
 # stale against the commands under cmd/, when docs/DETECTORS.md no
-# longer covers every registered detector and exported Stats field, or
+# longer covers every detector name and exported Stats field, or
 # when docs/STREAMING.md or docs/GENERATION.md no longer covers every
 # internal/stream or internal/racegen export.
 # CI runs this as a blocking step; run it locally before sending a PR:

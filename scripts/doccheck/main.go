@@ -23,9 +23,9 @@
 // out of scope — they are documented per-subcommand.
 //
 // With -detdoc, doccheck cross-checks the detector design reference
-// the same way: every detector name registered in -detsrc (the string
-// literals passed to Register) and every exported field of the
-// detector Stats struct must appear backticked in the given markdown
+// the same way: every detector name in -detsrc (the string keys of its
+// constructors table) and every exported field of the detector Stats
+// struct must appear backticked in the given markdown
 // file — so docs/DETECTORS.md cannot silently go stale when a
 // detector or counter is added.
 //
@@ -431,10 +431,11 @@ func isFlagNameChar(c byte) bool {
 }
 
 // checkDetectorDoc cross-checks the detector design reference against
-// the detector package: every registered detector name (the string
-// literal in each Register call) and every exported field of the
-// Stats struct must appear backticked in the doc, so neither a new
-// detector nor a new counter can ship undocumented.
+// the detector package: every detector name (each string key of the
+// constructors table) and every exported field of the Stats struct
+// must appear backticked in the doc, so neither a new detector nor a
+// new counter can ship undocumented. Finding no names or no fields is
+// an error: the table or struct has moved, not become empty.
 func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, srcDir, func(fi fs.FileInfo) bool {
@@ -445,6 +446,7 @@ func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 	}
 	var wanted []string // identifiers the doc must mention, with their origin
 	var origins []string
+	var names, fields int
 	addWant := func(name, origin string) {
 		wanted = append(wanted, name)
 		origins = append(origins, origin)
@@ -458,13 +460,23 @@ func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 		for _, fname := range files {
 			ast.Inspect(pkg.Files[fname], func(n ast.Node) bool {
 				switch d := n.(type) {
-				case *ast.CallExpr:
-					id, ok := d.Fun.(*ast.Ident)
-					if !ok || id.Name != "Register" || len(d.Args) < 1 {
+				case *ast.ValueSpec:
+					if len(d.Names) != 1 || d.Names[0].Name != "constructors" || len(d.Values) != 1 {
 						return true
 					}
-					if lit, ok := d.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						addWant(strings.Trim(lit.Value, `"`), "registered detector")
+					table, ok := d.Values[0].(*ast.CompositeLit)
+					if !ok {
+						return true
+					}
+					for _, elt := range table.Elts {
+						kv, ok := elt.(*ast.KeyValueExpr)
+						if !ok {
+							continue
+						}
+						if lit, ok := kv.Key.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							addWant(strings.Trim(lit.Value, `"`), "detector")
+							names++
+						}
 					}
 				case *ast.TypeSpec:
 					if d.Name.Name != "Stats" {
@@ -478,6 +490,7 @@ func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 						for _, nm := range fld.Names {
 							if nm.IsExported() {
 								addWant(nm.Name, "exported Stats field")
+								fields++
 							}
 						}
 					}
@@ -486,8 +499,8 @@ func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 			})
 		}
 	}
-	if len(wanted) == 0 {
-		return nil, fmt.Errorf("doccheck: %s: found no registered detectors or Stats fields (wrong -detsrc?)", srcDir)
+	if names == 0 || fields == 0 {
+		return nil, fmt.Errorf("doccheck: %s: found %d detector names in a constructors table and %d Stats fields, want both (wrong -detsrc?)", srcDir, names, fields)
 	}
 	data, err := os.ReadFile(docPath)
 	if err != nil {
