@@ -27,19 +27,37 @@ type ftAccess struct {
 // sequence number. Distinct entries grow with access sites ×
 // goroutine names × lock sets, not with events.
 type ftMeta struct {
-	key metaKey
-	stk stack.Context
+	key          metaKey
+	gname, label string // the strings key.gname and key.label point at
+	stk          stack.Context
 }
 
-// metaKey indexes ftMeta entries. The stack enters as stackHash, so a
-// context re-captured with the same frames (the scheduler captures a
-// fresh one whenever the line moves) finds its entry again; a lookup
-// confirms the frames themselves with sameFrames.
+// metaKey indexes ftMeta entries. The goroutine name and label enter by
+// address and length, so neither an index probe nor a key compare reads
+// a byte of them: a stream that defines a huge name once and then
+// misses the cache on every event still costs O(1) per miss. The
+// entry's ftMeta holds the strings themselves, which keeps their
+// addresses from being reused while indexed. Equal strings at other
+// addresses only cost a duplicate entry. The stack enters as
+// stackHash, so a context re-captured with the same frames (the
+// scheduler captures a fresh one whenever the line moves) finds its
+// entry again; a lookup confirms the frames themselves with sameFrames.
 type metaKey struct {
-	gname, label string
+	gname, label strKey
 	stack        uint64
 	locks        uint32 // lockTracker label-set id
 	op           trace.Op
+}
+
+// strKey identifies a string by where its bytes live and how many
+// there are.
+type strKey struct {
+	p uintptr
+	n int
+}
+
+func keyOf(s string) strKey {
+	return strKey{uintptr(unsafe.Pointer(unsafe.StringData(s))), len(s)}
 }
 
 // stackHash hashes a context by frame: its function and file names'
@@ -261,14 +279,14 @@ func (ft *FastTrack) cell(a trace.Addr) *ftCell {
 
 // metaOf returns the interned report context of ev, adding it on first
 // sight. A cache hit costs the stack hash and one key compare; only a
-// miss probes the map, and no path hashes a string's bytes.
+// miss probes the map, and no path hashes or compares a string's bytes.
 func (ft *FastTrack) metaOf(ev trace.Event) uint32 {
 	k := metaKey{
-		gname: ev.GName, label: ev.Label, stack: stackHash(ev.Stack),
+		gname: keyOf(ev.GName), label: keyOf(ev.Label), stack: stackHash(ev.Stack),
 		locks: ft.locks.setID(ev.G), op: ev.Op,
 	}
-	h := (k.stack ^ uint64(uintptr(unsafe.Pointer(unsafe.StringData(k.label))))<<1 ^
-		uint64(len(k.gname))<<7 ^ uint64(k.locks)<<11 ^ uint64(k.op)) * 0x9e3779b97f4a7c15
+	h := (k.stack ^ uint64(k.label.p)<<1 ^ uint64(k.gname.p)<<7 ^
+		uint64(k.locks)<<11 ^ uint64(k.op)) * 0x9e3779b97f4a7c15
 	slot := &ft.metaCache[h>>(64-metaCacheBits)]
 	if id := *slot; id != 0 && int(id) < len(ft.metas) && ft.matches(id, k, ev.Stack) {
 		return id
@@ -278,7 +296,7 @@ func (ft *FastTrack) metaOf(ev trace.Event) uint32 {
 		// New context, or a stack-hash collision: the entry the key
 		// already names stays valid for the cells that use it.
 		id = uint32(len(ft.metas))
-		ft.metas = append(ft.metas, ftMeta{key: k, stk: ev.Stack})
+		ft.metas = append(ft.metas, ftMeta{key: k, gname: ev.GName, label: ev.Label, stk: ev.Stack})
 		ft.metaIx[k] = id
 	}
 	*slot = id
@@ -313,8 +331,8 @@ func sameFrames(a, b stack.Context) bool {
 func (ft *FastTrack) toReport(a ftAccess, addr trace.Addr) report.Access {
 	m := &ft.metas[a.meta]
 	return report.Access{
-		G: a.g, GName: m.key.gname, Op: m.key.op, Addr: addr, Seq: a.seq,
-		Stack: m.stk, Label: m.key.label, Atomic: a.atomic, Locks: ft.locks.sets[m.key.locks],
+		G: a.g, GName: m.gname, Op: m.key.op, Addr: addr, Seq: a.seq,
+		Stack: m.stk, Label: m.label, Atomic: a.atomic, Locks: ft.locks.sets[m.key.locks],
 	}
 }
 

@@ -4,9 +4,9 @@
 // Real Go schedules goroutines preemptively and non-deterministically,
 // which is exactly why the paper's dynamic race detection is flaky
 // (§3.2.1). This package replaces the real scheduler with a cooperative,
-// deterministic one: modeled goroutines (G) run one at a time and hand
-// control back at every instrumented operation (memory access or
-// synchronization op). A pluggable Strategy decides which runnable
+// deterministic one: modeled goroutines (G) run one at a time, and at
+// every instrumented operation (memory access or synchronization op)
+// the running G asks the scheduler who runs next. A pluggable Strategy decides which runnable
 // goroutine proceeds at each step, so a single program can be executed
 // under round-robin, seeded-random, PCT, delay-injection, or replayed
 // schedules — making race manifestation measurable and repeatable.
@@ -19,6 +19,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"gorace/internal/stack"
@@ -35,7 +36,7 @@ const (
 	gDone
 )
 
-// errAborted is panicked inside a modeled goroutine to unwind it when
+// abortSignal is panicked inside a modeled goroutine to unwind it when
 // the scheduler tears the run down (deadlock, leak, or step budget).
 type abortSignal struct{}
 
@@ -49,11 +50,15 @@ type G struct {
 	s         *Scheduler
 	stk       *stack.Stack
 	state     gstate
-	resume    chan resumeMsg
+	resume    chan resumeMsg // its trampoline's wake channel
 	blockedOn string
-	spawnN    int // children spawned so far (path suffix allocator)
-	allocN    int // stable-mode shadow cells allocated by this G
-	objN      int // stable-mode sync objects allocated by this G
+	// frozen is set when the G reaches a scheduling point while being
+	// unwound by teardown. The G stops there for good: it emits
+	// nothing more, and its exit leaves the run's state alone.
+	frozen bool
+	spawnN int // children spawned so far (path suffix allocator)
+	allocN int // stable-mode shadow cells allocated by this G
+	objN   int // stable-mode sync objects allocated by this G
 }
 
 type resumeMsg struct{ abort bool }
@@ -106,13 +111,17 @@ type Scheduler struct {
 	listeners trace.Multi
 	strategy  Strategy
 	rng       *rand.Rand
-	parked    chan struct{}
-	seq       uint64
-	steps     int
-	maxSteps  int
-	nextAddr  trace.Addr
-	nextObj   trace.ObjID
-	result    Result
+	// parked hands the token back to loop: only when the run must end
+	// (quiescence, deadlock, budget) and, during teardown, from each
+	// unwound G.
+	parked      chan struct{}
+	tearingDown bool
+	seq         uint64
+	steps       int
+	maxSteps    int
+	nextAddr    trace.Addr
+	nextObj     trace.ObjID
+	result      Result
 	// Stable identity mode (see G.StableIDs): addresses and object
 	// ids are hashed from spawn paths instead of allocation order.
 	// The owner maps detect (astronomically unlikely) hash collisions.
@@ -164,9 +173,10 @@ func newScheduler(opts Options) *Scheduler {
 	return s
 }
 
-// rngPool recycles run RNGs: a rand source is about 5 KB, and a
-// campaign starts one scheduler per execution.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles run RNGs. Seeding one is O(1) (see source), but its
+// register is still about 5 KB, and a campaign starts one scheduler
+// per execution.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(source)) }}
 
 // seededRand returns a pooled RNG re-seeded with seed, which yields
 // exactly the sequence rand.New(rand.NewSource(seed)) would. Return it
@@ -177,12 +187,55 @@ func seededRand(seed int64) *rand.Rand {
 	return r
 }
 
+// maxIdleTrampolines bounds the idle list: at most this many parked
+// trampolines (and their grown stacks, a few KB each) outlive the runs
+// that used them. A nightly execution spawns a handful of Gs, so 256
+// covers every live G of many concurrent schedulers; a run that spawns
+// more starts the extra trampolines afresh, and they exit when done.
+const maxIdleTrampolines = 256
+
+// idleTrampolines is the package-wide idle list, shared by concurrent
+// schedulers.
+var idleTrampolines = make(chan *trampoline, maxIdleTrampolines)
+
+// trampoline is a real goroutine that runs modeled goroutines one
+// after another. Reusing it keeps its stack grown, so a spawn costs
+// neither a go statement nor a channel allocation nor stack growth on
+// the G's first operations.
+type trampoline struct {
+	wake chan resumeMsg
+	g    *G
+	fn   func(*G)
+}
+
+// run executes one modeled goroutine per wake-up, then parks on the
+// idle list, or exits if the list is full.
+func (t *trampoline) run() {
+	for {
+		msg := <-t.wake
+		t.g.s.body(t.g, t.fn, msg)
+		t.g, t.fn = nil, nil
+		select {
+		case idleTrampolines <- t:
+		default:
+			return
+		}
+	}
+}
+
 // spawn creates a modeled goroutine. parent is nil only for main.
 func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 	path := "0"
 	if parent != nil {
-		path = fmt.Sprintf("%s.%d", parent.path, parent.spawnN)
+		path = parent.path + "." + strconv.Itoa(parent.spawnN)
 		parent.spawnN++
+	}
+	var t *trampoline
+	select {
+	case t = <-idleTrampolines:
+	default:
+		t = &trampoline{wake: make(chan resumeMsg)}
+		go t.run()
 	}
 	g := &G{
 		id:     vclock.TID(len(s.gs)),
@@ -191,22 +244,28 @@ func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 		s:      s,
 		stk:    stack.NewStack(),
 		state:  gReady,
-		resume: make(chan resumeMsg),
+		resume: t.wake,
 	}
+	t.g, t.fn = g, fn
 	s.gs = append(s.gs, g)
 	s.runnable = append(s.runnable, g)
 	s.strategy.OnSpawn(g.id, s.rng)
 	if parent != nil {
 		s.emit(parent, trace.Event{Op: trace.OpFork, Child: g.id})
 	}
-	go s.body(g, fn)
 	return g
 }
 
-// body is the OS-goroutine trampoline for a modeled goroutine.
-func (s *Scheduler) body(g *G, fn func(*G)) {
+// body runs a modeled goroutine on its trampoline, from its first
+// resume message to its exit, and then passes the token on.
+func (s *Scheduler) body(g *G, fn func(*G), first resumeMsg) {
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if g.frozen {
+			s.parked <- struct{}{}
+			return
+		}
+		if r != nil {
 			if _, aborted := r.(abortSignal); !aborted {
 				s.result.Failures = append(s.result.Failures,
 					fmt.Sprintf("goroutine %q panicked: %v", g.name, r))
@@ -215,45 +274,63 @@ func (s *Scheduler) body(g *G, fn func(*G)) {
 		g.state = gDone
 		s.removeRunnable(g)
 		s.emit(g, trace.Event{Op: trace.OpGoEnd})
-		s.parked <- struct{}{}
+		if s.tearingDown {
+			s.parked <- struct{}{}
+			return
+		}
+		s.dispatch(s.next())
 	}()
-	msg := <-g.resume
-	if msg.abort {
+	if first.abort {
 		panic(abortSignal{})
 	}
 	fn(g)
 }
 
-// loop is the scheduling loop; it runs on the caller's goroutine and
-// holds the token whenever no modeled goroutine is executing.
+// loop starts the run and, once the token comes back, ends it; it runs
+// on the caller's goroutine. Between the two, the token passes
+// directly from G to G: whichever G reaches a scheduling point takes
+// the next decision itself (see next).
 func (s *Scheduler) loop() {
-	for {
-		if len(s.runnable) == 0 {
-			if s.liveCount() == 0 {
-				return // quiescent: all goroutines finished
-			}
-			s.recordLeaks()
-			s.abortAll()
-			return
-		}
-		if s.steps >= s.maxSteps {
-			s.result.BudgetExceeded = true
-			s.abortAll()
-			return
-		}
-		idx := s.strategy.Pick(s.runnable, s.steps, s.rng)
-		if idx < 0 || idx >= len(s.runnable) {
-			idx = 0
-		}
-		g := s.runnable[idx]
-		g.state = gRunning
-		s.steps++
+	if g := s.next(); g != nil {
 		g.resume <- resumeMsg{}
 		<-s.parked
-		if g.state == gRunning {
-			g.state = gReady
-		}
 	}
+	if len(s.runnable) == 0 {
+		if s.liveCount() == 0 {
+			return // quiescent: all goroutines finished
+		}
+		s.recordLeaks()
+		s.abortAll()
+		return
+	}
+	s.result.BudgetExceeded = true
+	s.abortAll()
+}
+
+// next takes one scheduling decision for the token holder: the G to run
+// next, already marked running and counted as a step, or nil when the
+// run must end (nothing runnable, or the step budget is spent).
+func (s *Scheduler) next() *G {
+	if len(s.runnable) == 0 || s.steps >= s.maxSteps {
+		return nil
+	}
+	idx := s.strategy.Pick(s.runnable, s.steps, s.rng)
+	if idx < 0 || idx >= len(s.runnable) {
+		idx = 0
+	}
+	g := s.runnable[idx]
+	g.state = gRunning
+	s.steps++
+	return g
+}
+
+// dispatch passes the token to g, or back to loop when g is nil.
+func (s *Scheduler) dispatch(g *G) {
+	if g == nil {
+		s.parked <- struct{}{}
+		return
+	}
+	g.resume <- resumeMsg{}
 }
 
 func (s *Scheduler) liveCount() int {
@@ -277,8 +354,10 @@ func (s *Scheduler) recordLeaks() {
 	}
 }
 
-// abortAll unwinds every parked goroutine (runnable or blocked).
+// abortAll unwinds every parked goroutine (runnable or blocked), one
+// at a time: each unwound G hands the token straight back.
 func (s *Scheduler) abortAll() {
+	s.tearingDown = true
 	for _, g := range s.gs {
 		if g.state == gDone || g.state == gRunning {
 			continue
@@ -322,25 +401,50 @@ func (s *Scheduler) newObj() trace.ObjID {
 }
 
 // point is a scheduling point: the goroutine offers the scheduler the
-// chance to run someone else before its next operation executes.
+// chance to run someone else before its next operation executes. It
+// takes the decision itself; when the strategy picks it again, it
+// simply continues.
 func (g *G) point() {
-	g.s.parked <- struct{}{}
-	msg := <-g.resume
-	if msg.abort {
-		panic(abortSignal{})
+	s := g.s
+	if s.tearingDown {
+		g.freeze()
 	}
+	g.state = gReady
+	next := s.next()
+	if next == g {
+		return
+	}
+	s.dispatch(next)
+	g.wait()
 }
 
 // block parks the goroutine until another goroutine wakes it.
 func (g *G) block(reason string) {
+	s := g.s
+	if s.tearingDown {
+		g.freeze()
+	}
 	g.state = gBlocked
 	g.blockedOn = reason
-	g.s.removeRunnable(g)
-	g.s.parked <- struct{}{}
-	msg := <-g.resume
-	if msg.abort {
+	s.removeRunnable(g)
+	s.dispatch(s.next())
+	g.wait()
+}
+
+// wait parks the goroutine until it is handed the token, and unwinds
+// it if the token comes with an abort.
+func (g *G) wait() {
+	if msg := <-g.resume; msg.abort {
 		panic(abortSignal{})
 	}
+}
+
+// freeze stops a goroutine that reaches a scheduling point while
+// teardown unwinds it: the operation does not happen, nor does any
+// later one (each re-freezes), and the G's exit leaves the run alone.
+func (g *G) freeze() {
+	g.frozen = true
+	panic(abortSignal{})
 }
 
 // wake moves a blocked goroutine back to the runnable set.

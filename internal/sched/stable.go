@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"fmt"
+	"strconv"
 
 	"gorace/internal/trace"
 )
@@ -55,7 +55,7 @@ func (g *G) Path() string { return g.path }
 // (it branches on program values, not on the schedule), the key — and
 // therefore the identity hashed from it — is identical across seeds.
 func stableKey(path string, n int) string {
-	return fmt.Sprintf("%s#%d", path, n)
+	return path + "#" + strconv.Itoa(n)
 }
 
 // stableHash maps a key to a 64-bit identity with trace.StableBit set.

@@ -109,11 +109,15 @@ func (p *PCT) Name() string { return "pct" }
 
 // Reset implements Strategy.
 func (p *PCT) Reset(seed int64) {
-	p.prios = make(map[vclock.TID]int)
+	if p.prios == nil {
+		p.prios = make(map[vclock.TID]int)
+		p.changePoints = make(map[int]bool, p.Depth)
+	}
+	clear(p.prios)
+	clear(p.changePoints)
 	p.nextPrio = 0
 	p.minPrio = 0
 	rng := seededRand(seed ^ 0x9e3779b9)
-	p.changePoints = make(map[int]bool, p.Depth)
 	for len(p.changePoints) < p.Depth {
 		p.changePoints[rng.Intn(p.StepEstimate)] = true
 	}

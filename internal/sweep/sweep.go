@@ -455,6 +455,12 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 	if firstErr != nil {
 		return nil, stats, firstErr
 	}
+	// A cancel that lands after the last worker checked the context
+	// (onProgress runs here, on the merge path, while workers race
+	// ahead) still cancels the campaign.
+	if err := ctx.Err(); err != nil {
+		return nil, stats, err
+	}
 	return roots, stats, nil
 }
 
