@@ -26,6 +26,7 @@
 //
 // Campaign mode sweeps the whole corpus — every pattern × every
 // scheduling strategy × N seeds — through the internal/sweep engine
+// as a progs.Campaign, the spec raced's jobs validate and expand too,
 // and prints per-pattern detection probabilities, the deduplicated
 // defect corpus (one defect per pattern × race, however many
 // strategies found it), and root-cause classification tallies: the
@@ -73,6 +74,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -278,43 +280,22 @@ func main() {
 // collector is persisted to the store.
 func runCampaign(det, strategies, variant string, seeds, parallel, sample int, supp *report.SuppressionList,
 	corpusPath, runID, traceDir string) {
-	stratNames := sched.StrategyNames()
+	c := progs.Campaign{
+		Patterns: progs.IDs(variant),
+		Variant:  variant,
+		Detector: det,
+		Seeds:    seeds,
+		Sample:   sample,
+	}
 	if strategies != "" {
-		stratNames = stratNames[:0:0]
 		for _, s := range strings.Split(strategies, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				fatal(fmt.Errorf("-strategies %q contains an empty name", strategies))
-			}
-			stratNames = append(stratNames, s)
+			c.Strategies = append(c.Strategies, strings.TrimSpace(s))
 		}
 	}
-	ids := progs.IDs(variant)
+	if err := c.Normalize(); err != nil {
+		fatal(err)
+	}
 	nPats := len(patterns.IDs())
-
-	var units []sweep.Unit
-	for _, id := range ids {
-		prog, err := progs.Resolve(id, variant)
-		if err != nil {
-			fatal(err)
-		}
-		for _, s := range stratNames {
-			units = append(units, sweep.Unit{
-				ID:         id + "/" + s,
-				Program:    prog,
-				Detector:   det,
-				Strategy:   s,
-				Runs:       seeds,
-				MaxSteps:   1 << 16,
-				SampleRate: sample,
-				// Recording buys hint-quality root-cause labels at
-				// the cost of one trace snapshot per run; corpus
-				// programs are small, and the collector classifies in
-				// Observe, so nothing is retained past the run.
-				Record: true,
-			})
-		}
-	}
 
 	opts := []sweep.Option{}
 	if parallel > 0 {
@@ -343,7 +324,7 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	} else if traceDir != "" {
 		fatal(fmt.Errorf("-corpus-traces requires -corpus"))
 	}
-	aggs, stats, err := sweep.New(opts...).Run(units,
+	aggs, stats, err := sweep.New(opts...).Run(c.Units(),
 		func() sweep.Aggregator { return sweep.NewProb() },
 		func() sweep.Aggregator { return corpus.NewCollector(runID, collOpts...) },
 	)
@@ -354,33 +335,27 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	coll := aggs[1].(*corpus.Collector)
 
 	fmt.Printf("== campaign: %d patterns + %d programs × %d strategies × %d seeds, detector %s ==\n",
-		nPats, len(ids)-nPats, len(stratNames), seeds, det)
+		nPats, len(c.Patterns)-nPats, len(c.Strategies), c.Seeds, c.Detector)
 
 	// Per-pattern manifestation probability, one column per strategy.
 	byUnit := make(map[string]sweep.UnitStat)
 	for _, s := range prob.Stats() {
 		byUnit[s.Unit] = s
 	}
-	// The corpus deduplicates per unit (pattern × strategy); the
-	// defects column re-deduplicates across strategies, so one race
-	// found under every strategy is still one defect.
+	// Suppressed defects leave the corpus and the tallies alike. The
+	// corpus deduplicates per unit (pattern × strategy); the defects
+	// column re-deduplicates across strategies, so one race found
+	// under every strategy is still one defect.
+	var kept []corpus.Record
 	defects := make(map[string]int) // pattern -> unique defects across strategies
 	filed := make(map[string]bool)  // pattern + race hash
-	// Root-cause tallies count each unit's first defect — its first
-	// manifesting run's first race — by the label the collector gave it.
-	counts := make(map[taxonomy.Category]int)
 	var suppressed, unique int
-	prevUnit := ""
 	for _, rec := range coll.Records() {
-		firstOfUnit := rec.Unit != prevUnit
-		prevUnit = rec.Unit
 		if supp.Matches(rec.Race) {
 			suppressed++
 			continue
 		}
-		if firstOfUnit {
-			counts[rec.Category]++
-		}
+		kept = append(kept, rec)
 		pattern := strings.SplitN(rec.Unit, "/", 2)[0]
 		key := pattern + "/" + rec.Race.Hash()
 		if filed[key] {
@@ -391,13 +366,13 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 		unique++
 	}
 	fmt.Printf("%-28s", "pattern")
-	for _, s := range stratNames {
+	for _, s := range c.Strategies {
 		fmt.Printf("%12s", s)
 	}
 	fmt.Printf("%10s\n", "defects")
-	for _, id := range ids {
+	for _, id := range c.Patterns {
 		fmt.Printf("%-28s", id)
-		for _, s := range stratNames {
+		for _, s := range c.Strategies {
 			fmt.Printf("%12.2f", byUnit[id+"/"+s].Probability())
 		}
 		fmt.Printf("%10d\n", defects[id])
@@ -410,15 +385,17 @@ func runCampaign(det, strategies, variant string, seeds, parallel, sample int, s
 	}
 	fmt.Println()
 
-	if len(counts) > 0 {
+	// Root-cause tallies count each unit's first defect — its first
+	// manifesting run's first race — by the label the collector gave it.
+	if counts := corpus.FirstCategories(kept); len(counts) > 0 {
 		fmt.Println("\nroot-cause tallies (first manifesting run per unit):")
-		keys := make([]string, 0, len(counts))
-		for c := range counts {
-			keys = append(keys, string(c))
+		cats := make([]taxonomy.Category, 0, len(counts))
+		for cat := range counts {
+			cats = append(cats, cat)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("  %-40s %4d\n", k, counts[taxonomy.Category(k)])
+		slices.Sort(cats)
+		for _, cat := range cats {
+			fmt.Printf("  %-40s %4d\n", cat, counts[cat])
 		}
 	}
 
@@ -446,12 +423,10 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 
 	ids := progs.IDs(variant)
 	nPats := len(patterns.IDs())
-	bodies := make([]func(*sched.G), len(ids))
-	for i, id := range ids {
-		var err error
-		if bodies[i], err = progs.Resolve(id, variant); err != nil {
-			fatal(err)
-		}
+	c := progs.Campaign{Patterns: ids, Variant: variant, Detector: det,
+		Strategies: []string{strategy}, Seeds: seeds}
+	if err := c.Normalize(); err != nil {
+		fatal(err)
 	}
 
 	opts := []sweep.Option{}
@@ -462,35 +437,24 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 
 	type rateRow struct {
 		rate    int
-		work    []sweep.UnitWork
-		byUnit  map[string]sweep.UnitWork
+		work    []sweep.UnitWork // one per unit, in ids order
 		elapsed time.Duration
 	}
 	var rows []rateRow
 	for _, rate := range rates {
-		units := make([]sweep.Unit, 0, len(ids))
-		for i, id := range ids {
-			units = append(units, sweep.Unit{
-				ID:         id,
-				Program:    bodies[i],
-				Detector:   det,
-				Strategy:   strategy,
-				Runs:       seeds,
-				MaxSteps:   1 << 16,
-				SampleRate: rate,
-			})
+		c.Sample = rate
+		units := c.Units()
+		// Trace recording would bill snapshots to the wall column,
+		// which measures detection alone.
+		for i := range units {
+			units[i].Record = false
 		}
 		start := time.Now()
 		aggs, _, err := engine.Run(units, func() sweep.Aggregator { return sweep.NewOverhead() })
 		if err != nil {
 			fatal(err)
 		}
-		row := rateRow{rate: rate, work: aggs[0].(*sweep.Overhead).Work(),
-			byUnit: make(map[string]sweep.UnitWork), elapsed: time.Since(start)}
-		for _, w := range row.work {
-			row.byUnit[w.Unit] = w
-		}
-		rows = append(rows, row)
+		rows = append(rows, rateRow{rate: rate, work: aggs[0].(*sweep.Overhead).Work(), elapsed: time.Since(start)})
 	}
 
 	if markdown {
@@ -548,10 +512,10 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 		fmt.Printf("%8d", row.rate)
 	}
 	fmt.Println()
-	for _, id := range ids {
+	for i, id := range ids {
 		fmt.Printf("%-28s", id)
 		for _, row := range rows {
-			fmt.Printf("%8.2f", row.byUnit[id].Probability())
+			fmt.Printf("%8.2f", row.work[i].Probability())
 		}
 		fmt.Println()
 	}

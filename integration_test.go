@@ -50,6 +50,12 @@ func TestBinariesBuildAndRun(t *testing.T) {
 	racedetect := build("cmd/racedetect")
 	runOK(racedetect, "capture-loop-index", "-list")
 	runOK(racedetect, "WARNING: DATA RACE", "-pattern", "capture-err", "-seeds", "40")
+	// Campaign flags pass raced's job-spec validation: a repeated
+	// strategy fails at startup instead of doing the work twice.
+	if out, err := exec.Command(racedetect, "-campaign", "-seeds", "1",
+		"-strategies", "random,random").CombinedOutput(); err == nil || !strings.Contains(string(out), "duplicate strategy") {
+		t.Fatalf("racedetect -campaign -strategies random,random: %v\n%s", err, out)
+	}
 
 	gocount := build("cmd/gocount")
 	runOK(gocount, "Table 1", "-go-lines", "50000", "-java-lines", "20000")

@@ -254,6 +254,21 @@ func (c *Collector) Records() []Record {
 	return out
 }
 
+// FirstCategories is the campaign's root-cause tally: the primary
+// label of each unit's first record — its first manifesting run's
+// first race — counted over recs in canonical order (Records).
+// Unlabelled first records count nothing. `racedetect -campaign` and
+// raced's job results both tally with it.
+func FirstCategories(recs []Record) map[taxonomy.Category]int {
+	counts := make(map[taxonomy.Category]int)
+	for i, rec := range recs {
+		if (i == 0 || rec.Unit != recs[i-1].Unit) && rec.Category != "" {
+			counts[rec.Category]++
+		}
+	}
+	return counts
+}
+
 // AppendTo writes the run marker and every collected defect to the
 // store; with WithTraceDir it first saves each defect's defining
 // trace and points the record at it. Call once, on the campaign's

@@ -587,3 +587,21 @@ func TestCollectorObserveCostIndependentOfUnitIdx(t *testing.T) {
 		t.Errorf("observe at unit 0: %d mallocs, %d B; at unit 1<<20: %d mallocs, %d B", em, eb, lm, lb)
 	}
 }
+
+// TestFirstCategories: the campaign tally counts the primary label of
+// each unit's first record only, and an unlabelled first record counts
+// nothing for its unit.
+func TestFirstCategories(t *testing.T) {
+	recs := []Record{
+		{Unit: "a/random", Category: "map"},
+		{Unit: "a/random", Category: "slice"},
+		{Unit: "a/pct", Category: "map"},
+		{Unit: "b/random"},
+		{Unit: "b/random", Category: "slice"},
+		{Unit: "c/random", Category: "slice"},
+	}
+	want := map[taxonomy.Category]int{"map": 2, "slice": 1}
+	if got := FirstCategories(recs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FirstCategories = %v, want %v", got, want)
+	}
+}

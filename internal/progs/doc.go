@@ -8,5 +8,6 @@
 //
 // Programs lists them in one static table, sorted by name; IDs and
 // Resolve put them next to the synthetic pattern corpus for
-// cmd/racedetect and the raced service.
+// cmd/racedetect and the raced service, and Campaign is the sweep spec
+// both validate and expand.
 package progs

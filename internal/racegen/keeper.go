@@ -48,7 +48,7 @@ func Suite() ([]Keeper, error) {
 // Seeds/BaseSeed/MaxSteps must match the values the keeper was
 // captured with (the defaults, unless the suite says otherwise).
 func Replay(cfg Config, k Keeper) (map[string]string, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	ev, err := cfg.evaluate(k.Spec)
 	if err != nil {
 		return nil, err

@@ -73,7 +73,10 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with each zero field set to its documented
+// default. Run applies it; callers that bound a run's work before
+// starting it (raced's job cap) read the defaults from it too.
+func (c Config) WithDefaults() Config {
 	if c.Rounds == 0 {
 		c.Rounds = 3
 	}
@@ -282,7 +285,7 @@ func (c Config) score(ev *evaluation, covered map[uint64]struct{}, fill map[taxo
 // and returns ctx's error once it is done, so a cancelled loop stops
 // within one round.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	logf := cfg.Log
 	if logf == nil {
 		logf = func(string, ...any) {}

@@ -18,6 +18,7 @@ import (
 
 	"gorace/internal/corpus"
 	"gorace/internal/patterns"
+	"gorace/internal/progs"
 )
 
 // emptyStore opens a fresh store: campaigns do not read the store, so
@@ -86,7 +87,7 @@ func distSpec(t testing.TB) string {
 	if len(ids) < 10 {
 		t.Fatalf("corpus has %d patterns, want >= 10", len(ids))
 	}
-	spec, err := json.Marshal(JobSpec{Patterns: ids[:10], Seeds: 4})
+	spec, err := json.Marshal(JobSpec{Campaign: progs.Campaign{Patterns: ids[:10], Seeds: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestReplicaReads(t *testing.T) {
 	// coordinator's generation; the replica catches up on next pull and
 	// serves the new run.
 	gen := workerSvc.View().Generation()
-	spec, _ := json.Marshal(JobSpec{Patterns: patterns.IDs()[:2], Seeds: 4, RunID: "dist-run-1"})
+	spec, _ := json.Marshal(JobSpec{Campaign: progs.Campaign{Patterns: patterns.IDs()[:2], Seeds: 4}, RunID: "dist-run-1"})
 	runJobToDone(t, coord.URL, string(spec))
 	if moved, err := workerSvc.PullReplica(); err != nil || !moved {
 		t.Fatalf("post-publish pull = %v, %v (want moved)", moved, err)

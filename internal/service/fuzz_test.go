@@ -12,6 +12,7 @@ import (
 
 	"gorace/internal/corpus"
 	"gorace/internal/progs"
+	"gorace/internal/racegen"
 	"gorace/internal/sched"
 	"gorace/internal/sweep"
 )
@@ -41,7 +42,7 @@ func FuzzJobSpec(f *testing.F) {
 	const maxSeeds = 512
 	maxUnits := len(progs.IDs("racy")) * len(sched.StrategyNames())
 	// One pattern repeated past the distinct-unit bound.
-	repeated := JobSpec{Patterns: make([]string, maxUnits+1)}
+	repeated := JobSpec{Campaign: progs.Campaign{Patterns: make([]string, maxUnits+1)}}
 	for i := range repeated.Patterns {
 		repeated.Patterns[i] = "capture-loop-index"
 	}
@@ -56,7 +57,7 @@ func FuzzJobSpec(f *testing.F) {
 		if !decodeStrict(data, &req) || validateSpec(&req.Spec, maxSeeds) != nil {
 			return
 		}
-		units := campaignUnits(req.Spec)
+		units := req.Spec.Units()
 		sh := req.Shard
 		if !shardInRange(units, sh) {
 			return
@@ -98,19 +99,14 @@ func checkSpec(t *testing.T, spec *JobSpec, maxSeeds, maxUnits int) {
 	}
 	switch spec.Mode {
 	case "racegen":
-		rounds, budget := spec.Rounds, spec.Budget
-		if rounds == 0 {
-			rounds = 3
-		}
-		if budget == 0 {
-			budget = 8
-		}
+		cfg := racegen.Config{Rounds: spec.Rounds, Budget: spec.Budget}.WithDefaults()
+		rounds, budget := cfg.Rounds, cfg.Budget
 		hi, lo := bits.Mul64(uint64(rounds), uint64(budget))
 		if rounds < 0 || budget < 0 || hi != 0 || lo > uint64(maxSeeds) {
 			t.Fatalf("racegen spec admits %d rounds × %d candidates", rounds, budget)
 		}
 	case "campaign":
-		if n := len(campaignUnits(*spec)); n > maxUnits {
+		if n := len(spec.Units()); n > maxUnits {
 			t.Fatalf("campaign spec admits %d units, more than the %d distinct ones", n, maxUnits)
 		}
 	default:
@@ -161,11 +157,11 @@ func FuzzNightlyAndJoin(f *testing.F) {
 // answer body.
 func shardAnswer(t testing.TB) ([]sweep.Unit, sweep.Shard, []byte) {
 	t.Helper()
-	spec := JobSpec{Patterns: []string{"capture-loop-index"}, Strategies: []string{"random"}, Seeds: 4}
+	spec := JobSpec{Campaign: progs.Campaign{Patterns: []string{"capture-loop-index"}, Strategies: []string{"random"}, Seeds: 4}}
 	if err := validateSpec(&spec, 512); err != nil {
 		t.Fatal(err)
 	}
-	units := campaignUnits(spec)
+	units := spec.Units()
 	sh := sweep.Plan(units, 4)[0]
 	aggs, stats, err := sweep.RunShard(context.Background(), units, sh, nil,
 		func() sweep.Aggregator { return sweep.NewProb() },

@@ -4,18 +4,14 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"gorace/internal/corpus"
-	"gorace/internal/detector"
-	"gorace/internal/patterns"
 	"gorace/internal/progs"
 	"gorace/internal/racegen"
 	"gorace/internal/report"
-	"gorace/internal/sched"
 	"gorace/internal/sweep"
 )
 
@@ -33,29 +29,10 @@ type JobSpec struct {
 	// (defaults 3 and 8; ignored for campaign jobs).
 	Rounds int `json:"rounds,omitempty"`
 	Budget int `json:"budget,omitempty"`
-	// Patterns lists sweep target ids, resolved by progs.Resolve:
-	// corpus pattern ids, plus instrumented programs as "prog:<name>"
-	// entries (see `racedetect -list-programs`). The default is the
-	// pattern corpus alone (patterns.IDs), whereas `racedetect
-	// -campaign` sweeps programs too (progs.IDs); name programs
-	// explicitly to sweep them here.
-	Patterns []string `json:"patterns,omitempty"`
-	// Variant selects "racy" (default) or "fixed" pattern bodies.
-	Variant string `json:"variant,omitempty"`
-	// Detector is a registry name (default detector.DefaultName).
-	Detector string `json:"detector,omitempty"`
-	// Strategies lists scheduling strategies to sweep (default: all
-	// registered).
-	Strategies []string `json:"strategies,omitempty"`
-	// Seeds is the per-unit seed count (default 20, capped by the
-	// server's MaxSeeds).
-	Seeds int `json:"seeds,omitempty"`
-	// BaseSeed offsets the seed range (default 0).
-	BaseSeed int64 `json:"baseSeed,omitempty"`
-	// Sample checks 1 in N accesses via the deterministic sampling
-	// gate (0 or 1 = every access; docs/DETECTORS.md has the
-	// tradeoff). Results stay reproducible at any parallelism.
-	Sample int `json:"sample,omitempty"`
+	// Campaign holds the campaign fields, normalized as `racedetect
+	// -campaign` normalizes its flags and capped at the server's
+	// MaxSeeds. Seeds and BaseSeed also set a racegen job's panel.
+	progs.Campaign
 	// RunID, when set, publishes the finished campaign's defect corpus
 	// into the live store under that run id (and a fresh snapshot).
 	// Submission fails if the id is already on record. Empty means the
@@ -130,8 +107,9 @@ type JobResult struct {
 	UnitResults []JobUnitResult `json:"unitResults"`
 	// Defects holds the deduplicated race corpus in canonical order.
 	Defects []JobDefect `json:"defects"`
-	// Categories tallies primary root-cause labels over units' first
-	// manifesting races.
+	// Categories tallies primary root-cause labels over each unit's
+	// first defect — its first manifesting run's first race
+	// (corpus.FirstCategories) — not over every defect.
 	Categories map[string]int `json:"categories"`
 }
 
@@ -254,90 +232,36 @@ func newJobManager(workers, depth, parallelism, maxSeeds, retain int, logger *lo
 	return m
 }
 
-// validateSpec normalizes and checks a spec against the registries, so
-// a bad submission fails with 400 at the door instead of failing a
-// worker later. Worker nodes run the same validation on dispatched
-// shards (handleShards): a shard request is self-contained, so it is
-// revalidated where it executes.
+// validateSpec normalizes a spec (a campaign by Campaign.Normalize, a
+// racegen job by racegen's defaults) and holds it to the maxSeeds
+// compute cap, so a bad submission fails with 400 at the door. Worker
+// nodes revalidate each self-contained shard request (handleShards).
 func validateSpec(spec *JobSpec, maxSeeds int) error {
 	switch spec.Mode {
 	case "", "campaign":
 		spec.Mode = "campaign"
+		if err := spec.Normalize(); err != nil {
+			return err
+		}
 	case "racegen":
 		if spec.Rounds < 0 || spec.Budget < 0 {
 			return fmt.Errorf("racegen rounds/budget must be non-negative")
 		}
-		// A racegen job's work — rounds × candidates, at racegen's
-		// defaults of 3 and 8 — is held to the same compute cap as a
-		// seed range.
-		rounds, budget := spec.Rounds, spec.Budget
-		if rounds == 0 {
-			rounds = 3
+		// A racegen job's work — rounds × candidates — is held to the
+		// same compute cap as a seed range.
+		cfg := racegen.Config{Rounds: spec.Rounds, Budget: spec.Budget, Seeds: max(spec.Seeds, 0)}.WithDefaults()
+		if cfg.Rounds > maxSeeds/cfg.Budget {
+			return fmt.Errorf("racegen rounds %d × budget %d exceeds the server cap of %d", cfg.Rounds, cfg.Budget, maxSeeds)
 		}
-		if budget == 0 {
-			budget = 8
-		}
-		if rounds > maxSeeds/budget {
-			return fmt.Errorf("racegen rounds %d × budget %d exceeds the server cap of %d", rounds, budget, maxSeeds)
-		}
-		if spec.Seeds <= 0 {
-			spec.Seeds = 4 // racegen's per-unit schedule panel default
-		}
-		if spec.Seeds > maxSeeds {
-			return fmt.Errorf("seeds %d exceeds the server cap of %d", spec.Seeds, maxSeeds)
-		}
-		if len(spec.Patterns) > 0 {
-			return fmt.Errorf("racegen jobs generate their own programs; patterns must be empty")
-		}
-		return nil
+		spec.Seeds = cfg.Seeds
 	default:
 		return fmt.Errorf("mode %q (want campaign or racegen)", spec.Mode)
-	}
-	switch spec.Variant {
-	case "":
-		spec.Variant = "racy"
-	case "racy", "fixed":
-	default:
-		return fmt.Errorf("variant %q (want racy or fixed)", spec.Variant)
-	}
-	if spec.Detector == "" {
-		spec.Detector = detector.DefaultName
-	}
-	if _, err := detector.New(spec.Detector); err != nil {
-		return err
-	}
-	if len(spec.Strategies) == 0 {
-		spec.Strategies = sched.StrategyNames()
-	}
-	for i, name := range spec.Strategies {
-		if _, err := sched.NewStrategy(name); err != nil {
-			return err
-		}
-		if slices.Contains(spec.Strategies[:i], name) {
-			return fmt.Errorf("duplicate strategy %q", name)
-		}
-	}
-	if len(spec.Patterns) == 0 {
-		spec.Patterns = patterns.IDs()
-	}
-	for i, id := range spec.Patterns {
-		// Each entry is a campaign unit per strategy, so a repeated
-		// entry would multiply the work past the seed cap.
-		if slices.Contains(spec.Patterns[:i], id) {
-			return fmt.Errorf("duplicate pattern %q", id)
-		}
-		if _, err := progs.Resolve(id, spec.Variant); err != nil {
-			return err
-		}
-	}
-	if spec.Seeds <= 0 {
-		spec.Seeds = 20
 	}
 	if spec.Seeds > maxSeeds {
 		return fmt.Errorf("seeds %d exceeds the server cap of %d", spec.Seeds, maxSeeds)
 	}
-	if spec.Sample < 0 {
-		return fmt.Errorf("sample %d is negative (want ≥ 1, 1 = no sampling)", spec.Sample)
+	if spec.Mode == "racegen" && len(spec.Patterns) > 0 {
+		return fmt.Errorf("racegen jobs generate their own programs; patterns must be empty")
 	}
 	return nil
 }
@@ -456,7 +380,7 @@ func (m *jobManager) run(job *Job) {
 		return
 	}
 
-	units := campaignUnits(job.Spec)
+	units := job.Spec.Units()
 	onProgress := func(p sweep.Progress) {
 		job.mu.Lock()
 		job.progress = JobProgress(p)
@@ -564,7 +488,7 @@ func buildRacegenResult(res *racegen.Result) *JobResult {
 			}(),
 		})
 	}
-	jr.Defects = jobDefects(res.Collector)
+	jr.Defects = jobDefects(res.Collector.Records())
 	for cat, n := range res.Fill {
 		jr.Categories[string(cat)] = n
 	}
@@ -591,35 +515,11 @@ func (m *jobManager) retire(id string) {
 	}
 }
 
-// campaignUnits expands a validated spec into sweep units, one per
-// pattern (or prog:<name> program) × strategy, mirroring
-// `racedetect -campaign`.
-func campaignUnits(spec JobSpec) []sweep.Unit {
-	var units []sweep.Unit
-	for _, id := range spec.Patterns {
-		prog, _ := progs.Resolve(id, spec.Variant) // validated at submit
-		for _, strat := range spec.Strategies {
-			units = append(units, sweep.Unit{
-				ID:         id + "/" + strat,
-				Program:    prog,
-				Detector:   spec.Detector,
-				Strategy:   strat,
-				BaseSeed:   spec.BaseSeed,
-				Runs:       spec.Seeds,
-				MaxSteps:   1 << 16,
-				SampleRate: spec.Sample,
-				// Recording feeds the classifier's hints; corpus
-				// programs are small and nothing survives the run.
-				Record: true,
-			})
-		}
-	}
-	return units
-}
-
 // buildResult renders the campaign aggregates into the wire result.
 // Defect categories and the tally both come from the Collector's
-// hint-classified records, so they cannot contradict each other.
+// hint-classified records, so they cannot contradict each other; the
+// tally is corpus.FirstCategories, the one `racedetect -campaign`
+// prints.
 func buildResult(stats sweep.Stats, aggs []sweep.Aggregator) *JobResult {
 	res := &JobResult{
 		Units: stats.Units, Shards: stats.Shards,
@@ -633,20 +533,19 @@ func buildResult(stats sweep.Stats, aggs []sweep.Aggregator) *JobResult {
 			Probability: s.Probability(),
 		})
 	}
-	res.Defects = jobDefects(aggs[1].(*corpus.Collector))
-	for _, d := range res.Defects {
-		if d.Category != "" {
-			res.Categories[d.Category]++
-		}
+	recs := aggs[1].(*corpus.Collector).Records()
+	res.Defects = jobDefects(recs)
+	for cat, n := range corpus.FirstCategories(recs) {
+		res.Categories[string(cat)] = n
 	}
 	return res
 }
 
 // jobDefects renders a collector's records, in canonical order, as
 // the wire defects of a job result.
-func jobDefects(coll *corpus.Collector) []JobDefect {
+func jobDefects(recs []corpus.Record) []JobDefect {
 	var out []JobDefect
-	for _, rec := range coll.Records() {
+	for _, rec := range recs {
 		d := JobDefect{
 			Key: rec.Key, Unit: rec.Unit, Count: rec.Count,
 			Category: string(rec.Category), Race: rec.Race,

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,8 +19,10 @@ import (
 	"gorace/internal/corpus"
 	"gorace/internal/monorepo"
 	"gorace/internal/patterns"
+	"gorace/internal/progs"
 	"gorace/internal/stream"
 	"gorace/internal/sweep"
+	"gorace/internal/taxonomy"
 )
 
 // seedStore builds a store with two recorded runs over real campaign
@@ -419,7 +422,7 @@ func (s *roundSignal) Write(p []byte) (int, error) {
 func TestForcedDrainStopsRacegen(t *testing.T) {
 	sig := &roundSignal{ch: make(chan struct{})}
 	m := newJobManager(1, 1, 1, 512, 64, log.New(sig, "", 0))
-	job, err := m.Submit(JobSpec{Mode: "racegen", Rounds: 512, Budget: 1, Seeds: 2})
+	job, err := m.Submit(JobSpec{Mode: "racegen", Rounds: 512, Budget: 1, Campaign: progs.Campaign{Seeds: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +481,64 @@ func TestJobInstrumentedProgram(t *testing.T) {
 	}
 }
 
+// TestJobCategoriesCountFirstDefectPerUnit pins JobResult.Categories
+// to its contract: the categories line equals corpus.FirstCategories
+// over the job's own defect lines — each unit's first defect, the
+// tally `racedetect -campaign` prints — not a count of every defect.
+// The spec is docs/SERVICE.md's example, whose units file more than
+// one defect each, so the two tallies differ.
+func TestJobCategoriesCountFirstDefectPerUnit(t *testing.T) {
+	store, _ := seedStore(t)
+	_, ts := newTestServer(t, Config{Store: store, JobWorkers: 1, JobParallelism: 2})
+
+	spec := `{"patterns":["capture-loop-index","map-concurrent-write"],"strategies":["random","pct"],"seeds":10}`
+	status, body, _ := post(t, ts.URL+"/v1/jobs", spec)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit = %d %s", status, body)
+	}
+	var sub submitResponse
+	if err := json.Unmarshal(body, &sub); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitForJob(t, ts.URL, sub.ID); st.State != StateDone {
+		t.Fatalf("job state = %s (%s)", st.State, st.Error)
+	}
+	_, res, _ := get(t, ts.URL+"/v1/jobs/"+sub.ID+"/results")
+	var recs []corpus.Record
+	var got map[string]int
+	everyDefect := make(map[string]int)
+	for _, l := range strings.Split(strings.TrimSpace(string(res)), "\n") {
+		var line struct {
+			Type   string `json:"type"`
+			Defect struct {
+				Unit     string `json:"unit"`
+				Category string `json:"category"`
+			} `json:"defect"`
+			Categories map[string]int `json:"categories"`
+		}
+		if err := json.Unmarshal([]byte(l), &line); err != nil {
+			t.Fatalf("results line %q: %v", l, err)
+		}
+		switch line.Type {
+		case "defect":
+			recs = append(recs, corpus.Record{Unit: line.Defect.Unit, Category: taxonomy.Category(line.Defect.Category)})
+			everyDefect[line.Defect.Category]++
+		case "categories":
+			got = line.Categories
+		}
+	}
+	want := make(map[string]int)
+	for cat, n := range corpus.FirstCategories(recs) {
+		want[string(cat)] = n
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("categories = %v, want the first-defect-per-unit tally %v (every defect: %v)", got, want, everyDefect)
+	}
+	if reflect.DeepEqual(want, everyDefect) {
+		t.Fatalf("spec no longer tells the tallies apart: both %v", want)
+	}
+}
+
 func waitForJob(t testing.TB, base, id string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -502,7 +563,7 @@ func waitForJob(t testing.TB, base, id string) JobStatus {
 // after drain begins submits report ErrDraining.
 func TestBackpressure(t *testing.T) {
 	m := newJobManager(0, 2, 1, 512, 64, log.New(io.Discard, "", 0))
-	spec := JobSpec{Patterns: []string{"capture-loop-index"}, Strategies: []string{"random"}, Seeds: 1}
+	spec := JobSpec{Campaign: progs.Campaign{Patterns: []string{"capture-loop-index"}, Strategies: []string{"random"}, Seeds: 1}}
 	if _, err := m.Submit(spec); err != nil {
 		t.Fatal(err)
 	}

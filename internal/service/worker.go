@@ -113,7 +113,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad shard spec: %v", err)
 		return
 	}
-	units := campaignUnits(req.Spec)
+	units := req.Spec.Units()
 	sh := req.Shard
 	if !shardInRange(units, sh) {
 		writeError(w, http.StatusBadRequest,

@@ -223,21 +223,3 @@ func (r *Result) Format(scale float64) string {
 		r.Population, r.Manifested, 100*r.Accuracy)
 	return b.String()
 }
-
-// OverheadResult is the E8 measurement: detector cost relative to the
-// uninstrumented-run baseline, the reproduction of §3.5's "25 minutes
-// ... increases by 4× to about 100 minutes" and the TSan 2×–20×
-// figure.
-type OverheadResult struct {
-	Detector string
-	Baseline float64 // seconds, detector "none"
-	WithDet  float64 // seconds, detector enabled
-}
-
-// Slowdown returns the ratio.
-func (o OverheadResult) Slowdown() float64 {
-	if o.Baseline == 0 {
-		return 0
-	}
-	return o.WithDet / o.Baseline
-}

@@ -78,16 +78,6 @@ func TestFormatRendersBothTables(t *testing.T) {
 	}
 }
 
-func TestOverheadResultSlowdown(t *testing.T) {
-	o := OverheadResult{Detector: "fasttrack", Baseline: 2, WithDet: 8}
-	if o.Slowdown() != 4 {
-		t.Fatalf("slowdown = %f", o.Slowdown())
-	}
-	if (OverheadResult{}).Slowdown() != 0 {
-		t.Fatal("zero baseline should give 0")
-	}
-}
-
 func TestMultiLabelStudy(t *testing.T) {
 	m := RunMultiLabel(3)
 	if m.Instances < 20 {
