@@ -599,6 +599,53 @@ func BenchmarkStreamIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamIngestEvict is the eviction path's time gate: the
+// ingest-evict shape (8 goroutines over 2¹⁶-address private ranges, a
+// plant per 1,000 events, a Collector folding online) at a 16 MiB
+// ceiling, one 100k-event stream per op. The working set outgrows the
+// ceiling's page budget, so every op faults, evicts and reloads shadow
+// pages and probes the sparse address index on every access.
+func BenchmarkStreamIngestEvict(b *testing.B) {
+	const ceilingMiB = 16
+	spec := stream.SynthSpec{
+		Events:     100_000,
+		Goroutines: 8,
+		Addrs:      1 << 16,
+		Planted:    100,
+		Seed:       1,
+	}
+	var buf bytes.Buffer
+	if err := spec.Write(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	prev := debug.SetMemoryLimit(ceilingMiB << 20 * 3 / 4)
+	defer debug.SetMemoryLimit(prev)
+
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	evictions := 0
+	for i := 0; i < b.N; i++ {
+		ing, err := stream.NewIngestor(stream.Config{
+			MemCeilingMiB: ceilingMiB,
+			Collector:     corpus.NewCollector("evict"),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := ing.Ingest(context.Background(), bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Evictions == 0 {
+			b.Fatal("the stream fit the ceiling; nothing was evicted")
+		}
+		evictions += res.Stats.Evictions
+	}
+	b.ReportMetric(float64(evictions)/float64(b.N), "evictions/op")
+}
+
 // --- Extension: the streaming sweep campaign engine ---
 
 // BenchmarkSweepCampaign runs a small corpus-wide campaign (4 racy

@@ -43,26 +43,46 @@ type Hints struct {
 
 // HintsFromTrace scans a recorded event stream for role evidence.
 func HintsFromTrace(events []trace.Event) Hints {
-	h := Hints{
+	h := newHints()
+	for i := range events {
+		h.note(&events[i])
+	}
+	return h
+}
+
+// HintsFromWindow scans a streaming window for role evidence, reading
+// its rings in place. Every hint is per goroutine and each ring holds
+// its goroutine's events in order, so the result equals
+// HintsFromTrace(w.Events()) without the merge.
+func HintsFromWindow(w *trace.WindowRecorder) Hints {
+	h := newHints()
+	w.Each(h.note)
+	return h
+}
+
+func newHints() Hints {
+	return Hints{
 		ChanOps: make(map[vclock.TID]int),
 		Waiters: make(map[vclock.TID]bool),
 		Doners:  make(map[vclock.TID]bool),
 		WaitSeq: make(map[vclock.TID]uint64),
 	}
-	for _, ev := range events {
-		switch {
-		case ev.Kind == trace.KindChan:
-			h.ChanOps[ev.G]++
-		case ev.Kind == trace.KindWG && ev.Op == trace.OpAcquire:
-			h.Waiters[ev.G] = true
-			if _, ok := h.WaitSeq[ev.G]; !ok {
-				h.WaitSeq[ev.G] = ev.Seq
-			}
-		case ev.Kind == trace.KindWG && ev.Op == trace.OpRelease:
-			h.Doners[ev.G] = true
+}
+
+// note folds one event's role evidence into h; a goroutine's events
+// must arrive in order, since WaitSeq keeps the first wait.
+func (h Hints) note(ev *trace.Event) {
+	switch {
+	case ev.Kind == trace.KindChan:
+		h.ChanOps[ev.G]++
+	case ev.Kind == trace.KindWG && ev.Op == trace.OpAcquire:
+		h.Waiters[ev.G] = true
+		if _, ok := h.WaitSeq[ev.G]; !ok {
+			h.WaitSeq[ev.G] = ev.Seq
 		}
+	case ev.Kind == trace.KindWG && ev.Op == trace.OpRelease:
+		h.Doners[ev.G] = true
 	}
-	return h
 }
 
 // postWaitPair reports whether a is a waiter whose access happened

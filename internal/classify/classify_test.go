@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"reflect"
 	"testing"
 
 	"gorace/internal/core"
@@ -142,6 +143,33 @@ func TestHintsFromTrace(t *testing.T) {
 	}
 	if !h.Doners[3] || h.Doners[2] {
 		t.Error("doners wrong")
+	}
+}
+
+// TestHintsFromWindow: hints read from a window in place equal the
+// hints of its merged events, also once a small window has wrapped past
+// a goroutine's first wg.Wait (WaitSeq then names the first retained
+// one).
+func TestHintsFromWindow(t *testing.T) {
+	w := trace.NewWindowRecorder(5)
+	for seq := uint64(1); seq <= 60; seq++ {
+		// Two goroutines, each cycling through a wait, a Done, a
+		// channel op and a read, so every full window holds a wait
+		// ahead of its overwrite position and one behind it.
+		g := vclock.TID(seq % 2)
+		ev := trace.Event{Seq: seq, G: g, Op: trace.OpRead}
+		switch seq / 2 % 4 {
+		case 0:
+			ev.Op, ev.Kind = trace.OpAcquire, trace.KindWG
+		case 1:
+			ev.Op, ev.Kind = trace.OpRelease, trace.KindWG
+		case 2:
+			ev.Op, ev.Kind = trace.OpAcquire, trace.KindChan
+		}
+		w.HandleEvent(ev)
+		if got, want := HintsFromWindow(w), HintsFromTrace(w.Events()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after event %d: window hints %+v\nmerged hints %+v", seq, got, want)
+		}
 	}
 }
 

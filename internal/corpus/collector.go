@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"gorace/internal/classify"
@@ -138,17 +139,52 @@ func (c *Collector) Observe(r sweep.Run) {
 	if r.Outcome.Trace != nil {
 		events = r.Outcome.Trace.Events
 	}
-	c.fold(r.UnitIdx, r.Unit.ID, r.Unit.Detector, r.Seed, r.Outcome.Races, events, r.Outcome.Trace)
+	c.fold(r.UnitIdx, r.Unit.ID, r.Unit.Detector, r.Seed, r.Outcome.Races,
+		foldSource{events: events, keep: r.Outcome.Trace})
 }
 
-// fold is the one defect fold behind Observe and FoldRaces: count
-// every report against its hash, then define each hash seen for the
-// first time from its first report, classified against events (the
-// trace hints are computed once, and only if some hash is fresh).
-// With a trace dir configured a fresh defect retains keep, or — when
-// keep is nil — a copy of events, so the stored defect stays
-// replayable. It returns the number of fresh defects.
-func (c *Collector) fold(unitIdx int, unitID, detName string, seed int64, races []report.Race, events []trace.Event, keep *trace.Recorder) int {
+// foldSource is the trace context a fold's fresh defects draw on:
+// recorded events — a batch outcome's trace, or a window a caller
+// merged — or a live streaming window, read in place. keep, when set,
+// is the recorder a trace dir retains as is.
+type foldSource struct {
+	events []trace.Event
+	keep   *trace.Recorder
+	win    *trace.WindowRecorder
+}
+
+// hints returns the classification hints of the source's events.
+func (s foldSource) hints() classify.Hints {
+	if s.win != nil {
+		return classify.HintsFromWindow(s.win)
+	}
+	return classify.HintsFromTrace(s.events)
+}
+
+// retained returns the trace a trace dir keeps for a fresh defect:
+// keep, else a snapshot of the events (nil when there are none). Only
+// here is a window merged into Seq order.
+func (s foldSource) retained() *trace.Recorder {
+	switch {
+	case s.keep != nil:
+		return s.keep
+	case s.win != nil && s.win.Retained() > 0:
+		return &trace.Recorder{Events: s.win.Events()}
+	case len(s.events) > 0:
+		return &trace.Recorder{Events: slices.Clone(s.events)}
+	}
+	return nil
+}
+
+// fold is the one defect fold behind Observe, FoldRaces and
+// FoldWindow: count every report against its hash, then define each
+// hash seen for the first time from its first report, classified
+// against src. The trace hints are computed once, and only if some
+// hash is fresh; with a trace dir configured, that first fresh hash
+// also snapshots src's trace, which every fresh defect of the fold
+// retains so the stored defect stays replayable. It returns the number
+// of fresh defects.
+func (c *Collector) fold(unitIdx int, unitID, detName string, seed int64, races []report.Race, src foldSource) int {
 	c.reports += len(races)
 	if len(races) == 0 {
 		return 0
@@ -163,14 +199,20 @@ func (c *Collector) fold(unitIdx int, unitID, detName string, seed int64, races 
 		ua.counts[race.Hash()]++
 	}
 	fresh := 0
-	var hints classify.Hints
+	var (
+		hints classify.Hints
+		kept  *trace.Recorder
+	)
 	for _, race := range report.UniqueByHash(races) {
 		h := race.Hash()
 		if _, ok := ua.defs[h]; ok {
 			continue
 		}
 		if fresh == 0 {
-			hints = classify.HintsFromTrace(events)
+			hints = src.hints()
+			if c.traceDir != "" {
+				kept = src.retained()
+			}
 		}
 		d := &defining{
 			unit:     unitID,
@@ -178,13 +220,7 @@ func (c *Collector) fold(unitIdx int, unitID, detName string, seed int64, races 
 			race:     race,
 			detector: detName,
 			labels:   classify.Classify(race, hints),
-		}
-		if c.traceDir != "" {
-			d.trace = keep
-			if keep == nil && len(events) > 0 {
-				d.trace = &trace.Recorder{Events: make([]trace.Event, len(events))}
-				copy(d.trace.Events, events)
-			}
+			trace:    kept,
 		}
 		ua.order = append(ua.order, h)
 		ua.defs[h] = d

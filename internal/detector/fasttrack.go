@@ -267,8 +267,8 @@ func (ft *FastTrack) cell(a trace.Addr) *ftCell {
 	}
 	p := &ft.pages[pg]
 	p.touch = ft.tick
-	for slot >= len(p.cells) {
-		p.cells = append(p.cells, ftCell{})
+	if slot >= len(p.cells) {
+		p.cells = growSlab(p.cells, slot)
 	}
 	c := &p.cells[slot]
 	if !c.used() {

@@ -36,6 +36,26 @@ type shadowPage struct {
 	wasEver  bool // evicted at least once
 }
 
+// growSlab extends a page's slab to hold slot, returning the longer
+// slab. Capacity doubles (at least to slot+1) and is capped at
+// pagedCellsPerPage, so a full page's slab holds exactly one page of
+// cells, with no append overshoot, while a page that touches only a
+// few slots stays small. Every cell the slab newly exposes is zeroed:
+// a slab reused from freeSlabs still holds its evicted page's cells
+// past its length, and that history must never reach the new page.
+func growSlab(cells []ftCell, slot int) []ftCell {
+	if slot >= cap(cells) {
+		n := max(2*cap(cells), slot+1)
+		grown := make([]ftCell, len(cells), min(n, pagedCellsPerPage))
+		copy(grown, cells)
+		cells = grown
+	}
+	n := len(cells)
+	cells = cells[:slot+1]
+	clear(cells[n:])
+	return cells
+}
+
 // SetPageBudget implements Evictor. Reset keeps the budget.
 func (ft *FastTrack) SetPageBudget(pages int) {
 	if pages < 0 {
@@ -112,8 +132,8 @@ func (ft *FastTrack) evictColdest(keep int) {
 		}
 		ft.cellCount--
 	}
-	// The slab is parked as-is: cell growth appends zero cells, so a
-	// reused slab never exposes the evicted history.
+	// The slab is parked as-is: growSlab zeroes every cell it exposes,
+	// so a reused slab never leaks the evicted history.
 	ft.freeSlabs = append(ft.freeSlabs, p.cells[:0])
 	ft.resident[at] = ft.resident[len(ft.resident)-1]
 	ft.resident = ft.resident[:len(ft.resident)-1]

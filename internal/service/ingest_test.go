@@ -10,9 +10,11 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"gorace/internal/detector"
 	"gorace/internal/stream"
 	"gorace/internal/trace"
 )
@@ -463,5 +465,46 @@ func TestIngestFailsClosedOnNonTraces(t *testing.T) {
 				t.Errorf("allocated %d KiB, want under 1 MiB", alloc>>10)
 			}
 		})
+	}
+}
+
+// TestIngestRejectsWideIDs: one write whose goroutine id or
+// default-mode address would size a detector's dense tables from its
+// raw value is a decode error — 400 under every detector, with no
+// ceiling set, allocating under 1 MiB and publishing nothing.
+func TestIngestRejectsWideIDs(t *testing.T) {
+	store, _ := seedStore(t)
+	svc, ts := newTestServer(t, Config{Store: store})
+	addr := ts.Listener.Addr().String()
+	bodies := map[string]trace.Event{
+		"goroutine": {Seq: 1, G: 1 << 30, Op: trace.OpWrite, Addr: 1},
+		"address":   {Seq: 1, Op: trace.OpWrite, Addr: 1 << 28},
+	}
+	for name, ev := range bodies {
+		var buf bytes.Buffer
+		enc := trace.NewEncoder(&buf)
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		status, msg := postIngest(t, ts.URL, "run=wide-"+name, buf.Bytes())
+		if status != http.StatusBadRequest || !strings.Contains(string(msg), "identity out of range") {
+			t.Errorf("%s: status %d, body %s; want 400 naming the range", name, status, msg)
+		}
+		for _, det := range detector.Names() {
+			run := "wide-" + name + "-" + det
+			resp, alloc := rawPost(t, addr, "/v1/ingest?run="+run+"&detector="+det, fillReader{prefix: buf.Bytes()})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s under %s: status %d, want 400", name, det, resp.StatusCode)
+			}
+			if alloc >= 1<<20 {
+				t.Errorf("%s under %s: allocated %d KiB, want under 1 MiB", name, det, alloc>>10)
+			}
+			if svc.View().HasRun(run) {
+				t.Errorf("%s under %s: the rejected ingest landed in the corpus", name, det)
+			}
+		}
 	}
 }

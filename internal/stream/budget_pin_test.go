@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"gorace/internal/corpus"
 	"gorace/internal/detector"
 )
 
@@ -48,5 +50,38 @@ func TestFixedBudgetDigestPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("seed %d: fixed-budget ingest moved:\n got %s\nwant %s", seed, got, want)
 		}
+	}
+}
+
+// TestIngestEvictHeapUnderCeiling pins the memory ceiling end to end on
+// the ingest-evict shape (8 goroutines over 2¹⁶-address private
+// ranges, one plant per 1,000 events, a Collector folding online): the
+// heap a live Ingestor retains after the stream — shadow pages, the
+// sparse address index, the event window, interned report context and
+// the folded corpus — must stay under its 16 MiB ceiling. The page
+// budget covers only a quarter of the ceiling, so this is what bounds
+// everything paging does not.
+func TestIngestEvictHeapUnderCeiling(t *testing.T) {
+	const ceilingMiB = 16
+	spec := SynthSpec{Events: 400_000, Goroutines: 8, Addrs: 1 << 16, Planted: 400, Seed: 1}
+	data := synthBytes(t, spec)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	in, err := NewIngestor(Config{MemCeilingMiB: ceilingMiB, Collector: corpus.NewCollector("ceiling")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Ingest(context.Background(), bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(in)
+	runtime.KeepAlive(data) // counted in before, so it must be in after too
+	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("live Ingestor retains %.2f MiB", retained/(1<<20))
+	if retained >= ceilingMiB<<20 {
+		t.Fatalf("live Ingestor retains %.2f MiB, over its %d MiB ceiling", retained/(1<<20), ceilingMiB)
 	}
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,8 +13,12 @@ import (
 	"testing"
 	"unsafe"
 
+	"gorace/internal/classify"
 	"gorace/internal/corpus"
 	"gorace/internal/detector"
+	"gorace/internal/progen"
+	"gorace/internal/progs"
+	"gorace/internal/sched"
 	"gorace/internal/trace"
 )
 
@@ -101,7 +106,12 @@ func TestIngestCeilingEvictsAndStaysSubset(t *testing.T) {
 
 // TestIngestFoldsIntoCollector: races fold online with window context,
 // first manifestations define defects, and a second identical stream
-// adds occurrence counts but no new defects.
+// adds occurrence counts but no new defects. The Ingestor's in-place
+// fold must store exactly what the eager fold stores (foldMatchesEager)
+// over the synthetic stream and the streaming differential's progen
+// and dogfood inputs — the latter carry the channel and WaitGroup
+// events the hints read — at the default window and at one small
+// enough that rings wrap, with and without a trace dir.
 func TestIngestFoldsIntoCollector(t *testing.T) {
 	spec := SynthSpec{Events: 50000, Planted: 5, Seed: 3}.norm()
 	data := synthBytes(t, spec)
@@ -151,6 +161,203 @@ func TestIngestFoldsIntoCollector(t *testing.T) {
 		if rec.Count < 2 {
 			t.Fatalf("second stream did not raise occurrence count: %+v", rec)
 		}
+	}
+
+	inputs := map[string][]byte{"synth": data}
+	for seed := int64(0); seed < 60; seed++ {
+		inputs[fmt.Sprintf("progen/%d", seed)] = progTrace(t, progen.Generate(seed, progen.Params{}).Main(), seed)
+	}
+	for _, p := range progs.Programs() {
+		for seed := int64(0); seed < 3; seed++ {
+			inputs[fmt.Sprintf("prog:%s/%d", p.Name, seed)] = progTrace(t, p.Racy, seed)
+		}
+	}
+	folds := 0
+	for name, data := range inputs {
+		for _, window := range []int{DefaultWindow, 8} {
+			folds += foldMatchesEager(t, fmt.Sprintf("%s window %d", name, window), data, window, "")
+			foldMatchesEager(t, fmt.Sprintf("%s window %d, trace dir", name, window), data, window, t.TempDir())
+		}
+	}
+	if folds < 100 {
+		t.Fatalf("the inputs made only %d folds", folds)
+	}
+}
+
+// progTrace runs prog once under seed and returns its trace in the
+// binary codec.
+func progTrace(t *testing.T, prog func(*sched.G), seed int64) []byte {
+	t.Helper()
+	rec := &trace.Recorder{}
+	sched.Run(prog, sched.Options{
+		Strategy: sched.NewRandom(), Seed: seed, MaxSteps: 1 << 18,
+		Listeners: []trace.Listener{rec},
+	})
+	var buf bytes.Buffer
+	if err := rec.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// foldMatchesEager ingests data through an Ingestor with a Collector
+// (the in-place FoldWindow path) and requires the records and, under
+// a trace dir, the retained traces to equal those of the eager
+// reference: FoldRaces over a freshly merged window at every
+// manifestation. At each of the reference's folds it also requires
+// HintsFromWindow to equal HintsFromTrace of the merged window. It
+// returns the number of folds.
+func foldMatchesEager(t *testing.T, name string, data []byte, window int, dir string) int {
+	t.Helper()
+	newColl := func(sub string) *corpus.Collector {
+		if dir == "" {
+			return corpus.NewCollector("fold")
+		}
+		return corpus.NewCollector("fold", corpus.WithTraceDir(filepath.Join(dir, sub)))
+	}
+
+	ref := newColl("ref")
+	det := detector.NewFastTrack()
+	win := trace.NewWindowRecorder(window)
+	dec, err := trace.NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds := 0
+	for {
+		ev, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.HandleEvent(ev)
+		det.HandleEvent(ev)
+		if n := det.RaceCount(); n > folds {
+			events := win.Events()
+			if got, want := classify.HintsFromWindow(win), classify.HintsFromTrace(events); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: hints at report %d:\nwindow %+v\nmerged %+v", name, n, got, want)
+			}
+			ref.FoldRaces(0, "stream", detector.DefaultName, 0, det.Races()[folds:n], events)
+			folds = n
+		}
+	}
+	ref.NoteExecution()
+
+	coll := newColl("got")
+	in, err := NewIngestor(Config{Collector: coll, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Ingest(context.Background(), bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	gotRecs, gotFiles := stored(t, coll, dir, "got")
+	wantRecs, wantFiles := stored(t, ref, dir, "ref")
+	if !reflect.DeepEqual(gotRecs, wantRecs) {
+		t.Fatalf("%s: records differ from the eager fold:\ngot  %+v\nwant %+v", name, gotRecs, wantRecs)
+	}
+	if !reflect.DeepEqual(gotFiles, wantFiles) {
+		t.Fatalf("%s: retained traces differ from the eager fold", name)
+	}
+	return folds
+}
+
+// stored returns coll's records and, with a trace dir, appends coll to
+// a fresh store under dir/sub and returns its retained trace files
+// keyed by record key.
+func stored(t *testing.T, coll *corpus.Collector, dir, sub string) ([]corpus.Record, map[string]string) {
+	t.Helper()
+	recs := coll.Records()
+	if dir == "" {
+		return recs, nil
+	}
+	dir = filepath.Join(dir, sub)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	store, err := corpus.Open(filepath.Join(dir, "corpus.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := coll.AppendTo(store); err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, rec := range recs {
+		b, err := os.ReadFile(corpus.TracePathIn(dir, rec.Key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[rec.Key] = string(b)
+	}
+	return recs, files
+}
+
+// TestFoldBufferReuseLeavesCollectorIntact: the Ingestor's folds read
+// the window's rings in place, buffers the recorder keeps reusing as
+// the stream goes on, so the Collector must copy what it keeps.
+// Scribbling over every retained window event after Ingest must leave
+// the stored records and retained traces equal to the eager fold's.
+func TestFoldBufferReuseLeavesCollectorIntact(t *testing.T) {
+	spec := SynthSpec{Events: 50000, Planted: 5, Seed: 3}.norm()
+	data := synthBytes(t, spec)
+	dir := t.TempDir()
+
+	// Reference: the eager fold, a fresh window slice per fold.
+	ref := corpus.NewCollector("fold", corpus.WithTraceDir(filepath.Join(dir, "ref")))
+	det := detector.NewFastTrack()
+	win := trace.NewWindowRecorder(DefaultWindow)
+	dec, err := trace.NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := 0
+	for {
+		ev, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		win.HandleEvent(ev)
+		det.HandleEvent(ev)
+		if n := det.RaceCount(); n > folded {
+			ref.FoldRaces(0, "stream", detector.DefaultName, 0, det.Races()[folded:n], win.Events())
+			folded = n
+		}
+	}
+	ref.NoteExecution()
+	wantRecs, wantFiles := stored(t, ref, dir, "ref")
+	if len(wantRecs) < 2 {
+		t.Fatalf("stream defined %d defects, want several folds", len(wantRecs))
+	}
+
+	coll := corpus.NewCollector("fold", corpus.WithTraceDir(filepath.Join(dir, "got")))
+	in, err := NewIngestor(Config{Collector: coll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Ingest(context.Background(), bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	scribbled := 0
+	in.win.Each(func(ev *trace.Event) {
+		*ev = trace.Event{Seq: uint64(scribbled), G: 1, Op: trace.OpAcquire, Kind: trace.KindWG, Label: "scribbled"}
+		scribbled++
+	})
+	if scribbled == 0 {
+		t.Fatal("the Ingestor's window retained no events")
+	}
+	gotRecs, gotFiles := stored(t, coll, dir, "got")
+	if !reflect.DeepEqual(gotRecs, wantRecs) {
+		t.Fatalf("records differ from the eager fold:\ngot  %+v\nwant %+v", gotRecs, wantRecs)
+	}
+	if !reflect.DeepEqual(gotFiles, wantFiles) {
+		t.Fatal("retained traces differ from the eager fold")
 	}
 }
 
@@ -420,92 +627,6 @@ func TestRunCeilingSweep(t *testing.T) {
 	md := MarkdownTable(rows)
 	if !strings.Contains(md, "unbounded") || !strings.Contains(md, "1 MiB") {
 		t.Fatalf("markdown table incomplete:\n%s", md)
-	}
-}
-
-// TestFoldBufferReuseLeavesCollectorIntact: the Ingestor merges the
-// window into one reused buffer for every fold, so the Collector must
-// copy whatever it keeps. The folds of a multi-defect stream must
-// store exactly the records and retained traces of folds handed a
-// fresh window copy each time, and scribbling over the buffer after
-// the last fold must change neither.
-func TestFoldBufferReuseLeavesCollectorIntact(t *testing.T) {
-	spec := SynthSpec{Events: 50000, Planted: 5, Seed: 3}.norm()
-	data := synthBytes(t, spec)
-
-	// stored appends coll to a fresh store under dir and returns its
-	// records and retained trace files, keyed by record key.
-	stored := func(coll *corpus.Collector, dir string) ([]corpus.Record, map[string]string) {
-		t.Helper()
-		store, err := corpus.Open(filepath.Join(dir, "corpus.db"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		if err := coll.AppendTo(store); err != nil {
-			t.Fatal(err)
-		}
-		recs := coll.Records()
-		files := make(map[string]string)
-		for _, rec := range recs {
-			b, err := os.ReadFile(corpus.TracePathIn(dir, rec.Key))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[rec.Key] = string(b)
-		}
-		return recs, files
-	}
-
-	// Reference: the eager fold, a fresh window slice per fold.
-	refDir := t.TempDir()
-	ref := corpus.NewCollector("fold", corpus.WithTraceDir(refDir))
-	det := detector.NewFastTrack()
-	win := trace.NewWindowRecorder(DefaultWindow)
-	dec, err := trace.NewDecoder(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded := 0
-	for {
-		ev, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		win.HandleEvent(ev)
-		det.HandleEvent(ev)
-		if n := det.RaceCount(); n > folded {
-			ref.FoldRaces(0, "stream", detector.DefaultName, 0, det.Races()[folded:n], win.Events())
-			folded = n
-		}
-	}
-	ref.NoteExecution()
-	wantRecs, wantFiles := stored(ref, refDir)
-	if len(wantRecs) < 2 {
-		t.Fatalf("stream defined %d defects, want several folds", len(wantRecs))
-	}
-
-	dir := t.TempDir()
-	coll := corpus.NewCollector("fold", corpus.WithTraceDir(dir))
-	in, err := NewIngestor(Config{Collector: coll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Ingest(context.Background(), bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range in.foldBuf {
-		in.foldBuf[i] = trace.Event{Seq: uint64(i), G: 1, Op: trace.OpAcquire, Kind: trace.KindWG, Label: "scribbled"}
-	}
-	gotRecs, gotFiles := stored(coll, dir)
-	if !reflect.DeepEqual(gotRecs, wantRecs) {
-		t.Fatalf("records differ from the eager fold:\ngot  %+v\nwant %+v", gotRecs, wantRecs)
-	}
-	if !reflect.DeepEqual(gotFiles, wantFiles) {
-		t.Fatal("retained traces differ from the eager fold")
 	}
 }
 

@@ -112,9 +112,6 @@ type Ingestor struct {
 	win     *trace.WindowRecorder
 	pages   int
 	folded  int // reports already folded into the collector
-	// foldBuf is the reused buffer each fold merges the window into;
-	// the Collector copies what it keeps.
-	foldBuf []trace.Event
 }
 
 // NewIngestor builds an Ingestor from cfg, resolving the detector
@@ -228,24 +225,20 @@ func (in *Ingestor) Ingest(ctx context.Context, r io.Reader) (res Result, err er
 }
 
 // foldNew folds reports [in.folded, n) into the collector with the
-// current window as classification context. The watermark lives on the
-// Ingestor so chunked streams never fold the same report twice.
+// current window, read in place, as classification context. The
+// watermark lives on the Ingestor so chunked streams never fold the
+// same report twice.
 func (in *Ingestor) foldNew(res *Result, n int) {
 	if in.cfg.Collector == nil || n <= in.folded {
 		in.folded = n
 		return
 	}
 	races := in.det.Races()[in.folded:n]
-	var window []trace.Event
-	if in.win != nil {
-		in.foldBuf = in.win.AppendEvents(in.foldBuf[:0])
-		window = in.foldBuf
-	}
 	unit := in.cfg.Unit
 	if unit == "" {
 		unit = "stream"
 	}
-	res.NewDefects += in.cfg.Collector.FoldRaces(
-		in.cfg.UnitIdx, unit, in.detName, in.cfg.Seed, races, window)
+	res.NewDefects += in.cfg.Collector.FoldWindow(
+		in.cfg.UnitIdx, unit, in.detName, in.cfg.Seed, races, in.win)
 	in.folded = n
 }

@@ -211,20 +211,34 @@ func (d *Decoder) event(atEOF bool) (Event, error) {
 	}
 	w := &d.w
 	ev.Op = Op(opb)
-	ev.G = vclock.TID(w.Uvarint())
+	g := w.Uvarint()
+	if g >= MaxGoroutines {
+		return ev, fmt.Errorf("%w: goroutine %d (max %d)", ErrIDRange, g, MaxGoroutines-1)
+	}
+	ev.G = vclock.TID(g)
 	gs := gstate(d.gs, ev.G)
 	ev.Seq = uint64(int64(d.lastSeq) + w.Varint())
 	d.lastSeq = ev.Seq
 	switch {
 	case ev.Op.IsAccess():
 		gs.lastAddr = uint64(int64(gs.lastAddr) + w.Varint())
+		if err := checkDense("address", gs.lastAddr); err != nil {
+			return ev, err
+		}
 		ev.Addr = Addr(gs.lastAddr)
 	case ev.Op == OpAcquire || ev.Op == OpRelease:
 		gs.lastObj = uint64(int64(gs.lastObj) + w.Varint())
+		if err := checkDense("object", gs.lastObj); err != nil {
+			return ev, err
+		}
 		ev.Obj = ObjID(gs.lastObj)
 		ev.Kind = ObjKind(w.Byte())
 	case ev.Op == OpFork:
-		ev.Child = vclock.TID(w.Uvarint())
+		child := w.Uvarint()
+		if child >= MaxGoroutines {
+			return ev, fmt.Errorf("%w: child goroutine %d (max %d)", ErrIDRange, child, MaxGoroutines-1)
+		}
+		ev.Child = vclock.TID(child)
 	}
 	ev.GName = w.String()
 	ev.Label = w.String()

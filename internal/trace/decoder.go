@@ -16,6 +16,36 @@ import (
 // form, which is no longer read, are both ErrNotTrace.
 var ErrNotTrace = fmt.Errorf("trace: not a binary trace: %w", wire.ErrBadMagic)
 
+// Identity bounds the decoder enforces. Detectors keep goroutine
+// clocks, sync-object clocks and default-mode shadow cells in slices
+// indexed by the raw identity, so an unbounded id would let one event
+// of a few bytes allocate in proportion to its value. Every bound
+// keeps one event's worst case, in any detector, to a few MiB; the
+// scheduler's dense identities sit far below them. Stable identities
+// (StableBit set) go through the detectors' sparse index, which costs
+// per distinct identity, and are not bounded.
+const (
+	// MaxGoroutines bounds goroutine ids, an event's G and a fork's
+	// Child: both must be below it.
+	MaxGoroutines = 1 << 16
+	// MaxDenseID bounds default-mode addresses and object ids: a
+	// non-stable Addr or ObjID must be below it.
+	MaxDenseID = 1 << 14
+)
+
+// ErrIDRange reports an event whose goroutine id, or default-mode
+// address or object id, is at or above its decoder bound.
+var ErrIDRange = errors.New("trace: identity out of range")
+
+// checkDense returns an ErrIDRange error for a non-stable id at or
+// above MaxDenseID.
+func checkDense(what string, id uint64) error {
+	if id&StableBit == 0 && id >= MaxDenseID {
+		return fmt.Errorf("%w: %s %d (max %d)", ErrIDRange, what, id, MaxDenseID-1)
+	}
+	return nil
+}
+
 // Decoder incrementally decodes a binary trace from a reader. Next
 // returns events one at a time and io.EOF at a clean end of stream, so
 // arbitrarily long traces — including live streams that have no end

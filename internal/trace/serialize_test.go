@@ -139,7 +139,9 @@ func TestSaveIsBinary(t *testing.T) {
 	}
 }
 
-// Property: arbitrary events survive the save/load round trip. Fields an op does not carry (e.g. Addr on a fork) are
+// Property: arbitrary events survive the save/load round trip, except
+// that one whose address or object id is out of the decoder's range
+// fails to load with ErrIDRange. Fields an op does not carry (e.g. Addr on a fork) are
 // normalized away by the codec, so the generated event only populates
 // the fields its op defines — exactly what the runtime emits.
 func TestRoundTripProperty(t *testing.T) {
@@ -165,6 +167,12 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		got, err := Load(&buf)
+		// A default-mode address or object id past the decoder's bound
+		// must be refused, not decoded.
+		tooWide := func(id uint64) bool { return id&StableBit == 0 && id >= MaxDenseID }
+		if tooWide(uint64(ev.Addr)) || tooWide(uint64(ev.Obj)) {
+			return errors.Is(err, ErrIDRange)
+		}
 		if err != nil || len(got.Events) != 1 {
 			return false
 		}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -146,11 +147,10 @@ func TestWindowRecorder(t *testing.T) {
 	}
 }
 
-// TestWindowAppendEventsMerges checks the k-way merge against a sort
-// of everything retained, over many goroutines whose rings have
-// wrapped at different points, and that AppendEvents keeps what dst
-// already held and reuses its storage.
-func TestWindowAppendEventsMerges(t *testing.T) {
+// TestWindowEventsMerges checks the k-way merge against a sort of
+// everything retained, over many goroutines whose rings have wrapped
+// at different points.
+func TestWindowEventsMerges(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := NewWindowRecorder(5)
 	var all []Event
@@ -170,12 +170,42 @@ func TestWindowAppendEventsMerges(t *testing.T) {
 	if got := w.Events(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Events() = %v\nwant %v", got, want)
 	}
-	prefix := Event{Seq: 1 << 40}
-	buf := make([]Event, 1, 1+len(want))
-	buf[0] = prefix
-	got := w.AppendEvents(buf)
-	if &got[0] != &buf[0] || got[0].Seq != prefix.Seq || !reflect.DeepEqual(got[1:], want) {
-		t.Fatalf("AppendEvents did not extend dst in place: %v", got)
+}
+
+// TestWindowEachReadsRingsInPlace: Each visits every retained event
+// once, each goroutine's oldest first — exactly the per-goroutine
+// subsequences of Events — over rings wrapped at different points.
+func TestWindowEachReadsRingsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	w := NewWindowRecorder(5)
+	for seq := uint64(1); seq <= 400; seq++ {
+		w.HandleEvent(Event{Seq: seq, G: vclock.TID(rng.Intn(12)), Op: OpRead})
+	}
+	want := make(map[vclock.TID][]uint64)
+	for _, ev := range w.Events() {
+		want[ev.G] = append(want[ev.G], ev.Seq)
+	}
+	got := make(map[vclock.TID][]uint64)
+	w.Each(func(ev *Event) { got[ev.G] = append(got[ev.G], ev.Seq) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Each per goroutine = %v\nwant %v", got, want)
+	}
+}
+
+// TestWindowRingsStopAtPerG: a ring grows by doubling to exactly perG
+// events and no further, whatever append would have overshot to.
+func TestWindowRingsStopAtPerG(t *testing.T) {
+	for _, perG := range []int{1, 8, 100, 1024} {
+		w := NewWindowRecorder(perG)
+		for seq := uint64(1); seq <= uint64(3*perG); seq++ {
+			w.HandleEvent(Event{Seq: seq, G: 1, Op: OpRead})
+			if c := cap(w.gs[1].buf); c > perG {
+				t.Fatalf("perG %d: ring capacity %d after %d events", perG, c, seq)
+			}
+		}
+		if c := cap(w.gs[1].buf); c != perG {
+			t.Fatalf("perG %d: full ring capacity %d", perG, c)
+		}
 	}
 }
 
@@ -246,6 +276,11 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte("GRTB"))
 	f.Add([]byte{})
 	f.Add([]byte(`{"seq":1,"g":0,"op":2,"addr":3}` + "\n"))
+	// One write whose goroutine id, or default-mode address, would
+	// size a detector's dense tables from its raw value.
+	for _, ev := range wideIDEvents() {
+		f.Add(encodeOne(f, ev))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := NewDecoder(bytes.NewReader(data))
@@ -258,9 +293,86 @@ func FuzzStreamDecode(f *testing.F) {
 		// Cap decoded events to bound fuzz-iteration time; hostile
 		// counts must not translate into allocations regardless.
 		for i := 0; i < 1<<16; i++ {
-			if _, err := dec.Next(); err != nil {
+			ev, err := dec.Next()
+			if err != nil {
 				return
+			}
+			if err := checkBounds(ev); err != nil {
+				t.Fatalf("event %d decoded out of range: %v", i, err)
 			}
 		}
 	})
+}
+
+// wideIDEvents are single events at or past the decoder's identity
+// bounds.
+func wideIDEvents() []Event {
+	return []Event{
+		{Seq: 1, G: 1 << 30, Op: OpWrite, Addr: 1},
+		{Seq: 1, G: -1, Op: OpWrite, Addr: 1},
+		{Seq: 1, G: MaxGoroutines, Op: OpRead, Addr: 1},
+		{Seq: 1, Op: OpFork, Child: 1 << 30},
+		{Seq: 1, Op: OpWrite, Addr: 1 << 28},
+		{Seq: 1, Op: OpWrite, Addr: MaxDenseID},
+		{Seq: 1, Op: OpAcquire, Obj: 1 << 28, Kind: KindMutex},
+	}
+}
+
+// encodeOne renders ev as a one-event streamed trace.
+func encodeOne(tb testing.TB, ev Event) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	if err := enc.Encode(ev); err != nil {
+		tb.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkBounds is the decoder's identity contract restated: goroutine
+// ids below MaxGoroutines, default-mode ids below MaxDenseID.
+func checkBounds(ev Event) error {
+	wide := func(id uint64) bool { return id&StableBit == 0 && id >= MaxDenseID }
+	switch {
+	case ev.G < 0 || ev.G >= MaxGoroutines, ev.Child < 0 || ev.Child >= MaxGoroutines:
+		return fmt.Errorf("goroutine %d, child %d", ev.G, ev.Child)
+	case wide(uint64(ev.Addr)), wide(uint64(ev.Obj)):
+		return fmt.Errorf("address %#x, object %#x", uint64(ev.Addr), uint64(ev.Obj))
+	}
+	return nil
+}
+
+// TestDecodeRejectsWideIDs: an event whose goroutine id or default-mode
+// identity is at or past its bound is a decode error (ErrIDRange),
+// while the ids just below the bounds, and stable identities of any
+// value, decode.
+func TestDecodeRejectsWideIDs(t *testing.T) {
+	for _, ev := range wideIDEvents() {
+		dec, err := NewDecoder(bytes.NewReader(encodeOne(t, ev)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.Next(); !errors.Is(err, ErrIDRange) {
+			t.Errorf("%+v: decode error %v, want ErrIDRange", ev, err)
+		}
+	}
+	for _, ev := range []Event{
+		{Seq: 1, G: MaxGoroutines - 1, Op: OpWrite, Addr: MaxDenseID - 1},
+		{Seq: 1, Op: OpFork, Child: MaxGoroutines - 1},
+		{Seq: 1, Op: OpAcquire, Obj: MaxDenseID - 1, Kind: KindMutex},
+		{Seq: 1, Op: OpWrite, Addr: Addr(StableBit | 1<<62)},
+		{Seq: 1, Op: OpRelease, Obj: ObjID(StableBit | 1<<40), Kind: KindMutex},
+	} {
+		dec, err := NewDecoder(bytes.NewReader(encodeOne(t, ev)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.Next()
+		if err != nil || got.G != ev.G || got.Child != ev.Child || got.Addr != ev.Addr || got.Obj != ev.Obj {
+			t.Errorf("%+v: decoded %+v, %v", ev, got, err)
+		}
+	}
 }

@@ -11,8 +11,6 @@ import "gorace/internal/vclock"
 type WindowRecorder struct {
 	perG int
 	gs   map[vclock.TID]*eventRing
-	// runs is AppendEvents' reused merge heap.
-	runs [][]Event
 }
 
 // eventRing is one goroutine's window: an append-until-full buffer
@@ -46,6 +44,13 @@ func (w *WindowRecorder) HandleEvent(ev Event) {
 		w.gs[ev.G] = rg
 	}
 	if len(rg.buf) < w.perG {
+		if len(rg.buf) == cap(rg.buf) {
+			// Double, capped at perG: append's own growth would
+			// overshoot a full ring by up to a quarter.
+			grown := make([]Event, len(rg.buf), min(2*cap(rg.buf), w.perG))
+			copy(grown, rg.buf)
+			rg.buf = grown
+		}
 		rg.buf = append(rg.buf, ev)
 		return
 	}
@@ -66,20 +71,31 @@ func (w *WindowRecorder) Retained() int {
 	return n
 }
 
-// Events returns the retained events of all goroutines merged into one
-// fresh slice in Seq order — the classify-able trace excerpt a defect
-// report keeps when it manifests mid-stream.
-func (w *WindowRecorder) Events() []Event {
-	return w.AppendEvents(make([]Event, 0, w.Retained()))
+// Each calls fn on every retained event, goroutine by goroutine (in
+// no particular goroutine order), each goroutine's window oldest
+// first. It reads the rings in place — no merge and no copy — so a
+// consumer whose result is per goroutine (classify.HintsFromWindow)
+// sees exactly the per-goroutine subsequences of Events. fn must not
+// retain the pointer past the call, nor call back into the recorder.
+func (w *WindowRecorder) Each(fn func(*Event)) {
+	for _, rg := range w.gs {
+		for i := rg.next; i < len(rg.buf); i++ {
+			fn(&rg.buf[i])
+		}
+		for i := 0; i < rg.next; i++ {
+			fn(&rg.buf[i])
+		}
+	}
 }
 
-// AppendEvents appends the retained events of all goroutines to dst in
-// Seq order and returns the extended slice, so a caller that merges
-// the window often can reuse one buffer. Each ring is already in Seq
-// order once rotated at its overwrite position, so this is a k-way
-// merge of at most two runs per goroutine, not a sort.
-func (w *WindowRecorder) AppendEvents(dst []Event) []Event {
-	h := w.runs[:0]
+// Events returns the retained events of all goroutines merged into one
+// fresh slice in Seq order — the trace excerpt a trace dir retains for
+// a defect that manifests mid-stream. Each ring is already in Seq order
+// once rotated at its overwrite position, so this is a k-way merge of
+// at most two runs per goroutine, not a sort.
+func (w *WindowRecorder) Events() []Event {
+	dst := make([]Event, 0, w.Retained())
+	h := make([][]Event, 0, 2*len(w.gs))
 	for _, rg := range w.gs {
 		if rg.next < len(rg.buf) {
 			h = append(h, rg.buf[rg.next:])
@@ -102,7 +118,6 @@ func (w *WindowRecorder) AppendEvents(dst []Event) []Event {
 	if len(h) == 1 {
 		dst = append(dst, h[0]...)
 	}
-	w.runs = h[:0] // the runs alias rings the recorder keeps anyway
 	return dst
 }
 
