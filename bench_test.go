@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -521,6 +522,41 @@ func BenchmarkTraceCodecBinary(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(size), "bytes/trace")
+}
+
+// BenchmarkTraceDecode measures the decoder alone on the streaming
+// ingest path: one 500k-event stream of the eviction-path shape (8
+// goroutines over 2^16-address ranges), pre-encoded, decoded from
+// memory per op with no listener attached.
+func BenchmarkTraceDecode(b *testing.B) {
+	const events = 500_000
+	var buf bytes.Buffer
+	spec := stream.SynthSpec{Events: events, Goroutines: 8, Addrs: 1 << 16, Planted: events / 1000, Seed: 1}
+	if err := spec.Write(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec, err := trace.NewDecoder(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for ; ; n++ {
+			if _, err := dec.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n != events {
+			b.Fatalf("decoded %d events, want %d", n, events)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
 // --- Extension: online streaming ingest under a memory ceiling ---

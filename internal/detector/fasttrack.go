@@ -131,17 +131,18 @@ func (c *ftCell) used() bool {
 //
 // Shadow memory is paged (the Evictor interface): cells are grouped in
 // pages of pagedCellsPerPage dense indices, each page owning a slab
-// while resident and carrying a last-touch tick, and under a page
-// budget the least-recently-touched page is reclaimed, its slab going
-// back to a freelist. Evicted cells lose their access history; a
+// while resident and sitting on an intrusive LRU list that every
+// access updates, and under a page budget the least-recently-touched
+// page (the list's head) is reclaimed in O(1), its slab going back to
+// a freelist. Evicted cells lose their access history; a
 // re-accessed evicted address restarts in epoch form as if never seen,
 // so races straddling an eviction are missed (false negatives only —
 // clearing history can never fabricate a happens-before violation, so
 // every report remains one the unbudgeted detector would also make).
-// Evictions and Reloads in Stats quantify the tradeoff. The clock
-// ticks once per access, not on wall-time or GC pressure: the same
-// event stream under the same budget always evicts the same pages at
-// the same points. With no budget (the default) nothing is ever
+// Evictions and Reloads in Stats quantify the tradeoff. Recency is
+// the order of accesses, not wall-time or GC pressure: the same event
+// stream under the same budget always evicts the same pages at the
+// same points. With no budget (the default) nothing is ever
 // evicted.
 type FastTrack struct {
 	hb
@@ -162,10 +163,13 @@ type FastTrack struct {
 	freeReaders []uint32
 	// Paging state (paged.go): the budget survives Reset, the rest
 	// rewinds with it.
-	maxPages           int
-	tick               uint64
-	pages              []shadowPage
-	resident           []int32    // indices of resident pages, unordered
+	maxPages int
+	pages    []shadowPage
+	// head and tail are the least and most recently touched resident
+	// pages; cur is the page of the access in progress, which promote
+	// and demote account to (an index: growing pages moves them).
+	head, tail, cur    int32
+	nResident          int
 	freeSlabs          [][]ftCell // slabs of evicted pages, for reuse
 	evictions, reloads int
 	// MaxReportsPerCell caps reports from a single cell so a racy
@@ -180,6 +184,8 @@ func NewFastTrack() *FastTrack {
 		locks:             newLockTracker(),
 		metas:             make([]ftMeta, 1),
 		metaIx:            make(map[metaKey]uint32),
+		head:              noPage,
+		tail:              noPage,
 		MaxReportsPerCell: 8,
 	}
 }
@@ -211,10 +217,10 @@ func (ft *FastTrack) Stats() Stats {
 // returned by Races are invalidated.
 func (ft *FastTrack) Reset() {
 	ft.hb.reset()
-	for _, pg := range ft.resident {
+	for pg := ft.head; pg != noPage; pg = ft.pages[pg].next {
 		ft.freeSlabs = append(ft.freeSlabs, ft.pages[pg].cells[:0])
 	}
-	ft.resident = ft.resident[:0]
+	ft.head, ft.tail, ft.nResident = noPage, noPage, 0
 	ft.pages = ft.pages[:0]
 	// Teardown, not demotions: the counters describe the event stream,
 	// so Reset does not touch them.
@@ -227,13 +233,12 @@ func (ft *FastTrack) Reset() {
 	clear(ft.metaIx)
 	ft.locks.reset()
 	ft.races = ft.races[:0]
-	ft.tick = 0
 	ft.evictions, ft.reloads = 0, 0
 }
 
-// promote moves c to a readers list holding a then b, drawing the
-// list from the freelist or allocating the first time a promotion
-// outruns it.
+// promote moves c, a cell of the current access's page, to a readers
+// list holding a then b, drawing the list from the freelist or
+// allocating the first time a promotion outruns it.
 func (ft *FastTrack) promote(c *ftCell, a, b ftAccess) {
 	var i uint32
 	if n := len(ft.freeReaders); n > 0 {
@@ -245,34 +250,41 @@ func (ft *FastTrack) promote(c *ftCell, a, b ftAccess) {
 	}
 	ft.readers[i] = append(ft.readers[i][:0], a, b)
 	c.readers = i + 1
+	ft.pages[ft.cur].promoted++
 }
 
-// demote parks c's readers list for the next promotion.
-func (ft *FastTrack) demote(c *ftCell) {
+// demote parks the readers list of c, a cell of page p, for the next
+// promotion.
+func (ft *FastTrack) demote(p *shadowPage, c *ftCell) {
 	ft.freeReaders = append(ft.freeReaders, c.readers-1)
 	c.readers = 0
+	p.promoted--
 }
 
 // cell returns the shadow cell for a, after the access's page
-// bookkeeping: one tick of the paging clock (cell runs exactly once per
-// access), and the touch of the cell's page, faulting it in first if
-// needed. The returned pointer is only valid until the next cell call
-// (slab growth may move it).
+// bookkeeping (cell runs exactly once per access): the cell's page is
+// faulted in if needed and becomes the most recently touched. The
+// returned pointer is only valid until the next cell call (slab growth
+// may move it).
 func (ft *FastTrack) cell(a trace.Addr) *ftCell {
 	i := ft.addrIx.local(uint64(a))
-	ft.tick++
 	pg, slot := int(i/pagedCellsPerPage), int(i%pagedCellsPerPage)
-	if pg >= len(ft.pages) || !ft.pages[pg].resident || (ft.maxPages > 0 && len(ft.resident) > ft.maxPages) {
+	if pg >= len(ft.pages) || !ft.pages[pg].resident || (ft.maxPages > 0 && ft.nResident > ft.maxPages) {
 		ft.faultPage(pg)
 	}
+	if int32(pg) != ft.tail {
+		ft.unlink(pg)
+		ft.linkTail(pg)
+	}
+	ft.cur = int32(pg)
 	p := &ft.pages[pg]
-	p.touch = ft.tick
 	if slot >= len(p.cells) {
 		p.cells = growSlab(p.cells, slot)
 	}
 	c := &p.cells[slot]
 	if !c.used() {
 		ft.cellCount++
+		p.used++
 	}
 	return c
 }
@@ -422,7 +434,7 @@ func (ft *FastTrack) write(ev trace.Event) {
 		// Demote: the write subsumes the ordered read history and the
 		// concurrent readers were just reported, so the list goes back
 		// to the freelist for the next promotion.
-		ft.demote(c)
+		ft.demote(&ft.pages[ft.cur], c)
 		ft.adapt.demotions++
 	} else if r := c.read; r.meta != 0 && r.g != ev.G && r.time > cur.Get(r.g) && !(r.atomic && ev.Op.IsAtomic()) {
 		ft.report(ev, c, r)

@@ -28,13 +28,23 @@ type Evictor interface {
 
 // shadowPage is the paging state of one page of FastTrack's shadow
 // memory. A resident page owns a slab of cells, grown only to the
-// highest slot the page has touched; an evicted page owns none.
+// highest slot the page has touched, and sits on the detector's LRU
+// list; an evicted page owns none and is on no list.
 type shadowPage struct {
-	cells    []ftCell
-	touch    uint64 // access tick of the last touch
-	resident bool
-	wasEver  bool // evicted at least once
+	cells []ftCell
+	// prev and next link the resident pages from least to most
+	// recently touched (noPage ends the list).
+	prev, next int32
+	// used counts the slab's cells holding access history, promoted
+	// those holding a readers list, so eviction releases a page in
+	// O(1) unless it must hand reader lists back.
+	used, promoted uint16
+	resident       bool
+	wasEver        bool // evicted at least once
 }
+
+// noPage is the nil page index of the LRU list.
+const noPage = -1
 
 // growSlab extends a page's slab to hold slot, returning the longer
 // slab. Capacity doubles (at least to slot+1) and is capped at
@@ -73,13 +83,12 @@ func (ft *FastTrack) PageBytes() int {
 }
 
 // LivePages implements Evictor.
-func (ft *FastTrack) LivePages() int { return len(ft.resident) }
+func (ft *FastTrack) LivePages() int { return ft.nResident }
 
 // faultPage is the slow path of the per-access page bookkeeping that
 // cell runs: page pg is not resident (or the budget is exceeded), so
-// fault it in with a slab from the freelist and evict past the budget.
-// The caller stamps the page's touch tick afterwards; eviction never
-// picks pg, so the order does not matter.
+// fault it in with a slab from the freelist, as the most recently
+// touched page, and evict past the budget.
 func (ft *FastTrack) faultPage(pg int) {
 	for pg >= len(ft.pages) {
 		ft.pages = append(ft.pages, shadowPage{})
@@ -87,7 +96,8 @@ func (ft *FastTrack) faultPage(pg int) {
 	p := &ft.pages[pg]
 	if !p.resident {
 		p.resident = true
-		ft.resident = append(ft.resident, int32(pg))
+		ft.nResident++
+		ft.linkTail(pg)
 		if n := len(ft.freeSlabs); n > 0 {
 			p.cells = ft.freeSlabs[n-1]
 			ft.freeSlabs[n-1] = nil
@@ -97,46 +107,65 @@ func (ft *FastTrack) faultPage(pg int) {
 			ft.reloads++
 		}
 	}
-	if ft.maxPages > 0 && len(ft.resident) > ft.maxPages {
+	if ft.maxPages > 0 && ft.nResident > ft.maxPages {
 		ft.evictColdest(pg)
 	}
 }
 
-// evictColdest reclaims the least-recently-touched resident page other
-// than keep (the page the current access needs), scanning only the
-// resident pages. Ties break toward the lowest page index, keeping
-// eviction order a pure function of the event stream.
-func (ft *FastTrack) evictColdest(keep int) {
-	at, victim := -1, -1
-	var best uint64
-	for i, pg := range ft.resident {
-		p := &ft.pages[pg]
-		if int(pg) == keep {
-			continue
-		}
-		if victim == -1 || p.touch < best || (p.touch == best && int(pg) < victim) {
-			at, victim, best = i, int(pg), p.touch
-		}
+// linkTail appends resident page pg to the LRU list as its most
+// recently touched page.
+func (ft *FastTrack) linkTail(pg int) {
+	p := &ft.pages[pg]
+	p.prev, p.next = ft.tail, noPage
+	if ft.tail == noPage {
+		ft.head = int32(pg)
+	} else {
+		ft.pages[ft.tail].next = int32(pg)
 	}
-	if victim == -1 {
+	ft.tail = int32(pg)
+}
+
+// unlink removes resident page pg from the LRU list.
+func (ft *FastTrack) unlink(pg int) {
+	p := &ft.pages[pg]
+	if p.prev == noPage {
+		ft.head = p.next
+	} else {
+		ft.pages[p.prev].next = p.next
+	}
+	if p.next == noPage {
+		ft.tail = p.prev
+	} else {
+		ft.pages[p.next].prev = p.prev
+	}
+}
+
+// evictColdest reclaims the least-recently-touched resident page other
+// than keep (the page the current access needs): the LRU list's head,
+// or the page after it when the head is keep, which happens only after
+// the budget was lowered below the resident count. Every access moves
+// its page to the tail, so the list is exactly the pages' touch order,
+// and eviction order is a pure function of the event stream.
+func (ft *FastTrack) evictColdest(keep int) {
+	victim := int(ft.head)
+	if victim == keep {
+		victim = int(ft.pages[victim].next)
+	}
+	if victim == noPage {
 		return // budget of 1 with only the current page resident
 	}
 	p := &ft.pages[victim]
-	for i := range p.cells {
-		c := &p.cells[i]
-		if !c.used() {
-			continue
+	ft.cellCount -= int(p.used)
+	for i := 0; p.promoted > 0; i++ {
+		if c := &p.cells[i]; c.readers != 0 {
+			ft.demote(p, c)
 		}
-		if c.readers != 0 {
-			ft.demote(c)
-		}
-		ft.cellCount--
 	}
 	// The slab is parked as-is: growSlab zeroes every cell it exposes,
 	// so a reused slab never leaks the evicted history.
 	ft.freeSlabs = append(ft.freeSlabs, p.cells[:0])
-	ft.resident[at] = ft.resident[len(ft.resident)-1]
-	ft.resident = ft.resident[:len(ft.resident)-1]
-	p.cells, p.resident, p.wasEver = nil, false, true
+	ft.unlink(victim)
+	ft.nResident--
+	p.cells, p.used, p.resident, p.wasEver = nil, 0, false, true
 	ft.evictions++
 }

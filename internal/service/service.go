@@ -100,8 +100,9 @@ type Config struct {
 	IngestWindow int
 	// IngestCeilingMiB bounds each ingest's detector shadow memory in
 	// MiB (default 0 = unbounded). Under a ceiling the detector's
-	// shadow pages are evicted least-recently-touched first; see
-	// docs/STREAMING.md for the soundness tradeoff.
+	// shadow pages are evicted least-recently-touched first, in the
+	// order of the ingest's own accesses; see docs/STREAMING.md for
+	// the soundness tradeoff.
 	IngestCeilingMiB int
 	// Logger receives request and job logs (default: discard).
 	Logger *log.Logger

@@ -15,7 +15,8 @@
 //     plain post-facto replay retains no events at all;
 //   - shadow memory is paged and evictable (detector.Evictor, which
 //     FastTrack implements): past the configured ceiling the
-//     least-recently-touched shadow pages are reclaimed. Eviction
+//     least-recently-touched shadow page is reclaimed, the head of
+//     the detector's LRU list, in O(1) per eviction. Eviction
 //     forgets access history, so races straddling an evicted page are
 //     missed — false negatives only, never false positives; the
 //     contract is spelled out in docs/STREAMING.md.

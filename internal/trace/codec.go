@@ -66,8 +66,8 @@ const codecVersion = 1
 // front.
 const codecStreamed = ^uint64(0)
 
-// gCodecState is the per-goroutine prediction context shared (in
-// shape) by the encoder and decoder.
+// gCodecState is the encoder's per-goroutine prediction context; the
+// decoder keeps the same bases in decG.
 type gCodecState struct {
 	lastAddr  uint64
 	lastObj   uint64
@@ -105,17 +105,17 @@ func (e *encoder) emit() {
 	e.ResetBytes()
 }
 
-func gstate(gs map[vclock.TID]*gCodecState, g vclock.TID) *gCodecState {
-	st, ok := gs[g]
+func (e *encoder) gstate(g vclock.TID) *gCodecState {
+	st, ok := e.gs[g]
 	if !ok {
 		st = &gCodecState{}
-		gs[g] = st
+		e.gs[g] = st
 	}
 	return st
 }
 
 func (e *encoder) event(ev Event) {
-	gs := gstate(e.gs, ev.G)
+	gs := e.gstate(ev.G)
 	e.Byte(byte(ev.Op))
 	e.Uvarint(uint64(ev.G))
 	e.Varint(int64(ev.Seq) - int64(e.lastSeq))
@@ -216,7 +216,7 @@ func (d *Decoder) event(atEOF bool) (Event, error) {
 		return ev, fmt.Errorf("%w: goroutine %d (max %d)", ErrIDRange, g, MaxGoroutines-1)
 	}
 	ev.G = vclock.TID(g)
-	gs := gstate(d.gs, ev.G)
+	gs := d.gstate(g)
 	ev.Seq = uint64(int64(d.lastSeq) + w.Varint())
 	d.lastSeq = ev.Seq
 	switch {
@@ -243,10 +243,10 @@ func (d *Decoder) event(atEOF bool) (Event, error) {
 	ev.GName = w.String()
 	ev.Label = w.String()
 	if depth := w.Uvarint(); depth == 0 {
-		ev.Stack = d.stacks[ev.G]
+		ev.Stack = gs.stack
 	} else if d.frames = w.Frames(d.frames, depth-1); w.Err() == nil {
 		ev.Stack = d.depot.Intern(d.frames)
-		d.stacks[ev.G] = ev.Stack
+		gs.stack = ev.Stack
 	}
 	return ev, w.Err()
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"gorace/internal/stack"
-	"gorace/internal/vclock"
 	"gorace/internal/wire"
 )
 
@@ -56,10 +55,9 @@ func checkDense(what string, id uint64) error {
 type Decoder struct {
 	br *bufio.Reader
 	w  wire.Decoder
-	gs map[vclock.TID]*gCodecState
-	// stacks caches the Context built for each goroutine's current
-	// frame list, so the "same stack" marker reuses one allocation.
-	stacks map[vclock.TID]stack.Context
+	// gs is the per-goroutine prediction context, indexed by G and
+	// grown on demand; MaxGoroutines bounds its length.
+	gs []decG
 	// depot interns decoded contexts across goroutines and stack
 	// switches: a stream that revisits the same call sites millions of
 	// times materializes each Context once.
@@ -74,16 +72,33 @@ type Decoder struct {
 	err     error
 }
 
+// decG is one goroutine's decoder state: the bases its address and
+// object deltas apply to, and the Context of its current frame list,
+// which the "same stack" marker reuses without an allocation.
+type decG struct {
+	lastAddr, lastObj uint64
+	stack             stack.Context
+}
+
+// gstate returns g's decoder state, growing gs to cover g; the caller
+// has checked g against MaxGoroutines.
+func (d *Decoder) gstate(g uint64) *decG {
+	if g >= uint64(len(d.gs)) {
+		grown := make([]decG, min(max(2*uint64(len(d.gs)), g+1), MaxGoroutines))
+		copy(grown, d.gs)
+		d.gs = grown
+	}
+	return &d.gs[g]
+}
+
 // NewDecoder reads the trace header from r and returns a decoder
 // positioned at the first event. Input without the GRTB magic fails
 // with ErrNotTrace before more than the magic is read. The reader is
 // buffered internally; the caller must not read from r afterwards.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	d := &Decoder{
-		br:     bufio.NewReader(r),
-		gs:     make(map[vclock.TID]*gCodecState),
-		stacks: make(map[vclock.TID]stack.Context),
-		depot:  stack.NewDepot(),
+		br:    bufio.NewReader(r),
+		depot: stack.NewDepot(),
 	}
 	d.w.Reset(d.br)
 	d.w.Header(codecMagic, codecVersion)

@@ -376,3 +376,29 @@ func TestDecodeRejectsWideIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeWidestGoroutineBounded: the decoder's per-goroutine state
+// is a slice indexed by G, so one event from the widest legal
+// goroutine sizes it to MaxGoroutines entries. That must stay a few
+// MiB, not grow past the bound.
+func TestDecodeWidestGoroutineBounded(t *testing.T) {
+	in := encodeOne(t, Event{Seq: 1, G: MaxGoroutines - 1, Op: OpWrite, Addr: 1})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dec, err := NewDecoder(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := dec.Next()
+	runtime.ReadMemStats(&after)
+	if err != nil || ev.G != MaxGoroutines-1 {
+		t.Fatalf("decoded %+v, %v", ev, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("decoding one event of goroutine %d allocated %d bytes, want under 4 MiB", ev.G, alloc)
+	}
+	if len(dec.gs) != MaxGoroutines {
+		t.Fatalf("decoder holds %d goroutine states, want %d", len(dec.gs), MaxGoroutines)
+	}
+}
