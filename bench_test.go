@@ -641,6 +641,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 // ceiling, one 100k-event stream per op. The working set outgrows the
 // ceiling's page budget, so every op faults, evicts and reloads shadow
 // pages and probes the sparse address index on every access.
+// retained-MiB is the heap the last op's live Ingestor holds after its
+// stream, measured between garbage collections with the timer stopped.
 func BenchmarkStreamIngestEvict(b *testing.B) {
 	const ceilingMiB = 16
 	spec := stream.SynthSpec{
@@ -662,7 +664,15 @@ func BenchmarkStreamIngestEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	evictions := 0
+	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
+		last := i == b.N-1
+		if last {
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
+		}
 		ing, err := stream.NewIngestor(stream.Config{
 			MemCeilingMiB: ceilingMiB,
 			Collector:     corpus.NewCollector("evict"),
@@ -678,8 +688,15 @@ func BenchmarkStreamIngestEvict(b *testing.B) {
 			b.Fatal("the stream fit the ceiling; nothing was evicted")
 		}
 		evictions += res.Stats.Evictions
+		if last {
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(ing)
+		}
 	}
 	b.ReportMetric(float64(evictions)/float64(b.N), "evictions/op")
+	b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/(1<<20), "retained-MiB")
 }
 
 // --- Extension: the streaming sweep campaign engine ---

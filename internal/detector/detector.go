@@ -239,6 +239,16 @@ func (lt *lockTracker) setID(g vclock.TID) uint32 {
 	return v.set
 }
 
+// maxLockLabels caps an interned held-label list: a goroutine holding
+// more locks is labelled with its first maxLockLabels (write-held
+// first, each in acquisition order), then lockOverflow. Without the
+// cap a stream that acquires and never releases interns a list of
+// every depth 1…n, quadratic in n; with it a new set costs O(1).
+const maxLockLabels = 32
+
+// lockOverflow ends a held-label list cut at maxLockLabels.
+const lockOverflow = "…"
+
 // intern returns the id of the label list of write-held w then
 // read-held r, adding the list on first sight. A repeated lock set
 // costs one map probe and no allocation.
@@ -246,8 +256,11 @@ func (lt *lockTracker) intern(w, r []lockEntry) uint32 {
 	if len(w)+len(r) == 0 {
 		return 0
 	}
+	cut := len(w)+len(r) > maxLockLabels
+	w = w[:min(len(w), maxLockLabels)]
+	r = r[:min(len(r), maxLockLabels-len(w))]
 	// Length-prefixed labels keep the encoding unambiguous whatever
-	// bytes a label holds.
+	// bytes a label holds; only a cut list has a label past the cap.
 	key := lt.keyBuf[:0]
 	for _, e := range w {
 		key = binary.AppendUvarint(key, uint64(len(e.label)))
@@ -258,16 +271,23 @@ func (lt *lockTracker) intern(w, r []lockEntry) uint32 {
 		key = append(key, e.label...)
 		key = append(key, readSuffix...)
 	}
+	if cut {
+		key = binary.AppendUvarint(key, uint64(len(lockOverflow)))
+		key = append(key, lockOverflow...)
+	}
 	lt.keyBuf = key
 	if id, ok := lt.setIx[string(key)]; ok {
 		return id
 	}
-	labels := make([]string, 0, len(w)+len(r))
+	labels := make([]string, 0, len(w)+len(r)+1)
 	for _, e := range w {
 		labels = append(labels, e.label)
 	}
 	for _, e := range r {
 		labels = append(labels, e.label+readSuffix)
+	}
+	if cut {
+		labels = append(labels, lockOverflow)
 	}
 	id := uint32(len(lt.sets))
 	lt.sets = append(lt.sets, labels)

@@ -15,11 +15,11 @@ import (
 type DJIT struct {
 	hb
 	verdicts
-	cells []djitCell
+	cells cellTable[djitCell]
 }
 
-// djitCell holds the four per-cell history clocks by value, in a dense
-// slice indexed by Addr. Each history is an adaptive clock: one packed
+// djitCell holds the four per-cell history clocks by value, in a
+// cellTable. Each history is an adaptive clock: one packed
 // epoch word while a single goroutine touches it, inflated to a pooled
 // full vector clock on the first second-goroutine touch. AdaptiveClock
 // preserves every component exactly, so DJIT's per-component verdict
@@ -57,8 +57,7 @@ func (d *DJIT) Stats() Stats { return d.statsOf(d.count) }
 // to the pool.
 func (d *DJIT) Reset() {
 	d.hb.reset()
-	for i := range d.cells {
-		c := &d.cells[i]
+	d.cells.reset(func(c *djitCell) {
 		c.seen = false
 		// Inflated histories return their clocks to the pool now;
 		// teardown is not a demotion, so the counters stay untouched.
@@ -66,18 +65,14 @@ func (d *DJIT) Reset() {
 		c.reads.ReleaseTo(d.pool)
 		c.atomicWrites.ReleaseTo(d.pool)
 		c.atomicReads.ReleaseTo(d.pool)
-	}
+	})
 	d.verdicts.reset()
 }
 
 // cell returns the shadow cell for a. The pointer is only valid until
 // the next cell call.
 func (d *DJIT) cell(a trace.Addr) *djitCell {
-	a = trace.Addr(d.addrIx.local(uint64(a)))
-	for int(a) >= len(d.cells) {
-		d.cells = append(d.cells, djitCell{})
-	}
-	c := &d.cells[a]
+	c := d.cells.at(a)
 	if !c.seen {
 		c.seen = true
 		d.cellCount++

@@ -16,11 +16,11 @@ import (
 type Epoch struct {
 	hb
 	verdicts
-	cells []epochCell
+	cells cellTable[epochCell]
 }
 
-// epochCell is one cell's shadow word, stored by value in a dense
-// slice indexed by Addr. A cell is lazily initialized on first touch
+// epochCell is one cell's shadow word, stored by value in a
+// cellTable. A cell is lazily initialized on first touch
 // (seen=false) because the zero Epoch is not NoEpoch.
 type epochCell struct {
 	seen        bool
@@ -51,26 +51,21 @@ func (e *Epoch) Stats() Stats { return e.statsOf(e.count) }
 // without reallocation.
 func (e *Epoch) Reset() {
 	e.hb.reset()
-	for i := range e.cells {
-		c := &e.cells[i]
+	e.cells.reset(func(c *epochCell) {
 		c.seen = false
 		// Inflated read clocks must come back to the pool now, not
 		// lazily on the cell's next touch — a run that never revisits
 		// this address would otherwise strand them.
 		c.reads.ReleaseTo(e.pool)
 		c.atomicReads.ReleaseTo(e.pool)
-	}
+	})
 	e.verdicts.reset()
 }
 
 // cell returns the shadow cell for a, initializing it on first touch.
 // The pointer is only valid until the next cell call.
 func (e *Epoch) cell(a trace.Addr) *epochCell {
-	a = trace.Addr(e.addrIx.local(uint64(a)))
-	for int(a) >= len(e.cells) {
-		e.cells = append(e.cells, epochCell{})
-	}
-	c := &e.cells[a]
+	c := e.cells.at(a)
 	if !c.seen {
 		c.seen = true
 		c.write = vclock.NoEpoch

@@ -32,7 +32,7 @@ func (s eraserState) String() string {
 	}
 }
 
-// eraserCell lives by value in a dense slice indexed by Addr; its zero
+// eraserCell lives by value in a cellTable; its zero
 // value (state stVirgin) is a valid fresh cell, so no per-cell
 // initialization or allocation happens on first touch.
 type eraserCell struct {
@@ -56,9 +56,8 @@ type eraserCell struct {
 // imprecision §3.1 notes ("may include races that may never manifest").
 type Eraser struct {
 	locks     *lockTracker
-	cells     []eraserCell
+	cells     cellTable[eraserCell]
 	cellCount int
-	addrIx    sparseIndex
 	races     []report.Race
 	stats     statCounter
 }
@@ -72,11 +71,8 @@ func NewEraser() *Eraser {
 // lock tracker emptied, keeping all buffers for the next run. Slices
 // previously returned by Races are invalidated.
 func (e *Eraser) Reset() {
-	for i := range e.cells {
-		e.cells[i] = eraserCell{}
-	}
+	e.cells.reset(func(c *eraserCell) { *c = eraserCell{} })
 	e.cellCount = 0
-	e.addrIx.reset()
 	e.locks.reset()
 	e.races = e.races[:0]
 	e.stats = statCounter{}
@@ -98,9 +94,8 @@ func (e *Eraser) RaceCount() int { return len(e.races) }
 
 // CellState exposes a cell's state machine position, for tests.
 func (e *Eraser) CellState(a trace.Addr) string {
-	a = trace.Addr(e.addrIx.local(uint64(a)))
-	if int(a) < len(e.cells) && e.cells[a].seen {
-		return e.cells[a].state.String()
+	if c := e.cells.at(a); c.seen {
+		return c.state.String()
 	}
 	return stVirgin.String()
 }
@@ -116,11 +111,7 @@ func (e *Eraser) HandleEvent(ev trace.Event) {
 		// accesses, by the lockset algorithm.
 		return
 	}
-	idx := trace.Addr(e.addrIx.local(uint64(ev.Addr)))
-	for int(idx) >= len(e.cells) {
-		e.cells = append(e.cells, eraserCell{})
-	}
-	c := &e.cells[idx]
+	c := e.cells.at(ev.Addr)
 	if !c.seen {
 		c.seen = true
 		e.cellCount++

@@ -134,7 +134,10 @@ func (c *ftCell) used() bool {
 // while resident and sitting on an intrusive LRU list that every
 // access updates, and under a page budget the least-recently-touched
 // page (the list's head) is reclaimed in O(1), its slab going back to
-// a freelist. Evicted cells lose their access history; a
+// a freelist. Stable identities take cells on id pages in first-touch
+// order, and an evicted id page releases its identities from the
+// address index, so identity state is bounded by resident pages too.
+// Evicted cells lose their access history; a
 // re-accessed evicted address restarts in epoch form as if never seen,
 // so races straddling an eviction are missed (false negatives only —
 // clearing history can never fabricate a happens-before violation, so
@@ -161,6 +164,8 @@ type FastTrack struct {
 	// the detector.
 	readers     [][]ftAccess
 	freeReaders []uint32
+	// addrIx numbers stable identities for their id pages (paged.go).
+	addrIx sparseIndex
 	// Paging state (paged.go): the budget survives Reset, the rest
 	// rewinds with it.
 	maxPages int
@@ -172,6 +177,16 @@ type FastTrack struct {
 	nResident          int
 	freeSlabs          [][]ftCell // slabs of evicted pages, for reuse
 	evictions, reloads int
+	// Stable identities are numbered page by page (paged.go): fill is
+	// the id page new identities take slots on (noPage: none), filled
+	// the slots it has handed out, idPages the id pages ever opened
+	// and freeIDPages those eviction released. evicted is the table of
+	// recently evicted identities, allocated by the first release.
+	fill        int32
+	filled      int
+	idPages     int
+	freeIDPages []int32
+	evicted     []uint64
 	// MaxReportsPerCell caps reports from a single cell so a racy
 	// loop does not flood the output (default 8).
 	MaxReportsPerCell int
@@ -186,6 +201,7 @@ func NewFastTrack() *FastTrack {
 		metaIx:            make(map[metaKey]uint32),
 		head:              noPage,
 		tail:              noPage,
+		fill:              noPage,
 		MaxReportsPerCell: 8,
 	}
 }
@@ -222,6 +238,10 @@ func (ft *FastTrack) Reset() {
 	}
 	ft.head, ft.tail, ft.nResident = noPage, noPage, 0
 	ft.pages = ft.pages[:0]
+	ft.addrIx.reset()
+	ft.fill, ft.filled, ft.idPages = noPage, 0, 0
+	ft.freeIDPages = ft.freeIDPages[:0]
+	clear(ft.evicted)
 	// Teardown, not demotions: the counters describe the event stream,
 	// so Reset does not touch them.
 	ft.freeReaders = ft.freeReaders[:0]
@@ -267,7 +287,10 @@ func (ft *FastTrack) demote(p *shadowPage, c *ftCell) {
 // returned pointer is only valid until the next cell call (slab growth
 // may move it).
 func (ft *FastTrack) cell(a trace.Addr) *ftCell {
-	i := ft.addrIx.local(uint64(a))
+	i := uint64(a)
+	if i&trace.StableBit != 0 {
+		i = ft.stableCell(i)
+	}
 	pg, slot := int(i/pagedCellsPerPage), int(i%pagedCellsPerPage)
 	if pg >= len(ft.pages) || !ft.pages[pg].resident || (ft.maxPages > 0 && ft.nResident > ft.maxPages) {
 		ft.faultPage(pg)

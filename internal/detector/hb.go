@@ -22,7 +22,6 @@ type hb struct {
 	objClocks []*vclock.VC
 	objCount  int
 	objIx     sparseIndex
-	addrIx    sparseIndex
 	cellCount int
 	stats     statCounter
 	adapt     adaptCounter
@@ -50,7 +49,6 @@ func (h *hb) reset() {
 	h.objClocks = h.objClocks[:0]
 	h.objCount = 0
 	h.objIx.reset()
-	h.addrIx.reset()
 	h.cellCount = 0
 	h.stats = statCounter{}
 	h.adapt = adaptCounter{}

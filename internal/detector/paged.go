@@ -1,6 +1,10 @@
 package detector
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"gorace/internal/trace"
+)
 
 // pagedCellsPerPage is the shadow-page granularity: cells are grouped
 // into pages of this many consecutive dense indices, and eviction
@@ -9,6 +13,15 @@ import "unsafe"
 // access, small enough that one eviction does not blow away a large
 // fraction of the working set.
 const pagedCellsPerPage = 256
+
+// stablePage0 is the first id page's page number. Stable identities
+// take cell indices from trace.MaxDenseID up, so id pages sit above
+// every page a decoded stream's default-mode addresses can reach.
+const stablePage0 = trace.MaxDenseID / pagedCellsPerPage
+
+// evictedBits sizes the direct-mapped table of recently evicted stable
+// identities that Reloads counts hits in: 1 << evictedBits words.
+const evictedBits = 12
 
 // Evictor is implemented by detectors whose shadow memory is paged and
 // evictable, the hook streaming ingest (internal/stream) uses to hold
@@ -40,7 +53,7 @@ type shadowPage struct {
 	// O(1) unless it must hand reader lists back.
 	used, promoted uint16
 	resident       bool
-	wasEver        bool // evicted at least once
+	wasEver        bool // a dense page evicted at least once
 }
 
 // noPage is the nil page index of the LRU list.
@@ -90,8 +103,10 @@ func (ft *FastTrack) LivePages() int { return ft.nResident }
 // fault it in with a slab from the freelist, as the most recently
 // touched page, and evict past the budget.
 func (ft *FastTrack) faultPage(pg int) {
-	for pg >= len(ft.pages) {
-		ft.pages = append(ft.pages, shadowPage{})
+	if pg >= len(ft.pages) {
+		// One growth, not one per page: a stable stream's first id page
+		// is page stablePage0.
+		ft.pages = append(ft.pages, make([]shadowPage, pg+1-len(ft.pages))...)
 	}
 	p := &ft.pages[pg]
 	if !p.resident {
@@ -110,6 +125,62 @@ func (ft *FastTrack) faultPage(pg int) {
 	if ft.maxPages > 0 && ft.nResident > ft.maxPages {
 		ft.evictColdest(pg)
 	}
+}
+
+// stableCell returns the cell index of stable identity v: its slot on
+// an id page, or, on its first touch since it was last released, the
+// next slot of the fill page. A hit costs one index probe.
+func (ft *FastTrack) stableCell(v uint64) uint64 {
+	s, at := ft.addrIx.find(v)
+	if s == 0 {
+		s = ft.claimSlot() + 1
+		ft.addrIx.insert(v, s-1, at)
+		if ft.evicted != nil && ft.evicted[v*fibHash>>(64-evictedBits)] == v {
+			ft.reloads++
+		}
+	}
+	return trace.MaxDenseID - 1 + uint64(s)
+}
+
+// claimSlot hands out the next slot of the fill page as an index into
+// the address index's keys: id page f holds keys f*256 … f*256+255 and
+// is shadow page stablePage0+f. A full or evicted fill page is
+// replaced by a released id page, or by a new one when none is free,
+// so the id pages ever opened are bounded by the pages resident at
+// once.
+func (ft *FastTrack) claimSlot() uint32 {
+	if ft.fill == noPage || ft.filled == pagedCellsPerPage {
+		if n := len(ft.freeIDPages); n > 0 {
+			ft.fill = ft.freeIDPages[n-1]
+			ft.freeIDPages = ft.freeIDPages[:n-1]
+		} else {
+			ft.fill = int32(ft.idPages)
+			ft.idPages++
+		}
+		ft.filled = 0
+	}
+	ft.filled++
+	return uint32(ft.fill)*pagedCellsPerPage + uint32(ft.filled-1)
+}
+
+// releaseIDs removes the identities of evicted id page f from the
+// address index, remembering each as recently evicted, and frees the
+// page number for a later fill page. Only the fill page holds fewer
+// than a full page of identities.
+func (ft *FastTrack) releaseIDs(f int) {
+	n := pagedCellsPerPage
+	if f == int(ft.fill) {
+		n, ft.fill = ft.filled, noPage
+	}
+	if ft.evicted == nil {
+		ft.evicted = make([]uint64, 1<<evictedBits)
+	}
+	for k := uint32(f * pagedCellsPerPage); k < uint32(f*pagedCellsPerPage+n); k++ {
+		v := ft.addrIx.keys[k]
+		ft.evicted[v*fibHash>>(64-evictedBits)] = v
+		ft.addrIx.remove(k)
+	}
+	ft.freeIDPages = append(ft.freeIDPages, int32(f))
 }
 
 // linkTail appends resident page pg to the LRU list as its most
@@ -166,6 +237,11 @@ func (ft *FastTrack) evictColdest(keep int) {
 	ft.freeSlabs = append(ft.freeSlabs, p.cells[:0])
 	ft.unlink(victim)
 	ft.nResident--
-	p.cells, p.used, p.resident, p.wasEver = nil, 0, false, true
+	p.cells, p.used, p.resident = nil, 0, false
+	if f := victim - stablePage0; f >= 0 && f < ft.idPages {
+		ft.releaseIDs(f)
+	} else {
+		p.wasEver = true
+	}
 	ft.evictions++
 }

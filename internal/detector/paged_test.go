@@ -1,6 +1,8 @@
 package detector
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -212,5 +214,115 @@ func TestSameFrames(t *testing.T) {
 	}
 	if !sameFrames(stack.Context{}, stack.NewContext()) {
 		t.Error("empty contexts differ")
+	}
+}
+
+// idPageKeys returns the identities id page pg holds: its live keys in
+// the address index.
+func idPageKeys(ft *FastTrack, pg int) []uint64 {
+	var out []uint64
+	for k, v := range ft.addrIx.keys {
+		if v != 0 && stablePage0+k/pagedCellsPerPage == pg {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkIDPages requires the address index to hold exactly the
+// identities of resident id pages, the fill page to be off the free
+// list, every free id page to be non-resident, and the id pages ever
+// opened to stay within the budget plus the fill page.
+func checkIDPages(t *testing.T, ft *FastTrack, budget int, when string) {
+	t.Helper()
+	onResident := 0
+	for k, v := range ft.addrIx.keys {
+		if v == 0 {
+			continue
+		}
+		pg := stablePage0 + k/pagedCellsPerPage
+		if pg >= len(ft.pages) || !ft.pages[pg].resident {
+			t.Fatalf("%s: identity %#x indexed on non-resident page %d", when, v, pg)
+		}
+		onResident++
+	}
+	if ft.addrIx.live != onResident {
+		t.Fatalf("%s: index holds %d live identities, resident id pages %d", when, ft.addrIx.live, onResident)
+	}
+	for _, f := range ft.freeIDPages {
+		if f == ft.fill {
+			t.Fatalf("%s: fill page %d is on the free list %v", when, f, ft.freeIDPages)
+		}
+		if ft.pages[stablePage0+int(f)].resident {
+			t.Fatalf("%s: free id page %d is resident", when, f)
+		}
+	}
+	if ft.idPages > budget+1 {
+		t.Fatalf("%s: %d id pages opened under a budget of %d", when, ft.idPages, budget)
+	}
+}
+
+// TestStableIdentitiesReleasedWithTheirPage drives a stable-identity
+// stream, mixed with dense addresses, whose working set is many times
+// a tiny page budget, and checks after every eviction that the victim
+// page's identities left the address index and that the index holds
+// exactly the identities of resident pages: identity state is bounded
+// by resident pages, not by the identities the stream ever touched.
+// Every third phase touches only dense pages, so a partly filled fill
+// page goes cold and is evicted too. Returning identities must count
+// as Reloads.
+func TestStableIdentitiesReleasedWithTheirPage(t *testing.T) {
+	const budget = 4
+	ft := NewFastTrack()
+	ft.SetPageBudget(budget)
+	rng := rand.New(rand.NewSource(3))
+	evictedIDs, fillEvicted := 0, 0
+	for i := 0; i < 40000; i++ {
+		addr := trace.Addr(trace.StableBit | uint64(rng.Intn(4000))*0x9e37)
+		if i/2000%3 == 2 {
+			addr = trace.Addr(rng.Intn(6 * pagedCellsPerPage)) // dense pages 0-5
+		} else if rng.Intn(8) == 0 {
+			addr = trace.Addr(rng.Intn(3 * pagedCellsPerPage))
+		}
+		op := trace.OpWrite
+		if rng.Intn(3) == 0 {
+			op = trace.OpRead
+		}
+		// Only the list's head, or the page after it, can be the victim.
+		var candidates [][]uint64
+		var candPages []int
+		for p, n := ft.head, 0; p != noPage && n < 2; p, n = ft.pages[p].next, n+1 {
+			candidates = append(candidates, idPageKeys(ft, int(p)))
+			candPages = append(candPages, int(p))
+		}
+		before, fill := ft.Stats().Evictions, stablePage0+int(ft.fill)
+		ft.HandleEvent(trace.Event{Seq: uint64(i + 1), G: vclock.TID(1 + rng.Intn(3)), Op: op, Addr: addr})
+		if ft.Stats().Evictions == before {
+			continue
+		}
+		for j, pg := range candPages {
+			if ft.pages[pg].resident {
+				continue
+			}
+			if pg == fill {
+				fillEvicted++
+			}
+			for _, v := range candidates[j] {
+				if s, _ := ft.addrIx.find(v); s != 0 {
+					t.Fatalf("access %d: identity %#x of evicted page %d still resolves", i, v, pg)
+				}
+				evictedIDs++
+			}
+		}
+		checkIDPages(t, ft, budget, fmt.Sprintf("access %d", i))
+	}
+	if st := ft.Stats(); evictedIDs == 0 || fillEvicted == 0 || st.Reloads == 0 {
+		t.Fatalf("stream released %d identities, %d fill pages and reloaded %d, want all > 0",
+			evictedIDs, fillEvicted, st.Reloads)
+	}
+	ft.Reset()
+	checkIDPages(t, ft, budget, "after Reset")
+	if ft.fill != noPage || ft.idPages != 0 || len(ft.addrIx.keys) != 0 {
+		t.Fatalf("Reset left fill page %d, %d id pages, %d keys", ft.fill, ft.idPages, len(ft.addrIx.keys))
 	}
 }

@@ -8,11 +8,10 @@ import (
 
 // sparseIndex maps the scheduler's stable identities (63-bit hashes
 // with trace.StableBit set, see sched.G.StableIDs) onto small dense
-// indices, so detectors can keep their shadow state in the same dense
-// slices they use for default-mode addresses. Default-mode identities
-// pass through untouched on a branch, keeping the pattern-corpus hot
-// path table-free; a run is either entirely dense or entirely stable,
-// so the two ranges never mix within one run.
+// indices, so detectors can keep their shadow state in dense slices
+// (cellTable, FastTrack's id pages, sync-object clocks). local passes
+// default-mode identities through untouched on a branch, keeping the
+// pattern-corpus hot path table-free.
 //
 // The dense index assigned to a given stable identity is first-touch
 // (run-local, schedule-dependent) — that is fine because it never
@@ -20,14 +19,19 @@ import (
 // original event identity.
 //
 // The table is open-addressed: a Fibonacci hash picks the home slot,
-// collisions probe linearly, and the table doubles before it is more
-// than 3/4 full. A slot holds 1 + the index into keys of the identity
-// it names (0 is empty), and that value is the identity's dense index
-// too, so an entry costs one 4-byte slot (at 3/8 to 3/4 occupancy)
-// plus one 8-byte key — against ~30 bytes per entry for a Go map.
+// collisions probe linearly, and the table doubles before its live
+// entries fill more than 3/4 of it. A slot holds 1 + the index into
+// keys of the identity it names (0 is empty), and that value is the
+// identity's dense index too, so an entry costs one 4-byte slot (at
+// 3/8 to 3/4 occupancy) plus one 8-byte key — against ~30 bytes per
+// entry for a Go map. FastTrack places identities itself (insert) and
+// releases them when their shadow page is evicted (remove), so its
+// keys may hold holes; removal shifts the probe run back, leaving no
+// tombstones.
 type sparseIndex struct {
 	slots []uint32 // 0 = empty, else 1 + an index into keys
-	keys  []uint64 // identities in first-touch order
+	keys  []uint64 // identities by dense index - 1; 0 = released
+	live  int      // identities in the table
 	shift uint     // 64 - log2(len(slots))
 }
 
@@ -43,6 +47,17 @@ func (si *sparseIndex) local(v uint64) uint64 {
 	if v&trace.StableBit == 0 {
 		return v
 	}
+	s, at := si.find(v)
+	if s == 0 {
+		s = uint32(len(si.keys)) + 1
+		si.insert(v, s-1, at)
+	}
+	return uint64(s)
+}
+
+// find returns 1 + the keys index of stable identity v, or 0 and the
+// empty slot an insert of v would take.
+func (si *sparseIndex) find(v uint64) (s uint32, at uint64) {
 	if len(si.slots) == 0 {
 		si.rehash(minSparseSlots)
 	}
@@ -51,20 +66,50 @@ func (si *sparseIndex) local(v uint64) uint64 {
 	for {
 		s := si.slots[i]
 		if s == 0 {
-			break
+			return 0, i
 		}
 		if si.keys[s-1] == v {
-			return uint64(s)
+			return s, i
 		}
 		i = (i + 1) & mask
 	}
-	if 4*(len(si.keys)+1) > 3*len(si.slots) {
+}
+
+// insert adds v, absent from the table, as keys[k]; at is the slot
+// find returned for v. Keys between the old end and k stay released.
+func (si *sparseIndex) insert(v uint64, k uint32, at uint64) {
+	if 4*(si.live+1) > 3*len(si.slots) {
 		si.rehash(2 * len(si.slots))
-		i = si.home(v)
+		at = si.home(v)
 	}
-	si.keys = append(si.keys, v)
-	si.slots[i] = uint32(len(si.keys))
-	return uint64(len(si.keys))
+	for int(k) >= len(si.keys) {
+		si.keys = append(si.keys, 0)
+	}
+	si.keys[k] = v
+	si.slots[at] = k + 1
+	si.live++
+}
+
+// remove releases keys[k], a live identity, by backward-shift
+// deletion: each later entry of the probe run moves into the hole
+// unless that would put it before its home slot, so lookups never
+// meet a tombstone.
+func (si *sparseIndex) remove(k uint32) {
+	mask := uint64(len(si.slots) - 1)
+	i := (si.keys[k] * fibHash) >> si.shift
+	for si.slots[i] != k+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; si.slots[j] != 0; j = (j + 1) & mask {
+		home := (si.keys[si.slots[j]-1] * fibHash) >> si.shift
+		if (j-home)&mask >= (j-i)&mask {
+			si.slots[i] = si.slots[j]
+			i = j
+		}
+	}
+	si.slots[i] = 0
+	si.keys[k] = 0
+	si.live--
 }
 
 // home returns the first empty slot on v's probe sequence.
@@ -78,12 +123,14 @@ func (si *sparseIndex) home(v uint64) uint64 {
 }
 
 // rehash rebuilds the table at n slots (a power of two), reinserting
-// every key under its existing dense index.
+// every live key under its existing dense index.
 func (si *sparseIndex) rehash(n int) {
 	si.slots = make([]uint32, n)
 	si.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	for k, v := range si.keys {
-		si.slots[si.home(v)] = uint32(k + 1)
+		if v != 0 {
+			si.slots[si.home(v)] = uint32(k + 1)
+		}
 	}
 }
 
@@ -91,4 +138,41 @@ func (si *sparseIndex) rehash(n int) {
 func (si *sparseIndex) reset() {
 	clear(si.slots)
 	si.keys = si.keys[:0]
+	si.live = 0
+}
+
+// cellTable is the shadow memory of a detector without paging (epoch,
+// djit, eraser): the cells of default-mode addresses indexed by the
+// address itself, and those of stable identities by their first-touch
+// number, in a slice of their own. A stream that mixes the two kinds
+// of address never lands both on one cell, and neither kind pays for
+// the other's range.
+type cellTable[T any] struct {
+	dense, stable []T
+	ix            sparseIndex
+}
+
+// at returns the cell of address a, zero-valued on first touch. The
+// pointer is only valid until the next at call (growth may move it).
+func (t *cellTable[T]) at(a trace.Addr) *T {
+	i, cells := uint64(a), &t.dense
+	if i&trace.StableBit != 0 {
+		i, cells = t.ix.local(i)-1, &t.stable
+	}
+	if i >= uint64(len(*cells)) {
+		*cells = append(*cells, make([]T, i+1-uint64(len(*cells)))...)
+	}
+	return &(*cells)[i]
+}
+
+// reset applies teardown to every cell and forgets the stable
+// numbering, keeping both slices for the next run.
+func (t *cellTable[T]) reset(teardown func(*T)) {
+	for i := range t.dense {
+		teardown(&t.dense[i])
+	}
+	for i := range t.stable {
+		teardown(&t.stable[i])
+	}
+	t.ix.reset()
 }

@@ -56,10 +56,13 @@ type Stats struct {
 	// (docs/STREAMING.md). Zero for detectors without paged shadow
 	// state and for runs that never hit their budget.
 	Evictions int
-	// Reloads counts evicted pages that were re-faulted by a later
-	// access: the cells restart with empty (epoch-form) histories. A
-	// high Reloads/Evictions ratio means the ceiling is evicting hot
-	// pages and the stream is likely missing races.
+	// Reloads counts returns after eviction: evicted default-mode
+	// pages re-faulted by a later access, plus stable identities
+	// touched again after their page was evicted, as far as a small
+	// table of recently evicted identities remembers them (so a lower
+	// bound). Either way the cells restart with empty (epoch-form)
+	// histories. A high Reloads/Evictions ratio means the ceiling is
+	// evicting hot state and the stream is likely missing races.
 	Reloads int
 }
 
