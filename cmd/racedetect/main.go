@@ -437,7 +437,7 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 
 	type rateRow struct {
 		rate    int
-		work    []sweep.UnitWork // one per unit, in ids order
+		work    []sweep.UnitStat // one per unit, in ids order
 		elapsed time.Duration
 	}
 	var rows []rateRow
@@ -450,11 +450,11 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 			units[i].Record = false
 		}
 		start := time.Now()
-		aggs, _, err := engine.Run(units, func() sweep.Aggregator { return sweep.NewOverhead() })
+		aggs, _, err := engine.Run(units, func() sweep.Aggregator { return sweep.NewProb() })
 		if err != nil {
 			fatal(err)
 		}
-		rows = append(rows, rateRow{rate: rate, work: aggs[0].(*sweep.Overhead).Work(), elapsed: time.Since(start)})
+		rows = append(rows, rateRow{rate: rate, work: aggs[0].(*sweep.Prob).Stats(), elapsed: time.Since(start)})
 	}
 
 	if markdown {

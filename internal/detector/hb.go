@@ -19,9 +19,8 @@ import (
 type hb struct {
 	pool      *vclock.Pool
 	clocks    []*vclock.VC
-	objClocks []*vclock.VC
+	objClocks cellTable[*vclock.VC]
 	objCount  int
-	objIx     sparseIndex
 	cellCount int
 	stats     statCounter
 	adapt     adaptCounter
@@ -40,15 +39,13 @@ func (h *hb) reset() {
 		}
 	}
 	h.clocks = h.clocks[:0]
-	for i, c := range h.objClocks {
-		if c != nil {
-			h.pool.Release(c)
-			h.objClocks[i] = nil
+	h.objClocks.reset(func(c **vclock.VC) {
+		if *c != nil {
+			h.pool.Release(*c)
+			*c = nil
 		}
-	}
-	h.objClocks = h.objClocks[:0]
+	})
 	h.objCount = 0
-	h.objIx.reset()
 	h.cellCount = 0
 	h.stats = statCounter{}
 	h.adapt = adaptCounter{}
@@ -69,17 +66,15 @@ func (h *hb) clockOf(g vclock.TID) *vclock.VC {
 }
 
 // objClock returns the clock of synchronization object o, creating an
-// empty one on first use.
+// empty one on first use. Dense and stable object ids live apart in
+// the table, so they never share a clock.
 func (h *hb) objClock(o trace.ObjID) *vclock.VC {
-	o = trace.ObjID(h.objIx.local(uint64(o)))
-	for int(o) >= len(h.objClocks) {
-		h.objClocks = append(h.objClocks, nil)
-	}
-	if h.objClocks[o] == nil {
-		h.objClocks[o] = h.pool.Acquire()
+	c := h.objClocks.at(trace.Addr(o))
+	if *c == nil {
+		*c = h.pool.Acquire()
 		h.objCount++
 	}
-	return h.objClocks[o]
+	return *c
 }
 
 // fork orders the parent's history before the child: the child starts

@@ -34,6 +34,39 @@ func TestMixedIdentitiesNeverAlias(t *testing.T) {
 	}
 }
 
+// TestMixedObjectIdentitiesNeverAlias: the first stable sync-object id
+// must not share a clock with dense object 1. G1 writes an address and
+// releases dense object 1; G2 acquires a distinct stable object and
+// writes the same address. Nothing orders the two writes, so every
+// happens-before detector reports the race.
+func TestMixedObjectIdentitiesNeverAlias(t *testing.T) {
+	const addr, dense, stable = trace.Addr(5), trace.ObjID(1), trace.ObjID(trace.StableBit | 777)
+	for _, name := range []string{"fasttrack", "epoch", "djit", "hybrid"} {
+		d, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range []trace.Event{
+			{Seq: 1, G: 1, Op: trace.OpWrite, Addr: addr},
+			{Seq: 2, G: 1, Op: trace.OpRelease, Obj: dense, Kind: trace.KindMutex},
+			{Seq: 3, G: 2, Op: trace.OpAcquire, Obj: stable, Kind: trace.KindMutex},
+			{Seq: 4, G: 2, Op: trace.OpWrite, Addr: addr},
+		} {
+			d.HandleEvent(ev)
+		}
+		if n := len(d.Races()); n == 0 {
+			t.Errorf("%s: a release of object %d ordered an acquire of object %#x: no race reported",
+				name, dense, uint64(stable))
+		}
+		if c, ok := d.(Counter); ok && c.Count() == 0 {
+			t.Errorf("%s: counted no conflict on %#x", name, uint64(addr))
+		}
+		if st := d.Stats(); st.SyncClocks != 2 {
+			t.Errorf("%s: %d sync clocks, want 2", name, st.SyncClocks)
+		}
+	}
+}
+
 // TestHeldLockLabelsCapped: a stream that acquires one mutex over and
 // over without releasing it, writing after each acquire, holds a lock
 // set one deeper at every write. The interned label lists stop at

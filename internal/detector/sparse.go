@@ -142,11 +142,12 @@ func (si *sparseIndex) reset() {
 }
 
 // cellTable is the shadow memory of a detector without paging (epoch,
-// djit, eraser): the cells of default-mode addresses indexed by the
-// address itself, and those of stable identities by their first-touch
-// number, in a slice of their own. A stream that mixes the two kinds
-// of address never lands both on one cell, and neither kind pays for
-// the other's range.
+// djit, eraser), and every happens-before detector's table of
+// sync-object clocks: the cells of default-mode identities indexed by
+// the identity itself, and those of stable identities by their
+// first-touch number, in a slice of their own. A stream that mixes the
+// two kinds of identity never lands both on one cell, and neither kind
+// pays for the other's range.
 type cellTable[T any] struct {
 	dense, stable []T
 	ix            sparseIndex

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"gorace/internal/corpus"
 	"gorace/internal/patterns"
 	"gorace/internal/progs"
+	"gorace/internal/sweep"
 )
 
 // emptyStore opens a fresh store: campaigns do not read the store, so
@@ -265,10 +267,10 @@ func TestShardFoldedOnceAfterMidPostDeath(t *testing.T) {
 
 // TestShardResponseRejectsForgedWork: a real worker answer is accepted
 // and rebuilds the shard's aggregates; each forged variant — work
-// outside the shard, counts that disagree, records of another unit —
+// outside the shard, counts that do not fit, records of another unit —
 // is rejected.
 func TestShardResponseRejectsForgedWork(t *testing.T) {
-	units, sh, real := shardAnswer(t)
+	units, sh, _, real := shardAnswer(t)
 	unitID := units[sh.UnitIdx].ID
 	aggs, stats, err := readShardResponse(bytes.NewReader(real), "r", unitID, sh, 0)
 	if err != nil {
@@ -286,6 +288,33 @@ func TestShardResponseRejectsForgedWork(t *testing.T) {
 	over := io.MultiReader(bytes.NewReader(real), strings.NewReader(strings.Repeat(" ", maxShardResponse)))
 	if _, _, err := readShardResponse(over, "r", unitID, sh, 0); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("over-cap answer: err = %v, want a size refusal", err)
+	}
+}
+
+// TestShardResponseRoundTrip: one shard run through RunShard, rendered
+// by newShardResponse and rebuilt by readShardResponse comes back with
+// the local Prob tally field for field, the local run counts, and the
+// local collector's execution and report counts.
+func TestShardResponseRoundTrip(t *testing.T) {
+	units, sh, local, body := shardAnswer(t)
+	aggs, stats, err := readShardResponse(bytes.NewReader(body), "fuzz", units[sh.UnitIdx].ID, sh, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := local[0].(*sweep.Prob).Stats(), aggs[0].(*sweep.Prob).Stats()
+	if !slices.Equal(got, want) {
+		t.Errorf("rebuilt stats\n %+v\nwant\n %+v", got, want)
+	}
+	if len(want) != 1 || want[0].Accesses == 0 || stats.Runs != want[0].Runs || stats.Racy != want[0].Detected {
+		t.Errorf("shard stats %+v for tally %+v", stats, want)
+	}
+	lc, rc := local[1].(*corpus.Collector), aggs[1].(*corpus.Collector)
+	if rc.Executions() != lc.Executions() || rc.Reports() != lc.Reports() || rc.Defects() != lc.Defects() {
+		t.Errorf("rebuilt collector: %d executions, %d reports, %d defects; local %d, %d, %d",
+			rc.Executions(), rc.Reports(), rc.Defects(), lc.Executions(), lc.Reports(), lc.Defects())
+	}
+	if _, err := newShardResponse(0, []sweep.Aggregator{sweep.NewProb(), lc}); err == nil {
+		t.Error("an answer built from an empty Prob was accepted")
 	}
 }
 

@@ -10,8 +10,8 @@ package service
 // progress, and returns the first error in shard order — exactly as
 // for a standalone job. The Exec only picks a node, POSTs the shard,
 // checks the answer against the shard it asked for, and rebuilds the
-// shard's [Prob, Collector] aggregates from the transported form
-// (IndexedUnitStat slices plus a binary corpus delta).
+// shard's [Prob, Collector] aggregates from the transported form (the
+// unit's sweep.UnitStat plus a binary corpus delta).
 //
 // Nodes are handed out through a token channel holding each campaign
 // node MaxInflight times. A dispatch that fails, or whose answer is
@@ -68,14 +68,9 @@ type shardRequest struct {
 type shardResponse struct {
 	// ShardIdx echoes the request.
 	ShardIdx int `json:"shardIdx"`
-	// Runs and Racy are the shard's execution counts.
-	Runs int `json:"runs"`
-	Racy int `json:"racy"`
-	// Stats is the shard's per-unit Prob state.
-	Stats []sweep.IndexedUnitStat `json:"stats"`
-	// Executions and Reports are the shard collector's raw counts.
-	Executions int `json:"executions"`
-	Reports    int `json:"reports"`
+	// Stat is the shard's tally of its one unit; the shard's run
+	// counts and its collector's counts derive from it.
+	Stat sweep.UnitStat `json:"stat"`
 	// Corpus is a binary corpus delta (delta.go framing) holding the
 	// shard's deduplicated records — the exact-fidelity transport for
 	// stacks and race hashes.
@@ -263,9 +258,11 @@ func (cp *campaign) postShard(ctx context.Context, n *campaignNode, sh sweep.Sha
 // readShardResponse decodes a worker's answer to shard idx (sh, whose
 // unit is unitID), accepts it only if it covers exactly that shard, and
 // rebuilds the shard's [Prob, Collector] aggregates — the remote mirror
-// of sweep.RunShard's result. Everything here is untrusted input: the
-// body is capped at maxShardResponse, and stats, counts, and records
-// that could not have come from executing sh are rejected.
+// of sweep.RunShard's result. The shard's run counts and the
+// collector's execution and report counts all derive from the one
+// UnitStat. Everything here is untrusted input: the body is capped at
+// maxShardResponse, and a stat or records that could not have come
+// from executing sh are rejected.
 func readShardResponse(r io.Reader, runID, unitID string, sh sweep.Shard, idx int) ([]sweep.Aggregator, sweep.Stats, error) {
 	body, err := io.ReadAll(io.LimitReader(r, maxShardResponse+1))
 	if err != nil {
@@ -285,49 +282,42 @@ func readShardResponse(r io.Reader, runID, unitID string, sh sweep.Shard, idx in
 	if err != nil {
 		return nil, sweep.Stats{}, err
 	}
+	st := resp.Stat
 	var counted uint64
 	for _, rec := range x.Records {
-		if rec.Count == 0 || rec.Count > uint64(resp.Reports)-counted {
-			return nil, sweep.Stats{}, fmt.Errorf("record %q counts %d reports past the shard's %d", rec.Key, rec.Count, resp.Reports)
+		if rec.Count == 0 || rec.Count > uint64(st.Races)-counted {
+			return nil, sweep.Stats{}, fmt.Errorf("record %q counts %d reports past the shard's %d", rec.Key, rec.Count, st.Races)
 		}
 		counted += rec.Count
 	}
-	if counted != uint64(resp.Reports) {
-		return nil, sweep.Stats{}, fmt.Errorf("records hold %d reports, the shard reported %d", counted, resp.Reports)
+	if counted != uint64(st.Races) {
+		return nil, sweep.Stats{}, fmt.Errorf("records hold %d reports, the shard reported %d", counted, st.Races)
 	}
 	// A record of any other unit fails here: the map knows only sh's.
-	coll, err := corpus.NewCollectorFromRecords(runID, resp.Executions, resp.Reports, x.Records,
+	coll, err := corpus.NewCollectorFromRecords(runID, st.Runs, st.Races, x.Records,
 		map[string]int{unitID: sh.UnitIdx})
 	if err != nil {
 		return nil, sweep.Stats{}, err
 	}
-	stats := sweep.Stats{Units: 1, Shards: 1, Runs: resp.Runs, Racy: resp.Racy}
-	return []sweep.Aggregator{sweep.NewProbFromStats(resp.Stats), coll}, stats, nil
+	stats := sweep.Stats{Units: 1, Shards: 1, Runs: st.Runs, Racy: st.Detected}
+	return []sweep.Aggregator{sweep.NewProbOf(sh.UnitIdx, st), coll}, stats, nil
 }
 
 // check accepts an answer only if it could have come from executing
-// shard idx: the echoed index, 0 ≤ Racy ≤ Runs ≤ sh.N, collector
-// counts that agree with them, and stats for sh's unit alone.
+// shard idx: the echoed index, a stat of sh's unit, 0 ≤ Detected ≤
+// Runs ≤ sh.N, 0 ≤ LeakedRuns ≤ Runs, and Races ≥ 0. The work counters
+// (Accesses … FastReads) go unchecked: no job result reads them.
 func (r *shardResponse) check(unitID string, sh sweep.Shard, idx int) error {
-	if r.ShardIdx != idx {
-		return fmt.Errorf("answered shard %d", r.ShardIdx)
-	}
-	if r.Racy < 0 || r.Racy > r.Runs || r.Runs > sh.N {
-		return fmt.Errorf("runs %d racy %d do not fit a %d-seed shard", r.Runs, r.Racy, sh.N)
-	}
-	if len(r.Stats) != 1 {
-		return fmt.Errorf("%d stats entries for a one-unit shard", len(r.Stats))
-	}
-	s := r.Stats[0]
+	s := r.Stat
 	switch {
-	case s.UnitIdx != sh.UnitIdx || s.Unit != unitID:
-		return fmt.Errorf("stats for unit %d %q, shard is unit %d %q", s.UnitIdx, s.Unit, sh.UnitIdx, unitID)
-	case s.Runs != r.Runs || s.Detected != r.Racy || r.Executions != r.Runs:
-		return fmt.Errorf("stats runs %d detected %d executions %d disagree with runs %d racy %d",
-			s.Runs, s.Detected, r.Executions, r.Runs, r.Racy)
-	case s.Races < 0 || s.Races != r.Reports || s.LeakedRuns < 0 || s.LeakedRuns > s.Runs:
-		return fmt.Errorf("stats races %d leaked %d disagree with %d reports over %d runs",
-			s.Races, s.LeakedRuns, r.Reports, s.Runs)
+	case r.ShardIdx != idx:
+		return fmt.Errorf("answered shard %d", r.ShardIdx)
+	case s.Unit != unitID:
+		return fmt.Errorf("stat for unit %q, shard is unit %q", s.Unit, unitID)
+	case s.Detected < 0 || s.Detected > s.Runs || s.Runs > sh.N:
+		return fmt.Errorf("runs %d detected %d do not fit a %d-seed shard", s.Runs, s.Detected, sh.N)
+	case s.LeakedRuns < 0 || s.LeakedRuns > s.Runs || s.Races < 0:
+		return fmt.Errorf("leaked %d races %d do not fit %d runs", s.LeakedRuns, s.Races, s.Runs)
 	}
 	return nil
 }

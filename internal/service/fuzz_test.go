@@ -153,9 +153,9 @@ func FuzzNightlyAndJoin(f *testing.F) {
 }
 
 // shardAnswer executes shard 0 of a small campaign the way a worker
-// node does and returns the units, the shard, and the worker's JSON
-// answer body.
-func shardAnswer(t testing.TB) ([]sweep.Unit, sweep.Shard, []byte) {
+// node does and returns the units, the shard, the shard's local
+// [Prob, Collector] aggregates, and the worker's JSON answer body.
+func shardAnswer(t testing.TB) ([]sweep.Unit, sweep.Shard, []sweep.Aggregator, []byte) {
 	t.Helper()
 	spec := JobSpec{Campaign: progs.Campaign{Patterns: []string{"capture-loop-index"}, Strategies: []string{"random"}, Seeds: 4}}
 	if err := validateSpec(&spec, 512); err != nil {
@@ -163,14 +163,14 @@ func shardAnswer(t testing.TB) ([]sweep.Unit, sweep.Shard, []byte) {
 	}
 	units := spec.Units()
 	sh := sweep.Plan(units, 4)[0]
-	aggs, stats, err := sweep.RunShard(context.Background(), units, sh, nil,
+	aggs, _, err := sweep.RunShard(context.Background(), units, sh, nil,
 		func() sweep.Aggregator { return sweep.NewProb() },
 		func() sweep.Aggregator { return corpus.NewCollector("fuzz") },
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := newShardResponse(0, aggs, stats)
+	resp, err := newShardResponse(0, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +178,16 @@ func shardAnswer(t testing.TB) ([]sweep.Unit, sweep.Shard, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return units, sh, body
+	return units, sh, aggs, body
 }
 
 // FuzzShardResponse feeds arbitrary bytes to readShardResponse, the
 // coordinator's decode → check → rebuild of a worker's shard answer.
 // It must never panic, and every answer it accepts must cover only the
-// dispatched shard: 0 ≤ Racy ≤ Runs ≤ N, stats for the shard's unit
-// alone, and records of that unit only.
+// dispatched shard: 0 ≤ Racy ≤ Runs ≤ N, one stat of the shard's unit
+// that agrees with those counts, and records of that unit only.
 func FuzzShardResponse(f *testing.F) {
-	units, sh, real := shardAnswer(f)
+	units, sh, _, real := shardAnswer(f)
 	f.Add(real)
 	for _, bad := range forgedAnswers(f, real) {
 		f.Add(bad)
@@ -201,12 +201,16 @@ func FuzzShardResponse(f *testing.F) {
 		if stats.Racy < 0 || stats.Racy > stats.Runs || stats.Runs > sh.N {
 			t.Fatalf("accepted runs %d racy %d for a %d-seed shard", stats.Runs, stats.Racy, sh.N)
 		}
-		for _, is := range aggs[0].(*sweep.Prob).IndexedStats() {
-			if is.UnitIdx != sh.UnitIdx || is.Unit != unitID || is.Runs != stats.Runs {
-				t.Fatalf("accepted stats %+v for shard %+v (%d runs)", is, sh, stats.Runs)
-			}
+		ss := aggs[0].(*sweep.Prob).Stats()
+		if len(ss) != 1 || ss[0].Unit != unitID || ss[0].Runs != stats.Runs || ss[0].Detected != stats.Racy {
+			t.Fatalf("accepted stats %+v for shard %+v (%d runs, %d racy)", ss, sh, stats.Runs, stats.Racy)
 		}
-		for _, rec := range aggs[1].(*corpus.Collector).Records() {
+		coll := aggs[1].(*corpus.Collector)
+		if coll.Executions() != stats.Runs || coll.Reports() != ss[0].Races {
+			t.Fatalf("accepted a collector of %d executions and %d reports for stat %+v",
+				coll.Executions(), coll.Reports(), ss[0])
+		}
+		for _, rec := range coll.Records() {
 			if rec.Unit != unitID {
 				t.Fatalf("accepted a record of unit %q for shard unit %q", rec.Unit, unitID)
 			}
@@ -224,14 +228,14 @@ func forgedAnswers(t testing.TB, real []byte) map[string][]byte {
 	}
 	out := make(map[string][]byte)
 	for name, forge := range map[string]func(r *shardResponse){
-		"runs past N":       func(r *shardResponse) { r.Runs, r.Stats[0].Runs, r.Executions = 1000, 1000, 1000 },
-		"racy past runs":    func(r *shardResponse) { r.Racy, r.Stats[0].Detected = r.Runs+1, r.Runs+1 },
-		"negative racy":     func(r *shardResponse) { r.Racy, r.Stats[0].Detected = -1, -1 },
-		"foreign unit idx":  func(r *shardResponse) { r.Stats[0].UnitIdx++ },
-		"foreign unit name": func(r *shardResponse) { r.Stats[0].Unit = "other/random" },
-		"second unit":       func(r *shardResponse) { r.Stats = append(r.Stats, r.Stats[0]) },
-		"runs mismatch":     func(r *shardResponse) { r.Stats[0].Runs-- },
-		"reports mismatch":  func(r *shardResponse) { r.Reports++ },
+		"runs past N":       func(r *shardResponse) { r.Stat.Runs = 1000 },
+		"racy past runs":    func(r *shardResponse) { r.Stat.Detected = r.Stat.Runs + 1 },
+		"negative racy":     func(r *shardResponse) { r.Stat.Detected = -1 },
+		"leaked past runs":  func(r *shardResponse) { r.Stat.LeakedRuns = r.Stat.Runs + 1 },
+		"negative leaked":   func(r *shardResponse) { r.Stat.LeakedRuns = -1 },
+		"negative races":    func(r *shardResponse) { r.Stat.Races = -1 },
+		"foreign unit name": func(r *shardResponse) { r.Stat.Unit = "other/random" },
+		"reports mismatch":  func(r *shardResponse) { r.Stat.Races++ },
 		"wrong shard":       func(r *shardResponse) { r.ShardIdx = 7 },
 		"no corpus":         func(r *shardResponse) { r.Corpus = nil },
 		"foreign record": func(r *shardResponse) {
@@ -242,7 +246,6 @@ func forgedAnswers(t testing.TB, real []byte) map[string][]byte {
 		},
 	} {
 		bad := resp
-		bad.Stats = append([]sweep.IndexedUnitStat(nil), resp.Stats...)
 		forge(&bad)
 		body, err := json.Marshal(bad)
 		if err != nil {

@@ -128,7 +128,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-wr.sem }()
-	aggs, stats, err := sweep.RunShard(r.Context(), units, sh, wr.cache,
+	aggs, _, err := sweep.RunShard(r.Context(), units, sh, wr.cache,
 		func() sweep.Aggregator { return sweep.NewProb() },
 		func() sweep.Aggregator { return corpus.NewCollector(req.RunID) },
 	)
@@ -136,9 +136,9 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "shard execution: %v", err)
 		return
 	}
-	resp, err := newShardResponse(req.ShardIdx, aggs, stats)
+	resp, err := newShardResponse(req.ShardIdx, aggs)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode shard corpus: %v", err)
+		writeError(w, http.StatusInternalServerError, "encode shard answer: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -146,21 +146,18 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 
 // newShardResponse renders an executed shard's [Prob, Collector]
 // aggregates in transportable form, the inverse of readShardResponse.
-func newShardResponse(idx int, aggs []sweep.Aggregator, stats sweep.Stats) (*shardResponse, error) {
+// The Prob must hold exactly the shard's one unit.
+func newShardResponse(idx int, aggs []sweep.Aggregator) (*shardResponse, error) {
+	stats := aggs[0].(*sweep.Prob).Stats()
+	if len(stats) != 1 {
+		return nil, fmt.Errorf("shard tallies %d units, want 1", len(stats))
+	}
 	coll := aggs[1].(*corpus.Collector)
 	var buf bytes.Buffer
 	if err := corpus.WriteDelta(&buf, corpus.Export{Records: coll.Records()}); err != nil {
 		return nil, err
 	}
-	return &shardResponse{
-		ShardIdx:   idx,
-		Runs:       stats.Runs,
-		Racy:       stats.Racy,
-		Stats:      aggs[0].(*sweep.Prob).IndexedStats(),
-		Executions: coll.Executions(),
-		Reports:    coll.Reports(),
-		Corpus:     buf.Bytes(),
-	}, nil
+	return &shardResponse{ShardIdx: idx, Stat: stats[0], Corpus: buf.Bytes()}, nil
 }
 
 // JoinCoordinator registers this worker with its coordinator under the

@@ -10,16 +10,26 @@ import "gorace/internal/core"
 // race once per unit by its §3.3.1 hash — is corpus.Collector's job,
 // the same shape, optionally folded into a persistent store.
 
-// UnitStat is one unit's detection-probability estimate, the
-// aggregate behind explore.Probe and the §3.2 flakiness argument.
+// UnitStat is one unit's campaign tally: the detection-probability
+// estimate behind explore.Probe and the §3.2 flakiness argument, and
+// the detector work it cost — the overhead side of the
+// P(detect)-vs-overhead tradeoff a sample-rate sweep measures. The
+// work counters are the ones that sweep's table prints, each a sum over
+// the unit's runs of an Outcome's detector.Stats field. A worker's
+// shard answer carries its unit's UnitStat.
 type UnitStat struct {
-	Unit       string // Unit.ID
-	Detector   string // resolved detector name, from the first outcome
-	Strategy   string // resolved strategy name, from the first outcome
-	Runs       int    // executions observed
-	Detected   int    // executions with at least one race
-	Races      int    // total race reports
-	LeakedRuns int    // executions that ended with blocked goroutines
+	Unit       string `json:"unit"`       // Unit.ID
+	Detector   string `json:"detector"`   // resolved detector name, from the first outcome
+	Strategy   string `json:"strategy"`   // resolved strategy name, from the first outcome
+	Runs       int    `json:"runs"`       // executions observed
+	Detected   int    `json:"detected"`   // executions with at least one race
+	Races      int    `json:"races"`      // total race reports
+	LeakedRuns int    `json:"leakedRuns"` // executions that ended with blocked goroutines
+	Accesses   int    `json:"accesses"`   // memory accesses in the stream
+	Checked    int    `json:"checked"`    // accesses the detector actually inspected
+	Promotions int    `json:"promotions"` // epoch→VC shadow promotions inside the detector
+	Demotions  int    `json:"demotions"`  // VC→epoch demotions
+	FastReads  int    `json:"fastReads"`  // reads absorbed on the epoch fast path
 }
 
 // Probability returns the manifestation-probability estimate.
@@ -30,7 +40,23 @@ func (s UnitStat) Probability() float64 {
 	return float64(s.Detected) / float64(s.Runs)
 }
 
-// Prob estimates per-unit detection probability.
+// add folds o into s: the names are taken from o, the later tally, and
+// every counter is summed.
+func (s *UnitStat) add(o *UnitStat) {
+	s.Unit, s.Detector, s.Strategy = o.Unit, o.Detector, o.Strategy
+	s.Runs += o.Runs
+	s.Detected += o.Detected
+	s.Races += o.Races
+	s.LeakedRuns += o.LeakedRuns
+	s.Accesses += o.Accesses
+	s.Checked += o.Checked
+	s.Promotions += o.Promotions
+	s.Demotions += o.Demotions
+	s.FastReads += o.FastReads
+}
+
+// Prob tallies every unit's UnitStat: detection probability and
+// detector work.
 type Prob struct {
 	stats Units[*UnitStat]
 }
@@ -39,35 +65,40 @@ type Prob struct {
 // func() Aggregator { return NewProb() }).
 func NewProb() *Prob { return &Prob{} }
 
+// NewProbOf returns a Prob holding the single tally s of unit unitIdx,
+// as Merge folds it — how a coordinator rebuilds a worker's shard.
+func NewProbOf(unitIdx int, s UnitStat) *Prob {
+	p := NewProb()
+	p.stats.Set(unitIdx, &s)
+	return p
+}
+
 // Observe implements Aggregator.
 func (p *Prob) Observe(r Run) {
-	s := p.stats.Ensure(r.UnitIdx, newOf[UnitStat])
-	s.Unit = r.Unit.ID
-	s.Detector = r.Outcome.Detector
-	s.Strategy = r.Outcome.Strategy
-	s.Runs++
+	st := r.Outcome.Stats
+	o := UnitStat{
+		Unit: r.Unit.ID, Detector: r.Outcome.Detector, Strategy: r.Outcome.Strategy,
+		Runs: 1, Races: len(r.Outcome.Races),
+		Accesses: st.Accesses, Checked: st.CheckedAccesses,
+		Promotions: st.Promotions, Demotions: st.Demotions, FastReads: st.FastPathReads,
+	}
 	if r.Outcome.HasRace() {
-		s.Detected++
+		o.Detected = 1
 	}
-	s.Races += len(r.Outcome.Races)
 	if r.Outcome.Result.Deadlocked() {
-		s.LeakedRuns++
+		o.LeakedRuns = 1
 	}
+	p.stats.Ensure(r.UnitIdx, newOf[UnitStat]).add(&o)
 }
 
 // Merge implements Aggregator.
 func (p *Prob) Merge(next Aggregator) {
 	next.(*Prob).stats.Each(func(idx int, o *UnitStat) {
-		s := p.stats.Ensure(idx, newOf[UnitStat])
-		s.Unit, s.Detector, s.Strategy = o.Unit, o.Detector, o.Strategy
-		s.Runs += o.Runs
-		s.Detected += o.Detected
-		s.Races += o.Races
-		s.LeakedRuns += o.LeakedRuns
+		p.stats.Ensure(idx, newOf[UnitStat]).add(o)
 	})
 }
 
-// Stats returns the per-unit estimates in unit order (units that
+// Stats returns the per-unit tallies in unit order (units that
 // executed no runs are skipped).
 func (p *Prob) Stats() []UnitStat {
 	out := make([]UnitStat, 0, p.stats.Len())
@@ -105,86 +136,4 @@ func (f *FirstRace) Merge(next Aggregator) {
 // (nil, false) if the unit's race never manifested.
 func (f *FirstRace) Outcome(unitIdx int) (*core.Outcome, bool) {
 	return f.first.Get(unitIdx)
-}
-
-// UnitWork is one unit's accumulated detector work, the overhead side
-// of the detection-probability-vs-overhead tradeoff a sample-rate
-// sweep measures. All counters are sums over the unit's runs, taken
-// from each Outcome's detector.Stats.
-type UnitWork struct {
-	Unit       string // Unit.ID
-	Detector   string // resolved detector name, from the first outcome
-	SampleRate int    // the unit's sampling rate (0/1 = unsampled)
-	Runs       int    // executions observed
-	Detected   int    // executions with at least one race
-	Events     int    // events consumed (full stream, pre-gate)
-	Accesses   int    // memory accesses in the stream
-	Checked    int    // accesses the detector actually inspected
-	Skipped    int    // accesses the sampling gate dropped
-	Promotions int    // epoch→VC shadow promotions inside the detector
-	Demotions  int    // VC→epoch demotions
-	FastReads  int    // reads absorbed on the epoch fast path
-}
-
-// Probability returns the unit's detection-probability estimate.
-func (w UnitWork) Probability() float64 {
-	if w.Runs == 0 {
-		return 0
-	}
-	return float64(w.Detected) / float64(w.Runs)
-}
-
-// Overhead accumulates per-unit detector work counters. Paired with
-// Prob over rate-expanded units it yields the campaign's
-// P(detect)-vs-overhead table (see cmd/racedetect -sweep-rates).
-type Overhead struct {
-	units Units[*UnitWork]
-}
-
-// NewOverhead returns an empty Overhead aggregator.
-func NewOverhead() *Overhead { return &Overhead{} }
-
-// Observe implements Aggregator.
-func (o *Overhead) Observe(r Run) {
-	w := o.units.Ensure(r.UnitIdx, newOf[UnitWork])
-	w.Unit = r.Unit.ID
-	w.Detector = r.Outcome.Detector
-	w.SampleRate = r.Unit.SampleRate
-	w.Runs++
-	if r.Outcome.HasRace() {
-		w.Detected++
-	}
-	st := r.Outcome.Stats
-	w.Events += st.Events
-	w.Accesses += st.Accesses
-	w.Checked += st.CheckedAccesses
-	w.Skipped += st.SkippedAccesses
-	w.Promotions += st.Promotions
-	w.Demotions += st.Demotions
-	w.FastReads += st.FastPathReads
-}
-
-// Merge implements Aggregator.
-func (o *Overhead) Merge(next Aggregator) {
-	next.(*Overhead).units.Each(func(idx int, ow *UnitWork) {
-		w := o.units.Ensure(idx, newOf[UnitWork])
-		w.Unit, w.Detector, w.SampleRate = ow.Unit, ow.Detector, ow.SampleRate
-		w.Runs += ow.Runs
-		w.Detected += ow.Detected
-		w.Events += ow.Events
-		w.Accesses += ow.Accesses
-		w.Checked += ow.Checked
-		w.Skipped += ow.Skipped
-		w.Promotions += ow.Promotions
-		w.Demotions += ow.Demotions
-		w.FastReads += ow.FastReads
-	})
-}
-
-// Work returns the per-unit work counters in unit order (units that
-// executed no runs are skipped).
-func (o *Overhead) Work() []UnitWork {
-	out := make([]UnitWork, 0, o.units.Len())
-	o.units.Each(func(_ int, w *UnitWork) { out = append(out, *w) })
-	return out
 }

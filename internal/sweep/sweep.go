@@ -2,8 +2,8 @@
 // in the repo: it executes a set of work units (program × detector ×
 // strategy × seed range) over a pool of recycled core.Workers and
 // streams each completed run into pluggable aggregators — the
-// in-memory ones in this package (Prob, FirstRace, Overhead, Verdicts,
-// Cover) or persistent ones like corpus.Collector, which folds a
+// in-memory ones in this package (Prob, FirstRace, Verdicts, Cover)
+// or persistent ones like corpus.Collector, which folds a
 // campaign straight into the on-disk race-corpus store.
 //
 // The paper's deployment story (§3.3) is fleet-scale, offline, and

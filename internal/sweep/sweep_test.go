@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"gorace/internal/detector"
 	"gorace/internal/patterns"
 	"gorace/internal/sched"
 )
@@ -279,22 +280,18 @@ func sampledCampaign(t testing.TB, opts ...Option) string {
 			SampleRate: rate,
 		})
 	}
-	aggs, stats, err := New(opts...).Run(units,
-		func() Aggregator { return NewProb() },
-		func() Aggregator { return NewOverhead() },
-	)
+	aggs, stats, err := New(opts...).Run(units, func() Aggregator { return NewProb() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "runs=%d racy=%d\n", stats.Runs, stats.Racy)
-	for _, s := range aggs[0].(*Prob).Stats() {
-		fmt.Fprintf(&b, "prob %s %s %d %d %d\n", s.Unit, s.Detector, s.Runs, s.Detected, s.Races)
-	}
-	for _, w := range aggs[1].(*Overhead).Work() {
-		fmt.Fprintf(&b, "work %s rate=%d runs=%d det=%d ev=%d acc=%d chk=%d skip=%d promo=%d demo=%d fast=%d\n",
-			w.Unit, w.SampleRate, w.Runs, w.Detected, w.Events, w.Accesses,
-			w.Checked, w.Skipped, w.Promotions, w.Demotions, w.FastReads)
+	// Every unit runs, so Stats lines up with units. The gate drops
+	// exactly the accesses it does not check.
+	for i, s := range aggs[0].(*Prob).Stats() {
+		fmt.Fprintf(&b, "%s %s %s rate=%d runs=%d det=%d races=%d leaked=%d acc=%d chk=%d skip=%d promo=%d demo=%d fast=%d\n",
+			s.Unit, s.Detector, s.Strategy, units[i].SampleRate, s.Runs, s.Detected, s.Races, s.LeakedRuns,
+			s.Accesses, s.Checked, s.Accesses-s.Checked, s.Promotions, s.Demotions, s.FastReads)
 	}
 	return b.String()
 }
@@ -345,6 +342,62 @@ func (l *foldLog) Observe(r Run) {
 	l.seeds = append(l.seeds, fmt.Sprintf("%d:%d", r.UnitIdx, r.SeedIdx))
 }
 func (l *foldLog) Merge(next Aggregator) { l.seeds = append(l.seeds, next.(*foldLog).seeds...) }
+
+// runStats collects every run's detector.Stats per unit.
+type runStats map[int][]detector.Stats
+
+func (m runStats) Observe(r Run) { m[r.UnitIdx] = append(m[r.UnitIdx], r.Outcome.Stats) }
+
+func (m runStats) Merge(next Aggregator) {
+	for idx, ss := range next.(runStats) {
+		m[idx] = append(m[idx], ss...)
+	}
+}
+
+// TestProbWorkCountersSumRunStats: over a small sampled campaign run
+// in several shards, each unit's work counters in Prob are exactly the
+// sums of its runs' Outcome.Stats.
+func TestProbWorkCountersSumRunStats(t *testing.T) {
+	racy := pat(t, "capture-loop-index")
+	var units []Unit
+	for _, rate := range []int{1, 4} {
+		units = append(units, Unit{ID: fmt.Sprintf("racy/sample:%d", rate), Program: racy.Racy,
+			Strategy: "random", Runs: 12, MaxSteps: 1 << 16, SampleRate: rate})
+	}
+	aggs, _, err := New(WithParallelism(2), WithShardRuns(5)).Run(units,
+		func() Aggregator { return NewProb() },
+		func() Aggregator { return runStats{} },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, runs := aggs[0].(*Prob).Stats(), aggs[1].(runStats)
+	if len(got) != len(units) {
+		t.Fatalf("Prob tallied %d units, want %d", len(got), len(units))
+	}
+	for i, s := range got {
+		var want UnitStat
+		for _, st := range runs[i] {
+			want.Accesses += st.Accesses
+			want.Checked += st.CheckedAccesses
+			want.Promotions += st.Promotions
+			want.Demotions += st.Demotions
+			want.FastReads += st.FastPathReads
+		}
+		work := UnitStat{Accesses: s.Accesses, Checked: s.Checked,
+			Promotions: s.Promotions, Demotions: s.Demotions, FastReads: s.FastReads}
+		if work != want {
+			t.Errorf("%s: work counters %+v, run sums %+v", s.Unit, work, want)
+		}
+		if s.Runs != 12 || len(runs[i]) != 12 || s.Accesses == 0 || s.Checked == 0 {
+			t.Errorf("%s: %d runs (%d observed), %d accesses, %d checked",
+				s.Unit, s.Runs, len(runs[i]), s.Accesses, s.Checked)
+		}
+	}
+	if got[1].Checked >= got[1].Accesses {
+		t.Errorf("rate-4 unit checked every access: %+v", got[1])
+	}
+}
 
 // TestExecReverseCompletionFoldsInShardOrder: an Exec that runs every
 // shard with RunShard but completes them last-to-first yields the same

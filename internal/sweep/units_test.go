@@ -110,7 +110,6 @@ func TestAggregatorCostIndependentOfUnitIdx(t *testing.T) {
 	late.UnitIdx = 1 << 20
 	for name, f := range map[string]Factory{
 		"Prob":      func() Aggregator { return NewProb() },
-		"Overhead":  func() Aggregator { return NewOverhead() },
 		"FirstRace": func() Aggregator { return NewFirstRace() },
 		"Verdicts":  func() Aggregator { return NewVerdicts() },
 		"Cover":     func() Aggregator { return NewCover() },
