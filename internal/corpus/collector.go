@@ -195,16 +195,23 @@ func (c *Collector) fold(unitIdx int, unitID, detName string, seed int64, races 
 		detName = detector.DefaultName
 	}
 	ua := c.unit(unitIdx)
-	for _, race := range races {
-		ua.counts[race.Hash()]++
+	// Sorted as report.UniqueByHash sorts, each race hashed once: the
+	// first race of each run of equal hashes is its representative.
+	sorted := slices.Clone(races)
+	hs := report.SortByHash(sorted)
+	for _, h := range hs {
+		ua.counts[h]++
 	}
 	fresh := 0
 	var (
 		hints classify.Hints
 		kept  *trace.Recorder
 	)
-	for _, race := range report.UniqueByHash(races) {
-		h := race.Hash()
+	for i, race := range sorted {
+		h := hs[i]
+		if i > 0 && hs[i-1] == h {
+			continue
+		}
 		if _, ok := ua.defs[h]; ok {
 			continue
 		}

@@ -45,6 +45,7 @@ func ProgStackTraceFixed(g *sched.G) {
 	var Stack_SetLine func(g *sched.G, _ *Stack, _ int)
 	var Stack_Depth func(g *sched.G, _ *Stack) int
 	var Stack_Capture func(g *sched.G, _ *Stack) Context
+	var Context_AppendKey func(g *sched.G, _ Context, _ []byte) []byte
 	_ = traceMu
 	_ = NewContext
 	_ = NewStack
@@ -63,6 +64,7 @@ func ProgStackTraceFixed(g *sched.G) {
 	_ = Stack_SetLine
 	_ = Stack_Depth
 	_ = Stack_Capture
+	_ = Context_AppendKey
 	Frame_String = func(g *sched.G, f Frame) string {
 		g.Push("stack.Frame_String", "stack.go", 27)
 		defer g.Pop()
@@ -109,8 +111,8 @@ func ProgStackTraceFixed(g *sched.G) {
 	Context_Key = func(g *sched.G, c Context) string {
 		g.Push("stack.Context_Key", "stack.go", 80)
 		defer g.Pop()
-		names := Context_FuncNames(g, c)
-		return strings.Join(names, "->")
+		key := Context_AppendKey(g, c, nil)
+		return string(key)
 	}
 	Context_String = func(g *sched.G, c Context) string {
 		g.Push("stack.Context_String", "stack.go", 87)
@@ -164,6 +166,17 @@ func ProgStackTraceFixed(g *sched.G) {
 		s.cached.Store(g, NewContext(g, s.frames.Values(g)...))
 		s.dirty.Store(g, false)
 		return s.cached.Load(g)
+	}
+	Context_AppendKey = func(g *sched.G, c Context, dst []byte) []byte {
+		g.Push("stack.Context_AppendKey", "stack.go", 150)
+		defer g.Pop()
+		for i, f := range c.frames {
+			if i > 0 {
+				dst = append(dst, "->"...)
+			}
+			dst = append(dst, f.Func...)
+		}
+		return dst
 	}
 	NewContext = func(g *sched.G, frames ...Frame) Context {
 		g.Push("stack.NewContext", "stack.go", 40)

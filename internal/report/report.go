@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,12 +76,20 @@ func (r Race) Var() string {
 // lexicographically before hashing, making the hash stable across
 // unrelated source edits and across access-order flips.
 func (r Race) Hash() string {
-	k1, k2 := r.First.Stack.Key(), r.Second.Stack.Key()
-	if k2 < k1 {
-		k1, k2 = k2, k1
+	// Both keys go into one stack buffer as k1, 0, k2; a pair out of
+	// order is laid out again after them as k2, 0, k1.
+	var space [512]byte
+	buf := r.First.Stack.AppendKey(space[:0])
+	n1 := len(buf)
+	buf = r.Second.Stack.AppendKey(append(buf, 0))
+	key := buf
+	if k1, k2 := buf[:n1], buf[n1+1:]; string(k2) < string(k1) {
+		key = append(append(append(buf, k2...), 0), k1...)[len(buf):]
 	}
-	sum := sha256.Sum256([]byte(k1 + "\x00" + k2))
-	return hex.EncodeToString(sum[:8])
+	sum := sha256.Sum256(key)
+	var hx [16]byte
+	hex.Encode(hx[:], sum[:8])
+	return string(hx[:])
 }
 
 // String renders the race in the style of Go's race detector output.
@@ -143,27 +152,50 @@ func (d *Deduper) Stats() (total, unique, open int) {
 // SortRaces orders races deterministically (by hash, then sequence),
 // so experiment output is stable across runs.
 func SortRaces(rs []Race) {
-	sort.Slice(rs, func(i, j int) bool {
-		hi, hj := rs[i].Hash(), rs[j].Hash()
-		if hi != hj {
-			return hi < hj
-		}
-		return rs[i].Seq < rs[j].Seq
-	})
+	SortByHash(rs)
+}
+
+// SortByHash sorts rs as SortRaces does and returns each race's hash,
+// parallel to the sorted rs. Every hash is computed once, and the sort
+// runs the same comparisons and swaps as a sort.Slice over the races,
+// so ties (equal hash and Seq) land in the same order.
+func SortByHash(rs []Race) []string {
+	hs := make([]string, len(rs))
+	for i := range rs {
+		hs[i] = rs[i].Hash()
+	}
+	sort.Sort(byHash{hs, rs})
+	return hs
+}
+
+// byHash sorts races and their precomputed hashes together.
+type byHash struct {
+	hs []string
+	rs []Race
+}
+
+func (b byHash) Len() int { return len(b.rs) }
+
+func (b byHash) Less(i, j int) bool {
+	if b.hs[i] != b.hs[j] {
+		return b.hs[i] < b.hs[j]
+	}
+	return b.rs[i].Seq < b.rs[j].Seq
+}
+
+func (b byHash) Swap(i, j int) {
+	b.hs[i], b.hs[j] = b.hs[j], b.hs[i]
+	b.rs[i], b.rs[j] = b.rs[j], b.rs[i]
 }
 
 // UniqueByHash returns the first representative of each hash, in
 // deterministic order.
 func UniqueByHash(rs []Race) []Race {
-	seen := make(map[string]bool)
+	sorted := slices.Clone(rs)
+	hs := SortByHash(sorted)
 	var out []Race
-	sorted := make([]Race, len(rs))
-	copy(sorted, rs)
-	SortRaces(sorted)
-	for _, r := range sorted {
-		h := r.Hash()
-		if !seen[h] {
-			seen[h] = true
+	for i, r := range sorted {
+		if i == 0 || hs[i] != hs[i-1] {
 			out = append(out, r)
 		}
 	}

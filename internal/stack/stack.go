@@ -66,7 +66,7 @@ func (c Context) Root() Frame {
 }
 
 // FuncNames returns the root-first function names, without line numbers.
-// This is the projection used by the §3.3.1 dedup hash.
+// Key and the §3.3.1 dedup hash render this same projection.
 func (c Context) FuncNames() []string {
 	out := make([]string, len(c.frames))
 	for i, f := range c.frames {
@@ -78,8 +78,8 @@ func (c Context) FuncNames() []string {
 // Key renders the context as a single line-number-free string,
 // "a()->b()->c()", suitable for hashing and lexicographic ordering.
 func (c Context) Key() string {
-	names := c.FuncNames()
-	return strings.Join(names, "->")
+	key := c.AppendKey(nil)
+	return string(key)
 }
 
 // String renders the context leaf-first, one frame per line, in the
@@ -143,4 +143,16 @@ func (s *Stack) Capture() Context {
 	s.cached = NewContext(s.frames...)
 	s.dirty = false
 	return s.cached
+}
+
+// AppendKey appends Key's rendering to dst and returns the extended
+// slice, so a caller can build keys in its own buffer.
+func (c Context) AppendKey(dst []byte) []byte {
+	for i, f := range c.frames {
+		if i > 0 {
+			dst = append(dst, "->"...)
+		}
+		dst = append(dst, f.Func...)
+	}
+	return dst
 }

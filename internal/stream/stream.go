@@ -25,7 +25,12 @@
 // trace codec ("GRTB", counted or streamed) from any io.Reader,
 // folding defects into a corpus.Collector as they manifest. It is the
 // one path that re-detects a saved trace: racedetect -stream, racedb
-// replay, and raced's replay and ingest endpoints all run it. With no
+// replay, and raced's replay and ingest endpoints all run it. Each
+// Ingest call decodes ahead of detection: a decoder goroutine fills
+// batches of checkEvery events while the calling goroutine detects the
+// previous batch, with at most three batches (about 310 KiB) in flight.
+// Detection order, fold points and window contents are those of a
+// serial loop, and the decoder is joined before Ingest returns. With no
 // ceiling the detector never evicts and streaming results are
 // report-identical to a batch replay of the same events
 // (differential_test.go pins this over the progen and dogfood corpora).
@@ -54,8 +59,9 @@ const DefaultWindow = 1024
 // depot, per-goroutine windows, and retained reports.
 const shadowFraction = 4
 
-// checkEvery is how many events pass between context-cancellation
-// checks in the ingest loop.
+// checkEvery is the decode-ahead batch size: how many events the
+// decoder hands over at once, and so how many pass between
+// context-cancellation checks in the ingest loop.
 const checkEvery = 1024
 
 // Config configures an Ingestor.
@@ -178,9 +184,15 @@ type raceCounter interface {
 // so one Ingestor may consume a stream delivered in several chunks;
 // the execution is counted against the Collector once per Ingest.
 //
-// On a decode error or cancellation the events consumed so far have
-// been fully detected and folded; the Result reflects them, alongside
-// the error.
+// Decoding runs one batch ahead of detection on its own goroutine
+// (see decodeAhead); detection, folds and the window see the events
+// in stream order on the calling goroutine, as a serial loop would.
+// The context is checked once per batch of checkEvery events. On a
+// decode error or cancellation the events consumed so far have been
+// fully detected and folded; the Result reflects them, alongside the
+// error. Ingest joins the decoder before it returns, so r is never
+// read afterwards, and a panic raised while reading r is re-raised
+// here.
 func (in *Ingestor) Ingest(ctx context.Context, r io.Reader) (res Result, err error) {
 	before := len(in.det.Races())
 	// Named returns: the finalizer below must land in the Result the
@@ -196,33 +208,138 @@ func (in *Ingestor) Ingest(ctx context.Context, r io.Reader) (res Result, err er
 	if err != nil {
 		return res, err
 	}
+	p := decodeAhead(dec)
+	defer p.stop()
 	counter, fast := in.det.(raceCounter)
 	for {
-		if res.Events%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				in.foldNew(&res, len(in.det.Races()))
-				return res, err
-			}
-		}
-		ev, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			in.foldNew(&res, len(in.det.Races()))
 			return res, err
 		}
-		if in.win != nil {
-			in.win.HandleEvent(ev)
+		b := p.next()
+		if b == nil {
+			return res, nil // the decoder panicked; stop re-raises it
 		}
-		in.det.HandleEvent(ev)
-		res.Events++
-		if fast && counter.RaceCount() > in.folded {
-			in.foldNew(&res, counter.RaceCount())
+		for _, ev := range b.events {
+			if in.win != nil {
+				in.win.HandleEvent(ev)
+			}
+			in.det.HandleEvent(ev)
+			res.Events++
+			if fast && counter.RaceCount() > in.folded {
+				in.foldNew(&res, counter.RaceCount())
+			}
+		}
+		if b.err != nil {
+			in.foldNew(&res, len(in.det.Races()))
+			if b.err == io.EOF {
+				return res, nil
+			}
+			return res, b.err
 		}
 	}
-	in.foldNew(&res, len(in.det.Races()))
-	return res, nil
+}
+
+// batch is one handoff of the decode-ahead pipeline: up to checkEvery
+// decoded events, then the error that ended decoding (io.EOF at a
+// clean end), if any.
+type batch struct {
+	events []trace.Event
+	err    error
+}
+
+// pipeDepth is how many decoded batches may wait for detection. With
+// the one being detected, at most pipeDepth+1 batches exist, so the
+// decoder runs at most pipeDepth batches ahead.
+const pipeDepth = 2
+
+// pipeline is the decoder half of Ingest, running on its own
+// goroutine. Batches travel to the caller over full and come back
+// over free once detected, so no batch is reused while the caller
+// still reads it. free has room for every batch, so handing one back
+// never blocks.
+type pipeline struct {
+	full, free chan *batch
+	held       *batch // the batch the caller is detecting
+	quit, done chan struct{}
+	panicked   any // set by the decoder before done closes
+}
+
+// decodeAhead starts decoding dec into batches on a new goroutine. A
+// batch's buffer is allocated at full size on its first fill, so a
+// short stream pays for one batch, not three.
+func decodeAhead(dec *trace.Decoder) *pipeline {
+	p := &pipeline{
+		full: make(chan *batch, pipeDepth),
+		free: make(chan *batch, pipeDepth+1),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	for i := 0; i < pipeDepth+1; i++ {
+		p.free <- new(batch)
+	}
+	go p.decode(dec)
+	return p
+}
+
+// decode fills free batches until the stream ends or the caller
+// quits. A panic (a panicking io.Reader, say) is kept for stop to
+// re-raise on the caller's goroutine; closing full wakes a caller
+// waiting in next.
+func (p *pipeline) decode(dec *trace.Decoder) {
+	defer close(p.done)
+	defer close(p.full)
+	defer func() { p.panicked = recover() }()
+	for {
+		var b *batch
+		select {
+		case b = <-p.free:
+		case <-p.quit:
+			return
+		}
+		if b.events == nil {
+			b.events = make([]trace.Event, 0, checkEvery)
+		}
+		b.events = b.events[:0]
+		for len(b.events) < checkEvery {
+			ev, err := dec.Next()
+			if err != nil {
+				b.err = err
+				break
+			}
+			b.events = append(b.events, ev)
+		}
+		select {
+		case p.full <- b:
+		case <-p.quit:
+			return
+		}
+		if b.err != nil {
+			return
+		}
+	}
+}
+
+// next returns the next decoded batch, handing the previous one back
+// to the decoder; nil means the decoder panicked. The previous batch
+// is released only now, after the caller's context check, so on
+// cancellation at most pipeDepth batches were decoded and not detected.
+func (p *pipeline) next() *batch {
+	if p.held != nil {
+		p.free <- p.held
+	}
+	p.held = <-p.full
+	return p.held
+}
+
+// stop ends the decoder, waits for it to exit so the reader is never
+// touched after Ingest returns, and re-raises a decoder panic.
+func (p *pipeline) stop() {
+	close(p.quit)
+	<-p.done
+	if p.panicked != nil {
+		panic(p.panicked)
+	}
 }
 
 // foldNew folds reports [in.folded, n) into the collector with the

@@ -237,15 +237,15 @@ func Plan(units []Unit, shardRuns int) []Shard {
 // worker, config) and reset between seeds, not reallocated per shard.
 type WorkerCache struct {
 	mu   sync.Mutex
-	free map[string][]*core.Worker
+	free map[workerKey][]*core.Worker
 }
 
 // NewWorkerCache returns an empty cache.
 func NewWorkerCache() *WorkerCache {
-	return &WorkerCache{free: make(map[string][]*core.Worker)}
+	return &WorkerCache{free: make(map[workerKey][]*core.Worker)}
 }
 
-func (c *WorkerCache) acquire(key string) (*core.Worker, bool) {
+func (c *WorkerCache) acquire(key workerKey) (*core.Worker, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	stack := c.free[key]
@@ -257,7 +257,7 @@ func (c *WorkerCache) acquire(key string) (*core.Worker, bool) {
 	return wk, true
 }
 
-func (c *WorkerCache) release(key string, wk *core.Worker) {
+func (c *WorkerCache) release(key workerKey, wk *core.Worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.free[key] = append(c.free[key], wk)
@@ -464,13 +464,30 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 	return roots, stats, nil
 }
 
-// configKey identifies the recycled-state compatibility class of a
-// unit. Units sharing a key reuse the campaign's cached core.Workers;
-// factory-driven units get a per-unit key so a stateful factory is
-// never shared across units.
-func configKey(u *Unit, unitIdx int) string {
+// workerKey is the recycled-state compatibility class of a unit: the
+// configuration a core.Worker is built from. Factory-driven units get
+// a per-unit key (factory set, unit their index) so a stateful factory
+// is never shared across units.
+type workerKey struct {
+	detector, strategy string
+	maxSteps           int
+	record             bool
+	sampleRate         int
+	factory            bool
+	unit               int
+}
+
+// configKey returns u's workerKey. Units sharing a key reuse the
+// campaign's cached core.Workers.
+func configKey(u *Unit, unitIdx int) workerKey {
 	if u.StrategyFactory != nil {
-		return fmt.Sprintf("factory/%d", unitIdx)
+		return workerKey{factory: true, unit: unitIdx}
 	}
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%t\x00%d", u.Detector, u.Strategy, u.MaxSteps, u.Record, u.SampleRate)
+	return workerKey{
+		detector:   u.Detector,
+		strategy:   u.Strategy,
+		maxSteps:   u.MaxSteps,
+		record:     u.Record,
+		sampleRate: u.SampleRate,
+	}
 }
