@@ -252,10 +252,3 @@ func GenJavaRepo(p Profile, lines int, seed int64) []File {
 	sb.WriteString("}\n")
 	return []File{{Name: "Service.java", Content: sb.String()}}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

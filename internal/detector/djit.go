@@ -18,20 +18,20 @@ type DJIT struct {
 	cells cellTable[djitCell]
 }
 
-// djitCell holds the four per-cell history clocks by value, in a
-// cellTable. Each history is an adaptive clock: one packed
+// djitCell holds the four per-cell histories by value, in a
+// cellTable. Each is a vclock.History updated with Set: one packed
 // epoch word while a single goroutine touches it, inflated to a pooled
-// full vector clock on the first second-goroutine touch. AdaptiveClock
-// preserves every component exactly, so DJIT's per-component verdict
-// counts are unchanged — only the representation (and its cost) adapts.
-// The zero value is a usable empty history, so a fresh cell needs no
+// full vector clock on the first second-goroutine touch. Set preserves
+// every component exactly, so DJIT's per-component verdict counts are
+// unchanged — only the representation (and its cost) adapts. The zero
+// value is a usable empty history, so a fresh cell needs no
 // initialization and no allocation.
 type djitCell struct {
 	seen         bool
-	writes       vclock.AdaptiveClock // per-goroutine last write time
-	reads        vclock.AdaptiveClock // per-goroutine last plain-read time
-	atomicWrites vclock.AdaptiveClock
-	atomicReads  vclock.AdaptiveClock
+	writes       vclock.History // per-goroutine last write time
+	reads        vclock.History // per-goroutine last plain-read time
+	atomicWrites vclock.History
+	atomicReads  vclock.History
 }
 
 // NewDJIT returns a fresh DJIT+ detector.
@@ -113,11 +113,11 @@ func (d *DJIT) HandleEvent(ev trace.Event) {
 		if !ev.Op.IsAtomic() {
 			d.countConcurrent(&c.atomicWrites, cur, ev)
 			d.countConcurrent(&c.atomicReads, cur, ev)
-			if c.writes.SetPooled(ev.G, cur.Get(ev.G), d.pool) {
+			if c.writes.Set(ev.G, cur.Get(ev.G), d.pool) {
 				d.adapt.promotions++
 			}
 		} else {
-			if c.atomicWrites.SetPooled(ev.G, cur.Get(ev.G), d.pool) {
+			if c.atomicWrites.Set(ev.G, cur.Get(ev.G), d.pool) {
 				d.adapt.promotions++
 			}
 		}
@@ -125,11 +125,11 @@ func (d *DJIT) HandleEvent(ev trace.Event) {
 }
 
 // noteRead folds a read into an adaptive read history, counting the
-// promotion when the set inflates and the fast path when it stays in
+// promotion when the history inflates and the fast path when it stays in
 // (or enters) epoch form.
-func (d *DJIT) noteRead(hist *vclock.AdaptiveClock, g vclock.TID, t uint32) {
+func (d *DJIT) noteRead(hist *vclock.History, g vclock.TID, t uint32) {
 	wasEpoch := !hist.IsInflated()
-	if hist.SetPooled(g, t, d.pool) {
+	if hist.Set(g, t, d.pool) {
 		d.adapt.promotions++
 	} else if wasEpoch {
 		d.adapt.fastReads++
@@ -138,8 +138,8 @@ func (d *DJIT) noteRead(hist *vclock.AdaptiveClock, g vclock.TID, t uint32) {
 
 // countConcurrent tallies components of hist that are ahead of cur —
 // prior accesses by other goroutines not ordered before this one.
-func (d *DJIT) countConcurrent(hist *vclock.AdaptiveClock, cur *vclock.VC, ev trace.Event) {
-	hist.ForEachTime(func(t vclock.TID, ts uint32) {
+func (d *DJIT) countConcurrent(hist *vclock.History, cur *vclock.VC, ev trace.Event) {
+	hist.ForEach(func(t vclock.TID, ts uint32) {
 		if t == ev.G {
 			return
 		}

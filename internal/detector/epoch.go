@@ -7,7 +7,7 @@ import (
 )
 
 // Epoch is a lean FastTrack variant that keeps only epochs and
-// adaptive read sets in shadow cells — no stacks, labels, or lock
+// adaptive read histories in shadow cells — no stacks, labels, or lock
 // annotations — and counts races instead of building reports: Races
 // synthesizes one minimal report per racy address, and Count keeps
 // the pair total. It exists for the epochs-vs-vector-clocks ablation
@@ -20,16 +20,17 @@ type Epoch struct {
 }
 
 // epochCell is one cell's shadow word, stored by value in a
-// cellTable. A cell is lazily initialized on first touch
-// (seen=false) because the zero Epoch is not NoEpoch.
+// cellTable. Its zero value is a fresh cell: the zero Epoch is "no
+// write" and the zero History "no reads"; seen only marks the cell
+// as counted in Cells.
 type epochCell struct {
 	seen        bool
 	write       vclock.Epoch
 	writeAtomic bool
-	// Plain and atomic reads are kept in separate read sets so the
+	// Plain and atomic reads are kept in separate histories so the
 	// atomic-vs-atomic suppression rule matches FastTrack verdicts.
-	reads       vclock.ReadSet
-	atomicReads vclock.ReadSet
+	reads       vclock.History
+	atomicReads vclock.History
 }
 
 // NewEpoch returns a fresh epoch-based detector.
@@ -52,26 +53,22 @@ func (e *Epoch) Stats() Stats { return e.statsOf(e.count) }
 func (e *Epoch) Reset() {
 	e.hb.reset()
 	e.cells.reset(func(c *epochCell) {
-		c.seen = false
-		// Inflated read clocks must come back to the pool now, not
-		// lazily on the cell's next touch — a run that never revisits
-		// this address would otherwise strand them.
+		// Inflated read clocks must come back to the pool now — a run
+		// that never revisits this address would otherwise strand
+		// them. Teardown is not a demotion, so no counter moves.
 		c.reads.ReleaseTo(e.pool)
 		c.atomicReads.ReleaseTo(e.pool)
+		*c = epochCell{}
 	})
 	e.verdicts.reset()
 }
 
-// cell returns the shadow cell for a, initializing it on first touch.
+// cell returns the shadow cell for a, counting it on first touch.
 // The pointer is only valid until the next cell call.
 func (e *Epoch) cell(a trace.Addr) *epochCell {
 	c := e.cells.at(a)
 	if !c.seen {
 		c.seen = true
-		c.write = vclock.NoEpoch
-		c.writeAtomic = false
-		c.reads.ReleaseTo(e.pool)
-		c.atomicReads.ReleaseTo(e.pool)
 		e.cellCount++
 	}
 	return c
@@ -93,7 +90,7 @@ func (e *Epoch) HandleEvent(ev trace.Event) {
 	case trace.OpRead, trace.OpAtomicLoad:
 		c := e.cell(ev.Addr)
 		cur := e.clockOf(ev.G)
-		if !c.write.IsNone() && c.write.TID() != ev.G && !c.write.LeqVC(cur) {
+		if c.write.TID() != ev.G && !c.write.LeqVC(cur) {
 			if !(c.writeAtomic && ev.Op.IsAtomic()) {
 				e.hit(ev.Addr)
 			}
@@ -107,7 +104,7 @@ func (e *Epoch) HandleEvent(ev trace.Event) {
 	case trace.OpWrite, trace.OpAtomicStore, trace.OpAtomicRMW:
 		c := e.cell(ev.Addr)
 		cur := e.clockOf(ev.G)
-		if !c.write.IsNone() && c.write.TID() != ev.G && !c.write.LeqVC(cur) {
+		if c.write.TID() != ev.G && !c.write.LeqVC(cur) {
 			if !(c.writeAtomic && ev.Op.IsAtomic()) {
 				e.hit(ev.Addr)
 			}
@@ -115,23 +112,20 @@ func (e *Epoch) HandleEvent(ev trace.Event) {
 		// Report every concurrent reader, matching FastTrack's
 		// per-reader reporting. Atomic readers race with this write
 		// only if the write is not atomic itself.
-		c.reads.ForEach(func(r vclock.Epoch) {
-			if r.TID() != ev.G && !r.LeqVC(cur) {
+		hitReader := func(g vclock.TID, t uint32) {
+			if g != ev.G && t > cur.Get(g) {
 				e.hit(ev.Addr)
 			}
-		})
+		}
+		c.reads.ForEach(hitReader)
 		if !ev.Op.IsAtomic() {
-			c.atomicReads.ForEach(func(r vclock.Epoch) {
-				if r.TID() != ev.G && !r.LeqVC(cur) {
-					e.hit(ev.Addr)
-				}
-			})
+			c.atomicReads.ForEach(hitReader)
 		}
 		c.write = vclock.MakeEpoch(ev.G, cur.Get(ev.G))
 		c.writeAtomic = ev.Op.IsAtomic()
 		// The write subsumes the read history; count the demotion only
-		// when an inflated clock actually went back to the pool (cell
-		// init and Reset also call ReleaseTo, but those are teardown).
+		// when an inflated clock actually went back to the pool (Reset
+		// also calls ReleaseTo, but that is teardown).
 		if c.reads.ReleaseTo(e.pool) {
 			e.adapt.demotions++
 		}
@@ -141,12 +135,12 @@ func (e *Epoch) HandleEvent(ev trace.Event) {
 	}
 }
 
-// noteRead folds a read into an adaptive read set, counting the
-// promotion when the set inflates and the fast path when the read is
-// absorbed in epoch form.
-func (e *Epoch) noteRead(rs *vclock.ReadSet, g vclock.TID, cur *vclock.VC) {
+// noteRead folds a read into a read history under FastTrack's
+// read-share rule, counting the promotion when the history inflates
+// and the fast path when the read is absorbed in epoch form.
+func (e *Epoch) noteRead(rs *vclock.History, g vclock.TID, cur *vclock.VC) {
 	wasEpoch := !rs.IsInflated()
-	if rs.NotePooled(vclock.MakeEpoch(g, cur.Get(g)), cur, e.pool) {
+	if rs.NoteRead(g, cur.Get(g), cur, e.pool) {
 		e.adapt.promotions++
 	} else if wasEpoch {
 		e.adapt.fastReads++

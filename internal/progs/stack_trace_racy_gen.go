@@ -37,7 +37,6 @@ func ProgStackTrace(g *sched.G) {
 	var Context_Depth func(g *sched.G, _ Context) int
 	var Context_Leaf func(g *sched.G, _ Context) Frame
 	var Context_Root func(g *sched.G, _ Context) Frame
-	var Context_FuncNames func(g *sched.G, _ Context) []string
 	var Context_Key func(g *sched.G, _ Context) string
 	var Context_String func(g *sched.G, _ Context) string
 	var Stack_Push func(g *sched.G, _ *Stack, _ string, _ string, _ int)
@@ -56,7 +55,6 @@ func ProgStackTrace(g *sched.G) {
 	_ = Context_Depth
 	_ = Context_Leaf
 	_ = Context_Root
-	_ = Context_FuncNames
 	_ = Context_Key
 	_ = Context_String
 	_ = Stack_Push
@@ -99,23 +97,14 @@ func ProgStackTrace(g *sched.G) {
 		}
 		return c.frames[0]
 	}
-	Context_FuncNames = func(g *sched.G, c Context) []string {
-		g.Push("stack.Context_FuncNames", "stack.go", 70)
-		defer g.Pop()
-		out := make([]string, len(c.frames))
-		for i, f := range c.frames {
-			out[i] = f.Func
-		}
-		return out
-	}
 	Context_Key = func(g *sched.G, c Context) string {
-		g.Push("stack.Context_Key", "stack.go", 80)
+		g.Push("stack.Context_Key", "stack.go", 70)
 		defer g.Pop()
 		key := Context_AppendKey(g, c, nil)
 		return string(key)
 	}
 	Context_String = func(g *sched.G, c Context) string {
-		g.Push("stack.Context_String", "stack.go", 87)
+		g.Push("stack.Context_String", "stack.go", 77)
 		defer g.Pop()
 		var b strings.Builder
 		for i := len(c.frames) - 1; i >= 0; i-- {
@@ -124,13 +113,13 @@ func ProgStackTrace(g *sched.G) {
 		return b.String()
 	}
 	Stack_Push = func(g *sched.G, s *Stack, fn string, file string, line int) {
-		g.Push("stack.Stack_Push", "stack.go", 106)
+		g.Push("stack.Stack_Push", "stack.go", 96)
 		defer g.Pop()
 		s.frames.Append(g, Frame{Func: fn, File: file, Line: line})
 		s.dirty.Store(g, true)
 	}
 	Stack_Pop = func(g *sched.G, s *Stack) {
-		g.Push("stack.Stack_Pop", "stack.go", 113)
+		g.Push("stack.Stack_Pop", "stack.go", 103)
 		defer g.Pop()
 		if s.frames.Len(g) == 0 {
 			panic("stack: Pop on empty stack")
@@ -139,7 +128,7 @@ func ProgStackTrace(g *sched.G) {
 		s.dirty.Store(g, true)
 	}
 	Stack_SetLine = func(g *sched.G, s *Stack, line int) {
-		g.Push("stack.Stack_SetLine", "stack.go", 123)
+		g.Push("stack.Stack_SetLine", "stack.go", 113)
 		defer g.Pop()
 		if s.frames.Len(g) == 0 {
 			return
@@ -153,12 +142,12 @@ func ProgStackTrace(g *sched.G) {
 		}
 	}
 	Stack_Depth = func(g *sched.G, s *Stack) int {
-		g.Push("stack.Stack_Depth", "stack.go", 134)
+		g.Push("stack.Stack_Depth", "stack.go", 124)
 		defer g.Pop()
 		return s.frames.Len(g)
 	}
 	Stack_Capture = func(g *sched.G, s *Stack) Context {
-		g.Push("stack.Stack_Capture", "stack.go", 139)
+		g.Push("stack.Stack_Capture", "stack.go", 129)
 		defer g.Pop()
 		if !s.dirty.Load(g) {
 			return s.cached.Load(g)
@@ -168,7 +157,7 @@ func ProgStackTrace(g *sched.G) {
 		return s.cached.Load(g)
 	}
 	Context_AppendKey = func(g *sched.G, c Context, dst []byte) []byte {
-		g.Push("stack.Context_AppendKey", "stack.go", 150)
+		g.Push("stack.Context_AppendKey", "stack.go", 140)
 		defer g.Pop()
 		for i, f := range c.frames {
 			if i > 0 {
@@ -186,7 +175,7 @@ func ProgStackTrace(g *sched.G) {
 		return c
 	}
 	NewStack = func(g *sched.G) *Stack {
-		g.Push("stack.NewStack", "stack.go", 103)
+		g.Push("stack.NewStack", "stack.go", 93)
 		defer g.Pop()
 		return &Stack{frames: sched.NewSlice[Frame](g, "Stack.frames", 0), cached: sched.NewVar[Context](g, "Stack.cached"), dirty: sched.NewVarOf[bool](g, "Stack.dirty", true)}
 	}

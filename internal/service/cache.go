@@ -28,6 +28,9 @@ type cacheEntry struct {
 	body []byte
 }
 
+// cacheEntries bounds the server's response cache.
+const cacheEntries = 512
+
 func newCache(max int) *cache {
 	return &cache{
 		max:     max,

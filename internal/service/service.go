@@ -89,8 +89,6 @@ type Config struct {
 	// results) stay queryable before oldest-first eviction (default
 	// 64). Evicted job ids answer 404.
 	JobsRetained int
-	// CacheEntries bounds the response cache (default 512 entries).
-	CacheEntries int
 	// IngestStreams bounds concurrent POST /v1/ingest streams
 	// (default 4). Excess requests answer 429 + Retry-After.
 	IngestStreams int
@@ -162,9 +160,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JobsRetained <= 0 {
 		cfg.JobsRetained = 64
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 512
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
@@ -174,7 +169,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		log:       cfg.Logger,
-		cache:     newCache(cfg.CacheEntries),
+		cache:     newCache(cacheEntries),
 		ingestSem: make(chan struct{}, cfg.IngestStreams),
 	}
 	s.ingestCtx, s.ingestCancel = context.WithCancel(context.Background())

@@ -65,16 +65,6 @@ func (c Context) Root() Frame {
 	return c.frames[0]
 }
 
-// FuncNames returns the root-first function names, without line numbers.
-// Key and the §3.3.1 dedup hash render this same projection.
-func (c Context) FuncNames() []string {
-	out := make([]string, len(c.frames))
-	for i, f := range c.frames {
-		out[i] = f.Func
-	}
-	return out
-}
-
 // Key renders the context as a single line-number-free string,
 // "a()->b()->c()", suitable for hashing and lexicographic ordering.
 func (c Context) Key() string {

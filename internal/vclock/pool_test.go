@@ -119,37 +119,3 @@ func TestJoinInto(t *testing.T) {
 		t.Fatalf("JoinInto mutated the source: %v", a)
 	}
 }
-
-func TestReadSetPooledMatchesUnpooled(t *testing.T) {
-	// The pooled Note/ReleaseTo cycle must behave exactly like the
-	// allocating one, including after recycling an inflated clock.
-	p := NewPool()
-	cur := New()
-	cur.Set(0, 1)
-	for round := 0; round < 3; round++ {
-		var plain, pooled ReadSet
-		plain.Reset()
-		pooled.Reset()
-		// Two concurrent readers force inflation.
-		plain.Note(MakeEpoch(1, 5), cur)
-		plain.Note(MakeEpoch(2, 3), cur)
-		pooled.NotePooled(MakeEpoch(1, 5), cur, p)
-		pooled.NotePooled(MakeEpoch(2, 3), cur, p)
-		if !pooled.IsInflated() || !plain.IsInflated() {
-			t.Fatal("concurrent readers did not inflate")
-		}
-		a, b := plain.Readers(), pooled.Readers()
-		if len(a) != len(b) {
-			t.Fatalf("round %d: %d vs %d readers", round, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("round %d: reader %d: %v vs %v", round, i, a[i], b[i])
-			}
-		}
-		pooled.ReleaseTo(p)
-		if pooled.IsInflated() || pooled.Epoch() != NoEpoch {
-			t.Fatal("ReleaseTo did not clear the read set")
-		}
-	}
-}

@@ -8,14 +8,16 @@
 //
 // FastTrack (Flanagan & Freund, PLDI 2009) observes that most accesses
 // are totally ordered, so a single (goroutine, time) pair — an Epoch —
-// suffices for the common case. The detector in this repository uses
-// epochs for write histories and adaptively inflates read histories from
-// an epoch to a full vector clock only when reads become concurrent.
+// suffices for the common case. A History is the per-cell access
+// history of the counting detectors: one epoch until a second
+// goroutine must be kept, then a pooled vector clock. Its two update
+// rules are the epochs-vs-vector-clocks ablation: NoteRead applies
+// FastTrack's read-share rule (the epoch detector's read histories),
+// Set keeps every goroutine's latest time (DJIT+'s histories).
 package vclock
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -23,9 +25,6 @@ import (
 // assigned in spawn order by the scheduler, which keeps vector clocks
 // compact (indexable by slice).
 type TID int32
-
-// None is the TID used by epochs that denote "no access yet".
-const None TID = -1
 
 // VC is a vector clock. The zero value is a usable clock with all
 // components zero. VCs grow on demand; a missing component is zero.
@@ -35,9 +34,6 @@ type VC struct {
 
 // New returns an empty vector clock.
 func New() *VC { return &VC{} }
-
-// NewWithCapacity returns an empty vector clock pre-sized for n goroutines.
-func NewWithCapacity(n int) *VC { return &VC{ts: make([]uint32, 0, n)} }
 
 // grow ensures the clock has a component for tid.
 func (v *VC) grow(tid TID) {
@@ -67,73 +63,32 @@ func (v *VC) Tick(tid TID) uint32 {
 	return v.ts[tid]
 }
 
-// Join sets v to the pointwise maximum of v and o.
-func (v *VC) Join(o *VC) {
-	if o == nil {
+// JoinInto folds v into dst: dst becomes the pointwise maximum of the
+// two, allocating only if it must grow beyond its capacity. A nil v is
+// the zero clock and changes nothing.
+func (v *VC) JoinInto(dst *VC) {
+	if v == nil {
 		return
 	}
-	if len(o.ts) > len(v.ts) {
-		v.grow(TID(len(o.ts) - 1))
+	if len(v.ts) > len(dst.ts) {
+		dst.grow(TID(len(v.ts) - 1))
 	}
-	for i, t := range o.ts {
-		if t > v.ts[i] {
-			v.ts[i] = t
+	for i, t := range v.ts {
+		if t > dst.ts[i] {
+			dst.ts[i] = t
 		}
 	}
 }
 
-// Copy returns a deep copy of v.
-func (v *VC) Copy() *VC {
-	c := &VC{ts: make([]uint32, len(v.ts))}
-	copy(c.ts, v.ts)
-	return c
-}
-
-// Assign overwrites v with the contents of o.
-func (v *VC) Assign(o *VC) {
-	v.ts = v.ts[:0]
-	v.ts = append(v.ts, o.ts...)
-}
-
 // CopyInto overwrites dst with the contents of v, reusing dst's backing
-// array. It is the pool-friendly form of Copy: a recycled destination
-// of sufficient capacity makes the copy allocation-free.
+// array: a recycled destination of sufficient capacity makes the copy
+// allocation-free.
 func (v *VC) CopyInto(dst *VC) {
 	dst.ts = append(dst.ts[:0], v.ts...)
 }
 
-// JoinInto folds v into dst (dst becomes the pointwise maximum),
-// allocating only if dst must grow beyond its capacity. It is Join with
-// the data flowing out of the receiver, which reads naturally when v is
-// a source clock being merged into pooled, reused state.
-func (v *VC) JoinInto(dst *VC) {
-	dst.Join(v)
-}
-
-// LeqAll reports whether v ≤ o pointwise (v happens before or equals o).
-func (v *VC) LeqAll(o *VC) bool {
-	for i, t := range v.ts {
-		if t > o.Get(TID(i)) {
-			return false
-		}
-	}
-	return true
-}
-
-// Concurrent reports whether neither clock is pointwise ≤ the other.
-func (v *VC) Concurrent(o *VC) bool {
-	return !v.LeqAll(o) && !o.LeqAll(v)
-}
-
 // Len returns the number of allocated components.
 func (v *VC) Len() int { return len(v.ts) }
-
-// Reset zeroes the clock in place, retaining capacity.
-func (v *VC) Reset() {
-	for i := range v.ts {
-		v.ts[i] = 0
-	}
-}
 
 // String renders the clock as {g0:t0 g1:t1 ...} omitting zero entries.
 func (v *VC) String() string {
@@ -155,11 +110,10 @@ func (v *VC) String() string {
 }
 
 // Epoch packs a (TID, time) pair into one word, FastTrack style.
-// The zero Epoch is "no access" (TID None, time 0).
+// The zero Epoch means "no access": logical times start at 1 (a
+// goroutine's clock is seeded with its own component at 1), so no real
+// MakeEpoch(tid, t) is the zero word.
 type Epoch uint64
-
-// NoEpoch denotes the absence of any prior access (TID None, time 0).
-const NoEpoch Epoch = Epoch(uint64(0xFFFFFFFF) << 32)
 
 // MakeEpoch builds an epoch from a goroutine id and a time.
 func MakeEpoch(tid TID, t uint32) Epoch {
@@ -172,252 +126,100 @@ func (e Epoch) TID() TID { return TID(int32(uint32(e >> 32))) }
 // Time extracts the logical time of the epoch.
 func (e Epoch) Time() uint32 { return uint32(e) }
 
-// IsNone reports whether the epoch denotes "no access".
-func (e Epoch) IsNone() bool { return e.TID() == None }
-
 // LeqVC reports whether the epoch happens before or equals the clock o,
-// i.e. e.Time ≤ o[e.TID]. A None epoch vacuously happens before anything.
+// i.e. e.Time ≤ o[e.TID]. The zero epoch has time 0, so it vacuously
+// happens before anything.
 func (e Epoch) LeqVC(o *VC) bool {
-	if e.IsNone() {
-		return true
-	}
 	return e.Time() <= o.Get(e.TID())
 }
 
-// String renders the epoch as tid@time ("\u22a5" for the none epoch).
-func (e Epoch) String() string {
-	if e.IsNone() {
-		return "⊥"
-	}
-	return fmt.Sprintf("g%d@%d", e.TID(), e.Time())
-}
-
-// ReadSet is FastTrack's adaptive read history: either a single epoch
-// (the common, totally-ordered case) or an inflated read vector clock
-// when concurrent readers exist.
-type ReadSet struct {
-	epoch    Epoch
-	inflated *VC
-}
-
-// NewReadSet returns an empty read history.
-func NewReadSet() ReadSet { return ReadSet{epoch: NoEpoch} }
-
-// IsInflated reports whether the history holds a full vector clock.
-func (r *ReadSet) IsInflated() bool { return r.inflated != nil }
-
-// Epoch returns the single-epoch form; only meaningful when not inflated.
-func (r *ReadSet) Epoch() Epoch { return r.epoch }
-
-// Note records a read at epoch e by goroutine e.TID() whose current
-// clock is cur. It inflates to a VC when the new read is concurrent
-// with the recorded one, and reports whether this note performed that
-// epoch→VC promotion — the signal adaptive detectors count.
-func (r *ReadSet) Note(e Epoch, cur *VC) bool {
-	return r.note(e, cur, nil)
-}
-
-// NotePooled is Note drawing the inflated clock from p, so a detector
-// that recycles its read histories (ReleaseTo) inflates without
-// allocating in the steady state. Like Note, it reports whether the
-// history was promoted from epoch to vector-clock form.
-func (r *ReadSet) NotePooled(e Epoch, cur *VC, p *Pool) bool {
-	return r.note(e, cur, p)
-}
-
-func (r *ReadSet) note(e Epoch, cur *VC, p *Pool) bool {
-	if r.inflated != nil {
-		r.inflated.Set(e.TID(), e.Time())
-		return false
-	}
-	if r.epoch.IsNone() || r.epoch.TID() == e.TID() || r.epoch.LeqVC(cur) {
-		// Same reader, or previous read happens before this one:
-		// stay in the cheap epoch representation.
-		r.epoch = e
-		return false
-	}
-	// Concurrent reads: promote to a full clock.
-	if p != nil {
-		r.inflated = p.Acquire()
-	} else {
-		r.inflated = New()
-	}
-	r.inflated.Set(r.epoch.TID(), r.epoch.Time())
-	r.inflated.Set(e.TID(), e.Time())
-	return true
-}
-
-// AllLeq reports whether every recorded read happens before or equals cur.
-func (r *ReadSet) AllLeq(cur *VC) bool {
-	if r.inflated != nil {
-		return r.inflated.LeqAll(cur)
-	}
-	return r.epoch.LeqVC(cur)
-}
-
-// FindConcurrent returns one recorded reader epoch that is concurrent
-// with cur (not ≤ cur), or NoEpoch if all reads are ordered before cur.
-func (r *ReadSet) FindConcurrent(cur *VC) Epoch {
-	if r.inflated != nil {
-		for i := 0; i < r.inflated.Len(); i++ {
-			t := r.inflated.Get(TID(i))
-			if t != 0 && t > cur.Get(TID(i)) {
-				return MakeEpoch(TID(i), t)
-			}
-		}
-		return NoEpoch
-	}
-	if !r.epoch.IsNone() && !r.epoch.LeqVC(cur) {
-		return r.epoch
-	}
-	return NoEpoch
-}
-
-// Reset clears the history back to "no reads".
-func (r *ReadSet) Reset() {
-	r.epoch = NoEpoch
-	r.inflated = nil
-}
-
-// ReleaseTo clears the history like Reset, returning any inflated
-// clock to p for reuse by the next inflation. It reports whether an
-// inflated clock was actually released — a genuine VC→epoch demotion,
-// as opposed to clearing a history that never left epoch form — so
-// adaptive detectors can count demotions without peeking inside.
-func (r *ReadSet) ReleaseTo(p *Pool) bool {
-	demoted := r.inflated != nil
-	if demoted {
-		p.Release(r.inflated)
-		r.inflated = nil
-	}
-	r.epoch = NoEpoch
-	return demoted
-}
-
-// ForEach calls fn for every recorded reader epoch, in TID order for
-// the inflated form. Unlike Readers it allocates nothing, so it is the
-// form the detection hot path uses to walk the read history on a write.
-func (r *ReadSet) ForEach(fn func(Epoch)) {
-	if r.inflated != nil {
-		for i := 0; i < r.inflated.Len(); i++ {
-			if t := r.inflated.Get(TID(i)); t != 0 {
-				fn(MakeEpoch(TID(i), t))
-			}
-		}
-		return
-	}
-	if !r.epoch.IsNone() {
-		fn(r.epoch)
-	}
-}
-
-// AdaptiveClock is an adaptively-represented history clock: a single
-// packed (TID, time) epoch while one goroutine owns the history — by
-// far the common case for per-cell access histories — inflated to a
-// pooled full vector clock on the first touch by a second goroutine,
-// and demoted back to epoch form when the history is released.
+// History is an adaptively represented access history: a single
+// packed epoch while one access stands for the whole history — by far
+// the common case for per-cell histories — inflated to a pooled full
+// vector clock once a second goroutine's time must be kept, and
+// emptied (demoted) by ReleaseTo. The zero value is an empty history.
 //
-// Unlike ReadSet, which follows FastTrack's read-share rule (ordered
-// reads by different goroutines collapse into one epoch),
-// AdaptiveClock preserves *every* goroutine's latest component exactly
-// like a full VC does — it is a representation change only, so a
-// DJIT-style detector that counts each concurrent component sees
-// identical verdicts. The zero value is an empty history.
-type AdaptiveClock struct {
-	// epoch == 0 means empty: logical times start at 1, so a real
-	// MakeEpoch(tid, t) is never the zero word.
+// Two update rules share the representation. Set keeps every
+// goroutine's latest time exactly like a full VC (DJIT+); NoteRead
+// applies FastTrack's read-share rule, under which a read ordered
+// after the recorded one replaces it. Both report whether the update
+// promoted the history from epoch to vector-clock form.
+type History struct {
 	epoch    Epoch
 	inflated *VC
 }
 
 // IsInflated reports whether the history holds a full vector clock.
-func (a *AdaptiveClock) IsInflated() bool { return a.inflated != nil }
+func (h *History) IsInflated() bool { return h.inflated != nil }
 
-// Get returns the recorded time for tid (zero if never set).
-func (a *AdaptiveClock) Get(tid TID) uint32 {
-	if a.inflated != nil {
-		return a.inflated.Get(tid)
-	}
-	if a.epoch != 0 && a.epoch.TID() == tid {
-		return a.epoch.Time()
-	}
-	return 0
-}
-
-// SetPooled records time t for tid, drawing the inflated clock from p
-// on promotion. It reports whether this set promoted the history from
-// epoch to vector-clock form (first second-goroutine touch).
-func (a *AdaptiveClock) SetPooled(tid TID, t uint32, p *Pool) bool {
-	if a.inflated != nil {
-		a.inflated.Set(tid, t)
+// Set records time t for tid, keeping every other goroutine's time, and
+// reports whether it promoted the history (first second-goroutine touch).
+func (h *History) Set(tid TID, t uint32, p *Pool) bool {
+	if h.inflated != nil {
+		h.inflated.Set(tid, t)
 		return false
 	}
-	if a.epoch == 0 || a.epoch.TID() == tid {
-		a.epoch = MakeEpoch(tid, t)
+	if h.epoch == 0 || h.epoch.TID() == tid {
+		h.epoch = MakeEpoch(tid, t)
 		return false
 	}
-	if p != nil {
-		a.inflated = p.Acquire()
-	} else {
-		a.inflated = New()
-	}
-	a.inflated.Set(a.epoch.TID(), a.epoch.Time())
-	a.inflated.Set(tid, t)
+	h.inflate(tid, t, p)
 	return true
 }
 
-// Set is SetPooled without a pool (promotion allocates).
-func (a *AdaptiveClock) Set(tid TID, t uint32) bool { return a.SetPooled(tid, t, nil) }
+// NoteRead records a read at time t by goroutine tid, whose current
+// clock is cur. A read by the recorded goroutine, or one ordered after
+// the recorded read, replaces it; only a concurrent read inflates. It
+// reports whether it promoted the history.
+func (h *History) NoteRead(tid TID, t uint32, cur *VC, p *Pool) bool {
+	if h.inflated != nil {
+		h.inflated.Set(tid, t)
+		return false
+	}
+	// An empty history's zero epoch is ≤ every clock.
+	if h.epoch.TID() == tid || h.epoch.LeqVC(cur) {
+		h.epoch = MakeEpoch(tid, t)
+		return false
+	}
+	h.inflate(tid, t, p)
+	return true
+}
 
-// ForEachTime calls fn for every nonzero component, in TID order for
-// the inflated form. It allocates nothing, so detection hot paths can
+// inflate promotes the epoch form to a clock drawn from p holding the
+// recorded epoch and (tid, t).
+func (h *History) inflate(tid TID, t uint32, p *Pool) {
+	h.inflated = p.Acquire()
+	h.inflated.Set(h.epoch.TID(), h.epoch.Time())
+	h.inflated.Set(tid, t)
+}
+
+// ForEach calls fn for every recorded (goroutine, time), in TID order
+// for the inflated form. It allocates nothing, so detection hot paths
 // walk the history per access.
-func (a *AdaptiveClock) ForEachTime(fn func(TID, uint32)) {
-	if a.inflated != nil {
-		for i := 0; i < a.inflated.Len(); i++ {
-			if t := a.inflated.Get(TID(i)); t != 0 {
+func (h *History) ForEach(fn func(TID, uint32)) {
+	if h.inflated != nil {
+		for i, t := range h.inflated.ts {
+			if t != 0 {
 				fn(TID(i), t)
 			}
 		}
 		return
 	}
-	if a.epoch != 0 {
-		fn(a.epoch.TID(), a.epoch.Time())
+	if h.epoch != 0 {
+		fn(h.epoch.TID(), h.epoch.Time())
 	}
 }
 
-// ReleaseTo empties the history, returning any inflated clock to p.
-// Like ReadSet.ReleaseTo it reports whether a clock was actually
-// released — a genuine VC→epoch demotion.
-func (a *AdaptiveClock) ReleaseTo(p *Pool) bool {
-	demoted := a.inflated != nil
+// ReleaseTo empties the history, returning any inflated clock to p. It
+// reports whether a clock was actually released — a genuine VC→epoch
+// demotion, as opposed to clearing a history that never left epoch
+// form — so detectors count demotions without peeking inside.
+func (h *History) ReleaseTo(p *Pool) bool {
+	demoted := h.inflated != nil
 	if demoted {
-		p.Release(a.inflated)
-		a.inflated = nil
+		p.Release(h.inflated)
+		h.inflated = nil
 	}
-	a.epoch = 0
+	h.epoch = 0
 	return demoted
-}
-
-// Reset empties the history without pooling the inflated clock.
-func (a *AdaptiveClock) Reset() {
-	a.epoch = 0
-	a.inflated = nil
-}
-
-// Readers returns the recorded reader epochs, sorted by TID, mainly for
-// tests and diagnostics.
-func (r *ReadSet) Readers() []Epoch {
-	var out []Epoch
-	if r.inflated != nil {
-		for i := 0; i < r.inflated.Len(); i++ {
-			if t := r.inflated.Get(TID(i)); t != 0 {
-				out = append(out, MakeEpoch(TID(i), t))
-			}
-		}
-	} else if !r.epoch.IsNone() {
-		out = append(out, r.epoch)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TID() < out[j].TID() })
-	return out
 }

@@ -31,7 +31,7 @@ func TestJoinPointwiseMax(t *testing.T) {
 	a.Set(1, 1)
 	b.Set(1, 7)
 	b.Set(2, 3)
-	a.Join(b)
+	b.JoinInto(a)
 	want := []uint32{5, 7, 3}
 	for i, w := range want {
 		if got := a.Get(TID(i)); got != w {
@@ -43,46 +43,36 @@ func TestJoinPointwiseMax(t *testing.T) {
 func TestJoinNilIsNoop(t *testing.T) {
 	a := New()
 	a.Set(0, 2)
-	a.Join(nil)
+	var none *VC
+	none.JoinInto(a)
 	if a.Get(0) != 2 {
-		t.Fatal("Join(nil) modified the clock")
+		t.Fatal("joining a nil clock modified the destination")
 	}
 }
 
 func TestCopyIndependence(t *testing.T) {
 	a := New()
 	a.Set(0, 1)
-	c := a.Copy()
+	c := New()
+	a.CopyInto(c)
 	c.Set(0, 99)
 	if a.Get(0) != 1 {
-		t.Fatal("Copy aliases the original")
+		t.Fatal("CopyInto aliases the original")
 	}
 }
 
-func TestAssignOverwrites(t *testing.T) {
-	a, b := New(), New()
-	a.Set(0, 1)
-	a.Set(5, 9)
-	b.Set(1, 2)
-	a.Assign(b)
-	if a.Get(0) != 0 || a.Get(5) != 0 || a.Get(1) != 2 {
-		t.Fatalf("Assign produced %v", a)
-	}
-}
-
+// An event by g0 at clock a happens before an event by g1 at clock b
+// iff g0's epoch at a is ≤ b — the check every detector makes.
 func TestHappensBeforeOrdering(t *testing.T) {
 	a, b := New(), New()
 	a.Set(0, 1)
 	b.Set(0, 2)
 	b.Set(1, 1)
-	if !a.LeqAll(b) {
+	if !MakeEpoch(0, a.Get(0)).LeqVC(b) {
 		t.Error("a should happen before b")
 	}
-	if b.LeqAll(a) {
+	if MakeEpoch(1, b.Get(1)).LeqVC(a) {
 		t.Error("b must not happen before a")
-	}
-	if a.Concurrent(b) {
-		t.Error("ordered clocks reported concurrent")
 	}
 }
 
@@ -90,19 +80,8 @@ func TestConcurrentClocks(t *testing.T) {
 	a, b := New(), New()
 	a.Set(0, 2)
 	b.Set(1, 2)
-	if !a.Concurrent(b) || !b.Concurrent(a) {
+	if MakeEpoch(0, a.Get(0)).LeqVC(b) || MakeEpoch(1, b.Get(1)).LeqVC(a) {
 		t.Error("disjoint nonzero clocks must be concurrent")
-	}
-}
-
-func TestResetRetainsZero(t *testing.T) {
-	a := New()
-	a.Set(4, 4)
-	a.Reset()
-	for i := 0; i < a.Len(); i++ {
-		if a.Get(TID(i)) != 0 {
-			t.Fatal("Reset left a nonzero component")
-		}
 	}
 }
 
@@ -122,11 +101,10 @@ func TestEpochPackUnpack(t *testing.T) {
 	if e.TID() != 7 || e.Time() != 42 {
 		t.Fatalf("round trip got (%d,%d)", e.TID(), e.Time())
 	}
-	if !NoEpoch.IsNone() {
-		t.Fatal("NoEpoch not none")
-	}
-	if e.IsNone() {
-		t.Fatal("real epoch reported none")
+	// Logical times start at 1, so goroutine 0's first epoch is not
+	// the zero word that means "no access".
+	if MakeEpoch(0, 1) == 0 {
+		t.Fatal("a real epoch packed to the empty word")
 	}
 }
 
@@ -139,113 +117,181 @@ func TestEpochLeqVC(t *testing.T) {
 	if MakeEpoch(3, 11).LeqVC(v) {
 		t.Error("later time should not be Leq")
 	}
-	if !NoEpoch.LeqVC(v) {
-		t.Error("NoEpoch should be Leq everything")
+	var none Epoch
+	if !none.LeqVC(v) || !none.LeqVC(New()) {
+		t.Error("the zero epoch should be Leq everything")
 	}
 }
 
+// readers lists h's recorded accesses as epochs, in ForEach order.
+// The ReadSet tests below exercise a History as the epoch detector's
+// read set: updated by NoteRead, FastTrack's read-share rule.
+func readers(h *History) []Epoch {
+	var out []Epoch
+	h.ForEach(func(g TID, t uint32) { out = append(out, MakeEpoch(g, t)) })
+	return out
+}
+
 func TestReadSetSameThreadStaysEpoch(t *testing.T) {
-	r := NewReadSet()
+	var h History
+	p := NewPool()
 	cur := New()
 	cur.Set(0, 1)
-	r.Note(MakeEpoch(0, 1), cur)
+	h.NoteRead(0, 1, cur, p)
 	cur.Set(0, 2)
-	r.Note(MakeEpoch(0, 2), cur)
-	if r.IsInflated() {
+	h.NoteRead(0, 2, cur, p)
+	if h.IsInflated() {
 		t.Fatal("same-thread reads must not inflate")
 	}
-	if r.Epoch() != MakeEpoch(0, 2) {
-		t.Fatalf("epoch = %v", r.Epoch())
+	if got := readers(&h); len(got) != 1 || got[0] != MakeEpoch(0, 2) {
+		t.Fatalf("readers = %v", got)
 	}
 }
 
 func TestReadSetOrderedReadsStayEpoch(t *testing.T) {
-	r := NewReadSet()
+	var h History
+	p := NewPool()
 	// g0 reads at time 1; then g1, whose clock includes g0@1, reads.
 	c0 := New()
 	c0.Set(0, 1)
-	r.Note(MakeEpoch(0, 1), c0)
+	h.NoteRead(0, 1, c0, p)
 	c1 := New()
 	c1.Set(0, 1) // g1 has synchronized with g0
 	c1.Set(1, 4)
-	r.Note(MakeEpoch(1, 4), c1)
-	if r.IsInflated() {
+	if h.NoteRead(1, 4, c1, p) || h.IsInflated() {
 		t.Fatal("ordered cross-thread reads must not inflate")
 	}
-	if r.Epoch() != MakeEpoch(1, 4) {
-		t.Fatalf("epoch = %v", r.Epoch())
+	if got := readers(&h); len(got) != 1 || got[0] != MakeEpoch(1, 4) {
+		t.Fatalf("readers = %v", got)
 	}
 }
 
 func TestReadSetConcurrentReadsInflate(t *testing.T) {
-	r := NewReadSet()
+	var h History
+	p := NewPool()
 	c0 := New()
 	c0.Set(0, 1)
-	r.Note(MakeEpoch(0, 1), c0)
+	if h.NoteRead(0, 1, c0, p) {
+		t.Fatal("the first read promoted")
+	}
 	c1 := New()
 	c1.Set(1, 2) // no knowledge of g0
-	r.Note(MakeEpoch(1, 2), c1)
-	if !r.IsInflated() {
+	if !h.NoteRead(1, 2, c1, p) || !h.IsInflated() {
 		t.Fatal("concurrent reads must inflate")
 	}
-	got := r.Readers()
+	got := readers(&h)
 	if len(got) != 2 || got[0] != MakeEpoch(0, 1) || got[1] != MakeEpoch(1, 2) {
-		t.Fatalf("Readers = %v", got)
+		t.Fatalf("readers = %v", got)
 	}
 }
 
-func TestReadSetFindConcurrent(t *testing.T) {
-	r := NewReadSet()
-	c0 := New()
-	c0.Set(0, 5)
-	r.Note(MakeEpoch(0, 5), c0)
-	// A writer on g1 that never synchronized with g0.
-	w := New()
-	w.Set(1, 1)
-	if e := r.FindConcurrent(w); e != MakeEpoch(0, 5) {
-		t.Fatalf("FindConcurrent = %v", e)
-	}
-	// After synchronizing, no concurrent reader remains.
-	w.Set(0, 5)
-	if e := r.FindConcurrent(w); !e.IsNone() {
-		t.Fatalf("FindConcurrent after sync = %v", e)
-	}
-}
-
-func TestReadSetAllLeq(t *testing.T) {
-	r := NewReadSet()
-	c0 := New()
-	c0.Set(0, 1)
-	r.Note(MakeEpoch(0, 1), c0)
+// The one place the two rules differ: a second goroutine's access
+// ordered after the recorded one replaces it under NoteRead, but Set
+// keeps both goroutines' times and so inflates.
+func TestHistorySetVsNoteRead(t *testing.T) {
+	p := NewPool()
 	c1 := New()
-	c1.Set(1, 1)
-	r.Note(MakeEpoch(1, 1), c1) // inflates
-	cur := New()
-	cur.Set(0, 1)
-	cur.Set(1, 1)
-	if !r.AllLeq(cur) {
-		t.Error("all reads are covered, AllLeq should hold")
+	c1.Set(0, 1) // g1 has synchronized with g0's access at time 1
+	c1.Set(1, 3)
+
+	var read, set History
+	read.NoteRead(0, 1, New(), p)
+	set.Set(0, 1, p)
+	if read.NoteRead(1, 3, c1, p) {
+		t.Fatal("NoteRead inflated on an ordered read")
 	}
-	cur2 := New()
-	cur2.Set(0, 1)
-	if r.AllLeq(cur2) {
-		t.Error("g1 read is not covered, AllLeq must fail")
+	if !set.Set(1, 3, p) {
+		t.Fatal("Set did not inflate on a second goroutine")
+	}
+	if got := readers(&read); len(got) != 1 || got[0] != MakeEpoch(1, 3) {
+		t.Fatalf("NoteRead history = %v", got)
+	}
+	if got := readers(&set); len(got) != 2 || got[0] != MakeEpoch(0, 1) || got[1] != MakeEpoch(1, 3) {
+		t.Fatalf("Set history = %v", got)
+	}
+	// Set on the inflated form overwrites one component and promotes
+	// nothing.
+	if set.Set(0, 4, p) {
+		t.Fatal("an inflated history promoted again")
+	}
+	if got := readers(&set); len(got) != 2 || got[0] != MakeEpoch(0, 4) {
+		t.Fatalf("Set history after update = %v", got)
+	}
+	// A same-goroutine Set stays in epoch form.
+	var own History
+	own.Set(2, 1, p)
+	if own.Set(2, 5, p) || own.IsInflated() {
+		t.Fatal("same-goroutine Set inflated")
 	}
 }
 
-func TestReadSetReset(t *testing.T) {
-	r := NewReadSet()
-	c := New()
-	c.Set(0, 1)
-	r.Note(MakeEpoch(0, 1), c)
-	r.Reset()
-	if len(r.Readers()) != 0 || r.IsInflated() {
-		t.Fatal("Reset did not clear history")
+func TestReadSetInflatedOperations(t *testing.T) {
+	var h History
+	p := NewPool()
+	// Three concurrent readers inflate the history.
+	for tid := TID(0); tid < 3; tid++ {
+		c := New()
+		c.Set(tid, uint32(tid)+1)
+		h.NoteRead(tid, uint32(tid)+1, c, p)
+	}
+	if !h.IsInflated() {
+		t.Fatal("three concurrent readers should inflate")
+	}
+	// A read on the inflated form overwrites its goroutine's
+	// component, even when ordered after every recorded read, and
+	// promotes nothing.
+	all := New()
+	all.Set(0, 1)
+	all.Set(1, 9)
+	all.Set(2, 3)
+	if h.NoteRead(1, 9, all, p) {
+		t.Fatal("an inflated read set promoted again")
+	}
+	want := []Epoch{MakeEpoch(0, 1), MakeEpoch(1, 9), MakeEpoch(2, 3)}
+	got := readers(&h)
+	if len(got) != len(want) {
+		t.Fatalf("readers = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("readers = %v, want %v", got, want)
+		}
+	}
+}
+
+// ReleaseTo reports a demotion only when it returned a clock to the
+// pool, and leaves the history empty and reusable either way.
+func TestHistoryReleaseTo(t *testing.T) {
+	p := NewPool()
+	var h History
+	if h.ReleaseTo(p) {
+		t.Fatal("releasing an empty history reported a demotion")
+	}
+	h.Set(0, 1, p)
+	if h.ReleaseTo(p) || len(readers(&h)) != 0 || p.Len() != 0 {
+		t.Fatal("releasing an epoch-form history demoted or left a reader")
+	}
+	for round := 0; round < 3; round++ {
+		h.Set(0, 1, p)
+		h.Set(1, 2, p)
+		if !h.ReleaseTo(p) {
+			t.Fatalf("round %d: releasing an inflated history reported no demotion", round)
+		}
+		if h.IsInflated() || len(readers(&h)) != 0 || p.Len() != 1 {
+			t.Fatalf("round %d: ReleaseTo left %v, pool %d", round, readers(&h), p.Len())
+		}
+	}
+	// Reused after release, the history starts over in epoch form.
+	if h.NoteRead(3, 4, New(), p) || h.IsInflated() {
+		t.Fatal("a released history did not start over in epoch form")
+	}
+	if got := readers(&h); len(got) != 1 || got[0] != MakeEpoch(3, 4) {
+		t.Fatalf("readers after reuse = %v", got)
 	}
 }
 
 // Property: Join is commutative, associative, idempotent (a semilattice),
-// and LeqAll(a, Join(a,b)) always holds.
+// and a ⊔ b is an upper bound of a and b.
 func TestJoinSemilatticeProperties(t *testing.T) {
 	mk := func(xs []uint8) *VC {
 		v := New()
@@ -254,13 +300,21 @@ func TestJoinSemilatticeProperties(t *testing.T) {
 		}
 		return v
 	}
-	eq := func(a, b *VC) bool { return a.LeqAll(b) && b.LeqAll(a) }
+	leq := func(a, b *VC) bool {
+		for i, t := range a.ts {
+			if t > b.Get(TID(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	eq := func(a, b *VC) bool { return leq(a, b) && leq(b, a) }
 
 	comm := func(xs, ys []uint8) bool {
 		a1, b1 := mk(xs), mk(ys)
 		a2, b2 := mk(xs), mk(ys)
-		a1.Join(b1)
-		b2.Join(a2)
+		b1.JoinInto(a1)
+		a2.JoinInto(b2)
 		return eq(a1, b2)
 	}
 	if err := quick.Check(comm, nil); err != nil {
@@ -269,12 +323,12 @@ func TestJoinSemilatticeProperties(t *testing.T) {
 
 	assoc := func(xs, ys, zs []uint8) bool {
 		l := mk(xs)
-		l.Join(mk(ys))
-		l.Join(mk(zs))
+		mk(ys).JoinInto(l)
+		mk(zs).JoinInto(l)
 		r2 := mk(ys)
-		r2.Join(mk(zs))
+		mk(zs).JoinInto(r2)
 		r1 := mk(xs)
-		r1.Join(r2)
+		r2.JoinInto(r1)
 		return eq(l, r1)
 	}
 	if err := quick.Check(assoc, nil); err != nil {
@@ -284,7 +338,7 @@ func TestJoinSemilatticeProperties(t *testing.T) {
 	idem := func(xs []uint8) bool {
 		a := mk(xs)
 		b := mk(xs)
-		a.Join(b)
+		b.JoinInto(a)
 		return eq(a, b)
 	}
 	if err := quick.Check(idem, nil); err != nil {
@@ -293,9 +347,10 @@ func TestJoinSemilatticeProperties(t *testing.T) {
 
 	upper := func(xs, ys []uint8) bool {
 		a, b := mk(xs), mk(ys)
-		j := a.Copy()
-		j.Join(b)
-		return a.LeqAll(j) && b.LeqAll(j)
+		j := New()
+		a.CopyInto(j)
+		b.JoinInto(j)
+		return leq(a, j) && leq(b, j)
 	}
 	if err := quick.Check(upper, nil); err != nil {
 		t.Errorf("upper bound: %v", err)
@@ -324,7 +379,7 @@ func BenchmarkVCJoin(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Join(o)
+		o.JoinInto(a)
 	}
 }
 
@@ -337,72 +392,5 @@ func BenchmarkEpochLeqVC(b *testing.B) {
 		if !e.LeqVC(v) {
 			b.Fatal("unexpected")
 		}
-	}
-}
-
-func TestNewWithCapacity(t *testing.T) {
-	v := NewWithCapacity(8)
-	if v.Len() != 0 {
-		t.Fatal("capacity leaked into length")
-	}
-	v.Set(3, 5)
-	if v.Get(3) != 5 {
-		t.Fatal("set after preallocation broken")
-	}
-}
-
-func TestEpochString(t *testing.T) {
-	if NoEpoch.String() != "⊥" {
-		t.Fatalf("NoEpoch = %q", NoEpoch.String())
-	}
-	if MakeEpoch(2, 7).String() != "g2@7" {
-		t.Fatalf("epoch = %q", MakeEpoch(2, 7).String())
-	}
-}
-
-func TestReadSetInflatedOperations(t *testing.T) {
-	r := NewReadSet()
-	// Build an inflated set with three concurrent readers.
-	for tid := TID(0); tid < 3; tid++ {
-		c := New()
-		c.Set(tid, uint32(tid)+1)
-		r.Note(MakeEpoch(tid, uint32(tid)+1), c)
-	}
-	if !r.IsInflated() {
-		t.Fatal("three concurrent readers should inflate")
-	}
-	// Note again on the inflated set (covers the inflated-note path).
-	c := New()
-	c.Set(1, 9)
-	r.Note(MakeEpoch(1, 9), c)
-	if got := r.Readers(); len(got) != 3 || got[1] != MakeEpoch(1, 9) {
-		t.Fatalf("readers = %v", got)
-	}
-	// AllLeq over the inflated form, both outcomes.
-	all := New()
-	all.Set(0, 1)
-	all.Set(1, 9)
-	all.Set(2, 3)
-	if !r.AllLeq(all) {
-		t.Fatal("covered inflated reads should be AllLeq")
-	}
-	all.Set(1, 8)
-	if r.AllLeq(all) {
-		t.Fatal("uncovered reader escaped AllLeq")
-	}
-	// FindConcurrent over the inflated form, both outcomes.
-	if e := r.FindConcurrent(all); e.TID() != 1 {
-		t.Fatalf("FindConcurrent = %v", e)
-	}
-	all.Set(1, 9)
-	if e := r.FindConcurrent(all); !e.IsNone() {
-		t.Fatalf("FindConcurrent after covering = %v", e)
-	}
-}
-
-func TestFindConcurrentEpochForm(t *testing.T) {
-	r := NewReadSet()
-	if e := r.FindConcurrent(New()); !e.IsNone() {
-		t.Fatal("empty read set reported a concurrent reader")
 	}
 }
