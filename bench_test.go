@@ -21,6 +21,7 @@ import (
 	"gorace/internal/detector"
 	"gorace/internal/explore"
 	"gorace/internal/fleet"
+	"gorace/internal/monorepo"
 	"gorace/internal/patterns"
 	"gorace/internal/pipeline"
 	"gorace/internal/report"
@@ -775,6 +776,34 @@ func BenchmarkSweepManyUnits(b *testing.B) {
 		if stats.Shards != len(units) || len(aggs[0].(*sweep.Prob).Stats()) != len(units) ||
 			aggs[1].(*corpus.Collector).Defects() == 0 {
 			b.Fatalf("campaign lost work: %+v", stats)
+		}
+	}
+}
+
+// BenchmarkRunNightly runs the paper's nightly loop at a seventh of its
+// 2,100 services: 300 services × 10 tests, every execution recorded,
+// folded by the corpus collector and appended to a store, one night
+// per op into a fresh store. Scheduler, worker and trace recycling show
+// up here as allocs/op.
+func BenchmarkRunNightly(b *testing.B) {
+	repo := monorepo.Generate(300, 10, 0.3, 1)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store, err := corpus.Open(filepath.Join(dir, fmt.Sprintf("night-%d.db", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := repo.RunNightly(store, "night-1", int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n.Executions != 3000 || n.Defects == 0 {
+			b.Fatalf("night lost work: %d executions, %d defects", n.Executions, n.Defects)
+		}
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

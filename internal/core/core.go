@@ -24,11 +24,16 @@ type Outcome struct {
 	// detectors (epoch, djit); their Races are synthesized one per
 	// racy address, so RaceCount may exceed len(Races).
 	RaceCount int
-	Trace     *trace.Recorder // non-nil iff recording was requested
-	Detector  string
-	Strategy  string
-	Seed      int64
-	Stats     detector.Stats // the detector's work counters
+	// Trace is the run's event stream, non-nil iff recording was
+	// requested. It borrows the Worker's recording buffer, so it is
+	// valid only until that Worker's next RunSeed; whoever keeps it
+	// longer (a sweep aggregator retaining an outcome) copies it with
+	// Snapshot. A one-shot Runner.RunSeed trace is never rewritten.
+	Trace    *trace.Recorder
+	Detector string
+	Strategy string
+	Seed     int64
+	Stats    detector.Stats // the detector's work counters
 }
 
 // HasRace reports whether any race (or counting hit) was detected.

@@ -113,10 +113,11 @@ func (r *Runner) newDetector() (detector.Detector, error) {
 // one-shot Worker, and the campaign engine in internal/sweep keeps a
 // pool of them.
 type Worker struct {
-	r    *Runner
-	det  detector.Detector
-	buf  *trace.Recorder // lazily created, record mode only
-	used bool            // det has consumed a run and needs a Reset
+	r         *Runner
+	det       detector.Detector
+	buf       *trace.Recorder  // record mode only
+	listeners []trace.Listener // what every run feeds: buf, then det
+	used      bool             // det has consumed a run and needs a Reset
 }
 
 // NewWorker fails fast on unknown detector and strategy names and
@@ -134,12 +135,24 @@ func (r *Runner) NewWorker() (*Worker, error) {
 			return nil, err
 		}
 	}
-	return &Worker{r: r, det: det}, nil
+	w := &Worker{r: r, det: det}
+	if r.record {
+		w.buf = &trace.Recorder{}
+		w.listeners = append(w.listeners, w.buf)
+	}
+	if !detector.IsNoop(det) {
+		// The none detector observes nothing; not attaching it keeps
+		// the overhead baseline free of per-event dispatch cost.
+		w.listeners = append(w.listeners, det)
+	}
+	return w, nil
 }
 
 // RunSeed executes prog once under the given seed on the recycled
-// state. The returned Outcome owns its races, candidates, and trace —
-// nothing aliases state a later RunSeed will rewind.
+// state. The returned Outcome owns its races and candidates, but its
+// Trace borrows the Worker's recording buffer: it stays valid only
+// until this Worker's next RunSeed, which rewinds and rewrites it. A
+// caller that keeps the trace longer copies it (trace.Recorder.Snapshot).
 func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 	r := w.r
 	strat, err := r.newStrategy()
@@ -158,31 +171,17 @@ func (w *Worker) RunSeed(prog func(*sched.G), seed int64) (*Outcome, error) {
 	}
 	w.used = true
 
-	out := &Outcome{Detector: det.Name(), Strategy: strat.Name(), Seed: seed}
-	var listeners []trace.Listener
-	if r.record {
-		if w.buf == nil {
-			w.buf = &trace.Recorder{}
-		}
+	if w.buf != nil {
 		w.buf.Reset()
-		listeners = append(listeners, w.buf)
 	}
-	if !detector.IsNoop(det) {
-		// The none detector observes nothing; not attaching it keeps
-		// the overhead baseline free of per-event dispatch cost.
-		listeners = append(listeners, det)
-	}
-
+	out := &Outcome{Trace: w.buf, Detector: det.Name(), Strategy: strat.Name(), Seed: seed}
 	out.Result = sched.Run(prog, sched.Options{
 		Strategy:  strat,
 		Seed:      seed,
 		MaxSteps:  r.maxSteps,
-		Listeners: listeners,
+		Listeners: w.listeners,
 	})
 
-	if r.record {
-		out.Trace = w.buf.Snapshot()
-	}
 	// The next run's Reset rewinds the detector's result slices, so
 	// the outcome owns copies.
 	out.Races = append([]report.Race(nil), det.Races()...)

@@ -131,8 +131,9 @@ func newUnitAgg() *unitAgg {
 }
 
 // Observe implements sweep.Aggregator: one execution, folded with
-// the same dedup-and-classify step as FoldRaces. A defect defined
-// here retains the run's own trace (outcomes own their traces).
+// the same dedup-and-classify step as FoldRaces. The run's trace is
+// borrowed (valid only during Observe), so a defect defined here under
+// WithTraceDir retains a copy of it.
 func (c *Collector) Observe(r sweep.Run) {
 	c.executions++
 	var events []trace.Event
@@ -140,16 +141,14 @@ func (c *Collector) Observe(r sweep.Run) {
 		events = r.Outcome.Trace.Events
 	}
 	c.fold(r.UnitIdx, r.Unit.ID, r.Unit.Detector, r.Seed, r.Outcome.Races,
-		foldSource{events: events, keep: r.Outcome.Trace})
+		foldSource{events: events})
 }
 
 // foldSource is the trace context a fold's fresh defects draw on:
-// recorded events — a batch outcome's trace, or a window a caller
-// merged — or a live streaming window, read in place. keep, when set,
-// is the recorder a trace dir retains as is.
+// recorded events — a batch outcome's borrowed trace, or a window a
+// caller merged — or a live streaming window, read in place.
 type foldSource struct {
 	events []trace.Event
-	keep   *trace.Recorder
 	win    *trace.WindowRecorder
 }
 
@@ -161,13 +160,11 @@ func (s foldSource) hints() classify.Hints {
 	return classify.HintsFromTrace(s.events)
 }
 
-// retained returns the trace a trace dir keeps for a fresh defect:
-// keep, else a snapshot of the events (nil when there are none). Only
-// here is a window merged into Seq order.
+// retained returns the trace a trace dir keeps for a fresh defect: a
+// copy of the events (nil when there are none). Only here is a window
+// merged into Seq order.
 func (s foldSource) retained() *trace.Recorder {
 	switch {
-	case s.keep != nil:
-		return s.keep
 	case s.win != nil && s.win.Retained() > 0:
 		return &trace.Recorder{Events: s.win.Events()}
 	case len(s.events) > 0:
@@ -275,7 +272,7 @@ func (c *Collector) Defects() int {
 // unit). TracePath is left empty; AppendTo fills it when saving
 // traces.
 func (c *Collector) Records() []Record {
-	var out []Record
+	out := make([]Record, 0, c.Defects())
 	c.units.Each(func(_ int, ua *unitAgg) {
 		for _, h := range ua.order {
 			d := ua.defs[h]

@@ -1,13 +1,16 @@
 package corpus_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"gorace/internal/core"
 	"gorace/internal/corpus"
+	"gorace/internal/patterns"
 	"gorace/internal/progen"
 	"gorace/internal/stream"
 	"gorace/internal/sweep"
@@ -74,6 +77,70 @@ func TestCollectorTraceReplay(t *testing.T) {
 		}
 		if !reproduced {
 			t.Fatalf("replaying %s did not re-report hash %s", rec.Key, rec.Race.Hash())
+		}
+	}
+}
+
+// TestCollectorSavesDefiningTrace: a batch run's trace borrows its
+// worker's recording buffer, which later seeds on the same worker
+// rewrite, so a WithTraceDir collector must copy the defining run's
+// trace. At parallelism 1 every seed runs on one worker; the saved
+// file must equal the defining seed's one-shot trace, byte for byte.
+func TestCollectorSavesDefiningTrace(t *testing.T) {
+	p, ok := patterns.ByID("waitgroup-add-inside")
+	if !ok {
+		t.Fatal("pattern waitgroup-add-inside missing")
+	}
+	const runs = 8
+	u := sweep.Unit{ID: "wg", Program: p.Racy, Strategy: "random", Runs: runs, MaxSteps: 1 << 16, Record: true}
+	dir := t.TempDir()
+	store, err := corpus.Open(filepath.Join(dir, "c.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	aggs, _, err := sweep.New(sweep.WithParallelism(1)).Run([]sweep.Unit{u},
+		func() sweep.Aggregator {
+			return corpus.NewCollector("night-1", corpus.WithTraceDir(filepath.Join(dir, "traces")))
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aggs[0].(*corpus.Collector).AppendTo(store); err != nil {
+		t.Fatal(err)
+	}
+	recs := store.Records()
+	if len(recs) == 0 {
+		t.Fatal("no defect collected")
+	}
+	runner := core.NewRunner(core.WithStrategy(u.Strategy), core.WithMaxSteps(u.MaxSteps), core.WithRecord(true))
+	for _, rec := range recs {
+		got, err := os.ReadFile(rec.TracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The defining seed is the first whose run reports the hash.
+		var want bytes.Buffer
+		for seed := u.BaseSeed; seed < u.BaseSeed+runs && want.Len() == 0; seed++ {
+			out, err := runner.RunSeed(u.Program, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range out.Races {
+				if r.Hash() == rec.Race.Hash() {
+					if seed == u.BaseSeed+runs-1 {
+						t.Fatalf("%s is defined by the last seed: no later run rewrote the buffer", rec.Key)
+					}
+					if err := out.Trace.Save(&want); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: saved trace (%d bytes) differs from its defining seed's one-shot trace (%d bytes)",
+				rec.Key, len(got), want.Len())
 		}
 	}
 }

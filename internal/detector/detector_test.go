@@ -352,6 +352,31 @@ func TestPartialAtomicsRace(t *testing.T) {
 	}
 }
 
+// TestEpochPlainWriteRacesAtomicRead: a plain write races an earlier
+// concurrent atomic read of the same cell, which only the write arm's
+// scan of the atomic-read history can see; an atomic write does not.
+func TestEpochPlainWriteRacesAtomicRead(t *testing.T) {
+	for _, tc := range []struct {
+		write trace.Op
+		want  int
+	}{
+		{trace.OpWrite, 1},
+		{trace.OpAtomicStore, 0},
+	} {
+		e := NewEpoch()
+		for _, ev := range []trace.Event{
+			{Seq: 1, G: 0, Op: trace.OpFork, Child: 1},
+			{Seq: 2, G: 1, Op: trace.OpAtomicLoad, Addr: 1},
+			{Seq: 3, G: 0, Op: tc.write, Addr: 1},
+		} {
+			e.HandleEvent(ev)
+		}
+		if got := e.Count(); got != tc.want {
+			t.Errorf("%v after a concurrent atomic load: %d races, want %d", tc.write, got, tc.want)
+		}
+	}
+}
+
 func TestReadReadDoesNotRace(t *testing.T) {
 	prog := func(g *sched.G) {
 		v := sched.NewVarOf(g, "x", 1)

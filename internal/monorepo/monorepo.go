@@ -91,7 +91,11 @@ type Detection struct {
 // two distinct defects, as two real code sites would be. record keeps
 // each run's trace for the classifier's hints.
 func (r *Repo) units(seed int64, record bool) []sweep.Unit {
-	var units []sweep.Unit
+	n := 0
+	for _, svc := range r.Services {
+		n += len(svc.Tests)
+	}
+	units := make([]sweep.Unit, 0, n)
 	for si, svc := range r.Services {
 		for ti, t := range svc.Tests {
 			units = append(units, sweep.Unit{

@@ -45,6 +45,7 @@ func ProgStackTraceFixed(g *sched.G) {
 	var Stack_Depth func(g *sched.G, _ *Stack) int
 	var Stack_Capture func(g *sched.G, _ *Stack) Context
 	var Context_AppendKey func(g *sched.G, _ Context, _ []byte) []byte
+	var Stack_Reset func(g *sched.G, _ *Stack)
 	_ = traceMu
 	_ = NewContext
 	_ = NewStack
@@ -63,6 +64,7 @@ func ProgStackTraceFixed(g *sched.G) {
 	_ = Stack_Depth
 	_ = Stack_Capture
 	_ = Context_AppendKey
+	_ = Stack_Reset
 	Frame_String = func(g *sched.G, f Frame) string {
 		g.Push("stack.Frame_String", "stack.go", 27)
 		defer g.Pop()
@@ -166,6 +168,13 @@ func ProgStackTraceFixed(g *sched.G) {
 			dst = append(dst, f.Func...)
 		}
 		return dst
+	}
+	Stack_Reset = func(g *sched.G, s *Stack) {
+		g.Push("stack.Stack_Reset", "stack.go", 152)
+		defer g.Pop()
+		s.frames.Truncate(g, 0)
+		s.cached.Store(g, Context{})
+		s.dirty.Store(g, true)
 	}
 	NewContext = func(g *sched.G, frames ...Frame) Context {
 		g.Push("stack.NewContext", "stack.go", 40)

@@ -141,16 +141,24 @@ func Run(main func(g *G), opts Options) *Result {
 	s.spawn(nil, "main", main)
 	s.loop()
 	// Every modeled goroutine has parked for good: nothing draws from
-	// the run RNG any more.
+	// the run RNG any more, and nothing touches the scheduler.
 	rngPool.Put(s.rng)
-	s.rng = nil
 	s.result.Steps = s.steps
 	s.result.Goroutines = len(s.gs)
 	s.result.Events = s.seq
 	r := s.result
+	s.release()
 	return &r
 }
 
+// schedPool recycles schedulers. A pooled one keeps its parked
+// channel, its gs and runnable slices, and the previous run's G records
+// with their frame buffers; a campaign starts one scheduler per
+// execution, and these would otherwise be its largest fixed garbage.
+var schedPool = sync.Pool{New: func() any { return &Scheduler{parked: make(chan struct{})} }}
+
+// newScheduler takes a pooled scheduler, which release left with every
+// per-run field zeroed, and sets the run's options.
 func newScheduler(opts Options) *Scheduler {
 	st := opts.Strategy
 	if st == nil {
@@ -160,17 +168,23 @@ func newScheduler(opts Options) *Scheduler {
 	if maxSteps <= 0 {
 		maxSteps = 1 << 20
 	}
-	s := &Scheduler{
-		listeners: trace.Multi(opts.Listeners),
-		strategy:  st,
-		rng:       seededRand(opts.Seed),
-		parked:    make(chan struct{}),
-		maxSteps:  maxSteps,
-		nextAddr:  1,
-		nextObj:   1,
-	}
+	s := schedPool.Get().(*Scheduler)
+	s.listeners = trace.Multi(opts.Listeners)
+	s.strategy = st
+	s.rng = seededRand(opts.Seed)
+	s.maxSteps = maxSteps
+	s.nextAddr, s.nextObj = 1, 1
 	st.Reset(opts.Seed)
 	return s
+}
+
+// release zeroes every per-run field of an ended run's scheduler, which
+// also drops what the caller owns (listeners, strategy, result slices),
+// and returns it to schedPool. The G records past len(gs) stay in the
+// backing array for spawn to reuse.
+func (s *Scheduler) release() {
+	*s = Scheduler{gs: s.gs[:0], runnable: s.runnable[:0], parked: s.parked}
+	schedPool.Put(s)
 }
 
 // rngPool recycles run RNGs. Seeding one is O(1) (see source), but its
@@ -237,12 +251,22 @@ func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 		t = &trampoline{wake: make(chan resumeMsg)}
 		go t.run()
 	}
-	g := &G{
-		id:     vclock.TID(len(s.gs)),
+	// Reuse the G record an earlier run left at this index, if any.
+	id := len(s.gs)
+	var g *G
+	if id < cap(s.gs) {
+		g = s.gs[:id+1][id]
+	}
+	if g == nil {
+		g = &G{stk: stack.NewStack()}
+	}
+	g.stk.Reset()
+	*g = G{
+		id:     vclock.TID(id),
 		name:   name,
 		path:   path,
 		s:      s,
-		stk:    stack.NewStack(),
+		stk:    g.stk,
 		state:  gReady,
 		resume: t.wake,
 	}

@@ -146,3 +146,11 @@ func (c Context) AppendKey(dst []byte) []byte {
 	}
 	return dst
 }
+
+// Reset empties the stack for reuse by another goroutine, keeping its
+// frame buffer. Contexts captured earlier stay valid: Capture copies.
+func (s *Stack) Reset() {
+	s.frames = s.frames[:0]
+	s.cached = Context{}
+	s.dirty = true
+}

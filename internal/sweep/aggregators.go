@@ -109,10 +109,11 @@ func (p *Prob) Stats() []UnitStat {
 // FirstRace keeps, per unit, the outcome of the earliest run (in seed
 // order) that detected a race — the primitive behind "run until the
 // race manifests" seed searches. Pair with Unit.HaltOnRace to stop a
-// unit as soon as its hit is found. Retained outcomes keep their
-// traces (when the unit records); campaigns that only need a derived
-// value should compute it in Observe instead, as corpus.Collector
-// does for its labels.
+// unit as soon as its hit is found. A retained outcome keeps a copy
+// of its trace (when the unit records), taken when the outcome is
+// accepted, since the run's own trace is rewritten by the worker's
+// next run; campaigns that only need a derived value should compute it
+// in Observe instead, as corpus.Collector does for its labels.
 type FirstRace struct {
 	first Earliest[*core.Outcome]
 }
@@ -122,9 +123,16 @@ func NewFirstRace() *FirstRace { return &FirstRace{} }
 
 // Observe implements Aggregator.
 func (f *FirstRace) Observe(r Run) {
-	if r.Outcome.HasRace() {
-		f.first.Take(r.UnitIdx, r.SeedIdx, r.Outcome)
+	if !r.Outcome.HasRace() || !f.first.Wants(r.UnitIdx, r.SeedIdx) {
+		return
 	}
+	out := r.Outcome
+	if out.Trace != nil {
+		kept := *out
+		kept.Trace = out.Trace.Snapshot()
+		out = &kept
+	}
+	f.first.Take(r.UnitIdx, r.SeedIdx, out)
 }
 
 // Merge implements Aggregator.

@@ -97,6 +97,11 @@ type Run struct {
 // seed order, and folds completed shards into the campaign root with
 // Merge, always in shard order. Aggregators never see concurrent
 // calls.
+//
+// A run's Outcome.Trace borrows the shard worker's recording buffer,
+// which the shard's next run rewrites: it is valid only during
+// Observe. An aggregator that retains a trace past Observe copies it
+// (trace.Recorder.Snapshot), as FirstRace does.
 type Aggregator interface {
 	// Observe folds one run into the aggregate.
 	Observe(r Run)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"gorace/internal/core"
 	"gorace/internal/detector"
 	"gorace/internal/patterns"
 	"gorace/internal/sched"
@@ -142,6 +144,46 @@ func TestFirstRaceAndHaltOnRace(t *testing.T) {
 	}
 	if _, ok := fr.Outcome(1); ok {
 		t.Fatal("phantom unit outcome")
+	}
+}
+
+// TestFirstRaceKeepsItsTrace: a run's trace borrows its worker's
+// recording buffer, which the worker's next run rewrites. FirstRace
+// retains its outcome past that, so the kept trace must be a copy: at
+// parallelism 1 every later seed runs on the same worker, and the kept
+// events must still equal a one-shot run of the winning seed.
+func TestFirstRaceKeepsItsTrace(t *testing.T) {
+	racy := pat(t, "waitgroup-add-inside")
+	u := Unit{ID: "racy", Program: racy.Racy, Strategy: "random", Runs: 8, MaxSteps: 1 << 16, Record: true}
+	aggs, _, err := New(WithParallelism(1)).Run([]Unit{u},
+		func() Aggregator { return NewFirstRace() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, ok := aggs[0].(*FirstRace).Outcome(0)
+	if !ok || out.Trace == nil {
+		t.Fatal("no recorded first race")
+	}
+	last := u.BaseSeed + int64(u.Runs) - 1
+	if out.Seed >= last {
+		t.Fatalf("first race at seed %d: no later seed ran on the worker", out.Seed)
+	}
+	runner := core.NewRunner(core.WithStrategy(u.Strategy), core.WithMaxSteps(u.MaxSteps), core.WithRecord(true))
+	want, err := runner.RunSeed(u.Program, out.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Trace.Events, want.Trace.Events) {
+		t.Fatalf("kept trace of seed %d (%d events) differs from its one-shot run (%d events)",
+			out.Seed, len(out.Trace.Events), len(want.Trace.Events))
+	}
+	// The check above only bites if the last run wrote something else.
+	lastOut, err := runner.RunSeed(u.Program, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(lastOut.Trace.Events, want.Trace.Events) {
+		t.Fatalf("seeds %d and %d record the same trace; the test needs differing ones", out.Seed, last)
 	}
 }
 

@@ -208,8 +208,9 @@ func (r *Recorder) HandleEvent(ev Event) { r.Events = append(r.Events, ev) }
 func (r *Recorder) Reset() { r.Events = r.Events[:0] }
 
 // Snapshot copies the recording into a fresh, exactly-sized Recorder
-// the caller owns — the one allocation a recorded, recycled run
-// performs for its trace.
+// the caller owns. A recycled core.Worker lends its recording to each
+// run's outcome and rewrites it on the next run; sweep.FirstRace,
+// which keeps an outcome past that, snapshots its trace here.
 func (r *Recorder) Snapshot() *Recorder {
 	out := &Recorder{Events: make([]Event, len(r.Events))}
 	copy(out.Events, r.Events)

@@ -48,10 +48,3 @@ func (p *Pool) Release(v *VC) {
 	p.free = append(p.free, v)
 	p.mu.Unlock()
 }
-
-// Len reports the number of idle clocks, mainly for tests.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}

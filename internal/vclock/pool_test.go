@@ -5,7 +5,7 @@ import "testing"
 func TestPoolAcquireEmpty(t *testing.T) {
 	p := NewPool()
 	v := p.Acquire()
-	if v == nil || v.Len() != 0 {
+	if v == nil || len(v.ts) != 0 {
 		t.Fatalf("fresh clock not empty: %v", v)
 	}
 	if got := v.Get(5); got != 0 {
@@ -19,15 +19,15 @@ func TestPoolReusesReleasedClock(t *testing.T) {
 	v.Set(3, 7)
 	v.Set(9, 2)
 	p.Release(v)
-	if p.Len() != 1 {
-		t.Fatalf("pool holds %d clocks after one release", p.Len())
+	if len(p.free) != 1 {
+		t.Fatalf("pool holds %d clocks after one release", len(p.free))
 	}
 	w := p.Acquire()
 	if w != v {
 		t.Fatal("released clock not reused (freelist is LIFO)")
 	}
-	if p.Len() != 0 {
-		t.Fatalf("pool holds %d clocks after re-acquire", p.Len())
+	if len(p.free) != 0 {
+		t.Fatalf("pool holds %d clocks after re-acquire", len(p.free))
 	}
 }
 
@@ -41,8 +41,8 @@ func TestPoolNoStaleComponentsAfterRelease(t *testing.T) {
 	}
 	p.Release(v)
 	w := p.Acquire()
-	if w.Len() != 0 {
-		t.Fatalf("recycled clock reports %d components", w.Len())
+	if len(w.ts) != 0 {
+		t.Fatalf("recycled clock reports %d components", len(w.ts))
 	}
 	for tid := TID(0); tid < 32; tid++ {
 		if got := w.Get(tid); got != 0 {
@@ -84,7 +84,7 @@ func TestPoolNoAliasingAcrossAcquires(t *testing.T) {
 func TestPoolReleaseNil(t *testing.T) {
 	p := NewPool()
 	p.Release(nil) // must not panic
-	if p.Len() != 0 {
+	if len(p.free) != 0 {
 		t.Fatal("nil release entered the freelist")
 	}
 }
@@ -95,7 +95,7 @@ func TestCopyIntoReusesCapacity(t *testing.T) {
 	dst := New()
 	dst.Set(10, 3)
 	src.CopyInto(dst)
-	if dst.Len() != src.Len() || dst.Get(4) != 9 || dst.Get(10) != 0 {
+	if len(dst.ts) != len(src.ts) || dst.Get(4) != 9 || dst.Get(10) != 0 {
 		t.Fatalf("CopyInto mismatch: %v", dst)
 	}
 	// And the copy is deep: mutating dst must not touch src.

@@ -87,9 +87,6 @@ func (v *VC) CopyInto(dst *VC) {
 	dst.ts = append(dst.ts[:0], v.ts...)
 }
 
-// Len returns the number of allocated components.
-func (v *VC) Len() int { return len(v.ts) }
-
 // String renders the clock as {g0:t0 g1:t1 ...} omitting zero entries.
 func (v *VC) String() string {
 	var b strings.Builder

@@ -268,7 +268,7 @@ func TestHistoryReleaseTo(t *testing.T) {
 		t.Fatal("releasing an empty history reported a demotion")
 	}
 	h.Set(0, 1, p)
-	if h.ReleaseTo(p) || len(readers(&h)) != 0 || p.Len() != 0 {
+	if h.ReleaseTo(p) || len(readers(&h)) != 0 || len(p.free) != 0 {
 		t.Fatal("releasing an epoch-form history demoted or left a reader")
 	}
 	for round := 0; round < 3; round++ {
@@ -277,8 +277,8 @@ func TestHistoryReleaseTo(t *testing.T) {
 		if !h.ReleaseTo(p) {
 			t.Fatalf("round %d: releasing an inflated history reported no demotion", round)
 		}
-		if h.IsInflated() || len(readers(&h)) != 0 || p.Len() != 1 {
-			t.Fatalf("round %d: ReleaseTo left %v, pool %d", round, readers(&h), p.Len())
+		if h.IsInflated() || len(readers(&h)) != 0 || len(p.free) != 1 {
+			t.Fatalf("round %d: ReleaseTo left %v, pool %d", round, readers(&h), len(p.free))
 		}
 	}
 	// Reused after release, the history starts over in epoch form.
