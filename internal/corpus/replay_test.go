@@ -84,8 +84,10 @@ func TestCollectorTraceReplay(t *testing.T) {
 // TestCollectorSavesDefiningTrace: a batch run's trace borrows its
 // worker's recording buffer, which later seeds on the same worker
 // rewrite, so a WithTraceDir collector must copy the defining run's
-// trace. At parallelism 1 every seed runs on one worker; the saved
-// file must equal the defining seed's one-shot trace, byte for byte.
+// trace, and so must a FirstRace folded alongside. At parallelism 1
+// every seed runs on one worker; the saved file, and FirstRace's trace
+// for records its seed defines, must equal the defining seed's one-shot
+// trace, byte for byte.
 func TestCollectorSavesDefiningTrace(t *testing.T) {
 	p, ok := patterns.ByID("waitgroup-add-inside")
 	if !ok {
@@ -102,7 +104,8 @@ func TestCollectorSavesDefiningTrace(t *testing.T) {
 	aggs, _, err := sweep.New(sweep.WithParallelism(1)).Run([]sweep.Unit{u},
 		func() sweep.Aggregator {
 			return corpus.NewCollector("night-1", corpus.WithTraceDir(filepath.Join(dir, "traces")))
-		})
+		},
+		func() sweep.Aggregator { return sweep.NewFirstRace() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +116,15 @@ func TestCollectorSavesDefiningTrace(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no defect collected")
 	}
+	first, ok := aggs[1].(*sweep.FirstRace).Outcome(0)
+	if !ok || first.Trace == nil {
+		t.Fatal("FirstRace kept no recorded outcome")
+	}
+	var kept bytes.Buffer
+	if err := first.Trace.Save(&kept); err != nil {
+		t.Fatal(err)
+	}
+	firstDefines := 0
 	runner := core.NewRunner(core.WithStrategy(u.Strategy), core.WithMaxSteps(u.MaxSteps), core.WithRecord(true))
 	for _, rec := range recs {
 		got, err := os.ReadFile(rec.TracePath)
@@ -134,6 +146,12 @@ func TestCollectorSavesDefiningTrace(t *testing.T) {
 					if err := out.Trace.Save(&want); err != nil {
 						t.Fatal(err)
 					}
+					if seed == first.Seed {
+						firstDefines++
+						if !bytes.Equal(kept.Bytes(), want.Bytes()) {
+							t.Fatalf("FirstRace's trace of seed %d differs from its one-shot trace", seed)
+						}
+					}
 					break
 				}
 			}
@@ -142,5 +160,8 @@ func TestCollectorSavesDefiningTrace(t *testing.T) {
 			t.Fatalf("%s: saved trace (%d bytes) differs from its defining seed's one-shot trace (%d bytes)",
 				rec.Key, len(got), want.Len())
 		}
+	}
+	if firstDefines == 0 {
+		t.Fatalf("no record is defined by FirstRace's seed %d", first.Seed)
 	}
 }
