@@ -32,9 +32,6 @@ func NewMap[K comparable, V any](g *G, name string) *Map[K, V] {
 	}
 }
 
-// InternalAddr exposes the sparse-structure cell, for classifiers.
-func (m *Map[K, V]) InternalAddr() trace.Addr { return m.internal }
-
 // Name returns the diagnostic name.
 func (m *Map[K, V]) Name() string { return m.name }
 
@@ -180,9 +177,6 @@ func NewSliceOf[T any](g *G, name string, elems []T) *Slice[T] {
 	copy(sl.elems, elems)
 	return sl
 }
-
-// MetaAddr exposes the header cell, for classifiers.
-func (s *Slice[T]) MetaAddr() trace.Addr { return s.meta }
 
 // Name returns the diagnostic name.
 func (s *Slice[T]) Name() string { return s.name }

@@ -15,7 +15,7 @@ func TestAccessors(t *testing.T) {
 			t.Error("chan accessors")
 		}
 		m := NewMap[string, int](g, "m")
-		if m.InternalAddr() == 0 || m.Name() != "m" {
+		if m.internal == 0 || m.Name() != "m" {
 			t.Error("map accessors")
 		}
 		m.Put(g, "k", 1)
@@ -23,7 +23,7 @@ func TestAccessors(t *testing.T) {
 			t.Error("map snapshot")
 		}
 		sl := NewSlice[int](g, "s", 1)
-		if sl.MetaAddr() == 0 || sl.Name() != "s" {
+		if sl.meta == 0 || sl.Name() != "s" {
 			t.Error("slice accessors")
 		}
 		sl.Set(g, 0, 7)

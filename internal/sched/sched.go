@@ -50,7 +50,7 @@ type G struct {
 	s         *Scheduler
 	stk       *stack.Stack
 	state     gstate
-	resume    chan resumeMsg // its trampoline's wake channel
+	co        *coro // the coroutine its body runs on
 	blockedOn string
 	// frozen is set when the G reaches a scheduling point while being
 	// unwound by teardown. The G stops there for good: it emits
@@ -60,8 +60,6 @@ type G struct {
 	allocN int // stable-mode shadow cells allocated by this G
 	objN   int // stable-mode sync objects allocated by this G
 }
-
-type resumeMsg struct{ abort bool }
 
 // ID returns the goroutine's TID (dense, assigned in spawn order).
 func (g *G) ID() vclock.TID { return g.id }
@@ -111,10 +109,9 @@ type Scheduler struct {
 	listeners trace.Multi
 	strategy  Strategy
 	rng       *rand.Rand
-	// parked hands the token back to loop: only when the run must end
-	// (quiescence, deadlock, budget) and, during teardown, from each
-	// unwound G.
-	parked      chan struct{}
+	// turn is the G loop resumes next, set by the G that hands the
+	// token back; nil ends the run (quiescence, deadlock, budget).
+	turn        *G
 	tearingDown bool
 	seq         uint64
 	steps       int
@@ -151,11 +148,11 @@ func Run(main func(g *G), opts Options) *Result {
 	return &r
 }
 
-// schedPool recycles schedulers. A pooled one keeps its parked
-// channel, its gs and runnable slices, and the previous run's G records
-// with their frame buffers; a campaign starts one scheduler per
-// execution, and these would otherwise be its largest fixed garbage.
-var schedPool = sync.Pool{New: func() any { return &Scheduler{parked: make(chan struct{})} }}
+// schedPool recycles schedulers. A pooled one keeps its gs and
+// runnable slices and the previous run's G records with their frame
+// buffers; a campaign starts one scheduler per execution, and these
+// would otherwise be its largest fixed garbage.
+var schedPool = sync.Pool{New: func() any { return new(Scheduler) }}
 
 // newScheduler takes a pooled scheduler, which release left with every
 // per-run field zeroed, and sets the run's options.
@@ -183,7 +180,7 @@ func newScheduler(opts Options) *Scheduler {
 // and returns it to schedPool. The G records past len(gs) stay in the
 // backing array for spawn to reuse.
 func (s *Scheduler) release() {
-	*s = Scheduler{gs: s.gs[:0], runnable: s.runnable[:0], parked: s.parked}
+	*s = Scheduler{gs: s.gs[:0], runnable: s.runnable[:0]}
 	schedPool.Put(s)
 }
 
@@ -201,42 +198,6 @@ func seededRand(seed int64) *rand.Rand {
 	return r
 }
 
-// maxIdleTrampolines bounds the idle list: at most this many parked
-// trampolines (and their grown stacks, a few KB each) outlive the runs
-// that used them. A nightly execution spawns a handful of Gs, so 256
-// covers every live G of many concurrent schedulers; a run that spawns
-// more starts the extra trampolines afresh, and they exit when done.
-const maxIdleTrampolines = 256
-
-// idleTrampolines is the package-wide idle list, shared by concurrent
-// schedulers.
-var idleTrampolines = make(chan *trampoline, maxIdleTrampolines)
-
-// trampoline is a real goroutine that runs modeled goroutines one
-// after another. Reusing it keeps its stack grown, so a spawn costs
-// neither a go statement nor a channel allocation nor stack growth on
-// the G's first operations.
-type trampoline struct {
-	wake chan resumeMsg
-	g    *G
-	fn   func(*G)
-}
-
-// run executes one modeled goroutine per wake-up, then parks on the
-// idle list, or exits if the list is full.
-func (t *trampoline) run() {
-	for {
-		msg := <-t.wake
-		t.g.s.body(t.g, t.fn, msg)
-		t.g, t.fn = nil, nil
-		select {
-		case idleTrampolines <- t:
-		default:
-			return
-		}
-	}
-}
-
 // spawn creates a modeled goroutine. parent is nil only for main.
 func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 	path := "0"
@@ -244,13 +205,7 @@ func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 		path = parent.path + "." + strconv.Itoa(parent.spawnN)
 		parent.spawnN++
 	}
-	var t *trampoline
-	select {
-	case t = <-idleTrampolines:
-	default:
-		t = &trampoline{wake: make(chan resumeMsg)}
-		go t.run()
-	}
+	c := getCoro()
 	// Reuse the G record an earlier run left at this index, if any.
 	id := len(s.gs)
 	var g *G
@@ -262,15 +217,15 @@ func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 	}
 	g.stk.Reset()
 	*g = G{
-		id:     vclock.TID(id),
-		name:   name,
-		path:   path,
-		s:      s,
-		stk:    g.stk,
-		state:  gReady,
-		resume: t.wake,
+		id:    vclock.TID(id),
+		name:  name,
+		path:  path,
+		s:     s,
+		stk:   g.stk,
+		state: gReady,
+		co:    c,
 	}
-	t.g, t.fn = g, fn
+	c.g, c.fn = g, fn
 	s.gs = append(s.gs, g)
 	s.runnable = append(s.runnable, g)
 	s.strategy.OnSpawn(g.id, s.rng)
@@ -280,13 +235,12 @@ func (s *Scheduler) spawn(parent *G, name string, fn func(*G)) *G {
 	return g
 }
 
-// body runs a modeled goroutine on its trampoline, from its first
-// resume message to its exit, and then passes the token on.
-func (s *Scheduler) body(g *G, fn func(*G), first resumeMsg) {
+// body runs a modeled goroutine on its coroutine, from its first
+// resume to its exit, and then takes the decision of who runs next.
+func (s *Scheduler) body(g *G, fn func(*G)) {
 	defer func() {
 		r := recover()
 		if g.frozen {
-			s.parked <- struct{}{}
 			return
 		}
 		if r != nil {
@@ -298,36 +252,30 @@ func (s *Scheduler) body(g *G, fn func(*G), first resumeMsg) {
 		g.state = gDone
 		s.removeRunnable(g)
 		s.emit(g, trace.Event{Op: trace.OpGoEnd})
-		if s.tearingDown {
-			s.parked <- struct{}{}
-			return
+		if !s.tearingDown {
+			s.turn = s.next()
 		}
-		s.dispatch(s.next())
 	}()
-	if first.abort {
+	if g.co.abort {
 		panic(abortSignal{})
 	}
 	fn(g)
 }
 
-// loop starts the run and, once the token comes back, ends it; it runs
-// on the caller's goroutine. Between the two, the token passes
-// directly from G to G: whichever G reaches a scheduling point takes
-// the next decision itself (see next).
+// loop runs on the caller's goroutine and resumes one G at a time
+// until the run must end, then ends it. It takes no decision after the
+// first: whichever G reaches a scheduling point takes the next one
+// itself (see next) and yields the token back with its pick in turn.
 func (s *Scheduler) loop() {
-	if g := s.next(); g != nil {
-		g.resume <- resumeMsg{}
-		<-s.parked
+	for g := s.next(); g != nil; g = s.turn {
+		g.co.switchTo()
 	}
-	if len(s.runnable) == 0 {
-		if s.liveCount() == 0 {
-			return // quiescent: all goroutines finished
-		}
-		s.recordLeaks()
-		s.abortAll()
-		return
+	switch {
+	case len(s.runnable) > 0:
+		s.result.BudgetExceeded = true
+	case !s.recordLeaks():
+		return // quiescent: all goroutines finished
 	}
-	s.result.BudgetExceeded = true
 	s.abortAll()
 }
 
@@ -348,26 +296,9 @@ func (s *Scheduler) next() *G {
 	return g
 }
 
-// dispatch passes the token to g, or back to loop when g is nil.
-func (s *Scheduler) dispatch(g *G) {
-	if g == nil {
-		s.parked <- struct{}{}
-		return
-	}
-	g.resume <- resumeMsg{}
-}
-
-func (s *Scheduler) liveCount() int {
-	n := 0
-	for _, g := range s.gs {
-		if g.state != gDone {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Scheduler) recordLeaks() {
+// recordLeaks reports every blocked goroutine as leaked, and whether
+// there was one. Once nothing is runnable, every G not done is blocked.
+func (s *Scheduler) recordLeaks() bool {
 	for _, g := range s.gs {
 		if g.state == gBlocked {
 			s.result.Leaked = append(s.result.Leaked, LeakInfo{
@@ -376,18 +307,20 @@ func (s *Scheduler) recordLeaks() {
 			s.emit(g, trace.Event{Op: trace.OpGoLeak})
 		}
 	}
+	return len(s.result.Leaked) > 0
 }
 
 // abortAll unwinds every parked goroutine (runnable or blocked), one
-// at a time: each unwound G hands the token straight back.
+// at a time: each is resumed with the abort flag set and runs until
+// its body exits.
 func (s *Scheduler) abortAll() {
 	s.tearingDown = true
 	for _, g := range s.gs {
 		if g.state == gDone || g.state == gRunning {
 			continue
 		}
-		g.resume <- resumeMsg{abort: true}
-		<-s.parked
+		g.co.abort = true
+		g.co.switchTo()
 	}
 }
 
@@ -427,19 +360,17 @@ func (s *Scheduler) newObj() trace.ObjID {
 // point is a scheduling point: the goroutine offers the scheduler the
 // chance to run someone else before its next operation executes. It
 // takes the decision itself; when the strategy picks it again, it
-// simply continues.
+// simply continues, and otherwise it yields to loop, which resumes the
+// pick: one coroutine round trip per preemption.
 func (g *G) point() {
 	s := g.s
 	if s.tearingDown {
 		g.freeze()
 	}
 	g.state = gReady
-	next := s.next()
-	if next == g {
-		return
+	if next := s.next(); next != g {
+		g.handOff(next)
 	}
-	s.dispatch(next)
-	g.wait()
 }
 
 // block parks the goroutine until another goroutine wakes it.
@@ -451,16 +382,7 @@ func (g *G) block(reason string) {
 	g.state = gBlocked
 	g.blockedOn = reason
 	s.removeRunnable(g)
-	s.dispatch(s.next())
-	g.wait()
-}
-
-// wait parks the goroutine until it is handed the token, and unwinds
-// it if the token comes with an abort.
-func (g *G) wait() {
-	if msg := <-g.resume; msg.abort {
-		panic(abortSignal{})
-	}
+	g.handOff(s.next())
 }
 
 // freeze stops a goroutine that reaches a scheduling point while

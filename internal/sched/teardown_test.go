@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"gorace/internal/trace"
 )
@@ -133,7 +132,7 @@ func teardownFingerprint(res *Result, rec *trace.Recorder) string {
 // exhaustion or panic report the same Result and event stream as the
 // channel-per-step scheduler did (the wants were recorded from it), and
 // teardown unwinds every G: after 10,000 such runs the only goroutines
-// left over are parked trampolines, at most maxIdleTrampolines.
+// left over are idle coroutines, at most maxIdleCoros.
 func TestTeardownUnwindsEveryG(t *testing.T) {
 	runtime.GC()
 	base := runtime.NumGoroutine()
@@ -148,14 +147,38 @@ func TestTeardownUnwindsEveryG(t *testing.T) {
 			t.Fatalf("run %d, %s:\n got %s\nwant %s", i, c.name, got, c.want)
 		}
 	}
-	// A trampoline that found the idle list full may still be on its
-	// way out; give it a moment before counting.
-	limit := base + maxIdleTrampolines
-	for try := 0; runtime.NumGoroutine() > limit && try < 100; try++ {
-		time.Sleep(10 * time.Millisecond)
+	if n, limit := runtime.NumGoroutine(), base+maxIdleCoros; n > limit {
+		t.Fatalf("%d goroutines after %d torn-down runs, want <= %d (baseline %d + %d idle coroutines)",
+			n, runs, limit, base, maxIdleCoros)
 	}
-	if n := runtime.NumGoroutine(); n > limit {
-		t.Fatalf("%d goroutines after %d torn-down runs, want <= %d (baseline %d + %d idle trampolines)",
-			n, runs, limit, base, maxIdleTrampolines)
+}
+
+// TestSurplusCoroutinesStop: a run whose live Gs outnumber the idle
+// list's bound stops the coroutines the list has no room for, so after
+// any number of such runs the only goroutines left over are the idle
+// coroutines, at most maxIdleCoros.
+func TestSurplusCoroutinesStop(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	const runs, spawned = 10, 300
+	for i := 0; i < runs; i++ {
+		res := Run(func(g *G) {
+			// Every child waits on the gate, so all of them are live
+			// at once.
+			gate := NewWaitGroup(g, "gate")
+			gate.Add(g, 1)
+			for j := 1; j < spawned; j++ {
+				g.Go("waiter", func(g *G) { gate.Wait(g) })
+			}
+			gate.Done(g)
+		}, Options{})
+		if res.Goroutines != spawned || res.Deadlocked() || res.BudgetExceeded {
+			t.Fatalf("run %d: %d goroutines, leaked %v, budget %t; want %d quiescent",
+				i, res.Goroutines, res.Leaked, res.BudgetExceeded, spawned)
+		}
+	}
+	if n, limit := runtime.NumGoroutine(), base+maxIdleCoros; n > limit {
+		t.Fatalf("%d goroutines after %d runs of %d Gs, want <= %d (baseline %d + %d idle coroutines)",
+			n, runs, spawned, limit, base, maxIdleCoros)
 	}
 }
