@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"gorace/internal/corpus"
 	"gorace/internal/report"
@@ -129,20 +128,9 @@ func stats(store *corpus.Store) {
 
 func top(store *corpus.Store, args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	n := fs.Int("n", 10, "defects to list")
+	n := fs.Int("n", 10, "defects to list (negative lists all)")
 	fs.Parse(args)
-	recs := store.Records()
-	// Records() is key-sorted; rank by occurrence count, ties by key,
-	// so the ordering is deterministic.
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Count != recs[j].Count {
-			return recs[i].Count > recs[j].Count
-		}
-		return recs[i].Key < recs[j].Key
-	})
-	if len(recs) > *n {
-		recs = recs[:*n]
-	}
+	recs := store.Snapshot().Top(*n)
 	fmt.Printf("%-44s %10s %6s %-20s %s\n", "race-id", "count", "runs", "category", "last seen")
 	for _, rec := range recs {
 		fmt.Printf("%-44s %10d %6d %-20s %s\n",

@@ -1,6 +1,7 @@
 package gorace_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -89,6 +90,36 @@ func TestBinariesBuildAndRun(t *testing.T) {
 	handoff := filepath.Join(bin, "handoff.trace")
 	writeHandoffTrace(t, handoff)
 	runOK(racedetect, "LOCKSET CANDIDATE", "-stream", handoff, "-detector", "hybrid")
+
+	// The corpus CLI over a two-run campaign store. Both runs sweep the
+	// same seeds, so every defect recurs.
+	racedb := build("cmd/racedb")
+	db := filepath.Join(bin, "corpus.db")
+	for _, run := range []string{"r1", "r2"} {
+		runOK(racedetect, "corpus: appended run "+run, "-campaign", "-seeds", "2", "-parallel", "1",
+			"-corpus", db, "-run-id", run, "-corpus-traces", filepath.Join(bin, "corpus-traces"))
+	}
+	stats := runOK(racedb, "runs:    2 (r1 .. r2)", "-db", db, "stats")
+	var defects int
+	if i := strings.Index(stats, "defects: "); i < 0 {
+		t.Fatalf("racedb stats has no defects line:\n%s", stats)
+	} else if _, err := fmt.Sscanf(stats[i:], "defects: %d deduplicated", &defects); err != nil || defects < 3 {
+		t.Fatalf("racedb stats defects line: %v (%d defects)\n%s", err, defects, stats)
+	}
+	lines := func(out string) []string { return strings.Split(strings.TrimSuffix(out, "\n"), "\n") }
+	top := lines(runOK(racedb, "race-id", "-db", db, "top", "-n", "3"))
+	if len(top) != 4 {
+		t.Fatalf("racedb top -n 3 printed %d lines, want header + 3:\n%s", len(top), strings.Join(top, "\n"))
+	}
+	if all := lines(runOK(racedb, "race-id", "-db", db, "top", "-n", "-1")); len(all) != defects+1 {
+		t.Fatalf("racedb top -n -1 printed %d lines, want header + %d", len(all), defects)
+	}
+	runOK(racedb, fmt.Sprintf("r1 -> r2: 0 new, 0 resolved, %d recurring", defects), "-db", db, "diff", "r1", "r2")
+	if got := len(lines(runOK(racedb, "", "-db", db, "export", "-format", "jsonl"))); got != defects {
+		t.Fatalf("racedb export -format jsonl printed %d lines, want %d", got, defects)
+	}
+	runOK(racedb, "reproduced from its stored trace", "-db", db, "replay", strings.Fields(top[1])[0])
+	runOK(racedb, fmt.Sprintf("(%d defects, 2 runs)", defects), "-db", db, "compact")
 
 	// Examples.
 	runOK(build("examples/quickstart"), "clean: no race under any of 50 seeds")

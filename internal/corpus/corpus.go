@@ -19,12 +19,11 @@
 // temp-file rename.
 //
 // Run ids are ordered by string comparison, so choose ids that sort
-// chronologically (ISO timestamps, zero-padded counters). Merging
-// (Merge, ApplyDelta) unions run-id sets and sums occurrence counts,
-// skipping runs already in the history — so re-merging the same
-// per-run delta is a no-op and merge order does not matter, the
-// property the distributed service's corpus federation is built on
-// (see delta.go).
+// chronologically (ISO timestamps, zero-padded counters). ApplyDelta
+// unions run-id sets and sums occurrence counts, skipping runs already
+// in the history — so re-applying the same per-run delta is a no-op
+// and order does not matter, the property the distributed service's
+// corpus federation is built on (see delta.go).
 package corpus
 
 import (
@@ -224,7 +223,7 @@ func (s *Store) load() error {
 // wins — rather than first-appended-wins — makes the fold commutative
 // at run granularity: appending the same per-run records in any order
 // converges on identical folded state, the property distributed
-// corpus merging (Merge, ApplyDelta) relies on. In the common
+// corpus merging (ApplyDelta) relies on. In the common
 // chronological-append case (nightlies appended in run-id order) the
 // two rules agree.
 func (s *Store) fold(rec Record) {
@@ -314,7 +313,7 @@ func mergeRuns(a, b []string) []string {
 // store. Each record is written as one CRC-framed Write, so a crash
 // loses at most the frame being written. Appends reach the OS
 // immediately but not the platter: call Sync at a batch boundary
-// (Collector.AppendTo and Merge do) to make them power-loss durable.
+// (Collector.AppendTo and ApplyDelta do) to make them power-loss durable.
 func (s *Store) Append(recs ...Record) error {
 	var e recEncoder
 	for _, rec := range recs {
@@ -345,21 +344,6 @@ func (s *Store) AppendRun(info RunInfo) error {
 	}
 	s.foldRun(info)
 	return nil
-}
-
-// Merge folds other's record and run-marker history into s, appending
-// to s's log and syncing at the end. Merging is idempotent and
-// order-independent at *run* granularity: run markers already in s's
-// history are skipped, and so is any record all of whose run ids are
-// already recorded — merging the same delta twice, or two deltas in
-// either order, yields identical folded state (the defining report is
-// resolved by earliest run id, not append order). The one ambiguity
-// left is a record spanning several runs of which only some are new:
-// its occurrence count cannot be split per run, so it folds whole and
-// over-counts. Per-run deltas — what Collector, ExportDelta, and the
-// distributed shard protocol produce — never hit that case.
-func (s *Store) Merge(other *Store) error {
-	return s.ApplyDelta(Export{Runs: other.Runs(), Records: other.Records()})
 }
 
 // Sync fsyncs the log: appends made so far survive power loss, not

@@ -341,7 +341,7 @@ func TestMergeDisjointStores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := a.Merge(b); err != nil {
+	if err := a.ApplyDelta(b.Snapshot().Export()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != 3 {

@@ -109,12 +109,14 @@ func ReadDelta(r io.Reader) (Export, error) {
 func (x *Export) fold(rec Record)      { x.Records = append(x.Records, rec) }
 func (x *Export) foldRun(info RunInfo) { x.Runs = append(x.Runs, info) }
 
-// ApplyDelta folds an export into the store with run-idempotent
-// semantics: run markers already in the history are skipped, and so
-// is any record whose run ids are all already recorded. Applying the
-// same delta twice is therefore a no-op the second time, and two
-// deltas fold to the same state in either order (Merge's contract).
-// Appends are synced at the end of the batch.
+// ApplyDelta folds an export into the store, syncing at the end of
+// the batch. It is idempotent and order-independent at *run*
+// granularity: run markers already in the history are skipped, and so
+// is any record whose run ids are all recorded, so applying a delta
+// twice, or two deltas in either order, yields identical folded state.
+// A record spanning several runs of which only some are new folds
+// whole and over-counts; per-run deltas (Collector, shard answers)
+// never hit that case.
 func (s *Store) ApplyDelta(x Export) error {
 	seen := make(map[string]bool, len(s.runs))
 	for id := range s.runs {

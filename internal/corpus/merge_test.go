@@ -148,8 +148,9 @@ func TestMergeOverlappingDeltasIdempotentAndOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestMergeStoresIsRunIdempotent pins the same property at Store.Merge
-// granularity: merging a store into another twice equals merging once.
+// TestMergeStoresIsRunIdempotent pins the same property at whole-store
+// granularity: merging a store's export into another twice equals
+// merging once.
 func TestMergeStoresIsRunIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(filepath.Join(dir, "a.db"))
@@ -168,12 +169,12 @@ func TestMergeStoresIsRunIdempotent(t *testing.T) {
 	if err := b.ApplyDelta(perRunDelta("r2", 7, []string{"u/x", "u/y"}, taxonomy.CatGlobalVar)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(b); err != nil {
+	if err := a.ApplyDelta(b.Snapshot().Export()); err != nil {
 		t.Fatal(err)
 	}
 	once := a.Records()
 	onceRuns := a.Runs()
-	if err := a.Merge(b); err != nil {
+	if err := a.ApplyDelta(b.Snapshot().Export()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Records(), once) {

@@ -80,15 +80,6 @@ func (v *View) Runs() []RunInfo { return v.runs }
 // HasRun reports whether the snapshot's history contains the run id.
 func (v *View) HasRun(id string) bool { return v.run[id] }
 
-// LastRun returns the most recently appended run id, or "" for an
-// empty history.
-func (v *View) LastRun() string {
-	if len(v.runs) == 0 {
-		return ""
-	}
-	return v.runs[len(v.runs)-1].ID
-}
-
 // Diff computes the cross-run delta between two recorded runs, with
 // the same semantics as Store.Diff, against the frozen snapshot.
 func (v *View) Diff(runA, runB string) (Delta, error) {

@@ -153,8 +153,8 @@ func TestSnapshotGenerationAndDiff(t *testing.T) {
 	if v1.HasRun("run-003") || !v2.HasRun("run-003") {
 		t.Fatalf("run visibility wrong: v1=%v v2=%v", v1.HasRun("run-003"), v2.HasRun("run-003"))
 	}
-	if v1.LastRun() != "run-002" || v2.LastRun() != "run-003" {
-		t.Fatalf("LastRun: v1=%q v2=%q", v1.LastRun(), v2.LastRun())
+	if r1, r2 := v1.Runs(), v2.Runs(); r1[len(r1)-1].ID != "run-002" || r2[len(r2)-1].ID != "run-003" {
+		t.Fatalf("last run: v1=%q v2=%q", r1[len(r1)-1].ID, r2[len(r2)-1].ID)
 	}
 
 	// Generation survives a close/reopen: load replays the same frames.

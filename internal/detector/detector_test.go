@@ -474,8 +474,8 @@ func TestEraserStateMachine(t *testing.T) {
 		})
 		ch.Recv(g)
 	}, er)
-	if st := er.CellState(addr); st != "shared-modified" {
-		t.Fatalf("state = %s", st)
+	if c := er.cells.at(addr); !c.seen || c.state.String() != "shared-modified" {
+		t.Fatalf("state = %s (seen %v)", c.state, c.seen)
 	}
 	if er.RaceCount() == 0 {
 		t.Fatal("empty candidate lockset must report")

@@ -92,14 +92,6 @@ func (e *Eraser) Candidates() []report.Race { return nil }
 // RaceCount returns the number of reports.
 func (e *Eraser) RaceCount() int { return len(e.races) }
 
-// CellState exposes a cell's state machine position, for tests.
-func (e *Eraser) CellState(a trace.Addr) string {
-	if c := e.cells.at(a); c.seen {
-		return c.state.String()
-	}
-	return stVirgin.String()
-}
-
 // HandleEvent implements trace.Listener.
 func (e *Eraser) HandleEvent(ev trace.Event) {
 	e.stats.note(ev)

@@ -42,20 +42,6 @@ func Probe(prog func(*sched.G), strategy string, runs int, base int64, paralleli
 	return res[0]
 }
 
-// ProbeFactory is Probe for strategies a registry name cannot carry
-// (replayed prefixes, custom parameters). The factory is invoked once
-// per run, always from a single worker goroutine.
-func ProbeFactory(prog func(*sched.G), factory func() sched.Strategy, runs int, base int64) sweep.UnitStat {
-	res := probe([]sweep.Unit{{
-		ID: "factory", Program: prog, StrategyFactory: factory,
-		BaseSeed: base, Runs: runs, MaxSteps: maxSteps,
-	}}, 1)
-	if len(res) == 0 {
-		return sweep.UnitStat{Runs: runs}
-	}
-	return res[0]
-}
-
 // probe runs one campaign and returns its per-unit Prob stats, in unit
 // order.
 func probe(units []sweep.Unit, parallelism int) []sweep.UnitStat {
@@ -66,8 +52,8 @@ func probe(units []sweep.Unit, parallelism int) []sweep.UnitStat {
 	aggs, _, err := sweep.New(opts...).Run(units,
 		func() sweep.Aggregator { return sweep.NewProb() })
 	if err != nil {
-		// Unknown strategy names and nil factories are programming
-		// errors here; surface them loudly rather than as P=0.
+		// Unknown strategy names are programming errors here; surface
+		// them loudly rather than as P=0.
 		panic(err)
 	}
 	return aggs[0].(*sweep.Prob).Stats()
@@ -85,21 +71,6 @@ func CompareStrategies(prog func(*sched.G), runs int, base int64) []sweep.UnitSt
 		})
 	}
 	return probe(units, 0)
-}
-
-// FormatProbes renders strategy-comparison results as a table.
-func FormatProbes(rs []sweep.UnitStat) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %8s %10s %10s %8s\n", "strategy", "runs", "detected", "P(detect)", "races/run")
-	for _, r := range rs {
-		perRun := 0.0
-		if r.Runs > 0 {
-			perRun = float64(r.Races) / float64(r.Runs)
-		}
-		fmt.Fprintf(&b, "%-12s %8d %10d %10.2f %8.2f\n",
-			r.Strategy, r.Runs, r.Detected, r.Probability(), perRun)
-	}
-	return b.String()
 }
 
 // ExhaustiveResult summarizes a bounded exhaustive exploration.
@@ -205,36 +176,6 @@ func ExhaustiveBounded(prog func(*sched.G), maxRuns, maxPreemptions int) Exhaust
 		}
 	}
 	res.BudgetReached = res.Schedules >= maxRuns && len(stack) > 0
-	return res
-}
-
-// DeepeningResult is the outcome of iterative preemption-bound
-// deepening.
-type DeepeningResult struct {
-	Bound     int // the preemption bound at which a race first appeared
-	Schedules int // total schedules executed across all bounds
-	Racy      int // racy schedules at the final bound
-	Found     bool
-}
-
-// IterativeDeepening runs CHESS's outer loop: explore with preemption
-// bound 0, then 1, then 2, ... up to maxBound, stopping at the first
-// bound that exposes a race. The returned bound is the bug's
-// "preemption depth" — CHESS's empirical claim is that real bugs have
-// very small depth.
-func IterativeDeepening(prog func(*sched.G), runsPerBound, maxBound int) DeepeningResult {
-	var res DeepeningResult
-	for bound := 0; bound <= maxBound; bound++ {
-		r := ExhaustiveBounded(prog, runsPerBound, bound)
-		res.Schedules += r.Schedules
-		if r.Racy > 0 {
-			res.Bound = bound
-			res.Racy = r.Racy
-			res.Found = true
-			return res
-		}
-	}
-	res.Bound = maxBound + 1
 	return res
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gorace/internal/core"
 	"gorace/internal/patterns"
 	"gorace/internal/sched"
 )
@@ -76,8 +77,14 @@ func TestExhaustiveFindsRaceAndReproduces(t *testing.T) {
 		t.Fatalf("schedules = %d", res.Schedules)
 	}
 	// The first racy schedule must deterministically reproduce.
-	r2 := ProbeFactory(racyProg(), func() sched.Strategy { return sched.NewReplay(res.FirstRacy) }, 1, 0)
-	if r2.Detected != 1 {
+	out, err := core.NewRunner(
+		core.WithStrategyFactory(func() sched.Strategy { return sched.NewReplay(res.FirstRacy) }),
+		core.WithMaxSteps(maxSteps),
+	).RunSeed(racyProg(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.HasRace() {
 		t.Fatal("recorded racy schedule did not reproduce the race")
 	}
 }
@@ -117,10 +124,6 @@ func TestRoundRobinVsRandomFlakiness(t *testing.T) {
 
 func TestFormatters(t *testing.T) {
 	rs := CompareStrategies(racyProg(), 5, 0)
-	s := FormatProbes(rs)
-	if !strings.Contains(s, "P(detect)") || !strings.Contains(s, "random") {
-		t.Fatalf("probe table malformed:\n%s", s)
-	}
 	f := FormatFlakiness([]FlakinessReport{{Pattern: "p1", Results: rs}})
 	if !strings.Contains(f, "p1") {
 		t.Fatal("flakiness table missing pattern")
@@ -154,28 +157,5 @@ func TestPreemptionBoundStillFindsShallowRaces(t *testing.T) {
 	res := ExhaustiveBounded(racyProg(), 400, 2)
 	if res.Racy == 0 {
 		t.Fatal("bound-2 exploration missed a depth-shallow race")
-	}
-}
-
-func TestIterativeDeepeningFindsShallowBug(t *testing.T) {
-	res := IterativeDeepening(racyProg(), 200, 3)
-	if !res.Found {
-		t.Fatal("deepening never found the race")
-	}
-	if res.Bound > 3 {
-		t.Fatalf("loop-capture depth = %d, expected shallow", res.Bound)
-	}
-	if res.Schedules == 0 {
-		t.Fatal("no schedules executed")
-	}
-}
-
-func TestIterativeDeepeningCleanProgram(t *testing.T) {
-	res := IterativeDeepening(fixedProg(), 100, 2)
-	if res.Found {
-		t.Fatal("race found in fixed program")
-	}
-	if res.Bound != 3 {
-		t.Fatalf("bound = %d, want maxBound+1", res.Bound)
 	}
 }

@@ -52,16 +52,6 @@ var Profiles = []LangProfile{
 	},
 }
 
-// ProfileFor returns the published profile for a language.
-func ProfileFor(lang string) (LangProfile, bool) {
-	for _, p := range Profiles {
-		if strings.EqualFold(p.Lang, lang) {
-			return p, true
-		}
-	}
-	return LangProfile{}, false
-}
-
 // Process is one scanned process.
 type Process struct {
 	Lang        string

@@ -24,13 +24,14 @@ func TestProfilesWellFormed(t *testing.T) {
 	}
 }
 
-func TestProfileFor(t *testing.T) {
-	if _, ok := ProfileFor("go"); !ok {
-		t.Fatal("case-insensitive lookup failed")
+// profile returns the published profile for lang.
+func profile(lang string) LangProfile {
+	for _, p := range Profiles {
+		if p.Lang == lang {
+			return p
+		}
 	}
-	if _, ok := ProfileFor("cobol"); ok {
-		t.Fatal("unknown language found")
-	}
+	panic("no profile for " + lang)
 }
 
 func TestScanMatchesPublishedCurve(t *testing.T) {
@@ -118,7 +119,7 @@ func TestPercentileBounds(t *testing.T) {
 
 func TestSampleWithinBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	p, _ := ProfileFor("Node")
+	p := profile("Node")
 	for i := 0; i < 1000; i++ {
 		c := sampleOne(p.CDF, rng)
 		if c < 1 || c > Buckets[len(Buckets)-1] {
@@ -141,7 +142,7 @@ func TestFormatContainsAllLanguages(t *testing.T) {
 
 func BenchmarkFigure1Scan(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	p, _ := ProfileFor("Go")
+	p := profile("Go")
 	fleet := SampleFleet(p, rng)
 	b.ReportAllocs()
 	b.ResetTimer()

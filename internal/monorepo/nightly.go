@@ -1,9 +1,6 @@
 package monorepo
 
 import (
-	"fmt"
-	"strings"
-
 	"gorace/internal/corpus"
 	"gorace/internal/sweep"
 )
@@ -64,33 +61,4 @@ func (r *Repo) RunNightly(store *corpus.Store, runID string, seed int64) (*Night
 		return nil, err
 	}
 	return n, nil
-}
-
-// Format renders the nightly report: the run summary followed by the
-// delta sections, each defect with its key, category, and occurrence
-// history.
-func (n *Nightly) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== nightly %s: %d executions, %d reports, %d defects ==\n",
-		n.RunID, n.Executions, n.Reports, n.Defects)
-	if n.FirstNight {
-		fmt.Fprintf(&b, "first recorded night; every defect is new\n")
-	} else {
-		fmt.Fprintf(&b, "delta vs %s: %d new, %d recurring, %d resolved\n",
-			n.Delta.RunA, len(n.Delta.New), len(n.Delta.Recurring), len(n.Delta.Resolved))
-	}
-	section := func(title string, recs []corpus.Record) {
-		if len(recs) == 0 {
-			return
-		}
-		fmt.Fprintf(&b, "\n%s:\n", title)
-		for _, rec := range recs {
-			fmt.Fprintf(&b, "  %-44s %-22s seen %dx in %d run(s) since %s\n",
-				rec.Key, rec.Category, rec.Count, len(rec.RunIDs), rec.FirstSeen())
-		}
-	}
-	section("NEW", n.Delta.New)
-	section("RECURRING", n.Delta.Recurring)
-	section("RESOLVED (not seen tonight)", n.Delta.Resolved)
-	return b.String()
 }

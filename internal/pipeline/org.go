@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Engineer is one member of the synthetic organization.
@@ -166,32 +165,4 @@ func (o *Org) Assign(rootFileA, rootFileB string, day int) Assignment {
 	}
 	a.Rationale = append(a.Rationale, "no active engineer found")
 	return a
-}
-
-// ActiveCount returns the number of engineers present on day.
-func (o *Org) ActiveCount(day int) int {
-	n := 0
-	for _, e := range o.Engineers {
-		if e.Active(day) {
-			n++
-		}
-	}
-	return n
-}
-
-// TeamSizes returns team name → active size on day, sorted by name in
-// the keys slice for deterministic iteration in reports.
-func (o *Org) TeamSizes(day int) (map[string]int, []string) {
-	m := make(map[string]int)
-	for _, e := range o.Engineers {
-		if e.Active(day) {
-			m[e.Team]++
-		}
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return m, keys
 }

@@ -17,22 +17,33 @@ func TestOrgConstruction(t *testing.T) {
 	if len(o.files) != 200 {
 		t.Fatalf("files = %d", len(o.files))
 	}
-	sizes, keys := o.TeamSizes(0)
-	if len(keys) == 0 {
-		t.Fatal("no teams")
+	// Engineers are dealt round-robin over the five teams, so every
+	// team has someone present on day 0.
+	teams := map[string]bool{}
+	for _, e := range o.Engineers {
+		if e.Active(0) {
+			teams[e.Team] = true
+		}
 	}
-	total := 0
-	for _, k := range keys {
-		total += sizes[k]
+	if len(teams) != 5 {
+		t.Fatalf("active teams = %v, want 5", teams)
 	}
-	if total != o.ActiveCount(0) {
-		t.Fatal("team sizes do not sum to active count")
+}
+
+// activeCount returns the number of engineers present on day.
+func activeCount(o *Org, day int) int {
+	n := 0
+	for _, e := range o.Engineers {
+		if e.Active(day) {
+			n++
+		}
 	}
+	return n
 }
 
 func TestChurnReducesActiveCount(t *testing.T) {
 	o := newTestOrg()
-	if o.ActiveCount(179) >= o.ActiveCount(0) {
+	if activeCount(o, 179) >= activeCount(o, 0) {
 		// 20% churn over 180 days should lose someone.
 		t.Error("churn had no effect by day 179")
 	}

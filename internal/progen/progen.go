@@ -122,12 +122,6 @@ func (p Params) withDefaults() resolved {
 	return r
 }
 
-// hasIdioms reports whether any catalog extension is enabled; without
-// them generation and execution follow the legacy path exactly.
-func (r resolved) hasIdioms() bool {
-	return r.Maps > 0 || r.Flags > 0 || r.CtxDepth > 0 || r.Errgroup || r.Pools > 0
-}
-
 // op is one generated operation in a goroutine's straight-line body.
 type op struct {
 	kind    opKind

@@ -20,6 +20,15 @@ func run(t *testing.T, opts Options, main func(*G)) (*Result, *trace.Recorder) {
 	return res, rec
 }
 
+// countOps tallies rec's events by Op.
+func countOps(rec *trace.Recorder) map[trace.Op]int {
+	m := make(map[trace.Op]int)
+	for _, ev := range rec.Events {
+		m[ev.Op]++
+	}
+	return m
+}
+
 func TestEmptyProgram(t *testing.T) {
 	res, _ := run(t, Options{}, func(g *G) {})
 	if res.Goroutines != 1 || res.Deadlocked() || len(res.Failures) != 0 {
@@ -40,7 +49,7 @@ func TestSpawnRunsChildren(t *testing.T) {
 	if res.Goroutines != 4 {
 		t.Fatalf("goroutines = %d, want 4", res.Goroutines)
 	}
-	ops := rec.CountOps()
+	ops := countOps(rec)
 	if ops[trace.OpFork] != 3 {
 		t.Fatalf("fork events = %d, want 3", ops[trace.OpFork])
 	}
@@ -59,7 +68,7 @@ func TestVarLoadStore(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("load = %d", got)
 	}
-	ops := rec.CountOps()
+	ops := countOps(rec)
 	if ops[trace.OpWrite] != 1 || ops[trace.OpRead] != 1 {
 		t.Fatalf("ops = %v", ops)
 	}
@@ -300,7 +309,7 @@ func TestDeadlockDetection(t *testing.T) {
 	if res.Leaked[0].Name != "leaker" {
 		t.Fatalf("leaked = %+v", res.Leaked)
 	}
-	if rec.CountOps()[trace.OpGoLeak] != 1 {
+	if countOps(rec)[trace.OpGoLeak] != 1 {
 		t.Fatal("no OpGoLeak event")
 	}
 }
@@ -388,7 +397,7 @@ func TestAtomicOps(t *testing.T) {
 	if v1 != 7 || v2 != 9 {
 		t.Fatalf("v1=%d v2=%d", v1, v2)
 	}
-	ops := rec.CountOps()
+	ops := countOps(rec)
 	if ops[trace.OpAtomicStore] != 1 || ops[trace.OpAtomicRMW] != 1 || ops[trace.OpAtomicLoad] != 1 {
 		t.Fatalf("atomic ops = %v", ops)
 	}
@@ -631,7 +640,7 @@ func TestUpdateIsTwoAccesses(t *testing.T) {
 		v := NewVarOf(g, "x", 1)
 		v.Update(g, func(x int) int { return x * 2 })
 	})
-	ops := rec.CountOps()
+	ops := countOps(rec)
 	if ops[trace.OpRead] != 1 || ops[trace.OpWrite] != 1 {
 		t.Fatalf("ops = %v", ops)
 	}
@@ -734,7 +743,7 @@ func TestMapRange(t *testing.T) {
 	if visited[0] != "b" || visited[1] != "a" {
 		t.Fatalf("order = %v", visited)
 	}
-	ops := rec.CountOps()
+	ops := countOps(rec)
 	// 2 puts x2 writes; range: 1 internal + 2 key reads; puts also 2x2.
 	if ops[trace.OpRead] != 3 {
 		t.Fatalf("range reads = %d, want 3", ops[trace.OpRead])

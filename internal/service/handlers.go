@@ -15,9 +15,10 @@ import (
 	"gorace/internal/stream"
 )
 
-// The HTTP surface. Routing is deliberately plain ServeMux + manual
-// method/suffix dispatch so the module keeps building on go1.21
-// (pattern-matching mux arrived in 1.22).
+// The HTTP surface: plain ServeMux + manual method/suffix dispatch,
+// because go.mod's `go 1.21` line keeps the pre-1.22 ServeMux semantics
+// (httpmuxgo121), as bench/go.mod does for racebench. Patterns wait
+// until both go.mod lines are raised together.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealth)

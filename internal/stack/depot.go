@@ -59,6 +59,3 @@ func (d *Depot) Intern(frames []Frame) Context {
 	d.m[string(key)] = c
 	return c
 }
-
-// Size returns the number of distinct contexts interned so far.
-func (d *Depot) Size() int { return len(d.m) }

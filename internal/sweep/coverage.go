@@ -170,16 +170,6 @@ type UnitVerdict struct {
 	Hashes   map[string]struct{} // RaceSiteKey values seen
 }
 
-// Racy reports whether any seed manifested a race.
-func (v *UnitVerdict) Racy() bool {
-	for _, r := range v.RacySeed {
-		if r {
-			return true
-		}
-	}
-	return false
-}
-
 // Signature renders the verdict as a canonical byte-stable string:
 // the sorted racy seed indices plus the sorted race hashes. Equal
 // signatures mean the detector behaved identically; campaign
@@ -266,11 +256,4 @@ func (v *Verdicts) Merge(next Aggregator) {
 func (v *Verdicts) Unit(idx int) *UnitVerdict {
 	u, _ := v.units.Get(idx)
 	return u
-}
-
-// All returns every populated unit verdict in unit order.
-func (v *Verdicts) All() []*UnitVerdict {
-	out := make([]*UnitVerdict, 0, v.units.Len())
-	v.units.Each(func(_ int, u *UnitVerdict) { out = append(out, u) })
-	return out
 }

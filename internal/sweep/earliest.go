@@ -52,8 +52,3 @@ func (e *Earliest[T]) Get(unitIdx int) (T, bool) {
 	entry, ok := e.units.Get(unitIdx)
 	return entry.value, ok
 }
-
-// Each calls f for every unit holding a value, in unit order.
-func (e *Earliest[T]) Each(f func(unitIdx int, v T)) {
-	e.units.Each(func(idx int, entry earliestEntry[T]) { f(idx, entry.value) })
-}

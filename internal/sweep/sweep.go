@@ -55,13 +55,9 @@ type Unit struct {
 	ID string
 	// Program is the modeled program to execute.
 	Program func(*sched.G)
-	// Detector and Strategy are registry names; empty selects the
-	// defaults. StrategyFactory overrides Strategy for strategies a
-	// name cannot carry (replay prefixes, recorders); it is invoked
-	// once per run, possibly from concurrent workers.
-	Detector        string
-	Strategy        string
-	StrategyFactory func() sched.Strategy
+	// Detector and Strategy are registry names; empty selects defaults.
+	Detector string
+	Strategy string
 	// BaseSeed and Runs define the seed range BaseSeed, BaseSeed+1,
 	// ..., BaseSeed+Runs-1.
 	BaseSeed int64
@@ -284,22 +280,17 @@ func RunShard(ctx context.Context, units []Unit, sh Shard, cache *WorkerCache, f
 	}
 	stats := Stats{Units: 1, Shards: 1}
 	u := &units[sh.UnitIdx]
-	key := configKey(u, sh.UnitIdx)
+	key := configKey(u)
 	wk, ok := cache.acquire(key)
 	if !ok {
-		opts := []core.Option{
+		var err error
+		wk, err = core.NewRunner(
 			core.WithDetector(u.Detector),
+			core.WithStrategy(u.Strategy),
 			core.WithMaxSteps(u.MaxSteps),
 			core.WithRecord(u.Record),
 			core.WithSampleRate(u.SampleRate),
-		}
-		if u.StrategyFactory != nil {
-			opts = append(opts, core.WithStrategyFactory(u.StrategyFactory))
-		} else if u.Strategy != "" {
-			opts = append(opts, core.WithStrategy(u.Strategy))
-		}
-		var err error
-		wk, err = core.NewRunner(opts...).NewWorker()
+		).NewWorker()
 		if err != nil {
 			return nil, stats, fmt.Errorf("sweep: unit %q: %w", u.ID, err)
 		}
@@ -338,8 +329,8 @@ func RunShard(ctx context.Context, units []Unit, sh Shard, cache *WorkerCache, f
 
 // Run executes the campaign and returns one merged root aggregator
 // per factory, in factory order. An error (unknown detector or
-// strategy name, nil factory strategy, model failure) aborts the
-// campaign; the first error in shard order is returned.
+// strategy name, model failure) aborts the campaign; the first error
+// in shard order is returned.
 func (e *Engine) Run(units []Unit, factories ...Factory) ([]Aggregator, Stats, error) {
 	return e.RunContext(context.Background(), units, nil, factories...)
 }
@@ -470,24 +461,17 @@ func (e *Engine) RunContext(ctx context.Context, units []Unit, onProgress func(P
 }
 
 // workerKey is the recycled-state compatibility class of a unit: the
-// configuration a core.Worker is built from. Factory-driven units get
-// a per-unit key (factory set, unit their index) so a stateful factory
-// is never shared across units.
+// configuration a core.Worker is built from.
 type workerKey struct {
 	detector, strategy string
 	maxSteps           int
 	record             bool
 	sampleRate         int
-	factory            bool
-	unit               int
 }
 
 // configKey returns u's workerKey. Units sharing a key reuse the
 // campaign's cached core.Workers.
-func configKey(u *Unit, unitIdx int) workerKey {
-	if u.StrategyFactory != nil {
-		return workerKey{factory: true, unit: unitIdx}
-	}
+func configKey(u *Unit) workerKey {
 	return workerKey{
 		detector:   u.Detector,
 		strategy:   u.Strategy,

@@ -13,7 +13,6 @@ import (
 	"gorace/internal/core"
 	"gorace/internal/detector"
 	"gorace/internal/patterns"
-	"gorace/internal/sched"
 )
 
 func pat(t testing.TB, id string) patterns.Pattern {
@@ -184,43 +183,6 @@ func TestFirstRaceKeepsItsTrace(t *testing.T) {
 	}
 	if reflect.DeepEqual(lastOut.Trace.Events, want.Trace.Events) {
 		t.Fatalf("seeds %d and %d record the same trace; the test needs differing ones", out.Seed, last)
-	}
-}
-
-func TestStrategyFactoryUnits(t *testing.T) {
-	// A factory is invoked exactly once per run, however the unit is
-	// sharded across workers: building a worker must not consume one.
-	racy := pat(t, "capture-loop-index")
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"serial", []Option{WithParallelism(1)}},
-		{"parallel-4-shards-3", []Option{WithParallelism(4), WithShardRuns(3)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			invocations := 0
-			units := []Unit{{
-				ID:      "factory",
-				Program: racy.Racy,
-				StrategyFactory: func() sched.Strategy {
-					mu.Lock()
-					invocations++
-					mu.Unlock()
-					return sched.NewRandom()
-				},
-				Runs: 10, MaxSteps: 1 << 16,
-			}}
-			_, stats, err := New(tc.opts...).Run(units,
-				func() Aggregator { return NewProb() })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Runs != 10 || invocations != 10 {
-				t.Fatalf("runs=%d factory invocations=%d, want 10/10", stats.Runs, invocations)
-			}
-		})
 	}
 }
 

@@ -124,9 +124,6 @@ func (d *Decoder) Count() (uint64, bool) {
 	return d.count, d.counted
 }
 
-// Decoded returns the number of events successfully decoded so far.
-func (d *Decoder) Decoded() uint64 { return d.events }
-
 // Next decodes and returns the next event. At a clean end of stream it
 // returns io.EOF; any other error means the trace is truncated or
 // corrupt. Errors, io.EOF included, are sticky.

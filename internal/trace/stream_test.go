@@ -50,8 +50,8 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 		got = append(got, ev)
 	}
 	requireSameEvents(t, got, want.Events)
-	if dec.Decoded() != uint64(len(want.Events)) {
-		t.Fatalf("Decoded() = %d, want %d", dec.Decoded(), len(want.Events))
+	if dec.events != uint64(len(want.Events)) {
+		t.Fatalf("decoded %d events, want %d", dec.events, len(want.Events))
 	}
 	// Sticky EOF: once drained, Next keeps reporting end of stream.
 	if _, err := dec.Next(); err != io.EOF {
@@ -162,7 +162,7 @@ func TestWindowEventsMerges(t *testing.T) {
 	var want []Event
 	kept := make(map[vclock.TID]int)
 	for i := len(all) - 1; i >= 0; i-- {
-		if kept[all[i].G] < w.PerG() {
+		if kept[all[i].G] < w.perG {
 			kept[all[i].G]++
 			want = append([]Event{all[i]}, want...)
 		}

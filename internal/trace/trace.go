@@ -224,16 +224,6 @@ func (r *Recorder) Replay(l Listener) {
 	}
 }
 
-// CountOps tallies the recorded events by Op, mainly for tests and
-// workload characterization.
-func (r *Recorder) CountOps() map[Op]int {
-	m := make(map[Op]int)
-	for _, ev := range r.Events {
-		m[ev.Op]++
-	}
-	return m
-}
-
 // Multi fans one event stream out to several listeners.
 type Multi []Listener
 

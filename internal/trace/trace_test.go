@@ -66,17 +66,6 @@ func TestRecorderReplayPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestRecorderCountOps(t *testing.T) {
-	r := &Recorder{}
-	r.HandleEvent(Event{Op: OpRead})
-	r.HandleEvent(Event{Op: OpRead})
-	r.HandleEvent(Event{Op: OpWrite})
-	m := r.CountOps()
-	if m[OpRead] != 2 || m[OpWrite] != 1 {
-		t.Fatalf("CountOps = %v", m)
-	}
-}
-
 func TestMultiFansOut(t *testing.T) {
 	var a, b int
 	m := Multi{

@@ -29,9 +29,6 @@ func NewWindowRecorder(perG int) *WindowRecorder {
 	return &WindowRecorder{perG: perG, gs: make(map[vclock.TID]*eventRing)}
 }
 
-// PerG returns the per-goroutine window size.
-func (w *WindowRecorder) PerG() int { return w.perG }
-
 // HandleEvent implements Listener.
 func (w *WindowRecorder) HandleEvent(ev Event) {
 	rg := w.gs[ev.G]
