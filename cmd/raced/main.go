@@ -22,7 +22,7 @@
 //	raced -db corpus.db -coordinator [-shard-runs 16] [-inflight 2]
 //	      [-heartbeat 2s] [-dead-after 10s]
 //	raced -worker -join http://coordinator:8077 [-advertise URL]
-//	      [-shard-parallel N] [-pull 2s] [-heartbeat 2s]
+//	      [-shard-parallel N] [-heartbeat 2s]
 //
 // Endpoints (see docs/SERVICE.md for schemas and examples):
 //
@@ -44,8 +44,9 @@
 //	POST /v1/shards          (worker) execute one dispatched shard
 //
 // On SIGINT/SIGTERM the server drains gracefully: the listener stops,
-// in-flight requests and queued jobs finish (bounded by -drain), and
-// the store is synced and closed.
+// in-flight requests, queued and running jobs, ingest streams and a
+// running nightly finish (campaigns and ingests past the -drain budget
+// are cancelled), and the store is synced and closed.
 package main
 
 import (
@@ -98,9 +99,8 @@ func main() {
 		advertise   = flag.String("advertise", "", "base URL this worker advertises to the coordinator (default derived from -addr)")
 		shardRuns   = flag.Int("shard-runs", 0, "seeds per dispatched shard on the coordinator (default 16)")
 		inflight    = flag.Int("inflight", 0, "concurrent shard dispatches per worker (default 2)")
-		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat period (default 2s)")
+		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat period; on workers each beat also checks the replica's generation (default 2s)")
 		deadAfter   = flag.Duration("dead-after", 0, "heartbeat staleness after which the coordinator declares a worker dead (default 10s)")
-		pull        = flag.Duration("pull", 0, "replica snapshot pull period on workers (default 2s)")
 		shardPar    = flag.Int("shard-parallel", 0, "concurrent shard executions per worker (default GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -139,7 +139,6 @@ func main() {
 				Coordinator:      *join,
 				Advertise:        adv,
 				ShardParallelism: *shardPar,
-				PullEvery:        *pull,
 				HeartbeatEvery:   *heartbeat,
 			},
 			MaxSeeds: *maxSeeds,
@@ -202,9 +201,9 @@ func main() {
 	workerCtx, stopWorker := context.WithCancel(context.Background())
 	defer stopWorker()
 	if *worker {
-		// In a goroutine: StartWorker retries joining until the
-		// coordinator appears, and a signal must still drain us while
-		// it waits.
+		// In a goroutine: StartWorker beats (and joins, and pulls
+		// replicas) until workerCtx ends, and a signal must still
+		// drain us meanwhile.
 		go func() {
 			if err := svc.StartWorker(workerCtx); err != nil {
 				logger.Printf("worker: %v", err)
@@ -225,7 +224,7 @@ func main() {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		logger.Printf("http shutdown: %v", err)
 	}
-	// Drain quiesces every write path (jobs, an in-flight nightly)
+	// Drain quiesces every write path (jobs, ingests, a nightly)
 	// and syncs the store itself; after it returns the deferred Close
 	// cannot race an append.
 	if err := svc.Drain(ctx); err != nil {

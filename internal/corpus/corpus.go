@@ -19,11 +19,12 @@
 // temp-file rename.
 //
 // Run ids are ordered by string comparison, so choose ids that sort
-// chronologically (ISO timestamps, zero-padded counters). ApplyDelta
-// unions run-id sets and sums occurrence counts, skipping runs already
-// in the history — so re-applying the same per-run delta is a no-op
-// and order does not matter, the property the distributed service's
-// corpus federation is built on (see delta.go).
+// chronologically (ISO timestamps, zero-padded counters). The fold
+// unions run-id sets, sums occurrence counts, and keeps each defect's
+// earliest-run defining report, so appending the same per-run records
+// in any order converges on one state. A store's folded state travels
+// between nodes as a delta (see delta.go), which read replicas rebuild
+// into a View.
 package corpus
 
 import (
@@ -122,14 +123,7 @@ type Store struct {
 	path  string
 	f     *os.File
 	byKey map[string]*Record
-	// defRun tracks, per key, the run id the record's defining fields
-	// (Category, Labels, Detector, TracePath, Race) came from. The
-	// fold keeps the fields of the *earliest* run — not the first
-	// appended — so folding the same per-run records in any order
-	// converges on one state, which is what lets distributed deltas
-	// merge commutatively (see fold).
-	defRun map[string]string
-	runs   map[string]*RunInfo
+	runs  map[string]*RunInfo
 	// runOrder preserves first-append order of run ids, the order
 	// Runs returns (append order is chronological in normal use).
 	runOrder []string
@@ -149,11 +143,10 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("corpus: open %s: %w", path, err)
 	}
 	s := &Store{
-		path:   path,
-		f:      f,
-		byKey:  make(map[string]*Record),
-		defRun: make(map[string]string),
-		runs:   make(map[string]*RunInfo),
+		path:  path,
+		f:     f,
+		byKey: make(map[string]*Record),
+		runs:  make(map[string]*RunInfo),
 	}
 	if err := s.load(); err != nil {
 		f.Close()
@@ -219,11 +212,12 @@ func (s *Store) load() error {
 
 // fold merges rec into the in-memory state: run-id sets union, counts
 // add, and the defect's *earliest run* supplies the defining report
-// and labels (ties keep the record already in place). Earliest-run-
-// wins — rather than first-appended-wins — makes the fold commutative
-// at run granularity: appending the same per-run records in any order
-// converges on identical folded state, the property distributed
-// corpus merging (ApplyDelta) relies on. In the common
+// and labels (ties keep the record already in place). The defining
+// run is always the folded record's FirstSeen, since the defining
+// fields move exactly when an earlier run joins its run ids.
+// Earliest-run-wins — rather than first-appended-wins — makes the fold
+// commutative at run granularity: appending the same per-run records
+// in any order converges on identical folded state. In the common
 // chronological-append case (nightlies appended in run-id order) the
 // two rules agree.
 func (s *Store) fold(rec Record) {
@@ -234,7 +228,6 @@ func (s *Store) fold(rec Record) {
 		cp.RunIDs = append([]string(nil), rec.RunIDs...)
 		sort.Strings(cp.RunIDs)
 		s.byKey[rec.Key] = &cp
-		s.defRun[rec.Key] = cp.FirstSeen()
 		return
 	}
 	recRun := ""
@@ -243,7 +236,7 @@ func (s *Store) fold(rec Record) {
 		sort.Strings(ids)
 		recRun = ids[0]
 	}
-	curRun := s.defRun[rec.Key]
+	curRun := cur.FirstSeen()
 	if recRun != "" && (curRun == "" || recRun < curRun) {
 		// rec comes from a strictly earlier run: its defining fields
 		// win, with cur's old fields only filling what rec left empty.
@@ -251,7 +244,6 @@ func (s *Store) fold(rec Record) {
 		cur.Category, cur.Labels = rec.Category, rec.Labels
 		cur.Detector, cur.TracePath = rec.Detector, rec.TracePath
 		cur.Race = rec.Race
-		s.defRun[rec.Key] = recRun
 		fillDefining(cur, &old)
 	} else {
 		fillDefining(cur, &rec)
@@ -313,7 +305,7 @@ func mergeRuns(a, b []string) []string {
 // store. Each record is written as one CRC-framed Write, so a crash
 // loses at most the frame being written. Appends reach the OS
 // immediately but not the platter: call Sync at a batch boundary
-// (Collector.AppendTo and ApplyDelta do) to make them power-loss durable.
+// (Collector.AppendTo does) to make them power-loss durable.
 func (s *Store) Append(recs ...Record) error {
 	var e recEncoder
 	for _, rec := range recs {

@@ -341,7 +341,7 @@ func TestMergeDisjointStores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := a.ApplyDelta(b.Snapshot().Export()); err != nil {
+	if err := applyDelta(a, b.Snapshot().Export()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != 3 {

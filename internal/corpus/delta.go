@@ -3,14 +3,16 @@ package corpus
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
 // Delta export/import: the framing that lets corpus state travel
 // between nodes. An Export is a self-contained bundle of run markers
 // plus records — a whole store's folded state (snapshot replication to
-// read replicas) or one run's worth of new records (a worker shipping
-// a shard's defects to the coordinator). The wire form reuses the
+// read replicas, rebuilt with ViewFromExport) or one run's worth of new
+// records (a worker shipping a shard's defects to the coordinator,
+// which folds them into the campaign's collector). The wire form reuses the
 // store's CRC-framed binary record codec, so a record round-trips the
 // network with exactly the fidelity it round-trips disk: dedup keys,
 // stacks, and race hashes come back bit-identical, which is what makes
@@ -34,13 +36,13 @@ var deltaMagic = [4]byte{'G', 'R', 'C', 'D'}
 const deltaVersion = 1
 
 // Export is a transportable bundle of corpus state: the unit of
-// corpus federation. Build one from a store or view, frame it with
-// WriteDelta, ship it, and fold it into another store with
-// Store.ApplyDelta (or into a read replica with ViewFromExport).
+// corpus federation. Build one from a view (or a collector's records),
+// frame it with WriteDelta, ship it, and rebuild a read replica from
+// it with ViewFromExport.
 type Export struct {
 	// Runs lists run markers in first-append order.
 	Runs []RunInfo
-	// Records lists defect records; ApplyDelta folds them in order.
+	// Records lists defect records in the order they were written.
 	Records []Record
 }
 
@@ -109,60 +111,6 @@ func ReadDelta(r io.Reader) (Export, error) {
 func (x *Export) fold(rec Record)      { x.Records = append(x.Records, rec) }
 func (x *Export) foldRun(info RunInfo) { x.Runs = append(x.Runs, info) }
 
-// ApplyDelta folds an export into the store, syncing at the end of
-// the batch. It is idempotent and order-independent at *run*
-// granularity: run markers already in the history are skipped, and so
-// is any record whose run ids are all recorded, so applying a delta
-// twice, or two deltas in either order, yields identical folded state.
-// A record spanning several runs of which only some are new folds
-// whole and over-counts; per-run deltas (Collector, shard answers)
-// never hit that case.
-func (s *Store) ApplyDelta(x Export) error {
-	seen := make(map[string]bool, len(s.runs))
-	for id := range s.runs {
-		seen[id] = true
-	}
-	appended := false
-	applied := make(map[string]bool)
-	for _, info := range x.Runs {
-		if seen[info.ID] || applied[info.ID] {
-			continue
-		}
-		if err := s.AppendRun(info); err != nil {
-			return err
-		}
-		applied[info.ID] = true
-		appended = true
-	}
-	for _, rec := range x.Records {
-		if allRunsIn(rec.RunIDs, seen) {
-			continue
-		}
-		if err := s.Append(rec); err != nil {
-			return err
-		}
-		appended = true
-	}
-	if !appended {
-		return nil
-	}
-	return s.Sync()
-}
-
-// allRunsIn reports whether every id (of a non-empty list) is in the
-// set; records with no run ids fold unconditionally.
-func allRunsIn(ids []string, set map[string]bool) bool {
-	if len(ids) == 0 {
-		return false
-	}
-	for _, id := range ids {
-		if !set[id] {
-			return false
-		}
-	}
-	return true
-}
-
 // ViewFromExport builds an immutable read View directly from a
 // transported export, with no backing store file — the shape a read
 // replica serves from. gen and path stamp the snapshot with the
@@ -171,20 +119,7 @@ func allRunsIn(ids []string, set map[string]bool) bool {
 // origin's at that generation, the distributed response-cache
 // contract).
 func ViewFromExport(gen uint64, path string, x Export) *View {
-	v := &View{
-		gen:  gen,
-		path: path,
-		recs: append([]Record(nil), x.Records...),
-		key:  make(map[string]int, len(x.Records)),
-		runs: append([]RunInfo(nil), x.Runs...),
-		run:  make(map[string]bool, len(x.Runs)),
-	}
-	sort.Slice(v.recs, func(i, j int) bool { return v.recs[i].Key < v.recs[j].Key })
-	for i := range v.recs {
-		v.key[v.recs[i].Key] = i
-	}
-	for _, r := range v.runs {
-		v.run[r.ID] = true
-	}
-	return v
+	recs := slices.Clone(x.Records)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+	return newView(gen, path, recs, slices.Clone(x.Runs))
 }

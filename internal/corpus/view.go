@@ -34,13 +34,19 @@ type View struct {
 // is proportional to the corpus size — take one per mutation batch
 // (per nightly append), not per read.
 func (s *Store) Snapshot() *View {
+	// Records and Runs return defensive copies: nothing aliases the store.
+	return newView(s.gen, s.path, s.Records(), s.Runs())
+}
+
+// newView builds a View that owns recs (key-sorted) and runs.
+func newView(gen uint64, path string, recs []Record, runs []RunInfo) *View {
 	v := &View{
-		gen:  s.gen,
-		path: s.path,
-		recs: s.Records(), // defensive copies: nothing aliases the store
-		key:  make(map[string]int, len(s.byKey)),
-		runs: s.Runs(),
-		run:  make(map[string]bool, len(s.runs)),
+		gen:  gen,
+		path: path,
+		recs: recs,
+		key:  make(map[string]int, len(recs)),
+		runs: runs,
+		run:  make(map[string]bool, len(runs)),
 	}
 	for i := range v.recs {
 		v.key[v.recs[i].Key] = i

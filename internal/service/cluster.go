@@ -6,7 +6,7 @@ package service
 // protocol is deliberately small:
 //
 //	POST /v1/cluster/join       {url}  worker registers itself
-//	POST /v1/cluster/heartbeat  {url}  worker liveness beat
+//	POST /v1/cluster/heartbeat  {url}  worker liveness beat (answers the generation)
 //	GET  /v1/cluster                   registry status
 //	GET  /v1/replica?since=gen         binary snapshot for read replicas
 //	POST /v1/shards                    (on workers) execute one shard
@@ -44,9 +44,10 @@ type ClusterConfig struct {
 	// the coordinator declares it dead and re-dispatches its shards
 	// (default 10s).
 	DeadAfter time.Duration
-	// ShardTimeout bounds one shard dispatch end to end (default 2m).
-	ShardTimeout time.Duration
 }
+
+// shardTimeout bounds one shard dispatch end to end.
+const shardTimeout = 2 * time.Minute
 
 // withDefaults fills zero fields with the documented defaults.
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -61,9 +62,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 10 * time.Second
-	}
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = 2 * time.Minute
 	}
 	return c
 }
@@ -249,7 +247,9 @@ type joinRequest struct {
 	URL string `json:"url"`
 }
 
-// joinResponse is the POST /v1/cluster/join payload.
+// joinResponse answers a join or heartbeat: the registry size and the
+// coordinator's snapshot generation, which tells a worker whether its
+// replica is behind.
 type joinResponse struct {
 	Workers    int    `json:"workers"`
 	Generation uint64 `json:"generation"`
@@ -288,10 +288,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	if s.cluster.reg.join(u) {
 		s.log.Printf("cluster: worker %s joined (%d registered)", u, len(s.cluster.reg.status()))
 	}
-	writeJSON(w, http.StatusOK, joinResponse{
-		Workers:    len(s.cluster.reg.status()),
-		Generation: s.View().Generation(),
-	})
+	s.writeJoinResponse(w)
 }
 
 func (s *Server) handleClusterBeat(w http.ResponseWriter, r *http.Request) {
@@ -306,7 +303,14 @@ func (s *Server) handleClusterBeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "worker %s is not registered; rejoin via /v1/cluster/join", u)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJoinResponse(w)
+}
+
+func (s *Server) writeJoinResponse(w http.ResponseWriter) {
+	writeJSON(w, http.StatusOK, joinResponse{
+		Workers:    len(s.cluster.reg.status()),
+		Generation: s.View().Generation(),
+	})
 }
 
 // clusterResponse is the GET /v1/cluster payload.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"gorace/internal/corpus"
+	"gorace/internal/monorepo"
 	"gorace/internal/patterns"
 	"gorace/internal/progs"
 	"gorace/internal/sweep"
@@ -378,12 +380,25 @@ func TestHealthzRoles(t *testing.T) {
 	}
 }
 
-// TestReplicaReads replicates a seeded coordinator's snapshot onto a
-// worker and checks the read API answers byte-identically, that the
+// TestReplicaReads replicates a coordinator's snapshot onto a worker
+// and checks the read API answers byte-identically, that the
 // steady-state pull is a 304, and that a campaign publish (JobSpec
-// RunID) moves the generation the replica then catches up to.
+// RunID) moves the generation the replica then catches up to. It runs
+// against a seeded coordinator and one still at generation 0, whose
+// first pull must replace the worker's placeholder view too.
 func TestReplicaReads(t *testing.T) {
-	store, _ := seedStore(t)
+	for _, tc := range []struct {
+		name  string
+		store func(testing.TB) *corpus.Store
+	}{
+		{"seeded", func(t testing.TB) *corpus.Store { s, _ := seedStore(t); return s }},
+		{"generation-0", emptyStore},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testReplicaReads(t, tc.store(t)) })
+	}
+}
+
+func testReplicaReads(t *testing.T, store *corpus.Store) {
 	_, coord := newTestServer(t, Config{
 		Store:      store,
 		JobWorkers: 1,
@@ -436,6 +451,84 @@ func TestReplicaReads(t *testing.T) {
 	if !bytes.Equal(origin, replica) {
 		t.Errorf("post-publish stats differ:\n got %s\nwant %s", replica, origin)
 	}
+}
+
+// TestWorkerLoop drives StartWorker against a coordinator still at
+// generation 0: the worker joins by itself, serves the coordinator's
+// reads byte-identically after its first pull, follows a nightly
+// publish within a few beats, and rejoins after a beat is answered
+// 404 because the coordinator forgot it.
+func TestWorkerLoop(t *testing.T) {
+	coordSvc, coord := newTestServer(t, Config{
+		Store:   emptyStore(t),
+		Repo:    monorepo.Generate(2, 2, 0.8, 42),
+		Cluster: &ClusterConfig{DeadAfter: time.Hour},
+	})
+	wts := httptest.NewUnstartedServer(nil)
+	workerURL := "http://" + wts.Listener.Addr().String()
+	workerSvc, err := New(Config{
+		Worker: &WorkerConfig{Coordinator: coord.URL, Advertise: workerURL, HeartbeatEvery: 10 * time.Millisecond},
+		Logger: log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wts.Config.Handler = workerSvc.Handler()
+	wts.Start()
+	t.Cleanup(wts.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan error, 1)
+	go func() { stopped <- workerSvc.StartWorker(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-stopped; err != nil {
+			t.Errorf("StartWorker = %v", err)
+		}
+	})
+
+	// waitFor polls cond for up to 500 beats.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker never %s", what)
+			}
+		}
+	}
+	registered := func() bool {
+		for _, w := range coordSvc.cluster.reg.status() {
+			if w.URL == workerURL && w.Live {
+				return true
+			}
+		}
+		return false
+	}
+	sameStats := func() bool {
+		_, origin, _ := get(t, coord.URL+"/v1/stats")
+		_, replica, _ := get(t, workerURL+"/v1/stats")
+		return bytes.Equal(origin, replica)
+	}
+
+	waitFor("joined", registered)
+	waitFor("served the generation-0 coordinator's stats", sameStats)
+
+	if _, err := coordSvc.PublishNightly("night-001", 1); err != nil {
+		t.Fatal(err)
+	}
+	gen := coordSvc.View().Generation()
+	waitFor(fmt.Sprintf("pulled generation %d", gen), func() bool { return workerSvc.View().Generation() == gen })
+	if !sameStats() {
+		t.Error("replica stats differ from the coordinator's after the nightly")
+	}
+
+	// Forget the worker, as a restarted coordinator would: its next
+	// beat is answered 404 and it must join again.
+	reg := coordSvc.cluster.reg
+	reg.mu.Lock()
+	delete(reg.nodes, workerURL)
+	reg.order = slices.DeleteFunc(reg.order, func(u string) bool { return u == workerURL })
+	reg.mu.Unlock()
+	waitFor("rejoined", registered)
 }
 
 // TestOverCapReplicaRefused: a replica snapshot larger than the pull's
@@ -493,7 +586,6 @@ func TestStaleHeartbeatRetiresWorker(t *testing.T) {
 			ShardRuns:      4,
 			HeartbeatEvery: 20 * time.Millisecond,
 			DeadAfter:      200 * time.Millisecond,
-			ShardTimeout:   time.Minute,
 		},
 	})
 	_, healthy := newWorkerNode(t, coord.URL, nil)

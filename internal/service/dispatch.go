@@ -230,7 +230,7 @@ func (cp *campaign) postShard(ctx context.Context, n *campaignNode, sh sweep.Sha
 	if err != nil {
 		return nil, sweep.Stats{}, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, cp.c.cfg.ShardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	defer context.AfterFunc(n.ctx, cancel)()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+"/v1/shards", bytes.NewReader(body))

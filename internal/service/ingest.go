@@ -59,10 +59,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusServiceUnavailable, "worker node: ingest streams on the coordinator")
 		return
 	}
-	if s.draining.Load() {
+	if !s.inflight.begin() {
 		reject(http.StatusServiceUnavailable, "server is draining; no new ingests")
 		return
 	}
+	defer s.inflight.end()
 	q := r.URL.Query()
 	run := q.Get("run")
 	if run == "" {
@@ -92,18 +93,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.ingestSem }()
-	// Register with the drain WaitGroup under the mutex, re-checking
-	// the flag: a drain that began after the check above must either
-	// see this ingest registered or turn it away here, never miss it.
-	s.ingestMu.Lock()
-	if s.draining.Load() {
-		s.ingestMu.Unlock()
-		reject(http.StatusServiceUnavailable, "server is draining; no new ingests")
-		return
-	}
-	s.ingestWG.Add(1)
-	s.ingestMu.Unlock()
-	defer s.ingestWG.Done()
 
 	coll := corpus.NewCollector(run, corpus.WithRunLabel("ingest"))
 	ing, err := stream.NewIngestor(stream.Config{
@@ -128,7 +117,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// the copier must be fully joined before responding.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	stop := context.AfterFunc(s.ingestCtx, cancel)
+	stop := context.AfterFunc(s.inflight.ctx, cancel)
 	defer stop()
 	rc := http.NewResponseController(w)
 	pr, pw := io.Pipe()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -181,6 +180,11 @@ var (
 	ErrDraining = fmt.Errorf("service: server is draining")
 )
 
+// jobsRetained bounds how many finished jobs (with their full
+// results) stay queryable before oldest-first eviction. Evicted job
+// ids answer 404.
+const jobsRetained = 64
+
 // jobManager owns the bounded queue and the worker pool that executes
 // campaigns over the sweep engine. Finished jobs are retained up to a
 // bound and then evicted oldest-first, so a long-running daemon's job
@@ -201,28 +205,27 @@ type jobManager struct {
 	publish func(*corpus.Collector) error
 	hasRun  func(string) bool
 
-	ctx    context.Context // cancelled to abort campaigns on forced drain
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	// inflight registers each job from Submit until finish; its
+	// context aborts campaigns on a forced drain.
+	inflight *inflight
+	wg       sync.WaitGroup // the queue's worker goroutines
+	stopOnce sync.Once
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // submission order, live jobs only
 	finished []string // completion order, for retention eviction
 	nextID   int
-	draining bool
 }
 
-func newJobManager(workers, depth, parallelism, maxSeeds, retain int, logger *log.Logger) *jobManager {
-	ctx, cancel := context.WithCancel(context.Background())
+func newJobManager(track *inflight, workers, depth, parallelism, maxSeeds int, logger *log.Logger) *jobManager {
 	m := &jobManager{
 		queue:       make(chan *Job, depth),
 		parallelism: parallelism,
 		maxSeeds:    maxSeeds,
-		retain:      retain,
+		retain:      jobsRetained,
 		log:         logger,
-		ctx:         ctx,
-		cancel:      cancel,
+		inflight:    track,
 		jobs:        make(map[string]*Job),
 	}
 	m.wg.Add(workers)
@@ -288,11 +291,11 @@ func (m *jobManager) Submit(spec JobSpec) (*Job, error) {
 	if m.cluster != nil && m.cluster.reg.liveCount() == 0 {
 		return nil, ErrNoWorkers
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.draining {
+	if !m.inflight.begin() {
 		return nil, ErrDraining
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.nextID++
 	job := &Job{
 		ID:        fmt.Sprintf("job-%06d", m.nextID),
@@ -304,6 +307,7 @@ func (m *jobManager) Submit(spec JobSpec) (*Job, error) {
 	case m.queue <- job:
 	default:
 		m.nextID-- // the id was never exposed; reuse it
+		m.inflight.end()
 		return nil, ErrQueueFull
 	}
 	m.jobs[job.ID] = job
@@ -391,7 +395,7 @@ func (m *jobManager) run(job *Job) {
 	if m.cluster != nil {
 		engine, stop = m.cluster.campaignEngine(runID, job.Spec, units)
 	}
-	aggs, stats, err := engine.RunContext(m.ctx, units, onProgress,
+	aggs, stats, err := engine.RunContext(m.inflight.ctx, units, onProgress,
 		func() sweep.Aggregator { return sweep.NewProb() },
 		// The Collector classifies each defect's first manifestation
 		// while its trace is still on the worker — the same labels a
@@ -411,8 +415,10 @@ func (m *jobManager) run(job *Job) {
 }
 
 // finish records a job's outcome — failed with err, or done with res,
-// whose totals become the final progress — and retires it.
+// whose totals become the final progress — retires it, and releases
+// its drain registration.
 func (m *jobManager) finish(job *Job, res *JobResult, err error) {
+	defer m.inflight.end()
 	job.mu.Lock()
 	job.finished = time.Now()
 	if err != nil {
@@ -451,7 +457,7 @@ func (m *jobManager) runRacegenJob(job *Job, runID string) {
 			m.log.Printf("job %s racegen: "+format, append([]any{job.ID}, args...)...)
 		},
 	}
-	res, err := racegen.Run(m.ctx, cfg)
+	res, err := racegen.Run(m.inflight.ctx, cfg)
 	if err == nil && job.Spec.RunID != "" {
 		err = m.publish(res.Collector)
 	}
@@ -558,30 +564,10 @@ func jobDefects(recs []corpus.Record) []JobDefect {
 	return out
 }
 
-// drain stops intake, lets queued and running jobs finish, and — if
-// ctx expires first — cancels the remaining campaigns (they finish as
-// failed) before returning ctx's error.
-func (m *jobManager) drain(ctx context.Context) error {
-	m.mu.Lock()
-	if m.draining {
-		m.mu.Unlock()
-		return nil
-	}
-	m.draining = true
-	close(m.queue)
-	m.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		m.cancel() // abort in-flight campaigns; workers mark them failed
-		<-done
-		return ctx.Err()
-	}
+// stop closes the queue and joins its workers. Call it only once the
+// job registrations have drained: then every accepted job has
+// finished and no Submit can still send.
+func (m *jobManager) stop() {
+	m.stopOnce.Do(func() { close(m.queue) })
+	m.wg.Wait()
 }

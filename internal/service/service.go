@@ -85,10 +85,6 @@ type Config struct {
 	// MaxSeeds caps the per-job seed range (default 512), bounding
 	// the compute one request can demand.
 	MaxSeeds int
-	// JobsRetained bounds how many finished jobs (with their full
-	// results) stay queryable before oldest-first eviction (default
-	// 64). Evicted job ids answer 404.
-	JobsRetained int
 	// IngestStreams bounds concurrent POST /v1/ingest streams
 	// (default 4). Excess requests answer 429 + Retry-After.
 	IngestStreams int
@@ -113,7 +109,7 @@ type Server struct {
 	cfg      Config
 	log      *log.Logger
 	mu       sync.Mutex // serializes store mutations (nightly + campaign publishes)
-	draining atomic.Bool
+	inflight *inflight  // every job, ingest and nightly; Drain waits it out
 	snap     atomic.Pointer[corpus.View]
 	cache    *cache
 	jobs     *jobManager // nil on worker nodes
@@ -121,14 +117,7 @@ type Server struct {
 	worker   *workerRuntime
 	handler  http.Handler
 
-	// Ingest lifecycle: a semaphore bounds concurrent streams, the
-	// WaitGroup lets Drain wait them out, and cancelling ingestCtx is
-	// Drain's deadline kill switch for whatever is still running.
-	ingestSem    chan struct{}
-	ingestMu     sync.Mutex // orders handler Add against Drain's Wait
-	ingestWG     sync.WaitGroup
-	ingestCtx    context.Context
-	ingestCancel context.CancelFunc
+	ingestSem chan struct{} // bounds concurrent ingest streams
 }
 
 // New builds a Server and publishes the initial snapshot — the store's
@@ -157,9 +146,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSeeds <= 0 {
 		cfg.MaxSeeds = 512
 	}
-	if cfg.JobsRetained <= 0 {
-		cfg.JobsRetained = 64
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
@@ -169,10 +155,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		log:       cfg.Logger,
+		inflight:  newInflight(),
 		cache:     newCache(cacheEntries),
 		ingestSem: make(chan struct{}, cfg.IngestStreams),
 	}
-	s.ingestCtx, s.ingestCancel = context.WithCancel(context.Background())
 	if cfg.Worker != nil {
 		// Store-less worker: start from an empty generation-0 view;
 		// the replica loop replaces it with the coordinator's.
@@ -182,7 +168,7 @@ func New(cfg Config) (*Server, error) {
 		return s, nil
 	}
 	s.snap.Store(cfg.Store.Snapshot())
-	s.jobs = newJobManager(cfg.JobWorkers, cfg.QueueDepth, cfg.JobParallelism, cfg.MaxSeeds, cfg.JobsRetained, cfg.Logger)
+	s.jobs = newJobManager(s.inflight, cfg.JobWorkers, cfg.QueueDepth, cfg.JobParallelism, cfg.MaxSeeds, cfg.Logger)
 	s.jobs.publish = s.publishCollector
 	s.jobs.hasRun = func(id string) bool { return s.View().HasRun(id) }
 	if cfg.Cluster != nil {
@@ -235,17 +221,12 @@ func (s *Server) PublishNightly(runID string, seed int64) (*monorepo.Nightly, er
 	if err := validateNightly(nightlyRequest{RunID: runID, Seed: seed}); err != nil {
 		return nil, err
 	}
-	if s.draining.Load() {
+	if !s.inflight.begin() {
 		return nil, ErrDraining
 	}
+	defer s.inflight.end()
 	var n *monorepo.Nightly
 	err := s.publish("nightly", runID, func() (err error) {
-		if s.draining.Load() {
-			// Re-check under the mutex: Drain may have begun while
-			// this call waited for an earlier publish. After Drain's
-			// quiesce, no new append may touch the store.
-			return ErrDraining
-		}
 		n, err = s.cfg.Repo.RunNightly(s.cfg.Store, runID, seed)
 		return err
 	})
@@ -285,48 +266,23 @@ func (s *Server) publish(what, runID string, appendRun func() error) error {
 	return nil
 }
 
-// Drain gracefully shuts the write paths down: job intake and nightly
-// publishes stop (both answer 503), queued and running jobs finish —
-// if ctx expires first the remaining campaigns are cancelled and
-// marked failed — and an in-flight nightly is waited out before the
-// store is synced. After Drain returns, nothing inside the server
+// Drain gracefully shuts the write paths down. Job submits, ingests
+// and nightly publishes stop (503); queued and running jobs, ingest
+// streams and an in-flight nightly finish. If ctx expires first, the
+// remaining campaigns and ingests are cancelled (jobs finish as
+// failed, ingests publish nothing) and waited out, and Drain returns
+// ctx's error. Then the job queue closes, its idle workers exit, and
+// the store is synced. After Drain returns, nothing inside the server
 // touches the store again, so the caller may safely Close it. Call
-// after http.Server.Shutdown has stopped new requests (a Shutdown
-// that timed out may leave a nightly handler running; Drain's
-// quiesce covers exactly that case).
+// after http.Server.Shutdown has stopped new requests; a Shutdown
+// that timed out may leave handlers running, which Drain waits out
+// like any other registered work.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	var err error
+	err := s.inflight.drain(ctx)
 	if s.jobs != nil {
-		err = s.jobs.drain(ctx)
+		s.jobs.stop()
 	}
-	// In-flight ingest streams may finish until the drain deadline;
-	// past it they are cancelled and waited out, so no ingest touches
-	// the store after Drain returns. New ingests were already turned
-	// away by the draining flag; the mutex handshake waits out any
-	// handler that read the flag before it flipped, so no Add races
-	// the Wait below.
-	s.ingestMu.Lock()
-	s.ingestMu.Unlock() //nolint:staticcheck // empty critical section is the point
-	ingested := make(chan struct{})
-	go func() {
-		s.ingestWG.Wait()
-		close(ingested)
-	}()
-	select {
-	case <-ingested:
-	case <-ctx.Done():
-		s.ingestCancel()
-		<-ingested
-		if err == nil {
-			err = ctx.Err()
-		}
-	}
-	s.ingestCancel()
-	// Quiesce the writer: taking the mutex waits for an in-flight
-	// PublishNightly to finish its append; the draining flag keeps
-	// any later call from starting a new one. Worker nodes have no
-	// store to sync.
+	// Worker nodes have no store to sync.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cfg.Store != nil {
@@ -335,4 +291,66 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	return err
+}
+
+// inflight is the one drain protocol of the server's write paths:
+// every job (from Submit until finish), ingest stream and nightly
+// publish registers with begin and releases with end. begin refuses
+// once drain has begun; because begin and drain's flag share mu, a
+// registration either happens before drain's Wait or is refused, so
+// no WaitGroup.Add can race the Wait.
+type inflight struct {
+	// ctx is cancelled when a drain's deadline passes, or when the
+	// drain ends; cancellable work (campaigns, ingests) watches it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
+	mu       sync.Mutex
+	draining bool
+}
+
+func newInflight() *inflight {
+	t := &inflight{}
+	t.ctx, t.cancel = context.WithCancel(context.Background())
+	return t
+}
+
+// begin registers one piece of work; false means the server is
+// draining and the work must not start.
+func (t *inflight) begin() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.draining {
+		return false
+	}
+	t.wg.Add(1)
+	return true
+}
+
+// end releases a registration begin granted.
+func (t *inflight) end() { t.wg.Done() }
+
+// drain refuses new registrations and waits for the registered work.
+// If ctx expires first it cancels t.ctx, waits again, and returns
+// ctx's error. A second drain finds nothing registered and returns
+// nil.
+func (t *inflight) drain(ctx context.Context) error {
+	t.mu.Lock()
+	t.draining = true
+	t.mu.Unlock()
+	defer t.cancel()
+	done := make(chan struct{})
+	go func() {
+		t.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		t.cancel()
+		<-done
+		return ctx.Err()
+	}
 }

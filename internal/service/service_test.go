@@ -421,7 +421,9 @@ func (s *roundSignal) Write(p []byte) (int, error) {
 // the job finishes as failed instead of running all 512 rounds.
 func TestForcedDrainStopsRacegen(t *testing.T) {
 	sig := &roundSignal{ch: make(chan struct{})}
-	m := newJobManager(1, 1, 1, 512, 64, log.New(sig, "", 0))
+	track := newInflight()
+	m := newJobManager(track, 1, 1, 1, 512, log.New(sig, "", 0))
+	defer m.stop()
 	job, err := m.Submit(JobSpec{Mode: "racegen", Rounds: 512, Budget: 1, Campaign: progs.Campaign{Seeds: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +436,7 @@ func TestForcedDrainStopsRacegen(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	drained := make(chan error, 1)
-	go func() { drained <- m.drain(ctx) }()
+	go func() { drained <- track.drain(ctx) }()
 	select {
 	case err := <-drained:
 		if err != context.DeadlineExceeded {
@@ -562,7 +564,8 @@ func waitForJob(t testing.TB, base, id string) JobStatus {
 // workers draining it, the depth'th+1 submit reports ErrQueueFull, and
 // after drain begins submits report ErrDraining.
 func TestBackpressure(t *testing.T) {
-	m := newJobManager(0, 2, 1, 512, 64, log.New(io.Discard, "", 0))
+	track := newInflight()
+	m := newJobManager(track, 0, 2, 1, 512, log.New(io.Discard, "", 0))
 	spec := JobSpec{Campaign: progs.Campaign{Patterns: []string{"capture-loop-index"}, Strategies: []string{"random"}, Seeds: 1}}
 	if _, err := m.Submit(spec); err != nil {
 		t.Fatal(err)
@@ -576,9 +579,14 @@ func TestBackpressure(t *testing.T) {
 	if queued, _ := m.Counts(); queued != 2 {
 		t.Fatalf("queued = %d, want 2", queued)
 	}
-	if err := m.drain(context.Background()); err != nil {
+	// A drain waits for every accepted job, so give the queue a
+	// worker to finish the two before draining.
+	m.wg.Add(1)
+	go m.worker()
+	if err := track.drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	m.stop()
 	if _, err := m.Submit(spec); err != ErrDraining {
 		t.Fatalf("submit after drain err = %v, want ErrDraining", err)
 	}
@@ -714,7 +722,8 @@ func TestConfigValidation(t *testing.T) {
 // 404 once the retention cap is exceeded.
 func TestFinishedJobRetention(t *testing.T) {
 	store, _ := seedStore(t)
-	_, ts := newTestServer(t, Config{Store: store, JobWorkers: 1, JobsRetained: 2})
+	svc, ts := newTestServer(t, Config{Store: store, JobWorkers: 1})
+	svc.jobs.retain = 2
 
 	spec := `{"patterns":["capture-loop-index"],"strategies":["random"],"seeds":2}`
 	var ids []string

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gorace/internal/corpus"
@@ -38,9 +39,9 @@ type WorkerConfig struct {
 	// ShardParallelism bounds concurrent shard executions (default
 	// GOMAXPROCS).
 	ShardParallelism int
-	// PullEvery is the replica pull period (default 2s).
-	PullEvery time.Duration
-	// HeartbeatEvery is the liveness beat period (default 2s).
+	// HeartbeatEvery is the period of StartWorker's loop (default 2s):
+	// one liveness beat, plus a replica pull when the beat shows a
+	// generation the replica does not serve.
 	HeartbeatEvery time.Duration
 }
 
@@ -48,9 +49,6 @@ type WorkerConfig struct {
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.ShardParallelism < 1 {
 		c.ShardParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.PullEvery <= 0 {
-		c.PullEvery = 2 * time.Second
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 2 * time.Second
@@ -67,7 +65,8 @@ type workerRuntime struct {
 	client *http.Client
 	sem    chan struct{}
 	cache  *sweep.WorkerCache
-	pullMu sync.Mutex // serializes replica pulls (loop vs. manual calls)
+	pullMu sync.Mutex  // serializes replica pulls (loop vs. manual calls)
+	pulled atomic.Bool // a snapshot has been pulled; until then the view is a placeholder
 }
 
 func newWorkerRuntime(cfg WorkerConfig) *workerRuntime {
@@ -160,54 +159,52 @@ func newShardResponse(idx int, aggs []sweep.Aggregator) (*shardResponse, error) 
 	return &shardResponse{ShardIdx: idx, Stat: stats[0], Corpus: buf.Bytes()}, nil
 }
 
-// JoinCoordinator registers this worker with its coordinator under the
-// configured advertise URL. StartWorker calls it with retries; it is
-// exported for callers that manage the worker lifecycle themselves.
-func (s *Server) JoinCoordinator() error {
-	wr := s.worker
-	if wr == nil {
-		return fmt.Errorf("service: not a worker node")
+// errNotRegistered is a coordinator's 404. Answering a heartbeat, it
+// means the coordinator has no record of this worker (first boot, or a
+// restart lost its registry), so the worker must join.
+var errNotRegistered = errors.New("status 404 (worker not registered)")
+
+// beat sends one liveness beat, joining instead when the coordinator
+// answers errNotRegistered, and returns the coordinator's snapshot
+// generation from the answer.
+func (s *Server) beat(ctx context.Context) (uint64, error) {
+	ans, err := s.postCluster(ctx, "/v1/cluster/heartbeat")
+	if errors.Is(err, errNotRegistered) {
+		ans, err = s.postCluster(ctx, "/v1/cluster/join")
 	}
-	if wr.cfg.Advertise == "" {
-		return fmt.Errorf("service: worker has no advertise URL to join with")
-	}
-	body, err := json.Marshal(joinRequest{URL: wr.cfg.Advertise})
-	if err != nil {
-		return err
-	}
-	resp, err := wr.client.Post(wr.cfg.Coordinator+"/v1/cluster/join", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("service: join %s: %w", wr.cfg.Coordinator, err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("service: join %s: status %d", wr.cfg.Coordinator, resp.StatusCode)
-	}
-	return nil
+	return ans.Generation, err
 }
 
-// heartbeat sends one liveness beat; an unknown-worker answer (the
-// coordinator restarted and lost its registry) triggers a rejoin.
-func (s *Server) heartbeat() error {
+// postCluster POSTs this worker's advertise URL to a coordinator
+// cluster route and decodes the joinResponse it answers.
+func (s *Server) postCluster(ctx context.Context, route string) (joinResponse, error) {
 	wr := s.worker
+	var ans joinResponse
 	body, err := json.Marshal(joinRequest{URL: wr.cfg.Advertise})
 	if err != nil {
-		return err
+		return ans, err
 	}
-	resp, err := wr.client.Post(wr.cfg.Coordinator+"/v1/cluster/heartbeat", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, wr.cfg.Coordinator+route, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return ans, err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := wr.client.Do(req)
+	if err != nil {
+		return ans, fmt.Errorf("service: %w", err)
+	}
+	defer resp.Body.Close()
+	defer io.Copy(io.Discard, resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return nil
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxJSONBody)).Decode(&ans); err != nil {
+			return ans, fmt.Errorf("service: %s%s answer: %w", wr.cfg.Coordinator, route, err)
+		}
+		return ans, nil
 	case http.StatusNotFound:
-		return s.JoinCoordinator()
+		return ans, fmt.Errorf("service: %s%s: %w", wr.cfg.Coordinator, route, errNotRegistered)
 	default:
-		return fmt.Errorf("service: heartbeat %s: status %d", wr.cfg.Coordinator, resp.StatusCode)
+		return ans, fmt.Errorf("service: %s%s: status %d", wr.cfg.Coordinator, route, resp.StatusCode)
 	}
 }
 
@@ -217,11 +214,13 @@ func (s *Server) heartbeat() error {
 // and leaves the current view serving.
 const maxReplicaBody = 64 << 20
 
-// PullReplica fetches the coordinator's snapshot if it has moved past
-// this replica's generation and publishes it as the local read view,
-// stamped with the origin's generation and path. Reports whether a new
-// generation was published. The steady-state call (generations equal)
-// is a single 304 exchange. A body over maxReplicaBody fails the pull.
+// PullReplica fetches the coordinator's snapshot and publishes it as
+// the local read view, stamped with the origin's generation and path.
+// Reports whether a new view was published. The first pull is
+// unconditional, so even a coordinator still at generation 0 replaces
+// the placeholder view; later ones send ?since=<generation>, and the
+// steady-state call (generations equal) is a single 304 exchange. A
+// body over maxReplicaBody fails the pull.
 func (s *Server) PullReplica() (bool, error) {
 	return s.pullReplica(maxReplicaBody)
 }
@@ -234,8 +233,11 @@ func (s *Server) pullReplica(maxBody int64) (bool, error) {
 	}
 	wr.pullMu.Lock()
 	defer wr.pullMu.Unlock()
-	cur := s.View().Generation()
-	resp, err := wr.client.Get(fmt.Sprintf("%s/v1/replica?since=%d", wr.cfg.Coordinator, cur))
+	url := wr.cfg.Coordinator + "/v1/replica"
+	if wr.pulled.Load() {
+		url += "?since=" + strconv.FormatUint(s.View().Generation(), 10)
+	}
+	resp, err := wr.client.Get(url)
 	if err != nil {
 		return false, fmt.Errorf("service: replica pull: %w", err)
 	}
@@ -263,59 +265,43 @@ func (s *Server) pullReplica(maxBody int64) (bool, error) {
 	}
 	v := corpus.ViewFromExport(gen, resp.Header.Get("X-Corpus-Path"), x)
 	s.snap.Store(v)
+	wr.pulled.Store(true)
 	s.cache.prune(gen)
 	s.log.Printf("replica: generation %d pulled from %s (%d defects, %d runs)",
 		gen, wr.cfg.Coordinator, v.Len(), len(v.Runs()))
 	return true, nil
 }
 
-// StartWorker joins the coordinator — retrying until ctx expires, so a
-// worker may boot before its coordinator — pulls the initial replica,
-// and starts the heartbeat and replica-pull loops, which run until ctx
-// is cancelled. cmd/raced calls it once after the listener is up.
+// StartWorker runs the worker node's one loop until ctx ends: every
+// HeartbeatEvery it beats the coordinator (a 404 answer means "join",
+// which covers the first beat and a coordinator restart) and pulls the
+// replica when the beat's generation differs from the replica's or
+// nothing has been pulled yet. A failed beat or pull is logged and
+// retried on the next period, so a worker may boot before its
+// coordinator. It returns nil once ctx ends; cmd/raced runs it after
+// the listener is up.
 func (s *Server) StartWorker(ctx context.Context) error {
 	wr := s.worker
 	if wr == nil {
 		return fmt.Errorf("service: not a worker node")
 	}
-	for {
-		err := s.JoinCoordinator()
-		if err == nil {
-			break
-		}
-		s.log.Printf("worker: %v (retrying)", err)
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("service: never joined %s: %w", wr.cfg.Coordinator, ctx.Err())
-		case <-time.After(wr.cfg.HeartbeatEvery):
-		}
+	if wr.cfg.Advertise == "" {
+		return fmt.Errorf("service: worker has no advertise URL to join with")
 	}
-	if _, err := s.PullReplica(); err != nil {
-		s.log.Printf("worker: initial replica pull: %v", err)
-	}
-	go s.workerLoop(ctx)
-	return nil
-}
-
-// workerLoop drives heartbeats and replica pulls until ctx ends.
-func (s *Server) workerLoop(ctx context.Context) {
-	wr := s.worker
-	beat := time.NewTicker(wr.cfg.HeartbeatEvery)
-	defer beat.Stop()
-	pull := time.NewTicker(wr.cfg.PullEvery)
-	defer pull.Stop()
+	tick := time.NewTicker(wr.cfg.HeartbeatEvery)
+	defer tick.Stop()
 	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-beat.C:
-			if err := s.heartbeat(); err != nil {
-				s.log.Printf("worker: heartbeat: %v", err)
-			}
-		case <-pull.C:
+		if gen, err := s.beat(ctx); err != nil {
+			s.log.Printf("worker: heartbeat: %v", err)
+		} else if !wr.pulled.Load() || gen != s.View().Generation() {
 			if _, err := s.PullReplica(); err != nil {
 				s.log.Printf("worker: replica pull: %v", err)
 			}
+		}
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-tick.C:
 		}
 	}
 }
