@@ -71,75 +71,48 @@ func (c *Chan[T]) Cap() int { return c.capacity }
 // Len returns the number of buffered values (no event; diagnostic).
 func (c *Chan[T]) Len() int { return len(c.buf) }
 
-// Send models `c <- v`.
+// Send models `c <- v`. Until the send is ready (sendReady) it blocks
+// on a full buffer, or parks as a waiter on an unbuffered channel for
+// a receiver or Close to complete; a ready send runs execSend, the
+// same step a select arm takes.
 func (c *Chan[T]) Send(g *G, v T) {
 	g.point()
-	if c.closed {
-		c.s.fail(g, "send on closed channel %s", c.name)
-		return
-	}
-	if c.capacity > 0 {
-		for len(c.buf) >= c.capacity {
+	for !c.sendReady() {
+		if c.capacity > 0 {
 			g.block("chan send " + c.name)
-			if c.closed {
-				c.s.fail(g, "send on closed channel %s", c.name)
-				return
-			}
+			continue
 		}
-		c.pushBuf(g, v)
+		w := &sendWaiter[T]{g: g, val: v}
+		c.sendq = append(c.sendq, w)
+		c.s.wakePollers()
+		for !w.done {
+			g.block("chan send " + c.name)
+		}
 		return
 	}
-	// Unbuffered: complete a parked receiver, or park ourselves.
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		w.val, w.ok, w.done = v, true, true
-		c.rendezvous(g, w.g)
-		c.s.wake(w.g)
-		return
-	}
-	w := &sendWaiter[T]{g: g, val: v}
-	c.sendq = append(c.sendq, w)
-	c.s.wakePollers()
-	for !w.done {
-		g.block("chan send " + c.name)
-	}
+	c.execSend(g, v)
 }
 
-// Recv models `v, ok := <-c`.
+// Recv models `v, ok := <-c`. Until the receive is ready (recvReady)
+// it blocks on an empty buffer, or parks as a waiter on an unbuffered
+// channel for a sender or Close to complete; a ready receive runs
+// execRecv, the same step a select arm takes.
 func (c *Chan[T]) Recv(g *G) (T, bool) {
 	g.point()
-	var zero T
-	if c.capacity > 0 {
-		for len(c.buf) == 0 {
-			if c.closed {
-				c.acquireClose(g)
-				return zero, false
-			}
+	for !c.recvReady() {
+		if c.capacity > 0 {
+			g.block("chan recv " + c.name)
+			continue
+		}
+		w := &recvWaiter[T]{g: g}
+		c.recvq = append(c.recvq, w)
+		c.s.wakePollers()
+		for !w.done {
 			g.block("chan recv " + c.name)
 		}
-		return c.popBuf(g), true
+		return w.val, w.ok
 	}
-	// Unbuffered: complete a parked sender, or park ourselves.
-	if len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		w.done = true
-		c.rendezvous(w.g, g)
-		c.s.wake(w.g)
-		return w.val, true
-	}
-	if c.closed {
-		c.acquireClose(g)
-		return zero, false
-	}
-	w := &recvWaiter[T]{g: g}
-	c.recvq = append(c.recvq, w)
-	c.s.wakePollers()
-	for !w.done {
-		g.block("chan recv " + c.name)
-	}
-	return w.val, w.ok
+	return c.execRecv(g)
 }
 
 // Close models `close(c)`.

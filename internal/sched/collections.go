@@ -1,6 +1,11 @@
 package sched
 
-import "gorace/internal/trace"
+import (
+	"cmp"
+	"slices"
+
+	"gorace/internal/trace"
+)
 
 // Map models Go's built-in map, which is thread-unsafe (Observation 5).
 // Every operation touches two shadow cells:
@@ -83,24 +88,9 @@ func (m *Map[K, V]) Len(g *G) int {
 // deterministic (sorted by insertion-assigned cell id) so modeled runs
 // replay exactly.
 func (m *Map[K, V]) Range(g *G, fn func(k K, v V) bool) {
-	g.point()
-	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.name + "(internal)"})
-	type kv struct {
-		k K
-		a trace.Addr
-	}
-	var keys []kv
-	for k := range m.m {
-		keys = append(keys, kv{k, m.keyAddr(g, k)})
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].a < keys[j-1].a; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	for _, e := range keys {
-		m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: e.a, Label: m.name + "[key]"})
-		if !fn(e.k, m.m[e.k]) {
+	for _, k := range m.Keys(g) {
+		m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.keyAddrs[k], Label: m.name + "[key]"})
+		if !fn(k, m.m[k]) {
 			return
 		}
 	}
@@ -114,24 +104,12 @@ func (m *Map[K, V]) Range(g *G, fn func(k K, v V) bool) {
 func (m *Map[K, V]) Keys(g *G) []K {
 	g.point()
 	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.name + "(internal)"})
-	type kv struct {
-		k K
-		a trace.Addr
-	}
-	var keys []kv
+	keys := make([]K, 0, len(m.m))
 	for k := range m.m {
-		keys = append(keys, kv{k, m.keyAddr(g, k)})
+		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].a < keys[j-1].a; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	out := make([]K, len(keys))
-	for i, e := range keys {
-		out[i] = e.k
-	}
-	return out
+	slices.SortFunc(keys, func(x, y K) int { return cmp.Compare(m.keyAddrs[x], m.keyAddrs[y]) })
+	return keys
 }
 
 // Snapshot returns a plain copy of the contents without instrumentation,

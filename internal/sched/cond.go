@@ -1,7 +1,5 @@
 package sched
 
-import "gorace/internal/trace"
-
 // Cond models sync.Cond: a condition variable bound to a Mutex (or an
 // RWMutex's write side via its Locker adapter). Wait atomically
 // releases the lock, parks, and re-acquires on wakeup; Signal wakes
@@ -41,23 +39,14 @@ func (c *Cond) Wait(g *G) {
 	}
 	w := &condWaiter{g: g}
 	c.waiters = append(c.waiters, w)
-	// Atomically release the lock and park: emit the release edge
+	// Atomically release the lock and park: the release edge comes
 	// before parking so the next locker sees everything we did.
-	c.s.emit(g, trace.Event{Op: trace.OpRelease, Obj: c.l.id, Kind: trace.KindMutex, Label: c.l.name})
-	c.l.held = false
-	c.l.owner = nil
-	c.s.wakeAllBlocked()
+	c.l.unlock(g)
 	for !w.woken {
 		g.block("cond " + c.name)
 	}
-	// Re-acquire the lock (blocking path, same as Mutex.Lock but
-	// without an extra scheduling point before the wait loop).
-	for c.l.held {
-		g.block("mutex " + c.l.name)
-	}
-	c.l.held = true
-	c.l.owner = g
-	c.s.emit(g, trace.Event{Op: trace.OpAcquire, Obj: c.l.id, Kind: trace.KindMutex, Label: c.l.name})
+	// Re-acquire with no extra scheduling point before the wait loop.
+	c.l.lock(g)
 }
 
 // Signal wakes one waiter, if any. The caller need not hold the lock

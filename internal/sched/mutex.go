@@ -35,6 +35,12 @@ func (m *Mutex) Clone(g *G) *Mutex {
 // Lock acquires the mutex, blocking while it is held.
 func (m *Mutex) Lock(g *G) {
 	g.point()
+	m.lock(g)
+}
+
+// lock is Lock after its scheduling point; Cond.Wait re-acquires
+// through it.
+func (m *Mutex) lock(g *G) {
 	for m.held {
 		g.block("mutex " + m.name)
 	}
@@ -51,6 +57,12 @@ func (m *Mutex) Unlock(g *G) {
 		m.s.fail(g, "unlock of unlocked mutex %s", m.name)
 		return
 	}
+	m.unlock(g)
+}
+
+// unlock releases a held mutex with no scheduling point; Cond.Wait
+// releases through it.
+func (m *Mutex) unlock(g *G) {
 	m.s.emit(g, trace.Event{Op: trace.OpRelease, Obj: m.id, Kind: trace.KindMutex, Label: m.name})
 	m.held = false
 	m.owner = nil

@@ -13,12 +13,19 @@ import (
 // invalidates everything implicitly by changing the key prefix.
 // Entries from superseded generations are dropped eagerly on publish
 // (prune) and the total entry count is LRU-bounded, so a burst of
-// distinct queries cannot grow the cache without limit.
+// distinct queries cannot grow the cache without limit. A body
+// rendered from a generation that a prune has since superseded is not
+// stored: a publish that lands during a render would otherwise let the
+// stale body back in until the next publish.
 type cache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
+	// kept is the generation the last prune kept; pruned is false
+	// until the first prune, when every generation is accepted.
+	kept   uint64
+	pruned bool
 }
 
 // cacheEntry is one rendered response body.
@@ -59,10 +66,13 @@ func (c *cache) get(key string) ([]byte, bool) {
 // put stores a rendered body, evicting the least recently used entry
 // beyond the bound. Storing the same key twice keeps the first body;
 // they are identical by construction (same generation, same query).
+// A body of any generation but the one the last prune kept is
+// dropped. Generations are compared for difference, not order: a
+// reopened store may restart at a lower generation.
 func (c *cache) put(key string, gen uint64, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
+	if _, ok := c.entries[key]; ok || c.pruned && gen != c.kept {
 		return
 	}
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, gen: gen, body: body})
@@ -79,6 +89,7 @@ func (c *cache) put(key string, gen uint64, body []byte) {
 func (c *cache) prune(gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.kept, c.pruned = gen, true
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		if e := el.Value.(*cacheEntry); e.gen != gen {

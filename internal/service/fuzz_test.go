@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/bits"
 	"net/http"
 	"net/url"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gorace/internal/corpus"
 	"gorace/internal/progs"
 	"gorace/internal/racegen"
 	"gorace/internal/sched"
+	"gorace/internal/stream"
 	"gorace/internal/sweep"
 )
 
@@ -148,6 +153,40 @@ func FuzzNightlyAndJoin(f *testing.F) {
 		}
 		if _, err := http.NewRequest(http.MethodPost, jr.URL+"/v1/shards", nil); err != nil {
 			t.Fatalf("accepted worker url %q cannot be dialed: %v", jr.URL, err)
+		}
+	})
+}
+
+// FuzzIngest POSTs arbitrary bytes as a POST /v1/ingest body, each
+// under a fresh run id, to one seeded server. Every answer must arrive
+// within 5 s and never be a 5xx, and every answer but a 200 must close
+// the connection, so no failed stream poisons a keep-alive slot.
+func FuzzIngest(f *testing.F) {
+	counted := countedTrace(f, 3)
+	streamed := synthStream(f, stream.SynthSpec{Events: 300, Planted: 1, Seed: 5})
+	f.Add(counted)
+	f.Add(streamed)
+	// More trailing bytes than the decoder's read buffer holds: the
+	// decoder stops at the count and leaves them to the server.
+	f.Add(append(counted[:len(counted):len(counted)], make([]byte, 5000)...))
+	f.Add(streamed[:len(streamed)/2])
+	store, _ := seedStore(f)
+	_, ts := newTestServer(f, Config{Store: store})
+	client := &http.Client{Timeout: 5 * time.Second}
+	var runs atomic.Int64
+	f.Fuzz(func(t *testing.T, data []byte) {
+		url := fmt.Sprintf("%s/v1/ingest?run=fuzz-%d", ts.URL, runs.Add(1))
+		resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("no answer to a %d-byte body: %v", len(data), err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 500 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if resp.StatusCode != http.StatusOK && !resp.Close {
+			t.Fatalf("status %d kept the connection open: %s", resp.StatusCode, body)
 		}
 	})
 }

@@ -3,8 +3,8 @@ package service
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
@@ -109,55 +109,32 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The ingest obeys both the request's own lifecycle and the
-	// server-wide drain cancel. A stalled body cannot outlive either:
-	// when cancellation fires, the pipe read unblocks with the
-	// context's error and an immediate read deadline kicks the copier
-	// out of a blocked body read — the server cannot even write our
-	// response while a goroutine still sits inside r.Body.Read, so
-	// the copier must be fully joined before responding.
+	// server-wide drain cancel. Only the decoder reads the body, and
+	// Ingest joins it before returning; a decoder blocked in a stalled
+	// body read is failed by expiring the connection's read deadline.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stop := context.AfterFunc(s.inflight.ctx, cancel)
 	defer stop()
 	rc := http.NewResponseController(w)
-	pr, pw := io.Pipe()
-	copied := make(chan struct{})
-	go func() {
-		defer close(copied)
-		_, err := io.Copy(pw, r.Body)
-		pw.CloseWithError(err)
-	}()
-	unblock := context.AfterFunc(ctx, func() {
-		// Close the write half: the decoder's read then fails with the
-		// context's error, which classifies the ingest as cancelled.
-		pw.CloseWithError(ctx.Err())
-		rc.SetReadDeadline(time.Now())
-	})
+	stopKick := context.AfterFunc(ctx, func() { rc.SetReadDeadline(time.Now()) })
 
-	res, err := ing.Ingest(ctx, pr)
-	// Stop the unblocker BEFORE cancelling: on a completed ingest the
-	// deferred cancel would otherwise fire it late. If the ingest failed
-	// with the stream only part-consumed, kick the copier out here
-	// instead.
-	deadlineSet := !unblock()
-	if err != nil {
-		pr.CloseWithError(err)
-		rc.SetReadDeadline(time.Now())
-		deadlineSet = true
-	}
-	cancel()
-	<-copied
-	pr.Close()
-	if deadlineSet {
+	res, err := ing.Ingest(ctx, r.Body)
+	// Stop the kick BEFORE the deferred cancel would fire it late.
+	kicked := !stopKick()
+	if kicked || err != nil {
 		// An expired read deadline poisons the connection: the server's
 		// background read fails on it and cancels the context of the
-		// next keep-alive request. Close it after this response instead.
+		// next keep-alive request. A failed ingest leaves the body
+		// part-read. Close the connection after this response.
 		w.Header().Set("Connection", "close")
 	}
 	if err != nil {
 		// Classify by the error's cause, not by ctx.Err(): a decode
 		// failure stays a client error even if the context ends later.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// A body read failed by our own kick is a cancellation.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+			kicked && errors.Is(err, os.ErrDeadlineExceeded) {
 			writeError(w, http.StatusServiceUnavailable, "ingest cancelled after %d events: %v", res.Events, err)
 			return
 		}

@@ -171,6 +171,10 @@ func TestIngestFailedKeepAlive(t *testing.T) {
 		{"truncated", data[:len(data)/2], http.StatusBadRequest},
 		{"hostile", []byte("GRTB\xff\xff\xff\xff"), http.StatusBadRequest},
 		{"good", data, http.StatusOK},
+		// Bytes after a counted trace's last event are never read by
+		// the decoder; the server discards a trailer under 256 KiB
+		// itself and keeps the connection.
+		{"counted-trailer", append(countedTrace(t, 3), make([]byte, 64<<10)...), http.StatusOK},
 	}
 	for round := 0; round < 10; round++ {
 		for _, st := range steps {
@@ -188,6 +192,49 @@ func TestIngestFailedKeepAlive(t *testing.T) {
 				t.Fatalf("round %d %s: Connection: close = %t, want %t", round, st.name, resp.Close, failed)
 			}
 		}
+	}
+}
+
+// countedTrace saves n write events as a counted trace, the form
+// Recorder.Save and racedetect -save-trace write: its header carries
+// the event count, so the decoder stops after the last event.
+func countedTrace(t testing.TB, n int) []byte {
+	t.Helper()
+	rec := &trace.Recorder{}
+	for i := 0; i < n; i++ {
+		rec.Events = append(rec.Events, trace.Event{Seq: uint64(i + 1), G: 1, Op: trace.OpWrite, Addr: trace.Addr(i + 1)})
+	}
+	var buf bytes.Buffer
+	if err := rec.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestIngestCountedTraceWithTrailer: a counted trace followed by more
+// bytes than the server discards answers 200 at once with the counted
+// events, and the ingest leaves nothing behind that would hold Drain.
+func TestIngestCountedTraceWithTrailer(t *testing.T) {
+	store, _ := seedStore(t)
+	svc, ts := newTestServer(t, Config{Store: store})
+	body := append(countedTrace(t, 1), make([]byte, 1<<20)...)
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/ingest?run=trailer-001", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var res struct {
+		Events uint64 `json:"events"`
+	}
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &res) != nil || res.Events != 1 {
+		t.Fatalf("counted trace + 1 MiB = %d: %s; want 200 with 1 event", resp.StatusCode, data)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatalf("drain after a trailer ingest: %v", err)
 	}
 }
 

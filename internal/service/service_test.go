@@ -699,6 +699,34 @@ func TestCacheBoundsAndPrune(t *testing.T) {
 	}
 }
 
+// TestCacheDropsSupersededPut: a body rendered from a generation that
+// a prune has since superseded (a publish landed during the render) is
+// not stored, whether the render was older or newer; before the first
+// prune every generation is accepted.
+func TestCacheDropsSupersededPut(t *testing.T) {
+	c := newCache(4)
+	c.put(cacheKey(7, "/a", ""), 7, []byte("a"))
+	if c.len() != 1 {
+		t.Fatalf("put before any prune: len = %d, want 1", c.len())
+	}
+	c.prune(3)
+	c.put(cacheKey(2, "/b", ""), 2, []byte("b"))
+	c.put(cacheKey(4, "/c", ""), 4, []byte("c"))
+	if c.len() != 0 {
+		t.Fatalf("bodies of superseded generations cached: len = %d, want 0", c.len())
+	}
+	c.put(cacheKey(3, "/d", ""), 3, []byte("d"))
+	if _, ok := c.get(cacheKey(3, "/d", "")); !ok {
+		t.Fatal("body of the kept generation not cached")
+	}
+	// A reopened store restarts lower: the prune decides, not order.
+	c.prune(1)
+	c.put(cacheKey(1, "/e", ""), 1, []byte("e"))
+	if _, ok := c.get(cacheKey(1, "/e", "")); !ok || c.len() != 1 {
+		t.Fatalf("body of a lower kept generation not cached: len = %d", c.len())
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without a store succeeded")
