@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -189,11 +188,10 @@ type folder interface {
 	foldRun(RunInfo)
 }
 
-// frameDecoder decodes frame payloads. Its wire decoder, the reader
-// under it and the stack scratch are reused from frame to frame, so a
-// large store opens at the cost of its strings, not of its frames.
+// frameDecoder decodes frame payloads in place. Its wire decoder and
+// the stack scratch are reused from frame to frame, so a large store
+// opens at the cost of its strings, not of its frames.
 type frameDecoder struct {
-	r      bytes.Reader
 	d      wire.Decoder
 	frames []stack.Frame
 }
@@ -201,16 +199,19 @@ type frameDecoder struct {
 // header resets the decoder onto data and reads a magic and version.
 // The header fields that follow, if any, are read with fd.d.
 func (fd *frameDecoder) header(data []byte, magic [4]byte, version uint64) error {
-	fd.r.Reset(data)
-	fd.d.Reset(&fd.r)
+	fd.d.ResetFrame(data)
 	return fd.d.Header(magic, version)
 }
 
-// decodePayload decodes one CRC-checked frame payload into f. Unknown
-// payload kinds are skipped for forward compatibility.
+// decodePayload decodes one CRC-checked frame payload into f.
 func (fd *frameDecoder) decodePayload(payload []byte, f folder) error {
-	fd.r.Reset(payload)
-	fd.d.Reset(&fd.r)
+	fd.d.ResetFrame(payload)
+	return fd.payload(f)
+}
+
+// payload decodes the payload fd.d is reset to into f. Unknown payload
+// kinds are skipped for forward compatibility.
+func (fd *frameDecoder) payload(f folder) error {
 	switch fd.d.Byte() {
 	case kindRecord:
 		if rec := fd.record(); fd.d.Err() == nil {

@@ -175,7 +175,7 @@ func (s *Store) load() error {
 	if err := fd.header(data, storeMagic, storeVersion); err != nil {
 		return fmt.Errorf("corpus: %s: store header: %w", s.path, err)
 	}
-	off := len(data) - fd.r.Len()
+	off := len(data) - fd.d.Buffered()
 
 	// Scan frames until EOF. good marks the end of the last intact
 	// frame. A *tail* tear — the frame extends past EOF, or the final

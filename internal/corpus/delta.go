@@ -90,7 +90,7 @@ func ReadDelta(r io.Reader) (Export, error) {
 	if err := fd.d.Err(); err != nil {
 		return x, fmt.Errorf("corpus: delta header: %w", err)
 	}
-	off := len(data) - fd.r.Len()
+	off := len(data) - fd.d.Buffered()
 	for off < len(data) {
 		payload, next, err := nextFrame(data, off)
 		if err != nil {

@@ -82,16 +82,16 @@ func (d *DJIT) cell(a trace.Addr) *djitCell {
 
 // HandleEvent implements trace.Listener.
 func (d *DJIT) HandleEvent(ev trace.Event) {
-	d.stats.note(ev)
+	d.stats.note(&ev)
 	switch ev.Op {
 	case trace.OpFork:
-		d.fork(ev)
+		d.fork(&ev)
 
 	case trace.OpAcquire:
-		d.acquire(ev)
+		d.acquire(&ev)
 
 	case trace.OpRelease:
-		d.release(ev)
+		d.release(&ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
 		c := d.cell(ev.Addr)

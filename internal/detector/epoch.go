@@ -76,16 +76,16 @@ func (e *Epoch) cell(a trace.Addr) *epochCell {
 
 // HandleEvent implements trace.Listener.
 func (e *Epoch) HandleEvent(ev trace.Event) {
-	e.stats.note(ev)
+	e.stats.note(&ev)
 	switch ev.Op {
 	case trace.OpFork:
-		e.fork(ev)
+		e.fork(&ev)
 
 	case trace.OpAcquire:
-		e.acquire(ev)
+		e.acquire(&ev)
 
 	case trace.OpRelease:
-		e.release(ev)
+		e.release(&ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
 		c := e.cell(ev.Addr)

@@ -94,7 +94,7 @@ func (e *Eraser) RaceCount() int { return len(e.races) }
 
 // HandleEvent implements trace.Listener.
 func (e *Eraser) HandleEvent(ev trace.Event) {
-	e.stats.note(ev)
+	e.stats.note(&ev)
 	if e.locks.handle(ev) {
 		return
 	}

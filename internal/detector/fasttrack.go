@@ -315,7 +315,7 @@ func (ft *FastTrack) cell(a trace.Addr) *ftCell {
 // metaOf returns the interned report context of ev, adding it on first
 // sight. A cache hit costs the stack hash and one key compare; only a
 // miss probes the map, and no path hashes or compares a string's bytes.
-func (ft *FastTrack) metaOf(ev trace.Event) uint32 {
+func (ft *FastTrack) metaOf(ev *trace.Event) uint32 {
 	k := metaKey{
 		gname: keyOf(ev.GName), label: keyOf(ev.Label), stack: stackHash(ev.Stack),
 		locks: ft.locks.setID(ev.G), op: ev.Op,
@@ -323,11 +323,11 @@ func (ft *FastTrack) metaOf(ev trace.Event) uint32 {
 	h := (k.stack ^ uint64(k.label.p)<<1 ^ uint64(k.gname.p)<<7 ^
 		uint64(k.locks)<<11 ^ uint64(k.op)) * 0x9e3779b97f4a7c15
 	slot := &ft.metaCache[h>>(64-metaCacheBits)]
-	if id := *slot; id != 0 && int(id) < len(ft.metas) && ft.matches(id, k, ev.Stack) {
+	if id := *slot; id != 0 && int(id) < len(ft.metas) && ft.matches(id, &k, ev.Stack) {
 		return id
 	}
 	id, ok := ft.metaIx[k]
-	if !ok || !ft.matches(id, k, ev.Stack) {
+	if !ok || !ft.matches(id, &k, ev.Stack) {
 		// New context, or a stack-hash collision: the entry the key
 		// already names stays valid for the cells that use it.
 		id = uint32(len(ft.metas))
@@ -338,10 +338,13 @@ func (ft *FastTrack) metaOf(ev trace.Event) uint32 {
 	return id
 }
 
-// matches reports whether metas[id] is the context (k, stk).
-func (ft *FastTrack) matches(id uint32, k metaKey, stk stack.Context) bool {
+// matches reports whether metas[id] is the context (k, stk). The key
+// is compared field by field: a struct == compiles to a memory compare
+// call here.
+func (ft *FastTrack) matches(id uint32, k *metaKey, stk stack.Context) bool {
 	m := &ft.metas[id]
-	return m.key == k && sameFrames(m.stk, stk)
+	return m.key.stack == k.stack && m.key.gname == k.gname && m.key.label == k.label &&
+		m.key.locks == k.locks && m.key.op == k.op && sameFrames(m.stk, stk)
 }
 
 // sameFrames reports whether a and b hold the same frames. Contexts
@@ -373,35 +376,35 @@ func (ft *FastTrack) toReport(a ftAccess, addr trace.Addr) report.Access {
 
 // HandleEvent implements trace.Listener.
 func (ft *FastTrack) HandleEvent(ev trace.Event) {
-	ft.stats.note(ev)
+	ft.stats.note(&ev)
 	switch ev.Op {
 	case trace.OpFork:
-		ft.fork(ev)
+		ft.fork(&ev)
 
 	case trace.OpAcquire:
 		ft.locks.handle(ev)
-		ft.acquire(ev)
+		ft.acquire(&ev)
 
 	case trace.OpRelease:
 		ft.locks.handle(ev)
-		ft.release(ev)
+		ft.release(&ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
-		ft.read(ev)
+		ft.read(&ev)
 
 	case trace.OpWrite, trace.OpAtomicStore, trace.OpAtomicRMW:
-		ft.write(ev)
+		ft.write(&ev)
 	}
 }
 
-func (ft *FastTrack) newAccess(ev trace.Event, cur *vclock.VC) ftAccess {
+func (ft *FastTrack) newAccess(ev *trace.Event, cur *vclock.VC) ftAccess {
 	return ftAccess{
 		seq: ev.Seq, g: ev.G, time: cur.Get(ev.G),
 		meta: ft.metaOf(ev), atomic: ev.Op.IsAtomic(),
 	}
 }
 
-func (ft *FastTrack) read(ev trace.Event) {
+func (ft *FastTrack) read(ev *trace.Event) {
 	c := ft.cell(ev.Addr)
 	cur := ft.clockOf(ev.G)
 	if c.write.meta != 0 && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
@@ -437,7 +440,7 @@ func (ft *FastTrack) read(ev trace.Event) {
 	ft.adapt.promotions++
 }
 
-func (ft *FastTrack) write(ev trace.Event) {
+func (ft *FastTrack) write(ev *trace.Event) {
 	c := ft.cell(ev.Addr)
 	cur := ft.clockOf(ev.G)
 	if c.write.meta != 0 && c.write.g != ev.G && c.write.time > cur.Get(c.write.g) {
@@ -466,7 +469,7 @@ func (ft *FastTrack) write(ev trace.Event) {
 	c.write = ft.newAccess(ev, cur)
 }
 
-func (ft *FastTrack) report(ev trace.Event, c *ftCell, prior ftAccess) {
+func (ft *FastTrack) report(ev *trace.Event, c *ftCell, prior ftAccess) {
 	if int(c.reports) >= ft.MaxReportsPerCell {
 		return
 	}

@@ -80,7 +80,7 @@ func (h *hb) objClock(o trace.ObjID) *vclock.VC {
 // fork orders the parent's history before the child: the child starts
 // from a copy of the parent's clock, and both advance their own
 // component.
-func (h *hb) fork(ev trace.Event) {
+func (h *hb) fork(ev *trace.Event) {
 	parent := h.clockOf(ev.G)
 	child := h.pool.Acquire()
 	parent.CopyInto(child)
@@ -93,7 +93,7 @@ func (h *hb) fork(ev trace.Event) {
 }
 
 // acquire joins the object's clock into the acquiring goroutine's.
-func (h *hb) acquire(ev trace.Event) {
+func (h *hb) acquire(ev *trace.Event) {
 	h.objClock(ev.Obj).JoinInto(h.clockOf(ev.G))
 }
 
@@ -101,7 +101,7 @@ func (h *hb) acquire(ev trace.Event) {
 // starts a new epoch. A read-mode RWMutex release adds no edge: the
 // reader→writer edge travels through the RWMutex's internal
 // read-release object instead.
-func (h *hb) release(ev trace.Event) {
+func (h *hb) release(ev *trace.Event) {
 	if ev.Kind == trace.KindRWRead {
 		return
 	}

@@ -59,7 +59,7 @@ func (s *Sampled) Name() string {
 // HandleEvent implements trace.Listener: sync and fork events always
 // pass through; accesses pass 1 in Rate.
 func (s *Sampled) HandleEvent(ev trace.Event) {
-	s.stats.note(ev)
+	s.stats.note(&ev)
 	if ev.Op.IsAccess() && s.Rate > 1 {
 		hit := (s.ctr+s.phase)%uint64(s.Rate) == 0
 		s.ctr++

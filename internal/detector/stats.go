@@ -86,7 +86,7 @@ type statCounter struct {
 	events, accesses, syncOps int
 }
 
-func (c *statCounter) note(ev trace.Event) {
+func (c *statCounter) note(ev *trace.Event) {
 	c.events++
 	if ev.Op.IsAccess() {
 		c.accesses++

@@ -168,7 +168,7 @@ func FuzzIngest(f *testing.F) {
 	f.Add(streamed)
 	// More trailing bytes than the decoder's read buffer holds: the
 	// decoder stops at the count and leaves them to the server.
-	f.Add(append(counted[:len(counted):len(counted)], make([]byte, 5000)...))
+	f.Add(append(counted[:len(counted):len(counted)], make([]byte, 4<<10+64)...))
 	f.Add(streamed[:len(streamed)/2])
 	store, _ := seedStore(f)
 	_, ts := newTestServer(f, Config{Store: store})

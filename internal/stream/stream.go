@@ -27,8 +27,9 @@
 // one path that re-detects a saved trace: racedetect -stream, racedb
 // replay, and raced's replay and ingest endpoints all run it. Each
 // Ingest call decodes ahead of detection: a decoder goroutine fills
-// batches of checkEvery events while the calling goroutine detects the
-// previous batch, with at most three batches (about 310 KiB) in flight.
+// batches of checkEvery events, decoding each event in place into its
+// batch slot, while the calling goroutine detects the previous batch,
+// with at most three batches (about 290 KiB) in flight.
 // Detection order, fold points and window contents are those of a
 // serial loop, and the decoder is joined before Ingest returns. With no
 // ceiling the detector never evicts and streaming results are
@@ -220,11 +221,13 @@ func (in *Ingestor) Ingest(ctx context.Context, r io.Reader) (res Result, err er
 		if b == nil {
 			return res, nil // the decoder panicked; stop re-raises it
 		}
-		for _, ev := range b.events {
+		events := b.events
+		for i := range events {
+			ev := &events[i]
 			if in.win != nil {
-				in.win.HandleEvent(ev)
+				in.win.Add(ev)
 			}
-			in.det.HandleEvent(ev)
+			in.det.HandleEvent(*ev)
 			res.Events++
 			if fast && counter.RaceCount() > in.folded {
 				in.foldNew(&res, counter.RaceCount())
@@ -298,16 +301,20 @@ func (p *pipeline) decode(dec *trace.Decoder) {
 			return
 		}
 		if b.events == nil {
-			b.events = make([]trace.Event, 0, checkEvery)
+			b.events = make([]trace.Event, checkEvery)
 		}
-		b.events = b.events[:0]
-		for len(b.events) < checkEvery {
-			ev, err := dec.Next()
-			if err != nil {
-				b.err = err
+		// Each event is decoded in place into its slot. The batch
+		// header is written once per batch, never per event: the
+		// batches are small neighbouring allocations, so a store per
+		// event would keep pulling the cache line away from the
+		// detecting goroutine, which reads the header of the batch it
+		// holds.
+		b.events = b.events[:checkEvery]
+		for i := range b.events {
+			if err := dec.NextInto(&b.events[i]); err != nil {
+				b.events, b.err = b.events[:i], err
 				break
 			}
-			b.events = append(b.events, ev)
 		}
 		select {
 		case p.full <- b:

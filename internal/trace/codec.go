@@ -197,46 +197,47 @@ func (enc *Encoder) Flush() error {
 	return enc.e.flush()
 }
 
-// event decodes the next event. atEOF reports whether a clean EOF (no
-// event bytes at all) is legal here; when it is, the bare io.EOF is
-// returned untouched for the caller to translate into end-of-stream.
-func (d *Decoder) event(atEOF bool) (Event, error) {
-	var ev Event
-	opb, err := d.br.ReadByte()
+// event decodes the next event into ev, overwriting every field.
+// atEOF reports whether a clean EOF (no event bytes at all) is legal
+// here; when it is, the bare io.EOF is returned untouched for the
+// caller to translate into end-of-stream.
+func (d *Decoder) event(ev *Event, atEOF bool) error {
+	w := &d.w
+	opb, err := w.ReadByte()
 	if err == io.EOF && !atEOF {
 		err = wire.ErrTruncated
 	}
 	if err != nil {
-		return ev, err
+		return err
 	}
-	w := &d.w
 	ev.Op = Op(opb)
 	g := w.Uvarint()
 	if g >= MaxGoroutines {
-		return ev, fmt.Errorf("%w: goroutine %d (max %d)", ErrIDRange, g, MaxGoroutines-1)
+		return fmt.Errorf("%w: goroutine %d (max %d)", ErrIDRange, g, MaxGoroutines-1)
 	}
 	ev.G = vclock.TID(g)
 	gs := d.gstate(g)
 	ev.Seq = uint64(int64(d.lastSeq) + w.Varint())
 	d.lastSeq = ev.Seq
+	ev.Addr, ev.Obj, ev.Kind, ev.Child = NoAddr, NoObj, KindNone, 0
 	switch {
 	case ev.Op.IsAccess():
 		gs.lastAddr = uint64(int64(gs.lastAddr) + w.Varint())
 		if err := checkDense("address", gs.lastAddr); err != nil {
-			return ev, err
+			return err
 		}
 		ev.Addr = Addr(gs.lastAddr)
 	case ev.Op == OpAcquire || ev.Op == OpRelease:
 		gs.lastObj = uint64(int64(gs.lastObj) + w.Varint())
 		if err := checkDense("object", gs.lastObj); err != nil {
-			return ev, err
+			return err
 		}
 		ev.Obj = ObjID(gs.lastObj)
 		ev.Kind = ObjKind(w.Byte())
 	case ev.Op == OpFork:
 		child := w.Uvarint()
 		if child >= MaxGoroutines {
-			return ev, fmt.Errorf("%w: child goroutine %d (max %d)", ErrIDRange, child, MaxGoroutines-1)
+			return fmt.Errorf("%w: child goroutine %d (max %d)", ErrIDRange, child, MaxGoroutines-1)
 		}
 		ev.Child = vclock.TID(child)
 	}
@@ -248,5 +249,5 @@ func (d *Decoder) event(atEOF bool) (Event, error) {
 		ev.Stack = d.depot.Intern(d.frames)
 		gs.stack = ev.Stack
 	}
-	return ev, w.Err()
+	return w.Err()
 }

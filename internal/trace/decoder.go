@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -53,8 +52,7 @@ func checkDense(what string, id uint64) error {
 // with the trace's distinct strings and call sites, not with its
 // length.
 type Decoder struct {
-	br *bufio.Reader
-	w  wire.Decoder
+	w wire.Decoder
 	// gs is the per-goroutine prediction context, indexed by G and
 	// grown on demand; MaxGoroutines bounds its length.
 	gs []decG
@@ -93,14 +91,12 @@ func (d *Decoder) gstate(g uint64) *decG {
 
 // NewDecoder reads the trace header from r and returns a decoder
 // positioned at the first event. Input without the GRTB magic fails
-// with ErrNotTrace before more than the magic is read. The reader is
-// buffered internally; the caller must not read from r afterwards.
+// with ErrNotTrace. The decoder reads r through its own 4 KiB buffer,
+// so even the header read may take up to that much; the caller must
+// not read from r afterwards.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{
-		br:    bufio.NewReader(r),
-		depot: stack.NewDepot(),
-	}
-	d.w.Reset(d.br)
+	d := &Decoder{depot: stack.NewDepot()}
+	d.w.Reset(r)
 	d.w.Header(codecMagic, codecVersion)
 	count := d.w.Uvarint()
 	if err := d.w.Err(); errors.Is(err, wire.ErrBadMagic) {
@@ -128,22 +124,31 @@ func (d *Decoder) Count() (uint64, bool) {
 // returns io.EOF; any other error means the trace is truncated or
 // corrupt. Errors, io.EOF included, are sticky.
 func (d *Decoder) Next() (Event, error) {
-	if d.err != nil {
-		return Event{}, d.err
-	}
-	if d.counted && d.events == d.count {
+	var ev Event
+	err := d.NextInto(&ev)
+	return ev, err
+}
+
+// NextInto decodes the next event into *ev, overwriting every field,
+// so a caller can decode straight into a slot it reuses. It returns
+// what Next would; on an error *ev is zeroed.
+func (d *Decoder) NextInto(ev *Event) error {
+	if d.err == nil && d.counted && d.events == d.count {
 		d.err = io.EOF
-		return Event{}, d.err
 	}
-	ev, err := d.event(!d.counted)
-	if err != nil {
+	if d.err != nil {
+		*ev = Event{}
+		return d.err
+	}
+	if err := d.event(ev, !d.counted); err != nil {
 		if d.err = err; err != io.EOF {
 			d.err = fmt.Errorf("trace: decode event %d: %w", d.events, err)
 		}
-		return Event{}, d.err
+		*ev = Event{}
+		return d.err
 	}
 	d.events++
-	return ev, nil
+	return nil
 }
 
 // maxCountPrealloc caps how many events Load preallocates from a

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"gorace/internal/stack"
 	"gorace/internal/vclock"
@@ -283,9 +285,15 @@ func FuzzStreamDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The input is decoded whole and one byte per read; both must
+		// give the same events and the same error.
 		dec, err := NewDecoder(bytes.NewReader(data))
+		slow, slowErr := NewDecoder(iotest.OneByteReader(bytes.NewReader(data)))
 		if bad := !bytes.HasPrefix(data, codecMagic[:]); bad != errors.Is(err, ErrNotTrace) {
 			t.Fatalf("input % x: NewDecoder error %v", data[:min(len(data), 8)], err)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(slowErr) {
+			t.Fatalf("NewDecoder: whole %v, one byte at a time %v", err, slowErr)
 		}
 		if err != nil {
 			return
@@ -294,6 +302,10 @@ func FuzzStreamDecode(f *testing.F) {
 		// counts must not translate into allocations regardless.
 		for i := 0; i < 1<<16; i++ {
 			ev, err := dec.Next()
+			slowEv, slowErr := slow.Next()
+			if fmt.Sprint(err) != fmt.Sprint(slowErr) || !reflect.DeepEqual(ev, slowEv) {
+				t.Fatalf("event %d: whole %v, %v; one byte at a time %v, %v", i, ev, err, slowEv, slowErr)
+			}
 			if err != nil {
 				return
 			}
@@ -400,5 +412,77 @@ func TestDecodeWidestGoroutineBounded(t *testing.T) {
 	}
 	if len(dec.gs) != MaxGoroutines {
 		t.Fatalf("decoder holds %d goroutine states, want %d", len(dec.gs), MaxGoroutines)
+	}
+}
+
+// TestNextIntoOverwritesEveryField: decoding into a slot that held a
+// fork or an acquire leaves none of its fields behind, and gives the
+// event Next gives.
+func TestNextIntoOverwritesEveryField(t *testing.T) {
+	access := Event{Seq: 9, G: 2, GName: "w", Op: OpRead, Addr: 5, Label: "x",
+		Stack: stack.NewContext(stack.Frame{Func: "f", File: "f.go", Line: 3})}
+	data := encodeOne(t, access)
+	want, err := mustDecoder(t, data).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range []Event{
+		{Seq: 1, G: 7, GName: "old", Op: OpFork, Child: 8, Label: "go"},
+		{Seq: 1, G: 7, Op: OpAcquire, Obj: 3, Kind: KindMutex, Label: "mu"},
+	} {
+		got := stale
+		if err := mustDecoder(t, data).NextInto(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Child != 0 || got.Obj != NoObj || got.Kind != KindNone {
+			t.Fatalf("after a %s: Child %d, Obj %d, Kind %s left behind", stale.Op, got.Child, got.Obj, got.Kind)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after a %s: NextInto gave %+v, Next %+v", stale.Op, got, want)
+		}
+	}
+}
+
+func mustDecoder(t *testing.T, data []byte) *Decoder {
+	t.Helper()
+	dec, err := NewDecoder(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
+// TestDecoderDoesNotWaitForAFullBuffer: events already written to a
+// live stream decode at once, although far less than the decoder's
+// buffer has arrived and the writer has not closed the stream.
+func TestDecoderDoesNotWaitForAFullBuffer(t *testing.T) {
+	const n = 20
+	pr, pw := io.Pipe()
+	stall := make(chan struct{})
+	defer close(stall)
+	go func() {
+		enc := NewEncoder(pw)
+		for i := 0; i < n; i++ {
+			enc.Encode(Event{Seq: uint64(i + 1), G: 1, Op: OpWrite, Addr: Addr(i), Label: "x"})
+		}
+		enc.Flush()
+		<-stall
+		pw.Close()
+	}()
+	got := make(chan error, 1)
+	go func() {
+		dec, err := NewDecoder(pr)
+		for i := 0; i < n && err == nil; i++ {
+			_, err = dec.Next()
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("decoder still waiting after 10 s for %d events the writer had written", n)
 	}
 }

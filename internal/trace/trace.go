@@ -151,16 +151,18 @@ func (o Op) IsWrite() bool {
 	return o == OpWrite || o == OpAtomicStore || o == OpAtomicRMW
 }
 
-// Event is one dynamic operation observed by the runtime.
+// Event is one dynamic operation observed by the runtime. Its small
+// fields share words (G and Child one, Op and Kind the next), so an
+// event is 96 bytes on a 64-bit host.
 type Event struct {
 	Seq   uint64        // global sequence number (scheduler step)
 	G     vclock.TID    // acting goroutine
-	GName string        // acting goroutine's diagnostic name
+	Child vclock.TID    // for OpFork
 	Op    Op            //
+	Kind  ObjKind       // classification of Obj
 	Addr  Addr          // memory cell, for access ops
 	Obj   ObjID         // sync object, for acquire/release
-	Kind  ObjKind       // classification of Obj
-	Child vclock.TID    // for OpFork
+	GName string        // acting goroutine's diagnostic name
 	Stack stack.Context // calling context at the operation
 	Label string        // human-readable site label ("errMap[uuid] = err")
 }

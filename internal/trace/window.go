@@ -1,20 +1,22 @@
 package trace
 
-import "gorace/internal/vclock"
-
 // WindowRecorder is a Listener that retains only the most recent
 // events of each goroutine in a fixed-size ring — the trace-retention
 // mode of streaming detection, where the full history of an unbounded
 // stream cannot be kept but a manifested race should still carry
 // enough recent context to classify and report. Memory is bounded by
-// perG × live goroutines regardless of stream length.
+// perG × live goroutines regardless of stream length. The rings live
+// in a slice indexed by goroutine id, so goroutine ids must be small
+// and non-negative, as the scheduler's are and the decoder's are
+// (below MaxGoroutines).
 type WindowRecorder struct {
 	perG int
-	gs   map[vclock.TID]*eventRing
+	gs   []eventRing
 }
 
 // eventRing is one goroutine's window: an append-until-full buffer
-// that then overwrites oldest-first.
+// that then overwrites oldest-first. A goroutine with no events has an
+// empty one.
 type eventRing struct {
 	buf  []Event
 	next int // overwrite position once len(buf) == cap
@@ -26,32 +28,31 @@ func NewWindowRecorder(perG int) *WindowRecorder {
 	if perG < 1 {
 		perG = 1
 	}
-	return &WindowRecorder{perG: perG, gs: make(map[vclock.TID]*eventRing)}
+	return &WindowRecorder{perG: perG}
 }
 
 // HandleEvent implements Listener.
-func (w *WindowRecorder) HandleEvent(ev Event) {
-	rg := w.gs[ev.G]
-	if rg == nil {
-		n := w.perG
-		if n > 64 {
-			n = 64 // grow to perG on demand; most goroutines stay short
-		}
-		rg = &eventRing{buf: make([]Event, 0, n)}
-		w.gs[ev.G] = rg
+func (w *WindowRecorder) HandleEvent(ev Event) { w.Add(&ev) }
+
+// Add retains a copy of *ev in its goroutine's window.
+func (w *WindowRecorder) Add(ev *Event) {
+	for int(ev.G) >= len(w.gs) {
+		w.gs = append(w.gs, eventRing{})
 	}
+	rg := &w.gs[ev.G]
 	if len(rg.buf) < w.perG {
 		if len(rg.buf) == cap(rg.buf) {
-			// Double, capped at perG: append's own growth would
-			// overshoot a full ring by up to a quarter.
-			grown := make([]Event, len(rg.buf), min(2*cap(rg.buf), w.perG))
+			// Start at 64 and double, capped at perG: most goroutines
+			// stay short, and append's own growth would overshoot a
+			// full ring by up to a quarter.
+			grown := make([]Event, len(rg.buf), min(max(2*cap(rg.buf), 64), w.perG))
 			copy(grown, rg.buf)
 			rg.buf = grown
 		}
-		rg.buf = append(rg.buf, ev)
+		rg.buf = append(rg.buf, *ev)
 		return
 	}
-	rg.buf[rg.next] = ev
+	rg.buf[rg.next] = *ev
 	rg.next++
 	if rg.next == len(rg.buf) {
 		rg.next = 0
@@ -68,9 +69,8 @@ func (w *WindowRecorder) Retained() int {
 	return n
 }
 
-// Each calls fn on every retained event, goroutine by goroutine (in
-// no particular goroutine order), each goroutine's window oldest
-// first. It reads the rings in place — no merge and no copy — so a
+// Each calls fn on every retained event, goroutine by goroutine in
+// increasing G order, each goroutine's window oldest first. It reads the rings in place — no merge and no copy — so a
 // consumer whose result is per goroutine (classify.HintsFromWindow)
 // sees exactly the per-goroutine subsequences of Events. fn must not
 // retain the pointer past the call, nor call back into the recorder.
@@ -92,7 +92,7 @@ func (w *WindowRecorder) Each(fn func(*Event)) {
 // at most two runs per goroutine, not a sort.
 func (w *WindowRecorder) Events() []Event {
 	dst := make([]Event, 0, w.Retained())
-	h := make([][]Event, 0, 2*len(w.gs))
+	var h [][]Event
 	for _, rg := range w.gs {
 		if rg.next < len(rg.buf) {
 			h = append(h, rg.buf[rg.next:])
@@ -147,8 +147,8 @@ func headBefore(a, b []Event) bool {
 // Reset empties every window in place, keeping ring capacity, so one
 // recorder serves many runs.
 func (w *WindowRecorder) Reset() {
-	for _, rg := range w.gs {
-		rg.buf = rg.buf[:0]
-		rg.next = 0
+	for i := range w.gs {
+		w.gs[i].buf = w.gs[i].buf[:0]
+		w.gs[i].next = 0
 	}
 }

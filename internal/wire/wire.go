@@ -120,34 +120,124 @@ func (e *Encoder) Frames(frames []stack.Frame) {
 	}
 }
 
-// Source is what a Decoder reads: a *bufio.Reader over a stream, or a
-// *bytes.Reader over a frame already in memory.
-type Source interface {
-	io.Reader
-	io.ByteReader
-}
+// bufSize is the read buffer a Decoder keeps for a stream: bufio's
+// default, so a stream is read in the same chunks a bufio.Reader reads.
+const bufSize = 4096
 
-// Decoder reads the codec's primitives from a Source and enforces its
-// bounds. Its error is sticky: the first failure is kept in Err, and
-// every read after it returns a zero value without touching the
-// source, so a caller decodes a whole structure and checks Err once.
-// An end of input inside a value is ErrTruncated; other read errors
-// are kept unchanged. Reset points a Decoder at a source, its zero
-// value included; reusing one Decoder across sources keeps its scratch
-// buffers, which is what makes decoding many small frames cheap.
+// maxEmptyReads is how many consecutive empty reads fill accepts
+// before it gives up with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// Decoder reads the codec's primitives and enforces their bounds. It
+// decodes from its own read buffer: Reset points it at a stream, which
+// it reads at most bufSize bytes ahead, and ResetFrame at a frame
+// already in memory, which it decodes in place without a copy. A
+// varint that straddles the buffer's end is read byte by byte, so
+// chunking never changes a decoded value or an error.
+//
+// Its error is sticky: the first failure is kept in Err, and every
+// read after it returns a zero value without touching the source, so
+// a caller decodes a whole structure and checks Err once. An end of
+// input inside a value is ErrTruncated; other read errors are kept
+// unchanged. Reusing one Decoder across sources keeps its buffers,
+// which is what makes decoding many small frames cheap.
 type Decoder struct {
-	src     Source
+	src     io.Reader // nil while decoding a frame
+	buf     []byte    // the read buffer, or the frame being decoded
+	own     []byte    // the read buffer, kept across Resets
+	r, w    int       // buf[r:w] is read but not yet decoded
+	rerr    error     // the source's error, returned once buf[r:w] is empty
 	err     error
 	strings []string
 	scratch []byte   // bytes of the entry being read, reused
 	list    []string // the list Strings is reading, reused
 }
 
-// Reset points the decoder at src, clears its error and empties its
-// string table.
-func (d *Decoder) Reset(src Source) {
-	d.src, d.err = src, nil
+// Reset points the decoder at the stream src, clears its error and
+// empties its string table. The caller must not read from src
+// afterwards: the decoder may have read ahead.
+func (d *Decoder) Reset(src io.Reader) {
+	if d.own == nil {
+		d.own = make([]byte, bufSize)
+	}
+	d.src, d.buf = src, d.own
+	d.reset(0)
+}
+
+// ResetFrame points the decoder at data, a whole unit already in
+// memory, clears its error and empties its string table. The decoder
+// reads data in place and never writes to it; its end is the end of
+// input.
+func (d *Decoder) ResetFrame(data []byte) {
+	d.src, d.buf = nil, data
+	d.reset(len(data))
+}
+
+func (d *Decoder) reset(buffered int) {
+	d.r, d.w, d.rerr, d.err = 0, buffered, nil, nil
 	d.strings = append(d.strings[:0], "")
+}
+
+// Buffered returns how many bytes are read but not yet decoded: for a
+// frame, how many of its bytes remain.
+func (d *Decoder) Buffered() int { return d.w - d.r }
+
+// fill refills the empty buffer. It returns after the first Read that
+// yields any bytes, so a live stream is decoded as its bytes arrive,
+// never held back until a whole buffer is in. A frame has no source:
+// its end is io.EOF.
+func (d *Decoder) fill() {
+	d.r, d.w = 0, 0
+	if d.src == nil {
+		d.rerr = io.EOF
+		return
+	}
+	for i := 0; i < maxEmptyReads; i++ {
+		n, err := d.src.Read(d.buf)
+		if n < 0 || n > len(d.buf) {
+			panic("wire: reader returned an invalid count from Read")
+		}
+		d.w = n
+		if err != nil {
+			d.rerr = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+	}
+	d.rerr = io.ErrNoProgress
+}
+
+// ReadByte implements io.ByteReader: it returns the next byte, or the
+// source's error once every buffered byte is read. It neither checks
+// nor sets Err; Byte is the sticky form.
+func (d *Decoder) ReadByte() (byte, error) {
+	for d.r == d.w {
+		if err := d.rerr; err != nil {
+			d.rerr = nil
+			return 0, err
+		}
+		d.fill()
+	}
+	b := d.buf[d.r]
+	d.r++
+	return b, nil
+}
+
+// Read implements io.Reader over the buffer. Like ReadByte it neither
+// checks nor sets Err.
+func (d *Decoder) Read(p []byte) (int, error) {
+	if d.r == d.w {
+		if err := d.rerr; err != nil {
+			d.rerr = nil
+			return 0, err
+		}
+		d.fill()
+	}
+	n := copy(p, d.buf[d.r:d.w])
+	d.r += n
+	return n, nil
 }
 
 // Err returns the first error the decoder met, or nil.
@@ -169,19 +259,30 @@ func (d *Decoder) Byte() byte {
 	if d.err != nil {
 		return 0
 	}
-	b, err := d.src.ReadByte()
+	if d.r < d.w {
+		b := d.buf[d.r]
+		d.r++
+		return b
+	}
+	b, err := d.ReadByte()
 	if err != nil {
 		d.fail(err)
 	}
 	return b
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. One held whole in the buffer is
+// decoded there; any other goes through binary.ReadUvarint, which
+// gives a truncated or overflowing varint its exact error.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(d.src)
+	if v, n := binary.Uvarint(d.buf[d.r:d.w]); n > 0 {
+		d.r += n
+		return v
+	}
+	v, err := binary.ReadUvarint(d)
 	if err != nil {
 		d.fail(err)
 	}
@@ -190,12 +291,10 @@ func (d *Decoder) Uvarint() uint64 {
 
 // Varint reads a zigzag signed varint.
 func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.src)
-	if err != nil {
-		d.fail(err)
+	u := d.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
 	return v
 }
@@ -205,7 +304,7 @@ func (d *Decoder) Varint() int64 {
 // version other than the one given is an error naming both.
 func (d *Decoder) Header(magic [4]byte, version uint64) error {
 	var got [4]byte
-	_, err := io.ReadFull(d.src, got[:])
+	_, err := io.ReadFull(d, got[:])
 	switch {
 	case err == io.EOF || err == io.ErrUnexpectedEOF || err == nil && got != magic:
 		d.fail(ErrBadMagic)
@@ -245,7 +344,7 @@ func (d *Decoder) String() string {
 			copy(grown, buf)
 			buf = grown
 		}
-		m, err := io.ReadFull(d.src, buf[len(buf):min(uint64(cap(buf)), n)])
+		m, err := io.ReadFull(d, buf[len(buf):min(uint64(cap(buf)), n)])
 		buf = buf[:len(buf)+m]
 		if err != nil {
 			d.fail(err)

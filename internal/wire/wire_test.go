@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,7 +14,7 @@ import (
 
 var magic = [4]byte{'T', 'E', 'S', 'T'}
 
-func newDecoder(src Source) *Decoder {
+func newDecoder(src io.Reader) *Decoder {
 	var d Decoder
 	d.Reset(src)
 	return &d
@@ -40,7 +41,7 @@ func TestRoundTrip(t *testing.T) {
 	e.Uvarint(uint64(len(frames)))
 	e.Frames(frames)
 
-	for name, src := range map[string]Source{
+	for name, src := range map[string]io.Reader{
 		"bytes":  bytes.NewReader(e.Bytes()),
 		"stream": bufio.NewReader(bytes.NewReader(e.Bytes())),
 	} {
@@ -158,9 +159,9 @@ func TestHostileCountsCostOnlyBytesPresent(t *testing.T) {
 	for _, tc := range cases {
 		var e Encoder
 		tc.encode(&e)
-		for name, src := range map[string]func() Source{
-			"bytes":  func() Source { return bytes.NewReader(e.Bytes()) },
-			"stream": func() Source { return bufio.NewReader(bytes.NewReader(e.Bytes())) },
+		for name, src := range map[string]func() io.Reader{
+			"bytes":  func() io.Reader { return bytes.NewReader(e.Bytes()) },
+			"stream": func() io.Reader { return bufio.NewReader(bytes.NewReader(e.Bytes())) },
 		} {
 			d := newDecoder(src())
 			n := allocated(func() { tc.decode(d) })
