@@ -1,6 +1,8 @@
 package gorace_test
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -11,6 +13,8 @@ import (
 	"gorace/internal/stack"
 	"gorace/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite the racedb export goldens")
 
 // TestBinariesBuildAndRun compiles every command and example and
 // executes each with fast arguments, asserting on headline output.
@@ -127,6 +131,53 @@ func TestBinariesBuildAndRun(t *testing.T) {
 	runOK(build("examples/deployment"), "dedup hash stability")
 	runOK(build("examples/flakiness"), "P(race detected in one run)")
 	runOK(build("examples/nightly"), "running 20 nights")
+}
+
+// TestRacedbExportGolden pins the bytes of `racedb export` in both
+// formats over a copy of internal/corpus's golden store: two runs, one
+// record with a trace, labels and locks, and one with no trace,
+// category or labels and an empty stack. Regenerate with
+// `go test -run RacedbExportGolden . -update` after a deliberate
+// wire-format change.
+func TestRacedbExportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary integration skipped in -short mode")
+	}
+	dir := t.TempDir()
+	data, err := os.ReadFile(filepath.Join("internal", "corpus", "testdata", "golden.grcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := filepath.Join(dir, "golden.grcs")
+	if err := os.WriteFile(db, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	racedb := filepath.Join(dir, "racedb")
+	if out, err := exec.Command("go", "build", "-o", racedb, "./cmd/racedb").CombinedOutput(); err != nil {
+		t.Fatalf("build cmd/racedb: %v\n%s", err, out)
+	}
+	for _, format := range []string{"json", "jsonl"} {
+		got, err := exec.Command(racedb, "-db", db, "export", "-format", format).Output()
+		if err != nil {
+			t.Fatalf("racedb export -format %s: %v", format, err)
+		}
+		path := filepath.Join("testdata", "racedb-export."+format)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("racedb export -format %s drifted from %s:\n got %s\nwant %s", format, path, got, want)
+		}
+	}
 }
 
 // writeHandoffTrace writes a hand-made trace in the shape of
