@@ -163,56 +163,21 @@ func diff(store *corpus.Store, args []string) {
 	section("RECURRING", delta.Recurring)
 }
 
-// exportRecord is the JSON wire form of a corpus record; the race
-// itself marshals through report.Race's own wire format.
-type exportRecord struct {
-	Key       string      `json:"key"`
-	Unit      string      `json:"unit"`
-	FirstSeen string      `json:"firstSeen"`
-	LastSeen  string      `json:"lastSeen"`
-	RunIDs    []string    `json:"runIds"`
-	Count     uint64      `json:"count"`
-	Category  string      `json:"category,omitempty"`
-	Labels    []string    `json:"labels,omitempty"`
-	Detector  string      `json:"detector,omitempty"`
-	TracePath string      `json:"tracePath,omitempty"`
-	Race      report.Race `json:"race"`
-}
-
-func toExport(rec corpus.Record) exportRecord {
-	out := exportRecord{
-		Key: rec.Key, Unit: rec.Unit,
-		FirstSeen: rec.FirstSeen(), LastSeen: rec.LastSeen(),
-		RunIDs: rec.RunIDs, Count: rec.Count,
-		Category: string(rec.Category), Detector: rec.Detector,
-		TracePath: rec.TracePath, Race: rec.Race,
-	}
-	for _, l := range rec.Labels {
-		out.Labels = append(out.Labels, string(l))
-	}
-	return out
-}
-
 func export(store *corpus.Store, args []string) {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	format := fs.String("format", "jsonl", "json (one array) or jsonl (one record per line)")
 	fs.Parse(args)
-	recs := store.Records()
+	recs := corpus.RecordsJSON(store.Records(), corpus.TracePathField)
+	enc := json.NewEncoder(os.Stdout)
 	switch *format {
 	case "json":
-		out := make([]exportRecord, len(recs))
-		for i, rec := range recs {
-			out[i] = toExport(rec)
-		}
-		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(recs); err != nil {
 			fatal(err)
 		}
 	case "jsonl":
-		enc := json.NewEncoder(os.Stdout)
 		for _, rec := range recs {
-			if err := enc.Encode(toExport(rec)); err != nil {
+			if err := enc.Encode(rec); err != nil {
 				fatal(err)
 			}
 		}

@@ -88,18 +88,81 @@ func (r Record) SeenIn(runID string) bool {
 	return i < len(r.RunIDs) && r.RunIDs[i] == runID
 }
 
+// TraceField picks how a record's JSON wire form shows its saved
+// trace.
+type TraceField uint8
+
+const (
+	// TracePathField emits the trace's path as "tracePath", omitted
+	// when the record has none (racedb export).
+	TracePathField TraceField = iota
+	// HasTraceField emits only whether a trace exists, as "hasTrace",
+	// always present: raced keeps paths server-side and serves the
+	// trace through /v1/replay.
+	HasTraceField
+)
+
+// RecordJSON is the JSON wire form of a Record, shared by racedb
+// export and raced's read API. Field order and omitempty are part of
+// the format; the race marshals through report.Race's own wire form.
+// Exactly one of TracePath and HasTrace is rendered, as the
+// TraceField given to Record.JSON says.
+type RecordJSON struct {
+	Key       string              `json:"key"`
+	Unit      string              `json:"unit"`
+	FirstSeen string              `json:"firstSeen"`
+	LastSeen  string              `json:"lastSeen"`
+	RunIDs    []string            `json:"runIds"`
+	Count     uint64              `json:"count"`
+	Category  taxonomy.Category   `json:"category,omitempty"`
+	Labels    []taxonomy.Category `json:"labels,omitempty"`
+	Detector  string              `json:"detector,omitempty"`
+	TracePath string              `json:"tracePath,omitempty"`
+	HasTrace  *bool               `json:"hasTrace,omitempty"`
+	Race      report.Race         `json:"race"`
+}
+
+// JSON returns the record's wire form, showing its saved trace as
+// trace says. The result shares RunIDs and Labels with r.
+func (r Record) JSON(trace TraceField) RecordJSON {
+	out := RecordJSON{
+		Key: r.Key, Unit: r.Unit,
+		FirstSeen: r.FirstSeen(), LastSeen: r.LastSeen(),
+		RunIDs: r.RunIDs, Count: r.Count,
+		Category: r.Category, Labels: r.Labels, Detector: r.Detector,
+		Race: r.Race,
+	}
+	if trace == HasTraceField {
+		has := r.TracePath != ""
+		out.HasTrace = &has
+	} else {
+		out.TracePath = r.TracePath
+	}
+	return out
+}
+
+// RecordsJSON converts recs with Record.JSON. The result is never nil,
+// so an empty list renders as [] rather than null.
+func RecordsJSON(recs []Record, trace TraceField) []RecordJSON {
+	out := make([]RecordJSON, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.JSON(trace)
+	}
+	return out
+}
+
 // RunInfo is one appended run (e.g. one nightly sweep): the store's
-// unit of history.
+// unit of history. It is also its own JSON wire form.
 type RunInfo struct {
 	// ID orders the run; ids compare as strings, so use forms that
 	// sort chronologically.
-	ID string
+	ID string `json:"id"`
 	// Label is free-form run metadata ("nightly", "ci-1234", ...).
-	Label string
+	Label string `json:"label,omitempty"`
 	// Executions counts program executions the run performed.
-	Executions int
+	Executions int `json:"executions"`
 	// Reports counts raw race reports the run observed (before dedup).
-	Reports int
+	Reports int `json:"reports"`
 }
 
 // Delta is the cross-run diff surfaced by nightly reports: defects

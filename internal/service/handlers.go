@@ -166,25 +166,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runJSON is the wire form of one recorded run.
-type runJSON struct {
-	ID         string `json:"id"`
-	Label      string `json:"label,omitempty"`
-	Executions int    `json:"executions"`
-	Reports    int    `json:"reports"`
-}
-
 // statsResponse is the /v1/stats payload: the corpus at a glance.
 type statsResponse struct {
-	Generation  uint64         `json:"generation"`
-	Store       string         `json:"store"`
-	Defects     int            `json:"defects"`
-	Recurring   int            `json:"recurring"`
-	Occurrences uint64         `json:"occurrences"`
-	Executions  int            `json:"executions"`
-	Reports     int            `json:"reports"`
-	Categories  map[string]int `json:"categories"`
-	RunHistory  []runJSON      `json:"runHistory"`
+	Generation  uint64           `json:"generation"`
+	Store       string           `json:"store"`
+	Defects     int              `json:"defects"`
+	Recurring   int              `json:"recurring"`
+	Occurrences uint64           `json:"occurrences"`
+	Executions  int              `json:"executions"`
+	Reports     int              `json:"reports"`
+	Categories  map[string]int   `json:"categories"`
+	RunHistory  []corpus.RunInfo `json:"runHistory"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -208,54 +200,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				resp.Categories[string(rec.Category)]++
 			}
 		}
-		for _, run := range v.Runs() {
+		runs := v.Runs()
+		for _, run := range runs {
 			resp.Executions += run.Executions
 			resp.Reports += run.Reports
-			resp.RunHistory = append(resp.RunHistory, runJSON{
-				ID: run.ID, Label: run.Label,
-				Executions: run.Executions, Reports: run.Reports,
-			})
+		}
+		if len(runs) > 0 {
+			// A store with no runs renders "runHistory": null.
+			resp.RunHistory = runs
 		}
 		return resp, 0, nil
 	})
 }
 
-// recordJSON is the wire form of one corpus record. TracePath stays
-// server-side; clients get HasTrace plus the /v1/replay endpoint.
-type recordJSON struct {
-	Key       string      `json:"key"`
-	Unit      string      `json:"unit"`
-	FirstSeen string      `json:"firstSeen"`
-	LastSeen  string      `json:"lastSeen"`
-	RunIDs    []string    `json:"runIds"`
-	Count     uint64      `json:"count"`
-	Category  string      `json:"category,omitempty"`
-	Labels    []string    `json:"labels,omitempty"`
-	Detector  string      `json:"detector,omitempty"`
-	HasTrace  bool        `json:"hasTrace"`
-	Race      report.Race `json:"race"`
-}
-
-func toRecordJSON(rec corpus.Record) recordJSON {
-	out := recordJSON{
-		Key: rec.Key, Unit: rec.Unit,
-		FirstSeen: rec.FirstSeen(), LastSeen: rec.LastSeen(),
-		RunIDs: rec.RunIDs, Count: rec.Count,
-		Category: string(rec.Category), Detector: rec.Detector,
-		HasTrace: rec.TracePath != "", Race: rec.Race,
-	}
-	for _, l := range rec.Labels {
-		out.Labels = append(out.Labels, string(l))
-	}
-	return out
-}
-
 // racesResponse is the /v1/races payload.
 type racesResponse struct {
-	Generation uint64       `json:"generation"`
-	Total      int          `json:"total"`
-	Returned   int          `json:"returned"`
-	Races      []recordJSON `json:"races"`
+	Generation uint64              `json:"generation"`
+	Total      int                 `json:"total"`
+	Returned   int                 `json:"returned"`
+	Races      []corpus.RecordJSON `json:"races"`
 }
 
 func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +243,7 @@ func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 			recs = v.Records()
 		}
 		unit, category, run := q.Get("unit"), q.Get("category"), q.Get("run")
-		resp := racesResponse{Generation: v.Generation(), Races: []recordJSON{}}
+		resp := racesResponse{Generation: v.Generation(), Races: []corpus.RecordJSON{}}
 		for _, rec := range recs {
 			if unit != "" && rec.Unit != unit {
 				continue
@@ -293,7 +256,7 @@ func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Total++
 			if limit == 0 || len(resp.Races) < limit {
-				resp.Races = append(resp.Races, toRecordJSON(rec))
+				resp.Races = append(resp.Races, rec.JSON(corpus.HasTraceField))
 			}
 		}
 		resp.Returned = len(resp.Races)
@@ -303,8 +266,8 @@ func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 
 // raceResponse is the /v1/races/{id} payload.
 type raceResponse struct {
-	Generation uint64     `json:"generation"`
-	Race       recordJSON `json:"race"`
+	Generation uint64            `json:"generation"`
+	Race       corpus.RecordJSON `json:"race"`
 }
 
 func (s *Server) handleRaceByKey(w http.ResponseWriter, r *http.Request) {
@@ -322,18 +285,18 @@ func (s *Server) handleRaceByKey(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("no defect %q at generation %d", key, v.Generation())
 		}
-		return raceResponse{Generation: v.Generation(), Race: toRecordJSON(rec)}, 0, nil
+		return raceResponse{Generation: v.Generation(), Race: rec.JSON(corpus.HasTraceField)}, 0, nil
 	})
 }
 
 // diffResponse is the /v1/diff payload.
 type diffResponse struct {
-	Generation uint64       `json:"generation"`
-	RunA       string       `json:"runA"`
-	RunB       string       `json:"runB"`
-	New        []recordJSON `json:"new"`
-	Resolved   []recordJSON `json:"resolved"`
-	Recurring  []recordJSON `json:"recurring"`
+	Generation uint64              `json:"generation"`
+	RunA       string              `json:"runA"`
+	RunB       string              `json:"runB"`
+	New        []corpus.RecordJSON `json:"new"`
+	Resolved   []corpus.RecordJSON `json:"resolved"`
+	Recurring  []corpus.RecordJSON `json:"recurring"`
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -350,20 +313,12 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, http.StatusNotFound, err
 		}
-		resp := diffResponse{
+		return diffResponse{
 			Generation: v.Generation(), RunA: a, RunB: b,
-			New: []recordJSON{}, Resolved: []recordJSON{}, Recurring: []recordJSON{},
-		}
-		for _, rec := range delta.New {
-			resp.New = append(resp.New, toRecordJSON(rec))
-		}
-		for _, rec := range delta.Resolved {
-			resp.Resolved = append(resp.Resolved, toRecordJSON(rec))
-		}
-		for _, rec := range delta.Recurring {
-			resp.Recurring = append(resp.Recurring, toRecordJSON(rec))
-		}
-		return resp, 0, nil
+			New:       corpus.RecordsJSON(delta.New, corpus.HasTraceField),
+			Resolved:  corpus.RecordsJSON(delta.Resolved, corpus.HasTraceField),
+			Recurring: corpus.RecordsJSON(delta.Recurring, corpus.HasTraceField),
+		}, 0, nil
 	})
 }
 
