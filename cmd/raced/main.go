@@ -68,12 +68,6 @@ import (
 	"gorace/internal/service"
 )
 
-// readHeaderTimeout bounds how long a client may take to send a
-// request's headers, so one that trickles them cannot hold a
-// connection and its goroutine indefinitely. Body reads, long ingest
-// streams included, are not bounded by it.
-const readHeaderTimeout = 10 * time.Second
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(2)
@@ -191,7 +185,7 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := svc.HTTPServer(*addr)
 	go func() {
 		if *worker {
 			logger.Printf("worker serving on %s, joining %s", *addr, *join)

@@ -45,6 +45,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gorace/internal/corpus"
 	"gorace/internal/monorepo"
@@ -194,6 +195,23 @@ func (s *Server) role() string {
 // Handler returns the service's HTTP handler (all /v1 endpoints plus
 // /healthz), already wrapped in logging and panic recovery.
 func (s *Server) Handler() http.Handler { return s.handler }
+
+// The connection timeouts raced serves with. readHeaderTimeout bounds
+// how long a client may take to send a request's headers, so one that
+// trickles them cannot hold a connection and its goroutine
+// indefinitely; idleTimeout closes a keep-alive connection that sends
+// no next request. Body reads, long ingest streams included, are not
+// bounded by either.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
+// HTTPServer returns the http.Server raced runs: Handler on addr, with
+// the header and idle timeouts above.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{Addr: addr, Handler: s.handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // View returns the currently published snapshot. Every read endpoint
 // derives its entire response from one View, which is what makes

@@ -745,6 +745,27 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: the http.Server raced runs bounds header
+// reads and closes idle keep-alive connections, and serves Handler.
+func TestHTTPServerTimeouts(t *testing.T) {
+	svc, _ := newTestServer(t, Config{Store: copyGoldenStore(t)})
+	srv := svc.HTTPServer("127.0.0.1:0")
+	if srv.Addr != "127.0.0.1:0" {
+		t.Errorf("Addr = %q", srv.Addr)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("GET /healthz through the server's handler: %d %s", rec.Code, rec.Body)
+	}
+}
+
 // TestFinishedJobRetention: the completed-job table is bounded like
 // every other buffer — oldest finished jobs are evicted and answer
 // 404 once the retention cap is exceeded.
