@@ -2,6 +2,7 @@ package gorace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -121,6 +122,16 @@ func TestBinariesBuildAndRun(t *testing.T) {
 	runOK(racedb, fmt.Sprintf("r1 -> r2: 0 new, 0 resolved, %d recurring", defects), "-db", db, "diff", "r1", "r2")
 	if got := len(lines(runOK(racedb, "", "-db", db, "export", "-format", "jsonl"))); got != defects {
 		t.Fatalf("racedb export -format jsonl printed %d lines, want %d", got, defects)
+	}
+	var exported []map[string]any
+	if err := json.Unmarshal([]byte(runOK(racedb, "", "-db", db, "export", "-format", "json")), &exported); err != nil || len(exported) != defects {
+		t.Fatalf("racedb export -format json: %v (%d records, want %d)", err, len(exported), defects)
+	}
+	var stderr bytes.Buffer
+	bad := exec.Command(racedb, "-db", db, "export", "-format", "xml")
+	bad.Stderr = &stderr
+	if err := bad.Run(); err == nil || !strings.Contains(stderr.String(), "json ") || !strings.Contains(stderr.String(), "jsonl") {
+		t.Fatalf("racedb export -format xml: %v, stderr %q (want a non-zero exit naming json and jsonl)", err, stderr.String())
 	}
 	runOK(racedb, "reproduced from its stored trace", "-db", db, "replay", strings.Fields(top[1])[0])
 	runOK(racedb, fmt.Sprintf("(%d defects, 2 runs)", defects), "-db", db, "compact")
