@@ -113,7 +113,7 @@ func readGolden(t testing.TB, name string, want []byte) []byte {
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run Golden -update ./internal/corpus` after a deliberate format change)", err)
+		t.Fatalf("%v (run `go test -run Golden ./internal/corpus -update` after a deliberate format change)", err)
 	}
 	return data
 }

@@ -39,7 +39,7 @@ func copyGoldenStore(t *testing.T) *corpus.Store {
 // renders a corpus record or run, over the golden store and over an
 // empty one. The store's temporary path is replaced by "<store>", the
 // one part of a body that differs between runs. Regenerate with
-// `go test -run ReadBodiesGolden -update ./internal/service` after a
+// `go test -run ReadBodiesGolden ./internal/service -update` after a
 // deliberate wire-format change.
 func TestReadBodiesGolden(t *testing.T) {
 	store := copyGoldenStore(t)
