@@ -25,6 +25,7 @@ type Chan[T any] struct {
 	sendObj, recvObj     trace.ObjID
 	slotObjs             []trace.ObjID
 	closeObj             trace.ObjID
+	closeLabel           string // the closeObj events' label, built once
 	sendCount, recvCount uint64
 	sendq                []*sendWaiter[T]
 	recvq                []*recvWaiter[T]
@@ -55,6 +56,8 @@ func NewChan[T any](g *G, name string, capacity int) *Chan[T] {
 		sendObj:  g.s.objFor(g),
 		recvObj:  g.s.objFor(g),
 		closeObj: g.s.objFor(g),
+
+		closeLabel: name + ".close",
 	}
 	for i := 0; i < capacity; i++ {
 		c.slotObjs = append(c.slotObjs, g.s.objFor(g))
@@ -122,7 +125,7 @@ func (c *Chan[T]) Close(g *G) {
 		c.s.fail(g, "close of closed channel %s", c.name)
 		return
 	}
-	c.s.emit(g, trace.Event{Op: trace.OpRelease, Obj: c.closeObj, Kind: trace.KindChan, Label: c.name + ".close"})
+	c.s.emit(g, trace.Event{Op: trace.OpRelease, Obj: c.closeObj, Kind: trace.KindChan, Label: c.closeLabel})
 	c.closed = true
 	// Complete every parked receiver with the zero value.
 	for _, w := range c.recvq {
@@ -179,7 +182,7 @@ func (c *Chan[T]) rendezvous(sender, receiver *G) {
 }
 
 func (c *Chan[T]) acquireClose(g *G) {
-	c.s.emit(g, trace.Event{Op: trace.OpAcquire, Obj: c.closeObj, Kind: trace.KindChan, Label: c.name + ".close"})
+	c.s.emit(g, trace.Event{Op: trace.OpAcquire, Obj: c.closeObj, Kind: trace.KindChan, Label: c.closeLabel})
 }
 
 // recvReady reports whether a receive would complete without blocking.

@@ -24,6 +24,8 @@ type Map[K comparable, V any] struct {
 	internal trace.Addr
 	keyAddrs map[K]trace.Addr
 	m        map[K]V
+	// The event labels, built once so an operation allocates none.
+	internalLabel, keyLabel string
 }
 
 // NewMap allocates a modeled map.
@@ -34,6 +36,9 @@ func NewMap[K comparable, V any](g *G, name string) *Map[K, V] {
 		internal: g.s.addrFor(g),
 		keyAddrs: make(map[K]trace.Addr),
 		m:        make(map[K]V),
+
+		internalLabel: name + "(internal)",
+		keyLabel:      name + "[key]",
 	}
 }
 
@@ -52,8 +57,8 @@ func (m *Map[K, V]) keyAddr(g *G, k K) trace.Addr {
 // Get models v, ok := m[k].
 func (m *Map[K, V]) Get(g *G, k K) (V, bool) {
 	g.point()
-	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.name + "(internal)"})
-	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.keyAddr(g, k), Label: m.name + "[key]"})
+	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.internalLabel})
+	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.keyAddr(g, k), Label: m.keyLabel})
 	v, ok := m.m[k]
 	return v, ok
 }
@@ -61,23 +66,23 @@ func (m *Map[K, V]) Get(g *G, k K) (V, bool) {
 // Put models m[k] = v: a write to the sparse structure and to the key.
 func (m *Map[K, V]) Put(g *G, k K, v V) {
 	g.point()
-	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.internal, Label: m.name + "(internal)"})
-	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.keyAddr(g, k), Label: m.name + "[key]"})
+	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.internal, Label: m.internalLabel})
+	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.keyAddr(g, k), Label: m.keyLabel})
 	m.m[k] = v
 }
 
 // Delete models delete(m, k).
 func (m *Map[K, V]) Delete(g *G, k K) {
 	g.point()
-	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.internal, Label: m.name + "(internal)"})
-	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.keyAddr(g, k), Label: m.name + "[key]"})
+	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.internal, Label: m.internalLabel})
+	m.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: m.keyAddr(g, k), Label: m.keyLabel})
 	delete(m.m, k)
 }
 
 // Len models len(m), a read of the shared structure.
 func (m *Map[K, V]) Len(g *G) int {
 	g.point()
-	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.name + "(internal)"})
+	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.internalLabel})
 	return len(m.m)
 }
 
@@ -89,7 +94,7 @@ func (m *Map[K, V]) Len(g *G) int {
 // replay exactly.
 func (m *Map[K, V]) Range(g *G, fn func(k K, v V) bool) {
 	for _, k := range m.Keys(g) {
-		m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.keyAddrs[k], Label: m.name + "[key]"})
+		m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.keyAddrs[k], Label: m.keyLabel})
 		if !fn(k, m.m[k]) {
 			return
 		}
@@ -103,7 +108,7 @@ func (m *Map[K, V]) Range(g *G, fn func(k K, v V) bool) {
 // `break`, `continue`, and `return` inside the loop body legal.
 func (m *Map[K, V]) Keys(g *G) []K {
 	g.point()
-	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.name + "(internal)"})
+	m.s.emit(g, trace.Event{Op: trace.OpRead, Addr: m.internal, Label: m.internalLabel})
 	keys := make([]K, 0, len(m.m))
 	for k := range m.m {
 		keys = append(keys, k)
@@ -134,11 +139,17 @@ type Slice[T any] struct {
 	meta      trace.Addr
 	elems     []T
 	elemAddrs []trace.Addr
+	// The event labels, built once so an operation allocates none.
+	metaLabel, elemLabel, newLabel, copyLabel string
 }
 
 // NewSlice allocates a modeled slice of the given initial length.
 func NewSlice[T any](g *G, name string, n int) *Slice[T] {
-	sl := &Slice[T]{s: g.s, name: name, meta: g.s.addrFor(g)}
+	sl := &Slice[T]{
+		s: g.s, name: name, meta: g.s.addrFor(g),
+		metaLabel: name + "(meta)", elemLabel: name + "[i]",
+		newLabel: name + "[new]", copyLabel: name + "(meta copy)",
+	}
 	for i := 0; i < n; i++ {
 		sl.elems = append(sl.elems, *new(T))
 		sl.elemAddrs = append(sl.elemAddrs, g.s.addrFor(g))
@@ -164,8 +175,8 @@ func (s *Slice[T]) Name() string { return s.name }
 // element.
 func (s *Slice[T]) Append(g *G, v T) {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta)"})
-	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.metaLabel})
+	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.meta, Label: s.metaLabel})
 	s.elems = append(s.elems, v)
 	// Reuse the cell of a previously truncated element (the real
 	// runtime reuses that memory too); allocate only past the
@@ -173,7 +184,7 @@ func (s *Slice[T]) Append(g *G, v T) {
 	if len(s.elemAddrs) < len(s.elems) {
 		s.elemAddrs = append(s.elemAddrs, s.s.addrFor(g))
 	}
-	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.elemAddrs[len(s.elems)-1], Label: s.name + "[new]"})
+	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.elemAddrs[len(s.elems)-1], Label: s.newLabel})
 }
 
 // Truncate models sl = sl[:n]: re-slicing reads and writes the header
@@ -181,12 +192,12 @@ func (s *Slice[T]) Append(g *G, v T) {
 // (`s = s[:len(s)-1]`) lower to this.
 func (s *Slice[T]) Truncate(g *G, n int) {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.metaLabel})
 	if n < 0 || n > len(s.elems) {
 		s.s.fail(g, "slice bounds out of range [:%d] with length %d on %s", n, len(s.elems), s.name)
 		return
 	}
-	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.meta, Label: s.metaLabel})
 	s.elems = s.elems[:n]
 }
 
@@ -195,10 +206,10 @@ func (s *Slice[T]) Truncate(g *G, n int) {
 // read, and a plain copy is returned.
 func (s *Slice[T]) Values(g *G) []T {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.metaLabel})
 	out := make([]T, len(s.elems))
 	for i := range s.elems {
-		s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.elemAddrs[i], Label: s.name + "[i]"})
+		s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.elemAddrs[i], Label: s.elemLabel})
 		out[i] = s.elems[i]
 	}
 	return out
@@ -208,31 +219,31 @@ func (s *Slice[T]) Values(g *G) []T {
 // element is read.
 func (s *Slice[T]) Get(g *G, i int) T {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.metaLabel})
 	if i < 0 || i >= len(s.elems) {
 		s.s.fail(g, "index out of range [%d] with length %d on %s", i, len(s.elems), s.name)
 		return *new(T)
 	}
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.elemAddrs[i], Label: s.name + "[i]"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.elemAddrs[i], Label: s.elemLabel})
 	return s.elems[i]
 }
 
 // Set models sl[i] = v.
 func (s *Slice[T]) Set(g *G, i int, v T) {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.metaLabel})
 	if i < 0 || i >= len(s.elems) {
 		s.s.fail(g, "index out of range [%d] with length %d on %s", i, len(s.elems), s.name)
 		return
 	}
-	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.elemAddrs[i], Label: s.name + "[i]"})
+	s.s.emit(g, trace.Event{Op: trace.OpWrite, Addr: s.elemAddrs[i], Label: s.elemLabel})
 	s.elems[i] = v
 }
 
 // Len models len(sl), a read of the header.
 func (s *Slice[T]) Len(g *G) int {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.metaLabel})
 	return len(s.elems)
 }
 
@@ -242,17 +253,17 @@ func (s *Slice[T]) Len(g *G) int {
 // appends even when every append is lock-protected.
 func (s *Slice[T]) Header(g *G) {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta copy)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.copyLabel})
 }
 
 // Range models `for i, v := range sl`: the header is read once (range
 // evaluates its operand once) and each element is read in order.
 func (s *Slice[T]) Range(g *G, fn func(i int, v T) bool) {
 	g.point()
-	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.name + "(meta)"})
+	s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.meta, Label: s.metaLabel})
 	n := len(s.elems)
 	for i := 0; i < n && i < len(s.elems); i++ {
-		s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.elemAddrs[i], Label: s.name + "[i]"})
+		s.s.emit(g, trace.Event{Op: trace.OpRead, Addr: s.elemAddrs[i], Label: s.elemLabel})
 		if !fn(i, s.elems[i]) {
 			return
 		}

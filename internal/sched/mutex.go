@@ -87,17 +87,18 @@ func (s *Scheduler) wakeAllBlocked() {
 // makes "mutating shared data under RLock" (Listing 11, Observation
 // 10) a detectable race.
 type RWMutex struct {
-	s       *Scheduler
-	id      trace.ObjID // write-side object
-	rid     trace.ObjID // read-release object
-	name    string
-	writer  *G
-	readers int
+	s            *Scheduler
+	id           trace.ObjID // write-side object
+	rid          trace.ObjID // read-release object
+	name         string
+	readersLabel string // the rid events' label, built once
+	writer       *G
+	readers      int
 }
 
 // NewRWMutex allocates a modeled reader-writer mutex.
 func NewRWMutex(g *G, name string) *RWMutex {
-	return &RWMutex{s: g.s, id: g.s.objFor(g), rid: g.s.objFor(g), name: name}
+	return &RWMutex{s: g.s, id: g.s.objFor(g), rid: g.s.objFor(g), name: name, readersLabel: name + ".readers"}
 }
 
 // ID exposes the write-side sync object identity.
@@ -106,7 +107,7 @@ func (m *RWMutex) ID() trace.ObjID { return m.id }
 // Clone models a by-value copy (a fresh, unrelated RWMutex).
 func (m *RWMutex) Clone(g *G) *RWMutex {
 	g.point()
-	return &RWMutex{s: m.s, id: m.s.objFor(g), rid: m.s.objFor(g), name: m.name + "(copy)"}
+	return NewRWMutex(g, m.name+"(copy)")
 }
 
 // Lock acquires the write lock.
@@ -117,7 +118,7 @@ func (m *RWMutex) Lock(g *G) {
 	}
 	m.writer = g
 	m.s.emit(g, trace.Event{Op: trace.OpAcquire, Obj: m.id, Kind: trace.KindMutex, Label: m.name})
-	m.s.emit(g, trace.Event{Op: trace.OpAcquire, Obj: m.rid, Kind: trace.KindInternal, Label: m.name + ".readers"})
+	m.s.emit(g, trace.Event{Op: trace.OpAcquire, Obj: m.rid, Kind: trace.KindInternal, Label: m.readersLabel})
 }
 
 // Unlock releases the write lock.
@@ -154,7 +155,7 @@ func (m *RWMutex) RUnlock(g *G) {
 	}
 	m.readers--
 	// HB: accumulate this reader's clock for the next writer.
-	m.s.emit(g, trace.Event{Op: trace.OpRelease, Obj: m.rid, Kind: trace.KindInternal, Label: m.name + ".readers"})
+	m.s.emit(g, trace.Event{Op: trace.OpRelease, Obj: m.rid, Kind: trace.KindInternal, Label: m.readersLabel})
 	// Lockset bookkeeping only: KindRWRead release carries no HB join.
 	m.s.emit(g, trace.Event{Op: trace.OpRelease, Obj: m.id, Kind: trace.KindRWRead, Label: m.name})
 	m.s.wakeAllBlocked()
