@@ -234,7 +234,9 @@ func main() {
 			if err := out.Trace.Save(f); err != nil {
 				fatal(err)
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
 			fmt.Fprintf(os.Stderr, "trace (%d events) written to %s\n", len(out.Trace.Events), *saveTrace)
 		}
 		if *jsonOut {
