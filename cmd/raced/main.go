@@ -10,7 +10,7 @@
 //
 //	raced -db corpus.db [-addr :8077] [-workers 2] [-queue 16]
 //	      [-parallel N] [-max-seeds 512] [-drain 30s] [-quiet]
-//	      [-ingest-streams 4] [-ingest-window 1024] [-ingest-ceiling 64]
+//	      [-ingest-streams 4] [-ingest-ceiling 64]
 //	      [-nightly-services 4] [-nightly-tests 4]
 //	      [-nightly-racy 0.4] [-nightly-seed 1]
 //
@@ -19,10 +19,10 @@
 // shards to joined workers; workers are store-less, execute shards,
 // and serve reads from snapshots replicated off the coordinator.
 //
-//	raced -db corpus.db -coordinator [-shard-runs 16] [-inflight 2]
-//	      [-heartbeat 2s] [-dead-after 10s]
+//	raced -db corpus.db -coordinator [-shard-runs 16] [-heartbeat 2s]
+//	      [-dead-after 10s]
 //	raced -worker -join http://coordinator:8077 [-advertise URL]
-//	      [-shard-parallel N] [-heartbeat 2s]
+//	      [-heartbeat 2s]
 //
 // Endpoints (see docs/SERVICE.md for schemas and examples):
 //
@@ -77,15 +77,14 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8077", "listen address")
 		db       = flag.String("db", "", "corpus store file (created if missing; required except with -worker)")
-		workers  = flag.Int("workers", 2, "concurrent campaign-job executors")
-		queue    = flag.Int("queue", 16, "pending-job queue bound (full queue answers 429)")
+		workers  = flag.Int("workers", 0, "concurrent campaign-job executors (default 2)")
+		queue    = flag.Int("queue", 0, "pending-job queue bound (default 16; a full queue answers 429)")
 		parallel = flag.Int("parallel", 0, "sweep workers per campaign (default GOMAXPROCS)")
-		maxSeeds = flag.Int("max-seeds", 512, "per-job seed cap")
+		maxSeeds = flag.Int("max-seeds", 0, "per-job seed cap (default 512)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight work")
 		quiet    = flag.Bool("quiet", false, "suppress per-request logging")
 
 		ingStreams = flag.Int("ingest-streams", 0, "concurrent /v1/ingest streams (default 4; past it: 429 + Retry-After)")
-		ingWindow  = flag.Int("ingest-window", 0, "per-goroutine retained-event window for ingests (0 = default 1024, <0 = none)")
 		ingCeiling = flag.Int("ingest-ceiling", 0, "shadow-memory ceiling per ingest stream in MiB (0 = unbounded; engages the paged detector)")
 
 		nSvc  = flag.Int("nightly-services", 4, "monorepo services for /v1/nightly runs")
@@ -98,10 +97,8 @@ func main() {
 		join        = flag.String("join", "", "coordinator base URL a -worker node joins")
 		advertise   = flag.String("advertise", "", "base URL this worker advertises to the coordinator (default derived from -addr)")
 		shardRuns   = flag.Int("shard-runs", 0, "seeds per dispatched shard on the coordinator (default 16)")
-		inflight    = flag.Int("inflight", 0, "concurrent shard dispatches per worker (default 2)")
 		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat period; on workers each beat also checks the replica's generation (default 2s)")
 		deadAfter   = flag.Duration("dead-after", 0, "heartbeat staleness after which the coordinator declares a worker dead (default 10s)")
-		shardPar    = flag.Int("shard-parallel", 0, "concurrent shard executions per worker (default GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -136,10 +133,9 @@ func main() {
 		var err error
 		svc, err = service.New(service.Config{
 			Worker: &service.WorkerConfig{
-				Coordinator:      *join,
-				Advertise:        adv,
-				ShardParallelism: *shardPar,
-				HeartbeatEvery:   *heartbeat,
+				Coordinator:    *join,
+				Advertise:      adv,
+				HeartbeatEvery: *heartbeat,
 			},
 			MaxSeeds: *maxSeeds,
 			Logger:   reqLogger,
@@ -167,14 +163,12 @@ func main() {
 			JobParallelism:   *parallel,
 			MaxSeeds:         *maxSeeds,
 			IngestStreams:    *ingStreams,
-			IngestWindow:     *ingWindow,
 			IngestCeilingMiB: *ingCeiling,
 			Logger:           reqLogger,
 		}
 		if *coordinator {
 			cfg.Cluster = &service.ClusterConfig{
 				ShardRuns:      *shardRuns,
-				MaxInflight:    *inflight,
 				HeartbeatEvery: *heartbeat,
 				DeadAfter:      *deadAfter,
 			}

@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"gorace/internal/monorepo"
 	"gorace/internal/pipeline"
@@ -50,6 +51,10 @@ func main() {
 		return
 	}
 
+	if *days < 1 {
+		fmt.Fprintln(os.Stderr, "racespy: -days must be at least 1")
+		os.Exit(2)
+	}
 	cfg := pipeline.DefaultConfig()
 	cfg.Days = *days
 	cfg.Seed = *seed

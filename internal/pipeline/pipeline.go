@@ -20,25 +20,17 @@ import (
 	"gorace/internal/taxonomy"
 )
 
-// Config parameterizes the simulation. Zero values take defaults from
-// DefaultConfig.
+// Config parameterizes the simulation. Start from DefaultConfig.
 type Config struct {
 	Days             int     // simulated days (default 180, ~6 months)
 	PreexistingRaces int     // races latent in the codebase at rollout
 	NewRacesPerDay   float64 // new races introduced by ongoing development
 	InitialRelease   int     // tasks filed in the first-day bulk release
-	RampPerDay       int     // max new tasks filed per day before the floodgate
 	FloodgateDay     int     // day all pending reports are released ("July")
 	ShepherdEndDay   int     // day the authors stop shepherding fixes
-	ShepherdFixRate  float64 // per-day fix probability per open task, shepherded
-	SteadyFixRate    float64 // per-day fix probability afterwards
-	MeanManifestP    float64 // mean per-run manifestation probability
-	TestDisabledP    float64 // chance a race's test is disabled on a given day
-	BatchPatchP      float64 // chance a patch fixes a second race of the same assignee
 	Engineers        int
 	Teams            int
 	Files            int
-	ChurnRate        float64
 	Seed             int64
 	// FixDifficulty scales the fix probability per race category
 	// (default: all 1.0). The paper observed that some categories
@@ -67,21 +59,25 @@ func DefaultConfig() Config {
 		PreexistingRaces: 1100,
 		NewRacesPerDay:   5.5,
 		InitialRelease:   500,
-		RampPerDay:       4,
 		FloodgateDay:     85,
 		ShepherdEndDay:   110,
-		ShepherdFixRate:  0.011,
-		SteadyFixRate:    0.0028,
-		MeanManifestP:    0.72,
-		TestDisabledP:    0.03,
-		BatchPatchP:      0.32,
 		Engineers:        250,
 		Teams:            24,
 		Files:            4000,
-		ChurnRate:        0.10,
 		Seed:             1,
 	}
 }
+
+// Calibration constants of the simulation, the same for every Config.
+const (
+	rampPerDay      = 4      // max new tasks filed per day before the floodgate
+	shepherdFixRate = 0.011  // per-day fix probability per open task, shepherded
+	steadyFixRate   = 0.0028 // per-day fix probability afterwards
+	meanManifestP   = 0.72   // mean per-run manifestation probability
+	testDisabledP   = 0.03   // chance a race's test is disabled on a given day
+	batchPatchP     = 0.32   // chance a patch fixes a second race of the same assignee
+	churnRate       = 0.10   // fraction of engineers who leave during the run
+)
 
 // raceState is one latent race in the simulated codebase.
 type raceState struct {
@@ -131,68 +127,10 @@ type Outcome struct {
 	CategoryMix map[taxonomy.Category]int
 }
 
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Days == 0 {
-		c.Days = d.Days
-	}
-	if c.PreexistingRaces == 0 {
-		c.PreexistingRaces = d.PreexistingRaces
-	}
-	if c.NewRacesPerDay == 0 {
-		c.NewRacesPerDay = d.NewRacesPerDay
-	}
-	if c.InitialRelease == 0 {
-		c.InitialRelease = d.InitialRelease
-	}
-	if c.RampPerDay == 0 {
-		c.RampPerDay = d.RampPerDay
-	}
-	if c.FloodgateDay == 0 {
-		c.FloodgateDay = d.FloodgateDay
-	}
-	if c.ShepherdEndDay == 0 {
-		c.ShepherdEndDay = d.ShepherdEndDay
-	}
-	if c.ShepherdFixRate == 0 {
-		c.ShepherdFixRate = d.ShepherdFixRate
-	}
-	if c.SteadyFixRate == 0 {
-		c.SteadyFixRate = d.SteadyFixRate
-	}
-	if c.MeanManifestP == 0 {
-		c.MeanManifestP = d.MeanManifestP
-	}
-	if c.TestDisabledP == 0 {
-		c.TestDisabledP = d.TestDisabledP
-	}
-	if c.BatchPatchP == 0 {
-		c.BatchPatchP = d.BatchPatchP
-	}
-	if c.Engineers == 0 {
-		c.Engineers = d.Engineers
-	}
-	if c.Teams == 0 {
-		c.Teams = d.Teams
-	}
-	if c.Files == 0 {
-		c.Files = d.Files
-	}
-	if c.ChurnRate == 0 {
-		c.ChurnRate = d.ChurnRate
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	return c
-}
-
 // Run executes the deployment simulation.
 func Run(cfg Config) *Outcome {
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	org := NewOrg(cfg.Engineers, cfg.Teams, cfg.Files, cfg.ChurnRate, cfg.Days, cfg.Seed+1)
+	org := NewOrg(cfg.Engineers, cfg.Teams, cfg.Files, churnRate, cfg.Days, cfg.Seed+1)
 
 	mix := categoryDistribution()
 	var races []*raceState
@@ -202,7 +140,7 @@ func Run(cfg Config) *Outcome {
 			cat:           sampleCategory(mix, rng),
 			hash:          fmt.Sprintf("h%08x", rng.Uint32()),
 			introducedDay: day,
-			manifestP:     clamp(cfg.MeanManifestP+rng.NormFloat64()*0.18, 0.15, 0.98),
+			manifestP:     clamp(meanManifestP+rng.NormFloat64()*0.18, 0.15, 0.98),
 			rootFileA:     org.RandomFile(),
 			rootFileB:     org.RandomFile(),
 			fixedDay:      -1,
@@ -242,7 +180,7 @@ func Run(cfg Config) *Outcome {
 			if r.fixedDay >= 0 {
 				continue
 			}
-			if rng.Float64() < cfg.TestDisabledP {
+			if rng.Float64() < testDisabledP {
 				continue // test disabled/skipped today
 			}
 			if rng.Float64() < r.manifestP {
@@ -252,7 +190,7 @@ func Run(cfg Config) *Outcome {
 		}
 
 		// 3. De-duplicate and file tasks, subject to the release ramp.
-		budget := cfg.RampPerDay
+		budget := rampPerDay
 		if day == 0 {
 			budget = cfg.InitialRelease
 		}
@@ -285,9 +223,9 @@ func Run(cfg Config) *Outcome {
 		}
 
 		// 4. Developers fix open tasks; shepherding boosts the rate.
-		fixRate := cfg.SteadyFixRate
+		fixRate := steadyFixRate
 		if day < cfg.ShepherdEndDay {
-			fixRate = cfg.ShepherdFixRate
+			fixRate = shepherdFixRate
 		}
 		fixedToday := 0
 		for _, r := range races {
@@ -314,7 +252,7 @@ func Run(cfg Config) *Outcome {
 			}
 			// Some patches fix a second race owned by the same
 			// engineer (790 patches closed 1011 races).
-			if rng.Float64() < cfg.BatchPatchP {
+			if rng.Float64() < batchPatchP {
 				for _, r2 := range races {
 					if r2.taskOpen && r2.fixedDay < 0 && r2.assignee == r.assignee {
 						r2.fixedDay = day

@@ -45,8 +45,8 @@ func Suite() ([]Keeper, error) {
 
 // Replay re-evaluates one keeper and returns its current verdict
 // signatures, for comparison against the committed ones. The config's
-// Seeds/BaseSeed/MaxSteps must match the values the keeper was
-// captured with (the defaults, unless the suite says otherwise).
+// Seeds and BaseSeed must match the values the keeper was captured
+// with (the defaults, unless the suite says otherwise).
 func Replay(cfg Config, k Keeper) (map[string]string, error) {
 	cfg = cfg.WithDefaults()
 	ev, err := cfg.evaluate(k.Spec)

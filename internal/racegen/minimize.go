@@ -13,7 +13,7 @@ import (
 // when probes run out is the keeper.
 func (c Config) minimize(ev *evaluation, fill map[taxonomy.Category]int) (*Keeper, error) {
 	primary := c.rarest(ev.categories, fill)
-	probes := c.MinProbes
+	probes := minProbes
 	interesting := func(spec progen.Spec) bool {
 		if probes <= 0 {
 			return false

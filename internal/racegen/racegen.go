@@ -53,13 +53,6 @@ type Config struct {
 	Seeds       int   // schedule seeds per unit (default 4)
 	BaseSeed    int64 // master seed for generation and schedules
 	Parallelism int   // sweep workers (default runtime-chosen)
-	MaxSteps    int   // per-run step budget (default 1<<16)
-	MinProbes   int   // minimizer probe budget per keeper (default 48)
-
-	// CategoryTarget is the per-category corpus fill target; races in
-	// categories below it earn the under-representation bonus
-	// (default 3).
-	CategoryTarget int
 
 	// Known seeds the category-fill scoring with the live corpus's
 	// current per-category counts, so generation steers toward what
@@ -73,6 +66,17 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
+const (
+	// maxSteps is the per-run step budget of every campaign, so the
+	// keepers' committed verdicts replay under it.
+	maxSteps = 1 << 16
+	// minProbes is the minimizer's re-evaluation budget per keeper.
+	minProbes = 48
+	// categoryTarget is the per-category corpus fill target; races in
+	// categories below it earn the under-representation bonus.
+	categoryTarget = 3
+)
+
 // WithDefaults returns c with each zero field set to its documented
 // default. Run applies it; callers that bound a run's work before
 // starting it (raced's job cap) read the defaults from it too.
@@ -85,15 +89,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Seeds == 0 {
 		c.Seeds = 4
-	}
-	if c.MaxSteps == 0 {
-		c.MaxSteps = 1 << 16
-	}
-	if c.MinProbes == 0 {
-		c.MinProbes = 48
-	}
-	if c.CategoryTarget == 0 {
-		c.CategoryTarget = 3
 	}
 	if c.RunID == "" {
 		c.RunID = "racegen"
@@ -186,7 +181,7 @@ func (c Config) evaluate(spec progen.Spec) (*evaluation, error) {
 				Strategy: strat,
 				BaseSeed: c.BaseSeed,
 				Runs:     c.Seeds,
-				MaxSteps: c.MaxSteps,
+				MaxSteps: maxSteps,
 				// Record the reference detector for coverage and
 				// classification; the rest only need verdicts.
 				Record: det == Detectors[0],
@@ -274,8 +269,8 @@ func (c Config) score(ev *evaluation, covered map[uint64]struct{}, fill map[taxo
 	s := novel + 40*ev.disagreements()
 	for _, cat := range ev.categories {
 		have := fill[cat] + c.Known[cat]
-		if have < c.CategoryTarget {
-			s += 80 * (c.CategoryTarget - have)
+		if have < categoryTarget {
+			s += 80 * (categoryTarget - have)
 		}
 	}
 	return s
@@ -386,7 +381,7 @@ func (c Config) fold(res *Result) error {
 			Strategy: Strategies[0],
 			BaseSeed: c.BaseSeed,
 			Runs:     c.Seeds,
-			MaxSteps: c.MaxSteps,
+			MaxSteps: maxSteps,
 			Record:   true,
 		})
 	}

@@ -26,18 +26,16 @@ import (
 	"time"
 
 	"gorace/internal/corpus"
+	"gorace/internal/sweep"
 )
 
 // ClusterConfig configures coordinator mode (Config.Cluster). The
 // zero value of every field selects a sensible default.
 type ClusterConfig struct {
-	// ShardRuns is the seed count per dispatched shard (default 16,
-	// matching the local engine). Any value yields identical campaign
+	// ShardRuns is the seed count per dispatched shard (default
+	// sweep.DefaultShardRuns, matching the local engine). Any value yields identical campaign
 	// results; it only tunes dispatch granularity.
 	ShardRuns int
-	// MaxInflight bounds concurrent shard dispatches per worker
-	// (default 2).
-	MaxInflight int
 	// HeartbeatEvery is the liveness watchdog cadence (default 2s).
 	HeartbeatEvery time.Duration
 	// DeadAfter is how stale a worker's last heartbeat may grow before
@@ -46,19 +44,23 @@ type ClusterConfig struct {
 	DeadAfter time.Duration
 }
 
-// shardTimeout bounds one shard dispatch end to end.
-const shardTimeout = 2 * time.Minute
+const (
+	// shardTimeout bounds one shard dispatch end to end.
+	shardTimeout = 2 * time.Minute
+	// maxInflight bounds concurrent shard dispatches per worker.
+	maxInflight = 2
+	// defaultHeartbeat is the coordinator's watchdog cadence and the
+	// worker's beat period when HeartbeatEvery is zero.
+	defaultHeartbeat = 2 * time.Second
+)
 
 // withDefaults fills zero fields with the documented defaults.
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.ShardRuns < 1 {
-		c.ShardRuns = 16
-	}
-	if c.MaxInflight < 1 {
-		c.MaxInflight = 2
+		c.ShardRuns = sweep.DefaultShardRuns
 	}
 	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 2 * time.Second
+		c.HeartbeatEvery = defaultHeartbeat
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 10 * time.Second

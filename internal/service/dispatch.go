@@ -14,7 +14,7 @@ package service
 // unit's sweep.UnitStat plus a binary corpus delta).
 //
 // Nodes are handed out through a token channel holding each campaign
-// node MaxInflight times. A dispatch that fails, or whose answer is
+// node maxInflight times. A dispatch that fails, or whose answer is
 // rejected, retires its node: the node's in-flight posts are
 // cancelled, its tokens are dropped as they surface, and the shard is
 // retried on another node. A heartbeat watchdog that lives as long as
@@ -87,7 +87,7 @@ type campaign struct {
 	index map[sweep.Shard]int // plan position, sent as ShardIdx
 	nodes map[string]*campaignNode
 
-	tokens  chan *campaignNode // each node MaxInflight times
+	tokens  chan *campaignNode // each node maxInflight times
 	allDead chan struct{}      // closed once no node is left
 
 	mu       sync.Mutex
@@ -114,7 +114,7 @@ func (c *cluster) campaignEngine(runID string, spec JobSpec, units []sweep.Unit)
 		c: c, runID: runID, spec: spec, units: units,
 		index:   make(map[sweep.Shard]int),
 		nodes:   make(map[string]*campaignNode, len(urls)),
-		tokens:  make(chan *campaignNode, len(urls)*c.cfg.MaxInflight),
+		tokens:  make(chan *campaignNode, len(urls)*maxInflight),
 		allDead: make(chan struct{}),
 		live:    len(urls),
 	}
@@ -125,7 +125,7 @@ func (c *cluster) campaignEngine(runID string, spec JobSpec, units []sweep.Unit)
 		ctx, cancel := context.WithCancel(context.Background())
 		n := &campaignNode{url: u, ctx: ctx, cancel: cancel}
 		cp.nodes[u] = n
-		for k := 0; k < c.cfg.MaxInflight; k++ {
+		for k := 0; k < maxInflight; k++ {
 			cp.tokens <- n
 		}
 	}
@@ -148,7 +148,7 @@ func (c *cluster) campaignEngine(runID string, spec JobSpec, units []sweep.Unit)
 		}
 	}
 	engine := sweep.New(
-		sweep.WithParallelism(len(urls)*c.cfg.MaxInflight),
+		sweep.WithParallelism(len(urls)*maxInflight),
 		sweep.WithShardRuns(c.cfg.ShardRuns),
 		sweep.WithExec(cp.exec),
 	)

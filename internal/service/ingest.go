@@ -98,7 +98,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ing, err := stream.NewIngestor(stream.Config{
 		Detector:      q.Get("detector"),
 		MemCeilingMiB: s.cfg.IngestCeilingMiB,
-		Window:        s.cfg.IngestWindow,
 		Unit:          q.Get("unit"),
 		Seed:          seed,
 		Collector:     coll,

@@ -89,10 +89,6 @@ type Config struct {
 	// IngestStreams bounds concurrent POST /v1/ingest streams
 	// (default 4). Excess requests answer 429 + Retry-After.
 	IngestStreams int
-	// IngestWindow is the per-goroutine recent-event retention for
-	// ingested streams (default stream.DefaultWindow; negative
-	// disables trace retention).
-	IngestWindow int
 	// IngestCeilingMiB bounds each ingest's detector shadow memory in
 	// MiB (default 0 = unbounded). Under a ceiling the detector's
 	// shadow pages are evicted least-recently-touched first, in the

@@ -36,9 +36,6 @@ type WorkerConfig struct {
 	// Required by StartWorker; tests that drive joins themselves may
 	// leave it empty.
 	Advertise string
-	// ShardParallelism bounds concurrent shard executions (default
-	// GOMAXPROCS).
-	ShardParallelism int
 	// HeartbeatEvery is the period of StartWorker's loop (default 2s):
 	// one liveness beat, plus a replica pull when the beat shows a
 	// generation the replica does not serve.
@@ -47,11 +44,8 @@ type WorkerConfig struct {
 
 // withDefaults fills zero fields with the documented defaults.
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.ShardParallelism < 1 {
-		c.ShardParallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 2 * time.Second
+		c.HeartbeatEvery = defaultHeartbeat
 	}
 	return c
 }
@@ -76,7 +70,7 @@ func newWorkerRuntime(cfg WorkerConfig) *workerRuntime {
 			MaxIdleConnsPerHost: 4,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		sem:   make(chan struct{}, cfg.ShardParallelism),
+		sem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 		cache: sweep.NewWorkerCache(),
 	}
 }

@@ -80,10 +80,9 @@ type Config struct {
 	// trace hints. Without a Collector nothing is folded, so no window
 	// is kept whatever Window says.
 	Window int
-	// Unit and UnitIdx attribute folded defects within the Collector
-	// (Unit defaults to "stream").
-	Unit    string
-	UnitIdx int
+	// Unit attributes folded defects within the Collector (default
+	// "stream").
+	Unit string
 	// Seed is recorded as the defining seed of folded defects; for
 	// ingested production streams it is an opaque stream id.
 	Seed int64
@@ -364,6 +363,6 @@ func (in *Ingestor) foldNew(res *Result, n int) {
 		unit = "stream"
 	}
 	res.NewDefects += in.cfg.Collector.FoldWindow(
-		in.cfg.UnitIdx, unit, in.detName, in.cfg.Seed, races, in.win)
+		0, unit, in.detName, in.cfg.Seed, races, in.win)
 	in.folded = n
 }

@@ -154,8 +154,12 @@ func WithParallelism(n int) Option {
 	return func(e *Engine) { e.parallelism = n }
 }
 
+// DefaultShardRuns is the target runs per shard when neither
+// WithShardRuns nor raced's -shard-runs sets one.
+const DefaultShardRuns = 16
+
 // WithShardRuns sets the target runs per shard when splitting a
-// unit's seed range (default 16). Smaller shards spread one big unit
+// unit's seed range (default DefaultShardRuns). Smaller shards spread one big unit
 // across more workers; larger shards amortize more state recycling.
 func WithShardRuns(n int) Option {
 	return func(e *Engine) { e.shardRuns = n }
@@ -172,7 +176,7 @@ func WithExec(x Exec) Option {
 
 // New builds an Engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{parallelism: runtime.GOMAXPROCS(0), shardRuns: 16}
+	e := &Engine{parallelism: runtime.GOMAXPROCS(0), shardRuns: DefaultShardRuns}
 	for _, opt := range opts {
 		opt(e)
 	}

@@ -19,8 +19,11 @@
 // command is added or removed. Flags are covered too: every flag a
 // command registers (package-level flag.String/Bool/... calls) must
 // appear backticked (`-name`) inside that command's section, so a new
-// flag cannot ship undocumented. Subcommand flag.NewFlagSet flags are
-// out of scope — they are documented per-subcommand.
+// flag cannot ship undocumented; and every backticked flag in the first
+// cell of a table row in that section must be one the command
+// registers, so a deleted flag's row cannot linger. Subcommand
+// flag.NewFlagSet flags are out of scope — they are documented
+// per-subcommand.
 //
 // With -detdoc, doccheck cross-checks the detector design reference
 // the same way: every detector name in -detsrc (the string keys of its
@@ -263,8 +266,9 @@ func checkFile(fset *token.FileSet, f *ast.File, exportedTypes map[string]bool) 
 // checkCLIDoc cross-checks the CLI reference against the command
 // tree: every command directory needs a "## <name>" section and a
 // table row linking to it, every "## <name>" heading must name a
-// command that still exists, and every flag a command registers must
-// appear backticked in that command's section.
+// command that still exists, every flag a command registers must
+// appear backticked in that command's section, and every flag a table
+// row's first cell names must be registered.
 func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 	entries, err := os.ReadDir(cmdRoot)
 	if err != nil {
@@ -289,13 +293,16 @@ func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 	}
 	sections := map[string]*strings.Builder{}
 	sectionLine := map[string]int{}
+	flagRows := map[string][]flagRow{}
 	tableRows := map[string]bool{}
+	section := ""
 	var current *strings.Builder
 	var out []violation
 	for i, line := range strings.Split(string(data), "\n") {
 		if name, ok := strings.CutPrefix(line, "## "); ok {
 			name = strings.TrimSpace(name)
 			current = &strings.Builder{}
+			section = name
 			sections[name] = current
 			sectionLine[name] = i + 1
 			if !commands[name] {
@@ -309,6 +316,9 @@ func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 		if current != nil {
 			current.WriteString(line)
 			current.WriteByte('\n')
+			if cells := strings.Split(line, "|"); len(cells) > 2 && strings.TrimSpace(cells[0]) == "" {
+				flagRows[section] = append(flagRows[section], flagRow{line: i + 1, flags: backtickedFlags(cells[1])})
+			}
 		}
 		// Command-table rows look like "| [name](#name) | ... |".
 		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "| ["); ok {
@@ -343,7 +353,9 @@ func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 		if err != nil {
 			return nil, err
 		}
+		registered := map[string]bool{}
 		for _, fl := range flags {
+			registered[fl] = true
 			if !flagDocumented(body.String(), fl) {
 				out = append(out, violation{
 					pos:  token.Position{Filename: docPath, Line: sectionLine[name]},
@@ -351,8 +363,45 @@ func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 				})
 			}
 		}
+		for _, row := range flagRows[name] {
+			for _, fl := range row.flags {
+				if !registered[fl] {
+					out = append(out, violation{
+						pos:  token.Position{Filename: docPath, Line: row.line},
+						what: fmt.Sprintf("table row names -%s, which %s/%s does not register", fl, cmdRoot, name),
+					})
+				}
+			}
+		}
 	}
 	return out, nil
+}
+
+// flagRow is a table row of a command's section: its line and the
+// flags its first cell names.
+type flagRow struct {
+	line  int
+	flags []string
+}
+
+// backtickedFlags returns the names of the flags a table cell names
+// backticked: each "`-name" run of flag-name characters.
+func backtickedFlags(cell string) []string {
+	var names []string
+	for rest := cell; ; {
+		_, after, ok := strings.Cut(rest, "`-")
+		if !ok {
+			return names
+		}
+		n := 0
+		for n < len(after) && isFlagNameChar(after[n]) {
+			n++
+		}
+		if n > 0 {
+			names = append(names, after[:n])
+		}
+		rest = after[n:]
+	}
 }
 
 // flagRegistrars are the package-level flag constructors whose first
