@@ -33,8 +33,9 @@ import (
 // zero value of every field selects a sensible default.
 type ClusterConfig struct {
 	// ShardRuns is the seed count per dispatched shard (default
-	// sweep.DefaultShardRuns, matching the local engine). Any value yields identical campaign
-	// results; it only tunes dispatch granularity.
+	// sweep.DefaultShardRuns, matching the local engine). Any value
+	// yields identical campaign results; it only tunes dispatch
+	// granularity.
 	ShardRuns int
 	// HeartbeatEvery is the liveness watchdog cadence (default 2s).
 	HeartbeatEvery time.Duration

@@ -159,8 +159,9 @@ func WithParallelism(n int) Option {
 const DefaultShardRuns = 16
 
 // WithShardRuns sets the target runs per shard when splitting a
-// unit's seed range (default DefaultShardRuns). Smaller shards spread one big unit
-// across more workers; larger shards amortize more state recycling.
+// unit's seed range (default DefaultShardRuns). Smaller shards spread
+// one big unit across more workers; larger shards amortize more state
+// recycling.
 func WithShardRuns(n int) Option {
 	return func(e *Engine) { e.shardRuns = n }
 }

@@ -124,7 +124,7 @@ func main() {
 		fmt.Printf("%s: %s\n", v.pos, v.what)
 	}
 	if len(violations) > 0 {
-		fmt.Printf("doccheck: %d undocumented identifier(s)\n", len(violations))
+		fmt.Printf("doccheck: %d problem(s)\n", len(violations))
 		os.Exit(1)
 	}
 	fmt.Println("doccheck: all packages and exported identifiers documented")
