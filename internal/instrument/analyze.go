@@ -282,27 +282,37 @@ func (an *analysis) recvTypeName(m *ast.FuncDecl) *types.TypeName {
 	return nil
 }
 
-// syncKind classifies sync package types, or kPlain.
+// syncTypes names the sched type that models each sync kind. The
+// generated program holds every sync value as a pointer to one, made
+// by sched.New<name>.
+var syncTypes = map[varKind]string{kMutex: "Mutex", kRW: "RWMutex", kWG: "WaitGroup", kOnce: "Once"}
+
+// syncKind classifies a sync package type or a pointer to one; any
+// other type is kPlain.
 func syncKind(t types.Type) varKind {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
 	named, ok := t.(*types.Named)
-	if !ok {
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 		return kPlain
 	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return kPlain
-	}
-	switch obj.Name() {
-	case "Mutex":
-		return kMutex
-	case "RWMutex":
-		return kRW
-	case "WaitGroup":
-		return kWG
-	case "Once":
-		return kOnce
+	for k, name := range syncTypes {
+		if name == named.Obj().Name() {
+			return k
+		}
 	}
 	return kPlain
+}
+
+// declKind is the kind a declaration of a variable of type t builds.
+// A pointer to a sync value aliases a primitive made elsewhere, so it
+// is declared like a plain variable.
+func declKind(kind varKind, t types.Type) varKind {
+	if _, ptr := t.(*types.Pointer); ptr && syncTypes[kind] != "" {
+		return kPlain
+	}
+	return kind
 }
 
 // kindForType maps a variable's type (plus its sharedness) to its
@@ -329,27 +339,37 @@ func kindForType(t types.Type, shared bool) varKind {
 	return kCell
 }
 
-// assignKinds computes each variable's kind, then upgrades sync/atomic
-// targets to kAtomic by scanning atomic.* call sites.
+// assignKinds computes each variable's kind and upgrades sync/atomic
+// targets, variables and cellified fields alike, to kAtomic by
+// scanning atomic.* call sites.
 func (an *analysis) assignKinds() {
-	collect := func(id *ast.Ident) {
-		if v, ok := an.info.Defs[id].(*types.Var); ok && !v.IsField() {
-			an.kinds[v] = kindForType(v.Type(), an.shared[v])
-		}
-	}
 	for _, f := range an.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				collect(n)
+				// A use as an atomic target may precede the declaration.
+				if v, ok := an.info.Defs[n].(*types.Var); ok && !v.IsField() && an.kinds[v] != kAtomic {
+					an.kinds[v] = kindForType(v.Type(), an.shared[v])
+				}
 			case *ast.CallExpr:
-				if pkgSel(an.info, n, "atomic") != "" && len(n.Args) > 0 {
-					if u, ok := n.Args[0].(*ast.UnaryExpr); ok && u.Op == token.AND {
-						if id, ok := u.X.(*ast.Ident); ok {
-							if v, ok := an.info.Uses[id].(*types.Var); ok {
-								an.shared[v] = true
-								an.kinds[v] = kAtomic
-							}
+				if pkgSel(an.info, n, "atomic") == "" || len(n.Args) == 0 {
+					break
+				}
+				u, ok := n.Args[0].(*ast.UnaryExpr)
+				if !ok || u.Op != token.AND {
+					break
+				}
+				switch x := u.X.(type) {
+				case *ast.Ident:
+					if v, ok := an.info.Uses[x].(*types.Var); ok {
+						an.shared[v] = true
+						an.kinds[v] = kAtomic
+					}
+				case *ast.SelectorExpr:
+					// A field of a cellified struct becomes its own atomic.
+					if s, ok := an.info.Selections[x]; ok && s.Kind() == types.FieldVal {
+						if si := an.cellStructOf(s.Recv()); si != nil {
+							si.kinds[x.Sel.Name] = kAtomic
 						}
 					}
 				}

@@ -38,7 +38,7 @@ func (em *emitter) callExpr(call *ast.CallExpr) string {
 				return pn.Imported().Name() + "." + fun.Sel.Name + "(" + em.argList(call) + ")"
 			}
 		}
-		if k := em.exprKind(fun.X); k == kMutex || k == kRW || k == kWG || k == kOnce {
+		if k := syncKind(em.an.info.TypeOf(fun.X)); k != kPlain {
 			return em.syncMethodCall(k, fun, call)
 		}
 		if k := em.exprKind(fun.X); k == kChan || k == kMap || k == kSlice {
@@ -105,7 +105,7 @@ func (em *emitter) liftedCall(fun *ast.SelectorExpr, f *types.Func, call *ast.Ca
 
 // syncMethodCall maps sync primitive methods onto sched equivalents.
 func (em *emitter) syncMethodCall(k varKind, fun *ast.SelectorExpr, call *ast.CallExpr) string {
-	holder := em.baseObjExpr(fun.X)
+	holder := em.exprStr(fun.X)
 	m := fun.Sel.Name
 	bad := func() string {
 		em.fail(call.Pos(), "unsupported sync method %s", m)
@@ -147,7 +147,10 @@ func (em *emitter) atomicCall(name string, call *ast.CallExpr) string {
 	if !ok || u.Op != token.AND {
 		em.fail(call.Pos(), "atomic.%s requires an explicit &variable argument", name)
 	}
-	holder := em.cellHolder(u.X)
+	holder := em.baseObj(u.X)
+	if holder == "" {
+		em.fail(u.Pos(), "unsupported atomic target")
+	}
 	switch name {
 	case "LoadInt64":
 		return holder + ".Load(g)"
@@ -159,21 +162,6 @@ func (em *emitter) atomicCall(name string, call *ast.CallExpr) string {
 		return holder + ".CompareAndSwap(g, " + em.exprStr(call.Args[1]) + ", " + em.exprStr(call.Args[2]) + ")"
 	}
 	em.fail(call.Pos(), "unsupported atomic operation %s (only the Int64 family is modeled)", name)
-	return ""
-}
-
-// cellHolder renders the holder expression for a cell-backed variable
-// or field (no Load).
-func (em *emitter) cellHolder(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		if _, cell := em.cellField(x); cell {
-			return em.exprStr(x.X) + "." + x.Sel.Name
-		}
-	}
-	em.fail(e.Pos(), "unsupported atomic target")
 	return ""
 }
 
@@ -215,7 +203,7 @@ func (em *emitter) builtinCall(fun *ast.Ident, call *ast.CallExpr) string {
 		}
 	case "new":
 		t := em.an.info.Types[call.Args[0]].Type
-		if si := em.cellStructOf(t); si != nil {
+		if si := em.an.cellStructOf(t); si != nil {
 			return em.cellStructLit(&ast.CompositeLit{}, si)
 		}
 	}

@@ -22,7 +22,7 @@ func (em *emitter) loopBind(e ast.Expr) func(tmp string) {
 		return func(string) {}
 	}
 	v := em.an.varOf(id)
-	switch em.an.kinds[v] {
+	switch declKind(em.an.kinds[v], v.Type()) {
 	case kPlain:
 		return func(tmp string) {
 			em.line("%s := %s", id.Name, tmp)
@@ -137,7 +137,7 @@ func (em *emitter) switchStmt(s *ast.SwitchStmt) {
 			em.stmt(s.Init)
 		}
 		if s.Tag != nil {
-			em.hoistInner(s.Tag, false)
+			em.hoistInner(s.Tag)
 		}
 	}
 	hdr := "switch"

@@ -294,7 +294,7 @@ func (em *emitter) paramList(sig *types.Signature) []string {
 	n := sig.Params().Len()
 	for i := 0; i < n; i++ {
 		p := sig.Params().At(i)
-		pname := p.Name()
+		pname := em.paramName(p)
 		if pname == "" || pname == "_" {
 			pname = fmt.Sprintf("_p%d", i)
 		}
@@ -341,20 +341,31 @@ func (em *emitter) namedResults(sig *types.Signature) []resultVar {
 	return out
 }
 
-// emitSharedParamPrologue shadows captured parameters with cells, so
+// emitSharedParamPrologue declares captured parameters as holders, so
 // goroutine closures share them through the model.
 func (em *emitter) emitSharedParamPrologue(sig *types.Signature) {
 	for i := 0; i < sig.Params().Len(); i++ {
 		p := sig.Params().At(i)
-		em.promoteLocal(p, p.Name(), p.Name())
+		em.promoteLocal(p, p.Name(), em.paramName(p))
 	}
+}
+
+// paramName is the name parameter p takes in a generated signature. A
+// body cannot redeclare its own parameter, so one that the prologue
+// promotes to a holder is renamed, and the holder takes its name.
+func (em *emitter) paramName(p *types.Var) string {
+	switch em.an.kinds[p] {
+	case kCell, kSlice, kAtomic, kMap:
+		return "_" + p.Name()
+	}
+	return p.Name()
 }
 
 // emitNamedResultPrologue declares named result variables as locals
 // (cells when shared — the captured-named-return shape).
 func (em *emitter) emitNamedResultPrologue() {
 	for _, r := range em.curResults {
-		switch r.kind {
+		switch declKind(r.kind, r.v.Type()) {
 		case kPlain:
 			em.line("var %s %s", r.name, em.goType(r.v.Type()))
 		case kCell:
@@ -366,9 +377,10 @@ func (em *emitter) emitNamedResultPrologue() {
 	}
 }
 
-// promoteLocal shadows a plain local/parameter with its cell
-// representation when the analysis marked it shared. from is the
-// expression holding the plain value.
+// promoteLocal declares name as v's generated representation,
+// initialized from from, the expression holding its plain Go value: a
+// holder when the analysis marked v shared, else a plain variable
+// (nothing when name is already from).
 func (em *emitter) promoteLocal(v *types.Var, name, from string) {
 	if name == "" || name == "_" {
 		return
@@ -393,6 +405,10 @@ func (em *emitter) promoteLocal(v *types.Var, name, from string) {
 		em.line("\t%s.Put(g, %s, %s)", t, k, val)
 		em.line("}")
 		em.line("%s := %s", name, t)
+	default:
+		if name != from {
+			em.line("%s := %s", name, from)
+		}
 	}
 }
 

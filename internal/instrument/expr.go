@@ -113,7 +113,7 @@ func (em *emitter) addrOf(u *ast.UnaryExpr) string {
 		}
 		return "&" + em.exprStr(x)
 	case *ast.CompositeLit:
-		if si := em.cellStructOf(em.an.info.Types[x].Type); si != nil {
+		if si := em.an.cellStructOf(em.an.info.Types[x].Type); si != nil {
 			return em.cellStructLit(x, si)
 		}
 		return "&" + em.compositeLit(x)
@@ -154,7 +154,7 @@ func (em *emitter) selectorExpr(sel *ast.SelectorExpr) string {
 
 // compositeLit renders a composite literal with rewritten elements.
 func (em *emitter) compositeLit(cl *ast.CompositeLit) string {
-	if si := em.cellStructOf(em.an.info.Types[cl].Type); si != nil {
+	if si := em.an.cellStructOf(em.an.info.Types[cl].Type); si != nil {
 		em.fail(cl.Pos(), "cellified struct %s must be constructed as &%s{...}", si.name, si.name)
 	}
 	if !em.interesting(cl) {
@@ -192,7 +192,7 @@ func (em *emitter) cellStructLit(cl *ast.CompositeLit, si *structInfo) string {
 		cellName := si.name + "." + fname
 		init, has := vals[fname]
 		var s string
-		switch si.kinds[fname] {
+		switch k := declKind(si.kinds[fname], fv.Type()); k {
 		case kPlain:
 			if !has {
 				continue
@@ -219,14 +219,8 @@ func (em *emitter) cellStructLit(cl *ast.CompositeLit, si *structInfo) string {
 				em.fail(init.Pos(), "map field initializer in cellified struct literal unsupported")
 			}
 			s = fmt.Sprintf("sched.NewMap[%s, %s](g, %q)", em.goType(mt.Key()), em.goType(mt.Elem()), cellName)
-		case kMutex:
-			s = fmt.Sprintf("sched.NewMutex(g, %q)", cellName)
-		case kRW:
-			s = fmt.Sprintf("sched.NewRWMutex(g, %q)", cellName)
-		case kWG:
-			s = fmt.Sprintf("sched.NewWaitGroup(g, %q)", cellName)
-		case kOnce:
-			s = fmt.Sprintf("sched.NewOnce(g, %q)", cellName)
+		case kMutex, kRW, kWG, kOnce:
+			s = fmt.Sprintf("sched.New%s(g, %q)", syncTypes[k], cellName)
 		case kChan:
 			if has {
 				em.fail(init.Pos(), "channel field initializer in cellified struct literal unsupported; make it in code")
@@ -248,12 +242,7 @@ func (em *emitter) renderFuncLit(lit *ast.FuncLit) string {
 	em.buf = bytes.Buffer{}
 	em.buf.WriteString(header + " {\n")
 	em.ind++
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if p.Name() != "" && p.Name() != "_" {
-			em.promoteLocal(p, p.Name(), p.Name())
-		}
-	}
+	em.emitSharedParamPrologue(sig)
 	savedResults := em.curResults
 	em.curResults = nil
 	em.stmtList(lit.Body.List)
@@ -277,7 +266,7 @@ func (em *emitter) litHeader(lit *ast.FuncLit, sig *types.Signature) string {
 		}
 		for j := 0; j < n; j++ {
 			p := sig.Params().At(i)
-			name := p.Name()
+			name := em.paramName(p)
 			if name == "" {
 				name = "_"
 			}
@@ -296,7 +285,7 @@ func (em *emitter) litHeader(lit *ast.FuncLit, sig *types.Signature) string {
 		for i := 0; i < n; i++ {
 			rv := sig.Results().At(i)
 			if named {
-				if em.an.kinds[rv] != kPlain {
+				if declKind(em.an.kinds[rv], rv.Type()) != kPlain {
 					em.fail(lit.Pos(), "captured named result %s in function literal unsupported", rv.Name())
 				}
 				parts = append(parts, rv.Name()+" "+em.goType(rv.Type()))

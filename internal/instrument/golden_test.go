@@ -2,6 +2,12 @@ package instrument
 
 import (
 	"flag"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,9 +32,15 @@ var goldenCases = []struct {
 	{name: "coalesce_on", src: "coalesce.go", prog: "CoalesceOn", coalesce: true},
 	{name: "collections", src: "collections.go", prog: "Collections"},
 	{name: "structs", src: "structs.go", prog: "Structs"},
+	{name: "lvalues", src: "lvalues.go", prog: "LValues"},
 }
 
+// TestGolden pins each fixture's generated source byte-for-byte and
+// type-checks it against gorace/internal/sched, so an accepted program
+// that would not compile fails here rather than in internal/progs.
 func TestGolden(t *testing.T) {
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			src, err := os.ReadFile(filepath.Join("testdata", "src", tc.src))
@@ -40,6 +52,9 @@ func TestGolden(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("instrument %s: %v", tc.src, err)
+			}
+			if err := typeCheck(fset, imp, tc.name+".go", out.Source); err != nil {
+				t.Errorf("generated source does not type-check: %v\n%s", err, out.Source)
 			}
 			goldenPath := filepath.Join("testdata", "golden", tc.name+".go")
 			if *update {
@@ -57,6 +72,21 @@ func TestGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// typeCheck type-checks one generated file, reporting every error.
+func typeCheck(fset *token.FileSet, imp types.Importer, name string, src []byte) error {
+	f, err := parser.ParseFile(fset, name, src, 0)
+	if err != nil {
+		return err
+	}
+	var errs []string
+	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err.Error()) }}
+	conf.Check("progs", fset, []*ast.File{f}, nil)
+	if len(errs) > 0 {
+		return fmt.Errorf("%s", strings.Join(errs, "\n"))
+	}
+	return nil
 }
 
 // TestGoldenDeterministic pins byte-identical output across repeated

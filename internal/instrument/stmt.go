@@ -32,12 +32,12 @@ func (em *emitter) stmt(s ast.Stmt) {
 	case *ast.DeclStmt:
 		em.declStmt(s)
 	case *ast.IncDecStmt:
-		em.incDec(s)
+		em.update(s.X, s.Tok, nil)
 	case *ast.ExprStmt:
 		em.exprStmt(s)
 	case *ast.SendStmt:
-		em.hoistInner(s.Chan, false)
-		em.hoistInner(s.Value, false)
+		em.hoistInner(s.Chan)
+		em.hoistInner(s.Value)
 		em.line("%s.Send(g, %s)", em.exprStr(s.Chan), em.exprStr(s.Value))
 	case *ast.GoStmt:
 		em.goStmt(s)
@@ -71,20 +71,31 @@ func (em *emitter) stmt(s ast.Stmt) {
 // exprStmt emits a top-level expression statement.
 func (em *emitter) exprStmt(s *ast.ExprStmt) {
 	if u, ok := s.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-		em.hoistInner(u.X, false)
+		em.hoistInner(u.X)
 		em.line("%s.Recv(g)", em.exprStr(u.X))
 		return
 	}
-	em.hoistInner(s.X, true)
+	em.hoistInner(s.X)
 	em.line("%s", em.exprStr(s.X))
 }
 
 // assign emits an assignment, dispatching over the supported shapes.
 func (em *emitter) assign(s *ast.AssignStmt) {
-	// v := <-ch / v, ok := <-ch
+	// Compound ops: x op= e.
+	if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
+		em.update(s.Lhs[0], s.Tok, s.Rhs[0])
+		return
+	}
 	if len(s.Rhs) == 1 {
+		// v[, ok] := <-ch and v[, ok] := m[k]
 		if u, ok := s.Rhs[0].(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			em.recvAssign(s, u.X)
+			em.hoistInner(u.X)
+			em.bindRead(s, em.exprStr(u.X)+".Recv(g)")
+			return
+		}
+		if ix, ok := s.Rhs[0].(*ast.IndexExpr); ok && em.exprKind(ix.X) == kMap {
+			em.hoistInner(ix.Index)
+			em.bindRead(s, em.baseObjExpr(ix.X)+".Get(g, "+em.exprStr(ix.Index)+")")
 			return
 		}
 		if call, ok := s.Rhs[0].(*ast.CallExpr); ok {
@@ -95,25 +106,15 @@ func (em *emitter) assign(s *ast.AssignStmt) {
 				return
 			}
 		}
-		if ix, ok := s.Rhs[0].(*ast.IndexExpr); ok && em.exprKind(ix.X) == kMap {
-			em.mapReadAssign(s, ix)
-			return
-		}
 		if sl, ok := s.Rhs[0].(*ast.SliceExpr); ok && em.exprKind(sl.X) == kSlice {
 			em.truncateAssign(s, sl)
 			return
 		}
 	}
 
-	// Compound ops: x op= e.
-	if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
-		em.opAssign(s)
-		return
-	}
-
 	// Hoist receives/map-reads buried in RHS expressions.
 	for _, r := range s.Rhs {
-		em.hoistInner(r, false)
+		em.hoistInner(r)
 	}
 
 	if s.Tok == token.DEFINE {
@@ -123,12 +124,13 @@ func (em *emitter) assign(s *ast.AssignStmt) {
 	em.plainAssign(s)
 }
 
-// recvAssign emits `v[, ok] :=/= <-ch`.
-func (em *emitter) recvAssign(s *ast.AssignStmt, ch ast.Expr) {
-	em.hoistInner(ch, false)
-	chs := em.exprStr(ch)
+// bindRead emits `v[, ok] :=/= read`, where read renders a two-result
+// channel receive or map read. A defined shared variable is bound
+// through a temp and promoted; assigned locations are stored through
+// storeTo.
+func (em *emitter) bindRead(s *ast.AssignStmt, read string) {
+	names := []string{"_", "_"}
 	if s.Tok == token.DEFINE {
-		names := make([]string, len(s.Lhs))
 		for i, l := range s.Lhs {
 			id := l.(*ast.Ident)
 			names[i] = id.Name
@@ -136,27 +138,22 @@ func (em *emitter) recvAssign(s *ast.AssignStmt, ch ast.Expr) {
 				names[i] = em.tmp("r")
 			}
 		}
-		if len(names) == 1 {
-			names = append(names, "_")
-		}
-		em.line("%s := %s.Recv(g)", strings.Join(names, ", "), chs)
+		em.line("%s := %s", strings.Join(names, ", "), read)
 		for i, l := range s.Lhs {
-			id := l.(*ast.Ident)
-			if v := em.an.varOf(id); v != nil && em.an.kinds[v] != kPlain {
-				em.promoteLocal(v, id.Name, names[i])
+			if v := em.an.varOf(l.(*ast.Ident)); v != nil && em.an.kinds[v] != kPlain {
+				em.promoteLocal(v, v.Name(), names[i])
 			}
 		}
 		return
 	}
-	// Assignment to existing locations: receive into temps, then store.
-	tv, tok := em.tmp("v"), "_"
+	// Assignment to existing locations: read into temps, then store.
+	names[0] = em.tmp("v")
 	if len(s.Lhs) == 2 {
-		tok = em.tmp("ok")
+		names[1] = em.tmp("ok")
 	}
-	em.line("%s, %s := %s.Recv(g)", tv, tok, chs)
-	em.storeTo(s.Lhs[0], tv)
-	if len(s.Lhs) == 2 {
-		em.storeTo(s.Lhs[1], tok)
+	em.line("%s := %s", strings.Join(names, ", "), read)
+	for i, l := range s.Lhs {
+		em.storeTo(l, names[i])
 	}
 }
 
@@ -164,43 +161,16 @@ func (em *emitter) recvAssign(s *ast.AssignStmt, ch ast.Expr) {
 // kinds; returns false if the make is plain (or not a make).
 func (em *emitter) makeAssign(s *ast.AssignStmt, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return false
-	}
-	if len(s.Lhs) != 1 {
+	if !ok || id.Name != "make" || len(s.Lhs) != 1 {
 		return false
 	}
 	lhs, ok := s.Lhs[0].(*ast.Ident)
 	if !ok {
 		return false
 	}
-	t := em.an.info.Types[call.Args[0]].Type
-	switch u := t.Underlying().(type) {
-	case *types.Chan:
-		capStr := "0"
-		if len(call.Args) > 1 {
-			capStr = em.exprStr(call.Args[1])
-		}
-		em.defineOrAssign(s.Tok, lhs.Name,
-			fmt.Sprintf("sched.NewChan[%s](g, %q, %s)", em.goType(u.Elem()), lhs.Name, capStr))
-		return true
-	case *types.Map:
-		if em.an.kindOf(lhs) != kMap {
-			return false
-		}
-		em.defineOrAssign(s.Tok, lhs.Name,
-			fmt.Sprintf("sched.NewMap[%s, %s](g, %q)", em.goType(u.Key()), em.goType(u.Elem()), lhs.Name))
-		return true
-	case *types.Slice:
-		if em.an.kindOf(lhs) != kSlice {
-			return false
-		}
-		lenStr := "0"
-		if len(call.Args) > 1 {
-			lenStr = em.exprStr(call.Args[1])
-		}
-		em.defineOrAssign(s.Tok, lhs.Name,
-			fmt.Sprintf("sched.NewSlice[%s](g, %q, %s)", em.goType(u.Elem()), lhs.Name, lenStr))
+	switch k := em.an.kindOf(lhs); k {
+	case kChan, kMap, kSlice:
+		em.emitCellInit(lhs.Name, em.an.varOf(lhs), k, call, s.Tok)
 		return true
 	}
 	return false
@@ -249,7 +219,7 @@ func (em *emitter) appendAssign(s *ast.AssignStmt, call *ast.CallExpr) bool {
 		return true
 	}
 	for _, a := range call.Args[1:] {
-		em.hoistInner(a, false)
+		em.hoistInner(a)
 		em.line("%s.Append(g, %s)", base, em.exprStr(a))
 	}
 	return true
@@ -264,100 +234,8 @@ func (em *emitter) truncateAssign(s *ast.AssignStmt, sl *ast.SliceExpr) {
 	if sl.Low != nil || sl.High == nil || sl.Max != nil {
 		em.fail(s.Pos(), "slice expression on a modeled slice only supported as s = s[:n]")
 	}
-	em.hoistInner(sl.High, false)
+	em.hoistInner(sl.High)
 	em.line("%s.Truncate(g, %s)", base, em.exprStr(sl.High))
-}
-
-// mapReadAssign emits `v[, ok] :=/= m[k]`.
-func (em *emitter) mapReadAssign(s *ast.AssignStmt, ix *ast.IndexExpr) {
-	em.hoistInner(ix.Index, false)
-	get := fmt.Sprintf("%s.Get(g, %s)", em.baseObjExpr(ix.X), em.exprStr(ix.Index))
-	if s.Tok == token.DEFINE {
-		names := make([]string, len(s.Lhs))
-		for i, l := range s.Lhs {
-			names[i] = l.(*ast.Ident).Name
-		}
-		if len(names) == 1 {
-			names = append(names, "_")
-		}
-		em.line("%s := %s", strings.Join(names, ", "), get)
-		for _, l := range s.Lhs {
-			id := l.(*ast.Ident)
-			if v := em.an.varOf(id); v != nil && em.an.kinds[v] != kPlain {
-				em.fail(s.Pos(), "shared variable %s cannot be bound by map read directly", id.Name)
-			}
-		}
-		return
-	}
-	tv, tok := em.tmp("v"), "_"
-	if len(s.Lhs) == 2 {
-		tok = em.tmp("ok")
-	}
-	em.line("%s, %s := %s", tv, tok, get)
-	em.storeTo(s.Lhs[0], tv)
-	if len(s.Lhs) == 2 {
-		em.storeTo(s.Lhs[1], tok)
-	}
-}
-
-// opAssign emits `lhs op= rhs` for instrumented targets.
-func (em *emitter) opAssign(s *ast.AssignStmt) {
-	op := strings.TrimSuffix(s.Tok.String(), "=")
-	lhs, rhs := s.Lhs[0], s.Rhs[0]
-	em.hoistInner(rhs, false)
-	rs := em.exprStr(rhs)
-	switch l := lhs.(type) {
-	case *ast.Ident:
-		v := em.an.varOf(l)
-		switch em.an.kindOf(l) {
-		case kPlain:
-			em.line("%s %s= %s", l.Name, op, rs)
-		case kCell:
-			if t, ok := em.subst[v]; ok {
-				em.substDirty[v] = true
-				em.line("%s = %s %s (%s)", t, t, op, rs)
-				return
-			}
-			em.line("%s.Store(g, %s.Load(g) %s (%s))", l.Name, l.Name, op, rs)
-		case kAtomic:
-			em.line("%s.PlainStore(g, %s.PlainLoad(g) %s (%s))", l.Name, l.Name, op, rs)
-		default:
-			em.fail(s.Pos(), "compound assignment unsupported for this kind")
-		}
-	case *ast.IndexExpr:
-		switch em.exprKind(l.X) {
-		case kMap:
-			b := em.baseObjExpr(l.X)
-			k := em.tmp("k")
-			em.line("%s := %s", k, em.exprStr(l.Index))
-			tv := em.tmp("v")
-			em.line("%s, _ := %s.Get(g, %s)", tv, b, k)
-			em.line("%s.Put(g, %s, %s %s (%s))", b, k, tv, op, rs)
-		case kSlice:
-			b := em.baseObjExpr(l.X)
-			i := em.tmp("i")
-			em.line("%s := %s", i, em.exprStr(l.Index))
-			em.line("%s.Set(g, %s, %s.Get(g, %s) %s (%s))", b, i, b, i, op, rs)
-		default:
-			em.line("%s %s= %s", em.exprStr(l), op, rs)
-		}
-	case *ast.SelectorExpr:
-		if fk, cell := em.cellField(l); cell && fk == kCell {
-			em.line("%s.%s.Store(g, %s.%s.Load(g) %s (%s))",
-				em.exprStr(l.X), l.Sel.Name, em.exprStr(l.X), l.Sel.Name, op, rs)
-			return
-		}
-		em.line("%s %s= %s", em.exprStr(l), op, rs)
-	case *ast.StarExpr:
-		if em.isCellPtr(l.X) {
-			p := em.exprStr(l.X)
-			em.line("%s.Store(g, %s.Load(g) %s (%s))", p, p, op, rs)
-			return
-		}
-		em.line("*%s %s= %s", em.exprStr(l.X), op, rs)
-	default:
-		em.fail(s.Pos(), "unsupported compound assignment target %T", lhs)
-	}
 }
 
 // define emits `lhs... := rhs...`, promoting shared targets to cells.
@@ -398,50 +276,36 @@ func (em *emitter) define(s *ast.AssignStmt) {
 // already-evaluated temp.
 func (em *emitter) defineOne(id *ast.Ident, rhs ast.Expr, temp string) {
 	v := em.an.varOf(id)
-	if id.Name == "_" || v == nil {
-		val := temp
-		if rhs != nil {
-			val = em.exprStr(rhs)
-		}
-		em.line("_ = %s", val)
+	kind := kPlain
+	if v != nil {
+		kind = declKind(em.an.kinds[v], v.Type())
+	}
+	if cl, ok := rhs.(*ast.CompositeLit); ok && (kind == kSlice || kind == kMap) {
+		em.emitCellInit(id.Name, v, kind, cl, token.DEFINE)
 		return
 	}
-	kind := em.an.kinds[v]
 	val := temp
 	if rhs != nil {
 		val = em.exprStr(rhs)
 	}
-	switch kind {
-	case kPlain:
+	switch {
+	case id.Name == "_" || v == nil:
+		em.line("_ = %s", val)
+	case kind == kPlain:
 		em.line("%s := %s", id.Name, val)
-	case kCell:
-		em.line("%s := sched.NewVarOf[%s](g, %q, %s)", id.Name, em.goType(v.Type()), id.Name, val)
-	case kSlice:
-		if rhs != nil {
-			if cl, ok := rhs.(*ast.CompositeLit); ok {
-				em.emitCellInit(id.Name, v, kSlice, cl, token.DEFINE)
-				return
-			}
-		}
-		elem := v.Type().Underlying().(*types.Slice).Elem()
-		em.line("%s := sched.NewSliceOf[%s](g, %q, %s)", id.Name, em.goType(elem), id.Name, val)
-	case kMap:
-		if rhs != nil {
-			if cl, ok := rhs.(*ast.CompositeLit); ok {
-				em.emitCellInit(id.Name, v, kMap, cl, token.DEFINE)
-				return
-			}
-		}
+	case kind == kMap:
 		em.fail(id.Pos(), "shared map %s: only make/literal initialization supported", id.Name)
+	case syncTypes[kind] != "":
+		em.fail(id.Pos(), "short declaration of a sync value unsupported (declare with var)")
 	default:
-		em.fail(id.Pos(), "short declaration unsupported for this kind (declare with var or make)")
+		em.promoteLocal(v, id.Name, val)
 	}
 }
 
 // plainAssign emits `lhs... = rhs...` (token.ASSIGN).
 func (em *emitter) plainAssign(s *ast.AssignStmt) {
 	if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-		em.assignOne(s.Lhs[0], s.Rhs[0])
+		em.storeTo(s.Lhs[0], em.exprStr(s.Rhs[0]))
 		return
 	}
 	if len(s.Rhs) == 1 {
@@ -467,87 +331,205 @@ func (em *emitter) plainAssign(s *ast.AssignStmt) {
 	}
 }
 
-// assignOne emits a single `lhs = rhs`.
-func (em *emitter) assignOne(lhs, rhs ast.Expr) {
-	switch l := lhs.(type) {
-	case *ast.IndexExpr:
-		switch em.exprKind(l.X) {
-		case kMap:
-			em.line("%s.Put(g, %s, %s)", em.baseObjExpr(l.X), em.exprStr(l.Index), em.exprStr(rhs))
-			return
-		case kSlice:
-			em.line("%s.Set(g, %s, %s)", em.baseObjExpr(l.X), em.exprStr(l.Index), em.exprStr(rhs))
-			return
-		}
-	case *ast.SelectorExpr:
-		// s[i].f = v on a modeled slice: read-modify-write the element.
-		if ix, ok := l.X.(*ast.IndexExpr); ok && em.exprKind(ix.X) == kSlice {
-			b := em.baseObjExpr(ix.X)
-			i := em.tmp("i")
-			em.line("%s := %s", i, em.exprStr(ix.Index))
-			tv := em.tmp("e")
-			em.line("%s := %s.Get(g, %s)", tv, b, i)
-			em.line("%s.%s = %s", tv, l.Sel.Name, em.exprStr(rhs))
-			em.line("%s.Set(g, %s, %s)", b, i, tv)
-			return
-		}
-	}
-	em.storeTo(lhs, em.exprStr(rhs))
-}
-
 // storeTo emits the store of an evaluated value (as Go source text)
 // into an assignable location.
 func (em *emitter) storeTo(lhs ast.Expr, val string) {
+	em.write(lhs, token.ASSIGN, val)
+}
+
+// update emits `lhs op= rhs`, or `lhs++` / `lhs--` when rhs is nil.
+func (em *emitter) update(lhs ast.Expr, tok token.Token, rhs ast.Expr) {
+	val := ""
+	if rhs != nil {
+		em.hoistInner(rhs)
+		val = em.exprStr(rhs)
+	}
+	em.write(lhs, tok, val)
+}
+
+// write emits one write of an assignable location: with token.ASSIGN
+// it stores val; with an op= token it combines the current value with
+// the operand val, and with ++/-- with 1. Every statement that writes
+// a location comes here, so =, op=, ++/-- and the bindings of receives
+// and map reads accept the same locations. A location the generated
+// program holds in a Go variable keeps Go's own form (x op= e, x++).
+// A held one is resolved once, loaded by the rules of any read, and
+// stored back. A field or array element of a held value
+// read-modify-writes the whole value.
+func (em *emitter) write(lhs ast.Expr, tok token.Token, val string) {
+	lhs = unparen(lhs)
+	if base := em.heldBase(lhs); base != nil {
+		em.resolve(base)
+		e := em.tmp("e")
+		em.line("%s := %s", e, em.load(base))
+		em.replaced[base] = e
+		em.native(em.lvalue(lhs), tok, val)
+		delete(em.replaced, base)
+		em.write(base, token.ASSIGN, e)
+		return
+	}
+	if !em.held(lhs) {
+		em.native(em.lvalue(lhs), tok, val)
+		return
+	}
+	if tok != token.ASSIGN {
+		em.resolve(lhs)
+		cur := em.load(lhs)
+		switch tok {
+		case token.INC:
+			val = cur + " + 1"
+		case token.DEC:
+			val = cur + " - 1"
+		default:
+			val = cur + " " + strings.TrimSuffix(tok.String(), "=") + " (" + val + ")"
+		}
+	}
 	switch l := lhs.(type) {
 	case *ast.Ident:
-		if l.Name == "_" {
-			em.line("_ = %s", val)
-			return
-		}
-		v := em.an.varOf(l)
-		switch em.an.kindOf(l) {
-		case kPlain:
-			em.line("%s = %s", l.Name, val)
-		case kCell:
-			if t, ok := em.subst[v]; ok {
-				em.substDirty[v] = true
-				em.line("%s = %s", t, val)
-				return
-			}
-			em.line("%s.Store(g, %s)", l.Name, val)
-		case kAtomic:
+		if em.an.kindOf(l) == kAtomic {
 			em.line("%s.PlainStore(g, %s)", l.Name, val)
-		case kChan, kMap, kSlice, kMutex, kRW, kWG, kOnce:
-			em.line("%s = %s", l.Name, val) // rebinding the object reference
+			return
 		}
+		em.line("%s.Store(g, %s)", l.Name, val)
 	case *ast.SelectorExpr:
-		if fk, cell := em.cellField(l); cell {
-			switch fk {
-			case kCell:
-				em.line("%s.%s.Store(g, %s)", em.exprStr(l.X), l.Sel.Name, val)
-			default:
-				em.fail(l.Pos(), "cannot reassign cellified field %s", l.Sel.Name)
-			}
-			return
-		}
-		em.line("%s.%s = %s", em.exprStr(l.X), l.Sel.Name, val)
-	case *ast.StarExpr:
-		if em.isCellPtr(l.X) {
-			em.line("%s.Store(g, %s)", em.exprStr(l.X), val)
-			return
-		}
-		em.line("*%s = %s", em.exprStr(l.X), val)
-	case *ast.IndexExpr:
-		switch em.exprKind(l.X) {
-		case kMap:
-			em.line("%s.Put(g, %s, %s)", em.baseObjExpr(l.X), em.exprStr(l.Index), val)
-		case kSlice:
-			em.line("%s.Set(g, %s, %s)", em.baseObjExpr(l.X), em.exprStr(l.Index), val)
+		switch fk, _ := em.cellField(l); fk {
+		case kCell:
+			em.line("%s.%s.Store(g, %s)", em.exprStr(l.X), l.Sel.Name, val)
+		case kAtomic:
+			em.line("%s.%s.PlainStore(g, %s)", em.exprStr(l.X), l.Sel.Name, val)
 		default:
-			em.line("%s[%s] = %s", em.exprStr(l.X), em.exprStr(l.Index), val)
+			em.fail(l.Pos(), "cannot reassign cellified field %s", l.Sel.Name)
 		}
+	case *ast.StarExpr:
+		em.line("%s.Store(g, %s)", em.exprStr(l.X), val)
+	case *ast.IndexExpr:
+		if em.exprKind(l.X) == kMap {
+			em.line("%s.Put(g, %s, %s)", em.baseObjExpr(l.X), em.exprStr(l.Index), val)
+			return
+		}
+		em.line("%s.Set(g, %s, %s)", em.baseObjExpr(l.X), em.exprStr(l.Index), val)
+	}
+}
+
+// native emits a write of a Go lvalue of the generated program.
+func (em *emitter) native(target string, tok token.Token, val string) {
+	switch tok {
+	case token.ASSIGN:
+		em.line("%s = %s", target, val)
+	case token.INC, token.DEC:
+		em.line("%s%s", target, tok)
 	default:
-		em.fail(lhs.Pos(), "unsupported assignment target %T", lhs)
+		em.line("%s %s %s", target, tok, val)
+	}
+}
+
+// lvalue renders a location the generated program holds in a Go
+// variable, which reads and writes alike; a coalesced cell is marked
+// for its run's trailing store.
+func (em *emitter) lvalue(lhs ast.Expr) string {
+	if id, ok := lhs.(*ast.Ident); ok {
+		if v := em.an.varOf(id); v != nil {
+			if _, coalesced := em.subst[v]; coalesced {
+				em.substDirty[v] = true
+			}
+		}
+	}
+	return em.exprStr(lhs)
+}
+
+// held reports whether the generated program keeps location e in a
+// modeled holder rather than a Go variable: a cell, an atomic, a cell
+// pointer's target, a cellified field, an element of a modeled map or
+// slice, or a part of a held value.
+func (em *emitter) held(e ast.Expr) bool {
+	switch x := unparen(e).(type) {
+	case *ast.Ident:
+		_, coalesced := em.subst[em.an.varOf(x)]
+		k := em.an.kindOf(x)
+		return k == kAtomic || k == kCell && !coalesced
+	case *ast.SelectorExpr:
+		_, cell := em.cellField(x)
+		return cell || em.heldBase(x) != nil
+	case *ast.IndexExpr:
+		k := em.exprKind(x.X)
+		return k == kMap || k == kSlice || em.heldBase(x) != nil
+	case *ast.StarExpr:
+		return em.isCellPtr(x.X)
+	}
+	return false
+}
+
+// heldBase returns the struct or array value that e is a field or
+// element of, when that value is held (see held) rather than reached
+// through a pointer; otherwise nil. Writing such a part
+// read-modify-writes the value.
+func (em *emitter) heldBase(e ast.Expr) ast.Expr {
+	var base ast.Expr
+	switch x := e.(type) {
+	case *ast.SelectorExpr:
+		if _, cell := em.cellField(x); cell {
+			return nil
+		}
+		base = x.X
+	case *ast.IndexExpr:
+		if _, arr := em.typeOf(x.X).(*types.Array); !arr {
+			return nil
+		}
+		base = x.X
+	default:
+		return nil
+	}
+	if _, ptr := em.typeOf(base).(*types.Pointer); ptr || !em.held(base) {
+		return nil
+	}
+	return unparen(base)
+}
+
+// typeOf returns the underlying type of e, or nil.
+func (em *emitter) typeOf(e ast.Expr) types.Type {
+	if t := em.an.info.TypeOf(e); t != nil {
+		return t.Underlying()
+	}
+	return nil
+}
+
+// resolve evaluates the key or index of a modeled map or slice element
+// into a temp, once, so a location that is read and then written
+// evaluates it once. It resolves the base of a held part the same way.
+func (em *emitter) resolve(e ast.Expr) {
+	e = unparen(e)
+	if base := em.heldBase(e); base != nil {
+		em.resolve(base)
+	}
+	ix, ok := e.(*ast.IndexExpr)
+	if !ok {
+		return
+	}
+	prefix := map[varKind]string{kMap: "k", kSlice: "i"}[em.exprKind(ix.X)]
+	if _, done := em.replaced[ix.Index]; prefix == "" || done {
+		return
+	}
+	em.hoistInner(ix.Index)
+	t := em.tmp(prefix)
+	em.line("%s := %s", t, em.exprStr(ix.Index))
+	em.replaced[ix.Index] = t
+}
+
+// load renders the current value of a resolved location by the rules
+// of any read (a map read is hoisted into a temp).
+func (em *emitter) load(e ast.Expr) string {
+	em.hoistInner(e)
+	return em.exprStr(e)
+}
+
+// unparen strips the parentheses around e.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
 	}
 }
 
@@ -578,9 +560,9 @@ func (em *emitter) declStmt(s *ast.DeclStmt) {
 // an optional initializer expression.
 func (em *emitter) emitCellInit(name string, v *types.Var, kind varKind, init ast.Expr, tok token.Token) {
 	if init != nil {
-		em.hoistInner(init, false)
+		em.hoistInner(init)
 	}
-	switch kind {
+	switch kind = declKind(kind, v.Type()); kind {
 	case kPlain:
 		if tok == token.DEFINE {
 			if init != nil {
@@ -604,14 +586,8 @@ func (em *emitter) emitCellInit(name string, v *types.Var, kind varKind, init as
 		if init != nil {
 			em.line("%s.PlainStore(g, %s)", name, em.exprStr(init))
 		}
-	case kMutex:
-		em.defineOrAssign(tok, name, fmt.Sprintf("sched.NewMutex(g, %q)", name))
-	case kRW:
-		em.defineOrAssign(tok, name, fmt.Sprintf("sched.NewRWMutex(g, %q)", name))
-	case kWG:
-		em.defineOrAssign(tok, name, fmt.Sprintf("sched.NewWaitGroup(g, %q)", name))
-	case kOnce:
-		em.defineOrAssign(tok, name, fmt.Sprintf("sched.NewOnce(g, %q)", name))
+	case kMutex, kRW, kWG, kOnce:
+		em.defineOrAssign(tok, name, fmt.Sprintf("sched.New%s(g, %q)", syncTypes[kind], name))
 	case kChan:
 		ct := v.Type().Underlying().(*types.Chan)
 		if init == nil {
@@ -666,58 +642,6 @@ func (em *emitter) emitCellInit(name string, v *types.Var, kind varKind, init as
 	}
 }
 
-// incDec emits x++ / x--.
-func (em *emitter) incDec(s *ast.IncDecStmt) {
-	op := "+"
-	if s.Tok == token.DEC {
-		op = "-"
-	}
-	switch l := s.X.(type) {
-	case *ast.Ident:
-		v := em.an.varOf(l)
-		switch em.an.kindOf(l) {
-		case kPlain:
-			em.line("%s%s", l.Name, s.Tok)
-		case kCell:
-			if t, ok := em.subst[v]; ok {
-				em.substDirty[v] = true
-				em.line("%s%s", t, s.Tok)
-				return
-			}
-			em.line("%s.Store(g, %s.Load(g) %s 1)", l.Name, l.Name, op)
-		case kAtomic:
-			em.line("%s.PlainStore(g, %s.PlainLoad(g) %s 1)", l.Name, l.Name, op)
-		default:
-			em.fail(s.Pos(), "unsupported ++/-- target kind")
-		}
-	case *ast.SelectorExpr:
-		if fk, cell := em.cellField(l); cell && fk == kCell {
-			em.line("%s.%s.Store(g, %s.%s.Load(g) %s 1)", em.exprStr(l.X), l.Sel.Name, em.exprStr(l.X), l.Sel.Name, op)
-			return
-		}
-		em.line("%s%s", em.exprStr(l), s.Tok)
-	case *ast.IndexExpr:
-		switch em.exprKind(l.X) {
-		case kMap:
-			b := em.baseObjExpr(l.X)
-			k := em.tmp("k")
-			em.line("%s := %s", k, em.exprStr(l.Index))
-			tv := em.tmp("v")
-			em.line("%s, _ := %s.Get(g, %s)", tv, b, k)
-			em.line("%s.Put(g, %s, %s%s1)", b, k, tv, op)
-		case kSlice:
-			b := em.baseObjExpr(l.X)
-			i := em.tmp("i")
-			em.line("%s := %s", i, em.exprStr(l.Index))
-			em.line("%s.Set(g, %s, %s.Get(g, %s)%s1)", b, i, b, i, op)
-		default:
-			em.line("%s%s", em.exprStr(l), s.Tok)
-		}
-	default:
-		em.fail(s.Pos(), "unsupported ++/-- target %T", s.X)
-	}
-}
-
 // goStmt emits a goroutine spawn: arguments are hoisted to temps
 // (evaluated at the go statement, as in Go), then the call runs inside
 // a modeled goroutine.
@@ -739,7 +663,7 @@ func (em *emitter) goStmt(s *ast.GoStmt) {
 
 	temps := make([]string, len(call.Args))
 	for i, a := range call.Args {
-		em.hoistInner(a, false)
+		em.hoistInner(a)
 		temps[i] = em.tmp("a")
 		em.line("%s := %s", temps[i], em.exprStr(a))
 	}
@@ -751,24 +675,18 @@ func (em *emitter) goStmt(s *ast.GoStmt) {
 		em.line("defer g.Pop()")
 		// Bind parameters to the hoisted argument temps, then inline
 		// the body.
-		sig := em.an.info.Types[lit].Type.(*types.Signature)
 		idx := 0
 		for _, f := range lit.Type.Params.List {
 			for _, pn := range f.Names {
 				if pn.Name == "_" {
 					em.line("_ = %s", temps[idx])
-					idx++
-					continue
-				}
-				em.line("%s := %s", pn.Name, temps[idx])
-				pv, _ := em.an.info.Defs[pn].(*types.Var)
-				if pv != nil && em.an.kinds[pv] != kPlain {
-					em.promoteLocal(pv, pn.Name, pn.Name)
+				} else {
+					pv, _ := em.an.info.Defs[pn].(*types.Var)
+					em.promoteLocal(pv, pn.Name, temps[idx])
 				}
 				idx++
 			}
 		}
-		_ = sig
 		prev := em.curFunc
 		em.curFunc = name
 		em.stmtList(lit.Body.List)
@@ -828,7 +746,7 @@ func (em *emitter) returnStmt(s *ast.ReturnStmt) {
 		return
 	}
 	for _, r := range s.Results {
-		em.hoistInner(r, false)
+		em.hoistInner(r)
 	}
 	var vals []string
 	for _, r := range s.Results {
@@ -847,7 +765,7 @@ func (em *emitter) ifStmt(s *ast.IfStmt) {
 		if s.Init != nil {
 			em.stmt(s.Init)
 		}
-		em.hoistInner(s.Cond, false)
+		em.hoistInner(s.Cond)
 	}
 	em.line("if %s {", em.exprStr(s.Cond))
 	em.ind++

@@ -23,7 +23,7 @@ func ProgCounter(g *sched.G) {
 		for i := 0; i < n; i++ {
 			total.Store(g, total.Load(g)+1)
 		}
-		wg.Done()
+		wg.Done(g)
 	}
 	Run = func(g *sched.G) {
 		g.Push("counter.Run", "counter.go", 14)

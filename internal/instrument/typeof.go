@@ -12,6 +12,11 @@ import (
 // pointers to basics become cell pointers, channels become modeled
 // channels, imported names record their import.
 func (em *emitter) goType(t types.Type) string {
+	if k := syncKind(t); k != kPlain {
+		// Sync primitives are already pointers in the model: *sync.Mutex
+		// and sync.Mutex both become *sched.Mutex.
+		return "*sched." + syncTypes[k]
+	}
 	switch t := t.(type) {
 	case *types.Basic:
 		if t.Info()&types.IsUntyped != 0 {
@@ -19,16 +24,6 @@ func (em *emitter) goType(t types.Type) string {
 		}
 		return t.Name()
 	case *types.Named:
-		switch syncKind(t) {
-		case kMutex:
-			return "*sched.Mutex"
-		case kRW:
-			return "*sched.RWMutex"
-		case kWG:
-			return "*sched.WaitGroup"
-		case kOnce:
-			return "*sched.Once"
-		}
 		obj := t.Obj()
 		if obj.Pkg() == nil || obj.Pkg() == em.an.pkg {
 			return obj.Name()
@@ -36,11 +31,6 @@ func (em *emitter) goType(t types.Type) string {
 		em.imports[obj.Pkg().Path()] = true
 		return obj.Pkg().Name() + "." + obj.Name()
 	case *types.Pointer:
-		// Sync primitives are already pointers in the model: *sync.Mutex
-		// and sync.Mutex both become *sched.Mutex.
-		if syncKind(t.Elem()) != kPlain {
-			return em.goType(t.Elem())
-		}
 		if _, ok := t.Elem().Underlying().(*types.Basic); ok {
 			return "*sched.Var[" + em.goType(t.Elem()) + "]"
 		}
@@ -85,14 +75,6 @@ func (em *emitter) holderType(kind varKind, t types.Type) string {
 		return "*sched.Var[" + em.goType(t) + "]"
 	case kAtomic:
 		return "*sched.Atomic"
-	case kMutex:
-		return "*sched.Mutex"
-	case kRW:
-		return "*sched.RWMutex"
-	case kWG:
-		return "*sched.WaitGroup"
-	case kOnce:
-		return "*sched.Once"
 	case kChan:
 		return "*sched.Chan[" + em.goType(t.Underlying().(*types.Chan).Elem()) + "]"
 	case kMap:
@@ -139,7 +121,7 @@ func (em *emitter) cellField(sel *ast.SelectorExpr) (varKind, bool) {
 	if !ok || s.Kind() != types.FieldVal {
 		return kPlain, false
 	}
-	si := em.cellStructOf(s.Recv())
+	si := em.an.cellStructOf(s.Recv())
 	if si == nil {
 		return kPlain, false
 	}
@@ -152,7 +134,7 @@ func (em *emitter) cellField(sel *ast.SelectorExpr) (varKind, bool) {
 
 // cellStructOf resolves a type (through one pointer) to its cellified
 // struct info, or nil.
-func (em *emitter) cellStructOf(t types.Type) *structInfo {
+func (an *analysis) cellStructOf(t types.Type) *structInfo {
 	if t == nil {
 		return nil
 	}
@@ -163,7 +145,7 @@ func (em *emitter) cellStructOf(t types.Type) *structInfo {
 	if !ok {
 		return nil
 	}
-	return em.an.cellStructs[named.Obj()]
+	return an.cellStructs[named.Obj()]
 }
 
 // exprKind reports the modeled kind of the variable or field an
@@ -224,7 +206,7 @@ func (em *emitter) isCellPtr(e ast.Expr) bool {
 
 // hoistInner pre-evaluates channel receives and map reads nested in e
 // into temps, recording them in em.replaced (innermost first).
-func (em *emitter) hoistInner(e ast.Expr, _ bool) {
+func (em *emitter) hoistInner(e ast.Expr) {
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		if n == nil {
@@ -317,7 +299,7 @@ func (em *emitter) interesting(n ast.Node) bool {
 				found = true
 			}
 		case *ast.CompositeLit:
-			if em.cellStructOf(em.an.info.Types[c].Type) != nil {
+			if em.an.cellStructOf(em.an.info.Types[c].Type) != nil {
 				found = true
 			}
 		case *ast.CallExpr:
