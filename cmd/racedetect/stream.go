@@ -109,14 +109,20 @@ func runStreamBench(ceilingsCSV string, events int, markdown bool) {
 	}
 	fmt.Printf("== stream ceiling sweep: %d events, %d goroutines, %d planted races ==\n",
 		events, spec.Goroutines, spec.Planted)
-	fmt.Printf("%10s %10s %10s %10s %10s %12s\n",
-		"ceiling", "planted", "detected", "evictions", "reloads", "peak-heap")
+	fmt.Printf("%10s %10s %10s %10s %10s %10s %10s %12s\n",
+		"ceiling", "events", "planted", "detected", "coverage", "evictions", "reloads", "peak-heap")
 	for _, r := range rows {
 		ceiling := "unbounded"
 		if r.CeilingMiB > 0 {
 			ceiling = fmt.Sprintf("%d MiB", r.CeilingMiB)
 		}
-		fmt.Printf("%10s %10d %10d %10d %10d %9.1f MiB\n",
-			ceiling, r.Planted, r.Detected, r.Evictions, r.Reloads, r.PeakHeapMiB)
+		// Coverage as stream.MarkdownTable computes it: a run with no
+		// planted race missed none.
+		cov := 100.0
+		if r.Planted > 0 {
+			cov = 100 * float64(r.Detected) / float64(r.Planted)
+		}
+		fmt.Printf("%10s %10d %10d %10d %9.1f%% %10d %10d %9.1f MiB\n",
+			ceiling, r.Events, r.Planted, r.Detected, cov, r.Evictions, r.Reloads, r.PeakHeapMiB)
 	}
 }
