@@ -25,6 +25,16 @@
 // flag.NewFlagSet flags are out of scope — they are documented
 // per-subcommand.
 //
+// With -flagdocs (comma-separated globs of markdown files),
+// doccheck fails every inline code span in those files that is
+// exactly one flag — `-name`, `-name value` or `-name=value` — unless
+// some command under -cmds registers that flag, on its own command
+// line or on a flag.NewFlagSet subcommand set, or the go tool does (a
+// short explicit list: `-race`, `-benchtime`, ...). A span `-name-*`
+// stands for every registered flag beginning "name-". Spans are parsed
+// whole, so "`Seq`-ordered" names no flag; fenced code blocks are
+// skipped. A flag deleted from a command cannot linger in prose.
+//
 // With -detdoc, doccheck cross-checks the detector design reference
 // the same way: every detector name in -detsrc (the string keys of its
 // constructors table) and every exported field of the detector Stats
@@ -50,6 +60,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -62,7 +73,8 @@ type violation struct {
 
 func main() {
 	cliDoc := flag.String("clidoc", "", "markdown CLI reference to cross-check against -cmds (e.g. docs/CLI.md)")
-	cmds := flag.String("cmds", "cmd", "command tree the -clidoc reference must cover")
+	cmds := flag.String("cmds", "cmd", "command tree the -clidoc and -flagdocs references must match")
+	flagDocs := flag.String("flagdocs", "", "comma-separated globs of markdown files whose flag code spans must name registered flags (e.g. 'docs/*.md,README.md')")
 	detDoc := flag.String("detdoc", "", "markdown detector reference to cross-check against -detsrc (e.g. docs/DETECTORS.md)")
 	detSrc := flag.String("detsrc", "internal/detector", "detector package the -detdoc reference must cover")
 	var pkgDocs pkgDocList
@@ -76,6 +88,14 @@ func main() {
 	var violations []violation
 	if *cliDoc != "" {
 		v, err := checkCLIDoc(*cliDoc, *cmds)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		violations = append(violations, v...)
+	}
+	if *flagDocs != "" {
+		v, err := checkFlagSpans(strings.Split(*flagDocs, ","), *cmds)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -349,7 +369,7 @@ func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 		if !hasSection {
 			continue
 		}
-		flags, err := commandFlags(filepath.Join(cmdRoot, name))
+		flags, err := commandFlags(filepath.Join(cmdRoot, name), false)
 		if err != nil {
 			return nil, err
 		}
@@ -413,11 +433,12 @@ var flagRegistrars = map[string]bool{
 }
 
 // commandFlags returns the flag names a command registers: the string
-// literals passed to package-level flag.String/Bool/Int/... calls.
-// Flags on flag.NewFlagSet subcommand sets are deliberately skipped —
-// those are documented per-subcommand, not in the command's flag
-// table.
-func commandFlags(dir string) ([]string, error) {
+// literals passed to package-level flag.String/Bool/Int/... calls,
+// and with subcommands also those passed to the same methods of a
+// variable assigned from flag.NewFlagSet. The CLI table check leaves
+// subcommand flags out: they are documented per-subcommand, not in
+// the command's flag table.
+func commandFlags(dir string, subcommands bool) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -429,7 +450,15 @@ func commandFlags(dir string) ([]string, error) {
 	var names []string
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
+			sets := map[string]bool{"flag": true}
 			ast.Inspect(f, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok && subcommands && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+					if call, ok := as.Rhs[0].(*ast.CallExpr); ok && isFlagCall(call, "NewFlagSet") {
+						if id, ok := as.Lhs[0].(*ast.Ident); ok {
+							sets[id.Name] = true
+						}
+					}
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok || len(call.Args) < 1 {
 					return true
@@ -438,7 +467,7 @@ func commandFlags(dir string) ([]string, error) {
 				if !ok || !flagRegistrars[sel.Sel.Name] {
 					return true
 				}
-				if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "flag" {
+				if id, ok := sel.X.(*ast.Ident); !ok || !sets[id.Name] {
 					return true
 				}
 				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
@@ -454,6 +483,137 @@ func commandFlags(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// isFlagCall reports whether call is flag.<name>(...).
+func isFlagCall(call *ast.CallExpr, name string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == "flag"
+}
+
+// goToolFlags are flags of the go tool that the docs name in prose
+// (`go test -race`, `-benchtime`); no command registers them.
+var goToolFlags = map[string]bool{
+	"bench": true, "benchtime": true, "count": true, "race": true, "run": true,
+}
+
+// flagSpan matches an inline code span that is exactly one flag,
+// optionally with a value: its name, and "*" for a `-name-*` family.
+var flagSpan = regexp.MustCompile(`^-([A-Za-z][-A-Za-z0-9]*)(\*?)(?:[ =]\S+)?$`)
+
+// checkFlagSpans fails every inline code span of the markdown files
+// matching globs that is exactly one flag no command under cmdRoot
+// registers (see the package comment).
+func checkFlagSpans(globs []string, cmdRoot string) ([]violation, error) {
+	entries, err := os.ReadDir(cmdRoot)
+	if err != nil {
+		return nil, fmt.Errorf("doccheck: %s: %w", cmdRoot, err)
+	}
+	registered := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		flags, err := commandFlags(filepath.Join(cmdRoot, e.Name()), true)
+		if err != nil {
+			return nil, err
+		}
+		for _, fl := range flags {
+			registered[fl] = true
+		}
+	}
+	known := func(name string, family bool) bool {
+		if !family {
+			return registered[name] || goToolFlags[name]
+		}
+		for fl := range registered {
+			if strings.HasPrefix(fl, name) {
+				return true
+			}
+		}
+		return false
+	}
+	var docs []string
+	for _, g := range globs {
+		m, err := filepath.Glob(strings.TrimSpace(g))
+		if err != nil || len(m) == 0 {
+			return nil, fmt.Errorf("doccheck: -flagdocs %q matches no file", g)
+		}
+		docs = append(docs, m...)
+	}
+	var out []violation
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			return nil, fmt.Errorf("doccheck: %s: %w", doc, err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, span := range codeSpans(line) {
+				m := flagSpan.FindStringSubmatch(span)
+				if m == nil || known(m[1], m[2] == "*") {
+					continue
+				}
+				out = append(out, violation{
+					pos:  token.Position{Filename: doc, Line: i + 1},
+					what: fmt.Sprintf("`%s` names a flag no command under %s/ registers", span, cmdRoot),
+				})
+			}
+		}
+	}
+	return out, nil
+}
+
+// codeSpans returns the inline code spans of one markdown line: the
+// text between a run of backticks and the next run of the same
+// length, trimmed. An unmatched run opens no span.
+func codeSpans(line string) []string {
+	var spans []string
+	for i := 0; i < len(line); {
+		if line[i] != '`' {
+			i++
+			continue
+		}
+		n := backtickRun(line, i)
+		closed := false
+		for j := i + n; j < len(line); {
+			if line[j] != '`' {
+				j++
+				continue
+			}
+			m := backtickRun(line, j)
+			if m == n {
+				spans = append(spans, strings.TrimSpace(line[i+n:j]))
+				i, closed = j+m, true
+				break
+			}
+			j += m
+		}
+		if !closed {
+			i += n
+		}
+	}
+	return spans
+}
+
+// backtickRun returns the length of the run of backticks at line[i:].
+func backtickRun(line string, i int) int {
+	n := 0
+	for i+n < len(line) && line[i+n] == '`' {
+		n++
+	}
+	return n
 }
 
 // flagDocumented reports whether the section text mentions the flag
