@@ -349,8 +349,8 @@ func (em *emitter) update(lhs ast.Expr, tok token.Token, rhs ast.Expr) {
 
 // write emits one write of an assignable location: with token.ASSIGN
 // it stores val; with an op= token it combines the current value with
-// the operand val, and with ++/-- with 1. Every statement that writes
-// a location comes here, so =, op=, ++/-- and the bindings of receives
+// the operand val, and with ++/-- with 1. Every assignment statement
+// writes through here, so =, op=, ++/-- and the bindings of receives
 // and map reads accept the same locations. A location the generated
 // program holds in a Go variable keeps Go's own form (x op= e, x++).
 // A held one is resolved once, loaded by the rules of any read, and
