@@ -71,64 +71,91 @@ type violation struct {
 	what string
 }
 
+// The flags' defaults are the values scripts/doccheck.sh passes.
+var (
+	cliDoc   = flag.String("clidoc", "docs/CLI.md", "markdown CLI reference to cross-check against -cmds (e.g. docs/CLI.md)")
+	cmds     = flag.String("cmds", "cmd", "command tree the -clidoc and -flagdocs references must match")
+	flagDocs = flag.String("flagdocs", "docs/*.md,README.md", "comma-separated globs of markdown files whose flag code spans must name registered flags (e.g. 'docs/*.md,README.md')")
+	detDoc   = flag.String("detdoc", "docs/DETECTORS.md", "markdown detector reference to cross-check against -detsrc (e.g. docs/DETECTORS.md)")
+	detSrc   = flag.String("detsrc", "internal/detector", "detector package the -detdoc reference must cover")
+	pkgDocs  pkgDocList
+)
+
+func init() {
+	flag.Var(&pkgDocs, "pkgdoc", "doc.md:srcdir pair: every exported identifier of srcdir must appear backticked in doc.md (repeatable; default docs/STREAMING.md:internal/stream and docs/GENERATION.md:internal/racegen)")
+}
+
 func main() {
-	cliDoc := flag.String("clidoc", "", "markdown CLI reference to cross-check against -cmds (e.g. docs/CLI.md)")
-	cmds := flag.String("cmds", "cmd", "command tree the -clidoc and -flagdocs references must match")
-	flagDocs := flag.String("flagdocs", "", "comma-separated globs of markdown files whose flag code spans must name registered flags (e.g. 'docs/*.md,README.md')")
-	detDoc := flag.String("detdoc", "", "markdown detector reference to cross-check against -detsrc (e.g. docs/DETECTORS.md)")
-	detSrc := flag.String("detsrc", "internal/detector", "detector package the -detdoc reference must cover")
-	var pkgDocs pkgDocList
-	flag.Var(&pkgDocs, "pkgdoc", "doc.md:srcdir pair: every exported identifier of srcdir must appear backticked in doc.md (repeatable)")
 	flag.Parse()
-	roots := flag.Args()
+	violations, err := check(".", flag.Args()...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for _, v := range violations {
+		fmt.Printf("%s: %s\n", v.pos, v.what)
+	}
+	if len(violations) > 0 {
+		fmt.Printf("doccheck: %d problem(s)\n", len(violations))
+		os.Exit(1)
+	}
+	fmt.Println("doccheck: all packages and exported identifiers documented")
+}
+
+// check runs every check against the repository rooted at root and
+// returns the violations sorted by position.
+func check(root string, roots ...string) ([]violation, error) {
+	at := func(path string) string { return filepath.Join(root, path) }
 	if len(roots) == 0 {
 		roots = []string{"internal", "cmd"}
+	}
+	pds := pkgDocs
+	if len(pds) == 0 {
+		pds = pkgDocList{{"docs/STREAMING.md", "internal/stream"}, {"docs/GENERATION.md", "internal/racegen"}}
 	}
 	fset := token.NewFileSet()
 	var violations []violation
 	if *cliDoc != "" {
-		v, err := checkCLIDoc(*cliDoc, *cmds)
+		v, err := checkCLIDoc(at(*cliDoc), at(*cmds))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return nil, err
 		}
 		violations = append(violations, v...)
 	}
 	if *flagDocs != "" {
-		v, err := checkFlagSpans(strings.Split(*flagDocs, ","), *cmds)
+		globs := strings.Split(*flagDocs, ",")
+		for i, g := range globs {
+			globs[i] = at(strings.TrimSpace(g))
+		}
+		v, err := checkFlagSpans(globs, at(*cmds))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return nil, err
 		}
 		violations = append(violations, v...)
 	}
 	if *detDoc != "" {
-		v, err := checkDetectorDoc(*detDoc, *detSrc)
+		v, err := checkDetectorDoc(at(*detDoc), at(*detSrc))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return nil, err
 		}
 		violations = append(violations, v...)
 	}
-	for _, pd := range pkgDocs {
-		v, err := checkPackageDoc(pd.doc, pd.src)
+	for _, pd := range pds {
+		v, err := checkPackageDoc(at(pd.doc), at(pd.src))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return nil, err
 		}
 		violations = append(violations, v...)
 	}
-	for _, root := range roots {
-		dirs, err := goDirs(root)
+	for _, r := range roots {
+		dirs, err := goDirs(at(r))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return nil, err
 		}
 		for _, dir := range dirs {
 			v, err := checkDir(fset, dir)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return nil, err
 			}
 			violations = append(violations, v...)
 		}
@@ -140,14 +167,7 @@ func main() {
 		}
 		return a.Line < b.Line
 	})
-	for _, v := range violations {
-		fmt.Printf("%s: %s\n", v.pos, v.what)
-	}
-	if len(violations) > 0 {
-		fmt.Printf("doccheck: %d problem(s)\n", len(violations))
-		os.Exit(1)
-	}
-	fmt.Println("doccheck: all packages and exported identifiers documented")
+	return violations, nil
 }
 
 // goDirs lists directories under root containing non-test .go files.
