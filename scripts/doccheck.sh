@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
-# doccheck.sh — fail when a package or exported identifier under
-# internal/ or cmd/ lacks a doc comment, when docs/CLI.md has gone
-# stale against the commands under cmd/, when a code span in docs/*.md
-# or README.md names a flag no command registers, when
-# docs/DETECTORS.md no longer covers every detector name and exported
-# Stats field, or when docs/STREAMING.md or docs/GENERATION.md no
-# longer covers every internal/stream or internal/racegen export.
+# doccheck.sh — run the repo's documentation checks, one rule list over
+# one parse of internal/ and cmd/ (scripts/doccheck, go/ast only). It
+# fails when:
+#   - a package or exported identifier under internal/ or cmd/ lacks a
+#     doc comment;
+#   - docs/CLI.md lacks a section or table row for a command under cmd/,
+#     has a section for a command that is gone, leaves a registered flag
+#     out of its command's section, or lists a flag the command does not
+#     register;
+#   - a code span in docs/*.md or README.md names a flag no command
+#     registers;
+#   - docs/DETECTORS.md leaves out a detector name or an exported Stats
+#     field of internal/detector;
+#   - docs/STREAMING.md or docs/GENERATION.md leaves out an export of
+#     internal/stream or internal/racegen.
 # CI runs this as a blocking step; run it locally before sending a PR:
 #
 #   scripts/doccheck.sh
-#
-# The actual checker is the Go program in scripts/doccheck, which
-# parses the source with go/ast (no deps beyond the stdlib).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-exec go run ./scripts/doccheck -clidoc docs/CLI.md -cmds cmd \
-	-flagdocs 'docs/*.md,README.md' \
-	-detdoc docs/DETECTORS.md -detsrc internal/detector \
-	-pkgdoc docs/STREAMING.md:internal/stream \
-	-pkgdoc docs/GENERATION.md:internal/racegen \
-	internal cmd
+exec go run ./scripts/doccheck

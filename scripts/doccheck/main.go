@@ -1,58 +1,47 @@
-// Command doccheck enforces the repo's documentation bar: every
-// package and every exported identifier under the given directory
-// trees must carry a doc comment. scripts/doccheck.sh runs it over
-// internal/ and cmd/; CI runs that script as a blocking step.
+// Command doccheck enforces the repo's documentation bar. It parses
+// every package directory under internal/ and cmd/ once and runs one
+// rule list over that parse; it takes no flags. scripts/doccheck.sh
+// runs it, and CI runs that script as a blocking step. The rules:
 //
-// An exported identifier (top-level function, method, type, const,
-// var) counts as documented if it has its own doc comment, inherits
-// one from its enclosing const/var/type block, or carries a trailing
-// line comment (the idiomatic form inside grouped const blocks).
-// Methods are checked only on exported receiver types; struct fields
-// follow the surrounding struct's doc and are not checked. Test files
-// are skipped.
+//   - Doc comments. Every package and every exported identifier under
+//     internal/ and cmd/ carries a doc comment. An exported identifier
+//     (top-level function, method, type, const, var) counts as
+//     documented if it has its own doc comment, inherits one from its
+//     enclosing const/var/type block, or carries a trailing line
+//     comment (the idiomatic form inside grouped const blocks). Methods
+//     are checked only on exported receiver types; struct fields follow
+//     the surrounding struct's doc. Test files and testdata trees are
+//     skipped.
+//   - docs/CLI.md against cmd/. Every directory under cmd/ holding Go
+//     files has a "## <name>" section and a command-table row, and every
+//     "## <name>" section names a real command. Every flag a command
+//     registers on its own command line (package-level
+//     flag.String/Bool/... calls) appears backticked (`-name`) in its
+//     section, and every backticked flag in the first cell of a table
+//     row in that section is one the command registers there.
+//     Subcommand flag.NewFlagSet flags are documented per subcommand,
+//     outside the flag tables.
+//   - Flag spans in docs/*.md and README.md. An inline code span that
+//     is exactly one flag — `-name`, `-name value` or `-name=value` —
+//     names a flag some command registers, on its own command line or
+//     on a flag.NewFlagSet subcommand set, or one of the go tool's flags
+//     the docs use (goToolFlags). A span `-name-*` stands for every
+//     registered flag beginning "name-". Spans are parsed whole, so
+//     "`Seq`-ordered" names no flag; fenced code blocks are skipped.
+//   - docs/DETECTORS.md against internal/detector. Every detector name
+//     (each string key of the constructors table) and every exported
+//     field of the Stats struct appears as `name`.
+//   - docs/STREAMING.md against internal/stream, and docs/GENERATION.md
+//     against internal/racegen. Every exported top-level identifier
+//     (function, type, const, var; methods follow their receiver type)
+//     appears backticked: `Name`, a call span opening `Name(, or a
+//     qualified span closing .Name`.
 //
-// With -clidoc, doccheck additionally cross-checks the CLI reference
-// against the commands that actually exist: every directory under
-// -cmds must have a "## <name>" section and a command-table row in
-// the given markdown file, and every "## <name>" section must name a
-// real command — so docs/CLI.md cannot silently go stale when a
-// command is added or removed. Flags are covered too: every flag a
-// command registers (package-level flag.String/Bool/... calls) must
-// appear backticked (`-name`) inside that command's section, so a new
-// flag cannot ship undocumented; and every backticked flag in the first
-// cell of a table row in that section must be one the command
-// registers, so a deleted flag's row cannot linger. Subcommand
-// flag.NewFlagSet flags are out of scope — they are documented
-// per-subcommand.
-//
-// With -flagdocs (comma-separated globs of markdown files),
-// doccheck fails every inline code span in those files that is
-// exactly one flag — `-name`, `-name value` or `-name=value` — unless
-// some command under -cmds registers that flag, on its own command
-// line or on a flag.NewFlagSet subcommand set, or the go tool does (a
-// short explicit list: `-race`, `-benchtime`, ...). A span `-name-*`
-// stands for every registered flag beginning "name-". Spans are parsed
-// whole, so "`Seq`-ordered" names no flag; fenced code blocks are
-// skipped. A flag deleted from a command cannot linger in prose.
-//
-// With -detdoc, doccheck cross-checks the detector design reference
-// the same way: every detector name in -detsrc (the string keys of its
-// constructors table) and every exported field of the detector Stats
-// struct must appear backticked in the given markdown
-// file — so docs/DETECTORS.md cannot silently go stale when a
-// detector or counter is added.
-//
-// With -pkgdoc (a doc.md:srcdir pair, repeatable), doccheck
-// cross-checks a package reference against the package itself: every
-// exported top-level identifier (function, type, const, var) of the
-// source directory must appear backticked in the markdown file — so a
-// new export cannot ship without its reference doc catching up.
-// scripts/doccheck.sh pins docs/STREAMING.md to internal/stream this
-// way.
+// Finding no detector names, no Stats fields or no package exports is
+// an error, not a pass: the source has moved, not become empty.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -61,33 +50,48 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// violation is one undocumented package or identifier.
+// The trees and documents the rules cover, relative to the repo root.
+const (
+	cliDoc = "docs/CLI.md"
+	cmdDir = "cmd"
+	detDoc = "docs/DETECTORS.md"
+	detSrc = "internal/detector"
+)
+
+// srcRoots are the trees parsed, and held to the doc-comment rule.
+var srcRoots = []string{"internal", "cmd"}
+
+// flagDocs are the globs of markdown files whose flag spans are checked.
+var flagDocs = []string{"docs/*.md", "README.md"}
+
+// rule is one check over the parsed repository.
+type rule struct {
+	name  string // what the rule enforces, for the success line
+	check func(r *repo) ([]violation, error)
+}
+
+var rules = []rule{
+	{"doc comments under internal/ and cmd/", checkDocComments},
+	{cliDoc + " against cmd/", checkCLIDoc},
+	{"flag spans in docs/*.md and README.md", checkFlagSpans},
+	{detDoc + " against " + detSrc, checkDetectorDoc},
+	packageDocRule("docs/STREAMING.md", "internal/stream"),
+	packageDocRule("docs/GENERATION.md", "internal/racegen"),
+}
+
+// violation is one problem a rule found.
 type violation struct {
 	pos  token.Position
 	what string
 }
 
-// The flags' defaults are the values scripts/doccheck.sh passes.
-var (
-	cliDoc   = flag.String("clidoc", "docs/CLI.md", "markdown CLI reference to cross-check against -cmds (e.g. docs/CLI.md)")
-	cmds     = flag.String("cmds", "cmd", "command tree the -clidoc and -flagdocs references must match")
-	flagDocs = flag.String("flagdocs", "docs/*.md,README.md", "comma-separated globs of markdown files whose flag code spans must name registered flags (e.g. 'docs/*.md,README.md')")
-	detDoc   = flag.String("detdoc", "docs/DETECTORS.md", "markdown detector reference to cross-check against -detsrc (e.g. docs/DETECTORS.md)")
-	detSrc   = flag.String("detsrc", "internal/detector", "detector package the -detdoc reference must cover")
-	pkgDocs  pkgDocList
-)
-
-func init() {
-	flag.Var(&pkgDocs, "pkgdoc", "doc.md:srcdir pair: every exported identifier of srcdir must appear backticked in doc.md (repeatable; default docs/STREAMING.md:internal/stream and docs/GENERATION.md:internal/racegen)")
-}
-
 func main() {
-	flag.Parse()
-	violations, err := check(".", flag.Args()...)
+	violations, err := check(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -99,75 +103,122 @@ func main() {
 		fmt.Printf("doccheck: %d problem(s)\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: all packages and exported identifiers documented")
+	names := make([]string, len(rules))
+	for i, rl := range rules {
+		names[i] = rl.name
+	}
+	fmt.Printf("doccheck: ok: %s\n", strings.Join(names, "; "))
 }
 
-// check runs every check against the repository rooted at root and
-// returns the violations sorted by position.
-func check(root string, roots ...string) ([]violation, error) {
-	at := func(path string) string { return filepath.Join(root, path) }
-	if len(roots) == 0 {
-		roots = []string{"internal", "cmd"}
+// check parses the repository rooted at root, runs every rule over it
+// and returns the violations sorted by position.
+func check(root string) ([]violation, error) {
+	r, err := load(root)
+	if err != nil {
+		return nil, err
 	}
-	pds := pkgDocs
-	if len(pds) == 0 {
-		pds = pkgDocList{{"docs/STREAMING.md", "internal/stream"}, {"docs/GENERATION.md", "internal/racegen"}}
-	}
-	fset := token.NewFileSet()
-	var violations []violation
-	if *cliDoc != "" {
-		v, err := checkCLIDoc(at(*cliDoc), at(*cmds))
+	var out []violation
+	for _, rl := range rules {
+		v, err := rl.check(r)
 		if err != nil {
 			return nil, err
 		}
-		violations = append(violations, v...)
+		out = append(out, v...)
 	}
-	if *flagDocs != "" {
-		globs := strings.Split(*flagDocs, ",")
-		for i, g := range globs {
-			globs[i] = at(strings.TrimSpace(g))
-		}
-		v, err := checkFlagSpans(globs, at(*cmds))
-		if err != nil {
-			return nil, err
-		}
-		violations = append(violations, v...)
-	}
-	if *detDoc != "" {
-		v, err := checkDetectorDoc(at(*detDoc), at(*detSrc))
-		if err != nil {
-			return nil, err
-		}
-		violations = append(violations, v...)
-	}
-	for _, pd := range pds {
-		v, err := checkPackageDoc(at(pd.doc), at(pd.src))
-		if err != nil {
-			return nil, err
-		}
-		violations = append(violations, v...)
-	}
-	for _, r := range roots {
-		dirs, err := goDirs(at(r))
-		if err != nil {
-			return nil, err
-		}
-		for _, dir := range dirs {
-			v, err := checkDir(fset, dir)
-			if err != nil {
-				return nil, err
-			}
-			violations = append(violations, v...)
-		}
-	}
-	sort.Slice(violations, func(i, j int) bool {
-		a, b := violations[i].pos, violations[j].pos
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i].pos, out[j].pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		return a.Line < b.Line
 	})
-	return violations, nil
+	return out, nil
+}
+
+// repo is the repository as the rules see it.
+type repo struct {
+	root     string
+	fset     *token.FileSet
+	dirs     []string         // package directories, slash-separated and sorted
+	pkgs     map[string][]pkg // the packages of each directory in dirs
+	commands []command        // the directories under cmd/ holding Go files
+}
+
+// pkg is one parsed package: its name and non-test files in file order.
+type pkg struct {
+	name  string
+	files []*ast.File
+}
+
+// command is one directory under cmd/ and the flags its package
+// registers, each list sorted.
+type command struct {
+	name string
+	top  []string // on its own command line
+	sub  []string // on flag.NewFlagSet subcommand sets
+}
+
+// path returns the file path of rel, a slash path under the root.
+func (r *repo) path(rel string) string {
+	return filepath.Join(r.root, filepath.FromSlash(rel))
+}
+
+// load parses every package directory under srcRoots once and lists
+// the commands with the flags they register.
+func load(root string) (*repo, error) {
+	r := &repo{root: root, fset: token.NewFileSet(), pkgs: map[string][]pkg{}}
+	for _, sr := range srcRoots {
+		dirs, err := goDirs(r.path(sr))
+		if err != nil {
+			return nil, err
+		}
+		for _, dir := range dirs {
+			parsed, err := parser.ParseDir(r.fset, dir, func(fi fs.FileInfo) bool {
+				return !strings.HasSuffix(fi.Name(), "_test.go")
+			}, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("doccheck: %s: %w", dir, err)
+			}
+			rel, err := filepath.Rel(root, dir)
+			if err != nil {
+				return nil, err
+			}
+			rel = filepath.ToSlash(rel)
+			r.dirs = append(r.dirs, rel)
+			for name, p := range parsed {
+				files := make([]string, 0, len(p.Files))
+				for f := range p.Files {
+					files = append(files, f)
+				}
+				sort.Strings(files)
+				pk := pkg{name: name}
+				for _, f := range files {
+					pk.files = append(pk.files, p.Files[f])
+				}
+				r.pkgs[rel] = append(r.pkgs[rel], pk)
+			}
+			sort.Slice(r.pkgs[rel], func(i, j int) bool { return r.pkgs[rel][i].name < r.pkgs[rel][j].name })
+		}
+	}
+	entries, err := os.ReadDir(r.path(cmdDir))
+	if err != nil {
+		return nil, fmt.Errorf("doccheck: %s: %w", cmdDir, err)
+	}
+	for _, e := range entries {
+		// A directory holding Go files, test files included, is a command.
+		if files, _ := filepath.Glob(filepath.Join(r.path(cmdDir), e.Name(), "*.go")); !e.IsDir() || len(files) == 0 {
+			continue
+		}
+		c := command{name: e.Name()}
+		for _, p := range r.pkgs[cmdDir+"/"+e.Name()] {
+			registeredFlags(p.files, &c)
+		}
+		slices.Sort(c.top)
+		slices.Sort(c.sub)
+		c.top, c.sub = slices.Compact(c.top), slices.Compact(c.sub)
+		r.commands = append(r.commands, c)
+	}
+	return r, nil
 }
 
 // goDirs lists directories under root containing non-test .go files.
@@ -198,37 +249,22 @@ func goDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// checkDir parses one package directory and reports undocumented
-// packages and exported identifiers.
-func checkDir(fset *token.FileSet, dir string) ([]violation, error) {
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", dir, err)
-	}
+// checkDocComments reports undocumented packages and exported
+// identifiers.
+func checkDocComments(r *repo) ([]violation, error) {
 	var out []violation
-	for _, pkg := range pkgs {
-		files := make([]string, 0, len(pkg.Files))
-		for name := range pkg.Files {
-			files = append(files, name)
-		}
-		sort.Strings(files)
-		hasPkgDoc := false
-		for _, name := range files {
-			if pkg.Files[name].Doc != nil {
-				hasPkgDoc = true
+	for _, dir := range r.dirs {
+		for _, p := range r.pkgs[dir] {
+			if !slices.ContainsFunc(p.files, func(f *ast.File) bool { return f.Doc != nil }) {
+				out = append(out, violation{
+					pos:  r.fset.Position(p.files[0].Package),
+					what: fmt.Sprintf("package %s has no package doc comment", p.name),
+				})
 			}
-		}
-		if !hasPkgDoc {
-			out = append(out, violation{
-				pos:  fset.Position(pkg.Files[files[0]].Package),
-				what: fmt.Sprintf("package %s has no package doc comment", pkg.Name),
-			})
-		}
-		exportedTypes := exportedTypeNames(pkg)
-		for _, name := range files {
-			out = append(out, checkFile(fset, pkg.Files[name], exportedTypes)...)
+			exportedTypes := exportedTypeNames(p.files)
+			for _, f := range p.files {
+				out = append(out, checkFile(r.fset, f, exportedTypes)...)
+			}
 		}
 	}
 	return out, nil
@@ -236,9 +272,9 @@ func checkDir(fset *token.FileSet, dir string) ([]violation, error) {
 
 // exportedTypeNames collects the package's exported type names, the
 // receivers whose methods must be documented.
-func exportedTypeNames(pkg *ast.Package) map[string]bool {
+func exportedTypeNames(files []*ast.File) map[string]bool {
 	out := map[string]bool{}
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
@@ -303,33 +339,21 @@ func checkFile(fset *token.FileSet, f *ast.File, exportedTypes map[string]bool) 
 	return out
 }
 
-// checkCLIDoc cross-checks the CLI reference against the command
-// tree: every command directory needs a "## <name>" section and a
-// table row linking to it, every "## <name>" heading must name a
-// command that still exists, every flag a command registers must
-// appear backticked in that command's section, and every flag a table
-// row's first cell names must be registered.
-func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
-	entries, err := os.ReadDir(cmdRoot)
-	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", cmdRoot, err)
-	}
-	commands := map[string]bool{}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		// Only directories holding non-test Go files are commands.
-		files, err := filepath.Glob(filepath.Join(cmdRoot, e.Name(), "*.go"))
-		if err != nil || len(files) == 0 {
-			continue
-		}
-		commands[e.Name()] = true
-	}
-
+// checkCLIDoc cross-checks the CLI reference against the commands:
+// every command needs a "## <name>" section and a table row linking to
+// it, every "## <name>" heading must name a command that still exists,
+// every flag a command registers on its own command line must appear
+// backticked in that command's section, and every flag a table row's
+// first cell names must be one of those.
+func checkCLIDoc(r *repo) ([]violation, error) {
+	docPath := r.path(cliDoc)
 	data, err := os.ReadFile(docPath)
 	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", docPath, err)
+		return nil, fmt.Errorf("doccheck: %s: %w", cliDoc, err)
+	}
+	isCommand := map[string]bool{}
+	for _, c := range r.commands {
+		isCommand[c.name] = true
 	}
 	sections := map[string]*strings.Builder{}
 	sectionLine := map[string]int{}
@@ -345,10 +369,10 @@ func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 			section = name
 			sections[name] = current
 			sectionLine[name] = i + 1
-			if !commands[name] {
+			if !isCommand[name] {
 				out = append(out, violation{
 					pos:  token.Position{Filename: docPath, Line: i + 1},
-					what: fmt.Sprintf("section %q documents a command missing from %s/", name, cmdRoot),
+					what: fmt.Sprintf("section %q documents a command missing from %s/", name, cmdDir),
 				})
 			}
 			continue
@@ -367,48 +391,37 @@ func checkCLIDoc(docPath, cmdRoot string) ([]violation, error) {
 			}
 		}
 	}
-	names := make([]string, 0, len(commands))
-	for name := range commands {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		body, hasSection := sections[name]
+	for _, c := range r.commands {
+		body, hasSection := sections[c.name]
 		if !hasSection {
 			out = append(out, violation{
 				pos:  token.Position{Filename: docPath, Line: 1},
-				what: fmt.Sprintf("command %s/%s has no \"## %s\" section", cmdRoot, name, name),
+				what: fmt.Sprintf("command %s/%s has no \"## %s\" section", cmdDir, c.name, c.name),
 			})
 		}
-		if !tableRows[name] {
+		if !tableRows[c.name] {
 			out = append(out, violation{
 				pos:  token.Position{Filename: docPath, Line: 1},
-				what: fmt.Sprintf("command %s/%s is missing from the command table", cmdRoot, name),
+				what: fmt.Sprintf("command %s/%s is missing from the command table", cmdDir, c.name),
 			})
 		}
 		if !hasSection {
 			continue
 		}
-		flags, err := commandFlags(filepath.Join(cmdRoot, name), false)
-		if err != nil {
-			return nil, err
-		}
-		registered := map[string]bool{}
-		for _, fl := range flags {
-			registered[fl] = true
+		for _, fl := range c.top {
 			if !flagDocumented(body.String(), fl) {
 				out = append(out, violation{
-					pos:  token.Position{Filename: docPath, Line: sectionLine[name]},
-					what: fmt.Sprintf("flag -%s of %s/%s is not mentioned (`-%s`) in its section", fl, cmdRoot, name, fl),
+					pos:  token.Position{Filename: docPath, Line: sectionLine[c.name]},
+					what: fmt.Sprintf("flag -%s of %s/%s is not mentioned (`-%s`) in its section", fl, cmdDir, c.name, fl),
 				})
 			}
 		}
-		for _, row := range flagRows[name] {
+		for _, row := range flagRows[c.name] {
 			for _, fl := range row.flags {
-				if !registered[fl] {
+				if !slices.Contains(c.top, fl) {
 					out = append(out, violation{
 						pos:  token.Position{Filename: docPath, Line: row.line},
-						what: fmt.Sprintf("table row names -%s, which %s/%s does not register", fl, cmdRoot, name),
+						what: fmt.Sprintf("table row names -%s, which %s/%s does not register", fl, cmdDir, c.name),
 					})
 				}
 			}
@@ -444,65 +457,52 @@ func backtickedFlags(cell string) []string {
 	}
 }
 
-// flagRegistrars are the package-level flag constructors whose first
-// argument names a command-line flag.
+// flagRegistrars are the flag constructors whose first argument names
+// a command-line flag.
 var flagRegistrars = map[string]bool{
 	"Bool": true, "Duration": true, "Float64": true,
 	"Int": true, "Int64": true, "String": true,
 	"Uint": true, "Uint64": true,
 }
 
-// commandFlags returns the flag names a command registers: the string
-// literals passed to package-level flag.String/Bool/Int/... calls,
-// and with subcommands also those passed to the same methods of a
-// variable assigned from flag.NewFlagSet. The CLI table check leaves
-// subcommand flags out: they are documented per-subcommand, not in
-// the command's flag table.
-func commandFlags(dir string, subcommands bool) ([]string, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", dir, err)
-	}
-	seen := map[string]bool{}
-	var names []string
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			sets := map[string]bool{"flag": true}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if as, ok := n.(*ast.AssignStmt); ok && subcommands && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
-					if call, ok := as.Rhs[0].(*ast.CallExpr); ok && isFlagCall(call, "NewFlagSet") {
-						if id, ok := as.Lhs[0].(*ast.Ident); ok {
-							sets[id.Name] = true
-						}
+// registeredFlags adds to c the flags a command's files register, in
+// one walk: the string literals passed to package-level
+// flag.String/Bool/Int/... calls go to c.top, and those passed to the
+// same methods of a variable assigned from flag.NewFlagSet go to c.sub.
+func registeredFlags(files []*ast.File, c *command) {
+	for _, f := range files {
+		sets := map[string]bool{} // this file's flag.NewFlagSet variables
+		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+				if call, ok := as.Rhs[0].(*ast.CallExpr); ok && isFlagCall(call, "NewFlagSet") {
+					if id, ok := as.Lhs[0].(*ast.Ident); ok {
+						sets[id.Name] = true
 					}
 				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) < 1 {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !flagRegistrars[sel.Sel.Name] {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); !ok || !sets[id.Name] {
-					return true
-				}
-				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					name := strings.Trim(lit.Value, `"`)
-					if !seen[name] {
-						seen[name] = true
-						names = append(names, name)
-					}
-				}
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 1 {
 				return true
-			})
-		}
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !flagRegistrars[sel.Sel.Name] {
+				return true
+			}
+			id, ok := sel.X.(*ast.Ident)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if !ok || !isLit || lit.Kind != token.STRING {
+				return true
+			}
+			name := strings.Trim(lit.Value, `"`)
+			switch {
+			case id.Name == "flag":
+				c.top = append(c.top, name)
+			case sets[id.Name]:
+				c.sub = append(c.sub, name)
+			}
+			return true
+		})
 	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // isFlagCall reports whether call is flag.<name>(...).
@@ -525,24 +525,16 @@ var goToolFlags = map[string]bool{
 // optionally with a value: its name, and "*" for a `-name-*` family.
 var flagSpan = regexp.MustCompile(`^-([A-Za-z][-A-Za-z0-9]*)(\*?)(?:[ =]\S+)?$`)
 
-// checkFlagSpans fails every inline code span of the markdown files
-// matching globs that is exactly one flag no command under cmdRoot
-// registers (see the package comment).
-func checkFlagSpans(globs []string, cmdRoot string) ([]violation, error) {
-	entries, err := os.ReadDir(cmdRoot)
-	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", cmdRoot, err)
-	}
+// checkFlagSpans fails every inline code span of the flagDocs files
+// that is exactly one flag no command registers (see the package
+// comment).
+func checkFlagSpans(r *repo) ([]violation, error) {
 	registered := map[string]bool{}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+	for _, c := range r.commands {
+		for _, fl := range c.top {
+			registered[fl] = true
 		}
-		flags, err := commandFlags(filepath.Join(cmdRoot, e.Name()), true)
-		if err != nil {
-			return nil, err
-		}
-		for _, fl := range flags {
+		for _, fl := range c.sub {
 			registered[fl] = true
 		}
 	}
@@ -558,10 +550,10 @@ func checkFlagSpans(globs []string, cmdRoot string) ([]violation, error) {
 		return false
 	}
 	var docs []string
-	for _, g := range globs {
-		m, err := filepath.Glob(strings.TrimSpace(g))
+	for _, g := range flagDocs {
+		m, err := filepath.Glob(r.path(g))
 		if err != nil || len(m) == 0 {
-			return nil, fmt.Errorf("doccheck: -flagdocs %q matches no file", g)
+			return nil, fmt.Errorf("doccheck: %q matches no file", g)
 		}
 		docs = append(docs, m...)
 	}
@@ -587,7 +579,7 @@ func checkFlagSpans(globs []string, cmdRoot string) ([]violation, error) {
 				}
 				out = append(out, violation{
 					pos:  token.Position{Filename: doc, Line: i + 1},
-					what: fmt.Sprintf("`%s` names a flag no command under %s/ registers", span, cmdRoot),
+					what: fmt.Sprintf("`%s` names a flag no command under %s/ registers", span, cmdDir),
 				})
 			}
 		}
@@ -659,35 +651,43 @@ func isFlagNameChar(c byte) bool {
 	return c == '-' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-// checkDetectorDoc cross-checks the detector design reference against
-// the detector package: every detector name (each string key of the
-// constructors table) and every exported field of the Stats struct
-// must appear backticked in the doc, so neither a new detector nor a
-// new counter can ship undocumented. Finding no names or no fields is
-// an error: the table or struct has moved, not become empty.
-func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, srcDir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+// mention is a name a reference doc must mention, and the problem
+// reported when it does not.
+type mention struct {
+	name, what string
+}
+
+// checkMentions reports, at line 1 of doc, each wanted name that the
+// doc mentions in none of the spellings (formats with one %s for the
+// name).
+func checkMentions(r *repo, doc string, wants []mention, spellings ...string) ([]violation, error) {
+	data, err := os.ReadFile(r.path(doc))
 	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", srcDir, err)
+		return nil, fmt.Errorf("doccheck: %s: %w", doc, err)
 	}
-	var wanted []string // identifiers the doc must mention, with their origin
-	var origins []string
-	var names, fields int
-	addWant := func(name, origin string) {
-		wanted = append(wanted, name)
-		origins = append(origins, origin)
-	}
-	for _, pkg := range pkgs {
-		files := make([]string, 0, len(pkg.Files))
-		for name := range pkg.Files {
-			files = append(files, name)
+	text := string(data)
+	var out []violation
+	for _, w := range wants {
+		if !slices.ContainsFunc(spellings, func(s string) bool { return strings.Contains(text, fmt.Sprintf(s, w.name)) }) {
+			out = append(out, violation{pos: token.Position{Filename: r.path(doc), Line: 1}, what: w.what})
 		}
-		sort.Strings(files)
-		for _, fname := range files {
-			ast.Inspect(pkg.Files[fname], func(n ast.Node) bool {
+	}
+	return out, nil
+}
+
+// checkDetectorDoc requires the detector reference to mention, as
+// `name`, every detector name (each string key of the constructors
+// table) and every exported field of the Stats struct, so neither a new
+// detector nor a new counter can ship undocumented.
+func checkDetectorDoc(r *repo) ([]violation, error) {
+	var wants []mention
+	var names, fields int
+	want := func(origin, name string) {
+		wants = append(wants, mention{name, fmt.Sprintf("%s %q from %s is not mentioned (backticked) in the detector reference", origin, name, detSrc)})
+	}
+	for _, p := range r.pkgs[detSrc] {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
 				switch d := n.(type) {
 				case *ast.ValueSpec:
 					if len(d.Names) != 1 || d.Names[0].Name != "constructors" || len(d.Values) != 1 {
@@ -703,7 +703,7 @@ func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 							continue
 						}
 						if lit, ok := kv.Key.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-							addWant(strings.Trim(lit.Value, `"`), "detector")
+							want("detector", strings.Trim(lit.Value, `"`))
 							names++
 						}
 					}
@@ -718,7 +718,7 @@ func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 					for _, fld := range st.Fields.List {
 						for _, nm := range fld.Names {
 							if nm.IsExported() {
-								addWant(nm.Name, "exported Stats field")
+								want("exported Stats field", nm.Name)
 								fields++
 							}
 						}
@@ -729,99 +729,39 @@ func checkDetectorDoc(docPath, srcDir string) ([]violation, error) {
 		}
 	}
 	if names == 0 || fields == 0 {
-		return nil, fmt.Errorf("doccheck: %s: found %d detector names in a constructors table and %d Stats fields, want both (wrong -detsrc?)", srcDir, names, fields)
+		return nil, fmt.Errorf("doccheck: %s: found %d detector names in a constructors table and %d Stats fields, want both", detSrc, names, fields)
 	}
-	data, err := os.ReadFile(docPath)
-	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", docPath, err)
-	}
-	doc := string(data)
-	var out []violation
-	for i, name := range wanted {
-		if !strings.Contains(doc, "`"+name+"`") {
-			out = append(out, violation{
-				pos:  token.Position{Filename: docPath, Line: 1},
-				what: fmt.Sprintf("%s %q from %s is not mentioned (backticked) in the detector reference", origins[i], name, srcDir),
-			})
-		}
-	}
-	return out, nil
+	return checkMentions(r, detDoc, wants, "`%s`")
 }
 
-// pkgDoc is one -pkgdoc pairing of a reference doc and the package
-// directory it must cover.
-type pkgDoc struct {
-	doc string
-	src string
-}
-
-// pkgDocList collects repeated -pkgdoc flags.
-type pkgDocList []pkgDoc
-
-// String renders the list for flag's usage output.
-func (l *pkgDocList) String() string {
-	parts := make([]string, len(*l))
-	for i, pd := range *l {
-		parts[i] = pd.doc + ":" + pd.src
-	}
-	return strings.Join(parts, ",")
-}
-
-// Set parses one doc.md:srcdir pair.
-func (l *pkgDocList) Set(v string) error {
-	doc, src, ok := strings.Cut(v, ":")
-	if !ok || doc == "" || src == "" {
-		return fmt.Errorf("-pkgdoc %q: want doc.md:srcdir", v)
-	}
-	*l = append(*l, pkgDoc{doc: doc, src: src})
-	return nil
-}
-
-// checkPackageDoc cross-checks a package reference doc against the
-// package: every exported top-level identifier (function, type,
-// const, var — methods follow their receiver type and are skipped)
-// must appear backticked in the doc, so a new export cannot ship
-// without the reference catching up.
-func checkPackageDoc(docPath, srcDir string) ([]violation, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, srcDir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", srcDir, err)
-	}
-	var wanted []string
-	seen := map[string]bool{}
-	addWant := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			wanted = append(wanted, name)
-		}
-	}
-	for _, pkg := range pkgs {
-		files := make([]string, 0, len(pkg.Files))
-		for name := range pkg.Files {
-			files = append(files, name)
-		}
-		sort.Strings(files)
-		for _, fname := range files {
-			for _, decl := range pkg.Files[fname].Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil && d.Name.IsExported() {
-						addWant(d.Name.Name)
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							if s.Name.IsExported() {
-								addWant(s.Name.Name)
-							}
-						case *ast.ValueSpec:
-							for _, nm := range s.Names {
-								if nm.IsExported() {
-									addWant(nm.Name)
+// packageDocRule requires the package reference doc to mention every
+// exported top-level identifier (function, type, const, var; methods
+// follow their receiver type) of the package in src, as `Name`, as a
+// call span opening `Name( or as a qualified span closing .Name`, so a
+// new export cannot ship without the reference catching up.
+func packageDocRule(doc, src string) rule {
+	return rule{doc + " against " + src, func(r *repo) ([]violation, error) {
+		seen := map[string]bool{}
+		for _, p := range r.pkgs[src] {
+			for _, f := range p.files {
+				for _, decl := range f.Decls {
+					switch d := decl.(type) {
+					case *ast.FuncDecl:
+						if d.Recv == nil && d.Name.IsExported() {
+							seen[d.Name.Name] = true
+						}
+					case *ast.GenDecl:
+						for _, spec := range d.Specs {
+							switch s := spec.(type) {
+							case *ast.TypeSpec:
+								if s.Name.IsExported() {
+									seen[s.Name.Name] = true
+								}
+							case *ast.ValueSpec:
+								for _, nm := range s.Names {
+									if nm.IsExported() {
+										seen[nm.Name] = true
+									}
 								}
 							}
 						}
@@ -829,26 +769,16 @@ func checkPackageDoc(docPath, srcDir string) ([]violation, error) {
 				}
 			}
 		}
-	}
-	if len(wanted) == 0 {
-		return nil, fmt.Errorf("doccheck: %s: found no exported identifiers (wrong -pkgdoc source?)", srcDir)
-	}
-	data, err := os.ReadFile(docPath)
-	if err != nil {
-		return nil, fmt.Errorf("doccheck: %s: %w", docPath, err)
-	}
-	doc := string(data)
-	var out []violation
-	sort.Strings(wanted)
-	for _, name := range wanted {
-		if !strings.Contains(doc, "`"+name+"`") && !strings.Contains(doc, "`"+name+"(") && !strings.Contains(doc, "."+name+"`") {
-			out = append(out, violation{
-				pos:  token.Position{Filename: docPath, Line: 1},
-				what: fmt.Sprintf("exported identifier %q of %s is not mentioned (backticked) in the package reference", name, srcDir),
-			})
+		if len(seen) == 0 {
+			return nil, fmt.Errorf("doccheck: %s: found no exported identifiers", src)
 		}
-	}
-	return out, nil
+		wants := make([]mention, 0, len(seen))
+		for name := range seen {
+			wants = append(wants, mention{name, fmt.Sprintf("exported identifier %q of %s is not mentioned (backticked) in the package reference", name, src)})
+		}
+		sort.Slice(wants, func(i, j int) bool { return wants[i].name < wants[j].name })
+		return checkMentions(r, doc, wants, "`%s`", "`%s(", ".%s`")
+	}}
 }
 
 func receiverTypeName(recv *ast.FieldList) string {
