@@ -204,6 +204,10 @@ func (h *Hybrid) HandleEvent(ev trace.Event) {
 // Races implements Detector: the precise (HB) reports.
 func (h *Hybrid) Races() []report.Race { return h.HB.Races() }
 
+// RaceCount returns the number of precise (HB) reports, so a streaming
+// ingest folds each defect when it manifests.
+func (h *Hybrid) RaceCount() int { return h.HB.RaceCount() }
+
 // Candidates returns lockset findings on addresses the HB detector did
 // not confirm in this execution — the "might race under another
 // schedule" set that makes post-facto triage noisy.

@@ -514,6 +514,42 @@ func TestIngestCountingDetectors(t *testing.T) {
 	}
 }
 
+// TestIngestHybridFoldsMidStream: hybrid's reports are its FastTrack
+// side's, so a hybrid ingest must fold each defect when it manifests,
+// against the same window a fasttrack ingest folds it with, and store
+// the same records apart from the detector name. A window of 8 events
+// is small enough that classifying at stream end instead would see
+// different events.
+func TestIngestHybridFoldsMidStream(t *testing.T) {
+	records := func(name string, data []byte) []corpus.Record {
+		coll := corpus.NewCollector("hybrid-fold")
+		in, err := NewIngestor(Config{Detector: name, Collector: coll, Window: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Ingest(context.Background(), bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		recs := coll.Records()
+		for i := range recs {
+			recs[i].Detector = ""
+		}
+		return recs
+	}
+	defects := 0
+	for seed := int64(0); seed < 40; seed++ {
+		data := progTrace(t, progen.Generate(seed, progen.Params{}).Main(), seed)
+		ft, hy := records("fasttrack", data), records("hybrid", data)
+		if !reflect.DeepEqual(ft, hy) {
+			t.Fatalf("progen seed %d: hybrid records differ from fasttrack's\nfasttrack: %+v\nhybrid:    %+v", seed, ft, hy)
+		}
+		defects += len(ft)
+	}
+	if defects == 0 {
+		t.Fatal("no progen seed folded a defect")
+	}
+}
+
 // TestIngestRejectsNonEvictableUnderCeiling: NewIngestor fails closed.
 // A detector without paged shadow state cannot promise a ceiling, so
 // configuration must fail loudly, naming it, rather than silently run

@@ -170,8 +170,9 @@ func (in *Ingestor) DetectorName() string { return in.detName }
 // ceiling (0 when unbounded).
 func (in *Ingestor) PageBudget() int { return in.pages }
 
-// raceCounter is the O(1) manifestation probe implemented by the
-// FastTrack family; detectors without it fold only at stream end.
+// raceCounter is the O(1) manifestation probe implemented by
+// FastTrack, Hybrid and Eraser; detectors without it (the counting
+// epoch and djit) fold only at stream end.
 type raceCounter interface {
 	RaceCount() int
 }
