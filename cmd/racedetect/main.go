@@ -5,11 +5,10 @@
 // Usage:
 //
 //	racedetect -list
-//	racedetect -list-programs
 //	racedetect -pattern capture-loop-index [-variant racy|fixed]
 //	           [-detector fasttrack|eraser|hybrid] [-strategy random|pct|...]
 //	           [-seeds 20] [-suppressions file] [-save-trace file]
-//	racedetect -program stack-trace [-variant racy|fixed] [...]
+//	racedetect -pattern prog:stack-trace [-variant racy|fixed] [...]
 //	racedetect -campaign [-seeds 20] [-parallel 8] [-strategies random,pct]
 //	           [-corpus store.db] [-run-id id] [-corpus-traces dir]
 //	racedetect -sweep-rates 1,4,16,64 [-seeds 20] [-detector fasttrack]
@@ -20,9 +19,9 @@
 //
 // Alongside the synthetic pattern corpus, racedetect runs instrumented
 // programs: real packages rewritten onto the sched/trace event model
-// by cmd/raceinstrument and listed in internal/progs. -list-programs
-// tables them, -program runs one, and campaign mode sweeps them as
-// prog:<name> units next to the patterns.
+// by cmd/raceinstrument and listed in internal/progs. Each is the unit
+// prog:<name>: -list tables them after the patterns, -pattern runs one,
+// and campaign mode sweeps them next to the patterns.
 //
 // Campaign mode sweeps the whole corpus — every pattern × every
 // scheduling strategy × N seeds — through the internal/sweep engine
@@ -116,10 +115,8 @@ func loadSuppressions(path string) *report.SuppressionList {
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list corpus patterns and exit")
-		listProgs  = flag.Bool("list-programs", false, "list instrumented programs and exit")
-		pattern    = flag.String("pattern", "", "corpus pattern ID")
-		program    = flag.String("program", "", "instrumented program name (see -list-programs)")
+		list       = flag.Bool("list", false, "list corpus patterns and instrumented programs, and exit")
+		pattern    = flag.String("pattern", "", "corpus pattern ID, or prog:<name> for an instrumented program")
 		variant    = flag.String("variant", "racy", "racy or fixed")
 		det        = flag.String("detector", detector.DefaultName, "one of: "+strings.Join(detector.Names(), ", "))
 		strategy   = flag.String("strategy", sched.DefaultStrategyName, "one of: "+strings.Join(sched.StrategyNames(), ", "))
@@ -155,17 +152,13 @@ func main() {
 			}
 			fmt.Printf("%-28s %-22s %s%s\n", p.ID, p.Cat, p.Description, listing)
 		}
-		return
-	}
-
-	if *listProgs {
-		fmt.Printf("%-18s %-44s %s\n", "program", "source", "description")
+		fmt.Printf("\n%-28s %-44s %s\n", "program", "source", "description")
 		for _, p := range progs.Programs() {
 			fixed := ""
 			if p.Fixed != nil {
 				fixed = " [+fixed]"
 			}
-			fmt.Printf("%-18s %-44s %s%s\n", p.Name, p.Source, p.Desc, fixed)
+			fmt.Printf("%-28s %-44s %s%s\n", "prog:"+p.Name, p.Source, p.Desc, fixed)
 		}
 		return
 	}
@@ -198,13 +191,9 @@ func main() {
 		return
 	}
 
-	unitID, catalog := *pattern, "-list"
-	if *program != "" {
-		unitID, catalog = "prog:"+*program, "-list-programs"
-	}
-	prog, err := progs.Resolve(unitID, *variant)
+	prog, err := progs.Resolve(*pattern, *variant)
 	if err != nil {
-		fatal(fmt.Errorf("%w; use %s", err, catalog))
+		fatal(fmt.Errorf("%w; use -list", err))
 	}
 
 	runner := core.NewRunner(
@@ -245,7 +234,7 @@ func main() {
 			}
 			return
 		}
-		fmt.Printf("== %s/%s under %s, %s, seed %d ==\n", unitID, *variant, out.Detector, out.Strategy, seed)
+		fmt.Printf("== %s/%s under %s, %s, seed %d ==\n", *pattern, *variant, out.Detector, out.Strategy, seed)
 		if out.RaceCount > 0 {
 			// The counting detectors (epoch, djit) synthesize stackless
 			// one-per-address reports; the pair count and racy-address
@@ -269,7 +258,7 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("no race manifested for %s/%s across %d seeds", unitID, *variant, *seeds)
+	fmt.Printf("no race manifested for %s/%s across %d seeds", *pattern, *variant, *seeds)
 	if totalSuppressed > 0 {
 		fmt.Printf(" (%d report(s) suppressed via %s)", totalSuppressed, *suppFile)
 	}

@@ -29,7 +29,6 @@ func main() {
 		entry    = flag.String("entry", "", "niladic entry function the program invokes")
 		name     = flag.String("name", "", "generated program name (func Prog<name>)")
 		out      = flag.String("o", "", "output file (default stdout)")
-		pkg      = flag.String("pkg", "progs", "package clause of the generated file")
 		coalesce = flag.Bool("coalesce", true, "coalesce redundant adjacent accesses")
 		dogfood  = flag.Bool("dogfood", false, "regenerate the committed internal/progs sources")
 		root     = flag.String("root", ".", "repo root (dogfood mode)")
@@ -49,7 +48,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := instrument.Options{
-		ProgName: *name, Entry: *entry, OutPkg: *pkg, Coalesce: *coalesce,
+		ProgName: *name, Entry: *entry, Coalesce: *coalesce,
 	}
 	if *harness != "" {
 		src, err := os.ReadFile(*harness)

@@ -55,6 +55,8 @@ func TestBinariesBuildAndRun(t *testing.T) {
 	// Commands.
 	racedetect := build("cmd/racedetect")
 	runOK(racedetect, "capture-loop-index", "-list")
+	runOK(racedetect, "prog:stack-trace", "-list")
+	runOK(racedetect, "== prog:stack-trace/racy", "-pattern", "prog:stack-trace", "-seeds", "10")
 	runOK(racedetect, "WARNING: DATA RACE", "-pattern", "capture-err", "-seeds", "40")
 	// Campaign flags pass raced's job-spec validation: a repeated
 	// strategy fails at startup instead of doing the work twice.

@@ -122,7 +122,7 @@ func (em *emitter) program() (src []byte, err error) {
 	em.ind = 0
 	em.p("// Code generated by raceinstrument; DO NOT EDIT.\n")
 	em.p("// Subject package: %s; entry: %s.\n\n", em.an.pkg.Name(), em.opts.Entry)
-	em.p("package %s\n\n", em.opts.OutPkg)
+	em.p("package progs\n\n")
 	var imps []string
 	for imp := range em.imports {
 		imps = append(imps, imp)

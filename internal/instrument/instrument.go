@@ -53,8 +53,6 @@ type Options struct {
 	// Entry is the niladic subject function the generated program
 	// invokes last. Required.
 	Entry string
-	// OutPkg is the generated file's package clause (default "progs").
-	OutPkg string
 	// Coalesce drops redundant adjacent accesses to the same cell
 	// within a basic block (default off; cmd/raceinstrument enables it
 	// unless told otherwise).
@@ -118,9 +116,6 @@ func Dir(dir string, opts Options) (*Output, error) {
 func Files(files map[string]string, opts Options) (*Output, error) {
 	if opts.ProgName == "" || opts.Entry == "" {
 		return nil, fmt.Errorf("instrument: ProgName and Entry are required")
-	}
-	if opts.OutPkg == "" {
-		opts.OutPkg = "progs"
 	}
 	all := map[string]string{}
 	for k, v := range files {

@@ -19,7 +19,7 @@ import (
 type Campaign struct {
 	// Patterns lists sweep target ids, resolved by Resolve: corpus
 	// pattern ids, plus instrumented programs as "prog:<name>" entries
-	// (see `racedetect -list-programs`). The default is the pattern
+	// (see `racedetect -list`). The default is the pattern
 	// corpus alone (patterns.IDs); `racedetect -campaign` passes IDs
 	// to sweep the programs too.
 	Patterns []string `json:"patterns,omitempty"`
