@@ -225,10 +225,9 @@ func isImportedStruct(t types.Type) bool {
 func (an *analysis) findCellStructs() {
 	hasPtrMethod := map[*types.TypeName]bool{}
 	for _, m := range an.methods {
-		if tn := an.recvTypeName(m); tn != nil {
-			if _, isPtr := an.recvType(m).(*types.Pointer); isPtr {
-				hasPtrMethod[tn] = true
-			}
+		t := an.recvType(m)
+		if _, isPtr := t.(*types.Pointer); isPtr {
+			hasPtrMethod[namedObj(t)] = true
 		}
 	}
 	for _, d := range an.typeDecls {
@@ -270,9 +269,9 @@ func (an *analysis) recvType(m *ast.FuncDecl) types.Type {
 	return an.info.Types[m.Recv.List[0].Type].Type
 }
 
-// recvTypeName resolves a method's receiver to its defined type name.
-func (an *analysis) recvTypeName(m *ast.FuncDecl) *types.TypeName {
-	t := an.recvType(m)
+// namedObj resolves t, through at most one pointer, to the name of its
+// defined type, or nil.
+func namedObj(t types.Type) *types.TypeName {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -290,15 +289,12 @@ var syncTypes = map[varKind]string{kMutex: "Mutex", kRW: "RWMutex", kWG: "WaitGr
 // syncKind classifies a sync package type or a pointer to one; any
 // other type is kPlain.
 func syncKind(t types.Type) varKind {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+	tn := namedObj(t)
+	if tn == nil || tn.Pkg() == nil || tn.Pkg().Path() != "sync" {
 		return kPlain
 	}
 	for k, name := range syncTypes {
-		if name == named.Obj().Name() {
+		if name == tn.Name() {
 			return k
 		}
 	}

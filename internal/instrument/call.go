@@ -77,30 +77,18 @@ func (em *emitter) withG(name, recv string, call *ast.CallExpr) string {
 // liftedCall renders a method call on a subject type as a call of the
 // lifted closure variable.
 func (em *emitter) liftedCall(fun *ast.SelectorExpr, f *types.Func, call *ast.CallExpr) string {
-	sel := em.an.info.Selections[fun]
 	recvT := f.Type().(*types.Signature).Recv().Type()
-	var tn *types.TypeName
-	t := recvT
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		em.fail(fun.Pos(), "method on unsupported receiver type")
-	}
-	tn = named.Obj()
-
+	name := em.liftedName(fun.Pos(), recvT, fun.Sel.Name)
 	recv := em.exprStr(fun.X)
 	_, wantPtr := recvT.(*types.Pointer)
-	xT := sel.Recv()
-	_, havePtr := xT.Underlying().(*types.Pointer)
+	_, havePtr := em.an.info.Selections[fun].Recv().Underlying().(*types.Pointer)
 	if wantPtr && !havePtr {
 		recv = "&" + recv
 	}
 	if !wantPtr && havePtr {
 		recv = "*" + recv
 	}
-	return em.withG(tn.Name()+"_"+fun.Sel.Name, recv, call)
+	return em.withG(name, recv, call)
 }
 
 // syncMethodCall maps sync primitive methods onto sched equivalents.

@@ -195,85 +195,83 @@ func (em *emitter) emitTypes() {
 // variables, and lifted method variables, so bodies and initializers
 // can reference each other regardless of order.
 func (em *emitter) emitDeclsBlock() {
-	for _, spec := range em.an.pkgVarSpecs {
-		for _, name := range spec.Names {
-			v := em.an.varOf(name)
-			if v == nil {
-				continue
-			}
-			em.line("var %s %s", name.Name, em.holderType(em.an.kinds[v], v.Type()))
-		}
-	}
-	for _, f := range em.an.funcs {
-		fn := em.an.info.Defs[f.Name].(*types.Func)
-		em.line("var %s %s", f.Name.Name, em.sigType(fn.Type().(*types.Signature)))
-	}
-	for _, m := range em.an.methods {
-		fn := em.an.info.Defs[m.Name].(*types.Func)
-		em.line("var %s %s", em.liftedName(m), em.methodSigType(fn.Type().(*types.Signature)))
-	}
-	// Silence "declared and not used" for subject declarations the
-	// program never reads.
+	// Every name is also blank-assigned, to silence "declared and not
+	// used" for subject declarations the program never reads.
 	var names []string
 	for _, spec := range em.an.pkgVarSpecs {
 		for _, name := range spec.Names {
 			names = append(names, name.Name)
+			if v := em.an.varOf(name); v != nil {
+				em.line("var %s %s", name.Name, em.holderType(em.an.kinds[v], v.Type()))
+			}
 		}
 	}
+	// The parameters after the named g are blank.
+	blank := func(int, *types.Var) string { return "_" }
 	for _, f := range em.an.funcs {
 		names = append(names, f.Name.Name)
+		em.line("var %s %s", f.Name.Name, em.signature(em.sigOf(f), []string{"g *sched.G"}, blank, false))
 	}
 	for _, m := range em.an.methods {
-		names = append(names, em.liftedName(m))
+		sig := em.sigOf(m)
+		recv := sig.Recv().Type()
+		name := em.liftedName(m.Pos(), recv, m.Name.Name)
+		names = append(names, name)
+		em.line("var %s %s", name, em.signature(sig, []string{"g *sched.G", "_ " + em.goType(recv)}, blank, false))
 	}
 	for _, n := range names {
 		em.line("_ = %s", n)
 	}
 }
 
-// liftedName is the closure-variable name of a lifted method.
-func (em *emitter) liftedName(m *ast.FuncDecl) string {
-	tn := em.an.recvTypeName(m)
+// liftedName is the closure-variable name T_M of method M on a
+// receiver of defined type T or *T.
+func (em *emitter) liftedName(pos token.Pos, recv types.Type, method string) string {
+	tn := namedObj(recv)
 	if tn == nil {
-		em.fail(m.Pos(), "method receiver type unsupported")
+		em.fail(pos, "method %s on unsupported receiver type", method)
 	}
-	return tn.Name() + "_" + m.Name.Name
+	return tn.Name() + "_" + method
 }
 
-// emitFuncAssignments assigns every function and lifted method body.
+// emitFuncAssignments assigns every lifted method and function body.
 func (em *emitter) emitFuncAssignments() {
 	for _, m := range em.an.methods {
-		em.emitFuncBody(em.liftedName(m), m, true)
+		em.emitFuncBody(m)
 	}
 	for _, f := range em.an.funcs {
-		em.emitFuncBody(f.Name.Name, f, false)
+		em.emitFuncBody(f)
 	}
 }
 
-// emitFuncBody emits `name = func(g *sched.G, ...) ... { ... }`.
-func (em *emitter) emitFuncBody(name string, f *ast.FuncDecl, method bool) {
-	fn := em.an.info.Defs[f.Name].(*types.Func)
-	sig := fn.Type().(*types.Signature)
+// sigOf returns the signature of a declared function or method.
+func (em *emitter) sigOf(f *ast.FuncDecl) *types.Signature {
+	return em.an.info.Defs[f.Name].Type().(*types.Signature)
+}
 
-	params := []string{"g *sched.G"}
-	if method {
-		recv := sig.Recv()
+// emitFuncBody emits `name = func(g *sched.G, ...) ... { ... }`; a
+// method is lifted to a closure variable taking its receiver after g.
+func (em *emitter) emitFuncBody(f *ast.FuncDecl) {
+	sig := em.sigOf(f)
+	name, lead := f.Name.Name, []string{"g *sched.G"}
+	if recv := sig.Recv(); recv != nil {
+		name = em.liftedName(f.Pos(), recv.Type(), name)
 		rname := recv.Name()
 		if rname == "" || rname == "_" {
 			rname = "_recv"
 		}
-		params = append(params, rname+" "+em.goType(recv.Type()))
+		lead = append(lead, rname+" "+em.goType(recv.Type()))
 	}
-	params = append(params, em.paramList(sig)...)
-
-	results := em.resultTypes(sig)
-	header := fmt.Sprintf("%s = func(%s)%s {", name, strings.Join(params, ", "), results)
-	em.line("%s", header)
+	em.line("%s = %s {", name, em.signature(sig, lead, func(i int, p *types.Var) string {
+		if pname := em.paramName(p); pname != "" && pname != "_" {
+			return pname
+		}
+		return fmt.Sprintf("_p%d", i)
+	}, false))
 	em.ind++
 
-	qual := em.an.pkg.Name() + "." + strings.TrimPrefix(name, "")
 	pos := em.an.fset.Position(f.Pos())
-	em.line("g.Push(%q, %q, %d)", qual, filepath.Base(pos.Filename), pos.Line)
+	em.line("g.Push(%q, %q, %d)", em.an.pkg.Name()+"."+name, filepath.Base(pos.Filename), pos.Line)
 	em.line("defer g.Pop()")
 
 	prevFunc, prevResults := em.curFunc, em.curResults
@@ -285,42 +283,6 @@ func (em *emitter) emitFuncBody(name string, f *ast.FuncDecl, method bool) {
 
 	em.ind--
 	em.line("}")
-}
-
-// paramList renders the subject parameters of sig (without receiver
-// or the injected g).
-func (em *emitter) paramList(sig *types.Signature) []string {
-	var out []string
-	n := sig.Params().Len()
-	for i := 0; i < n; i++ {
-		p := sig.Params().At(i)
-		pname := em.paramName(p)
-		if pname == "" || pname == "_" {
-			pname = fmt.Sprintf("_p%d", i)
-		}
-		t := em.goType(p.Type())
-		if sig.Variadic() && i == n-1 {
-			t = "..." + em.goType(p.Type().(*types.Slice).Elem())
-		}
-		out = append(out, pname+" "+t)
-	}
-	return out
-}
-
-// resultTypes renders the (unnamed) result list.
-func (em *emitter) resultTypes(sig *types.Signature) string {
-	n := sig.Results().Len()
-	if n == 0 {
-		return ""
-	}
-	var parts []string
-	for i := 0; i < n; i++ {
-		parts = append(parts, em.goType(sig.Results().At(i).Type()))
-	}
-	if n == 1 {
-		return " " + parts[0]
-	}
-	return " (" + strings.Join(parts, ", ") + ")"
 }
 
 // namedResults returns the function's named results (nil when results

@@ -236,7 +236,18 @@ func (em *emitter) cellStructLit(cl *ast.CompositeLit, si *structInfo) string {
 // Literals capture g lexically, so their signatures carry no g param.
 func (em *emitter) renderFuncLit(lit *ast.FuncLit) string {
 	sig := em.an.info.Types[lit].Type.(*types.Signature)
-	header := em.litHeader(lit, sig)
+	for i := 0; i < sig.Results().Len(); i++ {
+		if rv := sig.Results().At(i); rv.Name() != "" && declKind(em.an.kinds[rv], rv.Type()) != kPlain {
+			em.fail(lit.Pos(), "captured named result %s in function literal unsupported", rv.Name())
+		}
+	}
+	// Named results are kept, so bare returns stay valid.
+	header := em.signature(sig, nil, func(_ int, p *types.Var) string {
+		if pname := em.paramName(p); pname != "" {
+			return pname
+		}
+		return "_"
+	}, true)
 
 	saved := em.buf
 	em.buf = bytes.Buffer{}
@@ -252,52 +263,4 @@ func (em *emitter) renderFuncLit(lit *ast.FuncLit) string {
 	out := em.buf.String()
 	em.buf = saved
 	return out
-}
-
-// litHeader renders a function literal's signature (named results are
-// kept, so bare returns stay valid).
-func (em *emitter) litHeader(lit *ast.FuncLit, sig *types.Signature) string {
-	var params []string
-	i := 0
-	for _, f := range lit.Type.Params.List {
-		n := len(f.Names)
-		if n == 0 {
-			n = 1
-		}
-		for j := 0; j < n; j++ {
-			p := sig.Params().At(i)
-			name := em.paramName(p)
-			if name == "" {
-				name = "_"
-			}
-			t := em.goType(p.Type())
-			if sig.Variadic() && i == sig.Params().Len()-1 {
-				t = "..." + em.goType(p.Type().(*types.Slice).Elem())
-			}
-			params = append(params, name+" "+t)
-			i++
-		}
-	}
-	res := ""
-	if n := sig.Results().Len(); n > 0 {
-		named := sig.Results().At(0).Name() != ""
-		var parts []string
-		for i := 0; i < n; i++ {
-			rv := sig.Results().At(i)
-			if named {
-				if declKind(em.an.kinds[rv], rv.Type()) != kPlain {
-					em.fail(lit.Pos(), "captured named result %s in function literal unsupported", rv.Name())
-				}
-				parts = append(parts, rv.Name()+" "+em.goType(rv.Type()))
-			} else {
-				parts = append(parts, em.goType(rv.Type()))
-			}
-		}
-		if len(parts) == 1 && !named {
-			res = " " + parts[0]
-		} else {
-			res = " (" + strings.Join(parts, ", ") + ")"
-		}
-	}
-	return "func(" + strings.Join(params, ", ") + ")" + res
 }

@@ -835,19 +835,14 @@ func (em *emitter) forStmt(s *ast.ForStmt) {
 // hasLoopContinue reports whether body contains a continue binding to
 // this loop (ignores nested loops and function literals).
 func hasLoopContinue(body *ast.BlockStmt) bool {
-	found := false
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
+	return contains(body, func(n ast.Node) bool {
+		switch n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt, *ast.FuncLit:
-			return false
-		case *ast.BranchStmt:
-			if n.Tok == token.CONTINUE {
-				found = true
-			}
+			return true
 		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	return found
+		return false
+	}, func(n ast.Node) bool {
+		br, ok := n.(*ast.BranchStmt)
+		return ok && br.Tok == token.CONTINUE
+	})
 }

@@ -44,28 +44,13 @@ func (em *emitter) goType(t types.Type) string {
 	case *types.Chan:
 		return "*sched.Chan[" + em.goType(t.Elem()) + "]"
 	case *types.Signature:
-		return em.funcType(t)
+		return em.signature(t, nil, nil, false)
 	case *types.Interface:
 		if t.Empty() {
 			return "any"
 		}
 	}
 	panic(emitErr{fmt.Errorf("instrument: unsupported type %s", t)})
-}
-
-// funcType renders a plain function type (literal-style: no g param —
-// literals capture g lexically).
-func (em *emitter) funcType(sig *types.Signature) string {
-	var params []string
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if sig.Variadic() && i == sig.Params().Len()-1 {
-			params = append(params, "..."+em.goType(p.Type().(*types.Slice).Elem()))
-			continue
-		}
-		params = append(params, em.goType(p.Type()))
-	}
-	return "func(" + strings.Join(params, ", ") + ")" + em.resultTypes(sig)
 }
 
 // holderType renders the generated representation of one variable.
@@ -86,31 +71,40 @@ func (em *emitter) holderType(kind varKind, t types.Type) string {
 	return em.goType(t)
 }
 
-// sigType renders a rewritten function variable's type: g first.
-func (em *emitter) sigType(sig *types.Signature) string {
-	params := append([]string{"g *sched.G"}, em.typedParams(sig)...)
-	return "func(" + strings.Join(params, ", ") + ")" + em.resultTypes(sig)
-}
-
-// methodSigType renders a lifted method variable's type: g, then the
-// receiver, then the parameters.
-func (em *emitter) methodSigType(sig *types.Signature) string {
-	params := []string{"g *sched.G", "_ " + em.goType(sig.Recv().Type())}
-	params = append(params, em.typedParams(sig)...)
-	return "func(" + strings.Join(params, ", ") + ")" + em.resultTypes(sig)
-}
-
-// typedParams renders sig's parameter types (blank-named, since the g
-// parameter before them is named).
-func (em *emitter) typedParams(sig *types.Signature) []string {
-	var out []string
+// signature renders sig as a func type: lead first (the injected g
+// and, for a lifted method, its receiver), then the parameters, each
+// named by name (types only when name is nil), then the results, with
+// their names when namedResults is set and sig names them.
+func (em *emitter) signature(sig *types.Signature, lead []string, name func(i int, p *types.Var) string, namedResults bool) string {
+	params := lead
 	for i := 0; i < sig.Params().Len(); i++ {
 		p := sig.Params().At(i)
+		t, dots := p.Type(), ""
 		if sig.Variadic() && i == sig.Params().Len()-1 {
-			out = append(out, "_ ..."+em.goType(p.Type().(*types.Slice).Elem()))
-			continue
+			t, dots = t.(*types.Slice).Elem(), "..."
 		}
-		out = append(out, "_ "+em.goType(p.Type()))
+		s := dots + em.goType(t)
+		if name != nil {
+			s = name(i, p) + " " + s
+		}
+		params = append(params, s)
+	}
+	res := sig.Results()
+	named := namedResults && res.Len() > 0 && res.At(0).Name() != ""
+	var results []string
+	for i := 0; i < res.Len(); i++ {
+		s := em.goType(res.At(i).Type())
+		if named {
+			s = res.At(i).Name() + " " + s
+		}
+		results = append(results, s)
+	}
+	out := "func(" + strings.Join(params, ", ") + ")"
+	switch {
+	case len(results) == 1 && !named:
+		return out + " " + results[0]
+	case len(results) > 0:
+		return out + " (" + strings.Join(results, ", ") + ")"
 	}
 	return out
 }
@@ -135,17 +129,7 @@ func (em *emitter) cellField(sel *ast.SelectorExpr) (varKind, bool) {
 // cellStructOf resolves a type (through one pointer) to its cellified
 // struct info, or nil.
 func (an *analysis) cellStructOf(t types.Type) *structInfo {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return an.cellStructs[named.Obj()]
+	return an.cellStructs[namedObj(t)]
 }
 
 // exprKind reports the modeled kind of the variable or field an
@@ -241,93 +225,72 @@ func (em *emitter) hoistInner(e ast.Expr) {
 // needsHoist reports whether e contains a receive or map read outside
 // any function literal.
 func (em *emitter) needsHoist(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	return contains(e, isFuncLit, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				found = true
-			}
+			return x.Op == token.ARROW
 		case *ast.IndexExpr:
-			if em.exprKind(x.X) == kMap {
-				found = true
-			}
+			return em.exprKind(x.X) == kMap
 		}
-		return !found
+		return false
 	})
-	return found
 }
 
 // interesting reports whether any part of n needs rewriting; verbatim
 // passthrough is used otherwise.
 func (em *emitter) interesting(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
+	return contains(n, nil, func(c ast.Node) bool {
 		switch c := c.(type) {
 		case *ast.GoStmt, *ast.SelectStmt, *ast.SendStmt:
-			found = true
+			return true
 		case *ast.Ident:
-			if em.an.kindOf(c) != kPlain {
-				found = true
-			}
-			if f, ok := em.an.info.Uses[c].(*types.Func); ok && f.Pkg() == em.an.pkg {
-				found = true
-			}
+			f, ok := em.an.info.Uses[c].(*types.Func)
+			return em.an.kindOf(c) != kPlain || ok && f.Pkg() == em.an.pkg
 		case *ast.SelectorExpr:
 			if s, ok := em.an.info.Selections[c]; ok {
 				if f, isF := s.Obj().(*types.Func); isF && f.Pkg() == em.an.pkg {
-					found = true
+					return true
 				}
 			}
-			if _, cell := em.cellField(c); cell {
-				found = true
-			}
+			_, cell := em.cellField(c)
+			return cell
 		case *ast.StarExpr:
-			if em.isCellPtr(c.X) {
-				found = true
-			}
+			return em.isCellPtr(c.X)
 		case *ast.UnaryExpr:
-			if c.Op == token.ARROW {
-				found = true
-			}
+			return c.Op == token.ARROW
 		case *ast.CompositeLit:
-			if em.an.cellStructOf(em.an.info.Types[c].Type) != nil {
-				found = true
-			}
+			return em.an.cellStructOf(em.an.info.Types[c].Type) != nil
 		case *ast.CallExpr:
-			if pkgSel(em.an.info, c, "atomic") != "" {
-				found = true
-			}
+			return pkgSel(em.an.info, c, "atomic") != ""
 		}
-		return !found
+		return false
 	})
-	return found
 }
 
 // containsReturn reports whether s contains a return outside any
 // function literal (such statements cannot pass through verbatim in
 // functions whose named results were lowered).
 func containsReturn(s ast.Stmt) bool {
-	found := false
-	ast.Inspect(s, func(n ast.Node) bool {
-		if found {
+	return contains(s, isFuncLit, func(n ast.Node) bool {
+		_, ok := n.(*ast.ReturnStmt)
+		return ok
+	})
+}
+
+// contains reports whether match holds for any node under n, without
+// looking inside the nodes for which skip (when non-nil) holds.
+func contains(n ast.Node, skip, match func(ast.Node) bool) (found bool) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		if found || c == nil || skip != nil && skip(c) {
 			return false
 		}
-		switch n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			found = true
-		}
+		found = match(c)
 		return !found
 	})
 	return found
+}
+
+func isFuncLit(n ast.Node) bool {
+	_, ok := n.(*ast.FuncLit)
+	return ok
 }
