@@ -33,6 +33,7 @@ var goldenCases = []struct {
 	{name: "collections", src: "collections.go", prog: "Collections"},
 	{name: "structs", src: "structs.go", prog: "Structs"},
 	{name: "lvalues", src: "lvalues.go", prog: "LValues"},
+	{name: "callinit", src: "callinit.go", prog: "CallInit"},
 }
 
 // TestGolden pins each fixture's generated source byte-for-byte and
@@ -155,6 +156,21 @@ func TestRejectsUnsupported(t *testing.T) {
 			name: "bodyless-func",
 			src:  "package p\nfunc A00000()\nfunc Run() {}\n",
 			want: "p.go:2:1: function A00000 has no body",
+		},
+		{
+			name: "shared-map-from-call",
+			src:  "package p\nfunc load() map[string]int { return map[string]int{} }\nfunc Run() { var m = load(); go func() { m[\"a\"] = 1 }() }\n",
+			want: "p.go:3:22: shared map m: only make/literal initialization supported",
+		},
+		{
+			name: "chan-from-non-call",
+			src:  "package p\nfunc Run() { var ch chan int = nil; go func() { ch <- 1 }() }\n",
+			want: "p.go:2:32: channel initializer must be a call",
+		},
+		{
+			name: "shared-slice-from-variable",
+			src:  "package p\nfunc Run() { ys := []int{1}; var xs = ys; go func() { xs[0]++ }() }\n",
+			want: "p.go:2:39: unsupported shared slice initializer",
 		},
 		{
 			name: "missing-entry",

@@ -160,8 +160,7 @@ func (em *emitter) bindRead(s *ast.AssignStmt, read string) {
 // makeAssign handles `x := make(...)` / `x = make(...)` for modeled
 // kinds; returns false if the make is plain (or not a make).
 func (em *emitter) makeAssign(s *ast.AssignStmt, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "make" || len(s.Lhs) != 1 {
+	if !em.isMake(call) || len(s.Lhs) != 1 {
 		return false
 	}
 	lhs, ok := s.Lhs[0].(*ast.Ident)
@@ -598,7 +597,13 @@ func (em *emitter) emitCellInit(name string, v *types.Var, kind varKind, init as
 		}
 		call, ok := init.(*ast.CallExpr)
 		if !ok {
-			em.fail(init.Pos(), "channel initializer must be make")
+			em.fail(init.Pos(), "channel initializer must be a call")
+		}
+		if !em.isMake(call) {
+			// A channel's generated value is its holder, so the call's
+			// result is used as is, as in ch := newChan().
+			em.defineOrAssign(tok, name, em.exprStr(call))
+			return
 		}
 		capStr := "0"
 		if len(call.Args) > 1 {
@@ -618,6 +623,10 @@ func (em *emitter) emitCellInit(name string, v *types.Var, kind varKind, init as
 			em.defineOrAssign(tok, name, fmt.Sprintf("sched.NewSliceOf[%s](g, %q, []%s{\n%s,\n})",
 				em.goType(st.Elem()), name, em.goType(st.Elem()), strings.Join(elems, ",\n")))
 		case *ast.CallExpr:
+			if !em.isMake(init) {
+				em.defineOrAssign(tok, name, fmt.Sprintf("sched.NewSliceOf[%s](g, %q, %s)", em.goType(st.Elem()), name, em.exprStr(init)))
+				return
+			}
 			lenStr := "0"
 			if len(init.Args) > 1 {
 				lenStr = em.exprStr(init.Args[1])
@@ -634,10 +643,8 @@ func (em *emitter) emitCellInit(name string, v *types.Var, kind varKind, init as
 				kv := e.(*ast.KeyValueExpr)
 				em.line("%s.Put(g, %s, %s)", name, em.exprStr(kv.Key), em.exprStr(kv.Value))
 			}
-		} else if init != nil {
-			if _, isMake := init.(*ast.CallExpr); !isMake {
-				em.fail(init.Pos(), "unsupported shared map initializer")
-			}
+		} else if init != nil && !em.isMake(init) {
+			em.fail(init.Pos(), "shared map %s: only make/literal initialization supported", name)
 		}
 	}
 }

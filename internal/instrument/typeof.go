@@ -261,10 +261,23 @@ func (em *emitter) interesting(n ast.Node) bool {
 		case *ast.CompositeLit:
 			return em.an.cellStructOf(em.an.info.Types[c].Type) != nil
 		case *ast.CallExpr:
-			return pkgSel(em.an.info, c, "atomic") != ""
+			// make(chan T) lowers to sched.NewChan wherever it appears.
+			_, ch := em.typeOf(c).(*types.Chan)
+			return pkgSel(em.an.info, c, "atomic") != "" || ch && em.isMake(c)
 		}
 		return false
 	})
+}
+
+// isMake reports whether e is a call of the builtin make.
+func (em *emitter) isMake(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	_, builtin := em.an.info.Uses[id].(*types.Builtin)
+	return ok && builtin && id.Name == "make"
 }
 
 // containsReturn reports whether s contains a return outside any
