@@ -5,7 +5,7 @@
 //
 // General mode instruments one package directory:
 //
-//	raceinstrument -dir internal/stack -harness h.go -entry RacyTrace -name StackTrace -o out.go
+//	raceinstrument -dir internal/taxonomy -harness internal/instrument/testdata/harness/taxonomy_harness.go -entry RacyAudit -name TaxonomyAudit -o out.go
 //
 // Dogfood mode regenerates every committed internal/progs source from
 // the curated spec table (instrument.DogfoodPrograms):

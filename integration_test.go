@@ -65,6 +65,12 @@ func TestBinariesBuildAndRun(t *testing.T) {
 		t.Fatalf("racedetect -campaign -strategies random,random: %v\n%s", err, out)
 	}
 
+	// The general-mode invocation README.md and docs/INSTRUMENT.md show.
+	raceinstrument := build("cmd/raceinstrument")
+	runOK(raceinstrument, "func ProgTaxonomyAudit(g *sched.G)", "-dir", "internal/taxonomy",
+		"-harness", "internal/instrument/testdata/harness/taxonomy_harness.go",
+		"-entry", "RacyAudit", "-name", "TaxonomyAudit")
+
 	gocount := build("cmd/gocount")
 	runOK(gocount, "Table 1", "-go-lines", "50000", "-java-lines", "20000")
 
