@@ -13,7 +13,7 @@ func init() {
 		ID:          "capture-loop-index",
 		Listing:     1,
 		Cat:         taxonomy.CatCaptureLoop,
-		Description: "Loop index variable captured by reference in a per-item goroutine (Listing 1)",
+		Description: "Loop index variable captured by reference in a per-item goroutine",
 		Racy:        loopIndexRacy,
 		Fixed:       loopIndexFixed,
 	})
@@ -21,7 +21,7 @@ func init() {
 		ID:          "capture-err",
 		Listing:     2,
 		Cat:         taxonomy.CatCaptureErr,
-		Description: "Idiomatic err variable reused across calls and captured in a goroutine (Listing 2)",
+		Description: "Idiomatic err variable reused across calls and captured in a goroutine",
 		Racy:        errCaptureRacy,
 		Fixed:       errCaptureFixed,
 	})
@@ -29,7 +29,7 @@ func init() {
 		ID:          "capture-named-return",
 		Listing:     3,
 		Cat:         taxonomy.CatCaptureNamedReturn,
-		Description: "Named return variable read in a goroutine while `return 20` writes it (Listing 3)",
+		Description: "Named return variable read in a goroutine while `return 20` writes it",
 		Racy:        namedReturnRacy,
 		Fixed:       namedReturnFixed,
 	})
@@ -38,7 +38,7 @@ func init() {
 		Listing:     4,
 		Cat:         taxonomy.CatCaptureNamedReturn,
 		Secondary:   []taxonomy.Category{taxonomy.CatCaptureErr},
-		Description: "Deferred function writes a named return while a goroutine reads it (Listing 4)",
+		Description: "Deferred function writes a named return while a goroutine reads it",
 		Racy:        deferNamedReturnRacy,
 		Fixed:       deferNamedReturnFixed,
 	})

@@ -12,7 +12,7 @@ func init() {
 		ID:          "future-ctx-cancel",
 		Listing:     9,
 		Cat:         taxonomy.CatMixedChanShared,
-		Description: "Future implementation: Wait writes f.err on context cancel while the goroutine writes it (Listing 9)",
+		Description: "Future implementation: Wait writes f.err on context cancel while the goroutine writes it",
 		Racy:        futureRacy,
 		Fixed:       futureFixed,
 	})

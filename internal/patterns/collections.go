@@ -23,7 +23,7 @@ func init() {
 		ID:          "slice-header-copy",
 		Listing:     5,
 		Cat:         taxonomy.CatSlice,
-		Description: "Locked appends race with an unlocked slice-header copy at a goroutine callsite (Listing 5)",
+		Description: "Locked appends race with an unlocked slice-header copy at a goroutine callsite",
 		Racy:        sliceHeaderCopyRacy,
 		Fixed:       sliceHeaderCopyFixed,
 	})
@@ -31,7 +31,7 @@ func init() {
 		ID:          "map-concurrent-write",
 		Listing:     6,
 		Cat:         taxonomy.CatMap,
-		Description: "Per-uuid goroutines write disjoint keys of a shared map (Listing 6)",
+		Description: "Per-uuid goroutines write disjoint keys of a shared map",
 		Racy:        mapWriteRacy,
 		Fixed:       mapWriteFixed,
 	})

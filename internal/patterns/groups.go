@@ -15,7 +15,7 @@ func init() {
 		Listing:     10,
 		Cat:         taxonomy.CatGroupSync,
 		Secondary:   []taxonomy.Category{taxonomy.CatSlice},
-		Description: "wg.Add placed inside the goroutine body: Wait can unblock early (Listing 10)",
+		Description: "wg.Add placed inside the goroutine body: Wait can unblock early",
 		Racy:        wgAddInsideRacy,
 		Fixed:       wgAddInsideFixed,
 	})

@@ -29,7 +29,7 @@ func init() {
 		Listing:     11,
 		Cat:         taxonomy.CatRLockMutation,
 		Secondary:   []taxonomy.Category{taxonomy.CatMissingLock},
-		Description: "Shared state mutated inside an RLock-protected section (Listing 11)",
+		Description: "Shared state mutated inside an RLock-protected section",
 		Racy:        rlockMutationRacy,
 		Fixed:       rlockMutationFixed,
 	})

@@ -112,7 +112,8 @@ func Catalog() string {
 }
 
 // Validate checks registry invariants (unique IDs, both variants
-// present, category known); the test suite calls it.
+// present, category known, no listing number in the description,
+// since Listing is its own field); the test suite calls it.
 func Validate() error {
 	seen := make(map[string]bool)
 	for _, p := range registry {
@@ -125,6 +126,9 @@ func Validate() error {
 		seen[p.ID] = true
 		if p.Racy == nil || p.Fixed == nil {
 			return fmt.Errorf("pattern %q missing a variant", p.ID)
+		}
+		if strings.Contains(p.Description, "(Listing") {
+			return fmt.Errorf("pattern %q: description names a listing; set Listing instead", p.ID)
 		}
 		if _, ok := taxonomy.ByCategory(p.Cat); !ok {
 			return fmt.Errorf("pattern %q has unknown category %q", p.ID, p.Cat)

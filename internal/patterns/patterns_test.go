@@ -2,6 +2,7 @@ package patterns
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"gorace/internal/core"
@@ -18,6 +19,20 @@ func TestRegistryValid(t *testing.T) {
 	}
 	if len(All()) < 20 {
 		t.Fatalf("corpus has only %d patterns", len(All()))
+	}
+}
+
+// TestValidateRejectsListingInDescription: Listing is its own field,
+// which racedetect -list and PATTERNS.md print next to the description,
+// so a description naming the listing would print it twice.
+func TestValidateRejectsListingInDescription(t *testing.T) {
+	saved := registry
+	defer func() { registry = saved }()
+	p := saved[0]
+	p.Description += " (Listing 10)"
+	registry = []Pattern{p}
+	if err := Validate(); err == nil || !strings.Contains(err.Error(), "names a listing") {
+		t.Fatalf("Validate() = %v, want a rejection of the listing in the description", err)
 	}
 }
 

@@ -12,7 +12,7 @@ func init() {
 		ID:          "mutex-by-value",
 		Listing:     7,
 		Cat:         taxonomy.CatPassByValue,
-		Description: "sync.Mutex passed by value: each goroutine locks its own copy (Listing 7)",
+		Description: "sync.Mutex passed by value: each goroutine locks its own copy",
 		Racy:        mutexByValueRacy,
 		Fixed:       mutexByValueFixed,
 	})
