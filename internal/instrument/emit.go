@@ -206,7 +206,8 @@ func (em *emitter) emitDeclsBlock() {
 			}
 		}
 	}
-	// The parameters after the named g are blank.
+	// g is named and Go cannot mix named and unnamed parameters, so
+	// the rest are blank.
 	blank := func(int, *types.Var) string { return "_" }
 	for _, f := range em.an.funcs {
 		names = append(names, f.Name.Name)
