@@ -247,8 +247,13 @@ func BenchmarkExhaustiveExploration(b *testing.B) {
 
 func recordHeavyTrace(b *testing.B) *trace.Recorder {
 	b.Helper()
+	return recordTrace(b, heavyProgram)
+}
+
+func recordTrace(b *testing.B, prog func(*sched.G)) *trace.Recorder {
+	b.Helper()
 	rec := &trace.Recorder{}
-	sched.Run(heavyProgram, sched.Options{
+	sched.Run(prog, sched.Options{
 		Strategy: sched.NewRandom(), Seed: 1, MaxSteps: 1 << 18,
 		Listeners: []trace.Listener{rec},
 	})
@@ -316,8 +321,12 @@ func BenchmarkReplayEraser(b *testing.B) {
 // shadow slices and clock pooling landed).
 
 func benchHotPath(b *testing.B, name string) {
-	rec := recordHeavyTrace(b)
-	det := mustDetector(b, name)
+	replayRecycled(b, mustDetector(b, name), recordHeavyTrace(b))
+}
+
+// replayRecycled is the hot-path loop: rec replayed into det, which is
+// Reset before each op.
+func replayRecycled(b *testing.B, det detector.Detector, rec *trace.Recorder) {
 	// Prime once so slice growth to the trace's high-water mark is not
 	// billed to the steady state.
 	rec.Replay(det)
@@ -339,6 +348,14 @@ func BenchmarkEraserHotPath(b *testing.B) { benchHotPath(b, "eraser") }
 
 func BenchmarkHybridHotPath(b *testing.B) { benchHotPath(b, "hybrid") }
 
+// BenchmarkLockChurnHotPath is the FastTrack hot path over
+// lockChurnProgram, where the held-lock set changes between most pairs
+// of accesses: the report context of an access is looked up under a
+// new lock set far more often than in the heavy trace.
+func BenchmarkLockChurnHotPath(b *testing.B) {
+	replayRecycled(b, mustDetector(b, "fasttrack"), recordTrace(b, lockChurnProgram))
+}
+
 // benchSampledHotPath is the sampled variant of benchHotPath: the
 // same recycled FastTrack behind a deterministic 1-in-rate access
 // gate, measuring what a sample:<n> campaign actually pays per event
@@ -356,13 +373,7 @@ func benchSampledHotPath(b *testing.B, rate int) {
 		b.Fatalf("rate %d did not wrap in a sampling gate", rate)
 	}
 	s.SetRunSeed(1)
-	rec.Replay(s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		rec.Replay(s)
-	}
+	replayRecycled(b, s, rec)
 }
 
 func BenchmarkFastTrackHotPathSample4(b *testing.B) { benchSampledHotPath(b, 4) }
@@ -394,6 +405,44 @@ func heavyProgram(g *sched.G) {
 				} else {
 					v.Load(g)
 				}
+			}
+			wg.Done(g)
+		})
+	}
+	wg.Wait(g)
+}
+
+// lockChurnProgram is heavyProgram with every access in a critical
+// section: each worker nests an RWMutex read lock, a mutex of its own
+// and, every other round, a shared mutex, accessing a cell at each
+// depth, so acquires and releases sit between most pairs of accesses.
+func lockChurnProgram(g *sched.G) {
+	const workers = 8
+	vars := make([]*sched.Var[int], 16)
+	for i := range vars {
+		vars[i] = sched.NewVar[int](g, "cell")
+	}
+	mu := sched.NewMutex(g, "mu")
+	rw := sched.NewRWMutex(g, "rw")
+	wg := sched.NewWaitGroup(g, "wg")
+	for w := 0; w < workers; w++ {
+		wg.Add(g, 1)
+		w := w
+		own := sched.NewMutex(g, "own")
+		g.Go("worker", func(g *sched.G) {
+			for i := 0; i < 40; i++ {
+				v := vars[(w*7+i)%len(vars)]
+				rw.RLock(g)
+				v.Load(g)
+				own.Lock(g)
+				v.Load(g)
+				if i%2 == 0 {
+					mu.Lock(g)
+					v.Update(g, func(x int) int { return x + 1 })
+					mu.Unlock(g)
+				}
+				own.Unlock(g)
+				rw.RUnlock(g)
 			}
 			wg.Done(g)
 		})

@@ -109,11 +109,11 @@ func (ft *legacyFastTrack) HandleEvent(ev trace.Event) {
 		parent.Tick(ev.G)
 
 	case trace.OpAcquire:
-		ft.locks.handle(ev)
+		ft.locks.handle(&ev)
 		ft.objClock(ev.Obj).JoinInto(ft.clockOf(ev.G))
 
 	case trace.OpRelease:
-		if ft.locks.handle(ev) && ev.Kind == trace.KindRWRead {
+		if lock, _ := ft.locks.handle(&ev); lock && ev.Kind == trace.KindRWRead {
 			return
 		}
 		ft.clockOf(ev.G).JoinInto(ft.objClock(ev.Obj))

@@ -86,20 +86,43 @@ type lockTracker struct {
 	cache []lockView
 	// sets interns held-label lists by content: sets[id] is one
 	// immutable list, id 0 the empty set (nil). setIx maps a list's
-	// encoding (built in keyBuf) to its id. The table survives reset —
-	// ids never leave the detector and the lists are immutable — so a
-	// recycled detector re-derives its lock sets without allocating.
+	// encoding (built in keyBuf) to its id. steps, a direct-mapped
+	// table, remembers how lock events moved uncut lists between ids,
+	// so a repeated acquire or release costs a few word compares
+	// instead of an encoding of every held label. All of it survives
+	// reset — ids never leave the detector and the lists are immutable
+	// — so a recycled detector re-derives its lock sets without
+	// allocating.
 	sets   [][]string
 	setIx  map[string]uint32
 	keyBuf []byte
+	steps  [1 << lockStepBits]lockStep
 }
 
-// lockView caches the derived forms of one goroutine's lock set. Each
-// field is built lazily under its own valid bit, so a detector that
-// only wants labels (FastTrack) never pays for the id sets Eraser
-// needs, and vice versa.
+// lockStepBits sizes lockTracker.steps.
+const lockStepBits = 6
+
+// lockStep is a lock event's change to an uncut held-label list: the
+// list's id (from), the position the change lands at and, for an
+// acquire, the label it inserts there. These determine the list after
+// it (to). The position comes from the held objects — a release drops
+// the latest hold of its object, wherever that is — so lists with
+// equal labels but other objects still move as their objects say. The
+// label is keyed by address and length, and the slot holds it, so the
+// address is not reused while it keys the slot.
+type lockStep struct {
+	from, to uint32
+	at       int32
+	op       trace.Op
+	kind     trace.ObjKind
+	label    string
+}
+
+// lockView caches the derived forms of one goroutine's lock set. The
+// label-set id is kept current by handle; each id set is built lazily
+// under its own valid bit, so FastTrack never pays for the id sets
+// Eraser needs.
 type lockView struct {
-	setOK    bool
 	set      uint32
 	writeOK  bool
 	writeIDs []trace.ObjID
@@ -138,13 +161,6 @@ func (lt *lockTracker) view(g vclock.TID) *lockView {
 	return &lt.cache[g]
 }
 
-// invalidate marks g's derived views stale after a lock-set mutation.
-func (lt *lockTracker) invalidate(g vclock.TID) {
-	if int(g) < len(lt.cache) {
-		lt.cache[g] = lockView{}
-	}
-}
-
 func growLocks(held [][]lockEntry, g vclock.TID) [][]lockEntry {
 	for int(g) >= len(held) {
 		held = append(held, nil)
@@ -152,35 +168,65 @@ func growLocks(held [][]lockEntry, g vclock.TID) [][]lockEntry {
 	return held
 }
 
-// handle updates lock state; returns true if the event was lock-related.
-func (lt *lockTracker) handle(ev trace.Event) bool {
-	switch {
-	case ev.Op == trace.OpAcquire && ev.Kind == trace.KindMutex:
-		lt.write = growLocks(lt.write, ev.G)
-		lt.write[ev.G] = append(lt.write[ev.G], lockEntry{ev.Obj, ev.Label})
-	case ev.Op == trace.OpRelease && ev.Kind == trace.KindMutex:
-		lt.write = growLocks(lt.write, ev.G)
-		lt.write[ev.G] = removeLock(lt.write[ev.G], ev.Obj)
-	case ev.Op == trace.OpAcquire && ev.Kind == trace.KindRWRead:
-		lt.read = growLocks(lt.read, ev.G)
-		lt.read[ev.G] = append(lt.read[ev.G], lockEntry{ev.Obj, ev.Label})
-	case ev.Op == trace.OpRelease && ev.Kind == trace.KindRWRead:
-		lt.read = growLocks(lt.read, ev.G)
-		lt.read[ev.G] = removeLock(lt.read[ev.G], ev.Obj)
+// handle applies a lock event to g's held sets. It reports whether ev
+// was lock-related, and whether it changed g's held-label list. That
+// list is write-held then read-held locks, cut at maxLockLabels, so a
+// change past the cut of a list that stays cut leaves it alone: a
+// goroutine holding more locks than that keeps its id through the
+// acquires and releases below the cut.
+func (lt *lockTracker) handle(ev *trace.Event) (lock, relabel bool) {
+	held, base := &lt.write, 0
+	switch ev.Kind {
+	case trace.KindMutex:
+	case trace.KindRWRead:
+		held, base = &lt.read, len(heldOf(lt.write, ev.G))
 	default:
-		return false
+		return false, false
 	}
-	lt.invalidate(ev.G)
-	return true
-}
-
-func removeLock(ls []lockEntry, obj trace.ObjID) []lockEntry {
-	for i := len(ls) - 1; i >= 0; i-- {
-		if ls[i].obj == obj {
-			return append(ls[:i], ls[i+1:]...)
+	if ev.Op != trace.OpAcquire && ev.Op != trace.OpRelease {
+		return false, false
+	}
+	*held = growLocks(*held, ev.G)
+	ls := (*held)[ev.G]
+	// n and m count g's held locks before and after the event.
+	n := len(heldOf(lt.write, ev.G)) + len(heldOf(lt.read, ev.G))
+	step := lockStep{op: ev.Op, kind: ev.Kind}
+	var m int
+	if ev.Op == trace.OpAcquire {
+		step.at, step.label, m = int32(base+len(ls)), ev.Label, n+1
+		(*held)[ev.G] = append(ls, lockEntry{ev.Obj, ev.Label})
+	} else {
+		i := len(ls) - 1
+		for i >= 0 && ls[i].obj != ev.Obj {
+			i--
 		}
+		if i < 0 {
+			return true, false
+		}
+		step.at, m = int32(base+i), n-1
+		(*held)[ev.G] = append(ls[:i], ls[i+1:]...)
 	}
-	return ls
+	v := lt.view(ev.G)
+	step.from = v.set
+	*v = lockView{set: step.from}
+	switch {
+	case int(step.at) >= maxLockLabels && min(n, m) > maxLockLabels:
+		return true, false
+	case max(n, m) > maxLockLabels:
+		// Cut before or after: labels past the cut move in or out.
+		v.set = lt.intern(heldOf(lt.write, ev.G), heldOf(lt.read, ev.G))
+	default:
+		lk := keyOf(step.label)
+		h := (uint64(step.from)<<32 ^ uint64(step.at)<<16 ^ uint64(step.op)<<8 ^ uint64(step.kind) ^
+			uint64(lk.p)<<1 ^ uint64(lk.n)) * 0x9e3779b97f4a7c15
+		slot := &lt.steps[h>>(64-lockStepBits)]
+		if slot.from != step.from || slot.at != step.at || slot.op != step.op || slot.kind != step.kind || keyOf(slot.label) != lk {
+			step.to = lt.intern(heldOf(lt.write, ev.G), heldOf(lt.read, ev.G))
+			*slot = step
+		}
+		v.set = slot.to
+	}
+	return true, v.set != step.from
 }
 
 func heldOf(held [][]lockEntry, g vclock.TID) []lockEntry {
@@ -228,15 +274,12 @@ func (lt *lockTracker) heldLabels(g vclock.TID) []string {
 	return lt.sets[lt.setID(g)]
 }
 
-// setID returns the interned id of g's held-label list, derived at
-// most once per lock-set change.
+// setID returns the interned id of g's held-label list.
 func (lt *lockTracker) setID(g vclock.TID) uint32 {
-	v := lt.view(g)
-	if !v.setOK {
-		v.setOK = true
-		v.set = lt.intern(heldOf(lt.write, g), heldOf(lt.read, g))
+	if int(g) < len(lt.cache) {
+		return lt.cache[g].set
 	}
-	return v.set
+	return 0
 }
 
 // maxLockLabels caps an interned held-label list: a goroutine holding

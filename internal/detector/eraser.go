@@ -95,7 +95,7 @@ func (e *Eraser) RaceCount() int { return len(e.races) }
 // HandleEvent implements trace.Listener.
 func (e *Eraser) HandleEvent(ev trace.Event) {
 	e.stats.note(&ev)
-	if e.locks.handle(ev) {
+	if lock, _ := e.locks.handle(&ev); lock {
 		return
 	}
 	if !ev.Op.IsAccess() || ev.Op.IsAtomic() {

@@ -76,6 +76,26 @@ func stackHash(c stack.Context) uint64 {
 	return h
 }
 
+// lastCtx is a goroutine's last access context: the stack frames,
+// goroutine name and label of its latest access, and the meta id that
+// context took under each access op (indexed by trace.Op; slot 0 is
+// unused). A goroutine mostly repeats its context, so metaOf checks
+// the entry first: a hit costs a few word compares, with no stack
+// hash, no key and no held-lock lookup. Frames enter by identity:
+// stack.Stack.Capture copies and the decoder's depot interns, so a
+// context's frames never change, and the pointer keeps them from being
+// freed and their address reused while the entry names them. Name and
+// label need no pointer: every id in the entry is a meta whose key
+// holds the same strings, so they outlive the entry's use of them.
+// The ids also depend on the goroutine's held locks, so a change of
+// its held-label list clears the entry.
+type lastCtx struct {
+	frames       *stack.Frame
+	nframes      int
+	gname, label strKey
+	ids          [trace.OpAtomicRMW + 1]uint32
+}
+
 // metaCacheBits sizes the direct-mapped cache in front of the meta
 // index: metaCacheSize slots of one meta id each.
 const (
@@ -158,6 +178,10 @@ type FastTrack struct {
 	metas     []ftMeta
 	metaIx    map[metaKey]uint32
 	metaCache [metaCacheSize]uint32
+	// last is each goroutine's last access context, checked before
+	// metaCache. Its ids are validated against metas too, but Reset
+	// clears it: a rewound metas reuses ids for other contexts.
+	last []lastCtx
 	// readers is the promoted read-history side table; freeReaders
 	// lists its unused slots. Only currently promoted cells hold a
 	// slot, and a demotion hands it to the next promotion anywhere in
@@ -251,6 +275,7 @@ func (ft *FastTrack) Reset() {
 	clear(ft.metas[1:])
 	ft.metas = ft.metas[:1]
 	clear(ft.metaIx)
+	clear(ft.last)
 	ft.locks.reset()
 	ft.races = ft.races[:0]
 	ft.evictions, ft.reloads = 0, 0
@@ -313,28 +338,43 @@ func (ft *FastTrack) cell(a trace.Addr) *ftCell {
 }
 
 // metaOf returns the interned report context of ev, adding it on first
-// sight. A cache hit costs the stack hash and one key compare; only a
-// miss probes the map, and no path hashes or compares a string's bytes.
+// sight. A repeat of the goroutine's last context returns from its
+// lastCtx entry; otherwise a cache hit costs the stack hash and one key
+// compare, and only a miss probes the map. No path hashes or compares a
+// string's bytes.
 func (ft *FastTrack) metaOf(ev *trace.Event) uint32 {
+	if int(ev.G) >= len(ft.last) {
+		ft.last = append(ft.last, make([]lastCtx, max(int(ev.G)+1, 8)-len(ft.last))...)
+	}
+	e := &ft.last[ev.G]
+	fr := ev.Stack.Frames()
+	gname, label := keyOf(ev.GName), keyOf(ev.Label)
+	if e.frames != unsafe.SliceData(fr) || e.nframes != len(fr) || e.gname != gname || e.label != label {
+		*e = lastCtx{frames: unsafe.SliceData(fr), nframes: len(fr), gname: gname, label: label}
+	} else if id := e.ids[ev.Op]; id != 0 && int(id) < len(ft.metas) {
+		return id
+	}
 	k := metaKey{
-		gname: keyOf(ev.GName), label: keyOf(ev.Label), stack: stackHash(ev.Stack),
+		gname: gname, label: label, stack: stackHash(ev.Stack),
 		locks: ft.locks.setID(ev.G), op: ev.Op,
 	}
 	h := (k.stack ^ uint64(k.label.p)<<1 ^ uint64(k.gname.p)<<7 ^
 		uint64(k.locks)<<11 ^ uint64(k.op)) * 0x9e3779b97f4a7c15
 	slot := &ft.metaCache[h>>(64-metaCacheBits)]
-	if id := *slot; id != 0 && int(id) < len(ft.metas) && ft.matches(id, &k, ev.Stack) {
-		return id
+	id := *slot
+	if id == 0 || int(id) >= len(ft.metas) || !ft.matches(id, &k, ev.Stack) {
+		var ok bool
+		id, ok = ft.metaIx[k]
+		if !ok || !ft.matches(id, &k, ev.Stack) {
+			// New context, or a stack-hash collision: the entry the key
+			// already names stays valid for the cells that use it.
+			id = uint32(len(ft.metas))
+			ft.metas = append(ft.metas, ftMeta{key: k, gname: ev.GName, label: ev.Label, stk: ev.Stack})
+			ft.metaIx[k] = id
+		}
+		*slot = id
 	}
-	id, ok := ft.metaIx[k]
-	if !ok || !ft.matches(id, &k, ev.Stack) {
-		// New context, or a stack-hash collision: the entry the key
-		// already names stays valid for the cells that use it.
-		id = uint32(len(ft.metas))
-		ft.metas = append(ft.metas, ftMeta{key: k, gname: ev.GName, label: ev.Label, stk: ev.Stack})
-		ft.metaIx[k] = id
-	}
-	*slot = id
+	e.ids[ev.Op] = id
 	return id
 }
 
@@ -382,11 +422,11 @@ func (ft *FastTrack) HandleEvent(ev trace.Event) {
 		ft.fork(&ev)
 
 	case trace.OpAcquire:
-		ft.locks.handle(ev)
+		ft.relock(&ev)
 		ft.acquire(&ev)
 
 	case trace.OpRelease:
-		ft.locks.handle(ev)
+		ft.relock(&ev)
 		ft.release(&ev)
 
 	case trace.OpRead, trace.OpAtomicLoad:
@@ -394,6 +434,14 @@ func (ft *FastTrack) HandleEvent(ev trace.Event) {
 
 	case trace.OpWrite, trace.OpAtomicStore, trace.OpAtomicRMW:
 		ft.write(&ev)
+	}
+}
+
+// relock applies a lock event to the held sets, clearing the
+// goroutine's last context if its held-label list changed.
+func (ft *FastTrack) relock(ev *trace.Event) {
+	if _, relabel := ft.locks.handle(ev); relabel && int(ev.G) < len(ft.last) {
+		ft.last[ev.G] = lastCtx{}
 	}
 }
 

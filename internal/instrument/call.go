@@ -78,6 +78,12 @@ func (em *emitter) withG(name, recv string, call *ast.CallExpr) string {
 // lifted closure variable.
 func (em *emitter) liftedCall(fun *ast.SelectorExpr, f *types.Func, call *ast.CallExpr) string {
 	recvT := f.Type().(*types.Signature).Recv().Type()
+	if types.IsInterface(recvT) {
+		// Lifted methods are closures, not methods, so no subject type
+		// implements the interface and no T_M exists for its method.
+		em.fail(call.Pos(), "method %s called through interface %s: subject interfaces are not supported",
+			fun.Sel.Name, types.TypeString(recvT, types.RelativeTo(em.an.pkg)))
+	}
 	name := em.liftedName(fun.Pos(), recvT, fun.Sel.Name)
 	recv := em.exprStr(fun.X)
 	_, wantPtr := recvT.(*types.Pointer)

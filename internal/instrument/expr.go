@@ -111,6 +111,11 @@ func (em *emitter) addrOf(u *ast.UnaryExpr) string {
 		if _, cell := em.cellField(x); cell {
 			return em.exprStr(x.X) + "." + x.Sel.Name
 		}
+		// A pointer to a basic type is a cell pointer in the generated
+		// program, and a field of a held value has no address there.
+		if em.isCellPtr(u) || em.heldBase(x) != nil {
+			em.fail(u.Pos(), "address of field %s: only a cellified field's address is supported", x.Sel.Name)
+		}
 		return "&" + em.exprStr(x)
 	case *ast.CompositeLit:
 		if si := em.an.cellStructOf(em.an.info.Types[x].Type); si != nil {

@@ -173,6 +173,21 @@ func TestRejectsUnsupported(t *testing.T) {
 			want: "p.go:2:39: unsupported shared slice initializer",
 		},
 		{
+			name: "interface-method-call",
+			src:  "package p\ntype Namer interface{ Name() string }\ntype T struct{ n string }\nfunc (t *T) Name() string { return t.n }\nfunc Run() { var x Namer = &T{}; _ = x.Name() }\n",
+			want: "p.go:5:38: method Name called through interface Namer",
+		},
+		{
+			name: "address-of-plain-field",
+			src:  "package p\ntype node struct{ next int }\nfunc Run() { a := node{}; pp := &a.next; *pp = 2; _ = a }\n",
+			want: "p.go:3:33: address of field next",
+		},
+		{
+			name: "address-of-held-field",
+			src:  "package p\ntype node struct{ next int }\nfunc Run() { a := node{}; pp := &a.next; *pp = 2; go func() { _ = a }() }\n",
+			want: "p.go:3:33: address of field next",
+		},
+		{
 			name: "missing-entry",
 			src:  "package p\nfunc Other() {}\n",
 			want: "entry function",

@@ -257,7 +257,8 @@ func (em *emitter) interesting(n ast.Node) bool {
 		case *ast.StarExpr:
 			return em.isCellPtr(c.X)
 		case *ast.UnaryExpr:
-			return c.Op == token.ARROW
+			// An address of a basic-typed location is a cell pointer.
+			return c.Op == token.ARROW || c.Op == token.AND && em.isCellPtr(c)
 		case *ast.CompositeLit:
 			return em.an.cellStructOf(em.an.info.Types[c].Type) != nil
 		case *ast.CallExpr:
