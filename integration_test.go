@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 	"gorace/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite the racedb export goldens")
+var update = flag.Bool("update", false, "rewrite the racedb export and rate-sweep goldens")
 
 // TestBinariesBuildAndRun compiles every command and example and
 // executes each with fast arguments, asserting on headline output.
@@ -196,6 +197,50 @@ func TestRacedbExportGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("racedb export -format %s drifted from %s:\n got %s\nwant %s", format, path, got, want)
 		}
+	}
+}
+
+// TestSweepRatesGolden pins the text of `racedetect -sweep-rates`: the
+// P(detect)-vs-overhead table and the per-unit probability matrix of a
+// small serial campaign. The wall column is stripped the way CI strips
+// it before diffing serial against parallel runs, so every remaining
+// byte is a function of the seeds. Regenerate with
+// `go test -run SweepRatesGolden . -update` after a deliberate change
+// to detection or to the table.
+func TestSweepRatesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary integration skipped in -short mode")
+	}
+	racedetect := filepath.Join(t.TempDir(), "racedetect")
+	if out, err := exec.Command("go", "build", "-o", racedetect, "./cmd/racedetect").CombinedOutput(); err != nil {
+		t.Fatalf("build cmd/racedetect: %v\n%s", err, out)
+	}
+	out, err := exec.Command(racedetect, "-sweep-rates", "1,4,16", "-seeds", "3", "-parallel", "1").Output()
+	if err != nil {
+		t.Fatalf("racedetect -sweep-rates: %v", err)
+	}
+	// A summary row starts with a rate and a probability; its last
+	// field is the wall time.
+	row := regexp.MustCompile(`^ +[0-9]+ +[0-9.]+ `)
+	lines := strings.SplitAfter(string(out), "\n")
+	for i, line := range lines {
+		if row.MatchString(line) {
+			lines[i] = strings.TrimRight(line[:strings.LastIndexByte(line, ' ')], " ") + "\n"
+		}
+	}
+	got := []byte(strings.Join(lines, ""))
+	path := filepath.Join("testdata", "racedetect-sweep-rates.txt")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("racedetect -sweep-rates drifted from %s:\n got %s\nwant %s", path, got, want)
 	}
 }
 
