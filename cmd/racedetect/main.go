@@ -467,27 +467,23 @@ func runRateSweep(det, strategy, variant string, seeds, parallel int, ratesCSV s
 	}
 	for _, row := range rows {
 		var pSum float64
-		var checked, accesses, promos, demos, fast int
+		var work detector.Stats
 		for _, w := range row.work {
 			pSum += w.Probability()
-			checked += w.Checked
-			accesses += w.Accesses
-			promos += w.Promotions
-			demos += w.Demotions
-			fast += w.FastReads
+			work.Add(w.Work)
 		}
 		pMean := pSum / float64(len(row.work))
 		frac := 0.0
-		if accesses > 0 {
-			frac = float64(checked) / float64(accesses)
+		if work.Accesses > 0 {
+			frac = float64(work.CheckedAccesses) / float64(work.Accesses)
 		}
 		wall := row.elapsed.Round(time.Millisecond)
 		if markdown {
 			fmt.Printf("| %d | %.3f | %.1f%% | %d | %d | %d | %s |\n",
-				row.rate, pMean, 100*frac, promos, demos, fast, wall)
+				row.rate, pMean, 100*frac, work.Promotions, work.Demotions, work.FastPathReads, wall)
 		} else {
 			fmt.Printf("%6d %10.3f %8.1f%% %11d %10d %10d %8s\n",
-				row.rate, pMean, 100*frac, promos, demos, fast, wall)
+				row.rate, pMean, 100*frac, work.Promotions, work.Demotions, work.FastPathReads, wall)
 		}
 	}
 

@@ -75,14 +75,14 @@ func (d *DJIT) cell(a trace.Addr) *djitCell {
 	c := d.cells.at(a)
 	if !c.seen {
 		c.seen = true
-		d.cellCount++
+		d.st.Cells++
 	}
 	return c
 }
 
 // HandleEvent implements trace.Listener.
 func (d *DJIT) HandleEvent(ev trace.Event) {
-	d.stats.note(&ev)
+	d.st.note(&ev)
 	switch ev.Op {
 	case trace.OpFork:
 		d.fork(&ev)
@@ -114,11 +114,11 @@ func (d *DJIT) HandleEvent(ev trace.Event) {
 			d.countConcurrent(&c.atomicWrites, cur, ev)
 			d.countConcurrent(&c.atomicReads, cur, ev)
 			if c.writes.Set(ev.G, cur.Get(ev.G), d.pool) {
-				d.adapt.promotions++
+				d.st.Promotions++
 			}
 		} else {
 			if c.atomicWrites.Set(ev.G, cur.Get(ev.G), d.pool) {
-				d.adapt.promotions++
+				d.st.Promotions++
 			}
 		}
 	}
@@ -130,9 +130,9 @@ func (d *DJIT) HandleEvent(ev trace.Event) {
 func (d *DJIT) noteRead(hist *vclock.History, g vclock.TID, t uint32) {
 	wasEpoch := !hist.IsInflated()
 	if hist.Set(g, t, d.pool) {
-		d.adapt.promotions++
+		d.st.Promotions++
 	} else if wasEpoch {
-		d.adapt.fastReads++
+		d.st.FastPathReads++
 	}
 }
 

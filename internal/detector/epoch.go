@@ -69,14 +69,14 @@ func (e *Epoch) cell(a trace.Addr) *epochCell {
 	c := e.cells.at(a)
 	if !c.seen {
 		c.seen = true
-		e.cellCount++
+		e.st.Cells++
 	}
 	return c
 }
 
 // HandleEvent implements trace.Listener.
 func (e *Epoch) HandleEvent(ev trace.Event) {
-	e.stats.note(&ev)
+	e.st.note(&ev)
 	switch ev.Op {
 	case trace.OpFork:
 		e.fork(&ev)
@@ -127,10 +127,10 @@ func (e *Epoch) HandleEvent(ev trace.Event) {
 		// when an inflated clock actually went back to the pool (Reset
 		// also calls ReleaseTo, but that is teardown).
 		if c.reads.ReleaseTo(e.pool) {
-			e.adapt.demotions++
+			e.st.Demotions++
 		}
 		if c.atomicReads.ReleaseTo(e.pool) {
-			e.adapt.demotions++
+			e.st.Demotions++
 		}
 	}
 }
@@ -141,8 +141,8 @@ func (e *Epoch) HandleEvent(ev trace.Event) {
 func (e *Epoch) noteRead(rs *vclock.History, g vclock.TID, cur *vclock.VC) {
 	wasEpoch := !rs.IsInflated()
 	if rs.NoteRead(g, cur.Get(g), cur, e.pool) {
-		e.adapt.promotions++
+		e.st.Promotions++
 	} else if wasEpoch {
-		e.adapt.fastReads++
+		e.st.FastPathReads++
 	}
 }

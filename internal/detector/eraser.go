@@ -55,11 +55,10 @@ type eraserCell struct {
 // on data synchronized by non-lock means (channels, WaitGroups), the
 // imprecision §3.1 notes ("may include races that may never manifest").
 type Eraser struct {
-	locks     *lockTracker
-	cells     cellTable[eraserCell]
-	cellCount int
-	races     []report.Race
-	stats     statCounter
+	locks *lockTracker
+	cells cellTable[eraserCell]
+	races []report.Race
+	st    Stats // work counters; Stats fills in the derived ones
 }
 
 // NewEraser returns a fresh lockset detector.
@@ -72,10 +71,9 @@ func NewEraser() *Eraser {
 // previously returned by Races are invalidated.
 func (e *Eraser) Reset() {
 	e.cells.reset(func(c *eraserCell) { *c = eraserCell{} })
-	e.cellCount = 0
 	e.locks.reset()
 	e.races = e.races[:0]
-	e.stats = statCounter{}
+	e.st = Stats{}
 }
 
 // Name implements Detector.
@@ -94,7 +92,7 @@ func (e *Eraser) RaceCount() int { return len(e.races) }
 
 // HandleEvent implements trace.Listener.
 func (e *Eraser) HandleEvent(ev trace.Event) {
-	e.stats.note(&ev)
+	e.st.note(&ev)
 	if lock, _ := e.locks.handle(&ev); lock {
 		return
 	}
@@ -106,7 +104,7 @@ func (e *Eraser) HandleEvent(ev trace.Event) {
 	c := e.cells.at(ev.Addr)
 	if !c.seen {
 		c.seen = true
-		e.cellCount++
+		e.st.Cells++
 	}
 	isWrite := ev.Op.IsWrite()
 	held := e.locks.allHeld(ev.G)

@@ -197,10 +197,9 @@ type FastTrack struct {
 	// head and tail are the least and most recently touched resident
 	// pages; cur is the page of the access in progress, which promote
 	// and demote account to (an index: growing pages moves them).
-	head, tail, cur    int32
-	nResident          int
-	freeSlabs          [][]ftCell // slabs of evicted pages, for reuse
-	evictions, reloads int
+	head, tail, cur int32
+	nResident       int
+	freeSlabs       [][]ftCell // slabs of evicted pages, for reuse
 	// Stable identities are numbered page by page (paged.go): fill is
 	// the id page new identities take slots on (noPage: none), filled
 	// the slots it has handed out, idPages the id pages ever opened
@@ -244,11 +243,7 @@ func (ft *FastTrack) Candidates() []report.Race { return nil }
 func (ft *FastTrack) RaceCount() int { return len(ft.races) }
 
 // Stats implements Detector.
-func (ft *FastTrack) Stats() Stats {
-	s := ft.statsOf(len(ft.races))
-	s.Evictions, s.Reloads = ft.evictions, ft.reloads
-	return s
-}
+func (ft *FastTrack) Stats() Stats { return ft.statsOf(len(ft.races)) }
 
 // Reset implements Detector: it clears all detection state in place,
 // releasing clocks to the pool, slabs and reader lists to their
@@ -278,7 +273,6 @@ func (ft *FastTrack) Reset() {
 	clear(ft.last)
 	ft.locks.reset()
 	ft.races = ft.races[:0]
-	ft.evictions, ft.reloads = 0, 0
 }
 
 // promote moves c, a cell of the current access's page, to a readers
@@ -331,7 +325,7 @@ func (ft *FastTrack) cell(a trace.Addr) *ftCell {
 	}
 	c := &p.cells[slot]
 	if !c.used() {
-		ft.cellCount++
+		ft.st.Cells++
 		p.used++
 	}
 	return c
@@ -416,7 +410,7 @@ func (ft *FastTrack) toReport(a ftAccess, addr trace.Addr) report.Access {
 
 // HandleEvent implements trace.Listener.
 func (ft *FastTrack) HandleEvent(ev trace.Event) {
-	ft.stats.note(&ev)
+	ft.st.note(&ev)
 	switch ev.Op {
 	case trace.OpFork:
 		ft.fork(&ev)
@@ -478,14 +472,14 @@ func (ft *FastTrack) read(ev *trace.Event) {
 		// Epoch-form fast path: first reader, or the owning goroutine
 		// reading again.
 		c.read = a
-		ft.adapt.fastReads++
+		ft.st.FastPathReads++
 		return
 	}
 	// Second distinct reader: promote. The prior slot goes first so
 	// the list order matches the pre-adaptive insertion order.
 	ft.promote(c, c.read, a)
 	c.read = ftAccess{}
-	ft.adapt.promotions++
+	ft.st.Promotions++
 }
 
 func (ft *FastTrack) write(ev *trace.Event) {
@@ -509,7 +503,7 @@ func (ft *FastTrack) write(ev *trace.Event) {
 		// concurrent readers were just reported, so the list goes back
 		// to the freelist for the next promotion.
 		ft.demote(&ft.pages[ft.cur], c)
-		ft.adapt.demotions++
+		ft.st.Demotions++
 	} else if r := c.read; r.meta != 0 && r.g != ev.G && r.time > cur.Get(r.g) && !(r.atomic && ev.Op.IsAtomic()) {
 		ft.report(ev, c, r)
 	}

@@ -20,10 +20,7 @@ type hb struct {
 	pool      *vclock.Pool
 	clocks    []*vclock.VC
 	objClocks cellTable[*vclock.VC]
-	objCount  int
-	cellCount int
-	stats     statCounter
-	adapt     adaptCounter
+	st        Stats // work counters; statsOf fills in the derived ones
 }
 
 func newHB() hb { return hb{pool: vclock.NewPool()} }
@@ -45,10 +42,7 @@ func (h *hb) reset() {
 			*c = nil
 		}
 	})
-	h.objCount = 0
-	h.cellCount = 0
-	h.stats = statCounter{}
-	h.adapt = adaptCounter{}
+	h.st = Stats{}
 }
 
 // clockOf returns g's clock, initializing it with its own component
@@ -72,7 +66,7 @@ func (h *hb) objClock(o trace.ObjID) *vclock.VC {
 	c := h.objClocks.at(trace.Addr(o))
 	if *c == nil {
 		*c = h.pool.Acquire()
-		h.objCount++
+		h.st.SyncClocks++
 	}
 	return *c
 }
@@ -111,19 +105,18 @@ func (h *hb) release(ev *trace.Event) {
 }
 
 // statsOf snapshots the engine's counters with the given report count.
+// Every access is checked: sampling happens in the Sampled wrapper,
+// which overrides the split.
 func (h *hb) statsOf(reports int) Stats {
-	gor := 0
+	s := h.st
 	for _, c := range h.clocks {
 		if c != nil {
-			gor++
+			s.Goroutines++
 		}
 	}
-	return fill(Stats{
-		Cells:      h.cellCount,
-		SyncClocks: h.objCount,
-		Goroutines: gor,
-		Reports:    reports,
-	}, h.stats, h.adapt)
+	s.Reports = reports
+	s.CheckedAccesses = s.Accesses
+	return s
 }
 
 // verdicts is the result state of the counting detectors (Epoch,

@@ -119,7 +119,7 @@ func (ft *FastTrack) faultPage(pg int) {
 			ft.freeSlabs = ft.freeSlabs[:n-1]
 		}
 		if p.wasEver {
-			ft.reloads++
+			ft.st.Reloads++
 		}
 	}
 	if ft.maxPages > 0 && ft.nResident > ft.maxPages {
@@ -136,7 +136,7 @@ func (ft *FastTrack) stableCell(v uint64) uint64 {
 		s = ft.claimSlot() + 1
 		ft.addrIx.insert(v, s-1, at)
 		if ft.evicted != nil && ft.evicted[v*fibHash>>(64-evictedBits)] == v {
-			ft.reloads++
+			ft.st.Reloads++
 		}
 	}
 	return trace.MaxDenseID - 1 + uint64(s)
@@ -226,7 +226,7 @@ func (ft *FastTrack) evictColdest(keep int) {
 		return // budget of 1 with only the current page resident
 	}
 	p := &ft.pages[victim]
-	ft.cellCount -= int(p.used)
+	ft.st.Cells -= int(p.used)
 	for i := 0; p.promoted > 0; i++ {
 		if c := &p.cells[i]; c.readers != 0 {
 			ft.demote(p, c)
@@ -243,5 +243,5 @@ func (ft *FastTrack) evictColdest(keep int) {
 	} else {
 		p.wasEver = true
 	}
-	ft.evictions++
+	ft.st.Evictions++
 }

@@ -29,11 +29,9 @@ type Sampled struct {
 	// Rate is the sampling rate: 1 in Rate accesses is checked.
 	Rate int
 
-	ctr     uint64
-	phase   uint64
-	stats   statCounter // full-stream event shape, pre-gate
-	checked int
-	skipped int
+	ctr   uint64
+	phase uint64
+	st    Stats // full-stream event shape, pre-gate, and the gate's split
 }
 
 // NewSampled wraps inner with a 1-in-rate access-sampling gate.
@@ -59,17 +57,17 @@ func (s *Sampled) Name() string {
 // HandleEvent implements trace.Listener: sync and fork events always
 // pass through; accesses pass 1 in Rate.
 func (s *Sampled) HandleEvent(ev trace.Event) {
-	s.stats.note(&ev)
+	s.st.note(&ev)
 	if ev.Op.IsAccess() && s.Rate > 1 {
 		hit := (s.ctr+s.phase)%uint64(s.Rate) == 0
 		s.ctr++
 		if !hit {
-			s.skipped++
+			s.st.SkippedAccesses++
 			return
 		}
-		s.checked++
+		s.st.CheckedAccesses++
 	} else if ev.Op.IsAccess() {
-		s.checked++
+		s.st.CheckedAccesses++
 	}
 	s.Inner.HandleEvent(ev)
 }
@@ -98,11 +96,8 @@ func (s *Sampled) Count() int {
 // happened inside.
 func (s *Sampled) Stats() Stats {
 	st := s.Inner.Stats()
-	st.Events = s.stats.events
-	st.Accesses = s.stats.accesses
-	st.SyncOps = s.stats.syncOps
-	st.CheckedAccesses = s.checked
-	st.SkippedAccesses = s.skipped
+	st.Events, st.Accesses, st.SyncOps = s.st.Events, s.st.Accesses, s.st.SyncOps
+	st.CheckedAccesses, st.SkippedAccesses = s.st.CheckedAccesses, s.st.SkippedAccesses
 	return st
 }
 
@@ -125,8 +120,7 @@ func (s *Sampled) SetRunSeed(seed int64) {
 func (s *Sampled) Reset() {
 	s.Inner.Reset()
 	s.ctr = 0
-	s.stats = statCounter{}
-	s.checked, s.skipped = 0, 0
+	s.st = Stats{}
 }
 
 // splitmix64 is the SplitMix64 finalizer, a cheap bijective hash used

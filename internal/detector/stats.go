@@ -81,39 +81,36 @@ func (s Stats) String() string {
 	return line
 }
 
-// statCounter wraps the event-shape counters shared by detectors.
-type statCounter struct {
-	events, accesses, syncOps int
-}
-
-func (c *statCounter) note(ev *trace.Event) {
-	c.events++
+// note counts one consumed event's shape: every event, the accesses
+// among them, and the acquire/release edges.
+func (s *Stats) note(ev *trace.Event) {
+	s.Events++
 	if ev.Op.IsAccess() {
-		c.accesses++
+		s.Accesses++
 	}
 	if ev.Op == trace.OpAcquire || ev.Op == trace.OpRelease {
-		c.syncOps++
+		s.SyncOps++
 	}
 }
 
-// adaptCounter tracks the adaptive shadow-representation transitions
-// shared by the epoch-based detectors (fasttrack, epoch, djit).
-type adaptCounter struct {
-	promotions, demotions, fastReads int
-}
-
-// fill copies the shared counters into a Stats snapshot, defaulting
-// CheckedAccesses to the full access count (no sampling at this
-// layer; the Sampled wrapper overrides the split).
-func fill(s Stats, c statCounter, a adaptCounter) Stats {
-	s.Events = c.events
-	s.Accesses = c.accesses
-	s.SyncOps = c.syncOps
-	s.Promotions = a.promotions
-	s.Demotions = a.demotions
-	s.FastPathReads = a.fastReads
-	s.CheckedAccesses = c.accesses
-	return s
+// Add sums every counter of o into s. It is the one place that folds
+// detector work across runs: sweep tallies, and the shard answers built
+// from them, carry the sum.
+func (s *Stats) Add(o Stats) {
+	s.Events += o.Events
+	s.Accesses += o.Accesses
+	s.SyncOps += o.SyncOps
+	s.Cells += o.Cells
+	s.SyncClocks += o.SyncClocks
+	s.Goroutines += o.Goroutines
+	s.Reports += o.Reports
+	s.Promotions += o.Promotions
+	s.Demotions += o.Demotions
+	s.FastPathReads += o.FastPathReads
+	s.CheckedAccesses += o.CheckedAccesses
+	s.SkippedAccesses += o.SkippedAccesses
+	s.Evictions += o.Evictions
+	s.Reloads += o.Reloads
 }
 
 // Stats reports the Hybrid detector's combined work counters. Both
@@ -132,8 +129,8 @@ func (h *Hybrid) Stats() Stats {
 // locksets, not clocks, so the adaptive promotion counters are always
 // zero.
 func (e *Eraser) Stats() Stats {
-	return fill(Stats{
-		Cells:   e.cellCount,
-		Reports: len(e.races),
-	}, e.stats, adaptCounter{})
+	s := e.st
+	s.Reports = len(e.races)
+	s.CheckedAccesses = s.Accesses
+	return s
 }

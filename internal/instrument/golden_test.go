@@ -38,7 +38,9 @@ var goldenCases = []struct {
 
 // TestGolden pins each fixture's generated source byte-for-byte and
 // type-checks it against gorace/internal/sched, so an accepted program
-// that would not compile fails here rather than in internal/progs.
+// that would not compile fails here rather than in internal/progs. A
+// fixture pinned with coalescing off is also type-checked coalesced,
+// the lowering raceinstrument and GenerateDogfood emit by default.
 func TestGolden(t *testing.T) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
@@ -56,6 +58,17 @@ func TestGolden(t *testing.T) {
 			}
 			if err := typeCheck(fset, imp, tc.name+".go", out.Source); err != nil {
 				t.Errorf("generated source does not type-check: %v\n%s", err, out.Source)
+			}
+			if !tc.coalesce {
+				co, err := Files(map[string]string{tc.src: string(src)}, Options{
+					ProgName: tc.prog, Entry: "Run", Coalesce: true,
+				})
+				if err != nil {
+					t.Fatalf("instrument %s coalesced: %v", tc.src, err)
+				}
+				if err := typeCheck(fset, imp, tc.name+"_coalesced.go", co.Source); err != nil {
+					t.Errorf("coalesced source does not type-check: %v\n%s", err, co.Source)
+				}
 			}
 			goldenPath := filepath.Join("testdata", "golden", tc.name+".go")
 			if *update {

@@ -6,7 +6,6 @@ type SelectCase interface {
 	ready() bool
 	exec(g *G)
 	isDefault() bool
-	desc() string
 }
 
 type recvCase[T any] struct {
@@ -16,7 +15,6 @@ type recvCase[T any] struct {
 
 func (rc recvCase[T]) ready() bool     { return rc.c.recvReady() }
 func (rc recvCase[T]) isDefault() bool { return false }
-func (rc recvCase[T]) desc() string    { return "<-" + rc.c.name }
 func (rc recvCase[T]) exec(g *G) {
 	v, ok := rc.c.execRecv(g)
 	if rc.fn != nil {
@@ -32,7 +30,6 @@ type sendCase[T any] struct {
 
 func (sc sendCase[T]) ready() bool     { return sc.c.sendReady() }
 func (sc sendCase[T]) isDefault() bool { return false }
-func (sc sendCase[T]) desc() string    { return sc.c.name + "<-" }
 func (sc sendCase[T]) exec(g *G) {
 	sc.c.execSend(g, sc.v)
 	if sc.fn != nil {
@@ -44,7 +41,6 @@ type defaultCase struct{ fn func() }
 
 func (dc defaultCase) ready() bool     { return true }
 func (dc defaultCase) isDefault() bool { return true }
-func (dc defaultCase) desc() string    { return "default" }
 func (dc defaultCase) exec(g *G) {
 	if dc.fn != nil {
 		dc.fn()

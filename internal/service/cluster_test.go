@@ -307,7 +307,7 @@ func TestShardResponseRoundTrip(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("rebuilt stats\n %+v\nwant\n %+v", got, want)
 	}
-	if len(want) != 1 || want[0].Accesses == 0 || stats.Runs != want[0].Runs || stats.Racy != want[0].Detected {
+	if len(want) != 1 || want[0].Work.Accesses == 0 || stats.Runs != want[0].Runs || stats.Racy != want[0].Detected {
 		t.Errorf("shard stats %+v for tally %+v", stats, want)
 	}
 	lc, rc := local[1].(*corpus.Collector), aggs[1].(*corpus.Collector)

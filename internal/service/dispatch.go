@@ -305,8 +305,8 @@ func readShardResponse(r io.Reader, runID, unitID string, sh sweep.Shard, idx in
 
 // check accepts an answer only if it could have come from executing
 // shard idx: the echoed index, a stat of sh's unit, 0 ≤ Detected ≤
-// Runs ≤ sh.N, 0 ≤ LeakedRuns ≤ Runs, and Races ≥ 0. The work counters
-// (Accesses … FastReads) go unchecked: no job result reads them.
+// Runs ≤ sh.N, 0 ≤ LeakedRuns ≤ Runs, and Races ≥ 0. The summed
+// detector.Stats in Work goes unchecked: no job result reads it.
 func (r *shardResponse) check(unitID string, sh sweep.Shard, idx int) error {
 	s := r.Stat
 	switch {

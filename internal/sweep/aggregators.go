@@ -1,6 +1,9 @@
 package sweep
 
-import "gorace/internal/core"
+import (
+	"gorace/internal/core"
+	"gorace/internal/detector"
+)
 
 // This file holds the standard streaming aggregators. All of them keep
 // their state sparse per unit, in a Units store, so a shard's memory is
@@ -13,23 +16,18 @@ import "gorace/internal/core"
 // UnitStat is one unit's campaign tally: the detection-probability
 // estimate behind explore.Probe and the §3.2 flakiness argument, and
 // the detector work it cost — the overhead side of the
-// P(detect)-vs-overhead tradeoff a sample-rate sweep measures. The
-// work counters are the ones that sweep's table prints, each a sum over
-// the unit's runs of an Outcome's detector.Stats field. A worker's
-// shard answer carries its unit's UnitStat.
+// P(detect)-vs-overhead tradeoff a sample-rate sweep measures. Work is
+// the sum over the unit's runs of each Outcome's detector.Stats. A
+// worker's shard answer carries its unit's UnitStat.
 type UnitStat struct {
-	Unit       string `json:"unit"`       // Unit.ID
-	Detector   string `json:"detector"`   // resolved detector name, from the first outcome
-	Strategy   string `json:"strategy"`   // resolved strategy name, from the first outcome
-	Runs       int    `json:"runs"`       // executions observed
-	Detected   int    `json:"detected"`   // executions with at least one race
-	Races      int    `json:"races"`      // total race reports
-	LeakedRuns int    `json:"leakedRuns"` // executions that ended with blocked goroutines
-	Accesses   int    `json:"accesses"`   // memory accesses in the stream
-	Checked    int    `json:"checked"`    // accesses the detector actually inspected
-	Promotions int    `json:"promotions"` // epoch→VC shadow promotions inside the detector
-	Demotions  int    `json:"demotions"`  // VC→epoch demotions
-	FastReads  int    `json:"fastReads"`  // reads absorbed on the epoch fast path
+	Unit       string         `json:"unit"`       // Unit.ID
+	Detector   string         `json:"detector"`   // resolved detector name, from the first outcome
+	Strategy   string         `json:"strategy"`   // resolved strategy name, from the first outcome
+	Runs       int            `json:"runs"`       // executions observed
+	Detected   int            `json:"detected"`   // executions with at least one race
+	Races      int            `json:"races"`      // total race reports
+	LeakedRuns int            `json:"leakedRuns"` // executions that ended with blocked goroutines
+	Work       detector.Stats `json:"work"`       // detector work, summed over the runs
 }
 
 // Probability returns the manifestation-probability estimate.
@@ -48,11 +46,7 @@ func (s *UnitStat) add(o *UnitStat) {
 	s.Detected += o.Detected
 	s.Races += o.Races
 	s.LeakedRuns += o.LeakedRuns
-	s.Accesses += o.Accesses
-	s.Checked += o.Checked
-	s.Promotions += o.Promotions
-	s.Demotions += o.Demotions
-	s.FastReads += o.FastReads
+	s.Work.Add(o.Work)
 }
 
 // Prob tallies every unit's UnitStat: detection probability and
@@ -75,12 +69,9 @@ func NewProbOf(unitIdx int, s UnitStat) *Prob {
 
 // Observe implements Aggregator.
 func (p *Prob) Observe(r Run) {
-	st := r.Outcome.Stats
 	o := UnitStat{
 		Unit: r.Unit.ID, Detector: r.Outcome.Detector, Strategy: r.Outcome.Strategy,
-		Runs: 1, Races: len(r.Outcome.Races),
-		Accesses: st.Accesses, Checked: st.CheckedAccesses,
-		Promotions: st.Promotions, Demotions: st.Demotions, FastReads: st.FastPathReads,
+		Runs: 1, Races: len(r.Outcome.Races), Work: r.Outcome.Stats,
 	}
 	if r.Outcome.HasRace() {
 		o.Detected = 1

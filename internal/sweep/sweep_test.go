@@ -295,7 +295,8 @@ func sampledCampaign(t testing.TB, opts ...Option) string {
 	for i, s := range aggs[0].(*Prob).Stats() {
 		fmt.Fprintf(&b, "%s %s %s rate=%d runs=%d det=%d races=%d leaked=%d acc=%d chk=%d skip=%d promo=%d demo=%d fast=%d\n",
 			s.Unit, s.Detector, s.Strategy, units[i].SampleRate, s.Runs, s.Detected, s.Races, s.LeakedRuns,
-			s.Accesses, s.Checked, s.Accesses-s.Checked, s.Promotions, s.Demotions, s.FastReads)
+			s.Work.Accesses, s.Work.CheckedAccesses, s.Work.Accesses-s.Work.CheckedAccesses,
+			s.Work.Promotions, s.Work.Demotions, s.Work.FastPathReads)
 	}
 	return b.String()
 }
@@ -380,25 +381,19 @@ func TestProbWorkCountersSumRunStats(t *testing.T) {
 		t.Fatalf("Prob tallied %d units, want %d", len(got), len(units))
 	}
 	for i, s := range got {
-		var want UnitStat
+		var want detector.Stats
 		for _, st := range runs[i] {
-			want.Accesses += st.Accesses
-			want.Checked += st.CheckedAccesses
-			want.Promotions += st.Promotions
-			want.Demotions += st.Demotions
-			want.FastReads += st.FastPathReads
+			want.Add(st)
 		}
-		work := UnitStat{Accesses: s.Accesses, Checked: s.Checked,
-			Promotions: s.Promotions, Demotions: s.Demotions, FastReads: s.FastReads}
-		if work != want {
-			t.Errorf("%s: work counters %+v, run sums %+v", s.Unit, work, want)
+		if s.Work != want {
+			t.Errorf("%s: work counters %+v, run sums %+v", s.Unit, s.Work, want)
 		}
-		if s.Runs != 12 || len(runs[i]) != 12 || s.Accesses == 0 || s.Checked == 0 {
+		if s.Runs != 12 || len(runs[i]) != 12 || s.Work.Accesses == 0 || s.Work.CheckedAccesses == 0 {
 			t.Errorf("%s: %d runs (%d observed), %d accesses, %d checked",
-				s.Unit, s.Runs, len(runs[i]), s.Accesses, s.Checked)
+				s.Unit, s.Runs, len(runs[i]), s.Work.Accesses, s.Work.CheckedAccesses)
 		}
 	}
-	if got[1].Checked >= got[1].Accesses {
+	if got[1].Work.CheckedAccesses >= got[1].Work.Accesses {
 		t.Errorf("rate-4 unit checked every access: %+v", got[1])
 	}
 }
